@@ -22,7 +22,8 @@ from .errors import (
 
 # Relative Frobenius deviation allowed before a matrix stops counting as Hermitian.
 HERMITICITY_TOL = 1e-10
-# Eigenvalues above -PSD_TOL * ||P||_F count as rounding noise and are clipped.
+# A PSD input is rejected only for an eigenvalue below -PSD_TOL * max(1, ||P||_F);
+# eigenvalues up to +PSD_TOL * ||P||_F are rounding noise and count as zero.
 PSD_TOL = 1e-10
 # Budget for eigendecomposition reconstruction and completion unitarity.
 RECON_TOL = 1e-12
@@ -36,8 +37,9 @@ class Tolerance:
     relative: float = 1e-9
 
     def __post_init__(self) -> None:
-        if self.absolute < 0 or self.relative < 0:
-            raise ValueError("tolerances must be nonnegative")
+        # NaN would switch every comparison off and inf would pass every one.
+        if not (0 <= self.absolute < math.inf and 0 <= self.relative < math.inf):
+            raise ValueError("tolerances must be finite and nonnegative")
 
     def effective(self, scale: float) -> float:
         """Budget for a comparison whose natural magnitude is ``scale``."""
@@ -83,34 +85,50 @@ class EigenSystem:
         v = self.eigenvectors
         return (v * self.eigenvalues) @ v.conj().T
 
+    def power(self, r: float) -> np.ndarray:
+        """The PSD matrix raised to a positive power ``r``.
+
+        Eigenvalues up to ``PSD_TOL * ||P||_F`` are zeroed, not just negative
+        ones: fractional powers amplify +eps junk far above the
+        reconstruction budget.
+        """
+        if r <= 0:
+            raise ValueError("power must be positive")
+        w, v = self.eigenvalues, self.eigenvectors
+        cutoff = PSD_TOL * float(np.linalg.norm(w))
+        x = (v * np.where(w > cutoff, w, 0.0) ** r) @ v.conj().T
+        return (x + x.conj().T) / 2.0
+
+
+def _eigh_descending(a: np.ndarray) -> EigenSystem:
+    w, vecs = np.linalg.eigh((a + a.conj().T) / 2.0)
+    return EigenSystem(eigenvalues=w[::-1].copy(), eigenvectors=vecs[:, ::-1].copy())
+
 
 def hermitian_eig(h) -> EigenSystem:
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending."""
-    a = require_hermitian(h)
-    w, vecs = np.linalg.eigh((a + a.conj().T) / 2.0)
-    return EigenSystem(eigenvalues=w[::-1].copy(), eigenvectors=vecs[:, ::-1].copy())
+    return _eigh_descending(require_hermitian(h))
+
+
+def _psd_eig(a: np.ndarray, name: str = "matrix") -> EigenSystem:
+    """Spectrum of the validated Hermitian ``a``: the one PSD decision.
+
+    Eigenvalues down to ``-PSD_TOL * max(1, ||a||_F)`` pass as rounding noise.
+    """
+    es = _eigh_descending(a)
+    low = float(es.eigenvalues[-1])
+    if low < -PSD_TOL * max(1.0, float(np.linalg.norm(es.eigenvalues))):
+        raise NotPositiveSemidefinite(f"{name} has eigenvalue {low:.3e}")
+    return es
 
 
 def psd_power(p, r: float) -> np.ndarray:
     """``p`` raised to a positive power ``r`` through its spectral decomposition.
 
-    Eigenvalues in ``[-PSD_TOL * ||p||_F, 0)`` are clipped to zero; anything
-    more negative raises :class:`NotPositiveSemidefinite`.
+    Noise-band eigenvalues count as zero (see :meth:`EigenSystem.power`); a
+    more negative one raises :class:`NotPositiveSemidefinite`.
     """
-    if r <= 0:
-        raise ValueError("power must be positive")
-    es = hermitian_eig(p)
-    scale = float(np.linalg.norm(np.asarray(p)))
-    cutoff = PSD_TOL * scale
-    if es.eigenvalues[-1] < -cutoff:
-        raise NotPositiveSemidefinite(
-            f"minimum eigenvalue {es.eigenvalues[-1]:.3e} below -{cutoff:.3e}"
-        )
-    # Eigenvalues inside the noise band are zeroed, not just negated ones:
-    # fractional powers amplify +eps junk far above the reconstruction budget.
-    powered = np.where(es.eigenvalues > cutoff, es.eigenvalues, 0.0) ** r
-    x = (es.eigenvectors * powered) @ es.eigenvectors.conj().T
-    return (x + x.conj().T) / 2.0
+    return _psd_eig(require_hermitian(p)).power(r)
 
 
 def frobenius_inner(x, y) -> complex:
@@ -125,9 +143,11 @@ def frobenius_inner(x, y) -> complex:
 def unitary_completion(columns, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Extend orthonormal columns to a full unitary matrix.
 
-    The given columns are kept exactly as the leading columns.  Remaining
-    columns come from orthonormalizing the standard basis vectors e1, e2, ...
-    in order, so the result is deterministic.
+    The completion is the Q factor of one Householder QR of
+    ``[columns | I]``: its leading columns span the given ones, and the rest
+    are orthonormal to them, so the result is deterministic.  The given
+    columns then replace their phase-rotated copies in Q and are kept
+    exactly as the leading columns.
     """
     cols = [np.asarray(c, dtype=complex).ravel() for c in columns]
     if not cols:
@@ -142,23 +162,9 @@ def unitary_completion(columns, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     deviation = float(np.linalg.norm(gram - np.eye(len(cols))))
     if deviation > tol.effective(1.0):
         raise NotOrthonormal(f"input Gram deviates from identity by {deviation:.3e}")
-    for j in range(n):
-        if basis.shape[1] == n:
-            break
-        v = np.zeros(n, dtype=complex)
-        v[j] = 1.0
-        v = v - basis @ (basis.conj().T @ v)
-        norm = np.linalg.norm(v)
-        if norm < 1e-6:
-            continue
-        v = v / norm
-        # Second pass keeps orthogonality at rounding level.
-        v = v - basis @ (basis.conj().T @ v)
-        v = v / np.linalg.norm(v)
-        basis = np.column_stack([basis, v])
-    if basis.shape[1] != n:
-        raise NotOrthonormal("failed to complete the basis")
-    return basis
+    q, _ = np.linalg.qr(np.hstack([basis, np.eye(n, dtype=complex)]))
+    q[:, : len(cols)] = basis
+    return q
 
 
 def _canonical_real_pair(c: float, s: float) -> tuple[float, float]:

@@ -24,9 +24,11 @@ from .errors import (
 from .linalg import DEFAULT_TOL, Tolerance, frobenius_norm, unitary_completion
 from .states import (
     IMAG_TOL,
+    Observable,
+    PairMoments,
     PureState,
     QuantumState,
-    _matrix_of,
+    _observable_pair,
     pair_moments,
 )
 
@@ -128,14 +130,24 @@ def _make_report(name: str, lhs: float, rhs: float, tol: Tolerance, digest: str)
     )
 
 
-def robertson(observable_a, observable_b, state: QuantumState, tol: Tolerance = DEFAULT_TOL) -> BoundReport:
-    """dev(A) dev(B) >= |<[A, B]>| / 2, for pure or mixed states."""
-    a = _matrix_of(observable_a)
-    b = _matrix_of(observable_b)
-    m = pair_moments(a, b, state)
-    digest = _digest(a, b, _state_digest_part(state), "robertson")
+def _robertson_report(a: Observable, b: Observable, state: QuantumState,
+                      m: PairMoments, tol: Tolerance) -> BoundReport:
+    digest = _digest(a.matrix, b.matrix, _state_digest_part(state), "robertson")
     rhs = abs(m.commutator_expectation) / 2.0
     return _make_report("robertson", m.dev_a * m.dev_b, rhs, tol, digest)
+
+
+def _schrodinger_report(a: Observable, b: Observable, state: QuantumState,
+                        m: PairMoments, tol: Tolerance) -> BoundReport:
+    digest = _digest(a.matrix, b.matrix, _state_digest_part(state), "schrodinger")
+    rhs = m.cross.real**2 + m.cross.imag**2
+    return _make_report("schrodinger", (m.dev_a * m.dev_b) ** 2, rhs, tol, digest)
+
+
+def robertson(observable_a, observable_b, state: QuantumState, tol: Tolerance = DEFAULT_TOL) -> BoundReport:
+    """dev(A) dev(B) >= |<[A, B]>| / 2, for pure or mixed states."""
+    a, b = _observable_pair(observable_a, observable_b)
+    return _robertson_report(a, b, state, pair_moments(a, b, state), tol)
 
 
 def schrodinger(observable_a, observable_b, state: QuantumState, tol: Tolerance = DEFAULT_TOL) -> BoundReport:
@@ -144,25 +156,33 @@ def schrodinger(observable_a, observable_b, state: QuantumState, tol: Tolerance 
     Both right-hand terms are read off the centered cross inner product, so
     the anticommutator piece never suffers the alpha*beta cancellation.
     """
-    a = _matrix_of(observable_a)
-    b = _matrix_of(observable_b)
-    m = pair_moments(a, b, state)
-    digest = _digest(a, b, _state_digest_part(state), "schrodinger")
-    rhs = m.cross.real**2 + m.cross.imag**2
-    return _make_report("schrodinger", (m.dev_a * m.dev_b) ** 2, rhs, tol, digest)
+    a, b = _observable_pair(observable_a, observable_b)
+    return _schrodinger_report(a, b, state, pair_moments(a, b, state), tol)
 
 
-def choose_mu(observable_a, observable_b, psi: PureState, tol: Tolerance = DEFAULT_TOL) -> MuChoice:
-    """Pick mu in {i, -i} with mu * <psi|[A, B]|psi> >= 0; ties go to i."""
-    a = _matrix_of(observable_a)
-    b = _matrix_of(observable_b)
-    m = pair_moments(a, b, psi)
+def _choose_mu(a: Observable, b: Observable, m: PairMoments, tol: Tolerance) -> MuChoice:
     comm = m.commutator_expectation
-    scale = max(1.0, frobenius_norm(a) * frobenius_norm(b))
+    scale = max(1.0, frobenius_norm(a.matrix) * frobenius_norm(b.matrix))
     if abs(comm) <= tol.effective(scale):
         return MuChoice(mu=1j, commutator_expectation=comm, tie_broken=True)
     mu = -1j if comm.imag > 0 else 1j
     return MuChoice(mu=mu, commutator_expectation=comm, tie_broken=False)
+
+
+def choose_mu(observable_a, observable_b, psi: PureState, tol: Tolerance = DEFAULT_TOL) -> MuChoice:
+    """Pick mu in {i, -i} with mu * <psi|[A, B]|psi> >= 0; ties go to i."""
+    a, b = _observable_pair(observable_a, observable_b)
+    return _choose_mu(a, b, pair_moments(a, b, psi), tol)
+
+
+def _require_deviations(dev_a: float, dev_b: float, a: Observable, b: Observable,
+                        tol: Tolerance, what: str = "deviations") -> None:
+    """Raise :class:`ZeroDeviation` unless both deviations clear the product-bound budget."""
+    budget = tol.effective(max(1.0, frobenius_norm(a.matrix), frobenius_norm(b.matrix)))
+    if dev_a <= budget or dev_b <= budget:
+        raise ZeroDeviation(
+            f"{what} ({dev_a:.3e}, {dev_b:.3e}) too small for the product bound"
+        )
 
 
 def _require_orthonormal_pair(psi: PureState, phi: PureState, tol: Tolerance) -> None:
@@ -183,22 +203,25 @@ def _real_part(name: str, value: complex, scale: float) -> float:
 
 def mp_frame(observable_a, observable_b, psi: PureState, phi: PureState,
              tol: Tolerance = DEFAULT_TOL) -> MPFrame:
-    """Rotate A and B into the frame whose leading columns are psi and phi."""
-    a = _matrix_of(observable_a)
-    b = _matrix_of(observable_b)
-    if a.shape[0] != psi.dimension or b.shape[0] != psi.dimension:
+    """Rotate A and B into the frame whose leading columns are psi and phi.
+
+    Only the first rows (psi^dagger A) U and (psi^dagger B) U are formed.
+    """
+    a, b = _observable_pair(observable_a, observable_b)
+    if a.matrix.shape[0] != psi.dimension:
         raise DimensionMismatch("observable and state dimensions differ")
     _require_orthonormal_pair(psi, phi, tol)
     basis = unitary_completion([psi.amplitudes, phi.amplitudes], tol)
-    a_rot = basis.conj().T @ a @ basis
-    b_rot = basis.conj().T @ b @ basis
+    bra = psi.amplitudes.conj()
+    row_a = (bra @ a.matrix) @ basis
+    row_b = (bra @ b.matrix) @ basis
     return MPFrame(
-        alpha=float(a_rot[0, 0].real),
-        beta=float(b_rot[0, 0].real),
-        u=a_rot[0, 1:].copy(),
-        v=b_rot[0, 1:].copy(),
-        c=complex(a_rot[0, 1]),
-        d=complex(b_rot[0, 1]),
+        alpha=float(row_a[0].real),
+        beta=float(row_b[0].real),
+        u=row_a[1:],
+        v=row_b[1:],
+        c=complex(row_a[1]),
+        d=complex(row_b[1]),
     )
 
 
@@ -213,15 +236,9 @@ def mp_chain(observable_a, observable_b, psi: PureState, phi: PureState,
     mu = complex(mu)
     if abs(abs(mu) - 1.0) > tol.effective(1.0):
         raise ValueError(f"|mu| must be 1, got {abs(mu)!r}")
-    frame = mp_frame(observable_a, observable_b, psi, phi, tol)
-    digest = _digest(
-        _matrix_of(observable_a),
-        _matrix_of(observable_b),
-        psi.amplitudes,
-        phi.amplitudes,
-        mu,
-        "mp-chain",
-    )
+    a, b = _observable_pair(observable_a, observable_b)
+    frame = mp_frame(a, b, psi, phi, tol)
+    digest = _digest(a.matrix, b.matrix, psi.amplitudes, phi.amplitudes, mu, "mp-chain")
     dev_sq_sum = float((frame.u.conj() @ frame.u).real) + float((frame.v.conj() @ frame.v).real)
     abs_c, abs_d = abs(frame.c), abs(frame.d)
     mixed = abs(frame.c + mu * frame.d) ** 2 / 2.0
@@ -233,11 +250,10 @@ def mp_chain(observable_a, observable_b, psi: PureState, phi: PureState,
 
 def mu_ratio(observable_a, observable_b, psi: PureState, phi: PureState) -> complex:
     """<psi|A|phi> / <psi|B|phi>: the mu that aligns the chain's last step."""
-    a = _matrix_of(observable_a)
-    b = _matrix_of(observable_b)
-    c = complex(psi.amplitudes.conj() @ (a @ phi.amplitudes))
-    d = complex(psi.amplitudes.conj() @ (b @ phi.amplitudes))
-    if abs(d) <= 1e-14 * max(1.0, frobenius_norm(b)):
+    a, b = _observable_pair(observable_a, observable_b)
+    c = complex(psi.amplitudes.conj() @ (a.matrix @ phi.amplitudes))
+    d = complex(psi.amplitudes.conj() @ (b.matrix @ phi.amplitudes))
+    if abs(d) <= 1e-14 * max(1.0, frobenius_norm(b.matrix)):
         raise ZeroDeviation("denominator matrix element <psi|B|phi> vanishes")
     return c / d
 
@@ -245,17 +261,16 @@ def mu_ratio(observable_a, observable_b, psi: PureState, phi: PureState) -> comp
 def mp3(observable_a, observable_b, psi: PureState, phi: PureState,
         tol: Tolerance = DEFAULT_TOL) -> MP3Report:
     """Sum bound: dev(A)^2 + dev(B)^2 >= mu <[A,B]> + |<psi|(A + mu B)|phi>|^2."""
-    a = _matrix_of(observable_a)
-    b = _matrix_of(observable_b)
+    a, b = _observable_pair(observable_a, observable_b)
     _require_orthonormal_pair(psi, phi, tol)
-    choice = choose_mu(a, b, psi, tol)
     m = pair_moments(a, b, psi)
+    choice = _choose_mu(a, b, m, tol)
     cross_elem = complex(
-        psi.amplitudes.conj() @ ((a + choice.mu * b) @ phi.amplitudes)
+        psi.amplitudes.conj() @ ((a.matrix + choice.mu * b.matrix) @ phi.amplitudes)
     )
     comm_term = _real_part("mp3 commutator term", choice.mu * m.commutator_expectation,
                            abs(m.commutator_expectation))
-    digest = _digest(a, b, psi.amplitudes, phi.amplitudes, "mp3")
+    digest = _digest(a.matrix, b.matrix, psi.amplitudes, phi.amplitudes, "mp3")
     lhs = m.dev_a**2 + m.dev_b**2
     rhs = comm_term + abs(cross_elem) ** 2
     return MP3Report(report=_make_report("mp3", lhs, rhs, tol, digest), mu=choice)
@@ -271,22 +286,17 @@ def mp6(observable_a, observable_b, psi: PureState, phi: PureState,
         dev(A) dev(B) >= (mu/2) <[A,B]> / (1 - |<psi|Q_mu|phi>|^2 / 2)
     only when the denominator stays clear of zero.
     """
-    a = _matrix_of(observable_a)
-    b = _matrix_of(observable_b)
+    a, b = _observable_pair(observable_a, observable_b)
     _require_orthonormal_pair(psi, phi, tol)
-    choice = choose_mu(a, b, psi, tol)
     m = pair_moments(a, b, psi)
-    dev_budget = tol.effective(max(1.0, frobenius_norm(a), frobenius_norm(b)))
-    if m.dev_a <= dev_budget or m.dev_b <= dev_budget:
-        raise ZeroDeviation(
-            f"deviations ({m.dev_a:.3e}, {m.dev_b:.3e}) too small for the product bound"
-        )
-    q = a / m.dev_a + choice.mu * b / m.dev_b
+    choice = _choose_mu(a, b, m, tol)
+    _require_deviations(m.dev_a, m.dev_b, a, b, tol)
+    q = a.matrix / m.dev_a + choice.mu * b.matrix / m.dev_b
     q_elem = complex(psi.amplitudes.conj() @ (q @ phi.amplitudes))
     denominator = 1.0 - abs(q_elem) ** 2 / 2.0
     comm_term = _real_part("mp6 commutator term", choice.mu * m.commutator_expectation,
                            abs(m.commutator_expectation))
-    digest = _digest(a, b, psi.amplitudes, phi.amplitudes, "mp6")
+    digest = _digest(a.matrix, b.matrix, psi.amplitudes, phi.amplitudes, "mp6")
     reformulated = _make_report(
         "mp6 reformulated", denominator, comm_term / (2.0 * m.dev_a * m.dev_b), tol, digest
     )

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -98,21 +98,13 @@ def matrix_from_json_dict(d: dict) -> np.ndarray:
 # Record serialization
 
 
-def tolerance_to_dict(tol: Tolerance) -> dict:
-    return {"absolute": tol.absolute, "relative": tol.relative}
-
-
-def tolerance_from_dict(d: dict) -> Tolerance:
-    return Tolerance(absolute=float(d["absolute"]), relative=float(d["relative"]))
-
-
 def bound_report_to_dict(report: BoundReport) -> dict:
     return {
         "lhs": report.lhs,
         "rhs": report.rhs,
         "slack": report.slack,
         "saturated": report.saturated,
-        "tolerance": tolerance_to_dict(report.tol_used),
+        "tolerance": asdict(report.tol_used),
         "inputs_digest": report.inputs_digest,
     }
 
@@ -123,7 +115,7 @@ def bound_report_from_dict(d: dict) -> BoundReport:
         rhs=float(d["rhs"]),
         slack=float(d["slack"]),
         saturated=bool(d["saturated"]),
-        tol_used=tolerance_from_dict(d["tolerance"]),
+        tol_used=Tolerance(**d["tolerance"]),
         inputs_digest=str(d["inputs_digest"]),
     )
 
@@ -142,61 +134,24 @@ def certificate_to_dict(cert: SaturationCertificate | None) -> dict | None:
     }
 
 
-def config_to_dict(config: SampleConfig | None) -> dict | None:
-    if config is None:
-        return None
-    return {
-        "dimension": config.dimension,
-        "rank": config.rank,
-        "seed": config.seed,
-        "count": config.count,
-    }
-
-
-def config_from_dict(d: dict | None) -> SampleConfig | None:
-    if d is None:
-        return None
-    return SampleConfig(
-        dimension=int(d["dimension"]), rank=int(d["rank"]),
-        seed=int(d["seed"]), count=int(d["count"]),
-    )
-
-
-def manifest_to_dict(manifest: RunManifest) -> dict:
-    return {
-        "command": manifest.command,
-        "config": config_to_dict(manifest.config),
-        "tolerance": tolerance_to_dict(manifest.tolerance),
-        "started": manifest.started,
-        "finished": manifest.finished,
-        "artifact_version": manifest.artifact_version,
-        "seed": manifest.seed,
-    }
-
-
-def manifest_from_dict(d: dict) -> RunManifest:
-    return RunManifest(
-        command=str(d["command"]),
-        config=config_from_dict(d.get("config")),
-        tolerance=tolerance_from_dict(d["tolerance"]),
-        started=str(d["started"]),
-        finished=str(d["finished"]),
-        artifact_version=str(d["artifact_version"]),
-        seed=int(d["seed"]),
-    )
-
-
 def report_to_dict(report: SuiteReport) -> dict:
+    # Shallow on purpose: asdict on the whole report would deep-copy every trial.
     return {
-        "manifest": manifest_to_dict(report.manifest),
+        "manifest": asdict(report.manifest),
         "trials": list(report.trials),
         "summary": report.summary,
     }
 
 
 def report_from_dict(d: dict) -> SuiteReport:
+    manifest = d["manifest"]
+    config = manifest.get("config")
     return SuiteReport(
-        manifest=manifest_from_dict(d["manifest"]),
+        manifest=RunManifest(**dict(
+            manifest,
+            config=None if config is None else SampleConfig(**config),
+            tolerance=Tolerance(**manifest["tolerance"]),
+        )),
         trials=tuple(d["trials"]),
         summary=dict(d["summary"]),
     )

@@ -84,9 +84,10 @@ def random_density(n: int, rank: int, seed) -> DensityMatrix:
         g = _complex_normal(rng, n, rank)
         rho = g @ g.conj().T
         rho = rho / np.trace(rho).real
-        achieved = int(np.sum(np.linalg.eigvalsh(rho) > RANK_EIG_TOL))
+        state = DensityMatrix((rho + rho.conj().T) / 2.0)
+        achieved = int(np.sum(state.spectrum.eigenvalues > RANK_EIG_TOL))
         if achieved == rank:
-            return DensityMatrix((rho + rho.conj().T) / 2.0)
+            return state
     raise RankUnachieved(f"numerical rank {achieved} != requested {rank}")
 
 

@@ -23,24 +23,30 @@ from .errors import (
     InconsistentCharacterization,
     InconsistentSaturation,
     RIndependenceViolation,
-    ZeroDeviation,
 )
 from .linalg import (
     DEFAULT_TOL,
-    PSD_TOL,
     Tolerance,
     complex_dependence_detail,
     frobenius_norm,
-    hermitian_eig,
     phase_dependence_detail,
 )
-from .relations import BoundReport, mp3, mp6, mp_chain, robertson, schrodinger
+from .relations import (
+    BoundReport,
+    _require_deviations,
+    _robertson_report,
+    _schrodinger_report,
+    mp3,
+    mp6,
+    mp_chain,
+)
 from .states import (
     DensityMatrix,
+    Observable,
+    PairMoments,
     PureState,
     QuantumState,
-    _matrix_of,
-    expectation,
+    _observable_pair,
     pair_moments,
 )
 
@@ -151,14 +157,10 @@ def _cross_check(kind: str, present: bool, dependence_residual: float,
 def robertson_saturation_pure(observable_a, observable_b, psi: PureState,
                               tol: Tolerance = DEFAULT_TOL) -> SaturationCertificate | None:
     """Phase theta with cos(theta) A_c |psi> + i sin(theta) B_c |psi> = 0, if any."""
-    a = _matrix_of(observable_a)
-    b = _matrix_of(observable_b)
-    alpha = expectation(a, psi)
-    beta = expectation(b, psi)
-    x = a @ psi.amplitudes - alpha * psi.amplitudes
-    y = b @ psi.amplitudes - beta * psi.amplitudes
-    theta, residual = phase_dependence_detail(x, y, tol)
-    report = robertson(a, b, psi, tol)
+    a, b = _observable_pair(observable_a, observable_b)
+    m = pair_moments(a, b, psi)
+    theta, residual = phase_dependence_detail(m.centered_a, m.centered_b, tol)
+    report = _robertson_report(a, b, psi, m, tol)
     _cross_check("robertson pure", theta is not None, residual, report, tol)
     if theta is None:
         return None
@@ -167,22 +169,16 @@ def robertson_saturation_pure(observable_a, observable_b, psi: PureState,
     )
 
 
-def _rho_powers(rho: DensityMatrix, r_list) -> dict[float, np.ndarray]:
-    # One eigendecomposition serves every power; eigenvalues in the PSD noise
-    # band are zeroed so fractional powers cannot amplify kernel junk.
-    es = hermitian_eig(rho.matrix)
-    cutoff = PSD_TOL * float(np.linalg.norm(rho.matrix))
-    w = np.where(es.eigenvalues > cutoff, es.eigenvalues, 0.0)
-    v = es.eigenvectors
-    return {float(r): (v * w**r) @ v.conj().T for r in r_list}
-
-
-def _verify_r_family(a_c: np.ndarray, b_c: np.ndarray, coeff_a: complex, coeff_b: complex,
-                     rho: DensityMatrix, r_list, tol: Tolerance) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Residuals of coeff_a * A_c rho^r + coeff_b * B_c rho^r over r_list."""
-    powers = _rho_powers(rho, r_list)
+def _verify_r_family(a: Observable, b: Observable, m: PairMoments,
+                     coeff_a: complex, coeff_b: complex, rho: DensityMatrix,
+                     r_list, tol: Tolerance) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Residuals of coeff_a * A_c rho^r + coeff_b * B_c rho^r over the distinct r in r_list."""
+    eye = np.eye(rho.dimension)
+    a_c = a.matrix - m.alpha * eye
+    b_c = b.matrix - m.beta * eye
     rs, residuals = [], []
-    for r, rho_r in powers.items():
+    for r in dict.fromkeys(float(r) for r in r_list):
+        rho_r = rho.spectrum.power(r)
         ma = a_c @ rho_r
         mb = b_c @ rho_r
         res = float(np.linalg.norm(coeff_a * ma + coeff_b * mb))
@@ -205,20 +201,15 @@ def robertson_saturation_mixed(observable_a, observable_b, state: QuantumState,
     if any(r <= 0 for r in r_list):
         raise ValueError("r_list entries must be positive")
     rho = _as_density(state)
-    a = _matrix_of(observable_a)
-    b = _matrix_of(observable_b)
+    a, b = _observable_pair(observable_a, observable_b)
     m = pair_moments(a, b, rho)
-    eye = np.eye(rho.dimension)
-    a_c = a - m.alpha * eye
-    b_c = b - m.beta * eye
-    half = _rho_powers(rho, (0.5,))[0.5]
-    theta, residual = phase_dependence_detail(a_c @ half, b_c @ half, tol)
-    report = robertson(a, b, rho, tol)
+    theta, residual = phase_dependence_detail(m.centered_a, m.centered_b, tol)
+    report = _robertson_report(a, b, rho, m, tol)
     _cross_check("robertson mixed", theta is not None, residual, report, tol)
     if theta is None:
         return None
     rs, r_residuals = _verify_r_family(
-        a_c, b_c, math.cos(theta), 1j * math.sin(theta), rho, r_list, tol
+        a, b, m, math.cos(theta), 1j * math.sin(theta), rho, r_list, tol
     )
     return SaturationCertificate(
         kind=CertificateKind.ROBERTSON_MIXED,
@@ -238,21 +229,16 @@ def schrodinger_saturation(observable_a, observable_b, state: QuantumState,
     if not r_list or any(r <= 0 for r in r_list):
         raise ValueError("r_list must be nonempty with positive entries")
     rho = _as_density(state)
-    a = _matrix_of(observable_a)
-    b = _matrix_of(observable_b)
+    a, b = _observable_pair(observable_a, observable_b)
     m = pair_moments(a, b, rho)
-    eye = np.eye(rho.dimension)
-    a_c = a - m.alpha * eye
-    b_c = b - m.beta * eye
-    half = _rho_powers(rho, (0.5,))[0.5]
-    angles, residual = complex_dependence_detail(a_c @ half, b_c @ half, tol)
-    report = schrodinger(a, b, rho, tol)
+    angles, residual = complex_dependence_detail(m.centered_a, m.centered_b, tol)
+    report = _schrodinger_report(a, b, rho, m, tol)
     _cross_check("schrodinger", angles is not None, residual, report, tol)
     if angles is None:
         return None
     theta, phi = angles
     rs, r_residuals = _verify_r_family(
-        a_c, b_c, math.cos(theta), cmath.exp(1j * phi) * math.sin(theta), rho, r_list, tol
+        a, b, m, math.cos(theta), cmath.exp(1j * phi) * math.sin(theta), rho, r_list, tol
     )
     return SaturationCertificate(
         kind=CertificateKind.SCHRODINGER,
@@ -276,9 +262,8 @@ def mp_chain_saturation(observable_a, observable_b, psi: PureState, phi: PureSta
     A - conj(mu) B with eigenvalue alpha - conj(mu) beta.
     """
     mu = complex(mu)
-    chain = mp_chain(observable_a, observable_b, psi, phi, mu, tol)
-    a = _matrix_of(observable_a)
-    b = _matrix_of(observable_b)
+    a, b = _observable_pair(observable_a, observable_b)
+    chain = mp_chain(a, b, psi, phi, mu, tol)
     m = pair_moments(a, b, psi)
     abs_c, abs_d = abs(chain.frame.c), abs(chain.frame.d)
 
@@ -292,12 +277,9 @@ def mp_chain_saturation(observable_a, observable_b, psi: PureState, phi: PureSta
         res3 <= tol.effective(scale),
     )
 
-    shifted = (a - np.conj(mu) * b) @ psi.amplitudes - (
-        m.alpha - np.conj(mu) * m.beta
-    ) * psi.amplitudes
-    eigen_residual = float(np.linalg.norm(shifted))
+    eigen_residual = float(np.linalg.norm(m.centered_a - np.conj(mu) * m.centered_b))
     certificate = None
-    if eigen_residual <= tol.effective(max(1.0, frobenius_norm(a), frobenius_norm(b))):
+    if eigen_residual <= tol.effective(max(1.0, frobenius_norm(a.matrix), frobenius_norm(b.matrix))):
         combo = chain.frame.c + mu * chain.frame.d
         theta = (-cmath.phase(combo)) % (2.0 * math.pi) if abs(combo) > 0 else 0.0
         certificate = SaturationCertificate(
@@ -314,12 +296,10 @@ def mp_chain_saturation(observable_a, observable_b, psi: PureState, phi: PureSta
     )
 
 
-def _require_mu_hypothesis(observable_a, observable_b, psi: PureState,
-                           mu: complex, tol: Tolerance) -> complex:
+def _require_mu_hypothesis(m: PairMoments, mu: complex, tol: Tolerance) -> complex:
     mu = complex(mu)
     if abs(mu - 1j) > 1e-12 and abs(mu + 1j) > 1e-12:
         raise ValueError(f"mu must be i or -i, got {mu!r}")
-    m = pair_moments(_matrix_of(observable_a), _matrix_of(observable_b), psi)
     signed = (mu * m.commutator_expectation).real
     scale = max(1.0, abs(m.commutator_expectation))
     if signed < -tol.effective(scale):
@@ -327,17 +307,7 @@ def _require_mu_hypothesis(observable_a, observable_b, psi: PureState,
     return mu
 
 
-def mp3_saturation(observable_a, observable_b, psi: PureState, phi: PureState,
-                   mu: complex, tol: Tolerance = DEFAULT_TOL) -> EqualityCheck:
-    """Equality test for the sum bound: ||(A_c - mu B_c)|psi>|| vs |<psi|A + mu B|phi>|."""
-    a = _matrix_of(observable_a)
-    b = _matrix_of(observable_b)
-    mu = _require_mu_hypothesis(a, b, psi, mu, tol)
-    chain = mp_chain(a, b, psi, phi, mu, tol)  # validates orthonormality, exposes c, d
-    m = pair_moments(a, b, psi)
-    shifted = (a - mu * b) @ psi.amplitudes - (m.alpha - mu * m.beta) * psi.amplitudes
-    lhs = float(np.linalg.norm(shifted))
-    rhs = abs(chain.frame.c + mu * chain.frame.d)
+def _equality_check(lhs: float, rhs: float, tol: Tolerance) -> EqualityCheck:
     residual = abs(lhs - rhs)
     return EqualityCheck(
         saturated=bool(residual <= tol.effective(max(1.0, lhs, rhs))),
@@ -345,6 +315,17 @@ def mp3_saturation(observable_a, observable_b, psi: PureState, phi: PureState,
         rhs=rhs,
         residual=residual,
     )
+
+
+def mp3_saturation(observable_a, observable_b, psi: PureState, phi: PureState,
+                   mu: complex, tol: Tolerance = DEFAULT_TOL) -> EqualityCheck:
+    """Equality test for the sum bound: ||(A_c - mu B_c)|psi>|| vs |<psi|A + mu B|phi>|."""
+    a, b = _observable_pair(observable_a, observable_b)
+    m = pair_moments(a, b, psi)
+    mu = _require_mu_hypothesis(m, mu, tol)
+    chain = mp_chain(a, b, psi, phi, mu, tol)  # validates orthonormality, exposes c, d
+    lhs = float(np.linalg.norm(m.centered_a - mu * m.centered_b))
+    return _equality_check(lhs, abs(chain.frame.c + mu * chain.frame.d), tol)
 
 
 def mp6_saturation(observable_a, observable_b, psi: PureState, phi: PureState,
@@ -354,34 +335,18 @@ def mp6_saturation(observable_a, observable_b, psi: PureState, phi: PureState,
     Compares ||(A_c/dev(A) - mu B_c/dev(B))|psi>|| with |<psi|Q_mu|phi>|,
     the condition under which the division-free form closes.
     """
-    a = _matrix_of(observable_a)
-    b = _matrix_of(observable_b)
-    mu = _require_mu_hypothesis(a, b, psi, mu, tol)
+    a, b = _observable_pair(observable_a, observable_b)
     m = pair_moments(a, b, psi)
-    dev_budget = tol.effective(max(1.0, frobenius_norm(a), frobenius_norm(b)))
-    if m.dev_a <= dev_budget or m.dev_b <= dev_budget:
-        raise ZeroDeviation(
-            f"deviations ({m.dev_a:.3e}, {m.dev_b:.3e}) too small for the product bound"
-        )
+    mu = _require_mu_hypothesis(m, mu, tol)
+    _require_deviations(m.dev_a, m.dev_b, a, b, tol)
     chain = mp_chain(a, b, psi, phi, mu, tol)
-    eye = np.eye(a.shape[0])
-    combo = (a - m.alpha * eye) / m.dev_a - mu * (b - m.beta * eye) / m.dev_b
-    lhs = float(np.linalg.norm(combo @ psi.amplitudes))
-    rhs = abs(chain.frame.c / m.dev_a + mu * chain.frame.d / m.dev_b)
-    residual = abs(lhs - rhs)
-    return EqualityCheck(
-        saturated=bool(residual <= tol.effective(max(1.0, lhs, rhs))),
-        lhs=lhs,
-        rhs=rhs,
-        residual=residual,
-    )
+    lhs = float(np.linalg.norm(m.centered_a / m.dev_a - mu * m.centered_b / m.dev_b))
+    return _equality_check(lhs, abs(chain.frame.c / m.dev_a + mu * chain.frame.d / m.dev_b), tol)
 
 
-def _entry_sign_mu(observable_a, observable_b, tol: Tolerance) -> tuple[complex, bool]:
+def _entry_sign_mu(a: np.ndarray, b: np.ndarray, tol: Tolerance) -> tuple[complex, bool]:
     """mu in {i, -i} making the (1,1) entry of mu[A, B] nonnegative; ties to i."""
-    a = _matrix_of(observable_a)
-    b = _matrix_of(observable_b)
-    entry = complex((a @ b - b @ a)[0, 0])
+    entry = complex(a[0] @ b[:, 0] - b[0] @ a[:, 0])
     scale = max(1.0, frobenius_norm(a) * frobenius_norm(b))
     if abs(entry) <= tol.effective(scale):
         return 1j, True
@@ -406,11 +371,10 @@ def _relative_slack(report: BoundReport) -> float:
 
 def construct_case1(observable_a, observable_b, tol: Tolerance = DEFAULT_TOL) -> ConstructedPair:
     """Saturating pair for the sum bound in dimension 2: psi = e1, phi = e2."""
-    a = _matrix_of(observable_a)
-    if a.shape[0] != 2:
-        raise DimensionMismatch(f"construction requires dimension 2, got {a.shape[0]}")
-    b = _matrix_of(observable_b)
-    mu, _ = _entry_sign_mu(a, b, tol)
+    a, b = _observable_pair(observable_a, observable_b)
+    if a.matrix.shape[0] != 2:
+        raise DimensionMismatch(f"construction requires dimension 2, got {a.matrix.shape[0]}")
+    mu, _ = _entry_sign_mu(a.matrix, b.matrix, tol)
     psi = _basis_state(2, 0)
     phi = _basis_state(2, 1)
     report = mp3(a, b, psi, phi, tol).report
@@ -427,21 +391,21 @@ def construct_case2(observable_a, observable_b, tol: Tolerance = DEFAULT_TOL) ->
     (phase-fixed to make <psi|(A - mu B)|phi> real nonnegative).  A vanishing
     tail makes the equality hold for any phi; e2 is used then.
     """
-    a = _matrix_of(observable_a)
-    n = a.shape[0]
+    a, b = _observable_pair(observable_a, observable_b)
+    n = a.matrix.shape[0]
     if n <= 2:
         raise DimensionMismatch(f"construction requires dimension > 2, got {n}")
-    b = _matrix_of(observable_b)
-    mu, _ = _entry_sign_mu(a, b, tol)
-    tail = (a - mu * b)[1:, 0]
+    mu, _ = _entry_sign_mu(a.matrix, b.matrix, tol)
+    combo = a.matrix - mu * b.matrix
+    tail = combo[1:, 0]
     norm = float(np.linalg.norm(tail))
-    degenerate = norm <= tol.effective(max(1.0, frobenius_norm(a), frobenius_norm(b)))
+    degenerate = norm <= tol.effective(max(1.0, frobenius_norm(a.matrix), frobenius_norm(b.matrix)))
     if degenerate:
         phi = _basis_state(n, 1)
     else:
         direction = tail / norm
         # Fix the free phase so <e1|(A - mu B)|phi> comes out real nonnegative.
-        entry = complex((a - mu * b)[0, 1:] @ direction)
+        entry = complex(combo[0, 1:] @ direction)
         if abs(entry) > 1e-14:
             direction = direction * cmath.exp(-1j * cmath.phase(entry))
         phi = _embed_tail(n, direction)
@@ -465,21 +429,16 @@ def construct_w_mp6(observable_a, observable_b, tol: Tolerance = DEFAULT_TOL) ->
     of A and B in e1).  When the difference vanishes both equality sides are
     zero for any phi; e2 is used then.
     """
-    a = _matrix_of(observable_a)
-    b = _matrix_of(observable_b)
-    n = a.shape[0]
+    a, b = _observable_pair(observable_a, observable_b)
+    n = a.matrix.shape[0]
     if n < 2:
         raise DimensionMismatch("construction requires dimension >= 2")
-    if b.shape[0] != n:
-        raise DimensionMismatch("observables have different dimensions")
-    mu, _ = _entry_sign_mu(a, b, tol)
-    u = a[1:, 0]
-    v = b[1:, 0]
+    mu, _ = _entry_sign_mu(a.matrix, b.matrix, tol)
+    u = a.matrix[1:, 0]
+    v = b.matrix[1:, 0]
     nu = float(np.linalg.norm(u))
     nv = float(np.linalg.norm(v))
-    dev_budget = tol.effective(max(1.0, frobenius_norm(a), frobenius_norm(b)))
-    if nu <= dev_budget or nv <= dev_budget:
-        raise ZeroDeviation(f"first-column tails have norms ({nu:.3e}, {nv:.3e})")
+    _require_deviations(nu, nv, a, b, tol, what="first-column tail norms")
     difference = u / nu - mu * v / nv
     norm = float(np.linalg.norm(difference))
     degenerate = norm <= tol.effective(1.0)
@@ -499,15 +458,44 @@ def construct_w_mp6(observable_a, observable_b, tol: Tolerance = DEFAULT_TOL) ->
     )
 
 
-def _centered_products(observable_a, observable_b, rho: DensityMatrix):
-    a = _matrix_of(observable_a)
-    b = _matrix_of(observable_b)
-    alpha = expectation(a, rho)
-    beta = expectation(b, rho)
+def _centered_products(a: Observable, b: Observable, rho: DensityMatrix,
+                       m: PairMoments) -> tuple[float, float]:
+    """||A_c rho||_F and ||B_c rho||_F, centered at the means in ``m``."""
     eye = np.eye(rho.dimension)
-    res_a = float(np.linalg.norm((a - alpha * eye) @ rho.matrix))
-    res_b = float(np.linalg.norm((b - beta * eye) @ rho.matrix))
-    return a, b, res_a, res_b
+    return (float(np.linalg.norm((a.matrix - m.alpha * eye) @ rho.matrix)),
+            float(np.linalg.norm((b.matrix - m.beta * eye) @ rho.matrix)))
+
+
+def _zero_characterization(name: str, observable_a, observable_b, state: QuantumState,
+                           tol: Tolerance, combine) -> tuple[list[bool], bool, tuple[float, float]]:
+    """Shared body of the zero-product (``combine=any``) and zero-sum (``all``) tests.
+
+    A side is zero by products when A_c rho vanishes and zero by deviation
+    when dev(A) does; ``combine`` joins the two sides in each test.  Returns
+    the per-side zero flags, the verdict and the two product residuals.
+    """
+    rho = _as_density(state)
+    a, b = _observable_pair(observable_a, observable_b)
+    m = pair_moments(a, b, rho)
+    residuals = _centered_products(a, b, rho, m)
+    devs = (m.dev_a, m.dev_b)
+    budgets = tuple(tol.effective(max(1.0, frobenius_norm(o.matrix))) for o in (a, b))
+    zero = [r <= t for r, t in zip(residuals, budgets)]
+    by_products = combine(zero)
+    by_deviation = combine(d <= t for d, t in zip(devs, budgets))
+    if by_products != by_deviation:
+        # Re-test the disagreeing side with a 100x band before declaring a fault.
+        decisive_products = not combine(r <= 100.0 * t for r, t in zip(residuals, budgets))
+        decisive_deviation = not combine(d <= 100.0 * t for d, t in zip(devs, budgets))
+        if (by_products and decisive_deviation) or (by_deviation and decisive_products):
+            raise InconsistentCharacterization(
+                f"{name} product test {by_products} vs deviation test {by_deviation} "
+                f"(residuals {residuals[0]:.3e}, {residuals[1]:.3e}; "
+                f"deviations {m.dev_a:.3e}, {m.dev_b:.3e})"
+            )
+        zero = [z or d <= t for z, d, t in zip(zero, devs, budgets)]
+        by_products = combine((by_products, by_deviation))
+    return zero, by_products, residuals
 
 
 def zero_product_characterization(observable_a, observable_b, state: QuantumState,
@@ -517,27 +505,9 @@ def zero_product_characterization(observable_a, observable_b, state: QuantumStat
     Both criteria are evaluated; a decisive disagreement raises
     :class:`InconsistentCharacterization`.
     """
-    rho = _as_density(state)
-    a, b, res_a, res_b = _centered_products(observable_a, observable_b, rho)
-    m = pair_moments(a, b, rho)
-    budget_a = tol.effective(max(1.0, frobenius_norm(a)))
-    budget_b = tol.effective(max(1.0, frobenius_norm(b)))
-    a_zero = res_a <= budget_a
-    b_zero = res_b <= budget_b
-    by_products = a_zero or b_zero
-    by_deviation = m.dev_a <= budget_a or m.dev_b <= budget_b
-    if by_products != by_deviation:
-        # Re-test the disagreeing side with a 100x band before declaring a fault.
-        decisive_products = (res_a > 100.0 * budget_a) and (res_b > 100.0 * budget_b)
-        decisive_deviation = (m.dev_a > 100.0 * budget_a) and (m.dev_b > 100.0 * budget_b)
-        if (by_products and decisive_deviation) or (by_deviation and decisive_products):
-            raise InconsistentCharacterization(
-                f"product test {by_products} vs deviation test {by_deviation} "
-                f"(residuals {res_a:.3e}, {res_b:.3e}; deviations {m.dev_a:.3e}, {m.dev_b:.3e})"
-            )
-        by_products = by_products or by_deviation
-        a_zero = a_zero or m.dev_a <= budget_a
-        b_zero = b_zero or m.dev_b <= budget_b
+    (a_zero, b_zero), product_is_zero, (res_a, res_b) = _zero_characterization(
+        "zero-product", observable_a, observable_b, state, tol, any
+    )
     if a_zero and b_zero:
         witness = ZeroWitness.BOTH
     elif a_zero:
@@ -547,29 +517,14 @@ def zero_product_characterization(observable_a, observable_b, state: QuantumStat
     else:
         witness = ZeroWitness.NONE
     return ZeroProductCheck(
-        product_is_zero=by_products, witness=witness, residual_a=res_a, residual_b=res_b
+        product_is_zero=product_is_zero, witness=witness, residual_a=res_a, residual_b=res_b
     )
 
 
 def zero_sum_characterization(observable_a, observable_b, state: QuantumState,
                               tol: Tolerance = DEFAULT_TOL) -> bool:
     """dev(A)^2 + dev(B)^2 = 0 exactly when both A_c rho and B_c rho vanish."""
-    rho = _as_density(state)
-    a, b, res_a, res_b = _centered_products(observable_a, observable_b, rho)
-    m = pair_moments(a, b, rho)
-    budget_a = tol.effective(max(1.0, frobenius_norm(a)))
-    budget_b = tol.effective(max(1.0, frobenius_norm(b)))
-    by_products = res_a <= budget_a and res_b <= budget_b
-    by_deviation = m.dev_a <= budget_a and m.dev_b <= budget_b
-    if by_products != by_deviation:
-        decisive_products = (res_a > 100.0 * budget_a) or (res_b > 100.0 * budget_b)
-        decisive_deviation = (m.dev_a > 100.0 * budget_a) or (m.dev_b > 100.0 * budget_b)
-        if (by_products and decisive_deviation) or (by_deviation and decisive_products):
-            raise InconsistentCharacterization(
-                f"sum product test {by_products} vs deviation test {by_deviation}"
-            )
-        by_products = by_products and by_deviation
-    return by_products
+    return _zero_characterization("zero-sum", observable_a, observable_b, state, tol, all)[1]
 
 
 def qubit_commutation_witness(observable_a, observable_b, state: QuantumState,
@@ -583,7 +538,9 @@ def qubit_commutation_witness(observable_a, observable_b, state: QuantumState,
     rho = _as_density(state)
     if rho.dimension != 2:
         raise DimensionMismatch(f"qubit check requires dimension 2, got {rho.dimension}")
-    a, b, res_a, res_b = _centered_products(observable_a, observable_b, rho)
+    obs_a, obs_b = _observable_pair(observable_a, observable_b)
+    res_a, res_b = _centered_products(obs_a, obs_b, rho, pair_moments(obs_a, obs_b, rho))
+    a, b = obs_a.matrix, obs_b.matrix
     if res_a > tol.effective(max(1.0, frobenius_norm(a))):
         return None
     if res_b > tol.effective(max(1.0, frobenius_norm(b))):

@@ -4,16 +4,19 @@ The uncertainty machinery below only ever needs a handful of scalars per
 (A, B, state) triple: the means, the centered deviations, and one cross
 inner product.  :func:`pair_moments` computes them once, on the centered
 data, so near-saturated instances do not suffer cancellation.
+
+Each input is validated once, where it enters: bare matrices become
+:class:`Observable` objects in :func:`_observable_pair`, and inner calls pass those on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonRealExpectation, NotPositiveSemidefinite
-from .linalg import frobenius_norm, psd_power, require_hermitian
+from .errors import DimensionMismatch, NonRealExpectation
+from .linalg import EigenSystem, _psd_eig, frobenius_norm, require_hermitian
 
 # Unit-norm / unit-trace validation budget for states.
 NORM_TOL = 1e-10
@@ -70,18 +73,21 @@ class PureState:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """A PSD, trace-one Hermitian matrix."""
+    """A PSD, trace-one Hermitian matrix.
+
+    Its one eigendecomposition, taken when it is built, decides PSD-ness and
+    is kept in ``spectrum``; every power of rho is read from it.
+    """
 
     matrix: np.ndarray
+    spectrum: EigenSystem = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         m = require_hermitian(self.matrix, "density matrix")
         trace = float(np.trace(m).real)
         if abs(trace - 1.0) > NORM_TOL:
             raise ValueError(f"density matrix trace {trace!r} is not 1 within {NORM_TOL}")
-        low = float(np.linalg.eigvalsh(m).min())
-        if low < -1e-10 * max(1.0, frobenius_norm(m)):
-            raise NotPositiveSemidefinite(f"density matrix has eigenvalue {low:.3e}")
+        object.__setattr__(self, "spectrum", _psd_eig(m, "density matrix"))
         object.__setattr__(self, "matrix", _frozen_array(m))
 
     @property
@@ -113,25 +119,30 @@ class GramPair:
     c2: np.ndarray
 
 
-def _matrix_of(observable) -> np.ndarray:
-    if isinstance(observable, Observable):
-        return observable.matrix
-    if isinstance(observable, CenteredObservable):
-        return observable.matrix
-    return require_hermitian(observable, "observable")
+def _checked(observable) -> Observable | CenteredObservable:
+    """The entry check: a bare matrix becomes a validated Observable."""
+    if isinstance(observable, (Observable, CenteredObservable)):
+        return observable
+    return Observable(observable)
 
 
-def _check_dimensions(a: np.ndarray, state: QuantumState) -> None:
-    if a.shape[0] != state.dimension:
+def _observable_pair(observable_a, observable_b) -> tuple[Observable, Observable]:
+    """Both observables checked once, of one dimension; pass the result inward."""
+    a, b = _checked(observable_a), _checked(observable_b)
+    if a.matrix.shape != b.matrix.shape:
         raise DimensionMismatch(
-            f"observable dimension {a.shape[0]} vs state dimension {state.dimension}"
+            f"observable dimensions differ: {a.matrix.shape[0]} vs {b.matrix.shape[0]}"
         )
+    return a, b
 
 
 def expectation(observable, state: QuantumState) -> float:
     """<psi|A|psi> for a pure state, tr(rho A) for a mixed one."""
-    a = _matrix_of(observable)
-    _check_dimensions(a, state)
+    a = _checked(observable).matrix
+    if a.shape[0] != state.dimension:
+        raise DimensionMismatch(
+            f"observable dimension {a.shape[0]} vs state dimension {state.dimension}"
+        )
     if isinstance(state, PureState):
         value = complex(state.amplitudes.conj() @ (a @ state.amplitudes))
     elif isinstance(state, DensityMatrix):
@@ -145,19 +156,20 @@ def expectation(observable, state: QuantumState) -> float:
 
 def center(observable, state: QuantumState) -> CenteredObservable:
     """Shift the observable so its expectation in ``state`` is zero."""
-    a = _matrix_of(observable)
-    mean = expectation(a, state)
-    return CenteredObservable(matrix=a - mean * np.eye(a.shape[0]), mean=mean)
+    obs = _checked(observable)
+    mean = expectation(obs, state)
+    return CenteredObservable(matrix=obs.matrix - mean * np.eye(obs.matrix.shape[0]), mean=mean)
 
 
 @dataclass(frozen=True)
 class PairMoments:
     """Centered second moments of two observables in one state.
 
-    ``cross`` is <A_c psi, B_c psi> for a pure state and the Frobenius inner
-    product <A_c rho^(1/2), B_c rho^(1/2)> for a mixed one; its imaginary part
-    is half the commutator expectation, its real part the centered
-    anticommutator half-sum.
+    ``centered_a`` is A_c psi for a pure state and A_c rho^(1/2) for a mixed
+    one (likewise ``centered_b``); ``dev_a`` is its norm.  ``cross`` is their
+    inner product <A_c psi, B_c psi>, or the Frobenius inner product for a
+    mixed state; its imaginary part is half the commutator expectation, its
+    real part the centered anticommutator half-sum.
     """
 
     alpha: float
@@ -165,6 +177,8 @@ class PairMoments:
     dev_a: float
     dev_b: float
     cross: complex
+    centered_a: np.ndarray
+    centered_b: np.ndarray
 
     @property
     def commutator_expectation(self) -> complex:
@@ -172,29 +186,29 @@ class PairMoments:
 
 
 def pair_moments(observable_a, observable_b, state: QuantumState) -> PairMoments:
-    a = _matrix_of(observable_a)
-    b = _matrix_of(observable_b)
-    _check_dimensions(a, state)
-    _check_dimensions(b, state)
-    alpha = expectation(a, state)
-    beta = expectation(b, state)
+    """The one reduction of an (A, B, state) triple that every bound reads."""
+    obs_a, obs_b = _observable_pair(observable_a, observable_b)
+    alpha = expectation(obs_a, state)
+    beta = expectation(obs_b, state)
+    a, b = obs_a.matrix, obs_b.matrix
     if isinstance(state, PureState):
         psi = state.amplitudes
         va = a @ psi - alpha * psi
         vb = b @ psi - beta * psi
         cross = complex(va.conj() @ vb)
     else:
-        sqrt_rho = psd_power(state.matrix, 0.5)
-        ma = a @ sqrt_rho - alpha * sqrt_rho
-        mb = b @ sqrt_rho - beta * sqrt_rho
-        va, vb = ma, mb
-        cross = complex(np.sum(ma.conj() * mb))
+        sqrt_rho = state.spectrum.power(0.5)
+        va = a @ sqrt_rho - alpha * sqrt_rho
+        vb = b @ sqrt_rho - beta * sqrt_rho
+        cross = complex(np.sum(va.conj() * vb))
     return PairMoments(
         alpha=alpha,
         beta=beta,
         dev_a=float(np.linalg.norm(va)),
         dev_b=float(np.linalg.norm(vb)),
         cross=cross,
+        centered_a=va,
+        centered_b=vb,
     )
 
 
@@ -204,14 +218,8 @@ def stddev(observable, state: QuantumState) -> float:
     Computed from the centered observable (||A_c psi|| or ||A_c rho^(1/2)||_F),
     never as sqrt(<A^2> - <A>^2).
     """
-    a = _matrix_of(observable)
-    _check_dimensions(a, state)
-    alpha = expectation(a, state)
-    if isinstance(state, PureState):
-        psi = state.amplitudes
-        return float(np.linalg.norm(a @ psi - alpha * psi))
-    sqrt_rho = psd_power(state.matrix, 0.5)
-    return float(np.linalg.norm(a @ sqrt_rho - alpha * sqrt_rho))
+    obs = _checked(observable)
+    return pair_moments(obs, obs, state).dev_a
 
 
 def gram_pair(observable_a, observable_b, state: QuantumState) -> GramPair:

@@ -25,6 +25,12 @@ def test_tolerance_effective_scaling():
     assert tol.effective(10.0) == pytest.approx(1e-12 + 1e-8)
     with pytest.raises(ValueError):
         Tolerance(absolute=-1.0)
+    # NaN would disable every comparison and inf would pass every one.
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            Tolerance(absolute=bad)
+        with pytest.raises(ValueError):
+            Tolerance(relative=bad)
 
 
 def test_hermitian_eig_diagonal():

@@ -1,9 +1,11 @@
 import json
+import sys
 
 import numpy as np
 import pytest
 
 from qubounds import SampleConfig, Tolerance, robertson, run_verification_suite
+from qubounds import linalg, states
 from qubounds.cli import main
 from qubounds.reporting import (
     bound_report_from_dict,
@@ -156,3 +158,42 @@ def test_cli_bad_flags_exit_one():
 def test_cli_bad_config_exit_one():
     assert main(["verify", "--n", "0"]) == 1
     assert main(["verify", "--n", "2", "--rank", "5"]) == 1
+
+
+def test_cli_non_finite_tolerance_exits_one(tmp_path):
+    # A NaN budget would write non-standard JSON; inf would saturate every bound.
+    for value in ("nan", "inf"):
+        out = tmp_path / f"{value}.json"
+        argv = ["verify", "--n", "2", "--trials", "2", "--tol-abs", value, "--out", str(out)]
+        assert main(argv) == 1
+        assert not out.exists()
+
+
+def test_verify_trial_validates_once_and_reduces_once(monkeypatch):
+    # A, B and rho are validated where they enter, rho is diagonalised once,
+    # and each public call reduces its (A, B, state) triple once.
+    targets = {
+        "require_hermitian": linalg.require_hermitian,
+        "pair_moments": states.pair_moments,
+        "eigh": np.linalg.eigh,
+    }
+    counts = dict.fromkeys(targets, 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    modules = [m for name, m in list(sys.modules.items()) if name.split(".")[0] == "qubounds"]
+    for name, fn in targets.items():
+        wrapper = counting(name, fn)
+        for module in modules + [np.linalg]:
+            for attr, obj in list(vars(module).items()):
+                if obj is fn:
+                    monkeypatch.setattr(module, attr, wrapper)
+    report = run_verification_suite(SampleConfig(4, 4, 7, 1), Tolerance())
+    assert report.summary["failure_count"] == 0
+    assert counts["require_hermitian"] <= 4
+    assert counts["eigh"] == 1
+    assert counts["pair_moments"] <= 11

@@ -358,6 +358,8 @@ def test_construct_case1_random_sweep():
         assert abs(pair.achieved_slack) <= 1e-10
     with pytest.raises(DimensionMismatch):
         construct_case1(np.eye(3), np.eye(3))
+    with pytest.raises(DimensionMismatch):
+        construct_case1(np.eye(2), np.eye(3))
 
 
 def test_construct_case2_random_sweep():
@@ -374,6 +376,8 @@ def test_construct_case2_random_sweep():
             assert check.saturated
     with pytest.raises(DimensionMismatch):
         construct_case2(SIGMA_X, SIGMA_Y)
+    with pytest.raises(DimensionMismatch):
+        construct_case2(np.eye(3), np.eye(4))
 
 
 def test_construct_case2_phase_convention():
@@ -515,3 +519,18 @@ def test_degenerate_deviation_consistency():
     cert = robertson_saturation_pure(SIGMA_Z, b, KET0)
     assert cert is not None and cert.residual <= 1e-14
     assert stddev(SIGMA_Z, KET0) == pytest.approx(0.0, abs=1e-14)
+
+
+def test_density_matrix_entry_is_the_only_psd_decision():
+    # -5e-11 passes the entry check, -1e-10 * max(1, ||rho||_F), but lies below
+    # -1e-10 * ||rho||_F (about -1e-11): no later power of rho may reject it.
+    n = 100
+    rng = trial_rng(311, 0)
+    u = haar_unitary(n, rng)
+    spectrum = np.full(n, 1.0 / 99.0)
+    spectrum[-1] = -5e-11
+    rho = DensityMatrix((u * spectrum) @ u.conj().T)
+    a = random_hermitian(n, rng)
+    b = random_hermitian(n, rng)
+    assert not robertson(a, b, rho).saturated
+    assert robertson_saturation_mixed(a, b, rho) is None
