@@ -141,7 +141,7 @@ def cmd_saturate(args) -> int:
         "degenerate": pair.degenerate,
         "construction_tol": CONSTRUCTION_TOL,
     }
-    _emit(json.dumps(record, sort_keys=True, indent=2), args.out)
+    _emit(json.dumps(record, sort_keys=True, indent=2, allow_nan=False), args.out)
     return 0 if abs(pair.achieved_slack) <= CONSTRUCTION_TOL else 2
 
 

@@ -37,6 +37,11 @@ class GoldenResult:
     values: dict
 
 
+def _sci(value: float | None) -> str:
+    """A value for a detail line; None marks one that could not be computed."""
+    return "None" if value is None else f"{value:.3e}"
+
+
 def block_pair_4x4() -> tuple[np.ndarray, np.ndarray, DensityMatrix]:
     """The 4x4 off-diagonal block pair with a rank-2 state on the first block."""
     zero = np.zeros((2, 2))
@@ -53,7 +58,7 @@ def golden_qubit_north_pole() -> GoldenResult:
     cert = robertson_saturation_pure(SIGMA_X, SIGMA_Y, psi)
     report = robertson(SIGMA_X, SIGMA_Y, psi)
     theta = None if cert is None else cert.theta
-    theta_err = math.inf if theta is None else abs(theta - math.pi / 4.0)
+    theta_err = None if theta is None else abs(theta - math.pi / 4.0)
     passed = cert is not None and theta_err <= 1e-9 and abs(report.slack) <= 1e-12
     return GoldenResult(
         golden_id="qubit-north-pole",
@@ -71,7 +76,7 @@ def golden_qubit_south_pole() -> GoldenResult:
     report = robertson(SIGMA_X, SIGMA_Y, psi)
     theta = None if cert is None else cert.theta
     expected = 7.0 * math.pi / 4.0
-    theta_err = math.inf if theta is None else abs(theta - expected)
+    theta_err = None if theta is None else abs(theta - expected)
     passed = cert is not None and theta_err <= 1e-9 and abs(report.slack) <= 1e-12
     return GoldenResult(
         golden_id="qubit-south-pole",
@@ -90,8 +95,8 @@ def golden_block_mixed() -> GoldenResult:
     report = robertson(a, b, rho)
     cert = robertson_saturation_mixed(a, b, rho)
     theta = None if cert is None else cert.theta
-    theta_err = math.inf if theta is None else abs(theta - math.pi / 4.0)
-    max_r_residual = math.inf if cert is None else max(cert.r_residuals)
+    theta_err = None if theta is None else abs(theta - math.pi / 4.0)
+    max_r_residual = None if cert is None else max(cert.r_residuals)
     trace_product = tr_a2 * tr_b2
     # Saturation in squared form: 4 tr(A^2 rho) tr(B^2 rho) = |tr([A, B] rho)|^2.
     squared_equality_gap = abs(4.0 * trace_product - abs(comm_tr) ** 2)
@@ -106,7 +111,7 @@ def golden_block_mixed() -> GoldenResult:
     return GoldenResult(
         golden_id="block-mixed-4x4",
         passed=passed,
-        detail=f"theta={theta}, per-power residual max={max_r_residual:.3e}",
+        detail=f"theta={theta}, per-power residual max={_sci(max_r_residual)}",
         values={
             "trace_product": trace_product,
             "commutator_trace_abs": abs(comm_tr),
@@ -150,7 +155,7 @@ def golden_qubit_chain_grid(grid: int = 25) -> GoldenResult:
     max_step1 = 0.0
     max_step1_slack = 0.0
     max_solution_step2 = 0.0
-    min_far_step2 = math.inf
+    far_step2 = []
     max_mu_error = 0.0
     for theta in thetas:
         for phi in phis:
@@ -167,16 +172,18 @@ def golden_qubit_chain_grid(grid: int = 25) -> GoldenResult:
             if on_solutions:
                 max_solution_step2 = max(max_solution_step2, sat.step_residuals[1])
             elif _distance_to_solutions(theta, phi) >= 0.1:
-                min_far_step2 = min(min_far_step2, sat.step_residuals[1])
+                far_step2.append(sat.step_residuals[1])
             if theta in (0.0, math.pi):
                 expected = 1j if theta == 0.0 else -1j
                 max_mu_error = max(
                     max_mu_error, abs(mu_ratio(SIGMA_X, SIGMA_Y, psi, other) - expected)
                 )
+    min_far_step2 = min(far_step2, default=None)
     passed = (
         max_step1 <= 1e-12
         and max_step1_slack <= 1e-12
         and max_solution_step2 <= 1e-10
+        and min_far_step2 is not None
         and min_far_step2 > 1e-6
         and max_mu_error <= 1e-9
     )
@@ -185,7 +192,7 @@ def golden_qubit_chain_grid(grid: int = 25) -> GoldenResult:
         passed=passed,
         detail=(
             f"step1 max={max_step1:.3e}, on-solution step2 max={max_solution_step2:.3e}, "
-            f"far step2 min={min_far_step2:.3e}, mu error max={max_mu_error:.3e}"
+            f"far step2 min={_sci(min_far_step2)}, mu error max={max_mu_error:.3e}"
         ),
         values={
             "max_step1_residual": max_step1,

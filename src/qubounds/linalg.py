@@ -85,18 +85,22 @@ class EigenSystem:
         v = self.eigenvectors
         return (v * self.eigenvalues) @ v.conj().T
 
-    def power(self, r: float) -> np.ndarray:
-        """The PSD matrix raised to a positive power ``r``.
+    def support(self) -> tuple[np.ndarray, np.ndarray]:
+        """The eigenvalues above ``PSD_TOL * ||P||_F`` and their eigenvector columns.
 
-        Eigenvalues up to ``PSD_TOL * ||P||_F`` are zeroed, not just negative
-        ones: fractional powers amplify +eps junk far above the
-        reconstruction budget.
+        Eigenvalues up to that cutoff are dropped, not just negative ones:
+        fractional powers amplify +eps junk far above the reconstruction budget.
         """
+        w = self.eigenvalues
+        keep = w > PSD_TOL * float(np.linalg.norm(w))
+        return w[keep], self.eigenvectors[:, keep]
+
+    def power(self, r: float) -> np.ndarray:
+        """The PSD matrix raised to a positive power ``r``, on its :meth:`support`."""
         if r <= 0:
             raise ValueError("power must be positive")
-        w, v = self.eigenvalues, self.eigenvectors
-        cutoff = PSD_TOL * float(np.linalg.norm(w))
-        x = (v * np.where(w > cutoff, w, 0.0) ** r) @ v.conj().T
+        w, v = self.support()
+        x = (v * w**r) @ v.conj().T
         return (x + x.conj().T) / 2.0
 
 

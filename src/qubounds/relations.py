@@ -160,8 +160,8 @@ def schrodinger(observable_a, observable_b, state: QuantumState, tol: Tolerance 
     return _schrodinger_report(a, b, state, pair_moments(a, b, state), tol)
 
 
-def _choose_mu(a: Observable, b: Observable, m: PairMoments, tol: Tolerance) -> MuChoice:
-    comm = m.commutator_expectation
+def _choose_mu(a: Observable, b: Observable, comm: complex, tol: Tolerance) -> MuChoice:
+    """The one mu policy: the sign that makes mu * comm nonnegative, ties to i."""
     scale = max(1.0, frobenius_norm(a.matrix) * frobenius_norm(b.matrix))
     if abs(comm) <= tol.effective(scale):
         return MuChoice(mu=1j, commutator_expectation=comm, tie_broken=True)
@@ -172,7 +172,7 @@ def _choose_mu(a: Observable, b: Observable, m: PairMoments, tol: Tolerance) -> 
 def choose_mu(observable_a, observable_b, psi: PureState, tol: Tolerance = DEFAULT_TOL) -> MuChoice:
     """Pick mu in {i, -i} with mu * <psi|[A, B]|psi> >= 0; ties go to i."""
     a, b = _observable_pair(observable_a, observable_b)
-    return _choose_mu(a, b, pair_moments(a, b, psi), tol)
+    return _choose_mu(a, b, pair_moments(a, b, psi).commutator_expectation, tol)
 
 
 def _require_deviations(dev_a: float, dev_b: float, a: Observable, b: Observable,
@@ -248,11 +248,21 @@ def mp_chain(observable_a, observable_b, psi: PureState, phi: PureState,
     return ChainReport(steps=(step1, step2, step3), mu=mu, frame=frame)
 
 
+def _cross_elements(a: Observable, b: Observable, psi: PureState,
+                    phi: PureState) -> tuple[complex, complex]:
+    """c = <psi|A|phi> and d = <psi|B|phi>."""
+    if not a.dimension == psi.dimension == phi.dimension:
+        raise DimensionMismatch(
+            f"dimensions differ: {a.dimension} vs {psi.dimension} and {phi.dimension}"
+        )
+    bra = psi.amplitudes.conj()
+    return complex(bra @ (a.matrix @ phi.amplitudes)), complex(bra @ (b.matrix @ phi.amplitudes))
+
+
 def mu_ratio(observable_a, observable_b, psi: PureState, phi: PureState) -> complex:
     """<psi|A|phi> / <psi|B|phi>: the mu that aligns the chain's last step."""
     a, b = _observable_pair(observable_a, observable_b)
-    c = complex(psi.amplitudes.conj() @ (a.matrix @ phi.amplitudes))
-    d = complex(psi.amplitudes.conj() @ (b.matrix @ phi.amplitudes))
+    c, d = _cross_elements(a, b, psi, phi)
     if abs(d) <= 1e-14 * max(1.0, frobenius_norm(b.matrix)):
         raise ZeroDeviation("denominator matrix element <psi|B|phi> vanishes")
     return c / d
@@ -264,15 +274,13 @@ def mp3(observable_a, observable_b, psi: PureState, phi: PureState,
     a, b = _observable_pair(observable_a, observable_b)
     _require_orthonormal_pair(psi, phi, tol)
     m = pair_moments(a, b, psi)
-    choice = _choose_mu(a, b, m, tol)
-    cross_elem = complex(
-        psi.amplitudes.conj() @ ((a.matrix + choice.mu * b.matrix) @ phi.amplitudes)
-    )
+    choice = _choose_mu(a, b, m.commutator_expectation, tol)
+    c, d = _cross_elements(a, b, psi, phi)
     comm_term = _real_part("mp3 commutator term", choice.mu * m.commutator_expectation,
                            abs(m.commutator_expectation))
     digest = _digest(a.matrix, b.matrix, psi.amplitudes, phi.amplitudes, "mp3")
     lhs = m.dev_a**2 + m.dev_b**2
-    rhs = comm_term + abs(cross_elem) ** 2
+    rhs = comm_term + abs(c + choice.mu * d) ** 2
     return MP3Report(report=_make_report("mp3", lhs, rhs, tol, digest), mu=choice)
 
 
@@ -289,10 +297,10 @@ def mp6(observable_a, observable_b, psi: PureState, phi: PureState,
     a, b = _observable_pair(observable_a, observable_b)
     _require_orthonormal_pair(psi, phi, tol)
     m = pair_moments(a, b, psi)
-    choice = _choose_mu(a, b, m, tol)
+    choice = _choose_mu(a, b, m.commutator_expectation, tol)
     _require_deviations(m.dev_a, m.dev_b, a, b, tol)
-    q = a.matrix / m.dev_a + choice.mu * b.matrix / m.dev_b
-    q_elem = complex(psi.amplitudes.conj() @ (q @ phi.amplitudes))
+    c, d = _cross_elements(a, b, psi, phi)
+    q_elem = c / m.dev_a + choice.mu * d / m.dev_b
     denominator = 1.0 - abs(q_elem) ** 2 / 2.0
     comm_term = _real_part("mp6 commutator term", choice.mu * m.commutator_expectation,
                            abs(m.commutator_expectation))

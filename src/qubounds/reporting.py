@@ -40,7 +40,7 @@ from .saturation import (
     robertson_saturation_pure,
     schrodinger_saturation,
 )
-from .states import PureState
+from .states import Observable, PureState
 
 ARTIFACT_VERSION = "0.1.0"
 
@@ -158,8 +158,8 @@ def report_from_dict(d: dict) -> SuiteReport:
 
 
 def dumps_report(report: SuiteReport) -> str:
-    """Canonical JSON text; floats round-trip bit-faithfully."""
-    return json.dumps(report_to_dict(report), sort_keys=True, indent=2)
+    """Canonical strict JSON: floats round-trip bit-faithfully; NaN or inf raises ValueError."""
+    return json.dumps(report_to_dict(report), sort_keys=True, indent=2, allow_nan=False)
 
 
 def loads_report(text: str) -> SuiteReport:
@@ -339,8 +339,6 @@ def run_verification_suite(config: SampleConfig, tol: Tolerance) -> SuiteReport:
 
 def load_observable_pair(path: str):
     """Read {"a": matrix, "b": matrix} from a JSON file, validating Hermiticity."""
-    from .states import Observable
-
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     try:

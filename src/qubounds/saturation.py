@@ -33,6 +33,7 @@ from .linalg import (
 )
 from .relations import (
     BoundReport,
+    _choose_mu,
     _require_deviations,
     _robertson_report,
     _schrodinger_report,
@@ -41,7 +42,6 @@ from .relations import (
     mp_chain,
 )
 from .states import (
-    DensityMatrix,
     Observable,
     PairMoments,
     PureState,
@@ -125,14 +125,6 @@ class ZeroProductCheck:
     residual_b: float
 
 
-def _as_density(state: QuantumState) -> DensityMatrix:
-    if isinstance(state, DensityMatrix):
-        return state
-    if isinstance(state, PureState):
-        return DensityMatrix.from_pure(state)
-    raise TypeError(f"unsupported state type {type(state)!r}")
-
-
 def _cross_check(kind: str, present: bool, dependence_residual: float,
                  report: BoundReport, tol: Tolerance) -> None:
     """Certificate presence must match the report's saturated flag.
@@ -154,33 +146,15 @@ def _cross_check(kind: str, present: bool, dependence_residual: float,
     )
 
 
-def robertson_saturation_pure(observable_a, observable_b, psi: PureState,
-                              tol: Tolerance = DEFAULT_TOL) -> SaturationCertificate | None:
-    """Phase theta with cos(theta) A_c |psi> + i sin(theta) B_c |psi> = 0, if any."""
-    a, b = _observable_pair(observable_a, observable_b)
-    m = pair_moments(a, b, psi)
-    theta, residual = phase_dependence_detail(m.centered_a, m.centered_b, tol)
-    report = _robertson_report(a, b, psi, m, tol)
-    _cross_check("robertson pure", theta is not None, residual, report, tol)
-    if theta is None:
-        return None
-    return SaturationCertificate(
-        kind=CertificateKind.ROBERTSON_PURE, theta=theta, phi=None, mu=None, residual=residual
-    )
-
-
-def _verify_r_family(a: Observable, b: Observable, m: PairMoments,
-                     coeff_a: complex, coeff_b: complex, rho: DensityMatrix,
+def _verify_r_family(m: PairMoments, coeff_a: complex, coeff_b: complex, state: QuantumState,
                      r_list, tol: Tolerance) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Residuals of coeff_a * A_c rho^r + coeff_b * B_c rho^r over the distinct r in r_list."""
-    eye = np.eye(rho.dimension)
-    a_c = a.matrix - m.alpha * eye
-    b_c = b.matrix - m.beta * eye
+    """Residuals of coeff_a * A_c rho^r + coeff_b * B_c rho^r over the distinct r in r_list.
+
+    With rho^r = X w^(r - 1/2) V_k^dagger, each norm is taken of (A_c X) w^(r - 1/2).
+    """
     rs, residuals = [], []
     for r in dict.fromkeys(float(r) for r in r_list):
-        rho_r = rho.spectrum.power(r)
-        ma = a_c @ rho_r
-        mb = b_c @ rho_r
+        ma, mb = (c * state.weights ** (r - 0.5) for c in (m.centered_a, m.centered_b))
         res = float(np.linalg.norm(coeff_a * ma + coeff_b * mb))
         scale = max(1.0, frobenius_norm(ma), frobenius_norm(mb))
         if res > 10.0 * tol.effective(scale):
@@ -192,34 +166,53 @@ def _verify_r_family(a: Observable, b: Observable, m: PairMoments,
     return tuple(rs), tuple(residuals)
 
 
+def _certificate(kind: CertificateKind, angles, residual: float, report: BoundReport,
+                 m: PairMoments, state: QuantumState, tol: Tolerance,
+                 r_list) -> SaturationCertificate | None:
+    """The witness cos(theta) A_c X + e^{i phi} sin(theta) B_c X = 0 in ``angles``, if any.
+
+    ``angles`` is (theta, phi), with phi None in the Robertson form, whose
+    phase is i.  Presence is cross-checked against ``report``, and the
+    dependence is re-verified at every power in ``r_list``.
+    """
+    _cross_check(kind.value, angles is not None, residual, report, tol)
+    if angles is None:
+        return None
+    theta, phi = angles
+    phase = 1j if phi is None else cmath.exp(1j * phi)
+    rs, r_residuals = _verify_r_family(m, math.cos(theta), phase * math.sin(theta), state,
+                                       r_list, tol)
+    return SaturationCertificate(kind=kind, theta=theta, phi=phi, mu=None, residual=residual,
+                                 r_checked=rs, r_residuals=r_residuals)
+
+
+def _robertson_certificate(kind: CertificateKind, observable_a, observable_b,
+                           state: QuantumState, tol: Tolerance,
+                           r_list) -> SaturationCertificate | None:
+    """Phase theta with cos(theta) A_c X + i sin(theta) B_c X = 0, re-verified at ``r_list``."""
+    a, b = _observable_pair(observable_a, observable_b)
+    m = pair_moments(a, b, state)
+    theta, residual = phase_dependence_detail(m.centered_a, m.centered_b, tol)
+    angles = None if theta is None else (theta, None)
+    return _certificate(kind, angles, residual, _robertson_report(a, b, state, m, tol),
+                        m, state, tol, r_list)
+
+
+def robertson_saturation_pure(observable_a, observable_b, psi: PureState,
+                              tol: Tolerance = DEFAULT_TOL) -> SaturationCertificate | None:
+    """Phase theta with cos(theta) A_c |psi> + i sin(theta) B_c |psi> = 0, if any."""
+    return _robertson_certificate(CertificateKind.ROBERTSON_PURE, observable_a, observable_b,
+                                  psi, tol, ())
+
+
 def robertson_saturation_mixed(observable_a, observable_b, state: QuantumState,
                                tol: Tolerance = DEFAULT_TOL,
                                r_list=DEFAULT_R_LIST) -> SaturationCertificate | None:
     """Mixed-state equality witness, re-verified at every power in ``r_list``."""
-    if not r_list:
-        raise ValueError("r_list must be nonempty")
-    if any(r <= 0 for r in r_list):
-        raise ValueError("r_list entries must be positive")
-    rho = _as_density(state)
-    a, b = _observable_pair(observable_a, observable_b)
-    m = pair_moments(a, b, rho)
-    theta, residual = phase_dependence_detail(m.centered_a, m.centered_b, tol)
-    report = _robertson_report(a, b, rho, m, tol)
-    _cross_check("robertson mixed", theta is not None, residual, report, tol)
-    if theta is None:
-        return None
-    rs, r_residuals = _verify_r_family(
-        a, b, m, math.cos(theta), 1j * math.sin(theta), rho, r_list, tol
-    )
-    return SaturationCertificate(
-        kind=CertificateKind.ROBERTSON_MIXED,
-        theta=theta,
-        phi=None,
-        mu=None,
-        residual=residual,
-        r_checked=rs,
-        r_residuals=r_residuals,
-    )
+    if not r_list or any(r <= 0 for r in r_list):
+        raise ValueError("r_list must be nonempty with positive entries")
+    return _robertson_certificate(CertificateKind.ROBERTSON_MIXED, observable_a, observable_b,
+                                  state, tol, r_list)
 
 
 def schrodinger_saturation(observable_a, observable_b, state: QuantumState,
@@ -228,27 +221,11 @@ def schrodinger_saturation(observable_a, observable_b, state: QuantumState,
     """Witness (theta, phi) with cos(theta) A_c rho^r + e^{i phi} sin(theta) B_c rho^r = 0."""
     if not r_list or any(r <= 0 for r in r_list):
         raise ValueError("r_list must be nonempty with positive entries")
-    rho = _as_density(state)
     a, b = _observable_pair(observable_a, observable_b)
-    m = pair_moments(a, b, rho)
+    m = pair_moments(a, b, state)
     angles, residual = complex_dependence_detail(m.centered_a, m.centered_b, tol)
-    report = _schrodinger_report(a, b, rho, m, tol)
-    _cross_check("schrodinger", angles is not None, residual, report, tol)
-    if angles is None:
-        return None
-    theta, phi = angles
-    rs, r_residuals = _verify_r_family(
-        a, b, m, math.cos(theta), cmath.exp(1j * phi) * math.sin(theta), rho, r_list, tol
-    )
-    return SaturationCertificate(
-        kind=CertificateKind.SCHRODINGER,
-        theta=theta,
-        phi=phi,
-        mu=None,
-        residual=residual,
-        r_checked=rs,
-        r_residuals=r_residuals,
-    )
+    return _certificate(CertificateKind.SCHRODINGER, angles, residual,
+                        _schrodinger_report(a, b, state, m, tol), m, state, tol, r_list)
 
 
 def mp_chain_saturation(observable_a, observable_b, psi: PureState, phi: PureState,
@@ -344,13 +321,10 @@ def mp6_saturation(observable_a, observable_b, psi: PureState, phi: PureState,
     return _equality_check(lhs, abs(chain.frame.c / m.dev_a + mu * chain.frame.d / m.dev_b), tol)
 
 
-def _entry_sign_mu(a: np.ndarray, b: np.ndarray, tol: Tolerance) -> tuple[complex, bool]:
-    """mu in {i, -i} making the (1,1) entry of mu[A, B] nonnegative; ties to i."""
-    entry = complex(a[0] @ b[:, 0] - b[0] @ a[:, 0])
-    scale = max(1.0, frobenius_norm(a) * frobenius_norm(b))
-    if abs(entry) <= tol.effective(scale):
-        return 1j, True
-    return (-1j if entry.imag > 0 else 1j), False
+def _entry_sign_mu(a: Observable, b: Observable, tol: Tolerance) -> complex:
+    """The mu of :func:`choose_mu` for e1: its <[A, B]> is the (1,1) commutator entry."""
+    entry = complex(a.matrix[0] @ b.matrix[:, 0] - b.matrix[0] @ a.matrix[:, 0])
+    return _choose_mu(a, b, entry, tol).mu
 
 
 def _basis_state(n: int, index: int) -> PureState:
@@ -374,7 +348,7 @@ def construct_case1(observable_a, observable_b, tol: Tolerance = DEFAULT_TOL) ->
     a, b = _observable_pair(observable_a, observable_b)
     if a.matrix.shape[0] != 2:
         raise DimensionMismatch(f"construction requires dimension 2, got {a.matrix.shape[0]}")
-    mu, _ = _entry_sign_mu(a.matrix, b.matrix, tol)
+    mu = _entry_sign_mu(a, b, tol)
     psi = _basis_state(2, 0)
     phi = _basis_state(2, 1)
     report = mp3(a, b, psi, phi, tol).report
@@ -395,7 +369,7 @@ def construct_case2(observable_a, observable_b, tol: Tolerance = DEFAULT_TOL) ->
     n = a.matrix.shape[0]
     if n <= 2:
         raise DimensionMismatch(f"construction requires dimension > 2, got {n}")
-    mu, _ = _entry_sign_mu(a.matrix, b.matrix, tol)
+    mu = _entry_sign_mu(a, b, tol)
     combo = a.matrix - mu * b.matrix
     tail = combo[1:, 0]
     norm = float(np.linalg.norm(tail))
@@ -433,7 +407,7 @@ def construct_w_mp6(observable_a, observable_b, tol: Tolerance = DEFAULT_TOL) ->
     n = a.matrix.shape[0]
     if n < 2:
         raise DimensionMismatch("construction requires dimension >= 2")
-    mu, _ = _entry_sign_mu(a.matrix, b.matrix, tol)
+    mu = _entry_sign_mu(a, b, tol)
     u = a.matrix[1:, 0]
     v = b.matrix[1:, 0]
     nu = float(np.linalg.norm(u))
@@ -458,12 +432,9 @@ def construct_w_mp6(observable_a, observable_b, tol: Tolerance = DEFAULT_TOL) ->
     )
 
 
-def _centered_products(a: Observable, b: Observable, rho: DensityMatrix,
-                       m: PairMoments) -> tuple[float, float]:
-    """||A_c rho||_F and ||B_c rho||_F, centered at the means in ``m``."""
-    eye = np.eye(rho.dimension)
-    return (float(np.linalg.norm((a.matrix - m.alpha * eye) @ rho.matrix)),
-            float(np.linalg.norm((b.matrix - m.beta * eye) @ rho.matrix)))
+def _centered_products(m: PairMoments, state: QuantumState) -> tuple[float, float]:
+    """||A_c rho||_F and ||B_c rho||_F, centered at the means in ``m``: ||(A_c X) w^(1/2)||_F."""
+    return tuple(frobenius_norm(c * np.sqrt(state.weights)) for c in (m.centered_a, m.centered_b))
 
 
 def _zero_characterization(name: str, observable_a, observable_b, state: QuantumState,
@@ -474,10 +445,9 @@ def _zero_characterization(name: str, observable_a, observable_b, state: Quantum
     when dev(A) does; ``combine`` joins the two sides in each test.  Returns
     the per-side zero flags, the verdict and the two product residuals.
     """
-    rho = _as_density(state)
     a, b = _observable_pair(observable_a, observable_b)
-    m = pair_moments(a, b, rho)
-    residuals = _centered_products(a, b, rho, m)
+    m = pair_moments(a, b, state)
+    residuals = _centered_products(m, state)
     devs = (m.dev_a, m.dev_b)
     budgets = tuple(tol.effective(max(1.0, frobenius_norm(o.matrix))) for o in (a, b))
     zero = [r <= t for r, t in zip(residuals, budgets)]
@@ -535,11 +505,10 @@ def qubit_commutation_witness(observable_a, observable_b, state: QuantumState,
     state (the witness), None when the precondition is unmet, and raises
     :class:`CorollaryViolation` if the commutator is large anyway.
     """
-    rho = _as_density(state)
-    if rho.dimension != 2:
-        raise DimensionMismatch(f"qubit check requires dimension 2, got {rho.dimension}")
+    if state.dimension != 2:
+        raise DimensionMismatch(f"qubit check requires dimension 2, got {state.dimension}")
     obs_a, obs_b = _observable_pair(observable_a, observable_b)
-    res_a, res_b = _centered_products(obs_a, obs_b, rho, pair_moments(obs_a, obs_b, rho))
+    res_a, res_b = _centered_products(pair_moments(obs_a, obs_b, state), state)
     a, b = obs_a.matrix, obs_b.matrix
     if res_a > tol.effective(max(1.0, frobenius_norm(a))):
         return None

@@ -24,8 +24,8 @@ NORM_TOL = 1e-10
 IMAG_TOL = 1e-10
 
 
-def _frozen_array(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=complex, copy=True)
+def _frozen_array(a: np.ndarray, dtype=complex) -> np.ndarray:
+    out = np.array(a, dtype=dtype, copy=True)
     out.setflags(write=False)
     return out
 
@@ -48,9 +48,11 @@ class Observable:
 
 @dataclass(frozen=True)
 class PureState:
-    """A unit vector of amplitudes."""
+    """A unit vector of amplitudes; its factor is the n x 1 column psi, of weight 1."""
 
     amplitudes: np.ndarray
+    factor: np.ndarray = field(init=False, repr=False, compare=False)
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         a = np.asarray(self.amplitudes, dtype=complex).ravel()
@@ -62,6 +64,9 @@ class PureState:
         if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"state vector norm {norm!r} is not 1 within {NORM_TOL}")
         object.__setattr__(self, "amplitudes", _frozen_array(a))
+        # Kept 2-D so that a pure state is the one-column case of every matrix path.
+        object.__setattr__(self, "factor", self.amplitudes.reshape(-1, 1))
+        object.__setattr__(self, "weights", _frozen_array(np.ones(1), float))
 
     @property
     def dimension(self) -> int:
@@ -76,11 +81,14 @@ class DensityMatrix:
     """A PSD, trace-one Hermitian matrix.
 
     Its one eigendecomposition, taken when it is built, decides PSD-ness and
-    is kept in ``spectrum``; every power of rho is read from it.
+    is kept in ``spectrum``; its support weights w_k give the factor
+    X = V_k w_k^(1/2) (see :meth:`EigenSystem.support`).
     """
 
     matrix: np.ndarray
     spectrum: EigenSystem = field(init=False, repr=False, compare=False)
+    factor: np.ndarray = field(init=False, repr=False, compare=False)
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         m = require_hermitian(self.matrix, "density matrix")
@@ -88,6 +96,9 @@ class DensityMatrix:
         if abs(trace - 1.0) > NORM_TOL:
             raise ValueError(f"density matrix trace {trace!r} is not 1 within {NORM_TOL}")
         object.__setattr__(self, "spectrum", _psd_eig(m, "density matrix"))
+        w, v = self.spectrum.support()
+        object.__setattr__(self, "factor", _frozen_array(v * np.sqrt(w)))
+        object.__setattr__(self, "weights", _frozen_array(w, float))
         object.__setattr__(self, "matrix", _frozen_array(m))
 
     @property
@@ -105,10 +116,14 @@ QuantumState = PureState | DensityMatrix
 
 @dataclass(frozen=True)
 class CenteredObservable:
-    """A - mean * I for the state the mean was taken in."""
+    """A - mean * I for the state the mean was taken in; validated like :class:`Observable`."""
 
     matrix: np.ndarray
     mean: float
+
+    def __post_init__(self) -> None:
+        m = require_hermitian(self.matrix, "centered observable")
+        object.__setattr__(self, "matrix", _frozen_array(m))
 
 
 @dataclass(frozen=True)
@@ -136,22 +151,24 @@ def _observable_pair(observable_a, observable_b) -> tuple[Observable, Observable
     return a, b
 
 
-def expectation(observable, state: QuantumState) -> float:
-    """<psi|A|psi> for a pure state, tr(rho A) for a mixed one."""
-    a = _checked(observable).matrix
+def _mean_and_image(a: np.ndarray, state: QuantumState) -> tuple[float, np.ndarray]:
+    """tr(X^dagger A X) and the product A X it is read from."""
+    if not isinstance(state, (PureState, DensityMatrix)):
+        raise TypeError(f"unsupported state type {type(state)!r}")
     if a.shape[0] != state.dimension:
         raise DimensionMismatch(
             f"observable dimension {a.shape[0]} vs state dimension {state.dimension}"
         )
-    if isinstance(state, PureState):
-        value = complex(state.amplitudes.conj() @ (a @ state.amplitudes))
-    elif isinstance(state, DensityMatrix):
-        value = complex(np.einsum("ij,ji->", a, state.matrix))
-    else:
-        raise TypeError(f"unsupported state type {type(state)!r}")
+    ax = a @ state.factor
+    value = complex(np.vdot(state.factor, ax))
     if abs(value.imag) > IMAG_TOL * max(1.0, frobenius_norm(a)):
         raise NonRealExpectation(f"imaginary residue {value.imag:.3e} in expectation")
-    return float(value.real)
+    return float(value.real), ax
+
+
+def expectation(observable, state: QuantumState) -> float:
+    """<psi|A|psi> for a pure state, tr(rho A) for a mixed one: tr(X^dagger A X) for both."""
+    return _mean_and_image(_checked(observable).matrix, state)[0]
 
 
 def center(observable, state: QuantumState) -> CenteredObservable:
@@ -165,11 +182,13 @@ def center(observable, state: QuantumState) -> CenteredObservable:
 class PairMoments:
     """Centered second moments of two observables in one state.
 
-    ``centered_a`` is A_c psi for a pure state and A_c rho^(1/2) for a mixed
-    one (likewise ``centered_b``); ``dev_a`` is its norm.  ``cross`` is their
-    inner product <A_c psi, B_c psi>, or the Frobenius inner product for a
-    mixed state; its imaginary part is half the commutator expectation, its
-    real part the centered anticommutator half-sum.
+    ``centered_a`` is A_c X for the state's factor X (rho = X X^dagger): an
+    n x k matrix over the k support directions, n x 1 (A_c psi) for a pure
+    state; likewise ``centered_b``.  ``dev_a`` is its Frobenius norm, and
+    ||A_c rho^r||_F = ||A_c X w^(r - 1/2)||_F for the support weights w.
+    ``cross`` is the Frobenius inner product <A_c X, B_c X>; its imaginary
+    part is half the commutator expectation, its real part the centered
+    anticommutator half-sum.
     """
 
     alpha: float
@@ -188,25 +207,16 @@ class PairMoments:
 def pair_moments(observable_a, observable_b, state: QuantumState) -> PairMoments:
     """The one reduction of an (A, B, state) triple that every bound reads."""
     obs_a, obs_b = _observable_pair(observable_a, observable_b)
-    alpha = expectation(obs_a, state)
-    beta = expectation(obs_b, state)
-    a, b = obs_a.matrix, obs_b.matrix
-    if isinstance(state, PureState):
-        psi = state.amplitudes
-        va = a @ psi - alpha * psi
-        vb = b @ psi - beta * psi
-        cross = complex(va.conj() @ vb)
-    else:
-        sqrt_rho = state.spectrum.power(0.5)
-        va = a @ sqrt_rho - alpha * sqrt_rho
-        vb = b @ sqrt_rho - beta * sqrt_rho
-        cross = complex(np.sum(va.conj() * vb))
+    alpha, ax = _mean_and_image(obs_a.matrix, state)
+    beta, bx = _mean_and_image(obs_b.matrix, state)
+    va = ax - alpha * state.factor
+    vb = bx - beta * state.factor
     return PairMoments(
         alpha=alpha,
         beta=beta,
         dev_a=float(np.linalg.norm(va)),
         dev_b=float(np.linalg.norm(vb)),
-        cross=cross,
+        cross=complex(np.vdot(va, vb)),
         centered_a=va,
         centered_b=vb,
     )
@@ -215,8 +225,8 @@ def pair_moments(observable_a, observable_b, state: QuantumState) -> PairMoments
 def stddev(observable, state: QuantumState) -> float:
     """Standard deviation of the observable in the given state.
 
-    Computed from the centered observable (||A_c psi|| or ||A_c rho^(1/2)||_F),
-    never as sqrt(<A^2> - <A>^2).
+    Computed from the centered observable, ||A_c X||_F, never as
+    sqrt(<A^2> - <A>^2).
     """
     obs = _checked(observable)
     return pair_moments(obs, obs, state).dev_a

@@ -5,6 +5,7 @@ import pytest
 
 from qubounds import (
     DensityMatrix,
+    DimensionMismatch,
     NotOrthogonal,
     PureState,
     Tolerance,
@@ -208,6 +209,9 @@ def test_mu_ratio_matches_matrix_elements():
     psi = bloch_state(0.0, 0.7)
     other = PureState(np.array([0.0, -np.exp(0.7j)], dtype=complex))
     assert mu_ratio(SIGMA_X, SIGMA_Y, psi, other) == pytest.approx(1j, abs=1e-12)
+    phi3 = PureState(np.array([0.0, 1.0, 0.0]))
+    with pytest.raises(DimensionMismatch):
+        mu_ratio(SIGMA_X, SIGMA_Y, psi, phi3)
 
 
 def test_mp3_basis_pair_golden():

@@ -1,11 +1,13 @@
+import dataclasses
 import json
+import math
 import sys
 
 import numpy as np
 import pytest
 
 from qubounds import SampleConfig, Tolerance, robertson, run_verification_suite
-from qubounds import linalg, states
+from qubounds import goldens, linalg, states
 from qubounds.cli import main
 from qubounds.reporting import (
     bound_report_from_dict,
@@ -110,6 +112,23 @@ def test_cli_reproduce_passes(tmp_path):
     ids = {t["golden_id"] for t in payload["trials"]}
     assert {"qubit-north-pole", "qubit-south-pole", "block-mixed-4x4", "qubit-chain-grid"} <= ids
     assert all(t["passed"] for t in payload["trials"])
+
+
+def test_cli_reproduce_failing_golden_writes_strict_json(monkeypatch, capsys):
+    # A golden that cannot compute a value records null, never Infinity.
+    monkeypatch.setattr(goldens, "robertson_saturation_pure", lambda *args, **kwargs: None)
+    assert main(["reproduce"]) == 2
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+    failed = {t["golden_id"]: t for t in payload["trials"] if not t["passed"]}
+    assert set(failed) == {"qubit-north-pole", "qubit-south-pole"}
+    assert all(t["values"]["theta_error"] is None for t in failed.values())
+    report = loads_report(json.dumps(payload))
+    with pytest.raises(ValueError):
+        dumps_report(dataclasses.replace(report, summary={"min_slack": {"x": math.nan}}))
 
 
 def test_cli_saturate_mp3(tmp_path):

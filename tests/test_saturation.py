@@ -10,7 +10,10 @@ from qubounds import (
     HypothesisViolated,
     Observable,
     PureState,
+    QuboundsError,
+    SaturationCertificate,
     ZeroDeviation,
+    ZeroProductCheck,
     ZeroWitness,
     bloch_state,
     construct_case1,
@@ -534,3 +537,101 @@ def test_density_matrix_entry_is_the_only_psd_decision():
     b = random_hermitian(n, rng)
     assert not robertson(a, b, rho).saturated
     assert robertson_saturation_mixed(a, b, rho) is None
+
+
+# ---------------------------------------------------------------------------
+# One state path: a pure state is the one-column case of the mixed checkers
+
+
+def _eigenvector_pair(a, psi):
+    """(P A P + Q A Q) with P = |psi><psi|: A with psi made an eigenvector."""
+    p = np.outer(psi.amplitudes, psi.amplitudes.conj())
+    q = np.eye(len(p)) - p
+    return p @ a @ p + q @ a @ q
+
+
+def _one_path_cases(n, rng):
+    a, b = hermitian_array(rng, n), hermitian_array(rng, n)
+    psi = random_pure_state(n, rng)
+    yield a, b, psi
+    yield _eigenvector_pair(a, psi), b, psi
+    yield _eigenvector_pair(a, psi), _eigenvector_pair(b, psi), psi
+    theta = rng.uniform(0.2, math.pi / 2 - 0.2)
+    for phase in (math.pi / 2, rng.uniform(0.3, 2 * math.pi - 0.3)):
+        a, b, rho = plant_saturating_mixed(n, 1, theta, phase, rng)
+        yield a.matrix, b.matrix, PureState(rho.spectrum.eigenvectors[:, 0])
+
+
+def _state_checks(n):
+    checks = [
+        robertson_saturation_mixed,
+        schrodinger_saturation,
+        zero_product_characterization,
+        zero_sum_characterization,
+    ]
+    return checks + [qubit_commutation_witness] if n == 2 else checks
+
+
+def _outcome(check, a, b, state):
+    try:
+        return check(a, b, state)
+    except QuboundsError as exc:  # the comparison is on the outcome, errors included
+        return type(exc)
+
+
+def _assert_same_outcome(x, y):
+    if x is None or isinstance(x, (bool, type)):
+        assert x == y
+    elif isinstance(x, float):
+        assert y == pytest.approx(x, abs=1e-12)
+    elif isinstance(x, ZeroProductCheck):
+        assert (x.product_is_zero, x.witness) == (y.product_is_zero, y.witness)
+        assert y.residual_a == pytest.approx(x.residual_a, abs=1e-12)
+        assert y.residual_b == pytest.approx(x.residual_b, abs=1e-12)
+    else:
+        assert y is not None and x.r_checked == y.r_checked
+        for u, v in ((x.theta, y.theta), (x.phi, y.phi)):
+            assert (u is None) == (v is None)
+            # Angles are compared on the circle: 2 pi - eps and eps are one angle.
+            assert u is None or abs((u - v + math.pi) % (2 * math.pi) - math.pi) <= 1e-12
+        assert y.residual == pytest.approx(x.residual, abs=1e-12)
+        np.testing.assert_allclose(y.r_residuals, x.r_residuals, rtol=0, atol=1e-12)
+
+
+def test_pure_state_matches_its_projector_in_every_state_checker():
+    rng = trial_rng(320, 0)
+    certificates = 0
+    for n in (2, 3, 4):
+        for a, b, psi in _one_path_cases(n, rng):
+            projector = DensityMatrix.from_pure(psi)
+            for check in _state_checks(n):
+                pure = _outcome(check, a, b, psi)
+                _assert_same_outcome(pure, _outcome(check, a, b, projector))
+                certificates += isinstance(pure, SaturationCertificate)
+    # The planted cases certify, so angles and power residuals are compared too.
+    assert certificates >= 6
+
+
+def test_state_checkers_on_a_pure_state_never_diagonalise(monkeypatch):
+    rng = trial_rng(321, 0)
+    cases = [(n, case) for n in (2, 3, 4) for case in _one_path_cases(n, rng)]
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda *args: calls.append(1) or eigh(*args))
+    for n, (a, b, psi) in cases:
+        for check in _state_checks(n):
+            _outcome(check, Observable(a), Observable(b), psi)
+    assert calls == []
+
+
+def test_zero_product_residuals_match_direct_products():
+    rng = trial_rng(322, 0)
+    for n in (3, 4):
+        for rank in range(1, n + 1):
+            a, b = hermitian_array(rng, n), hermitian_array(rng, n)
+            rho = random_density(n, rank, rng)
+            result = zero_product_characterization(a, b, rho)
+            for obs, residual in ((a, result.residual_a), (b, result.residual_b)):
+                mean = np.trace(obs @ rho.matrix).real
+                direct = np.linalg.norm((obs - mean * np.eye(n)) @ rho.matrix)
+                assert residual == pytest.approx(direct, abs=1e-12 * max(1.0, np.linalg.norm(obs)))
