@@ -14,18 +14,14 @@ import sys
 from .errors import QuboundsError
 from .linalg import Tolerance
 from .reporting import (
-    ARTIFACT_VERSION,
-    RunManifest,
-    SuiteReport,
-    _utc_now,
     dumps_report,
     load_observable_pair,
+    run_reproduction,
     run_verification_suite,
     summary_csv,
 )
 from .sampling import SampleConfig
 from .saturation import CONSTRUCTION_TOL, construct_case1, construct_case2, construct_w_mp6
-from .goldens import run_goldens
 
 
 class _Parser(argparse.ArgumentParser):
@@ -88,36 +84,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    started = _utc_now()
-    results = run_goldens()
-    manifest = RunManifest(
-        command="reproduce",
-        config=None,
-        tolerance=_tolerance(args),
-        started=started,
-        finished=_utc_now(),
-        artifact_version=ARTIFACT_VERSION,
-        seed=0,
-    )
-    failures = [r.golden_id for r in results if not r.passed]
-    report = SuiteReport(
-        manifest=manifest,
-        trials=tuple(
-            {"golden_id": r.golden_id, "passed": r.passed, "detail": r.detail, "values": r.values}
-            for r in results
-        ),
-        summary={
-            "min_slack": {},
-            "saturation_counts": {},
-            "failure_count": len(failures),
-            "failures": failures,
-        },
-    )
+    report = run_reproduction(_tolerance(args))
     text = summary_csv(report) if args.format == "csv" else dumps_report(report)
     _emit(text, args.out)
-    for r in results:
-        status = "pass" if r.passed else "FAIL"
-        sys.stderr.write(f"{status} {r.golden_id}: {r.detail}\n")
+    for trial in report.trials:
+        status = "pass" if trial["passed"] else "FAIL"
+        sys.stderr.write(f"{status} {trial['golden_id']}: {trial['detail']}\n")
+    failures = report.summary["failures"]
     if failures:
         sys.stderr.write(f"failed goldens: {', '.join(failures)}\n")
         return 2

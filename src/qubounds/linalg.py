@@ -25,8 +25,6 @@ HERMITICITY_TOL = 1e-10
 # A PSD input is rejected only for an eigenvalue below -PSD_TOL * max(1, ||P||_F);
 # eigenvalues up to +PSD_TOL * ||P||_F are rounding noise and count as zero.
 PSD_TOL = 1e-10
-# Budget for eigendecomposition reconstruction and completion unitarity.
-RECON_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -63,13 +61,13 @@ def frobenius_norm(x) -> float:
     return float(np.linalg.norm(x))
 
 
-def require_hermitian(m, name: str = "matrix", tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """Validate that ``m`` is square and Hermitian within ``tol`` (relative)."""
+def require_hermitian(m, name: str = "matrix") -> np.ndarray:
+    """Validate that ``m`` is square and Hermitian within ``HERMITICITY_TOL`` (relative)."""
     a = as_complex_matrix(m, name)
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"{name} must be square, got shape {a.shape}")
     deviation = float(np.linalg.norm(a - a.conj().T))
-    if deviation > tol * max(1.0, float(np.linalg.norm(a))):
+    if deviation > HERMITICITY_TOL * max(1.0, float(np.linalg.norm(a))):
         raise NonHermitianInput(f"{name} deviates from Hermitian by {deviation:.3e}")
     return a
 
@@ -144,6 +142,16 @@ def frobenius_inner(x, y) -> complex:
     return complex(np.sum(a.conj() * b))
 
 
+def _require_isometry(basis: np.ndarray, tol: Tolerance) -> None:
+    """Raise unless the n x k ``basis`` has k <= n orthonormal columns, Gram = I within ``tol``."""
+    n, k = basis.shape
+    if k > n:
+        raise DimensionMismatch(f"{k} columns cannot be orthonormal in dimension {n}")
+    deviation = float(np.linalg.norm(basis.conj().T @ basis - np.eye(k)))
+    if deviation > tol.effective(1.0):
+        raise NotOrthonormal(f"input Gram deviates from identity by {deviation:.3e}")
+
+
 def unitary_completion(columns, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Extend orthonormal columns to a full unitary matrix.
 
@@ -154,19 +162,11 @@ def unitary_completion(columns, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     exactly as the leading columns.
     """
     cols = [np.asarray(c, dtype=complex).ravel() for c in columns]
-    if not cols:
-        raise DimensionMismatch("need at least one column")
-    n = cols[0].size
-    if any(c.size != n for c in cols):
-        raise DimensionMismatch("columns have mismatched lengths")
-    if len(cols) > n:
-        raise DimensionMismatch(f"{len(cols)} columns cannot be orthonormal in dimension {n}")
-    basis = np.column_stack(cols)
-    gram = basis.conj().T @ basis
-    deviation = float(np.linalg.norm(gram - np.eye(len(cols))))
-    if deviation > tol.effective(1.0):
-        raise NotOrthonormal(f"input Gram deviates from identity by {deviation:.3e}")
-    q, _ = np.linalg.qr(np.hstack([basis, np.eye(n, dtype=complex)]))
+    if not cols or any(c.size != cols[0].size for c in cols):
+        raise DimensionMismatch("need one or more columns of one length")
+    basis = as_complex_matrix(np.column_stack(cols), "columns")
+    _require_isometry(basis, tol)
+    q, _ = np.linalg.qr(np.hstack([basis, np.eye(basis.shape[0], dtype=complex)]))
     q[:, : len(cols)] = basis
     return q
 
@@ -187,6 +187,9 @@ def phase_dependence_detail(x, y, tol: Tolerance = DEFAULT_TOL) -> tuple[float |
         raise DimensionMismatch(f"vector lengths differ: {xv.size} vs {yv.size}")
     nx = float(np.linalg.norm(xv))
     ny = float(np.linalg.norm(yv))
+    # Finite norms prove finite entries; only a non-finite one needs the entry scan.
+    if not math.isfinite(nx + ny) and not (np.isfinite(xv).all() and np.isfinite(yv).all()):
+        raise ValueError("x or y contains non-finite entries")
     if nx <= tol.absolute and ny <= tol.absolute:
         return 0.0, 0.0
     iy = 1j * yv

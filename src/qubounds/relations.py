@@ -21,7 +21,7 @@ from .errors import (
     NotOrthogonal,
     ZeroDeviation,
 )
-from .linalg import DEFAULT_TOL, Tolerance, frobenius_norm, unitary_completion
+from .linalg import DEFAULT_TOL, Tolerance, _require_isometry, frobenius_norm, unitary_completion
 from .states import (
     IMAG_TOL,
     Observable,
@@ -195,6 +195,13 @@ def _require_orthonormal_pair(psi: PureState, phi: PureState, tol: Tolerance) ->
         raise NotOrthogonal(f"|<phi|psi>| = {overlap:.3e}")
 
 
+def _unit_mu(mu: complex, tol: Tolerance) -> complex:
+    mu = complex(mu)
+    if abs(abs(mu) - 1.0) > tol.effective(1.0):
+        raise ValueError(f"|mu| must be 1, got {abs(mu)!r}")
+    return mu
+
+
 def _real_part(name: str, value: complex, scale: float) -> float:
     if abs(value.imag) > IMAG_TOL * max(1.0, scale):
         raise NonRealExpectation(f"{name}: imaginary residue {value.imag:.3e}")
@@ -233,9 +240,7 @@ def mp_chain(observable_a, observable_b, psi: PureState, phi: PureState,
                         >= |<psi|(A + mu B)|phi>|^2 / 2,
     with c = <psi|A|phi> and d = <psi|B|phi>.
     """
-    mu = complex(mu)
-    if abs(abs(mu) - 1.0) > tol.effective(1.0):
-        raise ValueError(f"|mu| must be 1, got {abs(mu)!r}")
+    mu = _unit_mu(mu, tol)
     a, b = _observable_pair(observable_a, observable_b)
     frame = mp_frame(a, b, psi, phi, tol)
     digest = _digest(a.matrix, b.matrix, psi.amplitudes, phi.amplitudes, mu, "mp-chain")
@@ -257,6 +262,20 @@ def _cross_elements(a: Observable, b: Observable, psi: PureState,
         )
     bra = psi.amplitudes.conj()
     return complex(bra @ (a.matrix @ phi.amplitudes)), complex(bra @ (b.matrix @ phi.amplitudes))
+
+
+def _chain_elements(a: Observable, b: Observable, psi: PureState, phi: PureState,
+                    mu: complex, tol: Tolerance) -> tuple[complex, complex]:
+    """c = <psi|A|phi> and d = <psi|B|phi>, read as matrix elements without a frame.
+
+    The checks are :func:`mp_chain`'s, in its order: |mu| = 1, the dimensions,
+    the overlap, and the Gram test of [psi, phi].
+    """
+    _unit_mu(mu, tol)
+    c, d = _cross_elements(a, b, psi, phi)
+    _require_orthonormal_pair(psi, phi, tol)
+    _require_isometry(np.column_stack([psi.amplitudes, phi.amplitudes]), tol)
+    return c, d
 
 
 def mu_ratio(observable_a, observable_b, psi: PureState, phi: PureState) -> complex:

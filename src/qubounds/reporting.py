@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -20,8 +20,9 @@ from .errors import (
     QuboundsError,
     ZeroDeviation,
 )
+from .goldens import run_goldens
 from .linalg import Tolerance, as_complex_matrix
-from .relations import BoundReport, mp3, mp6, mp_chain, robertson, schrodinger
+from .relations import BoundReport, MP6Reports, mp3, mp6, mp_chain, robertson, schrodinger
 from .sampling import (
     SampleConfig,
     haar_unitary,
@@ -32,6 +33,7 @@ from .sampling import (
 )
 from .saturation import (
     CONSTRUCTION_TOL,
+    ConstructedPair,
     SaturationCertificate,
     construct_case1,
     construct_case2,
@@ -195,146 +197,124 @@ def _utc_now() -> str:
 # Verification suite
 
 
+@dataclass
 class _Summary:
-    def __init__(self):
-        self.min_slack: dict[str, float] = {}
-        self.saturation_counts: dict[str, int] = {}
-        self.failures: list[dict] = []
-
-    def record(self, name: str, report: BoundReport) -> None:
-        if name not in self.min_slack or report.slack < self.min_slack[name]:
-            self.min_slack[name] = report.slack
-        self.saturation_counts.setdefault(name, 0)
-        if report.saturated:
-            self.saturation_counts[name] += 1
+    min_slack: dict[str, float] = field(default_factory=dict)
+    saturation_counts: dict[str, int] = field(default_factory=dict)
+    failures: list = field(default_factory=list)
 
     def fail(self, trial: int, where: str, exc: Exception) -> None:
         self.failures.append(
             {"trial": trial, "where": where, "error": type(exc).__name__, "message": str(exc)}
         )
 
+    def entry(self, trial: int, name: str, result) -> dict | None:
+        """The record entry for a bound report, a certificate or a construction."""
+        if isinstance(result, BoundReport):
+            if name not in self.min_slack or result.slack < self.min_slack[name]:
+                self.min_slack[name] = result.slack
+            self.saturation_counts[name] = self.saturation_counts.get(name, 0) + result.saturated
+            return bound_report_to_dict(result)
+        if not isinstance(result, ConstructedPair):
+            return certificate_to_dict(result)
+        if abs(result.achieved_slack) > CONSTRUCTION_TOL:
+            self.fail(trial, name, BoundViolation(f"construction gap {result.achieved_slack:.3e}"))
+        return {
+            "mu": [result.mu.real, result.mu.imag],
+            "achieved_slack": result.achieved_slack,
+            "degenerate": result.degenerate,
+        }
+
+    def report(self, command: str, config: SampleConfig | None, tol: Tolerance,
+               started: str, trials: list) -> SuiteReport:
+        """The one report schema: the run manifest plus the four summary keys."""
+        manifest = RunManifest(
+            command=command,
+            config=config,
+            tolerance=tol,
+            started=started,
+            finished=_utc_now(),
+            artifact_version=ARTIFACT_VERSION,
+            seed=0 if config is None else config.seed,
+        )
+        summary = dict(vars(self), failure_count=len(self.failures))
+        return SuiteReport(manifest=manifest, trials=tuple(trials), summary=summary)
+
+
+def _mp6_results(reports: MP6Reports) -> dict:
+    results = {"mp6_reformulated": reports.reformulated}
+    if reports.product is not None:
+        results["mp6_product"] = reports.product
+    return results
+
 
 def run_verification_suite(config: SampleConfig, tol: Tolerance) -> SuiteReport:
-    """Evaluate every bound, checker, and construction over seeded random inputs."""
+    """Evaluate every bound, checker, and construction over seeded random inputs.
+
+    Each evaluation leaves one record entry: its result (a dict names several),
+    a skip on :class:`ZeroDeviation`, or an error on any other :class:`QuboundsError`.
+    """
     started = _utc_now()
     summary = _Summary()
     trials = []
     n = config.dimension
     for k in range(config.count):
         rng = trial_rng(config.seed, k)
-        obs_a = random_hermitian(n, rng, label="A")
-        obs_b = random_hermitian(n, rng, label="B")
+        a = random_hermitian(n, rng, label="A")
+        b = random_hermitian(n, rng, label="B")
         psi = random_pure_state(n, rng)
         rho = random_density(n, config.rank, rng)
-        frame = haar_unitary(n, rng) if n >= 2 else None
-        record: dict = {"trial": k}
-
-        def bound(name: str, fn) -> BoundReport | None:
-            try:
-                rep = fn()
-            except QuboundsError as exc:
-                summary.fail(k, name, exc)
-                record[name] = {"error": type(exc).__name__}
-                return None
-            record[name] = bound_report_to_dict(rep)
-            summary.record(name, rep)
-            return rep
-
-        bound("robertson_pure", lambda: robertson(obs_a, obs_b, psi, tol))
-        bound("schrodinger_pure", lambda: schrodinger(obs_a, obs_b, psi, tol))
-        bound("robertson_mixed", lambda: robertson(obs_a, obs_b, rho, tol))
-        bound("schrodinger_mixed", lambda: schrodinger(obs_a, obs_b, rho, tol))
-
-        if frame is not None:
-            pair = PureState(frame[:, 0]), PureState(frame[:, 1])
-            bound("mp3", lambda: mp3(obs_a, obs_b, *pair, tol).report)
-            try:
-                reports = mp6(obs_a, obs_b, *pair, tol)
-            except ZeroDeviation:
-                record["mp6_reformulated"] = {"skipped": "zero deviation"}
-            except QuboundsError as exc:
-                summary.fail(k, "mp6", exc)
-                record["mp6_reformulated"] = {"error": type(exc).__name__}
-            else:
-                record["mp6_reformulated"] = bound_report_to_dict(reports.reformulated)
-                summary.record("mp6_reformulated", reports.reformulated)
-                if reports.product is not None:
-                    record["mp6_product"] = bound_report_to_dict(reports.product)
-                    summary.record("mp6_product", reports.product)
-            try:
-                chain = mp_chain(obs_a, obs_b, *pair, 1j, tol)
-            except QuboundsError as exc:
-                summary.fail(k, "mp_chain", exc)
-            else:
-                for idx, step in enumerate(chain.steps, start=1):
-                    record[f"chain_step{idx}"] = bound_report_to_dict(step)
-                    summary.record(f"chain_step{idx}", step)
-
-        def checker(name: str, fn) -> None:
-            try:
-                cert = fn()
-            except QuboundsError as exc:
-                summary.fail(k, name, exc)
-                record[name] = {"error": type(exc).__name__}
-            else:
-                record[name] = certificate_to_dict(cert)
-
-        checker("robertson_pure_certificate",
-                lambda: robertson_saturation_pure(obs_a, obs_b, psi, tol))
-        checker("robertson_mixed_certificate",
-                lambda: robertson_saturation_mixed(obs_a, obs_b, rho, tol))
-        checker("schrodinger_certificate",
-                lambda: schrodinger_saturation(obs_a, obs_b, rho, tol))
-
-        def construction(name: str, fn) -> None:
-            try:
-                pair = fn()
-            except ZeroDeviation:
-                record[name] = {"skipped": "zero deviation"}
-                return
-            except QuboundsError as exc:
-                summary.fail(k, name, exc)
-                record[name] = {"error": type(exc).__name__}
-                return
-            record[name] = {
-                "mu": [pair.mu.real, pair.mu.imag],
-                "achieved_slack": pair.achieved_slack,
-                "degenerate": pair.degenerate,
-            }
-            if abs(pair.achieved_slack) > CONSTRUCTION_TOL:
-                summary.fail(
-                    k, name,
-                    BoundViolation(f"construction gap {pair.achieved_slack:.3e}"),
-                )
-
-        if n == 2:
-            construction("construct_case1", lambda: construct_case1(obs_a, obs_b, tol))
-        elif n > 2:
-            construction("construct_case2", lambda: construct_case2(obs_a, obs_b, tol))
+        evaluations = {
+            "robertson_pure": lambda: robertson(a, b, psi, tol),
+            "schrodinger_pure": lambda: schrodinger(a, b, psi, tol),
+            "robertson_mixed": lambda: robertson(a, b, rho, tol),
+            "schrodinger_mixed": lambda: schrodinger(a, b, rho, tol),
+        }
         if n >= 2:
-            construction("construct_w_mp6", lambda: construct_w_mp6(obs_a, obs_b, tol))
+            frame = haar_unitary(n, rng)
+            pair = PureState(frame[:, 0]), PureState(frame[:, 1])
+            evaluations["mp3"] = lambda: mp3(a, b, *pair, tol).report
+            evaluations["mp6"] = lambda: _mp6_results(mp6(a, b, *pair, tol))
+            evaluations["mp_chain"] = lambda: dict(zip(
+                ("chain_step1", "chain_step2", "chain_step3"),
+                mp_chain(a, b, *pair, 1j, tol).steps))
+        evaluations["robertson_pure_certificate"] = (
+            lambda: robertson_saturation_pure(a, b, psi, tol))
+        evaluations["robertson_mixed_certificate"] = (
+            lambda: robertson_saturation_mixed(a, b, rho, tol))
+        evaluations["schrodinger_certificate"] = lambda: schrodinger_saturation(a, b, rho, tol)
+        if n == 2:
+            evaluations["construct_case1"] = lambda: construct_case1(a, b, tol)
+        elif n > 2:
+            evaluations["construct_case2"] = lambda: construct_case2(a, b, tol)
+        if n >= 2:
+            evaluations["construct_w_mp6"] = lambda: construct_w_mp6(a, b, tol)
 
+        record: dict = {"trial": k}
+        for where, evaluate in evaluations.items():
+            # mp6 files its skip and error entries under its always-present report.
+            key = "mp6_reformulated" if where == "mp6" else where
+            try:
+                result = evaluate()
+            except ZeroDeviation:
+                record[key] = {"skipped": "zero deviation"}
+            except QuboundsError as exc:
+                summary.fail(k, where, exc)
+                record[key] = {"error": type(exc).__name__}
+            else:
+                results = result if isinstance(result, dict) else {where: result}
+                for name, value in results.items():
+                    record[name] = summary.entry(k, name, value)
         trials.append(record)
+    return summary.report("verify", config, tol, started, trials)
 
-    manifest = RunManifest(
-        command="verify",
-        config=config,
-        tolerance=tol,
-        started=started,
-        finished=_utc_now(),
-        artifact_version=ARTIFACT_VERSION,
-        seed=config.seed,
-    )
-    return SuiteReport(
-        manifest=manifest,
-        trials=tuple(trials),
-        summary={
-            "min_slack": summary.min_slack,
-            "saturation_counts": summary.saturation_counts,
-            "failure_count": len(summary.failures),
-            "failures": summary.failures,
-        },
-    )
+
+def run_reproduction(tol: Tolerance) -> SuiteReport:
+    """Evaluate the golden instances; the failures are the ids of the goldens that failed."""
+    started = _utc_now()
+    results = run_goldens()
+    summary = _Summary(failures=[r.golden_id for r in results if not r.passed])
+    return summary.report("reproduce", None, tol, started, [asdict(r) for r in results])
 
 
 def load_observable_pair(path: str):

@@ -9,9 +9,6 @@ import numpy as np
 from .errors import RankUnachieved
 from .states import DensityMatrix, Observable, PureState
 
-# Eigenvalues above this fraction of the trace count toward the numerical rank.
-RANK_EIG_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class SampleConfig:
@@ -85,10 +82,9 @@ def random_density(n: int, rank: int, seed) -> DensityMatrix:
         rho = g @ g.conj().T
         rho = rho / np.trace(rho).real
         state = DensityMatrix((rho + rho.conj().T) / 2.0)
-        achieved = int(np.sum(state.spectrum.eigenvalues > RANK_EIG_TOL))
-        if achieved == rank:
+        if state.weights.size == rank:
             return state
-    raise RankUnachieved(f"numerical rank {achieved} != requested {rank}")
+    raise RankUnachieved(f"numerical rank {state.weights.size} != requested {rank}")
 
 
 def bloch_state(theta: float, phi: float) -> PureState:

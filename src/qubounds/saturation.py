@@ -4,7 +4,8 @@ Saturation is always decided from the structural characterization (a
 linear-dependence or scalar-equality test), then cross-checked against the
 numeric slack of the corresponding bound report.  A disagreement beyond the
 tolerance band is raised as an error rather than silently resolved, because
-the two criteria are provably equivalent.
+the two criteria are provably equivalent.  The Maccone-Pati checkers read
+c = <psi|A|phi> and d = <psi|B|phi> as matrix elements; they build no frame.
 """
 
 from __future__ import annotations
@@ -33,13 +34,13 @@ from .linalg import (
 )
 from .relations import (
     BoundReport,
+    _chain_elements,
     _choose_mu,
     _require_deviations,
     _robertson_report,
     _schrodinger_report,
     mp3,
     mp6,
-    mp_chain,
 )
 from .states import (
     Observable,
@@ -240,24 +241,20 @@ def mp_chain_saturation(observable_a, observable_b, psi: PureState, phi: PureSta
     """
     mu = complex(mu)
     a, b = _observable_pair(observable_a, observable_b)
-    chain = mp_chain(a, b, psi, phi, mu, tol)
+    c, d = _chain_elements(a, b, psi, phi, mu, tol)
     m = pair_moments(a, b, psi)
-    abs_c, abs_d = abs(chain.frame.c), abs(chain.frame.d)
+    abs_c, abs_d = abs(c), abs(d)
 
     res1 = max(abs(m.dev_a - abs_c), abs(m.dev_b - abs_d))
     res2 = abs(abs_c - abs_d)
-    res3 = (abs_c + abs_d) - abs(chain.frame.c + mu * chain.frame.d)
-    scale = max(1.0, m.dev_a, m.dev_b, abs_c, abs_d)
-    flags = (
-        res1 <= tol.effective(scale),
-        res2 <= tol.effective(scale),
-        res3 <= tol.effective(scale),
-    )
+    res3 = (abs_c + abs_d) - abs(c + mu * d)
+    budget = tol.effective(max(1.0, m.dev_a, m.dev_b, abs_c, abs_d))
+    flags = (res1 <= budget, res2 <= budget, res3 <= budget)
 
     eigen_residual = float(np.linalg.norm(m.centered_a - np.conj(mu) * m.centered_b))
     certificate = None
     if eigen_residual <= tol.effective(max(1.0, frobenius_norm(a.matrix), frobenius_norm(b.matrix))):
-        combo = chain.frame.c + mu * chain.frame.d
+        combo = c + mu * d
         theta = (-cmath.phase(combo)) % (2.0 * math.pi) if abs(combo) > 0 else 0.0
         certificate = SaturationCertificate(
             kind=CertificateKind.MP_CHAIN_ALL,
@@ -300,9 +297,9 @@ def mp3_saturation(observable_a, observable_b, psi: PureState, phi: PureState,
     a, b = _observable_pair(observable_a, observable_b)
     m = pair_moments(a, b, psi)
     mu = _require_mu_hypothesis(m, mu, tol)
-    chain = mp_chain(a, b, psi, phi, mu, tol)  # validates orthonormality, exposes c, d
+    c, d = _chain_elements(a, b, psi, phi, mu, tol)
     lhs = float(np.linalg.norm(m.centered_a - mu * m.centered_b))
-    return _equality_check(lhs, abs(chain.frame.c + mu * chain.frame.d), tol)
+    return _equality_check(lhs, abs(c + mu * d), tol)
 
 
 def mp6_saturation(observable_a, observable_b, psi: PureState, phi: PureState,
@@ -316,9 +313,9 @@ def mp6_saturation(observable_a, observable_b, psi: PureState, phi: PureState,
     m = pair_moments(a, b, psi)
     mu = _require_mu_hypothesis(m, mu, tol)
     _require_deviations(m.dev_a, m.dev_b, a, b, tol)
-    chain = mp_chain(a, b, psi, phi, mu, tol)
+    c, d = _chain_elements(a, b, psi, phi, mu, tol)
     lhs = float(np.linalg.norm(m.centered_a / m.dev_a - mu * m.centered_b / m.dev_b))
-    return _equality_check(lhs, abs(chain.frame.c / m.dev_a + mu * chain.frame.d / m.dev_b), tol)
+    return _equality_check(lhs, abs(c / m.dev_a + mu * d / m.dev_b), tol)
 
 
 def _entry_sign_mu(a: Observable, b: Observable, tol: Tolerance) -> complex:

@@ -55,15 +55,15 @@ class PureState:
     weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        a = np.asarray(self.amplitudes, dtype=complex).ravel()
-        if a.size < 1:
-            raise DimensionMismatch("state vector must be nonempty")
+        a = np.asarray(self.amplitudes, dtype=complex)
+        if a.size < 1 or a.size != max(a.shape, default=1):
+            raise DimensionMismatch(f"state must be a nonempty vector, got shape {a.shape}")
         if not np.isfinite(a).all():
             raise ValueError("state vector contains non-finite entries")
         norm = float(np.linalg.norm(a))
         if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"state vector norm {norm!r} is not 1 within {NORM_TOL}")
-        object.__setattr__(self, "amplitudes", _frozen_array(a))
+        object.__setattr__(self, "amplitudes", _frozen_array(a.ravel()))
         # Kept 2-D so that a pure state is the one-column case of every matrix path.
         object.__setattr__(self, "factor", self.amplitudes.reshape(-1, 1))
         object.__setattr__(self, "weights", _frozen_array(np.ones(1), float))

@@ -159,6 +159,26 @@ def test_unitary_completion_rejects_non_orthonormal():
         unitary_completion([np.array([1.0, 0.0]), np.array([1.0, 1e-3])])
     with pytest.raises(DimensionMismatch):
         unitary_completion([np.ones(2), np.ones(3)])
+    with pytest.raises(DimensionMismatch):
+        unitary_completion([np.array([1.0]), np.array([1.0])], Tolerance(absolute=10.0))
+
+
+def test_unitary_completion_rejects_non_finite_columns():
+    # A NaN Gram deviation compares False against every budget.
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            unitary_completion([np.array([bad, 0.0, 0.0])])
+        with pytest.raises(ValueError):
+            unitary_completion([np.array([1.0, 0.0, 0.0]), np.array([0.0, bad, 0.0])])
+
+
+def test_dependence_detectors_reject_non_finite_entries():
+    for bad in (np.nan, np.inf):
+        for x, y in (([bad, 1.0], [1.0, 0.0]), ([1.0, 0.0], [0.0, bad])):
+            with pytest.raises(ValueError):
+                phase_dependence(np.array(x), np.array(y))
+            with pytest.raises(ValueError):
+                complex_dependence(np.array([x]), np.array([y]))
 
 
 def test_phase_dependence_zero_x_gives_zero_angle():

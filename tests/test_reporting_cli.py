@@ -93,6 +93,26 @@ def test_cli_verify_zero_tolerance_surfaces_failures(tmp_path):
     assert payload["summary"]["failure_count"] > 0
 
 
+def test_every_failure_names_an_entry_of_its_trial_record():
+    # A zero budget fails every mp_chain call: each failure still leaves an entry.
+    report = run_verification_suite(
+        SampleConfig(dimension=2, rank=2, seed=7, count=20), Tolerance(0.0, 0.0)
+    )
+    failures = report.summary["failures"]
+    chain_trials = [f["trial"] for f in failures if f["where"] == "mp_chain"]
+    assert chain_trials == list(range(20))
+    for k in chain_trials:
+        record = report.trials[k]
+        assert set(record["mp_chain"]) == {"error"}
+        assert "chain_step1" not in record
+    keys = {"mp6": "mp6_reformulated"}
+    for failure in failures:
+        record = report.trials[failure["trial"]]
+        assert record["trial"] == failure["trial"]
+        assert keys.get(failure["where"], failure["where"]) in record
+    assert report.summary["failure_count"] == len(failures)
+
+
 def test_cli_verify_reports_are_rerun_identical(tmp_path):
     out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
     argv = ["verify", "--n", "2", "--trials", "4", "--seed", "3", "--out"]

@@ -12,6 +12,7 @@ from qubounds import (
     PureState,
     QuboundsError,
     SaturationCertificate,
+    Tolerance,
     ZeroDeviation,
     ZeroProductCheck,
     ZeroWitness,
@@ -26,6 +27,7 @@ from qubounds import (
     mp6_saturation,
     mp_chain,
     mp_chain_saturation,
+    mp_frame,
     qubit_commutation_witness,
     random_density,
     random_hermitian,
@@ -330,6 +332,79 @@ def test_mp6_saturation_agrees_with_report():
         reports = mp6(a, b, psi, phi)
         check = mp6_saturation(a, b, psi, phi, reports.mu.mu)
         assert check.saturated == reports.reformulated.saturated
+
+
+def _maccone_pati_checks(a, b, psi, phi, mu, tol):
+    return {
+        "mp3": lambda: mp3_saturation(a, b, psi, phi, mu, tol),
+        "mp6": lambda: mp6_saturation(a, b, psi, phi, mu, tol),
+        "chain": lambda: mp_chain_saturation(a, b, psi, phi, mu, tol),
+    }
+
+
+def test_maccone_pati_checkers_build_no_frame(monkeypatch):
+    # c = <psi|A|phi> and d = <psi|B|phi> are matrix elements: no QR completion.
+    rng = trial_rng(309, 0)
+    cases = []
+    for n in (2, 3, 5):
+        a, b = hermitian_array(rng, n), hermitian_array(rng, n)
+        psi, phi = _orthonormal_pair(n, rng)
+        cases.append((a, b, psi, phi, mp3(a, b, psi, phi).mu.mu))
+    calls = []
+    qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda *args, **kw: calls.append(1) or qr(*args, **kw))
+    for a, b, psi, phi, mu in cases:
+        for check in _maccone_pati_checks(a, b, psi, phi, mu, Tolerance()).values():
+            check()
+    assert calls == []
+
+
+def test_mp_chain_saturation_residuals_match_the_frame():
+    rng = trial_rng(310, 0)
+    for n in (2, 3, 4, 8):
+        for _ in range(10):
+            a, b = hermitian_array(rng, n), hermitian_array(rng, n)
+            psi, phi = _orthonormal_pair(n, rng)
+            mu = complex(np.exp(1j * rng.uniform(0.0, 2.0 * math.pi)))
+            frame = mp_frame(a, b, psi, phi)
+            dev_a, dev_b = np.linalg.norm(frame.u), np.linalg.norm(frame.v)
+            abs_c, abs_d = abs(frame.c), abs(frame.d)
+            expected = (
+                max(abs(dev_a - abs_c), abs(dev_b - abs_d)),
+                abs(abs_c - abs_d),
+                abs_c + abs_d - abs(frame.c + mu * frame.d),
+            )
+            sat = mp_chain_saturation(a, b, psi, phi, mu)
+            np.testing.assert_allclose(sat.step_residuals, expected, rtol=0, atol=1e-12)
+
+
+def test_maccone_pati_checkers_reject_what_the_chain_rejects():
+    # Each checker runs mp_chain's checks in its order, so a bad pair raises the same type.
+    near_unit = PureState(np.array([0.0, 1.0 + 1e-12]))
+    ket3 = PureState(np.array([0.0, 1.0, 0.0]))
+    cases = [
+        (SIGMA_X, SIGMA_Y, KET0, KET0, -1j, Tolerance()),
+        (SIGMA_X, SIGMA_Y, KET0, ket3, -1j, Tolerance()),
+        (SIGMA_X, SIGMA_Y, KET0, near_unit, -1j, Tolerance(0.0, 0.0)),
+        # Two columns cannot be orthonormal in dimension 1, however loose the budget.
+        (np.eye(1), 2 * np.eye(1), PureState(np.ones(1)), PureState(np.ones(1)), 1j,
+         Tolerance(absolute=10.0)),
+    ]
+    for a, b, psi, phi, mu, tol in cases:
+        with pytest.raises(QuboundsError) as expected:
+            mp_chain(a, b, psi, phi, mu, tol)
+        for name, check in _maccone_pati_checks(a, b, psi, phi, mu, tol).items():
+            if name == "mp6" and psi.dimension == 1:
+                continue  # zero deviations are refused first
+            with pytest.raises(expected.type):
+                check()
+    with pytest.raises(ValueError):
+        mp_chain_saturation(SIGMA_X, SIGMA_Y, KET0, KET1, 2.0)
+    # The near-unit pair passes at the default budget, as it does for mp_chain.
+    mp_chain(SIGMA_X, SIGMA_Y, KET0, near_unit, -1j)
+    for check in _maccone_pati_checks(SIGMA_X, SIGMA_Y, KET0, near_unit, -1j,
+                                      Tolerance()).values():
+        check()
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,19 @@ def test_pure_state_validation():
     np.testing.assert_allclose(psi.projector(), [[1.0, 0.0], [0.0, 0.0]])
 
 
+def test_pure_state_rejects_a_matrix_of_amplitudes():
+    # A 2x2 array is not a 4-dimensional state, even with unit Frobenius norm.
+    with pytest.raises(DimensionMismatch):
+        PureState(np.array([[1.0, 0.0], [0.0, 0.0]]))
+    with pytest.raises(DimensionMismatch):
+        PureState(np.zeros((0, 3)))
+    # Row and column vectors are vectors.
+    for shape in ((3,), (3, 1), (1, 3), (1, 3, 1)):
+        psi = PureState(np.array([1.0, 0.0, 0.0]).reshape(shape))
+        assert psi.dimension == 3
+        assert psi.amplitudes.shape == (3,)
+
+
 def test_density_matrix_validation():
     with pytest.raises(ValueError):
         DensityMatrix(np.eye(2))  # trace 2
