@@ -47,6 +47,11 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
+def _input_budget(tol: Tolerance) -> float:
+    """Budget of an input check: a caller's ``tol`` may tighten it, never loosen it past the default."""
+    return min(tol.effective(1.0), DEFAULT_TOL.effective(1.0))
+
+
 def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
     """Coerce to a 2-D complex array with finite entries."""
     a = np.asarray(m, dtype=complex)
@@ -142,14 +147,18 @@ def frobenius_inner(x, y) -> complex:
     return complex(np.sum(a.conj() * b))
 
 
-def _require_isometry(basis: np.ndarray, tol: Tolerance) -> None:
-    """Raise unless the n x k ``basis`` has k <= n orthonormal columns, Gram = I within ``tol``."""
+def _require_isometry(basis: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """Return the n x k ``basis`` if it has k <= n orthonormal columns, Gram = I within ``tol``."""
     n, k = basis.shape
     if k > n:
         raise DimensionMismatch(f"{k} columns cannot be orthonormal in dimension {n}")
-    deviation = float(np.linalg.norm(basis.conj().T @ basis - np.eye(k)))
-    if deviation > tol.effective(1.0):
+    gram = basis.conj().T @ basis
+    # Subtract I in place: for two columns a fresh np.eye costs about as much as the product.
+    gram.flat[:: k + 1] -= 1.0
+    deviation = float(np.linalg.norm(gram))
+    if deviation > _input_budget(tol):
         raise NotOrthonormal(f"input Gram deviates from identity by {deviation:.3e}")
+    return basis
 
 
 def unitary_completion(columns, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -165,9 +174,13 @@ def unitary_completion(columns, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     if not cols or any(c.size != cols[0].size for c in cols):
         raise DimensionMismatch("need one or more columns of one length")
     basis = as_complex_matrix(np.column_stack(cols), "columns")
-    _require_isometry(basis, tol)
+    return _completion(_require_isometry(basis, tol))
+
+
+def _completion(basis: np.ndarray) -> np.ndarray:
+    """:func:`unitary_completion` of the n x k ``basis``, whose columns are already checked."""
     q, _ = np.linalg.qr(np.hstack([basis, np.eye(basis.shape[0], dtype=complex)]))
-    q[:, : len(cols)] = basis
+    q[:, : basis.shape[1]] = basis
     return q
 
 

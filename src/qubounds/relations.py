@@ -21,7 +21,7 @@ from .errors import (
     NotOrthogonal,
     ZeroDeviation,
 )
-from .linalg import DEFAULT_TOL, Tolerance, _require_isometry, frobenius_norm, unitary_completion
+from .linalg import DEFAULT_TOL, Tolerance, _completion, _input_budget, _require_isometry, frobenius_norm
 from .states import (
     IMAG_TOL,
     Observable,
@@ -185,21 +185,44 @@ def _require_deviations(dev_a: float, dev_b: float, a: Observable, b: Observable
         )
 
 
-def _require_orthonormal_pair(psi: PureState, phi: PureState, tol: Tolerance) -> None:
-    if psi.dimension != phi.dimension:
+def _require_dimensions(a: Observable, psi: PureState, phi: PureState) -> None:
+    if not a.dimension == psi.dimension == phi.dimension:
         raise DimensionMismatch(
-            f"state dimensions differ: {psi.dimension} vs {phi.dimension}"
+            f"dimensions differ: {a.dimension} vs {psi.dimension} and {phi.dimension}"
         )
+
+
+def _require_mp_pair(a: Observable, psi: PureState, phi: PureState, tol: Tolerance) -> np.ndarray:
+    """The Maccone-Pati input checks, in order: dimensions, overlap, the Gram test of [psi, phi].
+
+    Returns the n x 2 matrix [psi | phi] that passed the Gram test.
+    """
+    _require_dimensions(a, psi, phi)
     overlap = abs(complex(phi.amplitudes.conj() @ psi.amplitudes))
-    if overlap > tol.effective(1.0):
+    if overlap > _input_budget(tol):
         raise NotOrthogonal(f"|<phi|psi>| = {overlap:.3e}")
+    return _require_isometry(np.array((psi.amplitudes, phi.amplitudes)).T, tol)
 
 
 def _unit_mu(mu: complex, tol: Tolerance) -> complex:
     mu = complex(mu)
-    if abs(abs(mu) - 1.0) > tol.effective(1.0):
+    if abs(abs(mu) - 1.0) > _input_budget(tol):
         raise ValueError(f"|mu| must be 1, got {abs(mu)!r}")
     return mu
+
+
+def _cross_elements(a: Observable, b: Observable, psi: PureState,
+                    phi: PureState) -> tuple[complex, complex]:
+    """c = <psi|A|phi> and d = <psi|B|phi>, for states of the observables' dimension."""
+    bra = psi.amplitudes.conj()
+    return complex(bra @ (a.matrix @ phi.amplitudes)), complex(bra @ (b.matrix @ phi.amplitudes))
+
+
+def _mp_inputs(a: Observable, b: Observable, psi: PureState, phi: PureState,
+               tol: Tolerance) -> tuple[PairMoments, complex, complex]:
+    """The one Maccone-Pati reduction: the moments in psi, c and d, after the pair checks."""
+    _require_mp_pair(a, psi, phi, tol)
+    return (pair_moments(a, b, psi), *_cross_elements(a, b, psi, phi))
 
 
 def _real_part(name: str, value: complex, scale: float) -> float:
@@ -215,10 +238,7 @@ def mp_frame(observable_a, observable_b, psi: PureState, phi: PureState,
     Only the first rows (psi^dagger A) U and (psi^dagger B) U are formed.
     """
     a, b = _observable_pair(observable_a, observable_b)
-    if a.matrix.shape[0] != psi.dimension:
-        raise DimensionMismatch("observable and state dimensions differ")
-    _require_orthonormal_pair(psi, phi, tol)
-    basis = unitary_completion([psi.amplitudes, phi.amplitudes], tol)
+    basis = _completion(_require_mp_pair(a, psi, phi, tol))
     bra = psi.amplitudes.conj()
     row_a = (bra @ a.matrix) @ basis
     row_b = (bra @ b.matrix) @ basis
@@ -253,34 +273,10 @@ def mp_chain(observable_a, observable_b, psi: PureState, phi: PureState,
     return ChainReport(steps=(step1, step2, step3), mu=mu, frame=frame)
 
 
-def _cross_elements(a: Observable, b: Observable, psi: PureState,
-                    phi: PureState) -> tuple[complex, complex]:
-    """c = <psi|A|phi> and d = <psi|B|phi>."""
-    if not a.dimension == psi.dimension == phi.dimension:
-        raise DimensionMismatch(
-            f"dimensions differ: {a.dimension} vs {psi.dimension} and {phi.dimension}"
-        )
-    bra = psi.amplitudes.conj()
-    return complex(bra @ (a.matrix @ phi.amplitudes)), complex(bra @ (b.matrix @ phi.amplitudes))
-
-
-def _chain_elements(a: Observable, b: Observable, psi: PureState, phi: PureState,
-                    mu: complex, tol: Tolerance) -> tuple[complex, complex]:
-    """c = <psi|A|phi> and d = <psi|B|phi>, read as matrix elements without a frame.
-
-    The checks are :func:`mp_chain`'s, in its order: |mu| = 1, the dimensions,
-    the overlap, and the Gram test of [psi, phi].
-    """
-    _unit_mu(mu, tol)
-    c, d = _cross_elements(a, b, psi, phi)
-    _require_orthonormal_pair(psi, phi, tol)
-    _require_isometry(np.column_stack([psi.amplitudes, phi.amplitudes]), tol)
-    return c, d
-
-
 def mu_ratio(observable_a, observable_b, psi: PureState, phi: PureState) -> complex:
     """<psi|A|phi> / <psi|B|phi>: the mu that aligns the chain's last step."""
     a, b = _observable_pair(observable_a, observable_b)
+    _require_dimensions(a, psi, phi)
     c, d = _cross_elements(a, b, psi, phi)
     if abs(d) <= 1e-14 * max(1.0, frobenius_norm(b.matrix)):
         raise ZeroDeviation("denominator matrix element <psi|B|phi> vanishes")
@@ -291,10 +287,8 @@ def mp3(observable_a, observable_b, psi: PureState, phi: PureState,
         tol: Tolerance = DEFAULT_TOL) -> MP3Report:
     """Sum bound: dev(A)^2 + dev(B)^2 >= mu <[A,B]> + |<psi|(A + mu B)|phi>|^2."""
     a, b = _observable_pair(observable_a, observable_b)
-    _require_orthonormal_pair(psi, phi, tol)
-    m = pair_moments(a, b, psi)
+    m, c, d = _mp_inputs(a, b, psi, phi, tol)
     choice = _choose_mu(a, b, m.commutator_expectation, tol)
-    c, d = _cross_elements(a, b, psi, phi)
     comm_term = _real_part("mp3 commutator term", choice.mu * m.commutator_expectation,
                            abs(m.commutator_expectation))
     digest = _digest(a.matrix, b.matrix, psi.amplitudes, phi.amplitudes, "mp3")
@@ -314,11 +308,9 @@ def mp6(observable_a, observable_b, psi: PureState, phi: PureState,
     only when the denominator stays clear of zero.
     """
     a, b = _observable_pair(observable_a, observable_b)
-    _require_orthonormal_pair(psi, phi, tol)
-    m = pair_moments(a, b, psi)
+    m, c, d = _mp_inputs(a, b, psi, phi, tol)
     choice = _choose_mu(a, b, m.commutator_expectation, tol)
     _require_deviations(m.dev_a, m.dev_b, a, b, tol)
-    c, d = _cross_elements(a, b, psi, phi)
     q_elem = c / m.dev_a + choice.mu * d / m.dev_b
     denominator = 1.0 - abs(q_elem) ** 2 / 2.0
     comm_term = _real_part("mp6 commutator term", choice.mu * m.commutator_expectation,

@@ -34,11 +34,12 @@ from .linalg import (
 )
 from .relations import (
     BoundReport,
-    _chain_elements,
     _choose_mu,
+    _mp_inputs,
     _require_deviations,
     _robertson_report,
     _schrodinger_report,
+    _unit_mu,
     mp3,
     mp6,
 )
@@ -239,10 +240,9 @@ def mp_chain_saturation(observable_a, observable_b, psi: PureState, phi: PureSta
     All three hold together exactly when psi is an eigenvector of
     A - conj(mu) B with eigenvalue alpha - conj(mu) beta.
     """
-    mu = complex(mu)
+    mu = _unit_mu(mu, tol)
     a, b = _observable_pair(observable_a, observable_b)
-    c, d = _chain_elements(a, b, psi, phi, mu, tol)
-    m = pair_moments(a, b, psi)
+    m, c, d = _mp_inputs(a, b, psi, phi, tol)
     abs_c, abs_d = abs(c), abs(d)
 
     res1 = max(abs(m.dev_a - abs_c), abs(m.dev_b - abs_d))
@@ -254,8 +254,9 @@ def mp_chain_saturation(observable_a, observable_b, psi: PureState, phi: PureSta
     eigen_residual = float(np.linalg.norm(m.centered_a - np.conj(mu) * m.centered_b))
     certificate = None
     if eigen_residual <= tol.effective(max(1.0, frobenius_norm(a.matrix), frobenius_norm(b.matrix))):
+        # Within the budget c + mu d is rounding noise, and its phase no witness.
         combo = c + mu * d
-        theta = (-cmath.phase(combo)) % (2.0 * math.pi) if abs(combo) > 0 else 0.0
+        theta = (-cmath.phase(combo)) % (2.0 * math.pi) if abs(combo) > budget else 0.0
         certificate = SaturationCertificate(
             kind=CertificateKind.MP_CHAIN_ALL,
             theta=theta,
@@ -295,9 +296,8 @@ def mp3_saturation(observable_a, observable_b, psi: PureState, phi: PureState,
                    mu: complex, tol: Tolerance = DEFAULT_TOL) -> EqualityCheck:
     """Equality test for the sum bound: ||(A_c - mu B_c)|psi>|| vs |<psi|A + mu B|phi>|."""
     a, b = _observable_pair(observable_a, observable_b)
-    m = pair_moments(a, b, psi)
+    m, c, d = _mp_inputs(a, b, psi, phi, tol)
     mu = _require_mu_hypothesis(m, mu, tol)
-    c, d = _chain_elements(a, b, psi, phi, mu, tol)
     lhs = float(np.linalg.norm(m.centered_a - mu * m.centered_b))
     return _equality_check(lhs, abs(c + mu * d), tol)
 
@@ -310,10 +310,9 @@ def mp6_saturation(observable_a, observable_b, psi: PureState, phi: PureState,
     the condition under which the division-free form closes.
     """
     a, b = _observable_pair(observable_a, observable_b)
-    m = pair_moments(a, b, psi)
+    m, c, d = _mp_inputs(a, b, psi, phi, tol)
     mu = _require_mu_hypothesis(m, mu, tol)
     _require_deviations(m.dev_a, m.dev_b, a, b, tol)
-    c, d = _chain_elements(a, b, psi, phi, mu, tol)
     lhs = float(np.linalg.norm(m.centered_a / m.dev_a - mu * m.centered_b / m.dev_b))
     return _equality_check(lhs, abs(c / m.dev_a + mu * d / m.dev_b), tol)
 
@@ -324,34 +323,30 @@ def _entry_sign_mu(a: Observable, b: Observable, tol: Tolerance) -> complex:
     return _choose_mu(a, b, entry, tol).mu
 
 
-def _basis_state(n: int, index: int) -> PureState:
-    v = np.zeros(n, dtype=complex)
-    v[index] = 1.0
-    return PureState(v)
+def _constructed_pair(a: Observable, b: Observable, mu: complex, tail: np.ndarray | None,
+                      target: str, tol: Tolerance) -> ConstructedPair:
+    """psi = e1 and phi = the unit ``tail`` embedded below it, or e2 for a degenerate (None) tail.
 
-
-def _embed_tail(n: int, tail: np.ndarray) -> PureState:
-    v = np.zeros(n, dtype=complex)
-    v[1:] = tail
-    return PureState(v)
-
-
-def _relative_slack(report: BoundReport) -> float:
-    return report.slack / max(1.0, abs(report.lhs), abs(report.rhs))
+    The achieved gap is the relative slack of the ``target`` bound on the pair.
+    """
+    psi, phi = np.eye(2, a.dimension, dtype=complex)
+    if tail is not None:
+        phi[1:] = tail
+    psi, phi = PureState(psi), PureState(phi)
+    if target == "mp3":
+        report = mp3(a, b, psi, phi, tol).report
+    else:
+        report = mp6(a, b, psi, phi, tol).reformulated
+    return ConstructedPair(mu=mu, psi=psi, phi=phi, target=target, degenerate=tail is None,
+                           achieved_slack=report.slack / max(1.0, abs(report.lhs), abs(report.rhs)))
 
 
 def construct_case1(observable_a, observable_b, tol: Tolerance = DEFAULT_TOL) -> ConstructedPair:
     """Saturating pair for the sum bound in dimension 2: psi = e1, phi = e2."""
     a, b = _observable_pair(observable_a, observable_b)
-    if a.matrix.shape[0] != 2:
-        raise DimensionMismatch(f"construction requires dimension 2, got {a.matrix.shape[0]}")
-    mu = _entry_sign_mu(a, b, tol)
-    psi = _basis_state(2, 0)
-    phi = _basis_state(2, 1)
-    report = mp3(a, b, psi, phi, tol).report
-    return ConstructedPair(
-        mu=mu, psi=psi, phi=phi, target="mp3", achieved_slack=_relative_slack(report)
-    )
+    if a.dimension != 2:
+        raise DimensionMismatch(f"construction requires dimension 2, got {a.dimension}")
+    return _constructed_pair(a, b, _entry_sign_mu(a, b, tol), np.ones(1), "mp3", tol)
 
 
 def construct_case2(observable_a, observable_b, tol: Tolerance = DEFAULT_TOL) -> ConstructedPair:
@@ -363,33 +358,21 @@ def construct_case2(observable_a, observable_b, tol: Tolerance = DEFAULT_TOL) ->
     tail makes the equality hold for any phi; e2 is used then.
     """
     a, b = _observable_pair(observable_a, observable_b)
-    n = a.matrix.shape[0]
+    n = a.dimension
     if n <= 2:
         raise DimensionMismatch(f"construction requires dimension > 2, got {n}")
     mu = _entry_sign_mu(a, b, tol)
     combo = a.matrix - mu * b.matrix
     tail = combo[1:, 0]
     norm = float(np.linalg.norm(tail))
-    degenerate = norm <= tol.effective(max(1.0, frobenius_norm(a.matrix), frobenius_norm(b.matrix)))
-    if degenerate:
-        phi = _basis_state(n, 1)
-    else:
+    direction = None
+    if norm > tol.effective(max(1.0, frobenius_norm(a.matrix), frobenius_norm(b.matrix))):
         direction = tail / norm
         # Fix the free phase so <e1|(A - mu B)|phi> comes out real nonnegative.
         entry = complex(combo[0, 1:] @ direction)
         if abs(entry) > 1e-14:
             direction = direction * cmath.exp(-1j * cmath.phase(entry))
-        phi = _embed_tail(n, direction)
-    psi = _basis_state(n, 0)
-    report = mp3(a, b, psi, phi, tol).report
-    return ConstructedPair(
-        mu=mu,
-        psi=psi,
-        phi=phi,
-        target="mp3",
-        achieved_slack=_relative_slack(report),
-        degenerate=degenerate,
-    )
+    return _constructed_pair(a, b, mu, direction, "mp3", tol)
 
 
 def construct_w_mp6(observable_a, observable_b, tol: Tolerance = DEFAULT_TOL) -> ConstructedPair:
@@ -401,8 +384,7 @@ def construct_w_mp6(observable_a, observable_b, tol: Tolerance = DEFAULT_TOL) ->
     zero for any phi; e2 is used then.
     """
     a, b = _observable_pair(observable_a, observable_b)
-    n = a.matrix.shape[0]
-    if n < 2:
+    if a.dimension < 2:
         raise DimensionMismatch("construction requires dimension >= 2")
     mu = _entry_sign_mu(a, b, tol)
     u = a.matrix[1:, 0]
@@ -412,21 +394,8 @@ def construct_w_mp6(observable_a, observable_b, tol: Tolerance = DEFAULT_TOL) ->
     _require_deviations(nu, nv, a, b, tol, what="first-column tail norms")
     difference = u / nu - mu * v / nv
     norm = float(np.linalg.norm(difference))
-    degenerate = norm <= tol.effective(1.0)
-    if degenerate:
-        phi = _basis_state(n, 1)
-    else:
-        phi = _embed_tail(n, difference / norm)
-    psi = _basis_state(n, 0)
-    reports = mp6(a, b, psi, phi, tol)
-    return ConstructedPair(
-        mu=mu,
-        psi=psi,
-        phi=phi,
-        target="mp6",
-        achieved_slack=_relative_slack(reports.reformulated),
-        degenerate=degenerate,
-    )
+    direction = difference / norm if norm > tol.effective(1.0) else None
+    return _constructed_pair(a, b, mu, direction, "mp6", tol)
 
 
 def _centered_products(m: PairMoments, state: QuantumState) -> tuple[float, float]:

@@ -215,6 +215,7 @@ def test_verify_trial_validates_once_and_reduces_once(monkeypatch):
         "require_hermitian": linalg.require_hermitian,
         "pair_moments": states.pair_moments,
         "eigh": np.linalg.eigh,
+        "qr": np.linalg.qr,
     }
     counts = dict.fromkeys(targets, 0)
 
@@ -236,3 +237,5 @@ def test_verify_trial_validates_once_and_reduces_once(monkeypatch):
     assert counts["require_hermitian"] <= 4
     assert counts["eigh"] == 1
     assert counts["pair_moments"] <= 11
+    # Two Haar draws and the mp_chain frame: no other evaluation completes a frame.
+    assert counts["qr"] == 3

@@ -8,6 +8,8 @@ from qubounds import (
     DensityMatrix,
     DimensionMismatch,
     HypothesisViolated,
+    NotOrthogonal,
+    NotOrthonormal,
     Observable,
     PureState,
     QuboundsError,
@@ -39,6 +41,7 @@ from qubounds import (
     schrodinger_saturation,
     stddev,
     trial_rng,
+    unitary_completion,
     zero_product_characterization,
     zero_sum_characterization,
 )
@@ -339,6 +342,8 @@ def _maccone_pati_checks(a, b, psi, phi, mu, tol):
         "mp3": lambda: mp3_saturation(a, b, psi, phi, mu, tol),
         "mp6": lambda: mp6_saturation(a, b, psi, phi, mu, tol),
         "chain": lambda: mp_chain_saturation(a, b, psi, phi, mu, tol),
+        "mp3 bound": lambda: mp3(a, b, psi, phi, tol),
+        "mp6 bound": lambda: mp6(a, b, psi, phi, tol),
     }
 
 
@@ -405,6 +410,29 @@ def test_maccone_pati_checkers_reject_what_the_chain_rejects():
     for check in _maccone_pati_checks(SIGMA_X, SIGMA_Y, KET0, near_unit, -1j,
                                       Tolerance()).values():
         check()
+
+
+def test_a_loose_tolerance_never_loosens_an_input_check():
+    # |mu| = 1, the overlap and the Gram test compare against at most the default budget.
+    loose = Tolerance(absolute=10.0)
+    with pytest.raises(ValueError):
+        mp_chain_saturation(SIGMA_X, SIGMA_Y, KET0, KET1, 2.0, loose)
+    with pytest.raises(ValueError):
+        mp_chain(SIGMA_X, SIGMA_Y, KET0, KET1, 2.0, loose)
+    with pytest.raises(NotOrthogonal):
+        mp3(SIGMA_X, SIGMA_Y, KET0, KET0, loose)
+    with pytest.raises(NotOrthonormal):
+        unitary_completion([(1.0, 0.0), (1.0, 1e-3)], loose)
+
+
+def test_chain_certificate_theta_is_zero_when_c_plus_mu_d_is_noise():
+    # A = 3I, B = I: c and d are multiples of <psi|phi>, zero up to rounding.
+    for seed in range(5):
+        frame = haar_unitary(3, seed)
+        psi, phi = PureState(frame[:, 0]), PureState(frame[:, 1])
+        cert = mp_chain_saturation(3.0 * np.eye(3), np.eye(3), psi, phi, 1j).all_equalities
+        assert cert is not None and cert.residual <= 1e-12
+        assert cert.theta == 0.0
 
 
 # ---------------------------------------------------------------------------
