@@ -6,6 +6,8 @@ through exact structural characterizations, and constructs orthonormal
 state pairs that provably close the sum and product bounds.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     BoundViolation,
     CorollaryViolation,
@@ -99,86 +101,6 @@ from .states import (
 
 __version__ = ARTIFACT_VERSION
 
-__all__ = [
-    "ARTIFACT_VERSION",
-    "BoundReport",
-    "BoundViolation",
-    "CONSTRUCTION_TOL",
-    "CenteredObservable",
-    "CertificateKind",
-    "ChainReport",
-    "ChainSaturation",
-    "ConstructedPair",
-    "CorollaryViolation",
-    "DEFAULT_TOL",
-    "DensityMatrix",
-    "DimensionMismatch",
-    "EigenSystem",
-    "EqualityCheck",
-    "GramPair",
-    "HypothesisViolated",
-    "InconsistentCharacterization",
-    "InconsistentSaturation",
-    "MP3Report",
-    "MP6Reports",
-    "MPFrame",
-    "MuChoice",
-    "NonHermitianInput",
-    "NonRealExpectation",
-    "NotOrthogonal",
-    "NotOrthonormal",
-    "NotPositiveSemidefinite",
-    "Observable",
-    "PairMoments",
-    "PureState",
-    "QuantumState",
-    "QuboundsError",
-    "RIndependenceViolation",
-    "RankUnachieved",
-    "RunManifest",
-    "SampleConfig",
-    "SaturationCertificate",
-    "SuiteReport",
-    "Tolerance",
-    "ZeroDeviation",
-    "ZeroProductCheck",
-    "ZeroWitness",
-    "bloch_state",
-    "center",
-    "choose_mu",
-    "complex_dependence",
-    "construct_case1",
-    "construct_case2",
-    "construct_w_mp6",
-    "expectation",
-    "frobenius_inner",
-    "gram_pair",
-    "haar_unitary",
-    "hermitian_eig",
-    "mp3",
-    "mp3_saturation",
-    "mp6",
-    "mp6_saturation",
-    "mp_chain",
-    "mp_chain_saturation",
-    "mp_frame",
-    "mu_ratio",
-    "pair_moments",
-    "phase_dependence",
-    "psd_power",
-    "qubit_commutation_witness",
-    "random_density",
-    "random_hermitian",
-    "random_pure_state",
-    "robertson",
-    "robertson_saturation_mixed",
-    "robertson_saturation_pure",
-    "run_verification_suite",
-    "schrodinger",
-    "schrodinger_saturation",
-    "stddev",
-    "trial_rng",
-    "unitary_completion",
-    "zero_product_characterization",
-    "zero_sum_characterization",
-]
+# The public names are the ones imported above; the submodules are not among them.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -62,10 +62,6 @@ def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def frobenius_norm(x) -> float:
-    return float(np.linalg.norm(x))
-
-
 def require_hermitian(m, name: str = "matrix") -> np.ndarray:
     """Validate that ``m`` is square and Hermitian within ``HERMITICITY_TOL`` (relative)."""
     a = as_complex_matrix(m, name)

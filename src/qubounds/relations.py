@@ -2,9 +2,15 @@
 
 Every evaluator returns a :class:`BoundReport` (or a small bundle of them)
 carrying both sides of the inequality, the slack, a saturation flag, the
-tolerance used, and a digest of the inputs.  A negative slack beyond the
-rounding budget raises :class:`~qubounds.errors.BoundViolation` instead of
-being reported, since each inequality is a theorem.
+tolerance used, and a digest of the inputs: a hash of the inputs' own
+digests and the bound's tag.  A negative slack beyond the rounding budget
+raises :class:`~qubounds.errors.BoundViolation` instead of being reported,
+since each inequality is a theorem.
+
+Each public evaluator is a thin entry that validates and reduces its inputs
+(:func:`~qubounds.states.pair_moments`, or :func:`_mp_inputs` for the
+Maccone-Pati family) and a private body that reads only that reduction and
+the tolerance, so a caller holding one reduction can run every body on it.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from .errors import (
     NotOrthogonal,
     ZeroDeviation,
 )
-from .linalg import DEFAULT_TOL, Tolerance, _completion, _input_budget, _require_isometry, frobenius_norm
+from .linalg import DEFAULT_TOL, Tolerance, _completion, _input_budget, _require_isometry
 from .states import (
     IMAG_TOL,
     Observable,
@@ -101,17 +107,8 @@ class MP6Reports:
 
 
 def _digest(*parts) -> str:
-    h = hashlib.sha256()
-    for p in parts:
-        if isinstance(p, np.ndarray):
-            h.update(np.ascontiguousarray(p).tobytes())
-        else:
-            h.update(repr(p).encode())
-    return h.hexdigest()[:16]
-
-
-def _state_digest_part(state: QuantumState) -> np.ndarray:
-    return state.amplitudes if isinstance(state, PureState) else state.matrix
+    """Inputs (observables, states) enter by their ``digest``; mu and the tag by their repr."""
+    return hashlib.sha256(repr([getattr(p, "digest", p) for p in parts]).encode()).hexdigest()[:16]
 
 
 def _make_report(name: str, lhs: float, rhs: float, tol: Tolerance, digest: str) -> BoundReport:
@@ -130,24 +127,21 @@ def _make_report(name: str, lhs: float, rhs: float, tol: Tolerance, digest: str)
     )
 
 
-def _robertson_report(a: Observable, b: Observable, state: QuantumState,
-                      m: PairMoments, tol: Tolerance) -> BoundReport:
-    digest = _digest(a.matrix, b.matrix, _state_digest_part(state), "robertson")
+def _robertson_report(m: PairMoments, tol: Tolerance) -> BoundReport:
     rhs = abs(m.commutator_expectation) / 2.0
-    return _make_report("robertson", m.dev_a * m.dev_b, rhs, tol, digest)
+    return _make_report("robertson", m.dev_a * m.dev_b, rhs, tol,
+                        _digest(m.a, m.b, m.state, "robertson"))
 
 
-def _schrodinger_report(a: Observable, b: Observable, state: QuantumState,
-                        m: PairMoments, tol: Tolerance) -> BoundReport:
-    digest = _digest(a.matrix, b.matrix, _state_digest_part(state), "schrodinger")
+def _schrodinger_report(m: PairMoments, tol: Tolerance) -> BoundReport:
     rhs = m.cross.real**2 + m.cross.imag**2
-    return _make_report("schrodinger", (m.dev_a * m.dev_b) ** 2, rhs, tol, digest)
+    return _make_report("schrodinger", (m.dev_a * m.dev_b) ** 2, rhs, tol,
+                        _digest(m.a, m.b, m.state, "schrodinger"))
 
 
 def robertson(observable_a, observable_b, state: QuantumState, tol: Tolerance = DEFAULT_TOL) -> BoundReport:
     """dev(A) dev(B) >= |<[A, B]>| / 2, for pure or mixed states."""
-    a, b = _observable_pair(observable_a, observable_b)
-    return _robertson_report(a, b, state, pair_moments(a, b, state), tol)
+    return _robertson_report(pair_moments(observable_a, observable_b, state), tol)
 
 
 def schrodinger(observable_a, observable_b, state: QuantumState, tol: Tolerance = DEFAULT_TOL) -> BoundReport:
@@ -156,13 +150,12 @@ def schrodinger(observable_a, observable_b, state: QuantumState, tol: Tolerance 
     Both right-hand terms are read off the centered cross inner product, so
     the anticommutator piece never suffers the alpha*beta cancellation.
     """
-    a, b = _observable_pair(observable_a, observable_b)
-    return _schrodinger_report(a, b, state, pair_moments(a, b, state), tol)
+    return _schrodinger_report(pair_moments(observable_a, observable_b, state), tol)
 
 
 def _choose_mu(a: Observable, b: Observable, comm: complex, tol: Tolerance) -> MuChoice:
     """The one mu policy: the sign that makes mu * comm nonnegative, ties to i."""
-    scale = max(1.0, frobenius_norm(a.matrix) * frobenius_norm(b.matrix))
+    scale = max(1.0, a.norm * b.norm)
     if abs(comm) <= tol.effective(scale):
         return MuChoice(mu=1j, commutator_expectation=comm, tie_broken=True)
     mu = -1j if comm.imag > 0 else 1j
@@ -171,14 +164,14 @@ def _choose_mu(a: Observable, b: Observable, comm: complex, tol: Tolerance) -> M
 
 def choose_mu(observable_a, observable_b, psi: PureState, tol: Tolerance = DEFAULT_TOL) -> MuChoice:
     """Pick mu in {i, -i} with mu * <psi|[A, B]|psi> >= 0; ties go to i."""
-    a, b = _observable_pair(observable_a, observable_b)
-    return _choose_mu(a, b, pair_moments(a, b, psi).commutator_expectation, tol)
+    m = pair_moments(observable_a, observable_b, psi)
+    return _choose_mu(m.a, m.b, m.commutator_expectation, tol)
 
 
 def _require_deviations(dev_a: float, dev_b: float, a: Observable, b: Observable,
                         tol: Tolerance, what: str = "deviations") -> None:
     """Raise :class:`ZeroDeviation` unless both deviations clear the product-bound budget."""
-    budget = tol.effective(max(1.0, frobenius_norm(a.matrix), frobenius_norm(b.matrix)))
+    budget = tol.effective(max(1.0, a.norm, b.norm))
     if dev_a <= budget or dev_b <= budget:
         raise ZeroDeviation(
             f"{what} ({dev_a:.3e}, {dev_b:.3e}) too small for the product bound"
@@ -218,11 +211,28 @@ def _cross_elements(a: Observable, b: Observable, psi: PureState,
     return complex(bra @ (a.matrix @ phi.amplitudes)), complex(bra @ (b.matrix @ phi.amplitudes))
 
 
-def _mp_inputs(a: Observable, b: Observable, psi: PureState, phi: PureState,
-               tol: Tolerance) -> tuple[PairMoments, complex, complex]:
-    """The one Maccone-Pati reduction: the moments in psi, c and d, after the pair checks."""
-    _require_mp_pair(a, psi, phi, tol)
-    return (pair_moments(a, b, psi), *_cross_elements(a, b, psi, phi))
+@dataclass(frozen=True)
+class _MPInputs:
+    """The one Maccone-Pati reduction of (A, B, psi, phi).
+
+    The moments in psi (which carry A, B and psi), phi, c = <psi|A|phi>,
+    d = <psi|B|phi>, and the n x 2 ``basis`` [psi | phi] that passed the
+    pair checks, from which the chain completes its frame.
+    """
+
+    moments: PairMoments
+    phi: PureState
+    c: complex
+    d: complex
+    basis: np.ndarray
+
+
+def _mp_inputs(observable_a, observable_b, psi: PureState, phi: PureState,
+               tol: Tolerance) -> _MPInputs:
+    """Validate (A, B, psi, phi) once, running the pair checks, and reduce it."""
+    a, b = _observable_pair(observable_a, observable_b)
+    basis = _require_mp_pair(a, psi, phi, tol)
+    return _MPInputs(pair_moments(a, b, psi), phi, *_cross_elements(a, b, psi, phi), basis)
 
 
 def _real_part(name: str, value: complex, scale: float) -> float:
@@ -237,11 +247,15 @@ def mp_frame(observable_a, observable_b, psi: PureState, phi: PureState,
 
     Only the first rows (psi^dagger A) U and (psi^dagger B) U are formed.
     """
-    a, b = _observable_pair(observable_a, observable_b)
-    basis = _completion(_require_mp_pair(a, psi, phi, tol))
-    bra = psi.amplitudes.conj()
-    row_a = (bra @ a.matrix) @ basis
-    row_b = (bra @ b.matrix) @ basis
+    return _mp_frame(_mp_inputs(observable_a, observable_b, psi, phi, tol))
+
+
+def _mp_frame(p: _MPInputs) -> MPFrame:
+    m = p.moments
+    basis = _completion(p.basis)
+    bra = m.state.amplitudes.conj()
+    row_a = (bra @ m.a.matrix) @ basis
+    row_b = (bra @ m.b.matrix) @ basis
     return MPFrame(
         alpha=float(row_a[0].real),
         beta=float(row_b[0].real),
@@ -261,9 +275,13 @@ def mp_chain(observable_a, observable_b, psi: PureState, phi: PureState,
     with c = <psi|A|phi> and d = <psi|B|phi>.
     """
     mu = _unit_mu(mu, tol)
-    a, b = _observable_pair(observable_a, observable_b)
-    frame = mp_frame(a, b, psi, phi, tol)
-    digest = _digest(a.matrix, b.matrix, psi.amplitudes, phi.amplitudes, mu, "mp-chain")
+    return _mp_chain(_mp_inputs(observable_a, observable_b, psi, phi, tol), mu, tol)
+
+
+def _mp_chain(p: _MPInputs, mu: complex, tol: Tolerance) -> ChainReport:
+    m = p.moments
+    frame = _mp_frame(p)
+    digest = _digest(m.a, m.b, m.state, p.phi, mu, "mp-chain")
     dev_sq_sum = float((frame.u.conj() @ frame.u).real) + float((frame.v.conj() @ frame.v).real)
     abs_c, abs_d = abs(frame.c), abs(frame.d)
     mixed = abs(frame.c + mu * frame.d) ** 2 / 2.0
@@ -278,7 +296,7 @@ def mu_ratio(observable_a, observable_b, psi: PureState, phi: PureState) -> comp
     a, b = _observable_pair(observable_a, observable_b)
     _require_dimensions(a, psi, phi)
     c, d = _cross_elements(a, b, psi, phi)
-    if abs(d) <= 1e-14 * max(1.0, frobenius_norm(b.matrix)):
+    if abs(d) <= 1e-14 * max(1.0, b.norm):
         raise ZeroDeviation("denominator matrix element <psi|B|phi> vanishes")
     return c / d
 
@@ -286,14 +304,17 @@ def mu_ratio(observable_a, observable_b, psi: PureState, phi: PureState) -> comp
 def mp3(observable_a, observable_b, psi: PureState, phi: PureState,
         tol: Tolerance = DEFAULT_TOL) -> MP3Report:
     """Sum bound: dev(A)^2 + dev(B)^2 >= mu <[A,B]> + |<psi|(A + mu B)|phi>|^2."""
-    a, b = _observable_pair(observable_a, observable_b)
-    m, c, d = _mp_inputs(a, b, psi, phi, tol)
-    choice = _choose_mu(a, b, m.commutator_expectation, tol)
+    return _mp3(_mp_inputs(observable_a, observable_b, psi, phi, tol), tol)
+
+
+def _mp3(p: _MPInputs, tol: Tolerance) -> MP3Report:
+    m = p.moments
+    choice = _choose_mu(m.a, m.b, m.commutator_expectation, tol)
     comm_term = _real_part("mp3 commutator term", choice.mu * m.commutator_expectation,
                            abs(m.commutator_expectation))
-    digest = _digest(a.matrix, b.matrix, psi.amplitudes, phi.amplitudes, "mp3")
+    digest = _digest(m.a, m.b, m.state, p.phi, "mp3")
     lhs = m.dev_a**2 + m.dev_b**2
-    rhs = comm_term + abs(c + choice.mu * d) ** 2
+    rhs = comm_term + abs(p.c + choice.mu * p.d) ** 2
     return MP3Report(report=_make_report("mp3", lhs, rhs, tol, digest), mu=choice)
 
 
@@ -307,15 +328,18 @@ def mp6(observable_a, observable_b, psi: PureState, phi: PureState,
         dev(A) dev(B) >= (mu/2) <[A,B]> / (1 - |<psi|Q_mu|phi>|^2 / 2)
     only when the denominator stays clear of zero.
     """
-    a, b = _observable_pair(observable_a, observable_b)
-    m, c, d = _mp_inputs(a, b, psi, phi, tol)
-    choice = _choose_mu(a, b, m.commutator_expectation, tol)
-    _require_deviations(m.dev_a, m.dev_b, a, b, tol)
-    q_elem = c / m.dev_a + choice.mu * d / m.dev_b
+    return _mp6(_mp_inputs(observable_a, observable_b, psi, phi, tol), tol)
+
+
+def _mp6(p: _MPInputs, tol: Tolerance) -> MP6Reports:
+    m = p.moments
+    choice = _choose_mu(m.a, m.b, m.commutator_expectation, tol)
+    _require_deviations(m.dev_a, m.dev_b, m.a, m.b, tol)
+    q_elem = p.c / m.dev_a + choice.mu * p.d / m.dev_b
     denominator = 1.0 - abs(q_elem) ** 2 / 2.0
     comm_term = _real_part("mp6 commutator term", choice.mu * m.commutator_expectation,
                            abs(m.commutator_expectation))
-    digest = _digest(a.matrix, b.matrix, psi.amplitudes, phi.amplitudes, "mp6")
+    digest = _digest(m.a, m.b, m.state, p.phi, "mp6")
     reformulated = _make_report(
         "mp6 reformulated", denominator, comm_term / (2.0 * m.dev_a * m.dev_b), tol, digest
     )

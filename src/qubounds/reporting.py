@@ -8,6 +8,7 @@ manifest timestamps differ between identical reruns.
 
 from __future__ import annotations
 
+import functools
 import json
 import time
 from dataclasses import asdict, dataclass, field
@@ -22,7 +23,8 @@ from .errors import (
 )
 from .goldens import run_goldens
 from .linalg import Tolerance, as_complex_matrix
-from .relations import BoundReport, MP6Reports, mp3, mp6, mp_chain, robertson, schrodinger
+from .relations import (BoundReport, MP6Reports, _mp3, _mp6, _mp_chain, _mp_inputs,
+                        _robertson_report, _schrodinger_report)
 from .sampling import (
     SampleConfig,
     haar_unitary,
@@ -33,18 +35,18 @@ from .sampling import (
 )
 from .saturation import (
     CONSTRUCTION_TOL,
+    DEFAULT_R_LIST,
+    CertificateKind,
     ConstructedPair,
     SaturationCertificate,
+    _certificate,
     construct_case1,
     construct_case2,
     construct_w_mp6,
-    robertson_saturation_mixed,
-    robertson_saturation_pure,
-    schrodinger_saturation,
 )
-from .states import Observable, PureState
+from .states import Observable, PureState, pair_moments
 
-ARTIFACT_VERSION = "0.1.0"
+ARTIFACT_VERSION = "0.2.0"
 
 
 @dataclass(frozen=True)
@@ -253,6 +255,9 @@ def run_verification_suite(config: SampleConfig, tol: Tolerance) -> SuiteReport:
 
     Each evaluation leaves one record entry: its result (a dict names several),
     a skip on :class:`ZeroDeviation`, or an error on any other :class:`QuboundsError`.
+    Each trial reduces (A, B, psi), (A, B, rho) and (A, B, psi_f, phi_f) once and runs
+    the evaluators' and checkers' bodies on them; a reduction that raises does so in
+    every evaluation that needs it.
     """
     started = _utc_now()
     summary = _Summary()
@@ -264,25 +269,29 @@ def run_verification_suite(config: SampleConfig, tol: Tolerance) -> SuiteReport:
         b = random_hermitian(n, rng, label="B")
         psi = random_pure_state(n, rng)
         rho = random_density(n, config.rank, rng)
+        # functools.cache keeps a result, never an exception.
+        pure = functools.cache(lambda: pair_moments(a, b, psi))
+        mixed = functools.cache(lambda: pair_moments(a, b, rho))
         evaluations = {
-            "robertson_pure": lambda: robertson(a, b, psi, tol),
-            "schrodinger_pure": lambda: schrodinger(a, b, psi, tol),
-            "robertson_mixed": lambda: robertson(a, b, rho, tol),
-            "schrodinger_mixed": lambda: schrodinger(a, b, rho, tol),
+            "robertson_pure": lambda: _robertson_report(pure(), tol),
+            "schrodinger_pure": lambda: _schrodinger_report(pure(), tol),
+            "robertson_mixed": lambda: _robertson_report(mixed(), tol),
+            "schrodinger_mixed": lambda: _schrodinger_report(mixed(), tol),
         }
         if n >= 2:
             frame = haar_unitary(n, rng)
             pair = PureState(frame[:, 0]), PureState(frame[:, 1])
-            evaluations["mp3"] = lambda: mp3(a, b, *pair, tol).report
-            evaluations["mp6"] = lambda: _mp6_results(mp6(a, b, *pair, tol))
+            mp = functools.cache(lambda: _mp_inputs(a, b, *pair, tol))
+            evaluations["mp3"] = lambda: _mp3(mp(), tol).report
+            evaluations["mp6"] = lambda: _mp6_results(_mp6(mp(), tol))
             evaluations["mp_chain"] = lambda: dict(zip(
-                ("chain_step1", "chain_step2", "chain_step3"),
-                mp_chain(a, b, *pair, 1j, tol).steps))
+                ("chain_step1", "chain_step2", "chain_step3"), _mp_chain(mp(), 1j, tol).steps))
         evaluations["robertson_pure_certificate"] = (
-            lambda: robertson_saturation_pure(a, b, psi, tol))
-        evaluations["robertson_mixed_certificate"] = (
-            lambda: robertson_saturation_mixed(a, b, rho, tol))
-        evaluations["schrodinger_certificate"] = lambda: schrodinger_saturation(a, b, rho, tol)
+            lambda: _certificate(CertificateKind.ROBERTSON_PURE, pure(), tol, ()))
+        evaluations["robertson_mixed_certificate"] = lambda: _certificate(
+            CertificateKind.ROBERTSON_MIXED, mixed(), tol, DEFAULT_R_LIST)
+        evaluations["schrodinger_certificate"] = lambda: _certificate(
+            CertificateKind.SCHRODINGER, mixed(), tol, DEFAULT_R_LIST)
         if n == 2:
             evaluations["construct_case1"] = lambda: construct_case1(a, b, tol)
         elif n > 2:

@@ -6,6 +6,8 @@ numeric slack of the corresponding bound report.  A disagreement beyond the
 tolerance band is raised as an error rather than silently resolved, because
 the two criteria are provably equivalent.  The Maccone-Pati checkers read
 c = <psi|A|phi> and d = <psi|B|phi> as matrix elements; they build no frame.
+Like the evaluators, each checker is an entry that validates and reduces its
+inputs and a private body that reads only the reduction.
 """
 
 from __future__ import annotations
@@ -29,13 +31,13 @@ from .linalg import (
     DEFAULT_TOL,
     Tolerance,
     complex_dependence_detail,
-    frobenius_norm,
     phase_dependence_detail,
 )
 from .relations import (
     BoundReport,
     _choose_mu,
     _mp_inputs,
+    _MPInputs,
     _require_deviations,
     _robertson_report,
     _schrodinger_report,
@@ -148,7 +150,7 @@ def _cross_check(kind: str, present: bool, dependence_residual: float,
     )
 
 
-def _verify_r_family(m: PairMoments, coeff_a: complex, coeff_b: complex, state: QuantumState,
+def _verify_r_family(m: PairMoments, coeff_a: complex, coeff_b: complex,
                      r_list, tol: Tolerance) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Residuals of coeff_a * A_c rho^r + coeff_b * B_c rho^r over the distinct r in r_list.
 
@@ -156,9 +158,9 @@ def _verify_r_family(m: PairMoments, coeff_a: complex, coeff_b: complex, state: 
     """
     rs, residuals = [], []
     for r in dict.fromkeys(float(r) for r in r_list):
-        ma, mb = (c * state.weights ** (r - 0.5) for c in (m.centered_a, m.centered_b))
+        ma, mb = (c * m.state.weights ** (r - 0.5) for c in (m.centered_a, m.centered_b))
         res = float(np.linalg.norm(coeff_a * ma + coeff_b * mb))
-        scale = max(1.0, frobenius_norm(ma), frobenius_norm(mb))
+        scale = max(1.0, float(np.linalg.norm(ma)), float(np.linalg.norm(mb)))
         if res > 10.0 * tol.effective(scale):
             raise RIndependenceViolation(
                 f"dependence holds at r=1/2 but fails at r={r} (residual {res:.3e})"
@@ -168,43 +170,36 @@ def _verify_r_family(m: PairMoments, coeff_a: complex, coeff_b: complex, state: 
     return tuple(rs), tuple(residuals)
 
 
-def _certificate(kind: CertificateKind, angles, residual: float, report: BoundReport,
-                 m: PairMoments, state: QuantumState, tol: Tolerance,
+def _certificate(kind: CertificateKind, m: PairMoments, tol: Tolerance,
                  r_list) -> SaturationCertificate | None:
-    """The witness cos(theta) A_c X + e^{i phi} sin(theta) B_c X = 0 in ``angles``, if any.
+    """The witness cos(theta) A_c X + e^{i phi} sin(theta) B_c X = 0, if any.
 
-    ``angles`` is (theta, phi), with phi None in the Robertson form, whose
-    phase is i.  Presence is cross-checked against ``report``, and the
-    dependence is re-verified at every power in ``r_list``.
+    The Robertson kinds look for the phase i (phi is None), the Schrodinger
+    kind for any phase.  Presence is cross-checked against the bound's
+    report, and the dependence is re-verified at every power in ``r_list``.
     """
+    if kind is CertificateKind.SCHRODINGER:
+        angles, residual = complex_dependence_detail(m.centered_a, m.centered_b, tol)
+        report = _schrodinger_report(m, tol)
+    else:
+        theta, residual = phase_dependence_detail(m.centered_a, m.centered_b, tol)
+        angles = None if theta is None else (theta, None)
+        report = _robertson_report(m, tol)
     _cross_check(kind.value, angles is not None, residual, report, tol)
     if angles is None:
         return None
     theta, phi = angles
     phase = 1j if phi is None else cmath.exp(1j * phi)
-    rs, r_residuals = _verify_r_family(m, math.cos(theta), phase * math.sin(theta), state,
-                                       r_list, tol)
+    rs, r_residuals = _verify_r_family(m, math.cos(theta), phase * math.sin(theta), r_list, tol)
     return SaturationCertificate(kind=kind, theta=theta, phi=phi, mu=None, residual=residual,
                                  r_checked=rs, r_residuals=r_residuals)
-
-
-def _robertson_certificate(kind: CertificateKind, observable_a, observable_b,
-                           state: QuantumState, tol: Tolerance,
-                           r_list) -> SaturationCertificate | None:
-    """Phase theta with cos(theta) A_c X + i sin(theta) B_c X = 0, re-verified at ``r_list``."""
-    a, b = _observable_pair(observable_a, observable_b)
-    m = pair_moments(a, b, state)
-    theta, residual = phase_dependence_detail(m.centered_a, m.centered_b, tol)
-    angles = None if theta is None else (theta, None)
-    return _certificate(kind, angles, residual, _robertson_report(a, b, state, m, tol),
-                        m, state, tol, r_list)
 
 
 def robertson_saturation_pure(observable_a, observable_b, psi: PureState,
                               tol: Tolerance = DEFAULT_TOL) -> SaturationCertificate | None:
     """Phase theta with cos(theta) A_c |psi> + i sin(theta) B_c |psi> = 0, if any."""
-    return _robertson_certificate(CertificateKind.ROBERTSON_PURE, observable_a, observable_b,
-                                  psi, tol, ())
+    return _certificate(CertificateKind.ROBERTSON_PURE,
+                        pair_moments(observable_a, observable_b, psi), tol, ())
 
 
 def robertson_saturation_mixed(observable_a, observable_b, state: QuantumState,
@@ -213,8 +208,8 @@ def robertson_saturation_mixed(observable_a, observable_b, state: QuantumState,
     """Mixed-state equality witness, re-verified at every power in ``r_list``."""
     if not r_list or any(r <= 0 for r in r_list):
         raise ValueError("r_list must be nonempty with positive entries")
-    return _robertson_certificate(CertificateKind.ROBERTSON_MIXED, observable_a, observable_b,
-                                  state, tol, r_list)
+    return _certificate(CertificateKind.ROBERTSON_MIXED,
+                        pair_moments(observable_a, observable_b, state), tol, r_list)
 
 
 def schrodinger_saturation(observable_a, observable_b, state: QuantumState,
@@ -223,11 +218,8 @@ def schrodinger_saturation(observable_a, observable_b, state: QuantumState,
     """Witness (theta, phi) with cos(theta) A_c rho^r + e^{i phi} sin(theta) B_c rho^r = 0."""
     if not r_list or any(r <= 0 for r in r_list):
         raise ValueError("r_list must be nonempty with positive entries")
-    a, b = _observable_pair(observable_a, observable_b)
-    m = pair_moments(a, b, state)
-    angles, residual = complex_dependence_detail(m.centered_a, m.centered_b, tol)
-    return _certificate(CertificateKind.SCHRODINGER, angles, residual,
-                        _schrodinger_report(a, b, state, m, tol), m, state, tol, r_list)
+    return _certificate(CertificateKind.SCHRODINGER,
+                        pair_moments(observable_a, observable_b, state), tol, r_list)
 
 
 def mp_chain_saturation(observable_a, observable_b, psi: PureState, phi: PureState,
@@ -241,8 +233,11 @@ def mp_chain_saturation(observable_a, observable_b, psi: PureState, phi: PureSta
     A - conj(mu) B with eigenvalue alpha - conj(mu) beta.
     """
     mu = _unit_mu(mu, tol)
-    a, b = _observable_pair(observable_a, observable_b)
-    m, c, d = _mp_inputs(a, b, psi, phi, tol)
+    return _mp_chain_saturation(_mp_inputs(observable_a, observable_b, psi, phi, tol), mu, tol)
+
+
+def _mp_chain_saturation(p: _MPInputs, mu: complex, tol: Tolerance) -> ChainSaturation:
+    m, c, d = p.moments, p.c, p.d
     abs_c, abs_d = abs(c), abs(d)
 
     res1 = max(abs(m.dev_a - abs_c), abs(m.dev_b - abs_d))
@@ -253,7 +248,7 @@ def mp_chain_saturation(observable_a, observable_b, psi: PureState, phi: PureSta
 
     eigen_residual = float(np.linalg.norm(m.centered_a - np.conj(mu) * m.centered_b))
     certificate = None
-    if eigen_residual <= tol.effective(max(1.0, frobenius_norm(a.matrix), frobenius_norm(b.matrix))):
+    if eigen_residual <= tol.effective(max(1.0, m.a.norm, m.b.norm)):
         # Within the budget c + mu d is rounding noise, and its phase no witness.
         combo = c + mu * d
         theta = (-cmath.phase(combo)) % (2.0 * math.pi) if abs(combo) > budget else 0.0
@@ -295,11 +290,14 @@ def _equality_check(lhs: float, rhs: float, tol: Tolerance) -> EqualityCheck:
 def mp3_saturation(observable_a, observable_b, psi: PureState, phi: PureState,
                    mu: complex, tol: Tolerance = DEFAULT_TOL) -> EqualityCheck:
     """Equality test for the sum bound: ||(A_c - mu B_c)|psi>|| vs |<psi|A + mu B|phi>|."""
-    a, b = _observable_pair(observable_a, observable_b)
-    m, c, d = _mp_inputs(a, b, psi, phi, tol)
+    return _mp3_saturation(_mp_inputs(observable_a, observable_b, psi, phi, tol), mu, tol)
+
+
+def _mp3_saturation(p: _MPInputs, mu: complex, tol: Tolerance) -> EqualityCheck:
+    m = p.moments
     mu = _require_mu_hypothesis(m, mu, tol)
     lhs = float(np.linalg.norm(m.centered_a - mu * m.centered_b))
-    return _equality_check(lhs, abs(c + mu * d), tol)
+    return _equality_check(lhs, abs(p.c + mu * p.d), tol)
 
 
 def mp6_saturation(observable_a, observable_b, psi: PureState, phi: PureState,
@@ -309,12 +307,15 @@ def mp6_saturation(observable_a, observable_b, psi: PureState, phi: PureState,
     Compares ||(A_c/dev(A) - mu B_c/dev(B))|psi>|| with |<psi|Q_mu|phi>|,
     the condition under which the division-free form closes.
     """
-    a, b = _observable_pair(observable_a, observable_b)
-    m, c, d = _mp_inputs(a, b, psi, phi, tol)
+    return _mp6_saturation(_mp_inputs(observable_a, observable_b, psi, phi, tol), mu, tol)
+
+
+def _mp6_saturation(p: _MPInputs, mu: complex, tol: Tolerance) -> EqualityCheck:
+    m = p.moments
     mu = _require_mu_hypothesis(m, mu, tol)
-    _require_deviations(m.dev_a, m.dev_b, a, b, tol)
+    _require_deviations(m.dev_a, m.dev_b, m.a, m.b, tol)
     lhs = float(np.linalg.norm(m.centered_a / m.dev_a - mu * m.centered_b / m.dev_b))
-    return _equality_check(lhs, abs(c / m.dev_a + mu * d / m.dev_b), tol)
+    return _equality_check(lhs, abs(p.c / m.dev_a + mu * p.d / m.dev_b), tol)
 
 
 def _entry_sign_mu(a: Observable, b: Observable, tol: Tolerance) -> complex:
@@ -366,7 +367,7 @@ def construct_case2(observable_a, observable_b, tol: Tolerance = DEFAULT_TOL) ->
     tail = combo[1:, 0]
     norm = float(np.linalg.norm(tail))
     direction = None
-    if norm > tol.effective(max(1.0, frobenius_norm(a.matrix), frobenius_norm(b.matrix))):
+    if norm > tol.effective(max(1.0, a.norm, b.norm)):
         direction = tail / norm
         # Fix the free phase so <e1|(A - mu B)|phi> comes out real nonnegative.
         entry = complex(combo[0, 1:] @ direction)
@@ -398,9 +399,10 @@ def construct_w_mp6(observable_a, observable_b, tol: Tolerance = DEFAULT_TOL) ->
     return _constructed_pair(a, b, mu, direction, "mp6", tol)
 
 
-def _centered_products(m: PairMoments, state: QuantumState) -> tuple[float, float]:
+def _centered_products(m: PairMoments) -> tuple[float, float]:
     """||A_c rho||_F and ||B_c rho||_F, centered at the means in ``m``: ||(A_c X) w^(1/2)||_F."""
-    return tuple(frobenius_norm(c * np.sqrt(state.weights)) for c in (m.centered_a, m.centered_b))
+    return tuple(float(np.linalg.norm(c * np.sqrt(m.state.weights)))
+                 for c in (m.centered_a, m.centered_b))
 
 
 def _zero_characterization(name: str, observable_a, observable_b, state: QuantumState,
@@ -411,11 +413,10 @@ def _zero_characterization(name: str, observable_a, observable_b, state: Quantum
     when dev(A) does; ``combine`` joins the two sides in each test.  Returns
     the per-side zero flags, the verdict and the two product residuals.
     """
-    a, b = _observable_pair(observable_a, observable_b)
-    m = pair_moments(a, b, state)
-    residuals = _centered_products(m, state)
+    m = pair_moments(observable_a, observable_b, state)
+    residuals = _centered_products(m)
     devs = (m.dev_a, m.dev_b)
-    budgets = tuple(tol.effective(max(1.0, frobenius_norm(o.matrix))) for o in (a, b))
+    budgets = tuple(tol.effective(max(1.0, o.norm)) for o in (m.a, m.b))
     zero = [r <= t for r, t in zip(residuals, budgets)]
     by_products = combine(zero)
     by_deviation = combine(d <= t for d, t in zip(devs, budgets))
@@ -473,15 +474,15 @@ def qubit_commutation_witness(observable_a, observable_b, state: QuantumState,
     """
     if state.dimension != 2:
         raise DimensionMismatch(f"qubit check requires dimension 2, got {state.dimension}")
-    obs_a, obs_b = _observable_pair(observable_a, observable_b)
-    res_a, res_b = _centered_products(pair_moments(obs_a, obs_b, state), state)
-    a, b = obs_a.matrix, obs_b.matrix
-    if res_a > tol.effective(max(1.0, frobenius_norm(a))):
+    m = pair_moments(observable_a, observable_b, state)
+    res_a, res_b = _centered_products(m)
+    if res_a > tol.effective(max(1.0, m.a.norm)):
         return None
-    if res_b > tol.effective(max(1.0, frobenius_norm(b))):
+    if res_b > tol.effective(max(1.0, m.b.norm)):
         return None
+    a, b = m.a.matrix, m.b.matrix
     comm_norm = float(np.linalg.norm(a @ b - b @ a))
-    scale = max(1.0, frobenius_norm(a) * frobenius_norm(b))
+    scale = max(1.0, m.a.norm * m.b.norm)
     if comm_norm > tol.effective(scale):
         raise CorollaryViolation(
             f"centered products vanish but ||[A, B]|| = {comm_norm:.3e}"

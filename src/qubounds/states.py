@@ -7,16 +7,19 @@ data, so near-saturated instances do not suffer cancellation.
 
 Each input is validated once, where it enters: bare matrices become
 :class:`Observable` objects in :func:`_observable_pair`, and inner calls pass those on.
+Each input is also hashed once, when it is built: observables and states carry
+a ``digest`` of their frozen array, and report digests combine those.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DimensionMismatch, NonRealExpectation
-from .linalg import EigenSystem, _psd_eig, frobenius_norm, require_hermitian
+from .linalg import EigenSystem, _psd_eig, require_hermitian
 
 # Unit-norm / unit-trace validation budget for states.
 NORM_TOL = 1e-10
@@ -30,20 +33,40 @@ def _frozen_array(a: np.ndarray, dtype=complex) -> np.ndarray:
     return out
 
 
+def _array_digest(kind: str, a: np.ndarray) -> str:
+    """SHA-256 of an input array's entries in C order, tagged with its kind and shape."""
+    h = hashlib.sha256(f"{kind}{a.shape}".encode())
+    h.update(np.ascontiguousarray(a))
+    return h.hexdigest()
+
+
 @dataclass(frozen=True)
-class Observable:
-    """A Hermitian matrix standing for a measurable quantity."""
+class _HermitianInput:
+    """A Hermitian matrix validated once, frozen with its Frobenius ``norm`` and its ``digest``."""
 
     matrix: np.ndarray
-    label: str = ""
+    norm: float = field(init=False, repr=False, compare=False)
+    digest: str = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        m = require_hermitian(self.matrix, self.label or "observable")
-        object.__setattr__(self, "matrix", _frozen_array(m))
+    def _freeze(self, name: str) -> None:
+        m = _frozen_array(require_hermitian(self.matrix, name))
+        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "norm", float(np.linalg.norm(m)))
+        object.__setattr__(self, "digest", _array_digest("observable", m))
 
     @property
     def dimension(self) -> int:
         return self.matrix.shape[0]
+
+
+@dataclass(frozen=True)
+class Observable(_HermitianInput):
+    """A Hermitian matrix standing for a measurable quantity."""
+
+    label: str = ""
+
+    def __post_init__(self) -> None:
+        self._freeze(self.label or "observable")
 
 
 @dataclass(frozen=True)
@@ -53,6 +76,7 @@ class PureState:
     amplitudes: np.ndarray
     factor: np.ndarray = field(init=False, repr=False, compare=False)
     weights: np.ndarray = field(init=False, repr=False, compare=False)
+    digest: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         a = np.asarray(self.amplitudes, dtype=complex)
@@ -67,6 +91,7 @@ class PureState:
         # Kept 2-D so that a pure state is the one-column case of every matrix path.
         object.__setattr__(self, "factor", self.amplitudes.reshape(-1, 1))
         object.__setattr__(self, "weights", _frozen_array(np.ones(1), float))
+        object.__setattr__(self, "digest", _array_digest("pure", self.amplitudes))
 
     @property
     def dimension(self) -> int:
@@ -89,6 +114,7 @@ class DensityMatrix:
     spectrum: EigenSystem = field(init=False, repr=False, compare=False)
     factor: np.ndarray = field(init=False, repr=False, compare=False)
     weights: np.ndarray = field(init=False, repr=False, compare=False)
+    digest: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         m = require_hermitian(self.matrix, "density matrix")
@@ -100,6 +126,7 @@ class DensityMatrix:
         object.__setattr__(self, "factor", _frozen_array(v * np.sqrt(w)))
         object.__setattr__(self, "weights", _frozen_array(w, float))
         object.__setattr__(self, "matrix", _frozen_array(m))
+        object.__setattr__(self, "digest", _array_digest("density", self.matrix))
 
     @property
     def dimension(self) -> int:
@@ -115,15 +142,13 @@ QuantumState = PureState | DensityMatrix
 
 
 @dataclass(frozen=True)
-class CenteredObservable:
+class CenteredObservable(_HermitianInput):
     """A - mean * I for the state the mean was taken in; validated like :class:`Observable`."""
 
-    matrix: np.ndarray
     mean: float
 
     def __post_init__(self) -> None:
-        m = require_hermitian(self.matrix, "centered observable")
-        object.__setattr__(self, "matrix", _frozen_array(m))
+        self._freeze("centered observable")
 
 
 @dataclass(frozen=True)
@@ -136,7 +161,7 @@ class GramPair:
 
 def _checked(observable) -> Observable | CenteredObservable:
     """The entry check: a bare matrix becomes a validated Observable."""
-    if isinstance(observable, (Observable, CenteredObservable)):
+    if isinstance(observable, _HermitianInput):
         return observable
     return Observable(observable)
 
@@ -151,36 +176,37 @@ def _observable_pair(observable_a, observable_b) -> tuple[Observable, Observable
     return a, b
 
 
-def _mean_and_image(a: np.ndarray, state: QuantumState) -> tuple[float, np.ndarray]:
+def _mean_and_image(obs: Observable | CenteredObservable,
+                    state: QuantumState) -> tuple[float, np.ndarray]:
     """tr(X^dagger A X) and the product A X it is read from."""
     if not isinstance(state, (PureState, DensityMatrix)):
         raise TypeError(f"unsupported state type {type(state)!r}")
-    if a.shape[0] != state.dimension:
+    if obs.dimension != state.dimension:
         raise DimensionMismatch(
-            f"observable dimension {a.shape[0]} vs state dimension {state.dimension}"
+            f"observable dimension {obs.dimension} vs state dimension {state.dimension}"
         )
-    ax = a @ state.factor
+    ax = obs.matrix @ state.factor
     value = complex(np.vdot(state.factor, ax))
-    if abs(value.imag) > IMAG_TOL * max(1.0, frobenius_norm(a)):
+    if abs(value.imag) > IMAG_TOL * max(1.0, obs.norm):
         raise NonRealExpectation(f"imaginary residue {value.imag:.3e} in expectation")
     return float(value.real), ax
 
 
 def expectation(observable, state: QuantumState) -> float:
     """<psi|A|psi> for a pure state, tr(rho A) for a mixed one: tr(X^dagger A X) for both."""
-    return _mean_and_image(_checked(observable).matrix, state)[0]
+    return _mean_and_image(_checked(observable), state)[0]
 
 
 def center(observable, state: QuantumState) -> CenteredObservable:
     """Shift the observable so its expectation in ``state`` is zero."""
     obs = _checked(observable)
     mean = expectation(obs, state)
-    return CenteredObservable(matrix=obs.matrix - mean * np.eye(obs.matrix.shape[0]), mean=mean)
+    return CenteredObservable(matrix=obs.matrix - mean * np.eye(obs.dimension), mean=mean)
 
 
 @dataclass(frozen=True)
 class PairMoments:
-    """Centered second moments of two observables in one state.
+    """Centered second moments of two observables in one state: the one reduction.
 
     ``centered_a`` is A_c X for the state's factor X (rho = X X^dagger): an
     n x k matrix over the k support directions, n x 1 (A_c psi) for a pure
@@ -188,7 +214,9 @@ class PairMoments:
     ||A_c rho^r||_F = ||A_c X w^(r - 1/2)||_F for the support weights w.
     ``cross`` is the Frobenius inner product <A_c X, B_c X>; its imaginary
     part is half the commutator expectation, its real part the centered
-    anticommutator half-sum.
+    anticommutator half-sum.  ``a``, ``b`` and ``state`` are the validated
+    inputs the moments were taken from, so a bound or checker body needs
+    nothing else, and a report's digest is read from theirs.
     """
 
     alpha: float
@@ -198,6 +226,9 @@ class PairMoments:
     cross: complex
     centered_a: np.ndarray
     centered_b: np.ndarray
+    a: Observable | CenteredObservable
+    b: Observable | CenteredObservable
+    state: QuantumState
 
     @property
     def commutator_expectation(self) -> complex:
@@ -207,8 +238,8 @@ class PairMoments:
 def pair_moments(observable_a, observable_b, state: QuantumState) -> PairMoments:
     """The one reduction of an (A, B, state) triple that every bound reads."""
     obs_a, obs_b = _observable_pair(observable_a, observable_b)
-    alpha, ax = _mean_and_image(obs_a.matrix, state)
-    beta, bx = _mean_and_image(obs_b.matrix, state)
+    alpha, ax = _mean_and_image(obs_a, state)
+    beta, bx = _mean_and_image(obs_b, state)
     va = ax - alpha * state.factor
     vb = bx - beta * state.factor
     return PairMoments(
@@ -219,6 +250,9 @@ def pair_moments(observable_a, observable_b, state: QuantumState) -> PairMoments
         cross=complex(np.vdot(va, vb)),
         centered_a=va,
         centered_b=vb,
+        a=obs_a,
+        b=obs_b,
+        state=state,
     )
 
 

@@ -7,6 +7,7 @@ from qubounds import (
     DensityMatrix,
     DimensionMismatch,
     NotOrthogonal,
+    Observable,
     PureState,
     Tolerance,
     ZeroDeviation,
@@ -311,3 +312,26 @@ def test_reports_carry_digest_and_tolerance():
     assert report.inputs_digest == again.inputs_digest
     other = robertson(SIGMA_X, SIGMA_Z, KET0)
     assert report.inputs_digest != other.inputs_digest
+    # Inputs enter by their own digest: a rebuilt or relabelled observable is the same input.
+    assert robertson(Observable(SIGMA_X), Observable(SIGMA_Y, label="B"), KET0).inputs_digest \
+        == report.inputs_digest
+    assert Observable(SIGMA_X, label="A").digest == Observable(SIGMA_X).digest
+    assert Observable(np.asfortranarray(SIGMA_Y)).digest == Observable(SIGMA_Y).digest
+    # A changed A, state or tag, and a pure state against its projector, all change it.
+    changed = [
+        robertson(SIGMA_Z, SIGMA_Y, KET0),
+        robertson(SIGMA_X, SIGMA_Y, KET1),
+        robertson(SIGMA_X, SIGMA_Y, DensityMatrix.from_pure(KET0)),
+        schrodinger(SIGMA_X, SIGMA_Y, KET0),
+    ]
+    assert len({report.inputs_digest, *(r.inputs_digest for r in changed)}) == 5
+    # Maccone-Pati reports also hash phi, and the chain its mu.
+    phi_i = PureState(np.array([0.0, 1.0j]))
+    mp_digests = {
+        mp3(SIGMA_X, SIGMA_Y, KET0, KET1).report.inputs_digest,
+        mp3(SIGMA_X, SIGMA_Y, KET0, phi_i).report.inputs_digest,
+        mp6(SIGMA_X, SIGMA_Y, KET0, KET1).reformulated.inputs_digest,
+        mp_chain(SIGMA_X, SIGMA_Y, KET0, KET1, 1j).steps[0].inputs_digest,
+        mp_chain(SIGMA_X, SIGMA_Y, KET0, KET1, -1j).steps[0].inputs_digest,
+    }
+    assert len(mp_digests) == 5

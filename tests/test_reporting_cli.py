@@ -1,13 +1,36 @@
 import dataclasses
 import json
 import math
+import re
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qubounds import SampleConfig, Tolerance, robertson, run_verification_suite
-from qubounds import goldens, linalg, states
+from qubounds import (
+    QuboundsError,
+    SampleConfig,
+    Tolerance,
+    ZeroDeviation,
+    construct_case1,
+    construct_case2,
+    construct_w_mp6,
+    mp3,
+    mp6,
+    mp_chain,
+    random_density,
+    random_hermitian,
+    random_pure_state,
+    robertson,
+    robertson_saturation_mixed,
+    robertson_saturation_pure,
+    run_verification_suite,
+    schrodinger,
+    schrodinger_saturation,
+    trial_rng,
+)
+from qubounds import goldens, linalg, reporting, states
 from qubounds.cli import main
 from qubounds.reporting import (
     bound_report_from_dict,
@@ -210,14 +233,18 @@ def test_cli_non_finite_tolerance_exits_one(tmp_path):
 
 def test_verify_trial_validates_once_and_reduces_once(monkeypatch):
     # A, B and rho are validated where they enter, rho is diagonalised once,
-    # and each public call reduces its (A, B, state) triple once.
+    # each input is hashed once when it is built, and the sweep reduces each
+    # of its three (A, B, state) triples once.
     targets = {
         "require_hermitian": linalg.require_hermitian,
         "pair_moments": states.pair_moments,
         "eigh": np.linalg.eigh,
         "qr": np.linalg.qr,
+        "_require_isometry": linalg._require_isometry,
+        "_array_digest": states._array_digest,
     }
     counts = dict.fromkeys(targets, 0)
+    counts["inputs"] = 0
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -232,10 +259,87 @@ def test_verify_trial_validates_once_and_reduces_once(monkeypatch):
             for attr, obj in list(vars(module).items()):
                 if obj is fn:
                     monkeypatch.setattr(module, attr, wrapper)
+    for cls in (states.Observable, states.CenteredObservable, states.PureState,
+                states.DensityMatrix):
+        monkeypatch.setattr(cls, "__post_init__", counting("inputs", cls.__post_init__))
     report = run_verification_suite(SampleConfig(4, 4, 7, 1), Tolerance())
     assert report.summary["failure_count"] == 0
     assert counts["require_hermitian"] <= 4
     assert counts["eigh"] == 1
-    assert counts["pair_moments"] <= 11
+    # The pure, mixed and Maccone-Pati triples, plus one per construction.
+    assert counts["pair_moments"] <= 5
     # Two Haar draws and the mp_chain frame: no other evaluation completes a frame.
     assert counts["qr"] == 3
+    # The Haar pair and the two constructed pairs.
+    assert counts["_require_isometry"] == 3
+    assert counts["_array_digest"] == counts["inputs"]
+
+
+def _public_evaluations(n, k, rank, tol):
+    """One sweep trial's inputs, redrawn in the sweep's order, and its evaluations
+    made through the public entries."""
+    rng = trial_rng(7, k)
+    a = random_hermitian(n, rng, label="A")
+    b = random_hermitian(n, rng, label="B")
+    psi = random_pure_state(n, rng)
+    rho = random_density(n, rank, rng)
+    evaluations = {
+        "robertson_pure": lambda: robertson(a, b, psi, tol),
+        "schrodinger_pure": lambda: schrodinger(a, b, psi, tol),
+        "robertson_mixed": lambda: robertson(a, b, rho, tol),
+        "schrodinger_mixed": lambda: schrodinger(a, b, rho, tol),
+    }
+    if n >= 2:
+        frame = reporting.haar_unitary(n, rng)
+        pair = PureState(frame[:, 0]), PureState(frame[:, 1])
+        evaluations["mp3"] = lambda: mp3(a, b, *pair, tol).report
+        evaluations["mp6"] = lambda: reporting._mp6_results(mp6(a, b, *pair, tol))
+        evaluations["mp_chain"] = lambda: dict(zip(
+            ("chain_step1", "chain_step2", "chain_step3"), mp_chain(a, b, *pair, 1j, tol).steps))
+    evaluations["robertson_pure_certificate"] = lambda: robertson_saturation_pure(a, b, psi, tol)
+    evaluations["robertson_mixed_certificate"] = lambda: robertson_saturation_mixed(a, b, rho, tol)
+    evaluations["schrodinger_certificate"] = lambda: schrodinger_saturation(a, b, rho, tol)
+    if n == 2:
+        evaluations["construct_case1"] = lambda: construct_case1(a, b, tol)
+    elif n > 2:
+        evaluations["construct_case2"] = lambda: construct_case2(a, b, tol)
+    if n >= 2:
+        evaluations["construct_w_mp6"] = lambda: construct_w_mp6(a, b, tol)
+    return evaluations
+
+
+@pytest.mark.parametrize("tol", [Tolerance(), Tolerance(0, 0)], ids=["default", "zero"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_sweep_records_equal_the_public_api(n, tol):
+    # The sweep runs the private bodies on reductions it shares between
+    # evaluations; every entry, skips and errors included, and every failure
+    # message must be what the public entries give on the same inputs.
+    config = SampleConfig(n, min(n, 2), 7, 17)
+    report = run_verification_suite(config, tol)
+    summary = reporting._Summary()
+    for k in range(config.count):
+        record = {"trial": k}
+        for where, evaluate in _public_evaluations(n, k, config.rank, tol).items():
+            key = "mp6_reformulated" if where == "mp6" else where
+            try:
+                result = evaluate()
+            except ZeroDeviation:
+                record[key] = {"skipped": "zero deviation"}
+            except QuboundsError as exc:
+                summary.fail(k, where, exc)
+                record[key] = {"error": type(exc).__name__}
+            else:
+                for name, value in (result if isinstance(result, dict) else {where: result}).items():
+                    record[name] = summary.entry(k, name, value)
+        assert report.trials[k] == record
+    assert report.summary == dict(vars(summary), failure_count=len(summary.failures))
+    if n >= 2 and tol == Tolerance(0, 0):
+        # The zero budget rejects pairs, so the error path is compared too.
+        assert {"NotOrthonormal"} <= {f["error"] for f in summary.failures}
+
+
+def test_package_version_is_the_artifact_version():
+    # qubounds.__version__ is ARTIFACT_VERSION; pyproject.toml must say the same.
+    # A regex, since tomllib needs Python 3.11 and requires-python allows 3.10.
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    assert re.search(r'^version = "([^"]+)"$', text, re.M).group(1) == reporting.ARTIFACT_VERSION

@@ -15,6 +15,7 @@ from qubounds import (
     center,
     expectation,
     gram_pair,
+    mp3,
     pair_moments,
     random_density,
     random_hermitian,
@@ -138,6 +139,10 @@ def test_center_golden_values():
     np.testing.assert_allclose(
         centered.matrix, SIGMA_X - math.sin(theta) * math.cos(phi) * np.eye(2), atol=1e-12
     )
+    # Built by the same code as an Observable of its matrix, so every entry takes it alike.
+    same = Observable(centered.matrix)
+    assert (centered.norm, centered.digest) == (same.norm, same.digest)
+    assert mp3(centered, SIGMA_Y, KET0, KET1).report == mp3(same, SIGMA_Y, KET0, KET1).report
     assert expectation(centered, bloch_state(theta, phi)) == pytest.approx(0.0, abs=1e-12)
 
 
