@@ -67,6 +67,8 @@ class MPFrame:
     ``u`` and ``v`` are the length n-1 first-row tails of the rotated
     observables; their norms equal the standard deviations, and their first
     entries are the cross matrix elements c = <psi|A|phi> and d = <psi|B|phi>.
+    Only :func:`mp_frame` builds it; :func:`mp_chain` reads the same
+    quantities from the moments and c, d, without a frame.
     """
 
     alpha: float
@@ -79,11 +81,10 @@ class MPFrame:
 
 @dataclass(frozen=True)
 class ChainReport:
-    """The three chained sum-bound inequalities plus the frame they came from."""
+    """The three chained sum-bound inequalities and the mu of the last step."""
 
     steps: tuple[BoundReport, BoundReport, BoundReport]
     mu: complex
-    frame: MPFrame
 
 
 @dataclass(frozen=True)
@@ -217,7 +218,7 @@ class _MPInputs:
 
     The moments in psi (which carry A, B and psi), phi, c = <psi|A|phi>,
     d = <psi|B|phi>, and the n x 2 ``basis`` [psi | phi] that passed the
-    pair checks, from which the chain completes its frame.
+    pair checks, from which :func:`mp_frame` completes its frame.
     """
 
     moments: PairMoments
@@ -246,6 +247,8 @@ def mp_frame(observable_a, observable_b, psi: PureState, phi: PureState,
     """Rotate A and B into the frame whose leading columns are psi and phi.
 
     Only the first rows (psi^dagger A) U and (psi^dagger B) U are formed.
+    This is the audit view of the chain's quantities and the one place that
+    completes a frame (one QR of an n x (n + 2) matrix).
     """
     return _mp_frame(_mp_inputs(observable_a, observable_b, psi, phi, tol))
 
@@ -272,7 +275,8 @@ def mp_chain(observable_a, observable_b, psi: PureState, phi: PureState,
 
     dev(A)^2 + dev(B)^2 >= |c|^2 + |d|^2 >= (|c| + |d|)^2 / 2
                         >= |<psi|(A + mu B)|phi>|^2 / 2,
-    with c = <psi|A|phi> and d = <psi|B|phi>.
+    with c = <psi|A|phi> and d = <psi|B|phi>, read from the moments and c, d
+    without a frame (:func:`mp_frame`: ||u||^2 + ||v||^2, |c|, |d|, c + mu d).
     """
     mu = _unit_mu(mu, tol)
     return _mp_chain(_mp_inputs(observable_a, observable_b, psi, phi, tol), mu, tol)
@@ -280,15 +284,13 @@ def mp_chain(observable_a, observable_b, psi: PureState, phi: PureState,
 
 def _mp_chain(p: _MPInputs, mu: complex, tol: Tolerance) -> ChainReport:
     m = p.moments
-    frame = _mp_frame(p)
     digest = _digest(m.a, m.b, m.state, p.phi, mu, "mp-chain")
-    dev_sq_sum = float((frame.u.conj() @ frame.u).real) + float((frame.v.conj() @ frame.v).real)
-    abs_c, abs_d = abs(frame.c), abs(frame.d)
-    mixed = abs(frame.c + mu * frame.d) ** 2 / 2.0
-    step1 = _make_report("mp-chain step 1", dev_sq_sum, abs_c**2 + abs_d**2, tol, digest)
+    abs_c, abs_d = abs(p.c), abs(p.d)
+    mixed = abs(p.c + mu * p.d) ** 2 / 2.0
+    step1 = _make_report("mp-chain step 1", m.dev_a**2 + m.dev_b**2, abs_c**2 + abs_d**2, tol, digest)
     step2 = _make_report("mp-chain step 2", abs_c**2 + abs_d**2, (abs_c + abs_d) ** 2 / 2.0, tol, digest)
     step3 = _make_report("mp-chain step 3", (abs_c + abs_d) ** 2 / 2.0, mixed, tol, digest)
-    return ChainReport(steps=(step1, step2, step3), mu=mu, frame=frame)
+    return ChainReport(steps=(step1, step2, step3), mu=mu)
 
 
 def mu_ratio(observable_a, observable_b, psi: PureState, phi: PureState) -> complex:

@@ -27,7 +27,7 @@ from .relations import (BoundReport, MP6Reports, _mp3, _mp6, _mp_chain, _mp_inpu
                         _robertson_report, _schrodinger_report)
 from .sampling import (
     SampleConfig,
-    haar_unitary,
+    _haar_columns,
     random_density,
     random_hermitian,
     random_pure_state,
@@ -46,7 +46,7 @@ from .saturation import (
 )
 from .states import Observable, PureState, pair_moments
 
-ARTIFACT_VERSION = "0.2.0"
+ARTIFACT_VERSION = "0.3.0"
 
 
 @dataclass(frozen=True)
@@ -279,8 +279,8 @@ def run_verification_suite(config: SampleConfig, tol: Tolerance) -> SuiteReport:
             "schrodinger_mixed": lambda: _schrodinger_report(mixed(), tol),
         }
         if n >= 2:
-            frame = haar_unitary(n, rng)
-            pair = PureState(frame[:, 0]), PureState(frame[:, 1])
+            columns = _haar_columns(n, 2, rng)
+            pair = PureState(columns[:, 0]), PureState(columns[:, 1])
             mp = functools.cache(lambda: _mp_inputs(a, b, *pair, tol))
             evaluations["mp3"] = lambda: _mp3(mp(), tol).report
             evaluations["mp6"] = lambda: _mp6_results(_mp6(mp(), tol))

@@ -51,24 +51,36 @@ def random_hermitian(n: int, seed, label: str = "") -> Observable:
     return Observable(matrix=(g + g.conj().T) / 2.0, label=label)
 
 
-def haar_unitary(n: int, seed) -> np.ndarray:
-    """Haar-distributed unitary via QR of a complex normal matrix.
+def _haar_columns(n: int, k: int, seed) -> np.ndarray:
+    """The leading ``k`` columns of :func:`haar_unitary` from the same draw.
 
-    The diagonal of the triangular factor is rotated to positive reals; without
-    that phase correction the QR output is not Haar distributed.
+    The whole n x n complex normal block is drawn, so the generator ends where
+    :func:`haar_unitary` leaves it, but only its leading k columns are
+    factored: the phase-fixed QR of those columns is the leading k columns of
+    the phase-fixed QR of the block (Mezzadri, Notices AMS 54, 592, 2007).
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")
     z = _complex_normal(_as_rng(seed), n, n)
-    q, r = np.linalg.qr(z)
+    q, r = np.linalg.qr(z[:, :k])
     diag = np.diagonal(r).copy()
     diag[np.abs(diag) == 0] = 1.0
     return q * (diag / np.abs(diag))
 
 
+def haar_unitary(n: int, seed) -> np.ndarray:
+    """Haar-distributed unitary via QR of a complex normal matrix.
+
+    The diagonal of the triangular factor is rotated to positive reals; without
+    that phase correction the QR output is not Haar distributed.  Samplers that
+    need only leading columns factor only those columns of the same draw.
+    """
+    return _haar_columns(n, n, seed)
+
+
 def random_pure_state(n: int, seed) -> PureState:
-    """First column of a Haar unitary: uniform on the unit sphere."""
-    column = haar_unitary(n, seed)[:, 0]
+    """First column of a Haar unitary, uniform on the unit sphere; only that column is factored."""
+    column = _haar_columns(n, 1, seed)[:, 0]
     return PureState(column / np.linalg.norm(column))
 
 

@@ -11,11 +11,17 @@ from qubounds import (
     Tolerance,
     complex_dependence,
     frobenius_inner,
+    haar_unitary,
     hermitian_eig,
     phase_dependence,
     psd_power,
+    random_density,
+    random_hermitian,
+    random_pure_state,
+    trial_rng,
     unitary_completion,
 )
+from qubounds.linalg import _require_isometry
 from helpers import SIGMA_X, SIGMA_Y, complex_normal, hermitian_array
 
 
@@ -161,6 +167,22 @@ def test_unitary_completion_rejects_non_orthonormal():
         unitary_completion([np.ones(2), np.ones(3)])
     with pytest.raises(DimensionMismatch):
         unitary_completion([np.array([1.0]), np.array([1.0])], Tolerance(absolute=10.0))
+
+
+def test_zero_budget_accepts_an_exactly_orthonormal_pair():
+    # The Haar pair of verify's n=2, seed 7, trial 16 has inner products of
+    # exactly 1, 1 and 0, but a BLAS product basis^dagger basis of it is not
+    # exactly Hermitian: the Gram test must not read that rounding as a deviation.
+    rng = trial_rng(7, 16)
+    for _ in range(2):
+        random_hermitian(2, rng)
+    random_pure_state(2, rng)
+    random_density(2, 2, rng)
+    pair = haar_unitary(2, rng)
+    psi, phi = pair.T
+    assert (np.vdot(psi, psi), np.vdot(phi, phi), np.vdot(psi, phi)) == (1.0, 1.0, 0.0)
+    assert _require_isometry(pair, Tolerance(0.0, 0.0)) is pair
+    np.testing.assert_array_equal(unitary_completion([psi, phi], Tolerance(0.0, 0.0))[:, :2], pair)
 
 
 def test_unitary_completion_rejects_non_finite_columns():

@@ -170,6 +170,29 @@ def test_mp_frame_invariants():
         assert frame.c == pytest.approx(complex(elem), abs=1e-12)
 
 
+def test_mp_chain_steps_match_the_frame():
+    # The chain reads dev(A), dev(B), c and d; mp_frame's first rows give the
+    # same sides by Bessel's inequality: ||u||^2 + ||v||^2, |c|, |d|, c + mu d.
+    rng = trial_rng(204, 0)
+    for n in (2, 3, 4, 8, 64):
+        for _ in range(5):
+            a, b = random_hermitian(n, rng), random_hermitian(n, rng)
+            psi, phi = _orthonormal_pair(n, rng)
+            mu = complex(np.exp(1j * rng.uniform(0.0, 2.0 * math.pi)))
+            frame = mp_frame(a, b, psi, phi)
+            dev_sq_sum = np.vdot(frame.u, frame.u).real + np.vdot(frame.v, frame.v).real
+            abs_c, abs_d = abs(frame.c), abs(frame.d)
+            pair_sum = (abs_c + abs_d) ** 2 / 2.0
+            expected = (
+                (dev_sq_sum, abs_c**2 + abs_d**2),
+                (abs_c**2 + abs_d**2, pair_sum),
+                (pair_sum, abs(frame.c + mu * frame.d) ** 2 / 2.0),
+            )
+            for step, (lhs, rhs) in zip(mp_chain(a, b, psi, phi, mu).steps, expected):
+                assert step.lhs == pytest.approx(lhs, rel=1e-12)
+                assert step.rhs == pytest.approx(rhs, rel=1e-12)
+
+
 def test_mp_chain_rejects_bad_inputs():
     with pytest.raises(NotOrthogonal):
         mp_chain(SIGMA_X, SIGMA_Y, KET0, KET0, 1j)

@@ -16,6 +16,7 @@ from qubounds import (
     construct_case1,
     construct_case2,
     construct_w_mp6,
+    haar_unitary,
     mp3,
     mp6,
     mp_chain,
@@ -117,13 +118,21 @@ def test_cli_verify_zero_tolerance_surfaces_failures(tmp_path):
 
 
 def test_every_failure_names_an_entry_of_its_trial_record():
-    # A zero budget fails every mp_chain call: each failure still leaves an entry.
-    report = run_verification_suite(
-        SampleConfig(dimension=2, rank=2, seed=7, count=20), Tolerance(0.0, 0.0)
-    )
+    # A zero budget fails every mp_chain call whose Haar pair is not exactly
+    # orthonormal: each failure still leaves an entry.
+    tol = Tolerance(0.0, 0.0)
+    report = run_verification_suite(SampleConfig(dimension=2, rank=2, seed=7, count=20), tol)
     failures = report.summary["failures"]
     chain_trials = [f["trial"] for f in failures if f["where"] == "mp_chain"]
-    assert chain_trials == list(range(20))
+    rejected = []
+    for k in range(20):
+        try:
+            _public_evaluations(2, k, 2, tol)["mp_chain"]()
+        except QuboundsError:
+            rejected.append(k)
+    assert chain_trials == rejected
+    # Trial 16's pair is exactly orthonormal (test_zero_budget_accepts_an_exactly_orthonormal_pair).
+    assert rejected == [k for k in range(20) if k != 16]
     for k in chain_trials:
         record = report.trials[k]
         assert set(record["mp_chain"]) == {"error"}
@@ -245,10 +254,13 @@ def test_verify_trial_validates_once_and_reduces_once(monkeypatch):
     }
     counts = dict.fromkeys(targets, 0)
     counts["inputs"] = 0
+    qr_shapes = []
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
             counts[name] += 1
+            if name == "qr":
+                qr_shapes.append(np.shape(args[0]))
             return fn(*args, **kwargs)
         return wrapper
 
@@ -268,8 +280,10 @@ def test_verify_trial_validates_once_and_reduces_once(monkeypatch):
     assert counts["eigh"] == 1
     # The pure, mixed and Maccone-Pati triples, plus one per construction.
     assert counts["pair_moments"] <= 5
-    # Two Haar draws and the mp_chain frame: no other evaluation completes a frame.
-    assert counts["qr"] == 3
+    # Two Haar draws, each factoring only the columns it reads (psi; the
+    # Maccone-Pati pair): no evaluation completes a frame.
+    assert counts["qr"] == 2
+    assert max(shape[1] for shape in qr_shapes) <= 2
     # The Haar pair and the two constructed pairs.
     assert counts["_require_isometry"] == 3
     assert counts["_array_digest"] == counts["inputs"]
@@ -290,7 +304,7 @@ def _public_evaluations(n, k, rank, tol):
         "schrodinger_mixed": lambda: schrodinger(a, b, rho, tol),
     }
     if n >= 2:
-        frame = reporting.haar_unitary(n, rng)
+        frame = haar_unitary(n, rng)
         pair = PureState(frame[:, 0]), PureState(frame[:, 1])
         evaluations["mp3"] = lambda: mp3(a, b, *pair, tol).report
         evaluations["mp6"] = lambda: reporting._mp6_results(mp6(a, b, *pair, tol))

@@ -10,6 +10,7 @@ from qubounds import (
     random_pure_state,
     trial_rng,
 )
+from qubounds.sampling import _haar_columns
 
 
 def test_sample_config_validation():
@@ -49,6 +50,22 @@ def test_haar_unitary_phase_correction_spreads_eigenphases():
         u = haar_unitary(2, seed)
         phases.extend(np.angle(np.linalg.eigvals(u)))
     assert abs(np.mean(phases)) <= 0.2
+
+
+def test_haar_columns_are_the_leading_columns_of_haar_unitary():
+    # Only the k leading columns are factored, from the whole draw: bit-identical
+    # columns, and the generator stands where haar_unitary leaves it.
+    for n in (1, 2, 3, 4, 8, 16, 64):
+        for k in (1, 2):
+            if k > n:
+                continue
+            for seed in range(10):
+                rng, rng_full = np.random.default_rng(seed), np.random.default_rng(seed)
+                assert np.array_equal(_haar_columns(n, k, rng), haar_unitary(n, rng_full)[:, :k])
+                assert rng.standard_normal() == rng_full.standard_normal()
+    column = haar_unitary(5, 3)[:, 0]
+    np.testing.assert_array_equal(random_pure_state(5, 3).amplitudes,
+                                  column / np.linalg.norm(column))
 
 
 def test_random_pure_state_unit_norm():

@@ -344,11 +344,13 @@ def _maccone_pati_checks(a, b, psi, phi, mu, tol):
         "chain": lambda: mp_chain_saturation(a, b, psi, phi, mu, tol),
         "mp3 bound": lambda: mp3(a, b, psi, phi, tol),
         "mp6 bound": lambda: mp6(a, b, psi, phi, tol),
+        "chain bound": lambda: mp_chain(a, b, psi, phi, mu, tol),
     }
 
 
 def test_maccone_pati_checkers_build_no_frame(monkeypatch):
-    # c = <psi|A|phi> and d = <psi|B|phi> are matrix elements: no QR completion.
+    # c = <psi|A|phi> and d = <psi|B|phi> are matrix elements: no QR completion,
+    # in the checkers, in mp3 and mp6, or in the chain; only mp_frame completes one.
     rng = trial_rng(309, 0)
     cases = []
     for n in (2, 3, 5):
