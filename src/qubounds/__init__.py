@@ -13,8 +13,6 @@ from .errors import (
     CorollaryViolation,
     DimensionMismatch,
     HypothesisViolated,
-    InconsistentCharacterization,
-    InconsistentSaturation,
     NonHermitianInput,
     NonRealExpectation,
     NotOrthogonal,

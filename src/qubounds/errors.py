@@ -44,16 +44,8 @@ class HypothesisViolated(QuboundsError):
     """The sign hypothesis on the phase factor mu is not satisfied."""
 
 
-class InconsistentSaturation(QuboundsError):
-    """Equality characterization and numeric slack disagree beyond the band."""
-
-
 class RIndependenceViolation(QuboundsError):
     """The power-independence of a mixed saturation condition failed numerically."""
-
-
-class InconsistentCharacterization(QuboundsError):
-    """Two provably equivalent zero-deviation criteria disagree."""
 
 
 class CorollaryViolation(QuboundsError):

@@ -2,7 +2,8 @@
 
 Hermitian eigendecomposition, PSD fractional powers, Frobenius inner
 products, unitary completion of orthonormal columns, and the two
-linear-dependence detectors used by the saturation checkers.
+linear-dependence detectors, whose witness halves build the saturation
+certificates.
 """
 
 from __future__ import annotations
@@ -194,8 +195,18 @@ def _canonical_real_pair(c: float, s: float) -> tuple[float, float]:
     return c, s
 
 
-def phase_dependence_detail(x, y, tol: Tolerance = DEFAULT_TOL) -> tuple[float | None, float]:
-    """Like :func:`phase_dependence` but also returns the decision residual."""
+def _dependence_decision(witness, residual: float, x, y, tol: Tolerance):
+    """``witness`` if ``residual`` is within the budget at max(1, ||x||, ||y||), else None."""
+    scale = max(1.0, *(float(np.linalg.norm(np.asarray(v, dtype=complex))) for v in (x, y)))
+    return witness if residual <= tol.effective(scale) else None
+
+
+def phase_dependence_detail(x, y, tol: Tolerance = DEFAULT_TOL) -> tuple[float, float]:
+    """The theta minimising ||cos(theta) x + i sin(theta) y||, and that minimum.
+
+    The minimum is the smallest singular value of the real stack [x | i y];
+    two vectors within ``tol.absolute`` of zero give (0, 0).  Decides nothing.
+    """
     xv = np.asarray(x, dtype=complex).ravel()
     yv = np.asarray(y, dtype=complex).ravel()
     if xv.shape != yv.shape:
@@ -215,29 +226,30 @@ def phase_dependence_detail(x, y, tol: Tolerance = DEFAULT_TOL) -> tuple[float |
         ]
     )
     _, svals, vt = np.linalg.svd(stacked, full_matrices=False)
-    smin = float(svals[-1])
-    if smin > tol.effective(max(1.0, nx, ny)):
-        return None, smin
     c, s = _canonical_real_pair(float(vt[-1, 0]), float(vt[-1, 1]))
-    return math.atan2(s, c) % (2.0 * math.pi), smin
+    return math.atan2(s, c) % (2.0 * math.pi), float(svals[-1])
 
 
 def phase_dependence(x, y, tol: Tolerance = DEFAULT_TOL) -> float | None:
     """Angle theta with cos(theta) x + i sin(theta) y = 0, if one exists.
 
-    The two complex vectors are tested for real-linear dependence of x and
-    i*y; the smallest singular value of the stacked real matrix is both the
-    decision statistic and the achieved residual ||cos(theta) x + i sin(theta) y||.
+    Real-linear dependence of x and i*y: the residual of
+    :func:`phase_dependence_detail` against the budget at max(1, ||x||, ||y||).
     Returns None when the vectors are independent at the given tolerance.
     """
-    theta, _ = phase_dependence_detail(x, y, tol)
-    return theta
+    theta, residual = phase_dependence_detail(x, y, tol)
+    return _dependence_decision(theta, residual, x, y, tol)
 
 
 def complex_dependence_detail(
     x, y, tol: Tolerance = DEFAULT_TOL
-) -> tuple[tuple[float, float] | None, float]:
-    """Like :func:`complex_dependence` but also returns the decision residual."""
+) -> tuple[tuple[float, float], float]:
+    """The (theta, phi) minimising ||cos(theta) x + e^{i phi} sin(theta) y||, and that minimum.
+
+    The minimum is the smaller singular value of [vec x | vec y]; theta lies
+    in [0, pi/2], phi in [0, 2 pi).  Two operands within ``tol.absolute`` of
+    zero give ((0, 0), 0).  Decides nothing.
+    """
     a = as_complex_matrix(x, "x")
     b = as_complex_matrix(y, "y")
     if a.shape != b.shape:
@@ -249,8 +261,6 @@ def complex_dependence_detail(
     stacked = np.column_stack([a.ravel(), b.ravel()])
     _, svals, vh = np.linalg.svd(stacked, full_matrices=False)
     smin = float(svals[-1])
-    if smin > tol.effective(max(1.0, na, nb)):
-        return None, smin
     va, vb = vh[-1].conj()
     h = math.hypot(abs(va), abs(vb))
     if abs(va) <= 1e-14 * h:
@@ -267,9 +277,9 @@ def complex_dependence_detail(
 def complex_dependence(x, y, tol: Tolerance = DEFAULT_TOL) -> tuple[float, float] | None:
     """Angles (theta, phi) with cos(theta) x + e^{i phi} sin(theta) y = 0.
 
-    Complex-linear dependence of two equal-shaped matrices, detected through
-    the smaller singular value of the two-column matrix [vec x | vec y].
-    theta lies in [0, pi/2]; phi in [0, 2 pi).  Returns None when independent.
+    Complex-linear dependence of two equal-shaped matrices: the residual of
+    :func:`complex_dependence_detail` against the budget at max(1, ||x||, ||y||).
+    Returns None when independent.
     """
-    angles, _ = complex_dependence_detail(x, y, tol)
-    return angles
+    angles, residual = complex_dependence_detail(x, y, tol)
+    return _dependence_decision(angles, residual, x, y, tol)

@@ -5,7 +5,9 @@ carrying both sides of the inequality, the slack, a saturation flag, the
 tolerance used, and a digest of the inputs: a hash of the inputs' own
 digests and the bound's tag.  A negative slack beyond the rounding budget
 raises :class:`~qubounds.errors.BoundViolation` instead of being reported,
-since each inequality is a theorem.
+since each inequality is a theorem.  The Robertson and Schrodinger flags are
+the relative slack (:func:`_relative_report`); the others compare the slack
+with the rounding budget.
 
 Each public evaluator is a thin entry that validates and reduces its inputs
 (:func:`~qubounds.states.pair_moments`, or :func:`_mp_inputs` for the
@@ -112,7 +114,9 @@ def _digest(*parts) -> str:
     return hashlib.sha256(repr([getattr(p, "digest", p) for p in parts]).encode()).hexdigest()[:16]
 
 
-def _make_report(name: str, lhs: float, rhs: float, tol: Tolerance, digest: str) -> BoundReport:
+def _make_report(name: str, lhs: float, rhs: float, tol: Tolerance, digest: str,
+                 saturated: bool | None = None) -> BoundReport:
+    """The report of lhs >= rhs; ``saturated`` defaults to |slack| within the rounding budget."""
     scale = max(1.0, abs(lhs), abs(rhs))
     budget = tol.effective(scale)
     slack = lhs - rhs
@@ -122,22 +126,41 @@ def _make_report(name: str, lhs: float, rhs: float, tol: Tolerance, digest: str)
         lhs=float(lhs),
         rhs=float(rhs),
         slack=float(slack),
-        saturated=bool(abs(slack) <= budget),
+        saturated=bool(abs(slack) <= budget if saturated is None else saturated),
         tol_used=tol,
         inputs_digest=digest,
     )
 
 
+def _zero_deviations(m: PairMoments, tol: Tolerance) -> tuple[bool, bool]:
+    """Whether dev(A) and dev(B) are zero to rounding: dev(A) <= tol.effective(1) ||A||_F."""
+    budget = tol.effective(1.0)
+    return m.dev_a <= budget * m.a.norm, m.dev_b <= budget * m.b.norm
+
+
+def _relative_report(name: str, m: PairMoments, lhs: float, rhs: float,
+                     tol: Tolerance) -> BoundReport:
+    """A Robertson or Schrodinger report, saturated when its relative slack is.
+
+    The relative slack (lhs - rhs) / lhs is dimensionless and shrinks like
+    eps^2 at distance eps from saturation: for Robertson it is the smallest
+    singular value squared of the stack [A_c X / dev(A) | i B_c X / dev(B)],
+    for Schrodinger about twice that of [A_c X / dev(A) | B_c X / dev(B)].
+    The bound is saturated when it is within tol.effective(1), or when a
+    deviation is zero to rounding (:func:`_zero_deviations`).
+    """
+    saturated = any(_zero_deviations(m, tol)) or lhs - rhs <= tol.effective(1.0) * lhs
+    return _make_report(name, lhs, rhs, tol, _digest(m.a, m.b, m.state, name), saturated)
+
+
 def _robertson_report(m: PairMoments, tol: Tolerance) -> BoundReport:
-    rhs = abs(m.commutator_expectation) / 2.0
-    return _make_report("robertson", m.dev_a * m.dev_b, rhs, tol,
-                        _digest(m.a, m.b, m.state, "robertson"))
+    return _relative_report("robertson", m, m.dev_a * m.dev_b,
+                            abs(m.commutator_expectation) / 2.0, tol)
 
 
 def _schrodinger_report(m: PairMoments, tol: Tolerance) -> BoundReport:
-    rhs = m.cross.real**2 + m.cross.imag**2
-    return _make_report("schrodinger", (m.dev_a * m.dev_b) ** 2, rhs, tol,
-                        _digest(m.a, m.b, m.state, "schrodinger"))
+    return _relative_report("schrodinger", m, (m.dev_a * m.dev_b) ** 2,
+                            m.cross.real**2 + m.cross.imag**2, tol)
 
 
 def robertson(observable_a, observable_b, state: QuantumState, tol: Tolerance = DEFAULT_TOL) -> BoundReport:

@@ -1,10 +1,11 @@
 """Equality certificates and explicit saturating constructions.
 
-Saturation is always decided from the structural characterization (a
-linear-dependence or scalar-equality test), then cross-checked against the
-numeric slack of the corresponding bound report.  A disagreement beyond the
-tolerance band is raised as an error rather than silently resolved, because
-the two criteria are provably equivalent.  The Maccone-Pati checkers read
+Each characterization is one decision.  A Robertson or Schrodinger
+certificate exists exactly when the bound's report is saturated (its
+relative slack, or a deviation zero to rounding); the SVD of the centred
+operands then only builds the witness angles, which the mixed checkers
+re-verify at several powers of rho.  The zero-deviation characterizations
+decide each side by its deviation.  The Maccone-Pati checkers read
 c = <psi|A|phi> and d = <psi|B|phi> as matrix elements; they build no frame.
 Like the evaluators, each checker is an entry that validates and reduces its
 inputs and a private body that reads only the reduction.
@@ -23,8 +24,6 @@ from .errors import (
     CorollaryViolation,
     DimensionMismatch,
     HypothesisViolated,
-    InconsistentCharacterization,
-    InconsistentSaturation,
     RIndependenceViolation,
 )
 from .linalg import (
@@ -34,7 +33,6 @@ from .linalg import (
     phase_dependence_detail,
 )
 from .relations import (
-    BoundReport,
     _choose_mu,
     _mp_inputs,
     _MPInputs,
@@ -42,6 +40,7 @@ from .relations import (
     _robertson_report,
     _schrodinger_report,
     _unit_mu,
+    _zero_deviations,
     mp3,
     mp6,
 )
@@ -129,39 +128,22 @@ class ZeroProductCheck:
     residual_b: float
 
 
-def _cross_check(kind: str, present: bool, dependence_residual: float,
-                 report: BoundReport, tol: Tolerance) -> None:
-    """Certificate presence must match the report's saturated flag.
-
-    Near the decision threshold both calls may legitimately land on opposite
-    sides; only a disagreement where both statistics are decisive raises.
-    """
-    if present == report.saturated:
-        return
-    slack_budget = tol.effective(max(1.0, report.lhs, report.rhs))
-    if present and abs(report.slack) <= 2.0 * slack_budget:
-        return
-    dep_scale = max(1.0, report.lhs, report.rhs)
-    if not present and dependence_residual <= 2.0 * tol.effective(dep_scale):
-        return
-    raise InconsistentSaturation(
-        f"{kind}: certificate presence {present} vs saturated {report.saturated} "
-        f"(slack {report.slack:.3e}, dependence residual {dependence_residual:.3e})"
-    )
-
-
 def _verify_r_family(m: PairMoments, coeff_a: complex, coeff_b: complex,
                      r_list, tol: Tolerance) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Residuals of coeff_a * A_c rho^r + coeff_b * B_c rho^r over the distinct r in r_list.
 
     With rho^r = X w^(r - 1/2) V_k^dagger, each norm is taken of (A_c X) w^(r - 1/2).
+    A residual passes on the flag's eps^2 scale, within a 10x band:
+    (res / scale)^2 <= 10 tol.effective(1), with the scale-free
+    scale = max(|coeff_a| ||A||_F, |coeff_b| ||B||_F) ||w^r||.
     """
     rs, residuals = [], []
     for r in dict.fromkeys(float(r) for r in r_list):
         ma, mb = (c * m.state.weights ** (r - 0.5) for c in (m.centered_a, m.centered_b))
         res = float(np.linalg.norm(coeff_a * ma + coeff_b * mb))
-        scale = max(1.0, float(np.linalg.norm(ma)), float(np.linalg.norm(mb)))
-        if res > 10.0 * tol.effective(scale):
+        scale = (max(abs(coeff_a) * m.a.norm, abs(coeff_b) * m.b.norm)
+                 * float(np.linalg.norm(m.state.weights ** r)))
+        if res**2 > 10.0 * tol.effective(1.0) * scale**2:
             raise RIndependenceViolation(
                 f"dependence holds at r=1/2 but fails at r={r} (residual {res:.3e})"
             )
@@ -172,23 +154,20 @@ def _verify_r_family(m: PairMoments, coeff_a: complex, coeff_b: complex,
 
 def _certificate(kind: CertificateKind, m: PairMoments, tol: Tolerance,
                  r_list) -> SaturationCertificate | None:
-    """The witness cos(theta) A_c X + e^{i phi} sin(theta) B_c X = 0, if any.
+    """The witness cos(theta) A_c X + e^{i phi} sin(theta) B_c X = 0 of a saturated bound.
 
-    The Robertson kinds look for the phase i (phi is None), the Schrodinger
-    kind for any phase.  Presence is cross-checked against the bound's
-    report, and the dependence is re-verified at every power in ``r_list``.
+    Returns None exactly when the bound's report is unsaturated, so presence
+    is the report's flag.  The SVD only builds the witness: the phase i for
+    the Robertson kinds (phi is None), any phase for the Schrodinger kind.
+    The dependence is re-verified at every power in ``r_list``.
     """
-    if kind is CertificateKind.SCHRODINGER:
-        angles, residual = complex_dependence_detail(m.centered_a, m.centered_b, tol)
-        report = _schrodinger_report(m, tol)
-    else:
-        theta, residual = phase_dependence_detail(m.centered_a, m.centered_b, tol)
-        angles = None if theta is None else (theta, None)
-        report = _robertson_report(m, tol)
-    _cross_check(kind.value, angles is not None, residual, report, tol)
-    if angles is None:
+    schrodinger = kind is CertificateKind.SCHRODINGER
+    if not (_schrodinger_report if schrodinger else _robertson_report)(m, tol).saturated:
         return None
-    theta, phi = angles
+    if schrodinger:
+        (theta, phi), residual = complex_dependence_detail(m.centered_a, m.centered_b, tol)
+    else:
+        (theta, residual), phi = phase_dependence_detail(m.centered_a, m.centered_b, tol), None
     phase = 1j if phi is None else cmath.exp(1j * phi)
     rs, r_residuals = _verify_r_family(m, math.cos(theta), phase * math.sin(theta), r_list, tol)
     return SaturationCertificate(kind=kind, theta=theta, phi=phi, mu=None, residual=residual,
@@ -405,63 +384,32 @@ def _centered_products(m: PairMoments) -> tuple[float, float]:
                  for c in (m.centered_a, m.centered_b))
 
 
-def _zero_characterization(name: str, observable_a, observable_b, state: QuantumState,
-                           tol: Tolerance, combine) -> tuple[list[bool], bool, tuple[float, float]]:
-    """Shared body of the zero-product (``combine=any``) and zero-sum (``all``) tests.
-
-    A side is zero by products when A_c rho vanishes and zero by deviation
-    when dev(A) does; ``combine`` joins the two sides in each test.  Returns
-    the per-side zero flags, the verdict and the two product residuals.
-    """
-    m = pair_moments(observable_a, observable_b, state)
-    residuals = _centered_products(m)
-    devs = (m.dev_a, m.dev_b)
-    budgets = tuple(tol.effective(max(1.0, o.norm)) for o in (m.a, m.b))
-    zero = [r <= t for r, t in zip(residuals, budgets)]
-    by_products = combine(zero)
-    by_deviation = combine(d <= t for d, t in zip(devs, budgets))
-    if by_products != by_deviation:
-        # Re-test the disagreeing side with a 100x band before declaring a fault.
-        decisive_products = not combine(r <= 100.0 * t for r, t in zip(residuals, budgets))
-        decisive_deviation = not combine(d <= 100.0 * t for d, t in zip(devs, budgets))
-        if (by_products and decisive_deviation) or (by_deviation and decisive_products):
-            raise InconsistentCharacterization(
-                f"{name} product test {by_products} vs deviation test {by_deviation} "
-                f"(residuals {residuals[0]:.3e}, {residuals[1]:.3e}; "
-                f"deviations {m.dev_a:.3e}, {m.dev_b:.3e})"
-            )
-        zero = [z or d <= t for z, d, t in zip(zero, devs, budgets)]
-        by_products = combine((by_products, by_deviation))
-    return zero, by_products, residuals
+_ZERO_WITNESSES = {(False, False): ZeroWitness.NONE, (True, False): ZeroWitness.A_ZERO,
+                   (False, True): ZeroWitness.B_ZERO, (True, True): ZeroWitness.BOTH}
 
 
 def zero_product_characterization(observable_a, observable_b, state: QuantumState,
                                   tol: Tolerance = DEFAULT_TOL) -> ZeroProductCheck:
     """dev(A) dev(B) = 0 exactly when A_c rho = 0 or B_c rho = 0.
 
-    Both criteria are evaluated; a decisive disagreement raises
-    :class:`InconsistentCharacterization`.
+    Each side is decided once, by its deviation (zero to rounding when
+    dev(A) <= tol.effective(1) ||A||_F); ||A_c rho||_F and ||B_c rho||_F
+    are reported as values only.
     """
-    (a_zero, b_zero), product_is_zero, (res_a, res_b) = _zero_characterization(
-        "zero-product", observable_a, observable_b, state, tol, any
-    )
-    if a_zero and b_zero:
-        witness = ZeroWitness.BOTH
-    elif a_zero:
-        witness = ZeroWitness.A_ZERO
-    elif b_zero:
-        witness = ZeroWitness.B_ZERO
-    else:
-        witness = ZeroWitness.NONE
-    return ZeroProductCheck(
-        product_is_zero=product_is_zero, witness=witness, residual_a=res_a, residual_b=res_b
-    )
+    m = pair_moments(observable_a, observable_b, state)
+    zero = _zero_deviations(m, tol)
+    res_a, res_b = _centered_products(m)
+    return ZeroProductCheck(product_is_zero=any(zero), witness=_ZERO_WITNESSES[zero],
+                            residual_a=res_a, residual_b=res_b)
 
 
 def zero_sum_characterization(observable_a, observable_b, state: QuantumState,
                               tol: Tolerance = DEFAULT_TOL) -> bool:
-    """dev(A)^2 + dev(B)^2 = 0 exactly when both A_c rho and B_c rho vanish."""
-    return _zero_characterization("zero-sum", observable_a, observable_b, state, tol, all)[1]
+    """dev(A)^2 + dev(B)^2 = 0 exactly when both A_c rho and B_c rho vanish.
+
+    Decided by the deviations, as in :func:`zero_product_characterization`.
+    """
+    return all(_zero_deviations(pair_moments(observable_a, observable_b, state), tol))
 
 
 def qubit_commutation_witness(observable_a, observable_b, state: QuantumState,

@@ -1,4 +1,4 @@
-"""Shared fixtures: Pauli matrices and planted saturating mixed instances."""
+"""Shared fixtures: Pauli matrices and planted saturating pure and mixed instances."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from qubounds import DensityMatrix, Observable, haar_unitary
+from qubounds import DensityMatrix, Observable, PureState, haar_unitary
 from qubounds.goldens import SIGMA_X, SIGMA_Y, SIGMA_Z, block_pair_4x4  # noqa: F401
 
 
@@ -17,6 +17,20 @@ def complex_normal(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray
 def hermitian_array(rng: np.random.Generator, n: int) -> np.ndarray:
     g = complex_normal(rng, n, n)
     return (g + g.conj().T) / 2
+
+
+def plant_saturating_pure(n: int, coupling: complex, rng: np.random.Generator):
+    """Build (A, B, psi0) with A_c psi0 + coupling * B_c psi0 = 0.
+
+    psi0 is a unit eigenvector of the non-Hermitian A + coupling * B, with
+    eigenvalue <psi0|A + coupling B|psi0> = alpha + coupling * beta.  Use
+    coupling = i k (k > 0) for the Robertson form and any complex coupling
+    for the Schrodinger form.
+    """
+    a, b = hermitian_array(rng, n), hermitian_array(rng, n)
+    _, vectors = np.linalg.eig(a + coupling * b)
+    psi0 = vectors[:, 0] / np.linalg.norm(vectors[:, 0])
+    return Observable(a, label="A"), Observable(b, label="B"), PureState(psi0)
 
 
 def plant_saturating_mixed(n: int, k: int, theta: float, phi: float,

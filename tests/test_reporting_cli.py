@@ -249,6 +249,7 @@ def test_verify_trial_validates_once_and_reduces_once(monkeypatch):
         "pair_moments": states.pair_moments,
         "eigh": np.linalg.eigh,
         "qr": np.linalg.qr,
+        "svd": np.linalg.svd,
         "_require_isometry": linalg._require_isometry,
         "_array_digest": states._array_digest,
     }
@@ -287,6 +288,8 @@ def test_verify_trial_validates_once_and_reduces_once(monkeypatch):
     # The Haar pair and the two constructed pairs.
     assert counts["_require_isometry"] == 3
     assert counts["_array_digest"] == counts["inputs"]
+    # The reports decide saturation; an SVD only builds a saturated bound's witness.
+    assert counts["svd"] == 0
 
 
 def _public_evaluations(n, k, rank, tol):
@@ -347,6 +350,8 @@ def test_sweep_records_equal_the_public_api(n, tol):
                     record[name] = summary.entry(k, name, value)
         assert report.trials[k] == record
     assert report.summary == dict(vars(summary), failure_count=len(summary.failures))
+    if tol == Tolerance():
+        assert report.summary["failure_count"] == 0
     if n >= 2 and tol == Tolerance(0, 0):
         # The zero budget rejects pairs, so the error path is compared too.
         assert {"NotOrthonormal"} <= {f["error"] for f in summary.failures}

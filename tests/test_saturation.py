@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from qubounds import (
     Observable,
     PureState,
     QuboundsError,
+    RIndependenceViolation,
     SaturationCertificate,
     Tolerance,
     ZeroDeviation,
@@ -30,6 +32,7 @@ from qubounds import (
     mp_chain,
     mp_chain_saturation,
     mp_frame,
+    pair_moments,
     qubit_commutation_witness,
     random_density,
     random_hermitian,
@@ -45,6 +48,7 @@ from qubounds import (
     zero_product_characterization,
     zero_sum_characterization,
 )
+from qubounds.saturation import DEFAULT_R_LIST, _verify_r_family
 from helpers import (
     SIGMA_X,
     SIGMA_Y,
@@ -53,6 +57,7 @@ from helpers import (
     complex_normal,
     hermitian_array,
     plant_saturating_mixed,
+    plant_saturating_pure,
 )
 
 KET0 = PureState(np.array([1.0, 0.0]))
@@ -134,6 +139,72 @@ def test_certificate_agreement_sweep_mixed_and_golden():
     assert (robertson_saturation_pure(SIGMA_X, SIGMA_Y, psi) is not None) == robertson(
         SIGMA_X, SIGMA_Y, psi
     ).saturated
+
+
+# ---------------------------------------------------------------------------
+# One decision per characterization, at every scale
+
+SCALES = (1e-8, 1.0, 1e8)
+
+
+def _moved_instances(eps, rng):
+    """Planted saturating instances moved by ``eps``, each with the (checker, bound)
+    pairs it saturates: pure n = 3 states moved by eps, mixed rank-2 ones with A
+    moved by eps ||A||_F H."""
+    robertson_pure = ((robertson_saturation_pure, robertson),)
+    for coupling, checks in ((1j * rng.uniform(0.3, 3.0), robertson_pure),
+                             (complex(*rng.uniform(-2.0, 2.0, 2)), ((schrodinger_saturation, schrodinger),))):
+        a, b, psi0 = plant_saturating_pure(3, coupling, rng)
+        g = complex_normal(rng, 3, 1).ravel()
+        psi = psi0.amplitudes + eps * g / np.linalg.norm(g)
+        yield a.matrix, b.matrix, PureState(psi / np.linalg.norm(psi)), checks
+    mixed = ((robertson_saturation_mixed, robertson), (schrodinger_saturation, schrodinger))
+    for phase, checks in ((math.pi / 2, mixed), (rng.uniform(0.3, 2 * math.pi - 0.3), mixed[1:])):
+        a, b, rho = plant_saturating_mixed(5, 2, rng.uniform(0.2, 1.3), phase, rng)
+        h = hermitian_array(rng, 5)
+        yield a.matrix + eps * a.norm * h / np.linalg.norm(h), b.matrix, rho, checks
+
+
+def test_saturation_flag_is_certificate_presence_at_every_scale():
+    # At distance eps the relative slack is of order eps^2 and crosses the
+    # budget between eps = 1e-3 and 1e-5.  No checker may raise anywhere on the
+    # way, a certificate exists exactly when the report is saturated, and
+    # scaling A moves no flag.
+    rng = trial_rng(330, 0)
+    saturated, checked = {}, {}
+    for eps in (1e-3, 1e-5, 1e-6, 1e-8, 1e-10):
+        saturated[eps] = checked[eps] = 0
+        for _ in range(3):
+            for a, b, state, checks in _moved_instances(eps, rng):
+                for check, bound in checks:
+                    flags = set()
+                    for c in SCALES:
+                        cert = check(c * a, b, state)
+                        report = bound(c * a, b, state)
+                        assert (cert is not None) == report.saturated
+                        flags.add(report.saturated)
+                    assert len(flags) == 1
+                    saturated[eps] += flags.pop()
+                    checked[eps] += 1
+    assert saturated[1e-3] == 0
+    assert saturated[1e-8] == saturated[1e-10] == checked[1e-10]
+
+
+def test_rescaled_r_family_check_fires_at_every_scale():
+    # The witness of a planted instance fails the power family of the same
+    # instance moved by eps = 1e-3, at every scale of A.  Below unit scale a
+    # max(1, ...) budget made this check vacuous.
+    rng = trial_rng(331, 0)
+    for phase, check in ((math.pi / 2, robertson_saturation_mixed), (1.0, schrodinger_saturation)):
+        a, b, rho = plant_saturating_mixed(5, 2, 0.7, phase, rng)
+        h = hermitian_array(rng, 5)
+        moved = a.matrix + 1e-3 * a.norm * h / np.linalg.norm(h)
+        for c in SCALES:
+            cert = check(c * a.matrix, b, rho)
+            coeff_b = (1j if cert.phi is None else cmath.exp(1j * cert.phi)) * math.sin(cert.theta)
+            m = pair_moments(c * moved, b, rho)
+            with pytest.raises(RIndependenceViolation):
+                _verify_r_family(m, math.cos(cert.theta), coeff_b, DEFAULT_R_LIST, Tolerance())
 
 
 # ---------------------------------------------------------------------------
@@ -729,14 +800,25 @@ def test_state_checkers_on_a_pure_state_never_diagonalise(monkeypatch):
     assert calls == []
 
 
-def test_zero_product_residuals_match_direct_products():
-    rng = trial_rng(322, 0)
+def _zero_product_cases(rng):
     for n in (3, 4):
         for rank in range(1, n + 1):
-            a, b = hermitian_array(rng, n), hermitian_array(rng, n)
-            rho = random_density(n, rank, rng)
-            result = zero_product_characterization(a, b, rho)
-            for obs, residual in ((a, result.residual_a), (b, result.residual_b)):
-                mean = np.trace(obs @ rho.matrix).real
-                direct = np.linalg.norm((obs - mean * np.eye(n)) @ rho.matrix)
-                assert residual == pytest.approx(direct, abs=1e-12 * max(1.0, np.linalg.norm(obs)))
+            yield hermitian_array(rng, n), hermitian_array(rng, n), random_density(n, rank, rng)
+    # ||A_c rho||_F is about 7e-10, inside the budget, while dev(A) is about
+    # 2.2e-5: the deviation decides, so neither side is zero.
+    rho = DensityMatrix(np.diag([1 - 5e-10, 5e-10]).astype(complex))
+    for scale in (1.0, 1e4):
+        yield scale * np.diag([0.0, 1.0]), np.diag([0.0, 1.0]), rho
+
+
+def test_zero_product_residuals_match_direct_products():
+    rng = trial_rng(322, 0)
+    for a, b, rho in _zero_product_cases(rng):
+        n = len(a)
+        result = zero_product_characterization(a, b, rho)
+        for obs, residual in ((a, result.residual_a), (b, result.residual_b)):
+            mean = np.trace(obs @ rho.matrix).real
+            direct = np.linalg.norm((obs - mean * np.eye(n)) @ rho.matrix)
+            assert residual == pytest.approx(direct, abs=1e-12 * max(1.0, np.linalg.norm(obs)))
+        assert (result.product_is_zero, result.witness) == (False, ZeroWitness.NONE)
+        assert zero_sum_characterization(a, b, rho) is False
