@@ -201,11 +201,11 @@ def _dependence_decision(witness, residual: float, x, y, tol: Tolerance):
     return witness if residual <= tol.effective(scale) else None
 
 
-def phase_dependence_detail(x, y, tol: Tolerance = DEFAULT_TOL) -> tuple[float, float]:
+def phase_dependence_detail(x, y) -> tuple[float, float]:
     """The theta minimising ||cos(theta) x + i sin(theta) y||, and that minimum.
 
     The minimum is the smallest singular value of the real stack [x | i y];
-    two vectors within ``tol.absolute`` of zero give (0, 0).  Decides nothing.
+    two zero vectors give (0, 0).  Decides nothing.
     """
     xv = np.asarray(x, dtype=complex).ravel()
     yv = np.asarray(y, dtype=complex).ravel()
@@ -216,7 +216,7 @@ def phase_dependence_detail(x, y, tol: Tolerance = DEFAULT_TOL) -> tuple[float, 
     # Finite norms prove finite entries; only a non-finite one needs the entry scan.
     if not math.isfinite(nx + ny) and not (np.isfinite(xv).all() and np.isfinite(yv).all()):
         raise ValueError("x or y contains non-finite entries")
-    if nx <= tol.absolute and ny <= tol.absolute:
+    if nx == 0.0 and ny == 0.0:
         return 0.0, 0.0
     iy = 1j * yv
     stacked = np.column_stack(
@@ -237,18 +237,16 @@ def phase_dependence(x, y, tol: Tolerance = DEFAULT_TOL) -> float | None:
     :func:`phase_dependence_detail` against the budget at max(1, ||x||, ||y||).
     Returns None when the vectors are independent at the given tolerance.
     """
-    theta, residual = phase_dependence_detail(x, y, tol)
+    theta, residual = phase_dependence_detail(x, y)
     return _dependence_decision(theta, residual, x, y, tol)
 
 
-def complex_dependence_detail(
-    x, y, tol: Tolerance = DEFAULT_TOL
-) -> tuple[tuple[float, float], float]:
+def complex_dependence_detail(x, y) -> tuple[tuple[float, float], float]:
     """The (theta, phi) minimising ||cos(theta) x + e^{i phi} sin(theta) y||, and that minimum.
 
     The minimum is the smaller singular value of [vec x | vec y]; theta lies
-    in [0, pi/2], phi in [0, 2 pi).  Two operands within ``tol.absolute`` of
-    zero give ((0, 0), 0).  Decides nothing.
+    in [0, pi/2], phi in [0, 2 pi).  Two zero operands give ((0, 0), 0).
+    Decides nothing.
     """
     a = as_complex_matrix(x, "x")
     b = as_complex_matrix(y, "y")
@@ -256,7 +254,7 @@ def complex_dependence_detail(
         raise DimensionMismatch(f"shape mismatch {a.shape} vs {b.shape}")
     na = float(np.linalg.norm(a))
     nb = float(np.linalg.norm(b))
-    if na <= tol.absolute and nb <= tol.absolute:
+    if na == 0.0 and nb == 0.0:
         return (0.0, 0.0), 0.0
     stacked = np.column_stack([a.ravel(), b.ravel()])
     _, svals, vh = np.linalg.svd(stacked, full_matrices=False)
@@ -281,5 +279,5 @@ def complex_dependence(x, y, tol: Tolerance = DEFAULT_TOL) -> tuple[float, float
     :func:`complex_dependence_detail` against the budget at max(1, ||x||, ||y||).
     Returns None when independent.
     """
-    angles, residual = complex_dependence_detail(x, y, tol)
+    angles, residual = complex_dependence_detail(x, y)
     return _dependence_decision(angles, residual, x, y, tol)

@@ -132,10 +132,26 @@ def _make_report(name: str, lhs: float, rhs: float, tol: Tolerance, digest: str,
     )
 
 
+def _rounding_floor(norm: float, tol: Tolerance) -> float:
+    """Rounding level of a centred product A X - <A> X for ||A||_F = ``norm``, ||X||_F = 1.
+
+    A few hundred ulps of ``norm``, capped at tol.effective(1) * norm so that a
+    zero tolerance admits only exact zeros.
+    """
+    return min(tol.effective(1.0), 1e-13) * norm
+
+
 def _zero_deviations(m: PairMoments, tol: Tolerance) -> tuple[bool, bool]:
-    """Whether dev(A) and dev(B) are zero to rounding: dev(A) <= tol.effective(1) ||A||_F."""
+    """Whether dev(A) and dev(B) are zero to rounding.
+
+    dev(A) is zero within tol.effective(1) times the spread of A, which no
+    identity offset moves, or within the rounding floor of ||A||_F, which covers
+    n = 1 and multiples of the identity (spread 0).  As spread(A) <= ||A||_F, a
+    deviation above tol.effective(1) ||A||_F is not zero and needs no spread.
+    """
     budget = tol.effective(1.0)
-    return m.dev_a <= budget * m.a.norm, m.dev_b <= budget * m.b.norm
+    return tuple(dev <= budget * o.norm and dev <= max(budget * o.spread, _rounding_floor(o.norm, tol))
+                 for dev, o in ((m.dev_a, m.a), (m.dev_b, m.b)))
 
 
 def _relative_report(name: str, m: PairMoments, lhs: float, rhs: float,

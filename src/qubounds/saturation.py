@@ -38,6 +38,7 @@ from .relations import (
     _MPInputs,
     _require_deviations,
     _robertson_report,
+    _rounding_floor,
     _schrodinger_report,
     _unit_mu,
     _zero_deviations,
@@ -135,15 +136,18 @@ def _verify_r_family(m: PairMoments, coeff_a: complex, coeff_b: complex,
     With rho^r = X w^(r - 1/2) V_k^dagger, each norm is taken of (A_c X) w^(r - 1/2).
     A residual passes on the flag's eps^2 scale, within a 10x band:
     (res / scale)^2 <= 10 tol.effective(1), with the scale-free
-    scale = max(|coeff_a| ||A||_F, |coeff_b| ||B||_F) ||w^r||.
+    scale = max(|coeff_a| dev(A), |coeff_b| dev(B)) ||w^r||, the size of the
+    two terms at r = 1/2 carried to r, which no identity offset moves; or when
+    it is within the rounding floor of the same scale read with ||A||_F and
+    ||B||_F, where the deviations are rounding noise (n = 1, eigenstates).
     """
+    limit = max(math.sqrt(10.0 * tol.effective(1.0)) * max(abs(coeff_a) * m.dev_a, abs(coeff_b) * m.dev_b),
+                _rounding_floor(max(abs(coeff_a) * m.a.norm, abs(coeff_b) * m.b.norm), tol))
     rs, residuals = [], []
     for r in dict.fromkeys(float(r) for r in r_list):
         ma, mb = (c * m.state.weights ** (r - 0.5) for c in (m.centered_a, m.centered_b))
         res = float(np.linalg.norm(coeff_a * ma + coeff_b * mb))
-        scale = (max(abs(coeff_a) * m.a.norm, abs(coeff_b) * m.b.norm)
-                 * float(np.linalg.norm(m.state.weights ** r)))
-        if res**2 > 10.0 * tol.effective(1.0) * scale**2:
+        if res > limit * float(np.linalg.norm(m.state.weights ** r)):
             raise RIndependenceViolation(
                 f"dependence holds at r=1/2 but fails at r={r} (residual {res:.3e})"
             )
@@ -159,15 +163,19 @@ def _certificate(kind: CertificateKind, m: PairMoments, tol: Tolerance,
     Returns None exactly when the bound's report is unsaturated, so presence
     is the report's flag.  The SVD only builds the witness: the phase i for
     the Robertson kinds (phi is None), any phase for the Schrodinger kind.
-    The dependence is re-verified at every power in ``r_list``.
+    When both deviations are zero to rounding every angle is a witness, and
+    theta = 0 with residual 0 is taken without an SVD.  The dependence is
+    re-verified at every power in ``r_list``.
     """
     schrodinger = kind is CertificateKind.SCHRODINGER
     if not (_schrodinger_report if schrodinger else _robertson_report)(m, tol).saturated:
         return None
-    if schrodinger:
-        (theta, phi), residual = complex_dependence_detail(m.centered_a, m.centered_b, tol)
+    if all(_zero_deviations(m, tol)):
+        theta, phi, residual = 0.0, 0.0 if schrodinger else None, 0.0
+    elif schrodinger:
+        (theta, phi), residual = complex_dependence_detail(m.centered_a, m.centered_b)
     else:
-        (theta, residual), phi = phase_dependence_detail(m.centered_a, m.centered_b, tol), None
+        (theta, residual), phi = phase_dependence_detail(m.centered_a, m.centered_b), None
     phase = 1j if phi is None else cmath.exp(1j * phi)
     rs, r_residuals = _verify_r_family(m, math.cos(theta), phase * math.sin(theta), r_list, tol)
     return SaturationCertificate(kind=kind, theta=theta, phi=phi, mu=None, residual=residual,
@@ -378,12 +386,6 @@ def construct_w_mp6(observable_a, observable_b, tol: Tolerance = DEFAULT_TOL) ->
     return _constructed_pair(a, b, mu, direction, "mp6", tol)
 
 
-def _centered_products(m: PairMoments) -> tuple[float, float]:
-    """||A_c rho||_F and ||B_c rho||_F, centered at the means in ``m``: ||(A_c X) w^(1/2)||_F."""
-    return tuple(float(np.linalg.norm(c * np.sqrt(m.state.weights)))
-                 for c in (m.centered_a, m.centered_b))
-
-
 _ZERO_WITNESSES = {(False, False): ZeroWitness.NONE, (True, False): ZeroWitness.A_ZERO,
                    (False, True): ZeroWitness.B_ZERO, (True, True): ZeroWitness.BOTH}
 
@@ -392,13 +394,15 @@ def zero_product_characterization(observable_a, observable_b, state: QuantumStat
                                   tol: Tolerance = DEFAULT_TOL) -> ZeroProductCheck:
     """dev(A) dev(B) = 0 exactly when A_c rho = 0 or B_c rho = 0.
 
-    Each side is decided once, by its deviation (zero to rounding when
-    dev(A) <= tol.effective(1) ||A||_F); ||A_c rho||_F and ||B_c rho||_F
-    are reported as values only.
+    Each side is decided once, by its deviation (zero to rounding as in
+    :func:`~qubounds.relations._zero_deviations`); ||A_c rho||_F and
+    ||B_c rho||_F are reported as values only.
     """
     m = pair_moments(observable_a, observable_b, state)
     zero = _zero_deviations(m, tol)
-    res_a, res_b = _centered_products(m)
+    # ||A_c rho||_F = ||(A_c X) w^(1/2)||_F.
+    res_a, res_b = (float(np.linalg.norm(c * np.sqrt(m.state.weights)))
+                    for c in (m.centered_a, m.centered_b))
     return ZeroProductCheck(product_is_zero=any(zero), witness=_ZERO_WITNESSES[zero],
                             residual_a=res_a, residual_b=res_b)
 
@@ -418,15 +422,14 @@ def qubit_commutation_witness(observable_a, observable_b, state: QuantumState,
 
     Returns the commutator norm when both centered products vanish on the
     state (the witness), None when the precondition is unmet, and raises
-    :class:`CorollaryViolation` if the commutator is large anyway.
+    :class:`CorollaryViolation` if the commutator is large anyway.  A_c rho
+    vanishes exactly when dev(A) does, so the precondition is decided as in
+    :func:`zero_product_characterization`.
     """
     if state.dimension != 2:
         raise DimensionMismatch(f"qubit check requires dimension 2, got {state.dimension}")
     m = pair_moments(observable_a, observable_b, state)
-    res_a, res_b = _centered_products(m)
-    if res_a > tol.effective(max(1.0, m.a.norm)):
-        return None
-    if res_b > tol.effective(max(1.0, m.b.norm)):
+    if not all(_zero_deviations(m, tol)):
         return None
     a, b = m.a.matrix, m.b.matrix
     comm_norm = float(np.linalg.norm(a @ b - b @ a))

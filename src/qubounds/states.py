@@ -13,7 +13,9 @@ a ``digest`` of their frozen array, and report digests combine those.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,6 +59,13 @@ class _HermitianInput:
     @property
     def dimension(self) -> int:
         return self.matrix.shape[0]
+
+    @functools.cached_property
+    def spread(self) -> float:
+        """||A - (tr A / n) I||_F: the scale of a centred product A_c X, blind to an identity offset."""
+        c = self.matrix.copy()
+        c.flat[:: self.dimension + 1] -= self.matrix.trace().real / self.dimension
+        return math.sqrt(np.vdot(c, c).real)
 
 
 @dataclass(frozen=True)

@@ -145,6 +145,12 @@ def test_certificate_agreement_sweep_mixed_and_golden():
 # One decision per characterization, at every scale
 
 SCALES = (1e-8, 1.0, 1e8)
+# (A, B) -> transformed pair: A scaled, A and B scaled together to 1e-13, and A
+# shifted by a large multiple of the identity, which no flag may see.
+TRANSFORMS = tuple((lambda a, b, c=c: (c * a, b)) for c in SCALES) + (
+    lambda a, b: (1e-13 * a, 1e-13 * b),
+    lambda a, b: (a + 1e4 * np.linalg.norm(a) * np.eye(len(a)), b),
+)
 
 
 def _moved_instances(eps, rng):
@@ -169,7 +175,7 @@ def test_saturation_flag_is_certificate_presence_at_every_scale():
     # At distance eps the relative slack is of order eps^2 and crosses the
     # budget between eps = 1e-3 and 1e-5.  No checker may raise anywhere on the
     # way, a certificate exists exactly when the report is saturated, and
-    # scaling A moves no flag.
+    # scaling A, scaling A and B together or shifting A moves no flag.
     rng = trial_rng(330, 0)
     saturated, checked = {}, {}
     for eps in (1e-3, 1e-5, 1e-6, 1e-8, 1e-10):
@@ -178,9 +184,10 @@ def test_saturation_flag_is_certificate_presence_at_every_scale():
             for a, b, state, checks in _moved_instances(eps, rng):
                 for check, bound in checks:
                     flags = set()
-                    for c in SCALES:
-                        cert = check(c * a, b, state)
-                        report = bound(c * a, b, state)
+                    for transform in TRANSFORMS:
+                        pair = transform(a, b)
+                        cert = check(*pair, state)
+                        report = bound(*pair, state)
                         assert (cert is not None) == report.saturated
                         flags.add(report.saturated)
                     assert len(flags) == 1
@@ -192,17 +199,18 @@ def test_saturation_flag_is_certificate_presence_at_every_scale():
 
 def test_rescaled_r_family_check_fires_at_every_scale():
     # The witness of a planted instance fails the power family of the same
-    # instance moved by eps = 1e-3, at every scale of A.  Below unit scale a
-    # max(1, ...) budget made this check vacuous.
+    # instance moved by eps = 1e-3, at every scale of A and under an identity
+    # offset.  Below unit scale a max(1, ...) budget made this check vacuous,
+    # and a budget read from ||A||_F let a large offset do the same.
     rng = trial_rng(331, 0)
     for phase, check in ((math.pi / 2, robertson_saturation_mixed), (1.0, schrodinger_saturation)):
         a, b, rho = plant_saturating_mixed(5, 2, 0.7, phase, rng)
         h = hermitian_array(rng, 5)
         moved = a.matrix + 1e-3 * a.norm * h / np.linalg.norm(h)
-        for c in SCALES:
+        for c, shift in [(c, 0.0) for c in SCALES] + [(1.0, 1e4)]:
             cert = check(c * a.matrix, b, rho)
             coeff_b = (1j if cert.phi is None else cmath.exp(1j * cert.phi)) * math.sin(cert.theta)
-            m = pair_moments(c * moved, b, rho)
+            m = pair_moments(c * moved + shift * np.eye(5), b, rho)
             with pytest.raises(RIndependenceViolation):
                 _verify_r_family(m, math.cos(cert.theta), coeff_b, DEFAULT_R_LIST, Tolerance())
 
@@ -809,6 +817,10 @@ def _zero_product_cases(rng):
     rho = DensityMatrix(np.diag([1 - 5e-10, 5e-10]).astype(complex))
     for scale in (1.0, 1e4):
         yield scale * np.diag([0.0, 1.0]), np.diag([0.0, 1.0]), rho
+    # dev(A) is about 1e-5 whatever the identity offset; a budget read from
+    # ||A||_F, about 1.4e4 here, called it zero.
+    yield np.diag([0.0, 1.0]) + 1e4 * np.eye(2), SIGMA_X, DensityMatrix(
+        np.diag([1 - 1e-10, 1e-10]).astype(complex))
 
 
 def test_zero_product_residuals_match_direct_products():
@@ -822,3 +834,6 @@ def test_zero_product_residuals_match_direct_products():
             assert residual == pytest.approx(direct, abs=1e-12 * max(1.0, np.linalg.norm(obs)))
         assert (result.product_is_zero, result.witness) == (False, ZeroWitness.NONE)
         assert zero_sum_characterization(a, b, rho) is False
+        if n == 2:
+            # The qubit corollary reads its precondition from the same decision.
+            assert qubit_commutation_witness(a, b, rho) is None
