@@ -5,9 +5,9 @@ carrying both sides of the inequality, the slack, a saturation flag, the
 tolerance used, and a digest of the inputs: a hash of the inputs' own
 digests and the bound's tag.  A negative slack beyond the rounding budget
 raises :class:`~qubounds.errors.BoundViolation` instead of being reported,
-since each inequality is a theorem.  The Robertson and Schrodinger flags are
-the relative slack (:func:`_relative_report`); the others compare the slack
-with the rounding budget.
+since each inequality is a theorem.  One rule flags saturation
+(:func:`_make_report`), dimensionless and blind to an identity offset, and
+every checker reads its bound's flag.
 
 Each public evaluator is a thin entry that validates and reduces its inputs
 (:func:`~qubounds.states.pair_moments`, or :func:`_mp_inputs` for the
@@ -114,22 +114,24 @@ def _digest(*parts) -> str:
     return hashlib.sha256(repr([getattr(p, "digest", p) for p in parts]).encode()).hexdigest()[:16]
 
 
-def _make_report(name: str, lhs: float, rhs: float, tol: Tolerance, digest: str,
-                 saturated: bool | None = None) -> BoundReport:
-    """The report of lhs >= rhs; ``saturated`` defaults to |slack| within the rounding budget."""
-    scale = max(1.0, abs(lhs), abs(rhs))
-    budget = tol.effective(scale)
+def _make_report(name: str, lhs: float, rhs: float, scale: float, tol: Tolerance,
+                 digest: str, zero: bool = False) -> BoundReport:
+    """The report of lhs >= rhs: saturated when ``zero`` or slack <= tol.effective(1) * ``scale``.
+
+    ``scale`` is the bound's natural size: the lhs of a product bound,
+    dev(A)^2 + dev(B)^2 for mp3 and the chain, 1 for the mp6 reformulation.
+    The relative slack so tested is of order eps^2 at distance eps from
+    saturation.  ``zero`` marks deviations zero to rounding
+    (:func:`_zero_deviations`): any for a product bound, both for a sum bound.
+    A slack below -tol.effective(max(1, |lhs|, |rhs|)) raises.
+    """
+    budget = tol.effective(max(1.0, abs(lhs), abs(rhs)))
     slack = lhs - rhs
     if slack < -budget:
         raise BoundViolation(f"{name}: slack {slack:.3e} below -{budget:.3e}")
-    return BoundReport(
-        lhs=float(lhs),
-        rhs=float(rhs),
-        slack=float(slack),
-        saturated=bool(abs(slack) <= budget if saturated is None else saturated),
-        tol_used=tol,
-        inputs_digest=digest,
-    )
+    return BoundReport(lhs=float(lhs), rhs=float(rhs), slack=float(slack),
+                       saturated=bool(zero or slack <= tol.effective(1.0) * scale),
+                       tol_used=tol, inputs_digest=digest)
 
 
 def _rounding_floor(norm: float, tol: Tolerance) -> float:
@@ -141,8 +143,8 @@ def _rounding_floor(norm: float, tol: Tolerance) -> float:
     return min(tol.effective(1.0), 1e-13) * norm
 
 
-def _zero_deviations(m: PairMoments, tol: Tolerance) -> tuple[bool, bool]:
-    """Whether dev(A) and dev(B) are zero to rounding.
+def _zero_deviation(dev: float, o: Observable, tol: Tolerance) -> bool:
+    """Whether dev(A) = ``dev`` is zero to rounding, for A = ``o``.
 
     dev(A) is zero within tol.effective(1) times the spread of A, which no
     identity offset moves, or within the rounding floor of ||A||_F, which covers
@@ -150,33 +152,24 @@ def _zero_deviations(m: PairMoments, tol: Tolerance) -> tuple[bool, bool]:
     deviation above tol.effective(1) ||A||_F is not zero and needs no spread.
     """
     budget = tol.effective(1.0)
-    return tuple(dev <= budget * o.norm and dev <= max(budget * o.spread, _rounding_floor(o.norm, tol))
-                 for dev, o in ((m.dev_a, m.a), (m.dev_b, m.b)))
+    return dev <= budget * o.norm and dev <= max(budget * o.spread, _rounding_floor(o.norm, tol))
 
 
-def _relative_report(name: str, m: PairMoments, lhs: float, rhs: float,
-                     tol: Tolerance) -> BoundReport:
-    """A Robertson or Schrodinger report, saturated when its relative slack is.
-
-    The relative slack (lhs - rhs) / lhs is dimensionless and shrinks like
-    eps^2 at distance eps from saturation: for Robertson it is the smallest
-    singular value squared of the stack [A_c X / dev(A) | i B_c X / dev(B)],
-    for Schrodinger about twice that of [A_c X / dev(A) | B_c X / dev(B)].
-    The bound is saturated when it is within tol.effective(1), or when a
-    deviation is zero to rounding (:func:`_zero_deviations`).
-    """
-    saturated = any(_zero_deviations(m, tol)) or lhs - rhs <= tol.effective(1.0) * lhs
-    return _make_report(name, lhs, rhs, tol, _digest(m.a, m.b, m.state, name), saturated)
+def _zero_deviations(m: PairMoments, tol: Tolerance) -> tuple[bool, bool]:
+    """Whether dev(A) and dev(B) are zero to rounding (:func:`_zero_deviation`)."""
+    return _zero_deviation(m.dev_a, m.a, tol), _zero_deviation(m.dev_b, m.b, tol)
 
 
 def _robertson_report(m: PairMoments, tol: Tolerance) -> BoundReport:
-    return _relative_report("robertson", m, m.dev_a * m.dev_b,
-                            abs(m.commutator_expectation) / 2.0, tol)
+    lhs = m.dev_a * m.dev_b
+    return _make_report("robertson", lhs, abs(m.commutator_expectation) / 2.0, lhs, tol,
+                        _digest(m.a, m.b, m.state, "robertson"), any(_zero_deviations(m, tol)))
 
 
 def _schrodinger_report(m: PairMoments, tol: Tolerance) -> BoundReport:
-    return _relative_report("schrodinger", m, (m.dev_a * m.dev_b) ** 2,
-                            m.cross.real**2 + m.cross.imag**2, tol)
+    lhs = (m.dev_a * m.dev_b) ** 2
+    return _make_report("schrodinger", lhs, m.cross.real**2 + m.cross.imag**2, lhs, tol,
+                        _digest(m.a, m.b, m.state, "schrodinger"), any(_zero_deviations(m, tol)))
 
 
 def robertson(observable_a, observable_b, state: QuantumState, tol: Tolerance = DEFAULT_TOL) -> BoundReport:
@@ -193,29 +186,33 @@ def schrodinger(observable_a, observable_b, state: QuantumState, tol: Tolerance 
     return _schrodinger_report(pair_moments(observable_a, observable_b, state), tol)
 
 
-def _choose_mu(a: Observable, b: Observable, comm: complex, tol: Tolerance) -> MuChoice:
-    """The one mu policy: the sign that makes mu * comm nonnegative, ties to i."""
-    scale = max(1.0, a.norm * b.norm)
-    if abs(comm) <= tol.effective(scale):
-        return MuChoice(mu=1j, commutator_expectation=comm, tie_broken=True)
-    mu = -1j if comm.imag > 0 else 1j
-    return MuChoice(mu=mu, commutator_expectation=comm, tie_broken=False)
+def _choose_mu(comm: complex, dev_a: float, dev_b: float, a: Observable, b: Observable,
+               tol: Tolerance) -> MuChoice:
+    """The one mu policy: the sign that makes mu * comm nonnegative, ties to i.
+
+    A tie is |comm| <= tol.effective(1) * 2 dev(A) dev(B), relative as
+    |comm| <= 2 dev(A) dev(B), or a deviation zero to rounding.
+    """
+    tie = bool(abs(comm) <= tol.effective(1.0) * 2.0 * dev_a * dev_b
+               or _zero_deviation(dev_a, a, tol) or _zero_deviation(dev_b, b, tol))
+    mu = -1j if comm.imag > 0 and not tie else 1j
+    return MuChoice(mu=mu, commutator_expectation=comm, tie_broken=tie)
+
+
+def _moments_mu(m: PairMoments, tol: Tolerance) -> MuChoice:
+    return _choose_mu(m.commutator_expectation, m.dev_a, m.dev_b, m.a, m.b, tol)
 
 
 def choose_mu(observable_a, observable_b, psi: PureState, tol: Tolerance = DEFAULT_TOL) -> MuChoice:
     """Pick mu in {i, -i} with mu * <psi|[A, B]|psi> >= 0; ties go to i."""
-    m = pair_moments(observable_a, observable_b, psi)
-    return _choose_mu(m.a, m.b, m.commutator_expectation, tol)
+    return _moments_mu(pair_moments(observable_a, observable_b, psi), tol)
 
 
 def _require_deviations(dev_a: float, dev_b: float, a: Observable, b: Observable,
                         tol: Tolerance, what: str = "deviations") -> None:
-    """Raise :class:`ZeroDeviation` unless both deviations clear the product-bound budget."""
-    budget = tol.effective(max(1.0, a.norm, b.norm))
-    if dev_a <= budget or dev_b <= budget:
-        raise ZeroDeviation(
-            f"{what} ({dev_a:.3e}, {dev_b:.3e}) too small for the product bound"
-        )
+    """Raise :class:`ZeroDeviation` when either deviation is zero to rounding (:func:`_zero_deviation`)."""
+    if _zero_deviation(dev_a, a, tol) or _zero_deviation(dev_b, b, tol):
+        raise ZeroDeviation(f"{what} ({dev_a:.3e}, {dev_b:.3e}) too small for the product bound")
 
 
 def _require_dimensions(a: Observable, psi: PureState, phi: PureState) -> None:
@@ -324,12 +321,13 @@ def mp_chain(observable_a, observable_b, psi: PureState, phi: PureState,
 def _mp_chain(p: _MPInputs, mu: complex, tol: Tolerance) -> ChainReport:
     m = p.moments
     digest = _digest(m.a, m.b, m.state, p.phi, mu, "mp-chain")
+    scale = m.dev_a**2 + m.dev_b**2
+    zero = all(_zero_deviations(m, tol))
     abs_c, abs_d = abs(p.c), abs(p.d)
-    mixed = abs(p.c + mu * p.d) ** 2 / 2.0
-    step1 = _make_report("mp-chain step 1", m.dev_a**2 + m.dev_b**2, abs_c**2 + abs_d**2, tol, digest)
-    step2 = _make_report("mp-chain step 2", abs_c**2 + abs_d**2, (abs_c + abs_d) ** 2 / 2.0, tol, digest)
-    step3 = _make_report("mp-chain step 3", (abs_c + abs_d) ** 2 / 2.0, mixed, tol, digest)
-    return ChainReport(steps=(step1, step2, step3), mu=mu)
+    sides = (scale, abs_c**2 + abs_d**2, (abs_c + abs_d) ** 2 / 2.0, abs(p.c + mu * p.d) ** 2 / 2.0)
+    steps = tuple(_make_report(f"mp-chain step {k + 1}", sides[k], sides[k + 1], scale, tol, digest, zero)
+                  for k in range(3))
+    return ChainReport(steps=steps, mu=mu)
 
 
 def mu_ratio(observable_a, observable_b, psi: PureState, phi: PureState) -> complex:
@@ -349,14 +347,18 @@ def mp3(observable_a, observable_b, psi: PureState, phi: PureState,
 
 
 def _mp3(p: _MPInputs, tol: Tolerance) -> MP3Report:
+    choice = _moments_mu(p.moments, tol)
+    return MP3Report(report=_mp3_report(p, choice.mu, tol), mu=choice)
+
+
+def _mp3_report(p: _MPInputs, mu: complex, tol: Tolerance) -> BoundReport:
     m = p.moments
-    choice = _choose_mu(m.a, m.b, m.commutator_expectation, tol)
-    comm_term = _real_part("mp3 commutator term", choice.mu * m.commutator_expectation,
+    comm_term = _real_part("mp3 commutator term", mu * m.commutator_expectation,
                            abs(m.commutator_expectation))
-    digest = _digest(m.a, m.b, m.state, p.phi, "mp3")
     lhs = m.dev_a**2 + m.dev_b**2
-    rhs = comm_term + abs(p.c + choice.mu * p.d) ** 2
-    return MP3Report(report=_make_report("mp3", lhs, rhs, tol, digest), mu=choice)
+    rhs = comm_term + abs(p.c + mu * p.d) ** 2
+    return _make_report("mp3", lhs, rhs, lhs, tol, _digest(m.a, m.b, m.state, p.phi, "mp3"),
+                        all(_zero_deviations(m, tol)))
 
 
 def mp6(observable_a, observable_b, psi: PureState, phi: PureState,
@@ -374,25 +376,24 @@ def mp6(observable_a, observable_b, psi: PureState, phi: PureState,
 
 def _mp6(p: _MPInputs, tol: Tolerance) -> MP6Reports:
     m = p.moments
-    choice = _choose_mu(m.a, m.b, m.commutator_expectation, tol)
+    choice = _moments_mu(m, tol)
+    reformulated, comm_term = _mp6_reformulated(p, choice.mu, tol)
+    degenerate = reformulated.lhs <= tol.effective(1.0)
+    lhs = m.dev_a * m.dev_b
+    product = None if degenerate else _make_report(
+        "mp6 product", lhs, comm_term / 2.0 / reformulated.lhs, lhs, tol, reformulated.inputs_digest)
+    return MP6Reports(reformulated=reformulated, product=product,
+                      denominator_degenerate=degenerate, mu=choice)
+
+
+def _mp6_reformulated(p: _MPInputs, mu: complex, tol: Tolerance) -> tuple[BoundReport, float]:
+    """The division-free report at ``mu``, and mu <[A, B]>."""
+    m = p.moments
     _require_deviations(m.dev_a, m.dev_b, m.a, m.b, tol)
-    q_elem = p.c / m.dev_a + choice.mu * p.d / m.dev_b
-    denominator = 1.0 - abs(q_elem) ** 2 / 2.0
-    comm_term = _real_part("mp6 commutator term", choice.mu * m.commutator_expectation,
+    q_elem = p.c / m.dev_a + mu * p.d / m.dev_b
+    comm_term = _real_part("mp6 commutator term", mu * m.commutator_expectation,
                            abs(m.commutator_expectation))
-    digest = _digest(m.a, m.b, m.state, p.phi, "mp6")
-    reformulated = _make_report(
-        "mp6 reformulated", denominator, comm_term / (2.0 * m.dev_a * m.dev_b), tol, digest
-    )
-    degenerate = denominator <= tol.effective(1.0)
-    product = None
-    if not degenerate:
-        product = _make_report(
-            "mp6 product", m.dev_a * m.dev_b, comm_term / 2.0 / denominator, tol, digest
-        )
-    return MP6Reports(
-        reformulated=reformulated,
-        product=product,
-        denominator_degenerate=degenerate,
-        mu=choice,
-    )
+    report = _make_report("mp6 reformulated", 1.0 - abs(q_elem) ** 2 / 2.0,
+                          comm_term / (2.0 * m.dev_a * m.dev_b), 1.0, tol,
+                          _digest(m.a, m.b, m.state, p.phi, "mp6"))
+    return report, comm_term

@@ -5,8 +5,9 @@ certificate exists exactly when the bound's report is saturated (its
 relative slack, or a deviation zero to rounding); the SVD of the centred
 operands then only builds the witness angles, which the mixed checkers
 re-verify at several powers of rho.  The zero-deviation characterizations
-decide each side by its deviation.  The Maccone-Pati checkers read
-c = <psi|A|phi> and d = <psi|B|phi> as matrix elements; they build no frame.
+decide each side by its deviation.  The Maccone-Pati checkers read their
+bound's report flag, and c = <psi|A|phi> and d = <psi|B|phi> as matrix
+elements; they build no frame.
 Like the evaluators, each checker is an entry that validates and reduces its
 inputs and a private body that reads only the reduction.
 """
@@ -34,6 +35,10 @@ from .linalg import (
 )
 from .relations import (
     _choose_mu,
+    _moments_mu,
+    _mp3_report,
+    _mp6_reformulated,
+    _mp_chain,
     _mp_inputs,
     _MPInputs,
     _require_deviations,
@@ -85,7 +90,8 @@ class SaturationCertificate:
 
 @dataclass(frozen=True)
 class EqualityCheck:
-    """Result of comparing the two scalars of an equality characterization."""
+    """A Maccone-Pati equality test: the two norms the condition equates, as values,
+    and ``saturated``, the bound's report flag at the caller's mu."""
 
     saturated: bool
     lhs: float
@@ -213,11 +219,14 @@ def mp_chain_saturation(observable_a, observable_b, psi: PureState, phi: PureSta
                         mu: complex, tol: Tolerance = DEFAULT_TOL) -> ChainSaturation:
     """Check each chain step's equality condition and the all-equalities criterion.
 
-    Step 1: the deviations equal the cross matrix-element moduli.
+    Step 1: the deviations equal |c| and |d|, so A_c psi and B_c psi are parallel to phi.
     Step 2: the two moduli agree.
     Step 3: c and mu*d are phase aligned.
-    All three hold together exactly when psi is an eigenvector of
-    A - conj(mu) B with eigenvalue alpha - conj(mu) beta.
+    Each flag is the step's report flag in :func:`~qubounds.relations.mp_chain`.
+    All three hold exactly when psi is an eigenvector of A - conj(mu) B and
+    A_c psi is parallel to phi (automatic for n = 2); then, and only then, the
+    certificate exists, with theta = -arg(c + mu d), or 0 when both deviations
+    are zero to rounding.  Residuals are values only.
     """
     mu = _unit_mu(mu, tol)
     return _mp_chain_saturation(_mp_inputs(observable_a, observable_b, psi, phi, tol), mu, tol)
@@ -226,57 +235,37 @@ def mp_chain_saturation(observable_a, observable_b, psi: PureState, phi: PureSta
 def _mp_chain_saturation(p: _MPInputs, mu: complex, tol: Tolerance) -> ChainSaturation:
     m, c, d = p.moments, p.c, p.d
     abs_c, abs_d = abs(c), abs(d)
-
-    res1 = max(abs(m.dev_a - abs_c), abs(m.dev_b - abs_d))
-    res2 = abs(abs_c - abs_d)
-    res3 = (abs_c + abs_d) - abs(c + mu * d)
-    budget = tol.effective(max(1.0, m.dev_a, m.dev_b, abs_c, abs_d))
-    flags = (res1 <= budget, res2 <= budget, res3 <= budget)
-
-    eigen_residual = float(np.linalg.norm(m.centered_a - np.conj(mu) * m.centered_b))
+    flags = tuple(step.saturated for step in _mp_chain(p, mu, tol).steps)
     certificate = None
-    if eigen_residual <= tol.effective(max(1.0, m.a.norm, m.b.norm)):
-        # Within the budget c + mu d is rounding noise, and its phase no witness.
-        combo = c + mu * d
-        theta = (-cmath.phase(combo)) % (2.0 * math.pi) if abs(combo) > budget else 0.0
+    if all(flags):
+        theta = 0.0 if all(_zero_deviations(m, tol)) else (-cmath.phase(c + mu * d)) % (2.0 * math.pi)
         certificate = SaturationCertificate(
-            kind=CertificateKind.MP_CHAIN_ALL,
-            theta=theta,
-            phi=None,
-            mu=mu,
-            residual=eigen_residual,
-        )
-    return ChainSaturation(
-        step_saturated=flags,
-        step_residuals=(float(res1), float(res2), float(res3)),
-        all_equalities=certificate,
-    )
+            kind=CertificateKind.MP_CHAIN_ALL, theta=theta, phi=None, mu=mu,
+            residual=float(np.linalg.norm(m.centered_a - np.conj(mu) * m.centered_b)))
+    residuals = (max(abs(m.dev_a - abs_c), abs(m.dev_b - abs_d)), abs(abs_c - abs_d),
+                 abs_c + abs_d - abs(c + mu * d))
+    return ChainSaturation(step_saturated=flags, step_residuals=tuple(map(float, residuals)),
+                           all_equalities=certificate)
 
 
 def _require_mu_hypothesis(m: PairMoments, mu: complex, tol: Tolerance) -> complex:
+    """Accept the mu that :func:`~qubounds.relations.choose_mu` picks, or either on a tie."""
     mu = complex(mu)
     if abs(mu - 1j) > 1e-12 and abs(mu + 1j) > 1e-12:
         raise ValueError(f"mu must be i or -i, got {mu!r}")
-    signed = (mu * m.commutator_expectation).real
-    scale = max(1.0, abs(m.commutator_expectation))
-    if signed < -tol.effective(scale):
-        raise HypothesisViolated(f"mu * <[A, B]> = {signed:.3e} is negative")
+    choice = _moments_mu(m, tol)
+    if not choice.tie_broken and abs(mu - choice.mu) > 1e-12:
+        raise HypothesisViolated(f"mu * <[A, B]> = {(mu * m.commutator_expectation).real:.3e} is negative")
     return mu
-
-
-def _equality_check(lhs: float, rhs: float, tol: Tolerance) -> EqualityCheck:
-    residual = abs(lhs - rhs)
-    return EqualityCheck(
-        saturated=bool(residual <= tol.effective(max(1.0, lhs, rhs))),
-        lhs=lhs,
-        rhs=rhs,
-        residual=residual,
-    )
 
 
 def mp3_saturation(observable_a, observable_b, psi: PureState, phi: PureState,
                    mu: complex, tol: Tolerance = DEFAULT_TOL) -> EqualityCheck:
-    """Equality test for the sum bound: ||(A_c - mu B_c)|psi>|| vs |<psi|A + mu B|phi>|."""
+    """Equality test for the sum bound: ||(A_c - mu B_c)|psi>|| vs |<psi|A + mu B|phi>|.
+
+    The squares of the two sides differ by the mp3 slack at ``mu``, so the flag
+    is the :func:`~qubounds.relations.mp3` report's flag at ``mu``.
+    """
     return _mp3_saturation(_mp_inputs(observable_a, observable_b, psi, phi, tol), mu, tol)
 
 
@@ -284,7 +273,9 @@ def _mp3_saturation(p: _MPInputs, mu: complex, tol: Tolerance) -> EqualityCheck:
     m = p.moments
     mu = _require_mu_hypothesis(m, mu, tol)
     lhs = float(np.linalg.norm(m.centered_a - mu * m.centered_b))
-    return _equality_check(lhs, abs(p.c + mu * p.d), tol)
+    rhs = abs(p.c + mu * p.d)
+    return EqualityCheck(saturated=_mp3_report(p, mu, tol).saturated, lhs=lhs, rhs=rhs,
+                         residual=abs(lhs - rhs))
 
 
 def mp6_saturation(observable_a, observable_b, psi: PureState, phi: PureState,
@@ -292,7 +283,8 @@ def mp6_saturation(observable_a, observable_b, psi: PureState, phi: PureState,
     """Equality test for the product bound.
 
     Compares ||(A_c/dev(A) - mu B_c/dev(B))|psi>|| with |<psi|Q_mu|phi>|,
-    the condition under which the division-free form closes.
+    the condition under which the division-free form closes; the flag is the
+    :func:`~qubounds.relations.mp6` reformulated report's flag at ``mu``.
     """
     return _mp6_saturation(_mp_inputs(observable_a, observable_b, psi, phi, tol), mu, tol)
 
@@ -300,15 +292,18 @@ def mp6_saturation(observable_a, observable_b, psi: PureState, phi: PureState,
 def _mp6_saturation(p: _MPInputs, mu: complex, tol: Tolerance) -> EqualityCheck:
     m = p.moments
     mu = _require_mu_hypothesis(m, mu, tol)
-    _require_deviations(m.dev_a, m.dev_b, m.a, m.b, tol)
+    report, _ = _mp6_reformulated(p, mu, tol)
     lhs = float(np.linalg.norm(m.centered_a / m.dev_a - mu * m.centered_b / m.dev_b))
-    return _equality_check(lhs, abs(p.c / m.dev_a + mu * p.d / m.dev_b), tol)
+    rhs = abs(p.c / m.dev_a + mu * p.d / m.dev_b)
+    return EqualityCheck(saturated=report.saturated, lhs=lhs, rhs=rhs, residual=abs(lhs - rhs))
 
 
-def _entry_sign_mu(a: Observable, b: Observable, tol: Tolerance) -> complex:
-    """The mu of :func:`choose_mu` for e1: its <[A, B]> is the (1,1) commutator entry."""
+def _entry_sign_mu(a: Observable, b: Observable, tol: Tolerance) -> tuple[complex, float, float]:
+    """The mu of :func:`choose_mu` for e1, whose <[A, B]> is the (1,1) commutator entry, and
+    dev(A), dev(B) in e1: the first-column tail norms, summed as ``np.linalg.norm`` sums them."""
     entry = complex(a.matrix[0] @ b.matrix[:, 0] - b.matrix[0] @ a.matrix[:, 0])
-    return _choose_mu(a, b, entry, tol).mu
+    nu, nv = (math.sqrt(t.real.dot(t.real) + t.imag.dot(t.imag)) for t in (a.matrix[1:, 0], b.matrix[1:, 0]))
+    return _choose_mu(entry, nu, nv, a, b, tol).mu, nu, nv
 
 
 def _constructed_pair(a: Observable, b: Observable, mu: complex, tail: np.ndarray | None,
@@ -334,7 +329,7 @@ def construct_case1(observable_a, observable_b, tol: Tolerance = DEFAULT_TOL) ->
     a, b = _observable_pair(observable_a, observable_b)
     if a.dimension != 2:
         raise DimensionMismatch(f"construction requires dimension 2, got {a.dimension}")
-    return _constructed_pair(a, b, _entry_sign_mu(a, b, tol), np.ones(1), "mp3", tol)
+    return _constructed_pair(a, b, _entry_sign_mu(a, b, tol)[0], np.ones(1), "mp3", tol)
 
 
 def construct_case2(observable_a, observable_b, tol: Tolerance = DEFAULT_TOL) -> ConstructedPair:
@@ -349,12 +344,13 @@ def construct_case2(observable_a, observable_b, tol: Tolerance = DEFAULT_TOL) ->
     n = a.dimension
     if n <= 2:
         raise DimensionMismatch(f"construction requires dimension > 2, got {n}")
-    mu = _entry_sign_mu(a, b, tol)
+    mu, nu, nv = _entry_sign_mu(a, b, tol)
     combo = a.matrix - mu * b.matrix
     tail = combo[1:, 0]
     norm = float(np.linalg.norm(tail))
     direction = None
-    if norm > tol.effective(max(1.0, a.norm, b.norm)):
+    # The tail u - mu v is degenerate when it is rounding noise beside ||u|| + ||v||.
+    if norm > tol.effective(1.0) * (nu + nv):
         direction = tail / norm
         # Fix the free phase so <e1|(A - mu B)|phi> comes out real nonnegative.
         entry = complex(combo[0, 1:] @ direction)
@@ -374,13 +370,9 @@ def construct_w_mp6(observable_a, observable_b, tol: Tolerance = DEFAULT_TOL) ->
     a, b = _observable_pair(observable_a, observable_b)
     if a.dimension < 2:
         raise DimensionMismatch("construction requires dimension >= 2")
-    mu = _entry_sign_mu(a, b, tol)
-    u = a.matrix[1:, 0]
-    v = b.matrix[1:, 0]
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
+    mu, nu, nv = _entry_sign_mu(a, b, tol)
     _require_deviations(nu, nv, a, b, tol, what="first-column tail norms")
-    difference = u / nu - mu * v / nv
+    difference = a.matrix[1:, 0] / nu - mu * b.matrix[1:, 0] / nv
     norm = float(np.linalg.norm(difference))
     direction = difference / norm if norm > tol.effective(1.0) else None
     return _constructed_pair(a, b, mu, direction, "mp6", tol)
@@ -421,10 +413,14 @@ def qubit_commutation_witness(observable_a, observable_b, state: QuantumState,
     """For qubits, vanishing centered products force [A, B] = 0.
 
     Returns the commutator norm when both centered products vanish on the
-    state (the witness), None when the precondition is unmet, and raises
-    :class:`CorollaryViolation` if the commutator is large anyway.  A_c rho
-    vanishes exactly when dev(A) does, so the precondition is decided as in
-    :func:`zero_product_characterization`.
+    state (the witness), None when the precondition is unmet (decided as in
+    :func:`zero_product_characterization`), and raises
+    :class:`CorollaryViolation` if ||[A, B]||_F exceeds, beyond the rounding
+    floor of ||A||_F ||B||_F, what the deviations allow.  With A = a0 I + a.sigma,
+    spread(A) = sqrt(2) |a| and ||[A, B]||_F = 2 sqrt(2) |a x b|; for Bloch
+    vector r = s n (|n| = 1), dev(A)^2 = |a|^2 - (a.r)^2 >= |a_perp|^2, the part
+    normal to n.  As a_par x b_par = 0, |a x b| <= |a| |b_perp| + |a_perp| |b| + |a_perp| |b_perp|:
+    ||[A, B]||_F <= 2 (spread(A) dev(B) + spread(B) dev(A)) + 2 sqrt(2) dev(A) dev(B).
     """
     if state.dimension != 2:
         raise DimensionMismatch(f"qubit check requires dimension 2, got {state.dimension}")
@@ -433,9 +429,8 @@ def qubit_commutation_witness(observable_a, observable_b, state: QuantumState,
         return None
     a, b = m.a.matrix, m.b.matrix
     comm_norm = float(np.linalg.norm(a @ b - b @ a))
-    scale = max(1.0, m.a.norm * m.b.norm)
-    if comm_norm > tol.effective(scale):
-        raise CorollaryViolation(
-            f"centered products vanish but ||[A, B]|| = {comm_norm:.3e}"
-        )
+    allowed = (2.0 * (m.a.spread * m.dev_b + m.b.spread * m.dev_a)
+               + 2.0 * math.sqrt(2.0) * m.dev_a * m.dev_b + _rounding_floor(m.a.norm * m.b.norm, tol))
+    if comm_norm > allowed:
+        raise CorollaryViolation(f"centered products vanish but ||[A, B]|| = {comm_norm:.3e} > {allowed:.3e}")
     return comm_norm

@@ -44,14 +44,14 @@ def _orthonormal_pair(n, rng):
 
 def test_make_report_flags_and_violation():
     tol = Tolerance(absolute=1e-12, relative=1e-9)
-    report = _make_report("t", 1.0, 1.0, tol, "d")
+    report = _make_report("t", 1.0, 1.0, 1.0, tol, "d")
     assert report.saturated and report.slack == 0.0
-    report = _make_report("t", 2.0, 1.0, tol, "d")
+    report = _make_report("t", 2.0, 1.0, 1.0, tol, "d")
     assert not report.saturated and report.slack == 1.0
     with pytest.raises(BoundViolation):
-        _make_report("t", 1.0, 1.0 + 1e-6, tol, "d")
+        _make_report("t", 1.0, 1.0 + 1e-6, 1.0, tol, "d")
     # Negative slack inside the rounding budget is reported, not raised.
-    report = _make_report("t", 1.0, 1.0 + 1e-13, tol, "d")
+    report = _make_report("t", 1.0, 1.0 + 1e-13, 1.0, tol, "d")
     assert report.saturated
 
 

@@ -215,6 +215,49 @@ def test_rescaled_r_family_check_fires_at_every_scale():
                 _verify_r_family(m, math.cos(cert.theta), coeff_b, DEFAULT_R_LIST, Tolerance())
 
 
+# The Maccone-Pati sum bound adds dev(A)^2 and dev(B)^2, so A and B scale together.
+MP_TRANSFORMS = tuple((lambda a, b, c=c: (c * a, c * b)) for c in SCALES) + TRANSFORMS[len(SCALES):]
+
+
+def _moved_constructions(eps, rng):
+    """construct_case2 and construct_w_mp6 pairs (n = 4), then A moved by eps ||A||_F H."""
+    for construct in (construct_case2, construct_w_mp6):
+        a, b = hermitian_array(rng, 4), hermitian_array(rng, 4)
+        pair = construct(a, b)
+        h = hermitian_array(rng, 4)
+        yield a + eps * np.linalg.norm(a) * h / np.linalg.norm(h), b, pair.psi, pair.phi
+
+
+def test_maccone_pati_flags_are_their_reports_at_every_scale():
+    # Each checker's flag is its report's flag, and no joint scale or identity
+    # offset moves mu, the mp3 and mp6 flags or the chain-step flags.  Below
+    # unit scale a max(1, ...) budget called every bound saturated.
+    rng = trial_rng(332, 0)
+    saturated = {}
+    for eps in (0.0, 1e-3, 1e-5, 1e-6, 1e-8):
+        saturated[eps] = 0
+        for _ in range(3):
+            for a, b, psi, phi in _moved_constructions(eps, rng):
+                outcomes = set()
+                for transform in MP_TRANSFORMS:
+                    pair = transform(a, b)
+                    sum_bound, product_bound = mp3(*pair, psi, phi), mp6(*pair, psi, phi)
+                    mu = sum_bound.mu.mu
+                    assert product_bound.mu.mu == mu
+                    sum_check = mp3_saturation(*pair, psi, phi, mu)
+                    product_check = mp6_saturation(*pair, psi, phi, mu)
+                    assert sum_check.saturated == sum_bound.report.saturated
+                    assert product_check.saturated == product_bound.reformulated.saturated
+                    chain = mp_chain_saturation(*pair, psi, phi, mu)
+                    steps = tuple(step.saturated for step in mp_chain(*pair, psi, phi, mu).steps)
+                    assert chain.step_saturated == steps
+                    outcomes.add((mu, sum_check.saturated, product_check.saturated, steps))
+                assert len(outcomes) == 1
+                saturated[eps] += sum(outcomes.pop()[1:3])
+    # Each construction saturates its own bound; a move by 1e-3 opens both.
+    assert saturated[0.0] >= 6 and saturated[1e-3] == 0
+
+
 # ---------------------------------------------------------------------------
 # Mixed product-bound saturation
 
@@ -351,6 +394,17 @@ def test_chain_saturation_agrees_with_reports():
         for flag, step in zip(sat.step_saturated, chain.steps):
             assert flag == step.saturated
         assert sat.all_equalities is None
+        assert (sat.all_equalities is not None) == all(sat.step_saturated)
+    # psi = e1 is an eigenvector of A - conj(mu) B, but A_c psi = e2 is not parallel
+    # to phi = e3, so step 1 is open by its whole lhs and no certificate exists.
+    e1, e2, e3 = np.eye(3)
+    a = np.outer(e1, e2) + np.outer(e2, e1) + 0.7 * np.outer(e3, e3)
+    b = -1j * np.outer(e1, e2) + 1j * np.outer(e2, e1) - 0.3 * np.outer(e3, e3)
+    sat = mp_chain_saturation(a, b, PureState(e1), PureState(e3), 1j)
+    chain = mp_chain(a, b, PureState(e1), PureState(e3), 1j)
+    assert sat.step_saturated == tuple(step.saturated for step in chain.steps) == (False, True, True)
+    assert chain.steps[0].slack == pytest.approx(2.0)
+    assert (sat.all_equalities is not None) == all(sat.step_saturated)
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +457,22 @@ def test_mp6_saturation_zero_deviation_guard():
     # dev(sigma_x) = 0 on |+>, so the product-bound equality test is undefined.
     with pytest.raises(ZeroDeviation):
         mp6_saturation(SIGMA_X, SIGMA_Y, PLUS, MINUS, 1j)
+
+
+def test_product_bound_deviations_are_not_zero_at_small_scale():
+    # At (A, B) -> 1e-10 (A, B) the deviations are 1e-10, not zero, so neither
+    # mp6 nor construct_w_mp6 raises ZeroDeviation, and nothing dimensionless moves.
+    rng = trial_rng(333, 0)
+    for _ in range(20):
+        a, b = hermitian_array(rng, 4), hermitian_array(rng, 4)
+        psi, phi = _orthonormal_pair(4, rng)
+        small, unit = mp6(1e-10 * a, 1e-10 * b, psi, phi), mp6(a, b, psi, phi)
+        assert small.mu.mu == unit.mu.mu
+        assert small.reformulated.saturated == unit.reformulated.saturated
+        assert small.reformulated.slack == pytest.approx(unit.reformulated.slack, rel=1e-9, abs=1e-12)
+        pair = construct_w_mp6(1e-10 * a, 1e-10 * b)
+        assert pair.mu == construct_w_mp6(a, b).mu
+        assert mp6_saturation(1e-10 * a, 1e-10 * b, pair.psi, pair.phi, pair.mu).saturated
 
 
 def test_mp6_saturation_agrees_with_report():
@@ -567,6 +637,18 @@ def test_construct_case2_random_sweep():
         construct_case2(np.eye(3), np.eye(4))
 
 
+def test_construct_case2_tail_decision_is_scale_free():
+    # The tail u - mu v is degenerate only beside ||u|| + ||v||.  At (A, B) -> 1e-13 (A, B)
+    # a budget of max(1, ||A||_F, ||B||_F) took e2 for every input, a pair that closes nothing.
+    rng = trial_rng(335, 0)
+    for _ in range(10):
+        a, b = hermitian_array(rng, 4), hermitian_array(rng, 4)
+        small, unit = construct_case2(1e-13 * a, 1e-13 * b), construct_case2(a, b)
+        assert not small.degenerate and small.mu == unit.mu
+        np.testing.assert_allclose(small.phi.amplitudes, unit.phi.amplitudes, atol=1e-12)
+        assert mp3(a, b, small.psi, small.phi).report.saturated
+
+
 def test_construct_case2_phase_convention():
     # <psi|(A - mu B)|phi> is pinned real nonnegative for reproducible output.
     rng = trial_rng(317, 0)
@@ -694,6 +776,39 @@ def test_qubit_commutation_witness_guard_sweep():
         assert qubit_commutation_witness(SIGMA_X, SIGMA_Y, rho) is None
     with pytest.raises(DimensionMismatch):
         qubit_commutation_witness(np.eye(3), np.eye(3), DensityMatrix(np.eye(3) / 3))
+
+
+def test_qubit_commutation_witness_at_the_edge_of_the_zero_rule():
+    # dev(A) = 0 and dev(B) = e on |0>; dev(B) is zero to rounding up to about
+    # 1.41e-9 = tol.effective(1) spread(B), where ||[A, B]||_F = sqrt(2) e (times
+    # the scale of A) meets its allowance 2 spread(A) dev(B) with equality.
+    for e in (1e-9, 1.3e-9, 1.5e-9):
+        for c in (1.0, 1e4):
+            a, b = c * np.diag([0.0, 1.0]), np.array([[-1.0, e], [e, 1.0]])
+            for state in (KET0, DensityMatrix(np.diag([1.0, 0.0]).astype(complex))):
+                witness = qubit_commutation_witness(a, b, state)
+                if e < 1.4e-9:
+                    assert witness == pytest.approx(math.sqrt(2.0) * c * e, rel=1e-12)
+                else:
+                    assert witness is None
+
+
+def test_qubit_commutator_is_bounded_by_the_deviations():
+    # The allowance of qubit_commutation_witness holds on every qubit state:
+    # ||[A, B]||_F <= 2 (spread(A) dev(B) + spread(B) dev(A)) + 2 sqrt(2) dev(A) dev(B).
+    rng = trial_rng(334, 0)
+    for k in range(300):
+        a, b = Observable(hermitian_array(rng, 2)), Observable(hermitian_array(rng, 2))
+        if k % 3 == 0:
+            state = random_density(2, 2, rng)
+        else:
+            # Near-eigenstates of A, where dev(A) is small and the bound is nearly tight.
+            psi = np.linalg.eigh(a.matrix)[1][:, 0] + 10.0 ** -rng.uniform(0, 10) * complex_normal(rng, 2, 1).ravel()
+            state = PureState(psi / np.linalg.norm(psi))
+        m = pair_moments(a, b, state)
+        comm = np.linalg.norm(a.matrix @ b.matrix - b.matrix @ a.matrix)
+        allowed = 2 * (a.spread * m.dev_b + b.spread * m.dev_a) + 2 * math.sqrt(2) * m.dev_a * m.dev_b
+        assert comm <= allowed * (1 + 1e-12) + 1e-15
 
 
 def test_degenerate_deviation_consistency():
