@@ -105,6 +105,9 @@ class EigenSystem:
 
 
 def _eigh_descending(a: np.ndarray) -> EigenSystem:
+    if a.shape == (1, 1):
+        # Its own eigendecomposition: what eigh returns, without the call.
+        return EigenSystem(eigenvalues=a.real[0].copy(), eigenvectors=np.ones((1, 1), dtype=complex))
     w, vecs = np.linalg.eigh((a + a.conj().T) / 2.0)
     return EigenSystem(eigenvalues=w[::-1].copy(), eigenvectors=vecs[:, ::-1].copy())
 

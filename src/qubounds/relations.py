@@ -331,11 +331,17 @@ def _mp_chain(p: _MPInputs, mu: complex, tol: Tolerance) -> ChainReport:
 
 
 def mu_ratio(observable_a, observable_b, psi: PureState, phi: PureState) -> complex:
-    """<psi|A|phi> / <psi|B|phi>: the mu that aligns the chain's last step."""
+    """<psi|A|phi> / <psi|B|phi>: the mu that aligns the chain's last step.
+
+    For orthogonal psi and phi, |<psi|B|phi>| <= dev(B) <= spread(B), so the
+    denominator is zero when a deviation of B would be (:func:`_zero_deviation`
+    at the default tolerance): beside spread(B), or within the rounding floor
+    of ||B||_F.
+    """
     a, b = _observable_pair(observable_a, observable_b)
     _require_dimensions(a, psi, phi)
     c, d = _cross_elements(a, b, psi, phi)
-    if abs(d) <= 1e-14 * max(1.0, b.norm):
+    if _zero_deviation(abs(d), b, DEFAULT_TOL):
         raise ZeroDeviation("denominator matrix element <psi|B|phi> vanishes")
     return c / d
 

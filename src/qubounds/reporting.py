@@ -46,7 +46,7 @@ from .saturation import (
 )
 from .states import Observable, PureState, pair_moments
 
-ARTIFACT_VERSION = "0.3.0"
+ARTIFACT_VERSION = "0.4.0"
 
 
 @dataclass(frozen=True)
@@ -108,7 +108,8 @@ def bound_report_to_dict(report: BoundReport) -> dict:
         "rhs": report.rhs,
         "slack": report.slack,
         "saturated": report.saturated,
-        "tolerance": asdict(report.tol_used),
+        # Written out: asdict would deep-copy the tolerance for each of a trial's records.
+        "tolerance": {"absolute": report.tol_used.absolute, "relative": report.tol_used.relative},
         "inputs_digest": report.inputs_digest,
     }
 

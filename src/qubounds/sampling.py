@@ -52,48 +52,44 @@ def random_hermitian(n: int, seed, label: str = "") -> Observable:
 
 
 def _haar_columns(n: int, k: int, seed) -> np.ndarray:
-    """The leading ``k`` columns of :func:`haar_unitary` from the same draw.
+    """``k`` Haar-distributed orthonormal columns: the phase-fixed QR of an n x k complex normal draw.
 
-    The whole n x n complex normal block is drawn, so the generator ends where
-    :func:`haar_unitary` leaves it, but only its leading k columns are
-    factored: the phase-fixed QR of those columns is the leading k columns of
-    the phase-fixed QR of the block (Mezzadri, Notices AMS 54, 592, 2007).
+    The diagonal of the triangular factor is rotated to positive reals; without
+    that phase correction the QR output is not Haar distributed (Mezzadri,
+    Notices AMS 54, 592, 2007).  The draw has only the k columns it factors.
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")
-    z = _complex_normal(_as_rng(seed), n, n)
-    q, r = np.linalg.qr(z[:, :k])
+    q, r = np.linalg.qr(_complex_normal(_as_rng(seed), n, k))
     diag = np.diagonal(r).copy()
     diag[np.abs(diag) == 0] = 1.0
     return q * (diag / np.abs(diag))
 
 
 def haar_unitary(n: int, seed) -> np.ndarray:
-    """Haar-distributed unitary via QR of a complex normal matrix.
-
-    The diagonal of the triangular factor is rotated to positive reals; without
-    that phase correction the QR output is not Haar distributed.  Samplers that
-    need only leading columns factor only those columns of the same draw.
-    """
+    """Haar-distributed unitary: :func:`_haar_columns` with k = n, from one n x n draw."""
     return _haar_columns(n, n, seed)
 
 
 def random_pure_state(n: int, seed) -> PureState:
-    """First column of a Haar unitary, uniform on the unit sphere; only that column is factored."""
-    column = _haar_columns(n, 1, seed)[:, 0]
+    """A normalised n x 1 complex normal draw: uniform on the unit sphere, with no QR."""
+    if n < 1:
+        raise ValueError("dimension must be >= 1")
+    column = _complex_normal(_as_rng(seed), n, 1)[:, 0]
     return PureState(column / np.linalg.norm(column))
 
 
 def random_density(n: int, rank: int, seed) -> DensityMatrix:
-    """G G^dagger / tr(G G^dagger) with G an n-by-rank complex normal matrix."""
+    """G G^dagger / tr(G G^dagger) with G an n-by-rank complex normal matrix, G its factor.
+
+    Built by :meth:`DensityMatrix.from_factor`, so only the rank x rank Gram
+    matrix G^dagger G is diagonalised.
+    """
     if not 1 <= rank <= n:
         raise ValueError(f"rank must lie in [1, {n}]")
     rng = _as_rng(seed)
     for _ in range(2):
-        g = _complex_normal(rng, n, rank)
-        rho = g @ g.conj().T
-        rho = rho / np.trace(rho).real
-        state = DensityMatrix((rho + rho.conj().T) / 2.0)
+        state = DensityMatrix.from_factor(_complex_normal(rng, n, rank))
         if state.weights.size == rank:
             return state
     raise RankUnachieved(f"numerical rank {state.weights.size} != requested {rank}")

@@ -352,9 +352,11 @@ def construct_case2(observable_a, observable_b, tol: Tolerance = DEFAULT_TOL) ->
     # The tail u - mu v is degenerate when it is rounding noise beside ||u|| + ||v||.
     if norm > tol.effective(1.0) * (nu + nv):
         direction = tail / norm
-        # Fix the free phase so <e1|(A - mu B)|phi> comes out real nonnegative.
-        entry = complex(combo[0, 1:] @ direction)
-        if abs(entry) > 1e-14:
+        # Fix the free phase so <e1|(A - mu B)|phi> comes out real nonnegative,
+        # unless that entry is rounding noise beside the row it is read from.
+        row = combo[0, 1:]
+        entry = complex(row @ direction)
+        if abs(entry) > 1e-14 * float(np.linalg.norm(row)):
             direction = direction * cmath.exp(-1j * cmath.phase(entry))
     return _constructed_pair(a, b, mu, direction, "mp3", tol)
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, NonRealExpectation
-from .linalg import EigenSystem, _psd_eig, require_hermitian
+from .linalg import EigenSystem, _eigh_descending, _psd_eig, as_complex_matrix, require_hermitian
 
 # Unit-norm / unit-trace validation budget for states.
 NORM_TOL = 1e-10
@@ -112,15 +112,16 @@ class PureState:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """A PSD, trace-one Hermitian matrix.
+    """A PSD, trace-one Hermitian matrix rho = X X^dagger.
 
-    Its one eigendecomposition, taken when it is built, decides PSD-ness and
-    is kept in ``spectrum``; its support weights w_k give the factor
-    X = V_k w_k^(1/2) (see :meth:`EigenSystem.support`).
+    Built from a matrix, it is checked where it enters: one eigendecomposition
+    decides PSD-ness and is kept in ``spectrum``, and its support weights w_k
+    give the factor X = V_k w_k^(1/2) (see :meth:`EigenSystem.support`).
+    Built by :meth:`from_factor`, it is PSD by construction, its support comes
+    from a k x k Gram matrix, and ``spectrum`` is computed when first read.
     """
 
     matrix: np.ndarray
-    spectrum: EigenSystem = field(init=False, repr=False, compare=False)
     factor: np.ndarray = field(init=False, repr=False, compare=False)
     weights: np.ndarray = field(init=False, repr=False, compare=False)
     digest: str = field(init=False, repr=False, compare=False)
@@ -130,20 +131,54 @@ class DensityMatrix:
         trace = float(np.trace(m).real)
         if abs(trace - 1.0) > NORM_TOL:
             raise ValueError(f"density matrix trace {trace!r} is not 1 within {NORM_TOL}")
-        object.__setattr__(self, "spectrum", _psd_eig(m, "density matrix"))
-        w, v = self.spectrum.support()
-        object.__setattr__(self, "factor", _frozen_array(v * np.sqrt(w)))
-        object.__setattr__(self, "weights", _frozen_array(w, float))
+        spectrum = _psd_eig(m, "density matrix")
+        object.__setattr__(self, "spectrum", spectrum)
+        w, v = spectrum.support()
+        self._freeze(m, v * np.sqrt(w), w)
+
+    def _freeze(self, m: np.ndarray, factor: np.ndarray, weights: np.ndarray) -> None:
+        object.__setattr__(self, "factor", _frozen_array(factor))
+        object.__setattr__(self, "weights", _frozen_array(weights, float))
         object.__setattr__(self, "matrix", _frozen_array(m))
         object.__setattr__(self, "digest", _array_digest("density", self.matrix))
+
+    @functools.cached_property
+    def spectrum(self) -> EigenSystem:
+        """Eigendecomposition of ``matrix``; a factor-built state takes it when first read."""
+        return _eigh_descending(self.matrix)
 
     @property
     def dimension(self) -> int:
         return self.matrix.shape[0]
 
     @classmethod
+    def from_factor(cls, g) -> "DensityMatrix":
+        """rho = G G^dagger / ||G||_F^2 for an n x k ``g``, in O(n k^2) work besides rho itself.
+
+        The support is that of the Gram matrix G^dagger G = U diag(lambda) U^dagger:
+        its eigenvalues above ``PSD_TOL * ||lambda||`` give the weights, normalised
+        to sum 1, and the columns G u_j, each rotated by the conjugate of its
+        largest entry and normalised, give V_k; a 1 x 1 state's factor is exactly 1.
+        """
+        g = as_complex_matrix(g, "factor")
+        rho = g @ g.conj().T
+        trace = np.trace(rho).real
+        if not trace > 0.0:
+            raise ValueError("factor is zero")
+        rho = rho / trace
+        lam, u = _eigh_descending(g.conj().T @ g).support()
+        v = g @ u
+        v = v * v[np.abs(v).argmax(axis=0), np.arange(v.shape[1])].conj()
+        v = v / np.linalg.norm(v, axis=0)
+        w = lam / lam.sum()
+        state = object.__new__(cls)
+        state._freeze((rho + rho.conj().T) / 2.0, v * np.sqrt(w), w)
+        return state
+
+    @classmethod
     def from_pure(cls, psi: PureState) -> "DensityMatrix":
-        return cls(psi.projector())
+        """The projector |psi><psi|, built from psi as its factor; no eigendecomposition runs."""
+        return cls.from_factor(psi.factor)
 
 
 # Tagged union of the two state representations.

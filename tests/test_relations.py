@@ -28,6 +28,7 @@ from qubounds import (
     trial_rng,
 )
 from qubounds.relations import _make_report
+from qubounds.sampling import _haar_columns
 from qubounds.errors import BoundViolation
 from helpers import SIGMA_X, SIGMA_Y, SIGMA_Z, block_pair_4x4, hermitian_array
 
@@ -236,6 +237,25 @@ def test_mu_ratio_matches_matrix_elements():
     phi3 = PureState(np.array([0.0, 1.0, 0.0]))
     with pytest.raises(DimensionMismatch):
         mu_ratio(SIGMA_X, SIGMA_Y, psi, phi3)
+
+
+def test_mu_ratio_zero_denominator_is_decided_at_every_scale():
+    # d = <psi|B|phi> is zero only beside spread(B) or the rounding floor of
+    # ||B||_F, so scaling (A, B) together moves no decision and no ratio.  An
+    # absolute 1e-14 threshold called d zero for every pair at (A, B) -> 1e-15 (A, B).
+    rng = trial_rng(120, 0)
+    for _ in range(20):
+        a, b = random_hermitian(4, rng).matrix, random_hermitian(4, rng).matrix
+        psi, phi = (PureState(c) for c in _haar_columns(4, 2, rng).T)
+        mu = mu_ratio(a, b, psi, phi)
+        for c in (1e-8, 1.0, 1e8, 1e-15):
+            assert mu_ratio(c * a, c * b, psi, phi) == pytest.approx(mu, rel=1e-12)
+    # An exactly vanishing d is zero at every scale, with or without an identity part.
+    e1, e2 = (PureState(v) for v in np.eye(2, 4))
+    for b in (np.diag([1.0, -2.0, 0.5, 3.0]), 2.0 * np.eye(4)):
+        for c in (1e-8, 1.0, 1e8, 1e-15):
+            with pytest.raises(ZeroDeviation):
+                mu_ratio(c * np.ones((4, 4)), c * b, e1, e2)
 
 
 def test_mp3_basis_pair_golden():

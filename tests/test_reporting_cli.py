@@ -16,7 +16,6 @@ from qubounds import (
     construct_case1,
     construct_case2,
     construct_w_mp6,
-    haar_unitary,
     mp3,
     mp6,
     mp_chain,
@@ -31,7 +30,7 @@ from qubounds import (
     schrodinger_saturation,
     trial_rng,
 )
-from qubounds import goldens, linalg, reporting, states
+from qubounds import goldens, linalg, reporting, sampling, states
 from qubounds.cli import main
 from qubounds.reporting import (
     bound_report_from_dict,
@@ -43,6 +42,7 @@ from qubounds.reporting import (
     report_body_dict,
     summary_csv,
 )
+from qubounds.sampling import _haar_columns
 from qubounds.states import PureState
 from helpers import SIGMA_X, SIGMA_Y
 
@@ -65,6 +65,12 @@ def test_bound_report_round_trip_exact():
     report = robertson(SIGMA_X, SIGMA_Y, PureState(np.array([1.0, 0.0])))
     back = bound_report_from_dict(json.loads(json.dumps(bound_report_to_dict(report))))
     assert back == report
+
+
+def test_bound_report_tolerance_is_the_dataclass_dict():
+    for tol in (Tolerance(), Tolerance(0.0, 0.0), Tolerance(3e-7, 0.25)):
+        report = robertson(SIGMA_X, SIGMA_Y, PureState(np.array([1.0, 0.0])), tol)
+        assert bound_report_to_dict(report)["tolerance"] == dataclasses.asdict(report.tol_used)
 
 
 def test_suite_report_round_trip_and_determinism():
@@ -131,8 +137,9 @@ def test_every_failure_names_an_entry_of_its_trial_record():
         except QuboundsError:
             rejected.append(k)
     assert chain_trials == rejected
-    # Trial 16's pair is exactly orthonormal (test_zero_budget_accepts_an_exactly_orthonormal_pair).
-    assert rejected == [k for k in range(20) if k != 16]
+    # None of these 20 pairs is exactly orthonormal; an exactly orthonormal pair
+    # passes (test_zero_budget_accepts_an_exactly_orthonormal_pair).
+    assert rejected == list(range(20))
     for k in chain_trials:
         record = report.trials[k]
         assert set(record["mp_chain"]) == {"error"}
@@ -240,10 +247,9 @@ def test_cli_non_finite_tolerance_exits_one(tmp_path):
         assert not out.exists()
 
 
-def test_verify_trial_validates_once_and_reduces_once(monkeypatch):
-    # A, B and rho are validated where they enter, rho is diagonalised once,
-    # each input is hashed once when it is built, and the sweep reduces each
-    # of its three (A, B, state) triples once.
+def _trial_calls(monkeypatch, config):
+    """Run ``config``'s sweep, counting the calls each library entry makes, and the
+    shapes of its ``eigh`` and ``qr`` operands and of its complex normal draws."""
     targets = {
         "require_hermitian": linalg.require_hermitian,
         "pair_moments": states.pair_moments,
@@ -252,16 +258,19 @@ def test_verify_trial_validates_once_and_reduces_once(monkeypatch):
         "svd": np.linalg.svd,
         "_require_isometry": linalg._require_isometry,
         "_array_digest": states._array_digest,
+        "_complex_normal": sampling._complex_normal,
     }
     counts = dict.fromkeys(targets, 0)
     counts["inputs"] = 0
-    qr_shapes = []
+    shapes = {"eigh": [], "qr": [], "_complex_normal": []}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
             counts[name] += 1
-            if name == "qr":
-                qr_shapes.append(np.shape(args[0]))
+            if name == "_complex_normal":
+                shapes[name].append(args[1:3])
+            elif name in shapes:
+                shapes[name].append(np.shape(args[0]))
             return fn(*args, **kwargs)
         return wrapper
 
@@ -272,23 +281,45 @@ def test_verify_trial_validates_once_and_reduces_once(monkeypatch):
             for attr, obj in list(vars(module).items()):
                 if obj is fn:
                     monkeypatch.setattr(module, attr, wrapper)
+    # A state enters through its constructor, or a density matrix through its factor.
     for cls in (states.Observable, states.CenteredObservable, states.PureState,
                 states.DensityMatrix):
         monkeypatch.setattr(cls, "__post_init__", counting("inputs", cls.__post_init__))
-    report = run_verification_suite(SampleConfig(4, 4, 7, 1), Tolerance())
+    monkeypatch.setattr(states.DensityMatrix, "from_factor",
+                        classmethod(counting("inputs", states.DensityMatrix.from_factor.__func__)))
+    report = run_verification_suite(config, Tolerance())
     assert report.summary["failure_count"] == 0
+    return counts, shapes
+
+
+def test_verify_trial_validates_once_and_reduces_once(monkeypatch):
+    # A, B and rho are validated where they enter, rho is diagonalised once,
+    # each input is hashed once when it is built, and the sweep reduces each
+    # of its three (A, B, state) triples once.
+    counts, shapes = _trial_calls(monkeypatch, SampleConfig(4, 4, 7, 1))
     assert counts["require_hermitian"] <= 4
     assert counts["eigh"] == 1
     # The pure, mixed and Maccone-Pati triples, plus one per construction.
     assert counts["pair_moments"] <= 5
-    # Two Haar draws, each factoring only the columns it reads (psi; the
-    # Maccone-Pati pair): no evaluation completes a frame.
-    assert counts["qr"] == 2
-    assert max(shape[1] for shape in qr_shapes) <= 2
+    # One Haar draw, the Maccone-Pati pair, factoring only the columns it reads:
+    # psi needs no QR, and no evaluation completes a frame.
+    assert counts["qr"] == 1
+    assert shapes["qr"] == [(4, 2)]
     # The Haar pair and the two constructed pairs.
     assert counts["_require_isometry"] == 3
     assert counts["_array_digest"] == counts["inputs"]
     # The reports decide saturation; an SVD only builds a saturated bound's witness.
+    assert counts["svd"] == 0
+
+
+def test_verify_trial_draws_and_factors_only_what_it_reads(monkeypatch):
+    # rho comes from its n x rank factor, so its only eigendecomposition is of the
+    # rank x rank Gram matrix; psi and the pair are n x 1 and n x 2 draws.
+    counts, shapes = _trial_calls(monkeypatch, SampleConfig(16, 2, 7, 1))
+    assert shapes["eigh"] == [(2, 2)]
+    assert shapes["_complex_normal"] == [(16, 16), (16, 16), (16, 1), (16, 2), (16, 2)]
+    assert shapes["qr"] == [(16, 2)]
+    assert counts["_array_digest"] == counts["inputs"]
     assert counts["svd"] == 0
 
 
@@ -307,8 +338,8 @@ def _public_evaluations(n, k, rank, tol):
         "schrodinger_mixed": lambda: schrodinger(a, b, rho, tol),
     }
     if n >= 2:
-        frame = haar_unitary(n, rng)
-        pair = PureState(frame[:, 0]), PureState(frame[:, 1])
+        columns = _haar_columns(n, 2, rng)
+        pair = PureState(columns[:, 0]), PureState(columns[:, 1])
         evaluations["mp3"] = lambda: mp3(a, b, *pair, tol).report
         evaluations["mp6"] = lambda: reporting._mp6_results(mp6(a, b, *pair, tol))
         evaluations["mp_chain"] = lambda: dict(zip(

@@ -52,18 +52,39 @@ def test_haar_unitary_phase_correction_spreads_eigenphases():
     assert abs(np.mean(phases)) <= 0.2
 
 
-def test_haar_columns_are_the_leading_columns_of_haar_unitary():
-    # Only the k leading columns are factored, from the whole draw: bit-identical
-    # columns, and the generator stands where haar_unitary leaves it.
-    for n in (1, 2, 3, 4, 8, 16, 64):
+# haar_unitary(3, default_rng(5)) at artifact 0.3.0, and the next standard normal draw.
+HAAR_3_SEED_5 = np.array([
+    [-0.2886893867312177 + 0.5885098142414728j, -0.3048979226347237 + 0.13021876476226021j,
+     0.47440697037222834 - 0.48511132028564896j],
+    [0.15135717856777484 - 0.3449683922734136j, 0.33607916537428817 + 0.6861574695940921j,
+     0.52321434113379 - 0.02394342460442611j],
+    [-0.19894895126953355 - 0.623555742614301j, -0.536207446322476 + 0.13711537516524197j,
+     -0.21047712637907753 - 0.4700828419697002j],
+])
+NEXT_AFTER_HAAR_3_SEED_5 = -0.6292880940615545
+
+
+def test_haar_unitary_is_pinned_and_haar_columns_draw_only_n_by_k():
+    # haar_unitary keeps its values and its place in the stream bit for bit;
+    # _haar_columns draws an n x k block alone and returns orthonormal columns
+    # spanning it.
+    rng = np.random.default_rng(5)
+    np.testing.assert_array_equal(haar_unitary(3, rng), HAAR_3_SEED_5)
+    assert rng.standard_normal() == NEXT_AFTER_HAAR_3_SEED_5
+    for n in (1, 2, 3, 8, 64):
         for k in (1, 2):
             if k > n:
                 continue
-            for seed in range(10):
-                rng, rng_full = np.random.default_rng(seed), np.random.default_rng(seed)
-                assert np.array_equal(_haar_columns(n, k, rng), haar_unitary(n, rng_full)[:, :k])
-                assert rng.standard_normal() == rng_full.standard_normal()
-    column = haar_unitary(5, 3)[:, 0]
+            for seed in range(5):
+                rng, rng_draw = np.random.default_rng(seed), np.random.default_rng(seed)
+                q = _haar_columns(n, k, rng)
+                z = rng_draw.standard_normal((n, k)) + 1j * rng_draw.standard_normal((n, k))
+                assert rng.standard_normal() == rng_draw.standard_normal()
+                assert q.shape == (n, k)
+                np.testing.assert_allclose(q.conj().T @ q, np.eye(k), atol=1e-14)
+                np.testing.assert_allclose(q @ (q.conj().T @ z), z, atol=1e-12 * np.linalg.norm(z))
+    rng = np.random.default_rng(3)
+    column = (rng.standard_normal((5, 1)) + 1j * rng.standard_normal((5, 1)))[:, 0] / np.sqrt(2.0)
     np.testing.assert_array_equal(random_pure_state(5, 3).amplitudes,
                                   column / np.linalg.norm(column))
 

@@ -663,6 +663,22 @@ def test_construct_case2_phase_convention():
         assert entry.real >= -1e-12
 
 
+def test_construct_case2_phase_convention_at_every_scale():
+    # The phase is fixed whenever <e1|(A - mu B)|phi> is not rounding noise beside
+    # its row, so phi is the same at every common scale of (A, B).  An absolute
+    # 1e-14 threshold left the phase free at (A, B) -> 1e-15 (A, B).
+    rng = trial_rng(336, 0)
+    for _ in range(20):
+        a, b = hermitian_array(rng, 4), hermitian_array(rng, 4)
+        unit = construct_case2(a, b)
+        for c in SCALES + (1e-15,):
+            pair = construct_case2(c * a, c * b)
+            assert pair.mu == unit.mu and not pair.degenerate
+            np.testing.assert_allclose(pair.phi.amplitudes, unit.phi.amplitudes, rtol=0, atol=1e-12)
+            entry = complex(pair.psi.amplitudes.conj() @ ((a - pair.mu * b) @ pair.phi.amplitudes))
+            assert abs(entry.imag) <= 1e-12 * abs(entry) and entry.real >= 0.0
+
+
 def test_construct_case2_degenerate_first_row():
     a = np.diag([1.0, 2.0, 3.0]).astype(complex)
     b = np.diag([5.0, 4.0, 3.0]).astype(complex)

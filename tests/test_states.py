@@ -259,3 +259,54 @@ def test_mixed_on_pure_reduction_everywhere():
         mixed_pair = gram_pair(a, b, rho)
         np.testing.assert_allclose(pure_pair.c1, mixed_pair.c1, atol=1e-12)
         np.testing.assert_allclose(pure_pair.c2, mixed_pair.c2, atol=1e-12)
+
+
+def _moments(m):
+    return np.array([m.alpha, m.beta, m.dev_a, m.dev_b, m.cross.real, m.cross.imag])
+
+
+def test_density_from_factor_is_the_matrix_it_factors():
+    # rho = G G^dagger / tr(G G^dagger), formed and symmetrised as a matrix would
+    # be, so its matrix and digest are the matrix path's; its factor comes from
+    # the k x k Gram matrix and gives the same moments.
+    rng = trial_rng(107, 0)
+    for n, k in ((1, 1), (2, 2), (3, 2), (8, 3), (64, 4)):
+        g = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+        rho = g @ g.conj().T
+        rho = rho / np.trace(rho).real
+        recipe = (rho + rho.conj().T) / 2.0
+        state, checked = DensityMatrix.from_factor(g), DensityMatrix(recipe)
+        np.testing.assert_array_equal(state.matrix, recipe)
+        assert state.digest == checked.digest
+        assert state.factor.shape == (n, k)
+        assert abs(state.weights.sum() - 1.0) <= 1e-15
+        np.testing.assert_allclose(state.factor @ state.factor.conj().T, recipe, atol=1e-15)
+        np.testing.assert_allclose(state.spectrum.support()[0], state.weights, atol=1e-15)
+        a, b = random_hermitian(n, rng), random_hermitian(n, rng)
+        np.testing.assert_allclose(_moments(pair_moments(a, b, state)),
+                                   _moments(pair_moments(a, b, checked)), rtol=1e-14, atol=1e-14)
+        with pytest.raises(ValueError):
+            state.factor[0, 0] = 0.0
+    # A 1 x 1 state is exactly its own factor, whatever the phase of G.
+    one = DensityMatrix.from_factor(np.array([[-0.3 + 0.7j]]))
+    assert (one.factor.tolist(), one.weights.tolist()) == ([[1.0]], [1.0])
+    with pytest.raises(ValueError):
+        DensityMatrix.from_factor(np.zeros((2, 1)))
+
+
+def test_from_pure_runs_no_eigh(monkeypatch):
+    # The projector's factor is psi itself: no eigendecomposition runs, and the
+    # moments are those of the matrix-built projector.
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda *args, **kw: calls.append(1) or eigh(*args, **kw))
+    rng = trial_rng(108, 0)
+    for n in (2, 8, 64):
+        a, b = random_hermitian(n, rng), random_hermitian(n, rng)
+        psi = random_pure_state(n, rng)
+        calls.clear()
+        rho = DensityMatrix.from_pure(psi)
+        assert not calls
+        checked = DensityMatrix(psi.projector())
+        np.testing.assert_allclose(_moments(pair_moments(a, b, rho)),
+                                   _moments(pair_moments(a, b, checked)), rtol=0, atol=1e-14)
