@@ -25,13 +25,11 @@ import numpy as np
 from .errors import (
     BoundViolation,
     DimensionMismatch,
-    NonRealExpectation,
     NotOrthogonal,
     ZeroDeviation,
 )
 from .linalg import DEFAULT_TOL, Tolerance, _completion, _input_budget, _require_isometry
 from .states import (
-    IMAG_TOL,
     Observable,
     PairMoments,
     PureState,
@@ -186,21 +184,16 @@ def schrodinger(observable_a, observable_b, state: QuantumState, tol: Tolerance 
     return _schrodinger_report(pair_moments(observable_a, observable_b, state), tol)
 
 
-def _choose_mu(comm: complex, dev_a: float, dev_b: float, a: Observable, b: Observable,
-               tol: Tolerance) -> MuChoice:
-    """The one mu policy: the sign that makes mu * comm nonnegative, ties to i.
+def _moments_mu(m: PairMoments, tol: Tolerance) -> MuChoice:
+    """The one mu policy: the sign that makes mu <[A, B]> nonnegative, ties to i.
 
-    A tie is |comm| <= tol.effective(1) * 2 dev(A) dev(B), relative as
-    |comm| <= 2 dev(A) dev(B), or a deviation zero to rounding.
+    A tie is |<[A, B]>| <= tol.effective(1) * 2 dev(A) dev(B), relative as
+    |<[A, B]>| <= 2 dev(A) dev(B), or a deviation zero to rounding.
     """
-    tie = bool(abs(comm) <= tol.effective(1.0) * 2.0 * dev_a * dev_b
-               or _zero_deviation(dev_a, a, tol) or _zero_deviation(dev_b, b, tol))
+    comm = m.commutator_expectation
+    tie = bool(abs(comm) <= tol.effective(1.0) * 2.0 * m.dev_a * m.dev_b or any(_zero_deviations(m, tol)))
     mu = -1j if comm.imag > 0 and not tie else 1j
     return MuChoice(mu=mu, commutator_expectation=comm, tie_broken=tie)
-
-
-def _moments_mu(m: PairMoments, tol: Tolerance) -> MuChoice:
-    return _choose_mu(m.commutator_expectation, m.dev_a, m.dev_b, m.a, m.b, tol)
 
 
 def choose_mu(observable_a, observable_b, psi: PureState, tol: Tolerance = DEFAULT_TOL) -> MuChoice:
@@ -208,11 +201,10 @@ def choose_mu(observable_a, observable_b, psi: PureState, tol: Tolerance = DEFAU
     return _moments_mu(pair_moments(observable_a, observable_b, psi), tol)
 
 
-def _require_deviations(dev_a: float, dev_b: float, a: Observable, b: Observable,
-                        tol: Tolerance, what: str = "deviations") -> None:
-    """Raise :class:`ZeroDeviation` when either deviation is zero to rounding (:func:`_zero_deviation`)."""
-    if _zero_deviation(dev_a, a, tol) or _zero_deviation(dev_b, b, tol):
-        raise ZeroDeviation(f"{what} ({dev_a:.3e}, {dev_b:.3e}) too small for the product bound")
+def _require_deviations(m: PairMoments, tol: Tolerance) -> None:
+    """Raise :class:`ZeroDeviation` when either deviation is zero to rounding (:func:`_zero_deviations`)."""
+    if any(_zero_deviations(m, tol)):
+        raise ZeroDeviation(f"deviations ({m.dev_a:.3e}, {m.dev_b:.3e}) too small for the product bound")
 
 
 def _require_dimensions(a: Observable, psi: PureState, phi: PureState) -> None:
@@ -253,8 +245,9 @@ class _MPInputs:
     """The one Maccone-Pati reduction of (A, B, psi, phi).
 
     The moments in psi (which carry A, B and psi), phi, c = <psi|A|phi>,
-    d = <psi|B|phi>, and the n x 2 ``basis`` [psi | phi] that passed the
-    pair checks, from which :func:`mp_frame` completes its frame.
+    d = <psi|B|phi>, and the n x 2 ``basis`` [psi | phi], from which
+    :func:`mp_frame` completes its frame.  A caller's pair passed the pair
+    checks; a constructed pair [e1 | (0, tail)] is orthonormal by construction.
     """
 
     moments: PairMoments
@@ -270,12 +263,6 @@ def _mp_inputs(observable_a, observable_b, psi: PureState, phi: PureState,
     a, b = _observable_pair(observable_a, observable_b)
     basis = _require_mp_pair(a, psi, phi, tol)
     return _MPInputs(pair_moments(a, b, psi), phi, *_cross_elements(a, b, psi, phi), basis)
-
-
-def _real_part(name: str, value: complex, scale: float) -> float:
-    if abs(value.imag) > IMAG_TOL * max(1.0, scale):
-        raise NonRealExpectation(f"{name}: imaginary residue {value.imag:.3e}")
-    return float(value.real)
 
 
 def mp_frame(observable_a, observable_b, psi: PureState, phi: PureState,
@@ -359,10 +346,10 @@ def _mp3(p: _MPInputs, tol: Tolerance) -> MP3Report:
 
 def _mp3_report(p: _MPInputs, mu: complex, tol: Tolerance) -> BoundReport:
     m = p.moments
-    comm_term = _real_part("mp3 commutator term", mu * m.commutator_expectation,
-                           abs(m.commutator_expectation))
     lhs = m.dev_a**2 + m.dev_b**2
-    rhs = comm_term + abs(p.c + mu * p.d) ** 2
+    # mu is exactly i or -i and <[A, B]> = cross - conj(cross) exactly imaginary,
+    # so mu <[A, B]> is exactly real.
+    rhs = (mu * m.commutator_expectation).real + abs(p.c + mu * p.d) ** 2
     return _make_report("mp3", lhs, rhs, lhs, tol, _digest(m.a, m.b, m.state, p.phi, "mp3"),
                         all(_zero_deviations(m, tol)))
 
@@ -395,10 +382,9 @@ def _mp6(p: _MPInputs, tol: Tolerance) -> MP6Reports:
 def _mp6_reformulated(p: _MPInputs, mu: complex, tol: Tolerance) -> tuple[BoundReport, float]:
     """The division-free report at ``mu``, and mu <[A, B]>."""
     m = p.moments
-    _require_deviations(m.dev_a, m.dev_b, m.a, m.b, tol)
+    _require_deviations(m, tol)
     q_elem = p.c / m.dev_a + mu * p.d / m.dev_b
-    comm_term = _real_part("mp6 commutator term", mu * m.commutator_expectation,
-                           abs(m.commutator_expectation))
+    comm_term = (mu * m.commutator_expectation).real
     report = _make_report("mp6 reformulated", 1.0 - abs(q_elem) ** 2 / 2.0,
                           comm_term / (2.0 * m.dev_a * m.dev_b), 1.0, tol,
                           _digest(m.a, m.b, m.state, p.phi, "mp6"))

@@ -46,7 +46,7 @@ from .saturation import (
 )
 from .states import Observable, PureState, pair_moments
 
-ARTIFACT_VERSION = "0.4.0"
+ARTIFACT_VERSION = "0.5.0"
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,9 @@ bound's report flag, and c = <psi|A|phi> and d = <psi|B|phi> as matrix
 elements; they build no frame.
 Like the evaluators, each checker is an entry that validates and reduces its
 inputs and a private body that reads only the reduction.
+
+The constructions (psi = e1) read one reduction of (A, B, e1), its mu, and
+the target bound's body at that mu on [e1 | (0, tail)], orthonormal by construction.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .linalg import (
     phase_dependence_detail,
 )
 from .relations import (
-    _choose_mu,
+    _cross_elements,
     _moments_mu,
     _mp3_report,
     _mp6_reformulated,
@@ -47,11 +50,8 @@ from .relations import (
     _schrodinger_report,
     _unit_mu,
     _zero_deviations,
-    mp3,
-    mp6,
 )
 from .states import (
-    Observable,
     PairMoments,
     PureState,
     QuantumState,
@@ -61,6 +61,9 @@ from .states import (
 
 # Constructed pairs must close their target bound to this relative gap.
 CONSTRUCTION_TOL = 1e-8
+
+# A checker's mu within this distance of i or -i is taken as exactly i or -i.
+MU_SNAP_TOL = 1e-12
 
 # Positive powers at which mixed-state equality conditions are re-verified.
 DEFAULT_R_LIST = (0.5, 1.0, 2.0, 3.0)
@@ -249,12 +252,16 @@ def _mp_chain_saturation(p: _MPInputs, mu: complex, tol: Tolerance) -> ChainSatu
 
 
 def _require_mu_hypothesis(m: PairMoments, mu: complex, tol: Tolerance) -> complex:
-    """Accept the mu that :func:`~qubounds.relations.choose_mu` picks, or either on a tie."""
-    mu = complex(mu)
-    if abs(mu - 1j) > 1e-12 and abs(mu + 1j) > 1e-12:
-        raise ValueError(f"mu must be i or -i, got {mu!r}")
+    """Accept the mu that :func:`~qubounds.relations.choose_mu` picks, or either on a tie.
+
+    An accepted mu is returned as exactly i or -i, so mu <[A, B]> is exactly real.
+    """
+    given = complex(mu)
+    mu = next((unit for unit in (1j, -1j) if abs(given - unit) <= MU_SNAP_TOL), None)
+    if mu is None:
+        raise ValueError(f"mu must be i or -i, got {given!r}")
     choice = _moments_mu(m, tol)
-    if not choice.tie_broken and abs(mu - choice.mu) > 1e-12:
+    if not choice.tie_broken and mu != choice.mu:
         raise HypothesisViolated(f"mu * <[A, B]> = {(mu * m.commutator_expectation).real:.3e} is negative")
     return mu
 
@@ -298,86 +305,91 @@ def _mp6_saturation(p: _MPInputs, mu: complex, tol: Tolerance) -> EqualityCheck:
     return EqualityCheck(saturated=report.saturated, lhs=lhs, rhs=rhs, residual=abs(lhs - rhs))
 
 
-def _entry_sign_mu(a: Observable, b: Observable, tol: Tolerance) -> tuple[complex, float, float]:
-    """The mu of :func:`choose_mu` for e1, whose <[A, B]> is the (1,1) commutator entry, and
-    dev(A), dev(B) in e1: the first-column tail norms, summed as ``np.linalg.norm`` sums them."""
-    entry = complex(a.matrix[0] @ b.matrix[:, 0] - b.matrix[0] @ a.matrix[:, 0])
-    nu, nv = (math.sqrt(t.real.dot(t.real) + t.imag.dot(t.imag)) for t in (a.matrix[1:, 0], b.matrix[1:, 0]))
-    return _choose_mu(entry, nu, nv, a, b, tol).mu, nu, nv
+def _e1_reduction(observable_a, observable_b, tol: Tolerance) -> tuple[PairMoments, complex]:
+    """The reduction of (A, B, e1) and its mu (:func:`~qubounds.relations.choose_mu`).
+
+    A_c e1 = (0, u) for the first-column tail u of A, so dev(A) = ||u||; likewise for B.
+    """
+    a, b = _observable_pair(observable_a, observable_b)
+    m = pair_moments(a, b, PureState(np.eye(1, a.dimension, dtype=complex)[0]))
+    return m, _moments_mu(m, tol).mu
 
 
-def _constructed_pair(a: Observable, b: Observable, mu: complex, tail: np.ndarray | None,
+def _constructed_pair(m: PairMoments, mu: complex, tail: np.ndarray | None,
                       target: str, tol: Tolerance) -> ConstructedPair:
     """psi = e1 and phi = the unit ``tail`` embedded below it, or e2 for a degenerate (None) tail.
 
-    The achieved gap is the relative slack of the ``target`` bound on the pair.
+    The basis [e1 | phi] is orthonormal by construction (the overlap is exactly
+    0), so it skips the pair checks a caller's pair goes through.  The achieved
+    gap is the ``target`` report's slack at ``mu`` over the scale its flag uses,
+    dev(A)^2 + dev(B)^2 for mp3 and 1 for the mp6 reformulation; it is 0 where
+    the mp3 report's zero-deviation rule decides.
     """
-    psi, phi = np.eye(2, a.dimension, dtype=complex)
+    basis = np.eye(m.a.dimension, 2, dtype=complex)
     if tail is not None:
-        phi[1:] = tail
-    psi, phi = PureState(psi), PureState(phi)
+        basis[1:, 1] = tail
+    phi = PureState(basis[:, 1])
+    p = _MPInputs(m, phi, *_cross_elements(m.a, m.b, m.state, phi), basis)
     if target == "mp3":
-        report = mp3(a, b, psi, phi, tol).report
+        report = _mp3_report(p, mu, tol)
+        gap = 0.0 if all(_zero_deviations(m, tol)) else report.slack / report.lhs
     else:
-        report = mp6(a, b, psi, phi, tol).reformulated
-    return ConstructedPair(mu=mu, psi=psi, phi=phi, target=target, degenerate=tail is None,
-                           achieved_slack=report.slack / max(1.0, abs(report.lhs), abs(report.rhs)))
+        gap = _mp6_reformulated(p, mu, tol)[0].slack
+    return ConstructedPair(mu=mu, psi=m.state, phi=phi, target=target, achieved_slack=gap,
+                           degenerate=tail is None)
 
 
 def construct_case1(observable_a, observable_b, tol: Tolerance = DEFAULT_TOL) -> ConstructedPair:
     """Saturating pair for the sum bound in dimension 2: psi = e1, phi = e2."""
-    a, b = _observable_pair(observable_a, observable_b)
-    if a.dimension != 2:
-        raise DimensionMismatch(f"construction requires dimension 2, got {a.dimension}")
-    return _constructed_pair(a, b, _entry_sign_mu(a, b, tol)[0], np.ones(1), "mp3", tol)
+    m, mu = _e1_reduction(observable_a, observable_b, tol)
+    if m.a.dimension != 2:
+        raise DimensionMismatch(f"construction requires dimension 2, got {m.a.dimension}")
+    return _constructed_pair(m, mu, np.ones(1), "mp3", tol)
 
 
 def construct_case2(observable_a, observable_b, tol: Tolerance = DEFAULT_TOL) -> ConstructedPair:
     """Saturating pair for the sum bound in dimension n > 2.
 
     With psi = e1, equality needs the remaining frame directions orthogonal
-    to the first-column tail of A - mu B, so phi is that tail normalized
-    (phase-fixed to make <psi|(A - mu B)|phi> real nonnegative).  A vanishing
-    tail makes the equality hold for any phi; e2 is used then.
+    to the first-column tail u - mu v of A - mu B, so phi is that tail
+    normalized (phase-fixed to make <psi|(A - mu B)|phi> real nonnegative).
+    A vanishing tail makes the equality hold for any phi; e2 is used then.
     """
-    a, b = _observable_pair(observable_a, observable_b)
-    n = a.dimension
-    if n <= 2:
-        raise DimensionMismatch(f"construction requires dimension > 2, got {n}")
-    mu, nu, nv = _entry_sign_mu(a, b, tol)
-    combo = a.matrix - mu * b.matrix
-    tail = combo[1:, 0]
+    m, mu = _e1_reduction(observable_a, observable_b, tol)
+    if m.a.dimension <= 2:
+        raise DimensionMismatch(f"construction requires dimension > 2, got {m.a.dimension}")
+    u, v = m.centered_a[1:, 0], m.centered_b[1:, 0]
+    tail = u - mu * v
     norm = float(np.linalg.norm(tail))
     direction = None
-    # The tail u - mu v is degenerate when it is rounding noise beside ||u|| + ||v||.
-    if norm > tol.effective(1.0) * (nu + nv):
+    # The tail is degenerate when it is rounding noise beside ||u|| + ||v||.
+    if norm > tol.effective(1.0) * (m.dev_a + m.dev_b):
         direction = tail / norm
         # Fix the free phase so <e1|(A - mu B)|phi> comes out real nonnegative,
         # unless that entry is rounding noise beside the row it is read from.
-        row = combo[0, 1:]
+        row = u.conj() - mu * v.conj()
         entry = complex(row @ direction)
         if abs(entry) > 1e-14 * float(np.linalg.norm(row)):
             direction = direction * cmath.exp(-1j * cmath.phase(entry))
-    return _constructed_pair(a, b, mu, direction, "mp3", tol)
+    return _constructed_pair(m, mu, direction, "mp3", tol)
 
 
 def construct_w_mp6(observable_a, observable_b, tol: Tolerance = DEFAULT_TOL) -> ConstructedPair:
     """Saturating pair for the product bound.
 
-    psi = e1, and phi embeds the normalized difference of the normalized
-    first-column tails u/||u|| - mu v/||v|| (those norms are the deviations
-    of A and B in e1).  When the difference vanishes both equality sides are
+    psi = e1, and phi embeds the normalized difference u/||u|| - mu v/||v||
+    of the normalized first-column tails (those norms are the deviations of
+    A and B in e1).  When the difference vanishes both equality sides are
     zero for any phi; e2 is used then.
     """
-    a, b = _observable_pair(observable_a, observable_b)
-    if a.dimension < 2:
+    m, mu = _e1_reduction(observable_a, observable_b, tol)
+    if m.a.dimension < 2:
         raise DimensionMismatch("construction requires dimension >= 2")
-    mu, nu, nv = _entry_sign_mu(a, b, tol)
-    _require_deviations(nu, nv, a, b, tol, what="first-column tail norms")
-    difference = a.matrix[1:, 0] / nu - mu * b.matrix[1:, 0] / nv
+    _require_deviations(m, tol)
+    difference = m.centered_a[1:, 0] / m.dev_a - mu * m.centered_b[1:, 0] / m.dev_b
     norm = float(np.linalg.norm(difference))
     direction = difference / norm if norm > tol.effective(1.0) else None
-    return _constructed_pair(a, b, mu, direction, "mp6", tol)
+    return _constructed_pair(m, mu, direction, "mp6", tol)
 
 
 _ZERO_WITNESSES = {(False, False): ZeroWitness.NONE, (True, False): ZeroWitness.A_ZERO,

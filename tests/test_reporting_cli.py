@@ -297,7 +297,8 @@ def test_verify_trial_validates_once_and_reduces_once(monkeypatch):
     # each input is hashed once when it is built, and the sweep reduces each
     # of its three (A, B, state) triples once.
     counts, shapes = _trial_calls(monkeypatch, SampleConfig(4, 4, 7, 1))
-    assert counts["require_hermitian"] <= 4
+    # A and B; the constructions reduce (A, B, e1) from the validated pair.
+    assert counts["require_hermitian"] == 2
     assert counts["eigh"] == 1
     # The pure, mixed and Maccone-Pati triples, plus one per construction.
     assert counts["pair_moments"] <= 5
@@ -305,8 +306,8 @@ def test_verify_trial_validates_once_and_reduces_once(monkeypatch):
     # psi needs no QR, and no evaluation completes a frame.
     assert counts["qr"] == 1
     assert shapes["qr"] == [(4, 2)]
-    # The Haar pair and the two constructed pairs.
-    assert counts["_require_isometry"] == 3
+    # The Haar pair only: a constructed pair [e1 | (0, tail)] is orthonormal by construction.
+    assert counts["_require_isometry"] == 1
     assert counts["_array_digest"] == counts["inputs"]
     # The reports decide saturation; an SVD only builds a saturated bound's witness.
     assert counts["svd"] == 0
@@ -384,8 +385,13 @@ def test_sweep_records_equal_the_public_api(n, tol):
     if tol == Tolerance():
         assert report.summary["failure_count"] == 0
     if n >= 2 and tol == Tolerance(0, 0):
-        # The zero budget rejects pairs, so the error path is compared too.
-        assert {"NotOrthonormal"} <= {f["error"] for f in summary.failures}
+        # The zero budget rejects the Haar pair, whose overlap is rounding
+        # noise, so the error path is compared too; a constructed pair is
+        # orthonormal by construction and never trips the pair checks.
+        failures = summary.failures
+        assert {"NotOrthogonal"} <= {f["error"] for f in failures}
+        assert not [f for f in failures if f["where"].startswith("construct")
+                    and f["error"] == "NotOrthonormal"]
 
 
 def test_package_version_is_the_artifact_version():

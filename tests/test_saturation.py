@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qubounds import (
+    BoundViolation,
     CertificateKind,
     DensityMatrix,
     DimensionMismatch,
@@ -48,7 +49,8 @@ from qubounds import (
     zero_product_characterization,
     zero_sum_characterization,
 )
-from qubounds.saturation import DEFAULT_R_LIST, _verify_r_family
+from qubounds.saturation import (CONSTRUCTION_TOL, DEFAULT_R_LIST, _constructed_pair,
+                                 _e1_reduction, _verify_r_family)
 from helpers import (
     SIGMA_X,
     SIGMA_Y,
@@ -475,6 +477,21 @@ def test_product_bound_deviations_are_not_zero_at_small_scale():
         assert mp6_saturation(1e-10 * a, 1e-10 * b, pair.psi, pair.phi, pair.mu).saturated
 
 
+def test_checkers_take_mu_as_exactly_plus_or_minus_i():
+    # An accepted mu within 1e-12 of i or -i is snapped to it, so the checkers
+    # return exactly what they return at i or -i.
+    rng = trial_rng(338, 0)
+    signs = set()
+    for _ in range(20):
+        a, b = hermitian_array(rng, 4), hermitian_array(rng, 4)
+        psi, phi = _orthonormal_pair(4, rng)
+        mu = mp3(a, b, psi, phi).mu.mu
+        signs.add(mu)
+        for check in (mp3_saturation, mp6_saturation):
+            assert check(a, b, psi, phi, mu * (1 + 5e-13)) == check(a, b, psi, phi, mu)
+    assert signs == {1j, -1j}
+
+
 def test_mp6_saturation_agrees_with_report():
     rng = trial_rng(308, 0)
     for _ in range(40):
@@ -739,6 +756,39 @@ def test_construct_w_mp6_parallel_tails_degenerate():
 def test_construct_w_mp6_zero_tail_rejected():
     with pytest.raises(ZeroDeviation):
         construct_w_mp6(SIGMA_Z, SIGMA_X)
+
+
+def test_construction_gap_is_scale_free():
+    # The gap is the target report's slack over the scale its flag uses, so a pair
+    # that does not close its bound reads one gap at every common scale of (A, B).
+    # Over max(1, |lhs|, |rhs|) it shrank as c^2 below unit scale and passed CONSTRUCTION_TOL.
+    rng = trial_rng(337, 0)
+    e2_tail = np.eye(1, 3, dtype=complex)[0]
+    for _ in range(10):
+        a, b = hermitian_array(rng, 4), hermitian_array(rng, 4)
+        for target, construct in (("mp3", construct_case2), ("mp6", construct_w_mp6)):
+            wrong = []
+            for c in (1e-12, 1e-6, 1e-4, 1.0, 1e8):
+                # phi = e2 instead of the saturating direction, through the same core.
+                m, mu = _e1_reduction(c * a, c * b, Tolerance())
+                wrong.append(_constructed_pair(m, mu, e2_tail, target, Tolerance()).achieved_slack)
+                assert abs(construct(c * a, c * b).achieved_slack) <= 1e-12
+            assert min(map(abs, wrong)) > CONSTRUCTION_TOL
+            np.testing.assert_allclose(wrong, wrong[3], rtol=1e-12, atol=0)
+
+
+def test_zero_tolerance_never_trips_a_constructed_pairs_checks():
+    # [e1 | (0, tail)] is orthonormal by construction.  Checked as a caller's pair,
+    # a phi normalised to 1 +- 1 ulp failed the Gram test at a zero budget.
+    zero = Tolerance(0.0, 0.0)
+    for k in range(200):
+        rng = trial_rng(7, k)
+        a, b = random_hermitian(4, rng), random_hermitian(4, rng)
+        for construct in (construct_case2, construct_w_mp6):
+            try:
+                construct(a, b, zero)
+            except BoundViolation:
+                pass  # a zero budget admits no negative rounding slack
 
 
 # ---------------------------------------------------------------------------
