@@ -12,7 +12,7 @@ import json
 import sys
 
 from .errors import QuboundsError
-from .linalg import Tolerance
+from .linalg import DEFAULT_TOL, Tolerance
 from .reporting import (
     dumps_report,
     load_observable_pair,
@@ -54,8 +54,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--tol-abs", type=float, default=1e-12)
-    sub.add_argument("--tol-rel", type=float, default=1e-9)
+    sub.add_argument("--tol-abs", type=float, default=DEFAULT_TOL.absolute)
+    sub.add_argument("--tol-rel", type=float, default=DEFAULT_TOL.relative)
     sub.add_argument("--out", default="-", help="output path, '-' for stdout")
     sub.add_argument("--format", choices=("json", "csv"), default="json")
 

@@ -21,11 +21,12 @@ from .errors import (
     NotPositiveSemidefinite,
 )
 
-# Relative Frobenius deviation allowed before a matrix stops counting as Hermitian.
-HERMITICITY_TOL = 1e-10
-# A PSD input is rejected only for an eigenvalue below -PSD_TOL * max(1, ||P||_F);
-# eigenvalues up to +PSD_TOL * ||P||_F are rounding noise and count as zero.
-PSD_TOL = 1e-10
+# Relative budget of every input check, each against the input's own size.
+INPUT_TOL = 1e-10
+# The rounding floor as a share of the inputs' size: a few hundred ulps.
+ROUNDING_TOL = 1e-13
+# A coefficient below this share of its vector's size is zero where a sign or phase is fixed.
+TIE_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -49,8 +50,13 @@ DEFAULT_TOL = Tolerance()
 
 
 def _input_budget(tol: Tolerance) -> float:
-    """Budget of an input check: a caller's ``tol`` may tighten it, never loosen it past the default."""
+    """Relative budget of a guard: a caller's ``tol`` may tighten it, never loosen it past the default."""
     return min(tol.effective(1.0), DEFAULT_TOL.effective(1.0))
+
+
+def _rounding_floor(size: float, tol: Tolerance) -> float:
+    """``ROUNDING_TOL * size``, capped at tol.effective(1) * size so that a zero tolerance admits only 0."""
+    return min(tol.effective(1.0), ROUNDING_TOL) * size
 
 
 def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
@@ -64,12 +70,15 @@ def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
 
 
 def require_hermitian(m, name: str = "matrix") -> np.ndarray:
-    """Validate that ``m`` is square and Hermitian within ``HERMITICITY_TOL`` (relative)."""
+    """Validate that ``m`` is square, of finite ||m||_F, and Hermitian within ``INPUT_TOL * ||m||_F``."""
     a = as_complex_matrix(m, name)
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"{name} must be square, got shape {a.shape}")
+    norm = float(np.linalg.norm(a))
+    if not math.isfinite(norm):
+        raise ValueError(f"{name} has a non-finite Frobenius norm")
     deviation = float(np.linalg.norm(a - a.conj().T))
-    if deviation > HERMITICITY_TOL * max(1.0, float(np.linalg.norm(a))):
+    if deviation > INPUT_TOL * norm:
         raise NonHermitianInput(f"{name} deviates from Hermitian by {deviation:.3e}")
     return a
 
@@ -86,13 +95,13 @@ class EigenSystem:
         return (v * self.eigenvalues) @ v.conj().T
 
     def support(self) -> tuple[np.ndarray, np.ndarray]:
-        """The eigenvalues above ``PSD_TOL * ||P||_F`` and their eigenvector columns.
+        """The eigenvalues above ``INPUT_TOL * ||P||_F`` and their eigenvector columns.
 
         Eigenvalues up to that cutoff are dropped, not just negative ones:
         fractional powers amplify +eps junk far above the reconstruction budget.
         """
         w = self.eigenvalues
-        keep = w > PSD_TOL * float(np.linalg.norm(w))
+        keep = w > INPUT_TOL * float(np.linalg.norm(w))
         return w[keep], self.eigenvectors[:, keep]
 
     def power(self, r: float) -> np.ndarray:
@@ -120,11 +129,11 @@ def hermitian_eig(h) -> EigenSystem:
 def _psd_eig(a: np.ndarray, name: str = "matrix") -> EigenSystem:
     """Spectrum of the validated Hermitian ``a``: the one PSD decision.
 
-    Eigenvalues down to ``-PSD_TOL * max(1, ||a||_F)`` pass as rounding noise.
+    Eigenvalues down to ``-INPUT_TOL * sum |lambda|`` (1 for a state) pass as rounding noise.
     """
     es = _eigh_descending(a)
     low = float(es.eigenvalues[-1])
-    if low < -PSD_TOL * max(1.0, float(np.linalg.norm(es.eigenvalues))):
+    if low < -INPUT_TOL * float(np.abs(es.eigenvalues).sum()):
         raise NotPositiveSemidefinite(f"{name} has eigenvalue {low:.3e}")
     return es
 
@@ -193,15 +202,15 @@ def _completion(basis: np.ndarray) -> np.ndarray:
 def _canonical_real_pair(c: float, s: float) -> tuple[float, float]:
     # (c, s) and (-c, -s) encode the same dependence; pick cos >= 0,
     # and sin >= 0 on the cos = 0 boundary.
-    if c < 0 or (abs(c) <= 1e-14 and s < 0):
+    if c < 0 or (abs(c) <= TIE_TOL and s < 0):
         return -c, -s
     return c, s
 
 
 def _dependence_decision(witness, residual: float, x, y, tol: Tolerance):
-    """``witness`` if ``residual`` is within the budget at max(1, ||x||, ||y||), else None."""
-    scale = max(1.0, *(float(np.linalg.norm(np.asarray(v, dtype=complex))) for v in (x, y)))
-    return witness if residual <= tol.effective(scale) else None
+    """``witness`` if residual^2 <= tol.effective(1) (||x||^2 + ||y||^2) (the flags' shape), else None."""
+    size = math.hypot(*(float(np.linalg.norm(np.asarray(v, dtype=complex))) for v in (x, y)))
+    return witness if residual <= math.sqrt(tol.effective(1.0)) * size else None
 
 
 def phase_dependence_detail(x, y) -> tuple[float, float]:
@@ -236,8 +245,8 @@ def phase_dependence_detail(x, y) -> tuple[float, float]:
 def phase_dependence(x, y, tol: Tolerance = DEFAULT_TOL) -> float | None:
     """Angle theta with cos(theta) x + i sin(theta) y = 0, if one exists.
 
-    Real-linear dependence of x and i*y: the residual of
-    :func:`phase_dependence_detail` against the budget at max(1, ||x||, ||y||).
+    Real-linear dependence of x and i*y: the squared residual of
+    :func:`phase_dependence_detail` against tol.effective(1) (||x||^2 + ||y||^2).
     Returns None when the vectors are independent at the given tolerance.
     """
     theta, residual = phase_dependence_detail(x, y)
@@ -264,11 +273,11 @@ def complex_dependence_detail(x, y) -> tuple[tuple[float, float], float]:
     smin = float(svals[-1])
     va, vb = vh[-1].conj()
     h = math.hypot(abs(va), abs(vb))
-    if abs(va) <= 1e-14 * h:
+    if abs(va) <= TIE_TOL * h:
         # x carries a negligible coefficient: cos(theta) = 0, phase free.
         return (math.pi / 2.0, 0.0), smin
     theta = math.atan2(abs(vb), abs(va))
-    if abs(vb) <= 1e-14 * h:
+    if abs(vb) <= TIE_TOL * h:
         phi = 0.0
     else:
         phi = (cmath.phase(vb) - cmath.phase(va)) % (2.0 * math.pi)
@@ -278,8 +287,8 @@ def complex_dependence_detail(x, y) -> tuple[tuple[float, float], float]:
 def complex_dependence(x, y, tol: Tolerance = DEFAULT_TOL) -> tuple[float, float] | None:
     """Angles (theta, phi) with cos(theta) x + e^{i phi} sin(theta) y = 0.
 
-    Complex-linear dependence of two equal-shaped matrices: the residual of
-    :func:`complex_dependence_detail` against the budget at max(1, ||x||, ||y||).
+    Complex-linear dependence of two equal-shaped matrices: the squared residual
+    of :func:`complex_dependence_detail` against tol.effective(1) (||x||_F^2 + ||y||_F^2).
     Returns None when independent.
     """
     angles, residual = complex_dependence_detail(x, y)

@@ -11,13 +11,15 @@ every checker reads its bound's flag.
 
 Each public evaluator is a thin entry that validates and reduces its inputs
 (:func:`~qubounds.states.pair_moments`, or :func:`_mp_inputs` for the
-Maccone-Pati family) and a private body that reads only that reduction and
-the tolerance, so a caller holding one reduction can run every body on it.
+Maccone-Pati family).  Where the verification sweep runs an evaluator, its
+work is a private body that reads only that reduction and the tolerance, so
+the sweep can run every body on the one reduction it holds.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +30,7 @@ from .errors import (
     NotOrthogonal,
     ZeroDeviation,
 )
-from .linalg import DEFAULT_TOL, Tolerance, _completion, _input_budget, _require_isometry
+from .linalg import DEFAULT_TOL, Tolerance, _completion, _input_budget, _require_isometry, _rounding_floor
 from .states import (
     Observable,
     PairMoments,
@@ -113,7 +115,7 @@ def _digest(*parts) -> str:
 
 
 def _make_report(name: str, lhs: float, rhs: float, scale: float, tol: Tolerance,
-                 digest: str, zero: bool = False) -> BoundReport:
+                 digest: str, zero: bool = False, size: float = 0.0) -> BoundReport:
     """The report of lhs >= rhs: saturated when ``zero`` or slack <= tol.effective(1) * ``scale``.
 
     ``scale`` is the bound's natural size: the lhs of a product bound,
@@ -121,10 +123,13 @@ def _make_report(name: str, lhs: float, rhs: float, scale: float, tol: Tolerance
     The relative slack so tested is of order eps^2 at distance eps from
     saturation.  ``zero`` marks deviations zero to rounding
     (:func:`_zero_deviations`): any for a product bound, both for a sum bound.
-    A slack below -tol.effective(max(1, |lhs|, |rhs|)) raises.
+    A slack that is not finite, or below -max(_input_budget(tol) max(|lhs|, |rhs|),
+    the rounding floor at DEFAULT_TOL of ``size``, the inputs' size in the bound's units), raises.
     """
-    budget = tol.effective(max(1.0, abs(lhs), abs(rhs)))
     slack = lhs - rhs
+    if not math.isfinite(slack):
+        raise BoundViolation(f"{name}: slack {slack!r} is not finite")
+    budget = max(_input_budget(tol) * max(abs(lhs), abs(rhs)), _rounding_floor(size, DEFAULT_TOL))
     if slack < -budget:
         raise BoundViolation(f"{name}: slack {slack:.3e} below -{budget:.3e}")
     return BoundReport(lhs=float(lhs), rhs=float(rhs), slack=float(slack),
@@ -132,13 +137,12 @@ def _make_report(name: str, lhs: float, rhs: float, scale: float, tol: Tolerance
                        tol_used=tol, inputs_digest=digest)
 
 
-def _rounding_floor(norm: float, tol: Tolerance) -> float:
-    """Rounding level of a centred product A X - <A> X for ||A||_F = ``norm``, ||X||_F = 1.
-
-    A few hundred ulps of ``norm``, capped at tol.effective(1) * norm so that a
-    zero tolerance admits only exact zeros.
-    """
-    return min(tol.effective(1.0), 1e-13) * norm
+def _square(x: float) -> float:
+    """x ** 2, or inf where a float power raises OverflowError."""
+    try:
+        return x ** 2
+    except OverflowError:
+        return math.inf
 
 
 def _zero_deviation(dev: float, o: Observable, tol: Tolerance) -> bool:
@@ -161,13 +165,15 @@ def _zero_deviations(m: PairMoments, tol: Tolerance) -> tuple[bool, bool]:
 def _robertson_report(m: PairMoments, tol: Tolerance) -> BoundReport:
     lhs = m.dev_a * m.dev_b
     return _make_report("robertson", lhs, abs(m.commutator_expectation) / 2.0, lhs, tol,
-                        _digest(m.a, m.b, m.state, "robertson"), any(_zero_deviations(m, tol)))
+                        _digest(m.a, m.b, m.state, "robertson"), any(_zero_deviations(m, tol)),
+                        m.a.norm * m.b.norm)
 
 
 def _schrodinger_report(m: PairMoments, tol: Tolerance) -> BoundReport:
-    lhs = (m.dev_a * m.dev_b) ** 2
-    return _make_report("schrodinger", lhs, m.cross.real**2 + m.cross.imag**2, lhs, tol,
-                        _digest(m.a, m.b, m.state, "schrodinger"), any(_zero_deviations(m, tol)))
+    lhs = _square(m.dev_a * m.dev_b)
+    return _make_report("schrodinger", lhs, _square(m.cross.real) + _square(m.cross.imag), lhs, tol,
+                        _digest(m.a, m.b, m.state, "schrodinger"), any(_zero_deviations(m, tol)),
+                        _square(m.a.norm * m.b.norm))
 
 
 def robertson(observable_a, observable_b, state: QuantumState, tol: Tolerance = DEFAULT_TOL) -> BoundReport:
@@ -214,18 +220,6 @@ def _require_dimensions(a: Observable, psi: PureState, phi: PureState) -> None:
         )
 
 
-def _require_mp_pair(a: Observable, psi: PureState, phi: PureState, tol: Tolerance) -> np.ndarray:
-    """The Maccone-Pati input checks, in order: dimensions, overlap, the Gram test of [psi, phi].
-
-    Returns the n x 2 matrix [psi | phi] that passed the Gram test.
-    """
-    _require_dimensions(a, psi, phi)
-    overlap = abs(complex(phi.amplitudes.conj() @ psi.amplitudes))
-    if overlap > _input_budget(tol):
-        raise NotOrthogonal(f"|<phi|psi>| = {overlap:.3e}")
-    return _require_isometry(np.array((psi.amplitudes, phi.amplitudes)).T, tol)
-
-
 def _unit_mu(mu: complex, tol: Tolerance) -> complex:
     mu = complex(mu)
     if abs(abs(mu) - 1.0) > _input_budget(tol):
@@ -259,9 +253,13 @@ class _MPInputs:
 
 def _mp_inputs(observable_a, observable_b, psi: PureState, phi: PureState,
                tol: Tolerance) -> _MPInputs:
-    """Validate (A, B, psi, phi) once, running the pair checks, and reduce it."""
+    """Validate (A, B, psi, phi) once and reduce it; the pair checks are dimensions, overlap, Gram test."""
     a, b = _observable_pair(observable_a, observable_b)
-    basis = _require_mp_pair(a, psi, phi, tol)
+    _require_dimensions(a, psi, phi)
+    overlap = abs(complex(phi.amplitudes.conj() @ psi.amplitudes))
+    if overlap > _input_budget(tol):
+        raise NotOrthogonal(f"|<phi|psi>| = {overlap:.3e}")
+    basis = _require_isometry(np.array((psi.amplitudes, phi.amplitudes)).T, tol)
     return _MPInputs(pair_moments(a, b, psi), phi, *_cross_elements(a, b, psi, phi), basis)
 
 
@@ -273,10 +271,7 @@ def mp_frame(observable_a, observable_b, psi: PureState, phi: PureState,
     This is the audit view of the chain's quantities and the one place that
     completes a frame (one QR of an n x (n + 2) matrix).
     """
-    return _mp_frame(_mp_inputs(observable_a, observable_b, psi, phi, tol))
-
-
-def _mp_frame(p: _MPInputs) -> MPFrame:
+    p = _mp_inputs(observable_a, observable_b, psi, phi, tol)
     m = p.moments
     basis = _completion(p.basis)
     bra = m.state.amplitudes.conj()
@@ -311,9 +306,10 @@ def _mp_chain(p: _MPInputs, mu: complex, tol: Tolerance) -> ChainReport:
     scale = m.dev_a**2 + m.dev_b**2
     zero = all(_zero_deviations(m, tol))
     abs_c, abs_d = abs(p.c), abs(p.d)
-    sides = (scale, abs_c**2 + abs_d**2, (abs_c + abs_d) ** 2 / 2.0, abs(p.c + mu * p.d) ** 2 / 2.0)
-    steps = tuple(_make_report(f"mp-chain step {k + 1}", sides[k], sides[k + 1], scale, tol, digest, zero)
-                  for k in range(3))
+    sides = (scale, abs_c**2 + abs_d**2, _square(abs_c + abs_d) / 2.0, _square(abs(p.c + mu * p.d)) / 2.0)
+    size = _square(m.a.norm) + _square(m.b.norm)
+    steps = tuple(_make_report(f"mp-chain step {k + 1}", sides[k], sides[k + 1], scale, tol, digest, zero,
+                               size) for k in range(3))
     return ChainReport(steps=steps, mu=mu)
 
 
@@ -349,9 +345,9 @@ def _mp3_report(p: _MPInputs, mu: complex, tol: Tolerance) -> BoundReport:
     lhs = m.dev_a**2 + m.dev_b**2
     # mu is exactly i or -i and <[A, B]> = cross - conj(cross) exactly imaginary,
     # so mu <[A, B]> is exactly real.
-    rhs = (mu * m.commutator_expectation).real + abs(p.c + mu * p.d) ** 2
+    rhs = (mu * m.commutator_expectation).real + _square(abs(p.c + mu * p.d))
     return _make_report("mp3", lhs, rhs, lhs, tol, _digest(m.a, m.b, m.state, p.phi, "mp3"),
-                        all(_zero_deviations(m, tol)))
+                        all(_zero_deviations(m, tol)), _square(m.a.norm) + _square(m.b.norm))
 
 
 def mp6(observable_a, observable_b, psi: PureState, phi: PureState,
@@ -373,8 +369,10 @@ def _mp6(p: _MPInputs, tol: Tolerance) -> MP6Reports:
     reformulated, comm_term = _mp6_reformulated(p, choice.mu, tol)
     degenerate = reformulated.lhs <= tol.effective(1.0)
     lhs = m.dev_a * m.dev_b
+    # The product form is dev(A) dev(B) / lhs times the reformulation, and so is its floor.
     product = None if degenerate else _make_report(
-        "mp6 product", lhs, comm_term / 2.0 / reformulated.lhs, lhs, tol, reformulated.inputs_digest)
+        "mp6 product", lhs, comm_term / 2.0 / reformulated.lhs, lhs, tol, reformulated.inputs_digest,
+        size=(m.a.norm * m.dev_b + m.b.norm * m.dev_a) / reformulated.lhs)
     return MP6Reports(reformulated=reformulated, product=product,
                       denominator_degenerate=degenerate, mu=choice)
 
@@ -387,5 +385,6 @@ def _mp6_reformulated(p: _MPInputs, mu: complex, tol: Tolerance) -> tuple[BoundR
     comm_term = (mu * m.commutator_expectation).real
     report = _make_report("mp6 reformulated", 1.0 - abs(q_elem) ** 2 / 2.0,
                           comm_term / (2.0 * m.dev_a * m.dev_b), 1.0, tol,
-                          _digest(m.a, m.b, m.state, p.phi, "mp6"))
+                          _digest(m.a, m.b, m.state, p.phi, "mp6"),
+                          size=m.a.norm / m.dev_a + m.b.norm / m.dev_b)
     return report, comm_term

@@ -9,7 +9,7 @@ decide each side by its deviation.  The Maccone-Pati checkers read their
 bound's report flag, and c = <psi|A|phi> and d = <psi|B|phi> as matrix
 elements; they build no frame.
 Like the evaluators, each checker is an entry that validates and reduces its
-inputs and a private body that reads only the reduction.
+inputs, with a private body that reads only the reduction where the sweep runs it.
 
 The constructions (psi = e1) read one reduction of (A, B, e1), its mu, and
 the target bound's body at that mu on [e1 | (0, tail)], orthonormal by construction.
@@ -32,7 +32,9 @@ from .errors import (
 )
 from .linalg import (
     DEFAULT_TOL,
+    TIE_TOL,
     Tolerance,
+    _rounding_floor,
     complex_dependence_detail,
     phase_dependence_detail,
 )
@@ -46,7 +48,6 @@ from .relations import (
     _MPInputs,
     _require_deviations,
     _robertson_report,
-    _rounding_floor,
     _schrodinger_report,
     _unit_mu,
     _zero_deviations,
@@ -147,11 +148,11 @@ def _verify_r_family(m: PairMoments, coeff_a: complex, coeff_b: complex,
     (res / scale)^2 <= 10 tol.effective(1), with the scale-free
     scale = max(|coeff_a| dev(A), |coeff_b| dev(B)) ||w^r||, the size of the
     two terms at r = 1/2 carried to r, which no identity offset moves; or when
-    it is within the rounding floor of the same scale read with ||A||_F and
-    ||B||_F, where the deviations are rounding noise (n = 1, eigenstates).
+    it is within the rounding floor (at DEFAULT_TOL) of the same scale read with
+    ||A||_F and ||B||_F, where the deviations are rounding noise (n = 1, eigenstates).
     """
     limit = max(math.sqrt(10.0 * tol.effective(1.0)) * max(abs(coeff_a) * m.dev_a, abs(coeff_b) * m.dev_b),
-                _rounding_floor(max(abs(coeff_a) * m.a.norm, abs(coeff_b) * m.b.norm), tol))
+                _rounding_floor(max(abs(coeff_a) * m.a.norm, abs(coeff_b) * m.b.norm), DEFAULT_TOL))
     rs, residuals = [], []
     for r in dict.fromkeys(float(r) for r in r_list):
         ma, mb = (c * m.state.weights ** (r - 0.5) for c in (m.centered_a, m.centered_b))
@@ -232,10 +233,7 @@ def mp_chain_saturation(observable_a, observable_b, psi: PureState, phi: PureSta
     are zero to rounding.  Residuals are values only.
     """
     mu = _unit_mu(mu, tol)
-    return _mp_chain_saturation(_mp_inputs(observable_a, observable_b, psi, phi, tol), mu, tol)
-
-
-def _mp_chain_saturation(p: _MPInputs, mu: complex, tol: Tolerance) -> ChainSaturation:
+    p = _mp_inputs(observable_a, observable_b, psi, phi, tol)
     m, c, d = p.moments, p.c, p.d
     abs_c, abs_d = abs(c), abs(d)
     flags = tuple(step.saturated for step in _mp_chain(p, mu, tol).steps)
@@ -273,10 +271,7 @@ def mp3_saturation(observable_a, observable_b, psi: PureState, phi: PureState,
     The squares of the two sides differ by the mp3 slack at ``mu``, so the flag
     is the :func:`~qubounds.relations.mp3` report's flag at ``mu``.
     """
-    return _mp3_saturation(_mp_inputs(observable_a, observable_b, psi, phi, tol), mu, tol)
-
-
-def _mp3_saturation(p: _MPInputs, mu: complex, tol: Tolerance) -> EqualityCheck:
+    p = _mp_inputs(observable_a, observable_b, psi, phi, tol)
     m = p.moments
     mu = _require_mu_hypothesis(m, mu, tol)
     lhs = float(np.linalg.norm(m.centered_a - mu * m.centered_b))
@@ -293,10 +288,7 @@ def mp6_saturation(observable_a, observable_b, psi: PureState, phi: PureState,
     the condition under which the division-free form closes; the flag is the
     :func:`~qubounds.relations.mp6` reformulated report's flag at ``mu``.
     """
-    return _mp6_saturation(_mp_inputs(observable_a, observable_b, psi, phi, tol), mu, tol)
-
-
-def _mp6_saturation(p: _MPInputs, mu: complex, tol: Tolerance) -> EqualityCheck:
+    p = _mp_inputs(observable_a, observable_b, psi, phi, tol)
     m = p.moments
     mu = _require_mu_hypothesis(m, mu, tol)
     report, _ = _mp6_reformulated(p, mu, tol)
@@ -369,7 +361,7 @@ def construct_case2(observable_a, observable_b, tol: Tolerance = DEFAULT_TOL) ->
         # unless that entry is rounding noise beside the row it is read from.
         row = u.conj() - mu * v.conj()
         entry = complex(row @ direction)
-        if abs(entry) > 1e-14 * float(np.linalg.norm(row)):
+        if abs(entry) > TIE_TOL * float(np.linalg.norm(row)):
             direction = direction * cmath.exp(-1j * cmath.phase(entry))
     return _constructed_pair(m, mu, direction, "mp3", tol)
 
@@ -430,7 +422,7 @@ def qubit_commutation_witness(observable_a, observable_b, state: QuantumState,
     state (the witness), None when the precondition is unmet (decided as in
     :func:`zero_product_characterization`), and raises
     :class:`CorollaryViolation` if ||[A, B]||_F exceeds, beyond the rounding
-    floor of ||A||_F ||B||_F, what the deviations allow.  With A = a0 I + a.sigma,
+    floor of ||A||_F ||B||_F at DEFAULT_TOL, what the deviations allow.  With A = a0 I + a.sigma,
     spread(A) = sqrt(2) |a| and ||[A, B]||_F = 2 sqrt(2) |a x b|; for Bloch
     vector r = s n (|n| = 1), dev(A)^2 = |a|^2 - (a.r)^2 >= |a_perp|^2, the part
     normal to n.  As a_par x b_par = 0, |a x b| <= |a| |b_perp| + |a_perp| |b| + |a_perp| |b_perp|:
@@ -444,7 +436,7 @@ def qubit_commutation_witness(observable_a, observable_b, state: QuantumState,
     a, b = m.a.matrix, m.b.matrix
     comm_norm = float(np.linalg.norm(a @ b - b @ a))
     allowed = (2.0 * (m.a.spread * m.dev_b + m.b.spread * m.dev_a)
-               + 2.0 * math.sqrt(2.0) * m.dev_a * m.dev_b + _rounding_floor(m.a.norm * m.b.norm, tol))
+               + 2.0 * math.sqrt(2.0) * m.dev_a * m.dev_b + _rounding_floor(m.a.norm * m.b.norm, DEFAULT_TOL))
     if comm_norm > allowed:
         raise CorollaryViolation(f"centered products vanish but ||[A, B]|| = {comm_norm:.3e} > {allowed:.3e}")
     return comm_norm

@@ -21,12 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, NonRealExpectation
-from .linalg import EigenSystem, _eigh_descending, _psd_eig, as_complex_matrix, require_hermitian
-
-# Unit-norm / unit-trace validation budget for states.
-NORM_TOL = 1e-10
-# Expectation values of Hermitian observables must be real up to this (relative).
-IMAG_TOL = 1e-10
+from .linalg import INPUT_TOL, EigenSystem, _eigh_descending, _psd_eig, as_complex_matrix, require_hermitian
 
 
 def _frozen_array(a: np.ndarray, dtype=complex) -> np.ndarray:
@@ -94,8 +89,8 @@ class PureState:
         if not np.isfinite(a).all():
             raise ValueError("state vector contains non-finite entries")
         norm = float(np.linalg.norm(a))
-        if abs(norm - 1.0) > NORM_TOL:
-            raise ValueError(f"state vector norm {norm!r} is not 1 within {NORM_TOL}")
+        if abs(norm - 1.0) > INPUT_TOL:
+            raise ValueError(f"state vector norm {norm!r} is not 1 within {INPUT_TOL}")
         object.__setattr__(self, "amplitudes", _frozen_array(a.ravel()))
         # Kept 2-D so that a pure state is the one-column case of every matrix path.
         object.__setattr__(self, "factor", self.amplitudes.reshape(-1, 1))
@@ -129,8 +124,8 @@ class DensityMatrix:
     def __post_init__(self) -> None:
         m = require_hermitian(self.matrix, "density matrix")
         trace = float(np.trace(m).real)
-        if abs(trace - 1.0) > NORM_TOL:
-            raise ValueError(f"density matrix trace {trace!r} is not 1 within {NORM_TOL}")
+        if abs(trace - 1.0) > INPUT_TOL:
+            raise ValueError(f"density matrix trace {trace!r} is not 1 within {INPUT_TOL}")
         spectrum = _psd_eig(m, "density matrix")
         object.__setattr__(self, "spectrum", spectrum)
         w, v = spectrum.support()
@@ -156,11 +151,15 @@ class DensityMatrix:
         """rho = G G^dagger / ||G||_F^2 for an n x k ``g``, in O(n k^2) work besides rho itself.
 
         The support is that of the Gram matrix G^dagger G = U diag(lambda) U^dagger:
-        its eigenvalues above ``PSD_TOL * ||lambda||`` give the weights, normalised
+        its eigenvalues above ``INPUT_TOL * ||lambda||`` give the weights, normalised
         to sum 1, and the columns G u_j, each rotated by the conjugate of its
         largest entry and normalised, give V_k; a 1 x 1 state's factor is exactly 1.
+        G is first scaled exactly, by the power of two that puts max |G_ij| in
+        [0.5, 1), so 2^k G gives the same state bit for bit and nothing overflows.
         """
         g = as_complex_matrix(g, "factor")
+        e = math.frexp(float(np.abs(g).max()))[1]
+        g = g * 2.0 ** (-e // 2) * 2.0 ** -(e // 2)  # 2^-e as two normal floats
         rho = g @ g.conj().T
         trace = np.trace(rho).real
         if not trace > 0.0:
@@ -231,7 +230,7 @@ def _mean_and_image(obs: Observable | CenteredObservable,
         )
     ax = obs.matrix @ state.factor
     value = complex(np.vdot(state.factor, ax))
-    if abs(value.imag) > IMAG_TOL * max(1.0, obs.norm):
+    if abs(value.imag) > INPUT_TOL * obs.norm:
         raise NonRealExpectation(f"imaginary residue {value.imag:.3e} in expectation")
     return float(value.real), ax
 

@@ -8,6 +8,7 @@ from qubounds import (
     NonHermitianInput,
     NotOrthonormal,
     NotPositiveSemidefinite,
+    Observable,
     Tolerance,
     complex_dependence,
     frobenius_inner,
@@ -254,3 +255,31 @@ def test_complex_dependence_zero_operands():
     # A vanishing first operand forces sin(theta) = 0.
     angles = complex_dependence(np.zeros((2, 2)), SIGMA_X)
     assert angles == (0.0, 0.0)
+
+
+def test_input_checks_hold_at_every_scale():
+    # Each input check compares against the input's own size, so no scale
+    # switches it off.
+    for k in range(-100, 101):
+        c = 10.0 ** k
+        with pytest.raises(NonHermitianInput):
+            Observable(c * np.array([[0.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(NotPositiveSemidefinite):
+            psd_power(-c * np.eye(2), 0.5)
+
+
+def test_dependence_detectors_decide_at_every_scale():
+    # The squared residual is compared with tol.effective(1) (||x||^2 + ||y||^2):
+    # random pairs stay independent and planted pairs dependent at every common scale.
+    rng = np.random.default_rng(12)
+    for _ in range(5):
+        x, y = complex_normal(rng, 4, 1).ravel(), complex_normal(rng, 4, 1).ravel()
+        xm, ym = complex_normal(rng, 3, 3), complex_normal(rng, 3, 3)
+        cot = 1.0 / math.tan(rng.uniform(0.1, 1.4))
+        ratio = complex(*rng.uniform(-2.0, 2.0, 2))
+        for k in range(-12, 9):
+            c = 10.0 ** k
+            assert phase_dependence(c * x, c * y) is None
+            assert complex_dependence(c * xm, c * ym) is None
+            assert phase_dependence(c * x, c * 1j * cot * x) is not None
+            assert complex_dependence(c * xm, c * ratio * xm) is not None

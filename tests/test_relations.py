@@ -9,6 +9,7 @@ from qubounds import (
     NotOrthogonal,
     Observable,
     PureState,
+    QuboundsError,
     Tolerance,
     ZeroDeviation,
     bloch_state,
@@ -27,10 +28,11 @@ from qubounds import (
     stddev,
     trial_rng,
 )
+from qubounds import relations
 from qubounds.relations import _make_report
 from qubounds.sampling import _haar_columns
 from qubounds.errors import BoundViolation
-from helpers import SIGMA_X, SIGMA_Y, SIGMA_Z, block_pair_4x4, hermitian_array
+from helpers import SIGMA_X, SIGMA_Y, SIGMA_Z, block_pair_4x4, hermitian_array, plant_saturating_pure
 
 KET0 = PureState(np.array([1.0, 0.0]))
 KET1 = PureState(np.array([0.0, 1.0]))
@@ -54,6 +56,49 @@ def test_make_report_flags_and_violation():
     # Negative slack inside the rounding budget is reported, not raised.
     report = _make_report("t", 1.0, 1.0 + 1e-13, 1.0, tol, "d")
     assert report.saturated
+
+
+def test_bound_oracle_catches_a_wrong_bound_at_every_scale(monkeypatch):
+    # A Robertson rhs made 1.5 times too large must raise on planted saturated
+    # instances at every scale, and no caller's tolerance may loosen the check.
+    with pytest.raises(BoundViolation):
+        _make_report("x", 1.0, 2.0, 1.0, Tolerance(absolute=10.0), "d")
+    make_report = relations._make_report
+    monkeypatch.setattr(relations, "_make_report",
+                        lambda name, lhs, rhs, *args, **kw: make_report(name, lhs, 1.5 * rhs, *args, **kw))
+    instances = [plant_saturating_pure(4, 0.7j, np.random.default_rng(s)) for s in range(100)]
+    for tol in (Tolerance(), Tolerance(0.0, 0.0), Tolerance(absolute=10.0)):
+        for c in (1.0, 1e-4, 1e-6, 1e-8, 1e-13):
+            raised = 0
+            for a, b, psi in instances:
+                try:
+                    robertson(c * a.matrix, c * b.matrix, psi, tol)
+                except BoundViolation:
+                    raised += 1
+            assert raised >= 99, (tol, c, raised)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_an_overflow_never_becomes_a_report():
+    # ||A||_F that overflows is rejected where A enters; a bound whose sides
+    # overflow raises BoundViolation instead of reporting a NaN or inf slack.
+    rho = DensityMatrix(np.diag([0.75, 0.25]).astype(complex))
+    for c in (1e100, 1e160, 1e200):
+        a, b = c * SIGMA_X, c * SIGMA_Y
+        evaluations = [lambda: robertson(a, b, KET0), lambda: robertson(a, b, rho),
+                       lambda: schrodinger(a, b, KET0), lambda: schrodinger(a, b, rho),
+                       lambda: mp3(a, b, KET0, KET1).report, lambda: mp_chain(a, b, KET0, KET1, 1j).steps,
+                       lambda: (mp6(a, b, KET0, KET1).reformulated, mp6(a, b, KET0, KET1).product)]
+        for evaluate in evaluations:
+            try:
+                result = evaluate()
+            except (QuboundsError, ValueError):
+                continue
+            for report in result if isinstance(result, tuple) else (result,):
+                if report is not None:
+                    assert all(map(math.isfinite, (report.lhs, report.rhs, report.slack)))
+    with pytest.raises(ValueError):
+        Observable(1e160 * SIGMA_X)
 
 
 def test_robertson_pauli_golden():

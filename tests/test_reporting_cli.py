@@ -1,6 +1,8 @@
 import dataclasses
+import importlib
 import json
 import math
+import pkgutil
 import re
 import sys
 from pathlib import Path
@@ -30,8 +32,9 @@ from qubounds import (
     schrodinger_saturation,
     trial_rng,
 )
+import qubounds
 from qubounds import goldens, linalg, reporting, sampling, states
-from qubounds.cli import main
+from qubounds.cli import _tolerance, build_parser, main
 from qubounds.reporting import (
     bound_report_from_dict,
     bound_report_to_dict,
@@ -399,3 +402,37 @@ def test_package_version_is_the_artifact_version():
     # A regex, since tomllib needs Python 3.11 and requires-python allows 3.10.
     text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
     assert re.search(r'^version = "([^"]+)"$', text, re.M).group(1) == reporting.ARTIFACT_VERSION
+
+
+def test_zero_tolerance_fails_only_on_the_haar_pair():
+    # A zero budget rejects the sweep's Haar pair, whose overlap is rounding
+    # noise; every guard keeps its rounding floor, so nothing else fails.
+    for n, rank in ((1, 1), (2, 2), (3, 2), (4, 4)):
+        report = run_verification_suite(SampleConfig(n, rank, 7, 10), Tolerance(0.0, 0.0))
+        failures = report.summary["failures"]
+        assert all(f["where"] in ("mp3", "mp6", "mp_chain")
+                   and f["error"] in ("NotOrthogonal", "NotOrthonormal") for f in failures)
+        assert n > 1 or not failures
+
+
+def test_bare_command_parses_to_the_default_tolerance():
+    assert _tolerance(build_parser().parse_args(["reproduce"])) == linalg.DEFAULT_TOL
+
+
+def test_every_named_threshold_is_in_the_readme_table():
+    # Each module-level *_TOL has a row in README "Tolerances" that gives its value.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Tolerances", 1)[1].split("\n## ", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("|")]
+    names = 0
+    for info in pkgutil.iter_modules(qubounds.__path__):
+        module = importlib.import_module(f"qubounds.{info.name}")
+        for name, value in vars(module).items():
+            if not name.endswith("_TOL"):
+                continue
+            expected = (value.absolute, value.relative) if isinstance(value, Tolerance) else (value,)
+            row = next((r for r in rows if r.startswith(f"| `{name}` |")), "| | |")
+            value_cell = row.split("|")[2]
+            assert tuple(map(float, re.findall(r"\d+(?:\.\d+)?e-?\d+", value_cell))) == expected, name
+            names += 1
+    assert names >= 6

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from qubounds import (
-    BoundViolation,
     CertificateKind,
     DensityMatrix,
     DimensionMismatch,
@@ -785,10 +784,35 @@ def test_zero_tolerance_never_trips_a_constructed_pairs_checks():
         rng = trial_rng(7, k)
         a, b = random_hermitian(4, rng), random_hermitian(4, rng)
         for construct in (construct_case2, construct_w_mp6):
-            try:
-                construct(a, b, zero)
-            except BoundViolation:
-                pass  # a zero budget admits no negative rounding slack
+            construct(a, b, zero)
+
+
+def test_shifted_eigenstates_raise_nothing_but_zero_deviation():
+    # At an exact eigenstate the deviations are rounding noise, and an identity
+    # offset of A makes c = <psi|A|phi> carry rounding of the offset.  Every
+    # guard's floor is read at the inputs' size, so no check raises on them.
+    for k in range(8):
+        rng = trial_rng(342, k)
+        a, b = hermitian_array(rng, 4), hermitian_array(rng, 4)
+        vectors = np.linalg.eigh(a)[1]
+        psi, phi = PureState(vectors[:, 0]), PureState(vectors[:, 1])
+        rho = DensityMatrix.from_factor(vectors[:, :2])
+        for t in (0.0, 1e4, 1e8):
+            shifted = a + t * np.linalg.norm(a) * np.eye(4)
+            mu = mp3(shifted, b, psi, phi).mu.mu
+            for evaluate in (
+                lambda: robertson(shifted, b, psi), lambda: schrodinger(shifted, b, rho),
+                lambda: robertson_saturation_pure(shifted, b, psi),
+                lambda: robertson_saturation_mixed(shifted, b, rho),
+                lambda: schrodinger_saturation(shifted, b, rho),
+                lambda: mp6(shifted, b, psi, phi), lambda: mp3_saturation(shifted, b, psi, phi, mu),
+                lambda: mp_chain_saturation(shifted, b, psi, phi, mu),
+                lambda: construct_case2(shifted, b), lambda: construct_w_mp6(shifted, b),
+            ):
+                try:
+                    evaluate()
+                except ZeroDeviation:
+                    pass
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from qubounds import (
     stddev,
     trial_rng,
 )
-from helpers import SIGMA_X, SIGMA_Y, SIGMA_Z, hermitian_array
+from helpers import SIGMA_X, SIGMA_Y, SIGMA_Z, complex_normal, hermitian_array
 
 KET0 = PureState(np.array([1.0, 0.0]))
 KET1 = PureState(np.array([0.0, 1.0]))
@@ -310,3 +310,22 @@ def test_from_pure_runs_no_eigh(monkeypatch):
         checked = DensityMatrix(psi.projector())
         np.testing.assert_allclose(_moments(pair_moments(a, b, rho)),
                                    _moments(pair_moments(a, b, checked)), rtol=0, atol=1e-14)
+
+
+def test_from_factor_is_the_same_state_at_every_power_of_two():
+    # G is scaled exactly by a power of two before rho is formed, so 2^k G gives
+    # the same state bit for bit, and no scale overflows or underflows.
+    rng = trial_rng(341, 0)
+    fields = ("matrix", "factor", "weights")
+    for n, k in ((1, 1), (3, 1), (4, 2), (8, 3)):
+        g = complex_normal(rng, n, k)
+        state = DensityMatrix.from_factor(g)
+        for e in range(-900, 901, 9):
+            scaled = DensityMatrix.from_factor(2.0 ** e * g)
+            assert scaled.digest == state.digest
+            for name in fields:
+                assert getattr(scaled, name).tobytes() == getattr(state, name).tobytes()
+    for c in (1e200, 1e-200):
+        state = DensityMatrix.from_factor(c * np.ones((2, 1)))
+        np.testing.assert_array_equal(state.matrix, np.full((2, 2), 0.5))
+        np.testing.assert_array_equal(state.weights, [1.0])
