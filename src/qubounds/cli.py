@@ -8,12 +8,12 @@ construction that does not saturate).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .errors import QuboundsError
 from .linalg import DEFAULT_TOL, Tolerance
 from .reporting import (
+    canonical_json,
     dumps_report,
     load_observable_pair,
     run_reproduction,
@@ -114,7 +114,7 @@ def cmd_saturate(args) -> int:
         "degenerate": pair.degenerate,
         "construction_tol": CONSTRUCTION_TOL,
     }
-    _emit(json.dumps(record, sort_keys=True, indent=2, allow_nan=False), args.out)
+    _emit(canonical_json(record), args.out)
     return 0 if abs(pair.achieved_slack) <= CONSTRUCTION_TOL else 2
 
 
@@ -127,7 +127,7 @@ def main(argv=None) -> int:
         if args.command == "reproduce":
             return cmd_reproduce(args)
         return cmd_saturate(args)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except QuboundsError as exc:

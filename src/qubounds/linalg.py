@@ -69,14 +69,26 @@ def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def require_hermitian(m, name: str = "matrix") -> np.ndarray:
-    """Validate that ``m`` is square, of finite ||m||_F, and Hermitian within ``INPUT_TOL * ||m||_F``."""
+def _square_matrix(m, name: str = "matrix") -> np.ndarray:
+    """A square 2-D complex array with finite entries."""
     a = as_complex_matrix(m, name)
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"{name} must be square, got shape {a.shape}")
+    return a
+
+
+def _finite_norm(a: np.ndarray, name: str = "matrix") -> float:
+    """||a||_F; ValueError where finite entries overflow it."""
     norm = float(np.linalg.norm(a))
     if not math.isfinite(norm):
         raise ValueError(f"{name} has a non-finite Frobenius norm")
+    return norm
+
+
+def require_hermitian(m, name: str = "matrix") -> np.ndarray:
+    """Validate that ``m`` is square, of finite ||m||_F, and Hermitian within ``INPUT_TOL * ||m||_F``."""
+    a = _square_matrix(m, name)
+    norm = _finite_norm(a, name)
     deviation = float(np.linalg.norm(a - a.conj().T))
     if deviation > INPUT_TOL * norm:
         raise NonHermitianInput(f"{name} deviates from Hermitian by {deviation:.3e}")

@@ -40,13 +40,14 @@ from .saturation import (
     ConstructedPair,
     SaturationCertificate,
     _certificate,
-    construct_case1,
-    construct_case2,
-    construct_w_mp6,
+    _construct_case1,
+    _construct_case2,
+    _construct_w_mp6,
+    _e1_reduction,
 )
 from .states import Observable, PureState, pair_moments
 
-ARTIFACT_VERSION = "0.5.0"
+ARTIFACT_VERSION = "0.6.0"
 
 
 @dataclass(frozen=True)
@@ -162,9 +163,14 @@ def report_from_dict(d: dict) -> SuiteReport:
     )
 
 
+def canonical_json(obj) -> str:
+    """Compact strict JSON with sorted keys: floats round-trip bit-faithfully; NaN or inf raises ValueError."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
 def dumps_report(report: SuiteReport) -> str:
-    """Canonical strict JSON: floats round-trip bit-faithfully; NaN or inf raises ValueError."""
-    return json.dumps(report_to_dict(report), sort_keys=True, indent=2, allow_nan=False)
+    """The report in :func:`canonical_json` form."""
+    return canonical_json(report_to_dict(report))
 
 
 def loads_report(text: str) -> SuiteReport:
@@ -256,9 +262,9 @@ def run_verification_suite(config: SampleConfig, tol: Tolerance) -> SuiteReport:
 
     Each evaluation leaves one record entry: its result (a dict names several),
     a skip on :class:`ZeroDeviation`, or an error on any other :class:`QuboundsError`.
-    Each trial reduces (A, B, psi), (A, B, rho) and (A, B, psi_f, phi_f) once and runs
-    the evaluators' and checkers' bodies on them; a reduction that raises does so in
-    every evaluation that needs it.
+    Each trial reduces (A, B, psi), (A, B, rho), (A, B, psi_f, phi_f) and (A, B, e1) once
+    and runs the bodies on them; case 1 or 2 and ``construct_w_mp6`` share the e1 reduction
+    and its mu.  A reduction that raises does so in every evaluation that needs it.
     """
     started = _utc_now()
     summary = _Summary()
@@ -283,6 +289,7 @@ def run_verification_suite(config: SampleConfig, tol: Tolerance) -> SuiteReport:
             columns = _haar_columns(n, 2, rng)
             pair = PureState(columns[:, 0]), PureState(columns[:, 1])
             mp = functools.cache(lambda: _mp_inputs(a, b, *pair, tol))
+            e1 = functools.cache(lambda: _e1_reduction(a, b, tol))
             evaluations["mp3"] = lambda: _mp3(mp(), tol).report
             evaluations["mp6"] = lambda: _mp6_results(_mp6(mp(), tol))
             evaluations["mp_chain"] = lambda: dict(zip(
@@ -294,11 +301,11 @@ def run_verification_suite(config: SampleConfig, tol: Tolerance) -> SuiteReport:
         evaluations["schrodinger_certificate"] = lambda: _certificate(
             CertificateKind.SCHRODINGER, mixed(), tol, DEFAULT_R_LIST)
         if n == 2:
-            evaluations["construct_case1"] = lambda: construct_case1(a, b, tol)
+            evaluations["construct_case1"] = lambda: _construct_case1(*e1(), tol)
         elif n > 2:
-            evaluations["construct_case2"] = lambda: construct_case2(a, b, tol)
+            evaluations["construct_case2"] = lambda: _construct_case2(*e1(), tol)
         if n >= 2:
-            evaluations["construct_w_mp6"] = lambda: construct_w_mp6(a, b, tol)
+            evaluations["construct_w_mp6"] = lambda: _construct_w_mp6(*e1(), tol)
 
         record: dict = {"trial": k}
         for where, evaluate in evaluations.items():

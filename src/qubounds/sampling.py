@@ -40,15 +40,22 @@ def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
 
 
 def _complex_normal(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    return (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2.0)
+    """(x + i y) / sqrt(2) for normal draws x then y, each half written in place as x (1 / sqrt(2)).
+
+    NumPy divides by a real as a product with its reciprocal, so these are the bytes of
+    ``(x + 1j * y) / np.sqrt(2.0)`` (up to the sign of an exact zero), from the same draws.
+    """
+    out, scale = np.empty((rows, cols), dtype=complex), 1.0 / np.sqrt(2.0)
+    np.multiply(rng.standard_normal((rows, cols)), scale, out=out.real)
+    np.multiply(rng.standard_normal((rows, cols)), scale, out=out.imag)
+    return out
 
 
 def random_hermitian(n: int, seed, label: str = "") -> Observable:
-    """Hermitian by construction: (G + G^dagger)/2 from complex normal entries."""
+    """(G + G^dagger)/2 for a complex normal G: :meth:`Observable.hermitian_part`, with no Hermiticity test."""
     if n < 1:
         raise ValueError("dimension must be >= 1")
-    g = _complex_normal(_as_rng(seed), n, n)
-    return Observable(matrix=(g + g.conj().T) / 2.0, label=label)
+    return Observable.hermitian_part(_complex_normal(_as_rng(seed), n, n), label=label)
 
 
 def _haar_columns(n: int, k: int, seed) -> np.ndarray:

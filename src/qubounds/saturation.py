@@ -8,8 +8,8 @@ re-verify at several powers of rho.  The zero-deviation characterizations
 decide each side by its deviation.  The Maccone-Pati checkers read their
 bound's report flag, and c = <psi|A|phi> and d = <psi|B|phi> as matrix
 elements; they build no frame.
-Like the evaluators, each checker is an entry that validates and reduces its
-inputs, with a private body that reads only the reduction where the sweep runs it.
+Like the evaluators, each checker and constructor is an entry that validates and reduces
+its inputs, with a private body that reads only the reduction where the sweep runs it.
 
 The constructions (psi = e1) read one reduction of (A, B, e1), its mu, and
 the target bound's body at that mu on [e1 | (0, tail)], orthonormal by construction.
@@ -298,7 +298,8 @@ def mp6_saturation(observable_a, observable_b, psi: PureState, phi: PureState,
 
 
 def _e1_reduction(observable_a, observable_b, tol: Tolerance) -> tuple[PairMoments, complex]:
-    """The reduction of (A, B, e1) and its mu (:func:`~qubounds.relations.choose_mu`).
+    """The reduction of (A, B, e1) and its mu (:func:`~qubounds.relations.choose_mu`): the constructors'
+    one input check, which every constructor body reads and a sweep trial makes once for both.
 
     A_c e1 = (0, u) for the first-column tail u of A, so dev(A) = ||u||; likewise for B.
     """
@@ -333,7 +334,10 @@ def _constructed_pair(m: PairMoments, mu: complex, tail: np.ndarray | None,
 
 def construct_case1(observable_a, observable_b, tol: Tolerance = DEFAULT_TOL) -> ConstructedPair:
     """Saturating pair for the sum bound in dimension 2: psi = e1, phi = e2."""
-    m, mu = _e1_reduction(observable_a, observable_b, tol)
+    return _construct_case1(*_e1_reduction(observable_a, observable_b, tol), tol)
+
+
+def _construct_case1(m: PairMoments, mu: complex, tol: Tolerance) -> ConstructedPair:
     if m.a.dimension != 2:
         raise DimensionMismatch(f"construction requires dimension 2, got {m.a.dimension}")
     return _constructed_pair(m, mu, np.ones(1), "mp3", tol)
@@ -347,7 +351,10 @@ def construct_case2(observable_a, observable_b, tol: Tolerance = DEFAULT_TOL) ->
     normalized (phase-fixed to make <psi|(A - mu B)|phi> real nonnegative).
     A vanishing tail makes the equality hold for any phi; e2 is used then.
     """
-    m, mu = _e1_reduction(observable_a, observable_b, tol)
+    return _construct_case2(*_e1_reduction(observable_a, observable_b, tol), tol)
+
+
+def _construct_case2(m: PairMoments, mu: complex, tol: Tolerance) -> ConstructedPair:
     if m.a.dimension <= 2:
         raise DimensionMismatch(f"construction requires dimension > 2, got {m.a.dimension}")
     u, v = m.centered_a[1:, 0], m.centered_b[1:, 0]
@@ -374,7 +381,10 @@ def construct_w_mp6(observable_a, observable_b, tol: Tolerance = DEFAULT_TOL) ->
     A and B in e1).  When the difference vanishes both equality sides are
     zero for any phi; e2 is used then.
     """
-    m, mu = _e1_reduction(observable_a, observable_b, tol)
+    return _construct_w_mp6(*_e1_reduction(observable_a, observable_b, tol), tol)
+
+
+def _construct_w_mp6(m: PairMoments, mu: complex, tol: Tolerance) -> ConstructedPair:
     if m.a.dimension < 2:
         raise DimensionMismatch("construction requires dimension >= 2")
     _require_deviations(m, tol)

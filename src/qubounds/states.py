@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, NonRealExpectation
-from .linalg import INPUT_TOL, EigenSystem, _eigh_descending, _psd_eig, as_complex_matrix, require_hermitian
+from .linalg import (INPUT_TOL, EigenSystem, _eigh_descending, _finite_norm, _psd_eig, _square_matrix,
+                     as_complex_matrix, require_hermitian)
 
 
 def _frozen_array(a: np.ndarray, dtype=complex) -> np.ndarray:
@@ -45,10 +46,11 @@ class _HermitianInput:
     norm: float = field(init=False, repr=False, compare=False)
     digest: str = field(init=False, repr=False, compare=False)
 
-    def _freeze(self, name: str) -> None:
-        m = _frozen_array(require_hermitian(self.matrix, name))
+    def _freeze(self, m: np.ndarray, name: str) -> None:
+        """The one place ``matrix``, ``norm`` and ``digest`` are set, from a Hermitian ``m``."""
+        m = _frozen_array(m)
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "norm", float(np.linalg.norm(m)))
+        object.__setattr__(self, "norm", _finite_norm(m, name))
         object.__setattr__(self, "digest", _array_digest("observable", m))
 
     @property
@@ -70,7 +72,19 @@ class Observable(_HermitianInput):
     label: str = ""
 
     def __post_init__(self) -> None:
-        self._freeze(self.label or "observable")
+        name = self.label or "observable"
+        self._freeze(require_hermitian(self.matrix, name), name)
+
+    @classmethod
+    def hermitian_part(cls, g, label: str = "") -> "Observable":
+        """A = (G + G^dagger)/2 for a square finite ``g``, equal to ``Observable(A)`` but Hermitian
+        bit for bit by construction, so every check but the Hermiticity test runs."""
+        name = label or "observable"
+        g = _square_matrix(g, name)
+        obs = object.__new__(cls)
+        object.__setattr__(obs, "label", label)
+        obs._freeze((g + g.conj().T) / 2.0, name)
+        return obs
 
 
 @dataclass(frozen=True)
@@ -191,7 +205,7 @@ class CenteredObservable(_HermitianInput):
     mean: float
 
     def __post_init__(self) -> None:
-        self._freeze("centered observable")
+        self._freeze(require_hermitian(self.matrix, "centered observable"), "centered observable")
 
 
 @dataclass(frozen=True)

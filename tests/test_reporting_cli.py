@@ -38,6 +38,7 @@ from qubounds.cli import _tolerance, build_parser, main
 from qubounds.reporting import (
     bound_report_from_dict,
     bound_report_to_dict,
+    canonical_json,
     dumps_report,
     loads_report,
     matrix_from_json_dict,
@@ -166,6 +167,26 @@ def test_cli_verify_reports_are_rerun_identical(tmp_path):
     assert json.dumps(d1, sort_keys=True) == json.dumps(d2, sort_keys=True)
 
 
+def test_cli_writes_one_canonical_json_form(tmp_path):
+    # verify's file is dumps_report of the same config, timestamps aside: compact,
+    # with no newline before its last character; saturate writes the same form.
+    out = tmp_path / "report.json"
+    assert main(["verify", "--n", "3", "--rank", "2", "--trials", "3", "--seed", "5",
+                 "--out", str(out)]) == 0
+    text = out.read_text()
+    assert "\n" not in text[:-1]
+    report = run_verification_suite(SampleConfig(3, 2, 5, 3), Tolerance())
+    stamps = {key: json.loads(text)["manifest"][key] for key in ("started", "finished")}
+    assert text == dumps_report(dataclasses.replace(
+        report, manifest=dataclasses.replace(report.manifest, **stamps)))
+    pair_file = _write_pair_file(tmp_path / "pair.json", SIGMA_X, SIGMA_Y)
+    sat = tmp_path / "sat.json"
+    assert main(["saturate", pair_file, "--target", "mp3", "--out", str(sat)]) == 0
+    text = sat.read_text()
+    assert "\n" not in text[:-1]
+    assert text == canonical_json(json.loads(text))
+
+
 def test_cli_reproduce_passes(tmp_path):
     out = tmp_path / "goldens.json"
     code = main(["reproduce", "--out", str(out)])
@@ -284,12 +305,13 @@ def _trial_calls(monkeypatch, config):
             for attr, obj in list(vars(module).items()):
                 if obj is fn:
                     monkeypatch.setattr(module, attr, wrapper)
-    # A state enters through its constructor, or a density matrix through its factor.
+    # An input enters through its constructor, a density matrix through its factor,
+    # or an observable as the Hermitian part of its draw.
     for cls in (states.Observable, states.CenteredObservable, states.PureState,
                 states.DensityMatrix):
         monkeypatch.setattr(cls, "__post_init__", counting("inputs", cls.__post_init__))
-    monkeypatch.setattr(states.DensityMatrix, "from_factor",
-                        classmethod(counting("inputs", states.DensityMatrix.from_factor.__func__)))
+    for cls, entry in ((states.DensityMatrix, "from_factor"), (states.Observable, "hermitian_part")):
+        monkeypatch.setattr(cls, entry, classmethod(counting("inputs", getattr(cls, entry).__func__)))
     report = run_verification_suite(config, Tolerance())
     assert report.summary["failure_count"] == 0
     return counts, shapes
@@ -298,13 +320,14 @@ def _trial_calls(monkeypatch, config):
 def test_verify_trial_validates_once_and_reduces_once(monkeypatch):
     # A, B and rho are validated where they enter, rho is diagonalised once,
     # each input is hashed once when it is built, and the sweep reduces each
-    # of its three (A, B, state) triples once.
+    # of its four (A, B, state) triples once.
     counts, shapes = _trial_calls(monkeypatch, SampleConfig(4, 4, 7, 1))
-    # A and B; the constructions reduce (A, B, e1) from the validated pair.
-    assert counts["require_hermitian"] == 2
+    # A and B are Hermitian by construction, and the constructions reduce
+    # (A, B, e1) from the validated pair.
+    assert counts["require_hermitian"] == 0
     assert counts["eigh"] == 1
-    # The pure, mixed and Maccone-Pati triples, plus one per construction.
-    assert counts["pair_moments"] <= 5
+    # The pure, mixed and Maccone-Pati triples, and (A, B, e1) once for both constructions.
+    assert counts["pair_moments"] == 4
     # One Haar draw, the Maccone-Pati pair, factoring only the columns it reads:
     # psi needs no QR, and no evaluation completes a frame.
     assert counts["qr"] == 1

@@ -10,7 +10,8 @@ from qubounds import (
     random_pure_state,
     trial_rng,
 )
-from qubounds.sampling import _haar_columns
+from qubounds.sampling import _complex_normal, _haar_columns
+from helpers import complex_normal
 
 
 def test_sample_config_validation():
@@ -31,6 +32,18 @@ def test_random_hermitian_exact_and_deterministic():
     scalar = random_hermitian(1, 5)
     assert scalar.matrix.shape == (1, 1)
     assert scalar.matrix[0, 0].imag == 0.0
+
+
+def test_complex_normal_is_the_quotient_bit_for_bit():
+    # Writing x / sqrt(2) and y / sqrt(2) into the two halves gives the bytes of
+    # (x + 1j y) / sqrt(2), and the generator is left where that formula leaves it.
+    for seed in range(40):
+        for rows, cols in ((1, 1), (4, 4), (16, 1), (16, 2), (64, 64), (3, 7)):
+            old, new = np.random.default_rng(seed), np.random.default_rng(seed)
+            draw = _complex_normal(new, rows, cols)
+            assert draw.tobytes() == complex_normal(old, rows, cols).tobytes()
+            assert draw.flags.c_contiguous and draw.shape == (rows, cols)
+            assert new.standard_normal() == old.standard_normal()
 
 
 def test_haar_unitary_properties():

@@ -329,3 +329,32 @@ def test_from_factor_is_the_same_state_at_every_power_of_two():
         state = DensityMatrix.from_factor(c * np.ones((2, 1)))
         np.testing.assert_array_equal(state.matrix, np.full((2, 2), 0.5))
         np.testing.assert_array_equal(state.weights, [1.0])
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_hermitian_part_is_the_checked_observable_bit_for_bit():
+    # (G + G^dagger)/2 is Hermitian bit for bit, so hermitian_part skips only the
+    # Hermiticity test: its bytes, layout, norm and digest are those of the
+    # constructor's, which runs it.
+    for seed in (3, 7, 1009):
+        rng = trial_rng(seed, 0)
+        for n in range(1, 201):
+            g = complex_normal(rng, n, n)
+            a = Observable.hermitian_part(g, label="A")
+            checked = Observable((g + g.conj().T) / 2, label="A")
+            assert a.matrix.tobytes() == checked.matrix.tobytes()
+            assert a.matrix.flags.c_contiguous and checked.matrix.flags.c_contiguous
+            assert (a.norm, a.digest, a.label) == (checked.norm, checked.digest, checked.label)
+            assert (a.matrix == a.matrix.conj().T).all()
+    with pytest.raises(ValueError):
+        a.matrix[0, 0] = 0.0
+    # Every other check of the constructor still runs.
+    for bad in (np.array([[np.nan]]), np.array([[1.0, np.inf], [0.0, 1.0]])):
+        with pytest.raises(ValueError, match="non-finite entries"):
+            Observable.hermitian_part(bad)
+    for n in (1, 2, 5):
+        with pytest.raises(ValueError, match="non-finite Frobenius norm"):
+            Observable.hermitian_part(1e308 * np.ones((n, n)))
+    for shape in ((2, 3), (3,), (0, 0)):
+        with pytest.raises(DimensionMismatch):
+            Observable.hermitian_part(np.ones(shape))
