@@ -54,6 +54,11 @@ def _input_budget(tol: Tolerance) -> float:
     return min(tol.effective(1.0), DEFAULT_TOL.effective(1.0))
 
 
+def _pair_budget(tol: Tolerance, size: float = 1.0) -> float:
+    """A pair check's budget: :func:`_input_budget`, never below ``ROUNDING_TOL * size``."""
+    return max(_input_budget(tol), ROUNDING_TOL * size)
+
+
 def _rounding_floor(size: float, tol: Tolerance) -> float:
     """``ROUNDING_TOL * size``, capped at tol.effective(1) * size so that a zero tolerance admits only 0."""
     return min(tol.effective(1.0), ROUNDING_TOL) * size
@@ -85,14 +90,15 @@ def _finite_norm(a: np.ndarray, name: str = "matrix") -> float:
     return norm
 
 
-def require_hermitian(m, name: str = "matrix") -> np.ndarray:
-    """Validate that ``m`` is square, of finite ||m||_F, and Hermitian within ``INPUT_TOL * ||m||_F``."""
+def require_hermitian(m, name: str = "matrix") -> tuple[np.ndarray, float]:
+    """Validate that ``m`` is square, of finite ||m||_F, and Hermitian within ``INPUT_TOL * ||m||_F``;
+    return it as a complex array, with the ||m||_F the test read."""
     a = _square_matrix(m, name)
     norm = _finite_norm(a, name)
     deviation = float(np.linalg.norm(a - a.conj().T))
     if deviation > INPUT_TOL * norm:
         raise NonHermitianInput(f"{name} deviates from Hermitian by {deviation:.3e}")
-    return a
+    return a, norm
 
 
 @dataclass(frozen=True)
@@ -135,7 +141,7 @@ def _eigh_descending(a: np.ndarray) -> EigenSystem:
 
 def hermitian_eig(h) -> EigenSystem:
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending."""
-    return _eigh_descending(require_hermitian(h))
+    return _eigh_descending(require_hermitian(h)[0])
 
 
 def _psd_eig(a: np.ndarray, name: str = "matrix") -> EigenSystem:
@@ -156,7 +162,7 @@ def psd_power(p, r: float) -> np.ndarray:
     Noise-band eigenvalues count as zero (see :meth:`EigenSystem.power`); a
     more negative one raises :class:`NotPositiveSemidefinite`.
     """
-    return _psd_eig(require_hermitian(p)).power(r)
+    return _psd_eig(require_hermitian(p)[0]).power(r)
 
 
 def frobenius_inner(x, y) -> complex:
@@ -183,7 +189,7 @@ def _require_isometry(basis: np.ndarray, tol: Tolerance) -> np.ndarray:
         for y in columns[i + 1:]:
             deviation_sq += 2.0 * abs(np.vdot(x, y)) ** 2
     deviation = math.sqrt(deviation_sq)
-    if deviation > _input_budget(tol):
+    if deviation > _pair_budget(tol, math.sqrt(k)):
         raise NotOrthonormal(f"input Gram deviates from identity by {deviation:.3e}")
     return basis
 

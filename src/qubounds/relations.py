@@ -30,7 +30,8 @@ from .errors import (
     NotOrthogonal,
     ZeroDeviation,
 )
-from .linalg import DEFAULT_TOL, Tolerance, _completion, _input_budget, _require_isometry, _rounding_floor
+from .linalg import (DEFAULT_TOL, Tolerance, _completion, _input_budget, _pair_budget, _require_isometry,
+                     _rounding_floor)
 from .states import (
     Observable,
     PairMoments,
@@ -222,7 +223,7 @@ def _require_dimensions(a: Observable, psi: PureState, phi: PureState) -> None:
 
 def _unit_mu(mu: complex, tol: Tolerance) -> complex:
     mu = complex(mu)
-    if abs(abs(mu) - 1.0) > _input_budget(tol):
+    if abs(abs(mu) - 1.0) > _pair_budget(tol):
         raise ValueError(f"|mu| must be 1, got {abs(mu)!r}")
     return mu
 
@@ -257,7 +258,7 @@ def _mp_inputs(observable_a, observable_b, psi: PureState, phi: PureState,
     a, b = _observable_pair(observable_a, observable_b)
     _require_dimensions(a, psi, phi)
     overlap = abs(complex(phi.amplitudes.conj() @ psi.amplitudes))
-    if overlap > _input_budget(tol):
+    if overlap > _pair_budget(tol):
         raise NotOrthogonal(f"|<phi|psi>| = {overlap:.3e}")
     basis = _require_isometry(np.array((psi.amplitudes, phi.amplitudes)).T, tol)
     return _MPInputs(pair_moments(a, b, psi), phi, *_cross_elements(a, b, psi, phi), basis)

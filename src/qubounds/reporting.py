@@ -15,39 +15,19 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import (
-    BoundViolation,
-    DimensionMismatch,
-    QuboundsError,
-    ZeroDeviation,
-)
+from .errors import BoundViolation, DimensionMismatch, QuboundsError, ZeroDeviation
 from .goldens import run_goldens
 from .linalg import Tolerance, as_complex_matrix
 from .relations import (BoundReport, MP6Reports, _mp3, _mp6, _mp_chain, _mp_inputs,
                         _robertson_report, _schrodinger_report)
-from .sampling import (
-    SampleConfig,
-    _haar_columns,
-    random_density,
-    random_hermitian,
-    random_pure_state,
-    trial_rng,
-)
-from .saturation import (
-    CONSTRUCTION_TOL,
-    DEFAULT_R_LIST,
-    CertificateKind,
-    ConstructedPair,
-    SaturationCertificate,
-    _certificate,
-    _construct_case1,
-    _construct_case2,
-    _construct_w_mp6,
-    _e1_reduction,
-)
+from .sampling import (SampleConfig, _haar_columns, random_density, random_hermitian, random_pure_state,
+                       trial_rng)
+from .saturation import (CONSTRUCTION_TOL, DEFAULT_R_LIST, CertificateKind, ConstructedPair,
+                         SaturationCertificate, _certificate, _construct_case1, _construct_case2,
+                         _construct_w_mp6, _e1_reduction)
 from .states import Observable, PureState, pair_moments
 
-ARTIFACT_VERSION = "0.6.0"
+ARTIFACT_VERSION = "0.7.0"
 
 
 @dataclass(frozen=True)

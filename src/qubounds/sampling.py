@@ -52,10 +52,12 @@ def _complex_normal(rng: np.random.Generator, rows: int, cols: int) -> np.ndarra
 
 
 def random_hermitian(n: int, seed, label: str = "") -> Observable:
-    """(G + G^dagger)/2 for a complex normal G: :meth:`Observable.hermitian_part`, with no Hermiticity test."""
+    """:meth:`Observable.hermitian_part` of e^{i pi/4} X for a real standard normal n x n X: from
+    n^2 draws, the law of (G + G^dagger)/2 for a complex normal G (README "Tolerances")."""
     if n < 1:
         raise ValueError("dimension must be >= 1")
-    return Observable.hermitian_part(_complex_normal(_as_rng(seed), n, n), label=label)
+    # Both parts of (1 + i) / sqrt(2) times X are the same product, bit for bit.
+    return Observable.hermitian_part((1 + 1j) / np.sqrt(2.0) * _as_rng(seed).standard_normal((n, n)), label)
 
 
 def _haar_columns(n: int, k: int, seed) -> np.ndarray:

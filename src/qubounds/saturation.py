@@ -24,41 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CorollaryViolation,
-    DimensionMismatch,
-    HypothesisViolated,
-    RIndependenceViolation,
-)
-from .linalg import (
-    DEFAULT_TOL,
-    TIE_TOL,
-    Tolerance,
-    _rounding_floor,
-    complex_dependence_detail,
-    phase_dependence_detail,
-)
-from .relations import (
-    _cross_elements,
-    _moments_mu,
-    _mp3_report,
-    _mp6_reformulated,
-    _mp_chain,
-    _mp_inputs,
-    _MPInputs,
-    _require_deviations,
-    _robertson_report,
-    _schrodinger_report,
-    _unit_mu,
-    _zero_deviations,
-)
-from .states import (
-    PairMoments,
-    PureState,
-    QuantumState,
-    _observable_pair,
-    pair_moments,
-)
+from .errors import CorollaryViolation, DimensionMismatch, HypothesisViolated, RIndependenceViolation
+from .linalg import (DEFAULT_TOL, TIE_TOL, Tolerance, _rounding_floor, complex_dependence_detail,
+                     phase_dependence_detail)
+from .relations import (_cross_elements, _moments_mu, _mp3_report, _mp6_reformulated, _mp_chain, _mp_inputs,
+                        _MPInputs, _require_deviations, _robertson_report, _schrodinger_report, _unit_mu,
+                        _zero_deviations)
+from .states import PairMoments, PureState, QuantumState, _observable_pair, pair_moments
 
 # Constructed pairs must close their target bound to this relative gap.
 CONSTRUCTION_TOL = 1e-8

@@ -46,12 +46,17 @@ class _HermitianInput:
     norm: float = field(init=False, repr=False, compare=False)
     digest: str = field(init=False, repr=False, compare=False)
 
-    def _freeze(self, m: np.ndarray, name: str) -> None:
-        """The one place ``matrix``, ``norm`` and ``digest`` are set, from a Hermitian ``m``."""
-        m = _frozen_array(m)
+    def _freeze(self, m: np.ndarray, norm: float) -> None:
+        """The one place ``matrix``, ``norm`` and ``digest`` are set, from a Hermitian ``m`` that no
+        caller holds, frozen in place, and its ||m||_F."""
+        m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "norm", _finite_norm(m, name))
+        object.__setattr__(self, "norm", norm)
         object.__setattr__(self, "digest", _array_digest("observable", m))
+
+    def _check(self, name: str) -> None:
+        m, norm = require_hermitian(self.matrix, name)
+        self._freeze(np.array(m), norm)
 
     @property
     def dimension(self) -> int:
@@ -72,8 +77,7 @@ class Observable(_HermitianInput):
     label: str = ""
 
     def __post_init__(self) -> None:
-        name = self.label or "observable"
-        self._freeze(require_hermitian(self.matrix, name), name)
+        self._check(self.label or "observable")
 
     @classmethod
     def hermitian_part(cls, g, label: str = "") -> "Observable":
@@ -81,9 +85,9 @@ class Observable(_HermitianInput):
         bit for bit by construction, so every check but the Hermiticity test runs."""
         name = label or "observable"
         g = _square_matrix(g, name)
-        obs = object.__new__(cls)
+        obs, h = object.__new__(cls), (g + g.conj().T) / 2.0
         object.__setattr__(obs, "label", label)
-        obs._freeze((g + g.conj().T) / 2.0, name)
+        obs._freeze(h, _finite_norm(h, name))
         return obs
 
 
@@ -127,7 +131,7 @@ class DensityMatrix:
     decides PSD-ness and is kept in ``spectrum``, and its support weights w_k
     give the factor X = V_k w_k^(1/2) (see :meth:`EigenSystem.support`).
     Built by :meth:`from_factor`, it is PSD by construction, its support comes
-    from a k x k Gram matrix, and ``spectrum`` is computed when first read.
+    from a k x k Gram matrix, and ``matrix`` and ``spectrum`` are formed when first read.
     """
 
     matrix: np.ndarray
@@ -136,20 +140,29 @@ class DensityMatrix:
     digest: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        m = require_hermitian(self.matrix, "density matrix")
+        m = require_hermitian(self.matrix, "density matrix")[0]
         trace = float(np.trace(m).real)
         if abs(trace - 1.0) > INPUT_TOL:
             raise ValueError(f"density matrix trace {trace!r} is not 1 within {INPUT_TOL}")
         spectrum = _psd_eig(m, "density matrix")
         object.__setattr__(self, "spectrum", spectrum)
         w, v = spectrum.support()
-        self._freeze(m, v * np.sqrt(w), w)
+        object.__setattr__(self, "matrix", _frozen_array(m))
+        self._freeze(v * np.sqrt(w), w, _array_digest("density", self.matrix))
 
-    def _freeze(self, m: np.ndarray, factor: np.ndarray, weights: np.ndarray) -> None:
+    def _freeze(self, factor: np.ndarray, weights: np.ndarray, digest: str) -> None:
         object.__setattr__(self, "factor", _frozen_array(factor))
         object.__setattr__(self, "weights", _frozen_array(weights, float))
-        object.__setattr__(self, "matrix", _frozen_array(m))
-        object.__setattr__(self, "digest", _array_digest("density", self.matrix))
+        object.__setattr__(self, "digest", digest)
+
+    def __getattr__(self, name: str):
+        # Only a factor-built state's ``matrix`` is missing: formed from its prescaled G when first read.
+        if name != "matrix" or "_prescaled" not in vars(self):
+            raise AttributeError(name)
+        rho = self._prescaled @ self._prescaled.conj().T
+        rho = rho / np.trace(rho).real
+        object.__setattr__(self, "matrix", _frozen_array((rho + rho.conj().T) / 2.0))
+        return self.matrix
 
     @functools.cached_property
     def spectrum(self) -> EigenSystem:
@@ -158,11 +171,11 @@ class DensityMatrix:
 
     @property
     def dimension(self) -> int:
-        return self.matrix.shape[0]
+        return self.factor.shape[0]
 
     @classmethod
     def from_factor(cls, g) -> "DensityMatrix":
-        """rho = G G^dagger / ||G||_F^2 for an n x k ``g``, in O(n k^2) work besides rho itself.
+        """rho = G G^dagger / ||G||_F^2 for an n x k ``g``, in O(n k^2) work: rho is not formed.
 
         The support is that of the Gram matrix G^dagger G = U diag(lambda) U^dagger:
         its eigenvalues above ``INPUT_TOL * ||lambda||`` give the weights, normalised
@@ -170,22 +183,24 @@ class DensityMatrix:
         largest entry and normalised, give V_k; a 1 x 1 state's factor is exactly 1.
         G is first scaled exactly, by the power of two that puts max |G_ij| in
         [0.5, 1), so 2^k G gives the same state bit for bit and nothing overflows.
+        The state keeps that prescaled G, frozen: ``digest`` hashes it (tagged
+        ``density-factor``), and ``matrix`` is formed from it when first read.
         """
         g = as_complex_matrix(g, "factor")
-        e = math.frexp(float(np.abs(g).max()))[1]
-        g = g * 2.0 ** (-e // 2) * 2.0 ** -(e // 2)  # 2^-e as two normal floats
-        rho = g @ g.conj().T
-        trace = np.trace(rho).real
-        if not trace > 0.0:
+        peak = float(np.abs(g).max())
+        if not peak > 0.0:
             raise ValueError("factor is zero")
-        rho = rho / trace
+        e = math.frexp(peak)[1]
+        g = g * 2.0 ** (-e // 2) * 2.0 ** -(e // 2)  # 2^-e as two normal floats
+        g.setflags(write=False)
         lam, u = _eigh_descending(g.conj().T @ g).support()
         v = g @ u
         v = v * v[np.abs(v).argmax(axis=0), np.arange(v.shape[1])].conj()
         v = v / np.linalg.norm(v, axis=0)
         w = lam / lam.sum()
         state = object.__new__(cls)
-        state._freeze((rho + rho.conj().T) / 2.0, v * np.sqrt(w), w)
+        object.__setattr__(state, "_prescaled", g)
+        state._freeze(v * np.sqrt(w), w, _array_digest("density-factor", g))
         return state
 
     @classmethod
@@ -205,7 +220,7 @@ class CenteredObservable(_HermitianInput):
     mean: float
 
     def __post_init__(self) -> None:
-        self._freeze(require_hermitian(self.matrix, "centered observable"), "centered observable")
+        self._check("centered observable")
 
 
 @dataclass(frozen=True)

@@ -114,35 +114,38 @@ def test_cli_verify_csv_format(tmp_path):
     assert out.read_text().startswith("bound,")
 
 
-def test_cli_verify_zero_tolerance_surfaces_failures(tmp_path):
+def _leaning_columns(n, k, rng):
+    """The sweep's Haar pair with phi leaning 1e-6 towards psi: every budget rejects it."""
+    columns = sampling._haar_columns(n, k, rng)
+    columns[:, 1] += 1e-6 * columns[:, 0]
+    columns[:, 1] /= np.linalg.norm(columns[:, 1])
+    return columns
+
+
+def test_cli_verify_surfaces_failures(tmp_path, monkeypatch):
+    monkeypatch.setattr(reporting, "_haar_columns", _leaning_columns)
     out = tmp_path / "strict.json"
-    code = main(
-        [
-            "verify", "--n", "2", "--trials", "20", "--seed", "7",
-            "--tol-abs", "0", "--tol-rel", "0", "--out", str(out),
-        ]
-    )
+    code = main(["verify", "--n", "2", "--trials", "20", "--seed", "7", "--out", str(out)])
     assert code == 2
     payload = json.loads(out.read_text())
     assert payload["summary"]["failure_count"] > 0
 
 
-def test_every_failure_names_an_entry_of_its_trial_record():
-    # A zero budget fails every mp_chain call whose Haar pair is not exactly
-    # orthonormal: each failure still leaves an entry.
-    tol = Tolerance(0.0, 0.0)
+def test_every_failure_names_an_entry_of_its_trial_record(monkeypatch):
+    # A pair that is not orthogonal fails every Maccone-Pati call: each failure
+    # still leaves an entry.
+    monkeypatch.setattr(reporting, "_haar_columns", _leaning_columns)
+    tol = Tolerance()
     report = run_verification_suite(SampleConfig(dimension=2, rank=2, seed=7, count=20), tol)
     failures = report.summary["failures"]
     chain_trials = [f["trial"] for f in failures if f["where"] == "mp_chain"]
     rejected = []
     for k in range(20):
         try:
-            _public_evaluations(2, k, 2, tol)["mp_chain"]()
+            _public_evaluations(2, k, 2, tol, _leaning_columns)["mp_chain"]()
         except QuboundsError:
             rejected.append(k)
     assert chain_trials == rejected
-    # None of these 20 pairs is exactly orthonormal; an exactly orthonormal pair
-    # passes (test_zero_budget_accepts_an_exactly_orthonormal_pair).
     assert rejected == list(range(20))
     for k in chain_trials:
         record = report.trials[k]
@@ -273,7 +276,8 @@ def test_cli_non_finite_tolerance_exits_one(tmp_path):
 
 def _trial_calls(monkeypatch, config):
     """Run ``config``'s sweep, counting the calls each library entry makes, and the
-    shapes of its ``eigh`` and ``qr`` operands and of its complex normal draws."""
+    shapes of its ``eigh`` and ``qr`` operands, of its complex normal draws, and
+    of every rho its factor-built states formed."""
     targets = {
         "require_hermitian": linalg.require_hermitian,
         "pair_moments": states.pair_moments,
@@ -312,8 +316,13 @@ def _trial_calls(monkeypatch, config):
         monkeypatch.setattr(cls, "__post_init__", counting("inputs", cls.__post_init__))
     for cls, entry in ((states.DensityMatrix, "from_factor"), (states.Observable, "hermitian_part")):
         monkeypatch.setattr(cls, entry, classmethod(counting("inputs", getattr(cls, entry).__func__)))
+    built = []
+    from_factor = states.DensityMatrix.from_factor.__func__
+    monkeypatch.setattr(states.DensityMatrix, "from_factor",
+                        classmethod(lambda cls, g: built.append(from_factor(cls, g)) or built[-1]))
     report = run_verification_suite(config, Tolerance())
     assert report.summary["failure_count"] == 0
+    shapes["rho"] = [vars(state)["matrix"].shape for state in built if "matrix" in vars(state)]
     return counts, shapes
 
 
@@ -344,15 +353,17 @@ def test_verify_trial_draws_and_factors_only_what_it_reads(monkeypatch):
     # rank x rank Gram matrix; psi and the pair are n x 1 and n x 2 draws.
     counts, shapes = _trial_calls(monkeypatch, SampleConfig(16, 2, 7, 1))
     assert shapes["eigh"] == [(2, 2)]
-    assert shapes["_complex_normal"] == [(16, 16), (16, 16), (16, 1), (16, 2), (16, 2)]
+    # A and B are n^2 real draws, and no state forms its n x n rho.
+    assert shapes["_complex_normal"] == [(16, 1), (16, 2), (16, 2)]
+    assert shapes["rho"] == []
     assert shapes["qr"] == [(16, 2)]
     assert counts["_array_digest"] == counts["inputs"]
     assert counts["svd"] == 0
 
 
-def _public_evaluations(n, k, rank, tol):
-    """One sweep trial's inputs, redrawn in the sweep's order, and its evaluations
-    made through the public entries."""
+def _public_evaluations(n, k, rank, tol, pair_columns=_haar_columns):
+    """One sweep trial's inputs, redrawn in the sweep's order (its pair by
+    ``pair_columns``), and its evaluations made through the public entries."""
     rng = trial_rng(7, k)
     a = random_hermitian(n, rng, label="A")
     b = random_hermitian(n, rng, label="B")
@@ -365,7 +376,7 @@ def _public_evaluations(n, k, rank, tol):
         "schrodinger_mixed": lambda: schrodinger(a, b, rho, tol),
     }
     if n >= 2:
-        columns = _haar_columns(n, 2, rng)
+        columns = pair_columns(n, 2, rng)
         pair = PureState(columns[:, 0]), PureState(columns[:, 1])
         evaluations["mp3"] = lambda: mp3(a, b, *pair, tol).report
         evaluations["mp6"] = lambda: reporting._mp6_results(mp6(a, b, *pair, tol))
@@ -383,18 +394,14 @@ def _public_evaluations(n, k, rank, tol):
     return evaluations
 
 
-@pytest.mark.parametrize("tol", [Tolerance(), Tolerance(0, 0)], ids=["default", "zero"])
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_sweep_records_equal_the_public_api(n, tol):
-    # The sweep runs the private bodies on reductions it shares between
-    # evaluations; every entry, skips and errors included, and every failure
-    # message must be what the public entries give on the same inputs.
+def _sweep_against_public_api(n, tol, pair_columns):
+    """Run a sweep and assert that its records and summary are what the public entries give."""
     config = SampleConfig(n, min(n, 2), 7, 17)
     report = run_verification_suite(config, tol)
     summary = reporting._Summary()
     for k in range(config.count):
         record = {"trial": k}
-        for where, evaluate in _public_evaluations(n, k, config.rank, tol).items():
+        for where, evaluate in _public_evaluations(n, k, config.rank, tol, pair_columns).items():
             key = "mp6_reformulated" if where == "mp6" else where
             try:
                 result = evaluate()
@@ -408,16 +415,22 @@ def test_sweep_records_equal_the_public_api(n, tol):
                     record[name] = summary.entry(k, name, value)
         assert report.trials[k] == record
     assert report.summary == dict(vars(summary), failure_count=len(summary.failures))
-    if tol == Tolerance():
-        assert report.summary["failure_count"] == 0
-    if n >= 2 and tol == Tolerance(0, 0):
-        # The zero budget rejects the Haar pair, whose overlap is rounding
-        # noise, so the error path is compared too; a constructed pair is
-        # orthonormal by construction and never trips the pair checks.
-        failures = summary.failures
-        assert {"NotOrthogonal"} <= {f["error"] for f in failures}
-        assert not [f for f in failures if f["where"].startswith("construct")
-                    and f["error"] == "NotOrthonormal"]
+    return report
+
+
+@pytest.mark.parametrize("tol", [Tolerance(), Tolerance(0, 0)], ids=["default", "zero"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_sweep_records_equal_the_public_api(n, tol, monkeypatch):
+    # The sweep runs the private bodies on reductions it shares between
+    # evaluations; every entry, skips and errors included, and every failure
+    # message must be what the public entries give on the same inputs.
+    # Every guard, the pair checks included, keeps its rounding floor, so not
+    # even a zero budget rejects a valid input.
+    assert _sweep_against_public_api(n, tol, _haar_columns).summary["failure_count"] == 0
+    if n >= 2:
+        # A pair leaning off orthogonal compares the error path too.
+        monkeypatch.setattr(reporting, "_haar_columns", _leaning_columns)
+        assert _sweep_against_public_api(n, tol, _leaning_columns).summary["failure_count"] > 0
 
 
 def test_package_version_is_the_artifact_version():
@@ -427,15 +440,12 @@ def test_package_version_is_the_artifact_version():
     assert re.search(r'^version = "([^"]+)"$', text, re.M).group(1) == reporting.ARTIFACT_VERSION
 
 
-def test_zero_tolerance_fails_only_on_the_haar_pair():
-    # A zero budget rejects the sweep's Haar pair, whose overlap is rounding
-    # noise; every guard keeps its rounding floor, so nothing else fails.
-    for n, rank in ((1, 1), (2, 2), (3, 2), (4, 4)):
+def test_zero_tolerance_sweep_fails_nowhere():
+    # The Haar pair's overlap and Gram deviation are rounding noise, within the
+    # pair checks' rounding floor; every other guard keeps its floor too.
+    for n, rank in ((1, 1), (2, 2), (3, 2), (4, 4), (16, 3)):
         report = run_verification_suite(SampleConfig(n, rank, 7, 10), Tolerance(0.0, 0.0))
-        failures = report.summary["failures"]
-        assert all(f["where"] in ("mp3", "mp6", "mp_chain")
-                   and f["error"] in ("NotOrthogonal", "NotOrthonormal") for f in failures)
-        assert n > 1 or not failures
+        assert report.summary["failure_count"] == 0
 
 
 def test_bare_command_parses_to_the_default_tolerance():

@@ -34,6 +34,22 @@ def test_random_hermitian_exact_and_deterministic():
     assert scalar.matrix[0, 0].imag == 0.0
 
 
+def test_random_hermitian_has_the_law_of_the_hermitian_part_of_a_complex_normal():
+    # (G + G^dagger)/2 for a complex normal G: H_ii ~ N(0, 1/2), and Re H_ij and
+    # Im H_ij (i < j) independent N(0, 1/4).  50 draws at n = 64 give 3,200 diagonal
+    # and 100,800 off-diagonal samples; each bound is about four standard errors.
+    rng = np.random.default_rng(2024)
+    draws = [random_hermitian(64, rng).matrix for _ in range(50)]
+    upper = np.triu_indices(64, 1)
+    diagonal = np.concatenate([np.diagonal(h) for h in draws])
+    off = np.concatenate([h[upper] for h in draws])
+    assert (diagonal.imag == 0.0).all()
+    assert abs(diagonal.real.var() - 0.5) <= 0.05 and abs(diagonal.real.mean()) <= 0.05
+    for part in (off.real, off.imag):
+        assert abs(part.var() - 0.25) <= 0.006 and abs(part.mean()) <= 0.007
+    assert abs(np.corrcoef(off.real, off.imag)[0, 1]) <= 0.013
+
+
 def test_complex_normal_is_the_quotient_bit_for_bit():
     # Writing x / sqrt(2) and y / sqrt(2) into the two halves gives the bytes of
     # (x + 1j y) / sqrt(2), and the generator is left where that formula leaves it.

@@ -787,6 +787,25 @@ def test_zero_tolerance_never_trips_a_constructed_pairs_checks():
             construct(a, b, zero)
 
 
+def test_constructed_pairs_pass_every_pair_check_at_zero_tolerance():
+    # Passed back as a caller's pair, [e1 | (0, tail)] goes through |mu| = 1, the
+    # overlap and the Gram test.  phi is unit to 1 +- 1 ulp, within each check's
+    # rounding floor, so a zero budget raises on none of these 1,600 calls.
+    zero = Tolerance(0.0, 0.0)
+    calls = 0
+    for n in (2, 3, 4, 5):
+        for k in range(40):
+            rng = trial_rng(343, k)
+            a, b = random_hermitian(n, rng), random_hermitian(n, rng)
+            for construct in (construct_case1 if n == 2 else construct_case2, construct_w_mp6):
+                pair = construct(a, b, zero)
+                checks = _maccone_pati_checks(a, b, pair.psi, pair.phi, pair.mu, zero)
+                for name in ("mp3", "mp6", "mp3 bound", "mp6 bound", "chain bound"):
+                    checks[name]()
+                    calls += 1
+    assert calls == 1600
+
+
 def test_shifted_eigenstates_raise_nothing_but_zero_deviation():
     # At an exact eigenstate the deviations are rounding noise, and an identity
     # offset of A makes c = <psi|A|phi> carry rounding of the offset.  Every

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from qubounds import (
     stddev,
     trial_rng,
 )
+from qubounds import linalg, states
 from helpers import SIGMA_X, SIGMA_Y, SIGMA_Z, complex_normal, hermitian_array
 
 KET0 = PureState(np.array([1.0, 0.0]))
@@ -266,9 +268,10 @@ def _moments(m):
 
 
 def test_density_from_factor_is_the_matrix_it_factors():
-    # rho = G G^dagger / tr(G G^dagger), formed and symmetrised as a matrix would
-    # be, so its matrix and digest are the matrix path's; its factor comes from
-    # the k x k Gram matrix and gives the same moments.
+    # rho = G G^dagger / tr(G G^dagger) is formed only when ``matrix`` is first read,
+    # and then formed and symmetrised as a matrix would be, bit for bit; its factor
+    # comes from the k x k Gram matrix and gives the matrix path's moments.  The
+    # digest hashes the prescaled G, so it is not the matrix path's.
     rng = trial_rng(107, 0)
     for n, k in ((1, 1), (2, 2), (3, 2), (8, 3), (64, 4)):
         g = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
@@ -276,8 +279,15 @@ def test_density_from_factor_is_the_matrix_it_factors():
         rho = rho / np.trace(rho).real
         recipe = (rho + rho.conj().T) / 2.0
         state, checked = DensityMatrix.from_factor(g), DensityMatrix(recipe)
-        np.testing.assert_array_equal(state.matrix, recipe)
-        assert state.digest == checked.digest
+        assert "matrix" not in vars(state)
+        assert state.dimension == n
+        assert state.matrix.tobytes() == recipe.tobytes()
+        assert state.matrix is state.matrix and not state.matrix.flags.writeable
+        prescaled = g * 2.0 ** -math.frexp(float(np.abs(g).max()))[1]
+        expected = hashlib.sha256(f"density-factor{g.shape}".encode() + prescaled.tobytes())
+        assert state.digest == expected.hexdigest() != checked.digest
+        for e in (-3, 0, 5):
+            assert DensityMatrix.from_factor(2.0 ** e * g).digest == state.digest
         assert state.factor.shape == (n, k)
         assert abs(state.weights.sum() - 1.0) <= 1e-15
         np.testing.assert_allclose(state.factor @ state.factor.conj().T, recipe, atol=1e-15)
@@ -292,6 +302,30 @@ def test_density_from_factor_is_the_matrix_it_factors():
     assert (one.factor.tolist(), one.weights.tolist()) == ([[1.0]], [1.0])
     with pytest.raises(ValueError):
         DensityMatrix.from_factor(np.zeros((2, 1)))
+    # Equality and repr read the formed matrix, as for a matrix-built state.
+    assert one == DensityMatrix(np.ones((1, 1))) and repr(one) == repr(DensityMatrix(np.ones((1, 1))))
+    with pytest.raises(AttributeError):
+        one.trace
+
+
+def test_an_observable_computes_its_norm_once(monkeypatch):
+    # The Hermiticity test reads ||A||_F, and the observable keeps that value.
+    calls = []
+    real = linalg._finite_norm
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(linalg, "_finite_norm", counting)
+    monkeypatch.setattr(states, "_finite_norm", counting)
+    h = hermitian_array(trial_rng(110, 0), 4)
+    for build in (lambda: Observable(h), lambda: CenteredObservable(h, mean=0.0),
+                  lambda: Observable.hermitian_part(h)):
+        calls.clear()
+        obs = build()
+        assert len(calls) == 1
+        assert obs.norm == np.linalg.norm(obs.matrix)
 
 
 def test_from_pure_runs_no_eigh(monkeypatch):
