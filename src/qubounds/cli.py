@@ -54,8 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--tol-abs", type=float, default=DEFAULT_TOL.absolute)
-    sub.add_argument("--tol-rel", type=float, default=DEFAULT_TOL.relative)
+    sub.add_argument("--tol", type=float, default=DEFAULT_TOL.eps, help="tolerance eps of every check")
     sub.add_argument("--out", default="-", help="output path, '-' for stdout")
     sub.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -71,7 +70,7 @@ def _emit(text: str, out: str) -> None:
 
 
 def _tolerance(args) -> Tolerance:
-    return Tolerance(absolute=args.tol_abs, relative=args.tol_rel)
+    return Tolerance(args.tol)
 
 
 def cmd_verify(args) -> int:

@@ -31,19 +31,14 @@ TIE_TOL = 1e-14
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Absolute plus relative tolerance; the budget grows with the data scale."""
+    """The one tolerance eps: each check compares its error with eps times a scale it states."""
 
-    absolute: float = 1e-12
-    relative: float = 1e-9
+    eps: float = 1e-9
 
     def __post_init__(self) -> None:
         # NaN would switch every comparison off and inf would pass every one.
-        if not (0 <= self.absolute < math.inf and 0 <= self.relative < math.inf):
-            raise ValueError("tolerances must be finite and nonnegative")
-
-    def effective(self, scale: float) -> float:
-        """Budget for a comparison whose natural magnitude is ``scale``."""
-        return self.absolute + self.relative * float(scale)
+        if not 0 <= self.eps < math.inf:
+            raise ValueError("tolerance must be finite and nonnegative")
 
 
 DEFAULT_TOL = Tolerance()
@@ -51,7 +46,7 @@ DEFAULT_TOL = Tolerance()
 
 def _input_budget(tol: Tolerance) -> float:
     """Relative budget of a guard: a caller's ``tol`` may tighten it, never loosen it past the default."""
-    return min(tol.effective(1.0), DEFAULT_TOL.effective(1.0))
+    return min(tol.eps, DEFAULT_TOL.eps)
 
 
 def _pair_budget(tol: Tolerance, size: float = 1.0) -> float:
@@ -60,8 +55,8 @@ def _pair_budget(tol: Tolerance, size: float = 1.0) -> float:
 
 
 def _rounding_floor(size: float, tol: Tolerance) -> float:
-    """``ROUNDING_TOL * size``, capped at tol.effective(1) * size so that a zero tolerance admits only 0."""
-    return min(tol.effective(1.0), ROUNDING_TOL) * size
+    """``ROUNDING_TOL * size``, capped at tol.eps * size so that a zero tolerance admits only 0."""
+    return min(tol.eps, ROUNDING_TOL) * size
 
 
 def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
@@ -226,9 +221,9 @@ def _canonical_real_pair(c: float, s: float) -> tuple[float, float]:
 
 
 def _dependence_decision(witness, residual: float, x, y, tol: Tolerance):
-    """``witness`` if residual^2 <= tol.effective(1) (||x||^2 + ||y||^2) (the flags' shape), else None."""
+    """``witness`` if residual^2 <= tol.eps (||x||^2 + ||y||^2) (the flags' shape), else None."""
     size = math.hypot(*(float(np.linalg.norm(np.asarray(v, dtype=complex))) for v in (x, y)))
-    return witness if residual <= math.sqrt(tol.effective(1.0)) * size else None
+    return witness if residual <= math.sqrt(tol.eps) * size else None
 
 
 def phase_dependence_detail(x, y) -> tuple[float, float]:
@@ -264,7 +259,7 @@ def phase_dependence(x, y, tol: Tolerance = DEFAULT_TOL) -> float | None:
     """Angle theta with cos(theta) x + i sin(theta) y = 0, if one exists.
 
     Real-linear dependence of x and i*y: the squared residual of
-    :func:`phase_dependence_detail` against tol.effective(1) (||x||^2 + ||y||^2).
+    :func:`phase_dependence_detail` against tol.eps (||x||^2 + ||y||^2).
     Returns None when the vectors are independent at the given tolerance.
     """
     theta, residual = phase_dependence_detail(x, y)
@@ -306,7 +301,7 @@ def complex_dependence(x, y, tol: Tolerance = DEFAULT_TOL) -> tuple[float, float
     """Angles (theta, phi) with cos(theta) x + e^{i phi} sin(theta) y = 0.
 
     Complex-linear dependence of two equal-shaped matrices: the squared residual
-    of :func:`complex_dependence_detail` against tol.effective(1) (||x||_F^2 + ||y||_F^2).
+    of :func:`complex_dependence_detail` against tol.eps (||x||_F^2 + ||y||_F^2).
     Returns None when independent.
     """
     angles, residual = complex_dependence_detail(x, y)

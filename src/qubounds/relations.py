@@ -117,7 +117,7 @@ def _digest(*parts) -> str:
 
 def _make_report(name: str, lhs: float, rhs: float, scale: float, tol: Tolerance,
                  digest: str, zero: bool = False, size: float = 0.0) -> BoundReport:
-    """The report of lhs >= rhs: saturated when ``zero`` or slack <= tol.effective(1) * ``scale``.
+    """The report of lhs >= rhs: saturated when ``zero`` or slack <= tol.eps * ``scale``.
 
     ``scale`` is the bound's natural size: the lhs of a product bound,
     dev(A)^2 + dev(B)^2 for mp3 and the chain, 1 for the mp6 reformulation.
@@ -134,7 +134,7 @@ def _make_report(name: str, lhs: float, rhs: float, scale: float, tol: Tolerance
     if slack < -budget:
         raise BoundViolation(f"{name}: slack {slack:.3e} below -{budget:.3e}")
     return BoundReport(lhs=float(lhs), rhs=float(rhs), slack=float(slack),
-                       saturated=bool(zero or slack <= tol.effective(1.0) * scale),
+                       saturated=bool(zero or slack <= tol.eps * scale),
                        tol_used=tol, inputs_digest=digest)
 
 
@@ -149,13 +149,12 @@ def _square(x: float) -> float:
 def _zero_deviation(dev: float, o: Observable, tol: Tolerance) -> bool:
     """Whether dev(A) = ``dev`` is zero to rounding, for A = ``o``.
 
-    dev(A) is zero within tol.effective(1) times the spread of A, which no
+    dev(A) is zero within tol.eps times the spread of A, which no
     identity offset moves, or within the rounding floor of ||A||_F, which covers
     n = 1 and multiples of the identity (spread 0).  As spread(A) <= ||A||_F, a
-    deviation above tol.effective(1) ||A||_F is not zero and needs no spread.
+    deviation above tol.eps ||A||_F is not zero and needs no spread.
     """
-    budget = tol.effective(1.0)
-    return dev <= budget * o.norm and dev <= max(budget * o.spread, _rounding_floor(o.norm, tol))
+    return dev <= tol.eps * o.norm and dev <= max(tol.eps * o.spread, _rounding_floor(o.norm, tol))
 
 
 def _zero_deviations(m: PairMoments, tol: Tolerance) -> tuple[bool, bool]:
@@ -194,11 +193,11 @@ def schrodinger(observable_a, observable_b, state: QuantumState, tol: Tolerance 
 def _moments_mu(m: PairMoments, tol: Tolerance) -> MuChoice:
     """The one mu policy: the sign that makes mu <[A, B]> nonnegative, ties to i.
 
-    A tie is |<[A, B]>| <= tol.effective(1) * 2 dev(A) dev(B), relative as
+    A tie is |<[A, B]>| <= tol.eps * 2 dev(A) dev(B), relative as
     |<[A, B]>| <= 2 dev(A) dev(B), or a deviation zero to rounding.
     """
     comm = m.commutator_expectation
-    tie = bool(abs(comm) <= tol.effective(1.0) * 2.0 * m.dev_a * m.dev_b or any(_zero_deviations(m, tol)))
+    tie = bool(abs(comm) <= tol.eps * 2.0 * m.dev_a * m.dev_b or any(_zero_deviations(m, tol)))
     mu = -1j if comm.imag > 0 and not tie else 1j
     return MuChoice(mu=mu, commutator_expectation=comm, tie_broken=tie)
 
@@ -223,7 +222,8 @@ def _require_dimensions(a: Observable, psi: PureState, phi: PureState) -> None:
 
 def _unit_mu(mu: complex, tol: Tolerance) -> complex:
     mu = complex(mu)
-    if abs(abs(mu) - 1.0) > _pair_budget(tol):
+    # Written so that a NaN modulus fails the test too.
+    if not abs(abs(mu) - 1.0) <= _pair_budget(tol):
         raise ValueError(f"|mu| must be 1, got {abs(mu)!r}")
     return mu
 
@@ -368,7 +368,7 @@ def _mp6(p: _MPInputs, tol: Tolerance) -> MP6Reports:
     m = p.moments
     choice = _moments_mu(m, tol)
     reformulated, comm_term = _mp6_reformulated(p, choice.mu, tol)
-    degenerate = reformulated.lhs <= tol.effective(1.0)
+    degenerate = reformulated.lhs <= tol.eps
     lhs = m.dev_a * m.dev_b
     # The product form is dev(A) dev(B) / lhs times the reformulation, and so is its floor.
     product = None if degenerate else _make_report(

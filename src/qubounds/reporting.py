@@ -27,7 +27,7 @@ from .saturation import (CONSTRUCTION_TOL, DEFAULT_R_LIST, CertificateKind, Cons
                          _construct_w_mp6, _e1_reduction)
 from .states import Observable, PureState, pair_moments
 
-ARTIFACT_VERSION = "0.7.0"
+ARTIFACT_VERSION = "0.8.0"
 
 
 @dataclass(frozen=True)
@@ -90,7 +90,7 @@ def bound_report_to_dict(report: BoundReport) -> dict:
         "slack": report.slack,
         "saturated": report.saturated,
         # Written out: asdict would deep-copy the tolerance for each of a trial's records.
-        "tolerance": {"absolute": report.tol_used.absolute, "relative": report.tol_used.relative},
+        "tolerance": {"eps": report.tol_used.eps},
         "inputs_digest": report.inputs_digest,
     }
 

@@ -27,9 +27,9 @@ import numpy as np
 from .errors import CorollaryViolation, DimensionMismatch, HypothesisViolated, RIndependenceViolation
 from .linalg import (DEFAULT_TOL, TIE_TOL, Tolerance, _rounding_floor, complex_dependence_detail,
                      phase_dependence_detail)
-from .relations import (_cross_elements, _moments_mu, _mp3_report, _mp6_reformulated, _mp_chain, _mp_inputs,
-                        _MPInputs, _require_deviations, _robertson_report, _schrodinger_report, _unit_mu,
-                        _zero_deviations)
+from .relations import (BoundReport, _cross_elements, _moments_mu, _mp3_report, _mp6_reformulated, _mp_chain,
+                        _mp_inputs, _MPInputs, _require_deviations, _robertson_report, _schrodinger_report,
+                        _unit_mu, _zero_deviations)
 from .states import PairMoments, PureState, QuantumState, _observable_pair, pair_moments
 
 # Constructed pairs must close their target bound to this relative gap.
@@ -117,16 +117,16 @@ def _verify_r_family(m: PairMoments, coeff_a: complex, coeff_b: complex,
 
     With rho^r = X w^(r - 1/2) V_k^dagger, each norm is taken of (A_c X) w^(r - 1/2).
     A residual passes on the flag's eps^2 scale, within a 10x band:
-    (res / scale)^2 <= 10 tol.effective(1), with the scale-free
+    (res / scale)^2 <= 10 tol.eps, with the scale-free
     scale = max(|coeff_a| dev(A), |coeff_b| dev(B)) ||w^r||, the size of the
     two terms at r = 1/2 carried to r, which no identity offset moves; or when
     it is within the rounding floor (at DEFAULT_TOL) of the same scale read with
     ||A||_F and ||B||_F, where the deviations are rounding noise (n = 1, eigenstates).
     """
-    limit = max(math.sqrt(10.0 * tol.effective(1.0)) * max(abs(coeff_a) * m.dev_a, abs(coeff_b) * m.dev_b),
+    limit = max(math.sqrt(10.0 * tol.eps) * max(abs(coeff_a) * m.dev_a, abs(coeff_b) * m.dev_b),
                 _rounding_floor(max(abs(coeff_a) * m.a.norm, abs(coeff_b) * m.b.norm), DEFAULT_TOL))
     rs, residuals = [], []
-    for r in dict.fromkeys(float(r) for r in r_list):
+    for r in dict.fromkeys(r_list):
         ma, mb = (c * m.state.weights ** (r - 0.5) for c in (m.centered_a, m.centered_b))
         res = float(np.linalg.norm(coeff_a * ma + coeff_b * mb))
         if res > limit * float(np.linalg.norm(m.state.weights ** r)):
@@ -171,24 +171,28 @@ def robertson_saturation_pure(observable_a, observable_b, psi: PureState,
                         pair_moments(observable_a, observable_b, psi), tol, ())
 
 
+def _checked_r_list(r_list) -> tuple[float, ...]:
+    """The mixed checkers' powers as floats; ValueError unless nonempty, each finite and positive."""
+    rs = tuple(float(r) for r in r_list)
+    if not rs or not all(0.0 < r < math.inf for r in rs):
+        raise ValueError(f"r_list must be nonempty with finite positive entries, got {rs!r}")
+    return rs
+
+
 def robertson_saturation_mixed(observable_a, observable_b, state: QuantumState,
                                tol: Tolerance = DEFAULT_TOL,
                                r_list=DEFAULT_R_LIST) -> SaturationCertificate | None:
     """Mixed-state equality witness, re-verified at every power in ``r_list``."""
-    if not r_list or any(r <= 0 for r in r_list):
-        raise ValueError("r_list must be nonempty with positive entries")
     return _certificate(CertificateKind.ROBERTSON_MIXED,
-                        pair_moments(observable_a, observable_b, state), tol, r_list)
+                        pair_moments(observable_a, observable_b, state), tol, _checked_r_list(r_list))
 
 
 def schrodinger_saturation(observable_a, observable_b, state: QuantumState,
                            tol: Tolerance = DEFAULT_TOL,
                            r_list=DEFAULT_R_LIST) -> SaturationCertificate | None:
     """Witness (theta, phi) with cos(theta) A_c rho^r + e^{i phi} sin(theta) B_c rho^r = 0."""
-    if not r_list or any(r <= 0 for r in r_list):
-        raise ValueError("r_list must be nonempty with positive entries")
     return _certificate(CertificateKind.SCHRODINGER,
-                        pair_moments(observable_a, observable_b, state), tol, r_list)
+                        pair_moments(observable_a, observable_b, state), tol, _checked_r_list(r_list))
 
 
 def mp_chain_saturation(observable_a, observable_b, psi: PureState, phi: PureState,
@@ -236,6 +240,14 @@ def _require_mu_hypothesis(m: PairMoments, mu: complex, tol: Tolerance) -> compl
     return mu
 
 
+def _equality_check(p: _MPInputs, mu: complex, report: BoundReport, s_a: float, s_b: float) -> EqualityCheck:
+    """||(A_c/s_a - mu B_c/s_b)|psi>|| against |c/s_a + mu d/s_b|, flagged by the target's ``report`` at mu."""
+    m = p.moments
+    lhs = float(np.linalg.norm(m.centered_a / s_a - mu * m.centered_b / s_b))
+    rhs = abs(p.c / s_a + mu * p.d / s_b)
+    return EqualityCheck(saturated=report.saturated, lhs=lhs, rhs=rhs, residual=abs(lhs - rhs))
+
+
 def mp3_saturation(observable_a, observable_b, psi: PureState, phi: PureState,
                    mu: complex, tol: Tolerance = DEFAULT_TOL) -> EqualityCheck:
     """Equality test for the sum bound: ||(A_c - mu B_c)|psi>|| vs |<psi|A + mu B|phi>|.
@@ -244,12 +256,8 @@ def mp3_saturation(observable_a, observable_b, psi: PureState, phi: PureState,
     is the :func:`~qubounds.relations.mp3` report's flag at ``mu``.
     """
     p = _mp_inputs(observable_a, observable_b, psi, phi, tol)
-    m = p.moments
-    mu = _require_mu_hypothesis(m, mu, tol)
-    lhs = float(np.linalg.norm(m.centered_a - mu * m.centered_b))
-    rhs = abs(p.c + mu * p.d)
-    return EqualityCheck(saturated=_mp3_report(p, mu, tol).saturated, lhs=lhs, rhs=rhs,
-                         residual=abs(lhs - rhs))
+    mu = _require_mu_hypothesis(p.moments, mu, tol)
+    return _equality_check(p, mu, _mp3_report(p, mu, tol), 1.0, 1.0)
 
 
 def mp6_saturation(observable_a, observable_b, psi: PureState, phi: PureState,
@@ -258,15 +266,12 @@ def mp6_saturation(observable_a, observable_b, psi: PureState, phi: PureState,
 
     Compares ||(A_c/dev(A) - mu B_c/dev(B))|psi>|| with |<psi|Q_mu|phi>|,
     the condition under which the division-free form closes; the flag is the
-    :func:`~qubounds.relations.mp6` reformulated report's flag at ``mu``.
+    :func:`~qubounds.relations.mp6` reformulated report's flag at ``mu``; the report
+    is built first, so zero deviations raise :class:`ZeroDeviation` before any division.
     """
     p = _mp_inputs(observable_a, observable_b, psi, phi, tol)
-    m = p.moments
-    mu = _require_mu_hypothesis(m, mu, tol)
-    report, _ = _mp6_reformulated(p, mu, tol)
-    lhs = float(np.linalg.norm(m.centered_a / m.dev_a - mu * m.centered_b / m.dev_b))
-    rhs = abs(p.c / m.dev_a + mu * p.d / m.dev_b)
-    return EqualityCheck(saturated=report.saturated, lhs=lhs, rhs=rhs, residual=abs(lhs - rhs))
+    mu = _require_mu_hypothesis(p.moments, mu, tol)
+    return _equality_check(p, mu, _mp6_reformulated(p, mu, tol)[0], p.moments.dev_a, p.moments.dev_b)
 
 
 def _e1_reduction(observable_a, observable_b, tol: Tolerance) -> tuple[PairMoments, complex]:
@@ -334,7 +339,7 @@ def _construct_case2(m: PairMoments, mu: complex, tol: Tolerance) -> Constructed
     norm = float(np.linalg.norm(tail))
     direction = None
     # The tail is degenerate when it is rounding noise beside ||u|| + ||v||.
-    if norm > tol.effective(1.0) * (m.dev_a + m.dev_b):
+    if norm > tol.eps * (m.dev_a + m.dev_b):
         direction = tail / norm
         # Fix the free phase so <e1|(A - mu B)|phi> comes out real nonnegative,
         # unless that entry is rounding noise beside the row it is read from.
@@ -362,7 +367,7 @@ def _construct_w_mp6(m: PairMoments, mu: complex, tol: Tolerance) -> Constructed
     _require_deviations(m, tol)
     difference = m.centered_a[1:, 0] / m.dev_a - mu * m.centered_b[1:, 0] / m.dev_b
     norm = float(np.linalg.norm(difference))
-    direction = difference / norm if norm > tol.effective(1.0) else None
+    direction = difference / norm if norm > tol.eps else None
     return _constructed_pair(m, mu, direction, "mp6", tol)
 
 

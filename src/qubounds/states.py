@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -38,8 +38,20 @@ def _array_digest(kind: str, a: np.ndarray) -> str:
     return h.hexdigest()
 
 
-@dataclass(frozen=True)
-class _HermitianInput:
+class _ArrayEquality:
+    """Equal inputs: one type, equal compared fields, arrays entry by entry; unhashable, as arrays are."""
+
+    __hash__ = None
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self) if f.compare)
+
+
+@dataclass(frozen=True, eq=False)
+class _HermitianInput(_ArrayEquality):
     """A Hermitian matrix validated once, frozen with its Frobenius ``norm`` and its ``digest``."""
 
     matrix: np.ndarray
@@ -70,7 +82,7 @@ class _HermitianInput:
         return math.sqrt(np.vdot(c, c).real)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Observable(_HermitianInput):
     """A Hermitian matrix standing for a measurable quantity."""
 
@@ -91,8 +103,8 @@ class Observable(_HermitianInput):
         return obs
 
 
-@dataclass(frozen=True)
-class PureState:
+@dataclass(frozen=True, eq=False)
+class PureState(_ArrayEquality):
     """A unit vector of amplitudes; its factor is the n x 1 column psi, of weight 1."""
 
     amplitudes: np.ndarray
@@ -123,8 +135,8 @@ class PureState:
         return np.outer(self.amplitudes, self.amplitudes.conj())
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
+@dataclass(frozen=True, eq=False)
+class DensityMatrix(_ArrayEquality):
     """A PSD, trace-one Hermitian matrix rho = X X^dagger.
 
     Built from a matrix, it is checked where it enters: one eigendecomposition
@@ -213,7 +225,7 @@ class DensityMatrix:
 QuantumState = PureState | DensityMatrix
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CenteredObservable(_HermitianInput):
     """A - mean * I for the state the mean was taken in; validated like :class:`Observable`."""
 

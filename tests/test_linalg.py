@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -21,18 +22,15 @@ from qubounds.linalg import _require_isometry
 from helpers import SIGMA_X, SIGMA_Y, complex_normal, hermitian_array
 
 
-def test_tolerance_effective_scaling():
-    tol = Tolerance(absolute=1e-12, relative=1e-9)
-    assert tol.effective(0.0) == 1e-12
-    assert tol.effective(10.0) == pytest.approx(1e-12 + 1e-8)
+def test_tolerance_is_one_finite_nonnegative_eps():
+    assert [f.name for f in dataclasses.fields(Tolerance)] == ["eps"]
+    assert Tolerance().eps == 1e-9 and Tolerance(0.0).eps == 0.0
     with pytest.raises(ValueError):
-        Tolerance(absolute=-1.0)
+        Tolerance(-1.0)
     # NaN would disable every comparison and inf would pass every one.
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
-            Tolerance(absolute=bad)
-        with pytest.raises(ValueError):
-            Tolerance(relative=bad)
+            Tolerance(bad)
 
 
 def test_hermitian_eig_diagonal():
@@ -162,7 +160,7 @@ def test_unitary_completion_rejects_non_orthonormal():
     with pytest.raises(DimensionMismatch):
         unitary_completion([np.ones(2), np.ones(3)])
     with pytest.raises(DimensionMismatch):
-        unitary_completion([np.array([1.0]), np.array([1.0])], Tolerance(absolute=10.0))
+        unitary_completion([np.array([1.0]), np.array([1.0])], Tolerance(10.0 + 1e-9))
 
 
 def test_zero_budget_accepts_an_exactly_orthonormal_pair():
@@ -173,8 +171,8 @@ def test_zero_budget_accepts_an_exactly_orthonormal_pair():
                      [0.7361292912414066 + 0.3104647299618183j, 0.5419749018171939 + 0.2607460907212277j]])
     psi, phi = pair.T
     assert (np.vdot(psi, psi), np.vdot(phi, phi), np.vdot(psi, phi)) == (1.0, 1.0, 0.0)
-    assert _require_isometry(pair, Tolerance(0.0, 0.0)) is pair
-    np.testing.assert_array_equal(unitary_completion([psi, phi], Tolerance(0.0, 0.0))[:, :2], pair)
+    assert _require_isometry(pair, Tolerance(0.0)) is pair
+    np.testing.assert_array_equal(unitary_completion([psi, phi], Tolerance(0.0))[:, :2], pair)
 
 
 def test_unitary_completion_rejects_non_finite_columns():
@@ -269,7 +267,7 @@ def test_input_checks_hold_at_every_scale():
 
 
 def test_dependence_detectors_decide_at_every_scale():
-    # The squared residual is compared with tol.effective(1) (||x||^2 + ||y||^2):
+    # The squared residual is compared with tol.eps (||x||^2 + ||y||^2):
     # random pairs stay independent and planted pairs dependent at every common scale.
     rng = np.random.default_rng(12)
     for _ in range(5):

@@ -18,6 +18,7 @@ from qubounds import (
     mp3,
     mp6,
     mp_chain,
+    mp_chain_saturation,
     mp_frame,
     mu_ratio,
     random_density,
@@ -46,7 +47,7 @@ def _orthonormal_pair(n, rng):
 
 
 def test_make_report_flags_and_violation():
-    tol = Tolerance(absolute=1e-12, relative=1e-9)
+    tol = Tolerance(1e-12 + 1e-9)
     report = _make_report("t", 1.0, 1.0, 1.0, tol, "d")
     assert report.saturated and report.slack == 0.0
     report = _make_report("t", 2.0, 1.0, 1.0, tol, "d")
@@ -62,12 +63,12 @@ def test_bound_oracle_catches_a_wrong_bound_at_every_scale(monkeypatch):
     # A Robertson rhs made 1.5 times too large must raise on planted saturated
     # instances at every scale, and no caller's tolerance may loosen the check.
     with pytest.raises(BoundViolation):
-        _make_report("x", 1.0, 2.0, 1.0, Tolerance(absolute=10.0), "d")
+        _make_report("x", 1.0, 2.0, 1.0, Tolerance(10.0 + 1e-9), "d")
     make_report = relations._make_report
     monkeypatch.setattr(relations, "_make_report",
                         lambda name, lhs, rhs, *args, **kw: make_report(name, lhs, 1.5 * rhs, *args, **kw))
     instances = [plant_saturating_pure(4, 0.7j, np.random.default_rng(s)) for s in range(100)]
-    for tol in (Tolerance(), Tolerance(0.0, 0.0), Tolerance(absolute=10.0)):
+    for tol in (Tolerance(), Tolerance(0.0), Tolerance(10.0 + 1e-9)):
         for c in (1.0, 1e-4, 1e-6, 1e-8, 1e-13):
             raised = 0
             for a, b, psi in instances:
@@ -244,6 +245,14 @@ def test_mp_chain_rejects_bad_inputs():
         mp_chain(SIGMA_X, SIGMA_Y, KET0, KET0, 1j)
     with pytest.raises(ValueError):
         mp_chain(SIGMA_X, SIGMA_Y, KET0, KET1, 2.0)
+
+
+def test_a_mu_of_non_unit_or_nan_modulus_is_a_bad_input():
+    # |nan| - 1 > budget is False: a NaN mu would reach the bounds and raise BoundViolation there.
+    for check in (mp_chain, mp_chain_saturation):
+        for mu in (complex(math.nan, 0.0), complex(math.nan, math.nan), 2.0, math.inf):
+            with pytest.raises(ValueError):
+                check(SIGMA_X, SIGMA_Y, KET0, KET1, mu)
 
 
 def test_mp_chain_structure_and_slacks():

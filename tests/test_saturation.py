@@ -309,6 +309,16 @@ def test_mixed_certificate_r_list_validation():
         robertson_saturation_mixed(SIGMA_X, SIGMA_Y, KET0, r_list=(0.5, -1.0))
 
 
+def test_both_mixed_checkers_reject_every_power_that_is_not_finite_and_positive():
+    # nan > limit is False, so a NaN power would pass its re-check; inf would pass with residual 0.
+    rho = DensityMatrix.from_pure(KET0)
+    for checker in (robertson_saturation_mixed, schrodinger_saturation):
+        for r_list in ([math.nan], [0.5, math.nan], [math.inf], [0], [-1], []):
+            with pytest.raises(ValueError):
+                checker(SIGMA_X, SIGMA_Y, rho, r_list=r_list)
+        assert checker(SIGMA_X, SIGMA_Y, rho, r_list=[0.5, 2]).r_checked == (0.5, 2.0)
+
+
 # ---------------------------------------------------------------------------
 # Schrodinger saturation
 
@@ -557,10 +567,10 @@ def test_maccone_pati_checkers_reject_what_the_chain_rejects():
     cases = [
         (SIGMA_X, SIGMA_Y, KET0, KET0, -1j, Tolerance()),
         (SIGMA_X, SIGMA_Y, KET0, ket3, -1j, Tolerance()),
-        (SIGMA_X, SIGMA_Y, KET0, near_unit, -1j, Tolerance(0.0, 0.0)),
+        (SIGMA_X, SIGMA_Y, KET0, near_unit, -1j, Tolerance(0.0)),
         # Two columns cannot be orthonormal in dimension 1, however loose the budget.
         (np.eye(1), 2 * np.eye(1), PureState(np.ones(1)), PureState(np.ones(1)), 1j,
-         Tolerance(absolute=10.0)),
+         Tolerance(10.0 + 1e-9)),
     ]
     for a, b, psi, phi, mu, tol in cases:
         with pytest.raises(QuboundsError) as expected:
@@ -581,7 +591,7 @@ def test_maccone_pati_checkers_reject_what_the_chain_rejects():
 
 def test_a_loose_tolerance_never_loosens_an_input_check():
     # |mu| = 1, the overlap and the Gram test compare against at most the default budget.
-    loose = Tolerance(absolute=10.0)
+    loose = Tolerance(10.0 + 1e-9)
     with pytest.raises(ValueError):
         mp_chain_saturation(SIGMA_X, SIGMA_Y, KET0, KET1, 2.0, loose)
     with pytest.raises(ValueError):
@@ -779,7 +789,7 @@ def test_construction_gap_is_scale_free():
 def test_zero_tolerance_never_trips_a_constructed_pairs_checks():
     # [e1 | (0, tail)] is orthonormal by construction.  Checked as a caller's pair,
     # a phi normalised to 1 +- 1 ulp failed the Gram test at a zero budget.
-    zero = Tolerance(0.0, 0.0)
+    zero = Tolerance(0.0)
     for k in range(200):
         rng = trial_rng(7, k)
         a, b = random_hermitian(4, rng), random_hermitian(4, rng)
@@ -791,7 +801,7 @@ def test_constructed_pairs_pass_every_pair_check_at_zero_tolerance():
     # Passed back as a caller's pair, [e1 | (0, tail)] goes through |mu| = 1, the
     # overlap and the Gram test.  phi is unit to 1 +- 1 ulp, within each check's
     # rounding floor, so a zero budget raises on none of these 1,600 calls.
-    zero = Tolerance(0.0, 0.0)
+    zero = Tolerance(0.0)
     calls = 0
     for n in (2, 3, 4, 5):
         for k in range(40):
@@ -889,7 +899,7 @@ def test_qubit_commutation_witness_guard_sweep():
 
 def test_qubit_commutation_witness_at_the_edge_of_the_zero_rule():
     # dev(A) = 0 and dev(B) = e on |0>; dev(B) is zero to rounding up to about
-    # 1.41e-9 = tol.effective(1) spread(B), where ||[A, B]||_F = sqrt(2) e (times
+    # 1.41e-9 = tol.eps spread(B), where ||[A, B]||_F = sqrt(2) e (times
     # the scale of A) meets its allowance 2 spread(A) dev(B) with equality.
     for e in (1e-9, 1.3e-9, 1.5e-9):
         for c in (1.0, 1e4):

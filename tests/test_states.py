@@ -263,6 +263,35 @@ def test_mixed_on_pure_reduction_everywhere():
         np.testing.assert_allclose(pure_pair.c2, mixed_pair.c2, atol=1e-12)
 
 
+def test_inputs_compare_by_type_and_entries():
+    # Equal copies compare True, another label, mean or entry compares False, and
+    # no comparison raises; a factor-built state compares its formed matrix.
+    rng = trial_rng(311, 0)
+    for n in range(1, 5):
+        h = hermitian_array(rng, n)
+        moved = h.copy()
+        moved[n - 1, n - 1] += 0.5
+        obs = Observable(h, label="A")
+        assert obs == Observable(h.copy(), label="A") == Observable.hermitian_part(h, label="A")
+        assert obs != Observable(h, label="B") and obs != Observable(moved, label="A")
+        centered = CenteredObservable(h, 0.25)
+        assert centered == CenteredObservable(h.copy(), 0.25)
+        assert centered != CenteredObservable(h, 0.5) and centered != CenteredObservable(moved, 0.25)
+        assert centered != Observable(h) and Observable(h) != centered
+        psi = random_pure_state(n, rng)
+        assert psi == PureState(psi.amplitudes.copy())
+        assert psi != PureState(-psi.amplitudes) and psi != obs
+        g = complex_normal(rng, n, 2)
+        factored = DensityMatrix.from_factor(g)
+        rho = DensityMatrix(factored.matrix.copy())
+        assert factored == rho == DensityMatrix.from_factor(g)
+        if n > 1:  # the one 1 x 1 state has no other entry
+            assert rho != DensityMatrix(np.eye(n) / n) and rho != DensityMatrix.from_pure(psi)
+        for x in (obs, centered, psi, rho):
+            with pytest.raises(TypeError):
+                hash(x)
+
+
 def _moments(m):
     return np.array([m.alpha, m.beta, m.dev_a, m.dev_b, m.cross.real, m.cross.imag])
 
