@@ -28,7 +28,6 @@ from .linalg import (
     EigenSystem,
     Tolerance,
     complex_dependence,
-    frobenius_inner,
     hermitian_eig,
     phase_dependence,
     psd_power,
@@ -83,16 +82,12 @@ from .saturation import (
     zero_sum_characterization,
 )
 from .states import (
-    CenteredObservable,
     DensityMatrix,
-    GramPair,
     Observable,
     PairMoments,
     PureState,
     QuantumState,
-    center,
     expectation,
-    gram_pair,
     pair_moments,
     stddev,
 )

@@ -69,21 +69,17 @@ def _emit(text: str, out: str) -> None:
             fh.write(text)
 
 
-def _tolerance(args) -> Tolerance:
-    return Tolerance(args.tol)
-
-
 def cmd_verify(args) -> int:
     rank = args.n if args.rank is None else args.rank
     config = SampleConfig(dimension=args.n, rank=rank, seed=args.seed, count=args.trials)
-    report = run_verification_suite(config, _tolerance(args))
+    report = run_verification_suite(config, Tolerance(args.tol))
     text = summary_csv(report) if args.format == "csv" else dumps_report(report)
     _emit(text, args.out)
     return 0 if report.summary["failure_count"] == 0 else 2
 
 
 def cmd_reproduce(args) -> int:
-    report = run_reproduction(_tolerance(args))
+    report = run_reproduction(Tolerance(args.tol))
     text = summary_csv(report) if args.format == "csv" else dumps_report(report)
     _emit(text, args.out)
     for trial in report.trials:
@@ -98,7 +94,7 @@ def cmd_reproduce(args) -> int:
 
 def cmd_saturate(args) -> int:
     obs_a, obs_b = load_observable_pair(args.input)
-    tol = _tolerance(args)
+    tol = Tolerance(args.tol)
     n = obs_a.dimension
     if args.target == "mp3":
         pair = construct_case1(obs_a, obs_b, tol) if n == 2 else construct_case2(obs_a, obs_b, tol)

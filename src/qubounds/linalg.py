@@ -1,9 +1,8 @@
 """Dense complex-matrix primitives.
 
-Hermitian eigendecomposition, PSD fractional powers, Frobenius inner
-products, unitary completion of orthonormal columns, and the two
-linear-dependence detectors, whose witness halves build the saturation
-certificates.
+Hermitian eigendecomposition, PSD fractional powers, unitary completion
+of orthonormal columns, and the two linear-dependence detectors, whose
+witness halves build the saturation certificates.
 """
 
 from __future__ import annotations
@@ -54,11 +53,6 @@ def _pair_budget(tol: Tolerance, size: float = 1.0) -> float:
     return max(_input_budget(tol), ROUNDING_TOL * size)
 
 
-def _rounding_floor(size: float, tol: Tolerance) -> float:
-    """``ROUNDING_TOL * size``, capped at tol.eps * size so that a zero tolerance admits only 0."""
-    return min(tol.eps, ROUNDING_TOL) * size
-
-
 def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
     """Coerce to a 2-D complex array with finite entries."""
     a = np.asarray(m, dtype=complex)
@@ -103,10 +97,6 @@ class EigenSystem:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
-
     def support(self) -> tuple[np.ndarray, np.ndarray]:
         """The eigenvalues above ``INPUT_TOL * ||P||_F`` and their eigenvector columns.
 
@@ -116,14 +106,6 @@ class EigenSystem:
         w = self.eigenvalues
         keep = w > INPUT_TOL * float(np.linalg.norm(w))
         return w[keep], self.eigenvectors[:, keep]
-
-    def power(self, r: float) -> np.ndarray:
-        """The PSD matrix raised to a positive power ``r``, on its :meth:`support`."""
-        if r <= 0:
-            raise ValueError("power must be positive")
-        w, v = self.support()
-        x = (v * w**r) @ v.conj().T
-        return (x + x.conj().T) / 2.0
 
 
 def _eigh_descending(a: np.ndarray) -> EigenSystem:
@@ -152,21 +134,16 @@ def _psd_eig(a: np.ndarray, name: str = "matrix") -> EigenSystem:
 
 
 def psd_power(p, r: float) -> np.ndarray:
-    """``p`` raised to a positive power ``r`` through its spectral decomposition.
+    """``p`` raised to a positive power ``r`` through its spectral decomposition, on its support.
 
-    Noise-band eigenvalues count as zero (see :meth:`EigenSystem.power`); a
+    Noise-band eigenvalues count as zero (see :meth:`EigenSystem.support`); a
     more negative one raises :class:`NotPositiveSemidefinite`.
     """
-    return _psd_eig(require_hermitian(p)[0]).power(r)
-
-
-def frobenius_inner(x, y) -> complex:
-    """tr(x^dagger y); conjugate-symmetric in its arguments."""
-    a = as_complex_matrix(x, "x")
-    b = as_complex_matrix(y, "y")
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"shape mismatch {a.shape} vs {b.shape}")
-    return complex(np.sum(a.conj() * b))
+    if r <= 0:
+        raise ValueError("power must be positive")
+    w, v = _psd_eig(require_hermitian(p)[0]).support()
+    x = (v * w**r) @ v.conj().T
+    return (x + x.conj().T) / 2.0
 
 
 def _require_isometry(basis: np.ndarray, tol: Tolerance) -> np.ndarray:

@@ -30,8 +30,8 @@ from .errors import (
     NotOrthogonal,
     ZeroDeviation,
 )
-from .linalg import (DEFAULT_TOL, Tolerance, _completion, _input_budget, _pair_budget, _require_isometry,
-                     _rounding_floor)
+from .linalg import (DEFAULT_TOL, ROUNDING_TOL, Tolerance, _completion, _input_budget, _pair_budget,
+                     _require_isometry)
 from .states import (
     Observable,
     PairMoments,
@@ -125,12 +125,12 @@ def _make_report(name: str, lhs: float, rhs: float, scale: float, tol: Tolerance
     saturation.  ``zero`` marks deviations zero to rounding
     (:func:`_zero_deviations`): any for a product bound, both for a sum bound.
     A slack that is not finite, or below -max(_input_budget(tol) max(|lhs|, |rhs|),
-    the rounding floor at DEFAULT_TOL of ``size``, the inputs' size in the bound's units), raises.
+    ROUNDING_TOL ``size``, for ``size`` the inputs' size in the bound's units), raises.
     """
     slack = lhs - rhs
     if not math.isfinite(slack):
         raise BoundViolation(f"{name}: slack {slack!r} is not finite")
-    budget = max(_input_budget(tol) * max(abs(lhs), abs(rhs)), _rounding_floor(size, DEFAULT_TOL))
+    budget = max(_input_budget(tol) * max(abs(lhs), abs(rhs)), ROUNDING_TOL * size)
     if slack < -budget:
         raise BoundViolation(f"{name}: slack {slack:.3e} below -{budget:.3e}")
     return BoundReport(lhs=float(lhs), rhs=float(rhs), slack=float(slack),
@@ -149,12 +149,12 @@ def _square(x: float) -> float:
 def _zero_deviation(dev: float, o: Observable, tol: Tolerance) -> bool:
     """Whether dev(A) = ``dev`` is zero to rounding, for A = ``o``.
 
-    dev(A) is zero within tol.eps times the spread of A, which no
-    identity offset moves, or within the rounding floor of ||A||_F, which covers
-    n = 1 and multiples of the identity (spread 0).  As spread(A) <= ||A||_F, a
+    dev(A) is zero within tol.eps times the spread of A, which no identity
+    offset moves, or within the rounding floor min(tol.eps, ROUNDING_TOL) ||A||_F,
+    which covers n = 1 and multiples of the identity (spread 0).  As spread(A) <= ||A||_F, a
     deviation above tol.eps ||A||_F is not zero and needs no spread.
     """
-    return dev <= tol.eps * o.norm and dev <= max(tol.eps * o.spread, _rounding_floor(o.norm, tol))
+    return dev <= tol.eps * o.norm and dev <= max(tol.eps * o.spread, min(tol.eps, ROUNDING_TOL) * o.norm)
 
 
 def _zero_deviations(m: PairMoments, tol: Tolerance) -> tuple[bool, bool]:
@@ -239,17 +239,15 @@ def _cross_elements(a: Observable, b: Observable, psi: PureState,
 class _MPInputs:
     """The one Maccone-Pati reduction of (A, B, psi, phi).
 
-    The moments in psi (which carry A, B and psi), phi, c = <psi|A|phi>,
-    d = <psi|B|phi>, and the n x 2 ``basis`` [psi | phi], from which
-    :func:`mp_frame` completes its frame.  A caller's pair passed the pair
-    checks; a constructed pair [e1 | (0, tail)] is orthonormal by construction.
+    The moments in psi (which carry A, B and psi), phi, c = <psi|A|phi>
+    and d = <psi|B|phi>.  A caller's pair passed the pair checks; a
+    constructed pair [e1 | (0, tail)] is orthonormal by construction.
     """
 
     moments: PairMoments
     phi: PureState
     c: complex
     d: complex
-    basis: np.ndarray
 
 
 def _mp_inputs(observable_a, observable_b, psi: PureState, phi: PureState,
@@ -260,8 +258,8 @@ def _mp_inputs(observable_a, observable_b, psi: PureState, phi: PureState,
     overlap = abs(complex(phi.amplitudes.conj() @ psi.amplitudes))
     if overlap > _pair_budget(tol):
         raise NotOrthogonal(f"|<phi|psi>| = {overlap:.3e}")
-    basis = _require_isometry(np.array((psi.amplitudes, phi.amplitudes)).T, tol)
-    return _MPInputs(pair_moments(a, b, psi), phi, *_cross_elements(a, b, psi, phi), basis)
+    _require_isometry(np.array((psi.amplitudes, phi.amplitudes)).T, tol)
+    return _MPInputs(pair_moments(a, b, psi), phi, *_cross_elements(a, b, psi, phi))
 
 
 def mp_frame(observable_a, observable_b, psi: PureState, phi: PureState,
@@ -272,10 +270,9 @@ def mp_frame(observable_a, observable_b, psi: PureState, phi: PureState,
     This is the audit view of the chain's quantities and the one place that
     completes a frame (one QR of an n x (n + 2) matrix).
     """
-    p = _mp_inputs(observable_a, observable_b, psi, phi, tol)
-    m = p.moments
-    basis = _completion(p.basis)
-    bra = m.state.amplitudes.conj()
+    m = _mp_inputs(observable_a, observable_b, psi, phi, tol).moments
+    basis = _completion(np.array((psi.amplitudes, phi.amplitudes)).T)
+    bra = psi.amplitudes.conj()
     row_a = (bra @ m.a.matrix) @ basis
     row_b = (bra @ m.b.matrix) @ basis
     return MPFrame(

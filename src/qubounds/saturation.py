@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CorollaryViolation, DimensionMismatch, HypothesisViolated, RIndependenceViolation
-from .linalg import (DEFAULT_TOL, TIE_TOL, Tolerance, _rounding_floor, complex_dependence_detail,
+from .linalg import (DEFAULT_TOL, ROUNDING_TOL, TIE_TOL, Tolerance, complex_dependence_detail,
                      phase_dependence_detail)
 from .relations import (BoundReport, _cross_elements, _moments_mu, _mp3_report, _mp6_reformulated, _mp_chain,
                         _mp_inputs, _MPInputs, _require_deviations, _robertson_report, _schrodinger_report,
@@ -120,11 +120,11 @@ def _verify_r_family(m: PairMoments, coeff_a: complex, coeff_b: complex,
     (res / scale)^2 <= 10 tol.eps, with the scale-free
     scale = max(|coeff_a| dev(A), |coeff_b| dev(B)) ||w^r||, the size of the
     two terms at r = 1/2 carried to r, which no identity offset moves; or when
-    it is within the rounding floor (at DEFAULT_TOL) of the same scale read with
+    it is within ROUNDING_TOL times the same scale read with
     ||A||_F and ||B||_F, where the deviations are rounding noise (n = 1, eigenstates).
     """
     limit = max(math.sqrt(10.0 * tol.eps) * max(abs(coeff_a) * m.dev_a, abs(coeff_b) * m.dev_b),
-                _rounding_floor(max(abs(coeff_a) * m.a.norm, abs(coeff_b) * m.b.norm), DEFAULT_TOL))
+                ROUNDING_TOL * max(abs(coeff_a) * m.a.norm, abs(coeff_b) * m.b.norm))
     rs, residuals = [], []
     for r in dict.fromkeys(r_list):
         ma, mb = (c * m.state.weights ** (r - 0.5) for c in (m.centered_a, m.centered_b))
@@ -299,7 +299,7 @@ def _constructed_pair(m: PairMoments, mu: complex, tail: np.ndarray | None,
     if tail is not None:
         basis[1:, 1] = tail
     phi = PureState(basis[:, 1])
-    p = _MPInputs(m, phi, *_cross_elements(m.a, m.b, m.state, phi), basis)
+    p = _MPInputs(m, phi, *_cross_elements(m.a, m.b, m.state, phi))
     if target == "mp3":
         report = _mp3_report(p, mu, tol)
         gap = 0.0 if all(_zero_deviations(m, tol)) else report.slack / report.lhs
@@ -409,7 +409,7 @@ def qubit_commutation_witness(observable_a, observable_b, state: QuantumState,
     state (the witness), None when the precondition is unmet (decided as in
     :func:`zero_product_characterization`), and raises
     :class:`CorollaryViolation` if ||[A, B]||_F exceeds, beyond the rounding
-    floor of ||A||_F ||B||_F at DEFAULT_TOL, what the deviations allow.  With A = a0 I + a.sigma,
+    floor ROUNDING_TOL ||A||_F ||B||_F, what the deviations allow.  With A = a0 I + a.sigma,
     spread(A) = sqrt(2) |a| and ||[A, B]||_F = 2 sqrt(2) |a x b|; for Bloch
     vector r = s n (|n| = 1), dev(A)^2 = |a|^2 - (a.r)^2 >= |a_perp|^2, the part
     normal to n.  As a_par x b_par = 0, |a x b| <= |a| |b_perp| + |a_perp| |b| + |a_perp| |b_perp|:
@@ -423,7 +423,7 @@ def qubit_commutation_witness(observable_a, observable_b, state: QuantumState,
     a, b = m.a.matrix, m.b.matrix
     comm_norm = float(np.linalg.norm(a @ b - b @ a))
     allowed = (2.0 * (m.a.spread * m.dev_b + m.b.spread * m.dev_a)
-               + 2.0 * math.sqrt(2.0) * m.dev_a * m.dev_b + _rounding_floor(m.a.norm * m.b.norm, DEFAULT_TOL))
+               + 2.0 * math.sqrt(2.0) * m.dev_a * m.dev_b + ROUNDING_TOL * (m.a.norm * m.b.norm))
     if comm_norm > allowed:
         raise CorollaryViolation(f"centered products vanish but ||[A, B]|| = {comm_norm:.3e} > {allowed:.3e}")
     return comm_norm

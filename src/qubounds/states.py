@@ -1,4 +1,4 @@
-"""Observables, pure and mixed states, moments, and the 2x2 Gram pair.
+"""Observables, pure and mixed states, and their moments.
 
 The uncertainty machinery below only ever needs a handful of scalars per
 (A, B, state) triple: the means, the centered deviations, and one cross
@@ -51,12 +51,18 @@ class _ArrayEquality:
 
 
 @dataclass(frozen=True, eq=False)
-class _HermitianInput(_ArrayEquality):
-    """A Hermitian matrix validated once, frozen with its Frobenius ``norm`` and its ``digest``."""
+class Observable(_ArrayEquality):
+    """A Hermitian matrix standing for a measurable quantity: validated once, frozen with ||A||_F
+    (``norm``) and its ``digest``."""
 
     matrix: np.ndarray
     norm: float = field(init=False, repr=False, compare=False)
     digest: str = field(init=False, repr=False, compare=False)
+    label: str = ""
+
+    def __post_init__(self) -> None:
+        m, norm = require_hermitian(self.matrix, self.label or "observable")
+        self._freeze(np.array(m), norm)
 
     def _freeze(self, m: np.ndarray, norm: float) -> None:
         """The one place ``matrix``, ``norm`` and ``digest`` are set, from a Hermitian ``m`` that no
@@ -65,10 +71,6 @@ class _HermitianInput(_ArrayEquality):
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "norm", norm)
         object.__setattr__(self, "digest", _array_digest("observable", m))
-
-    def _check(self, name: str) -> None:
-        m, norm = require_hermitian(self.matrix, name)
-        self._freeze(np.array(m), norm)
 
     @property
     def dimension(self) -> int:
@@ -80,16 +82,6 @@ class _HermitianInput(_ArrayEquality):
         c = self.matrix.copy()
         c.flat[:: self.dimension + 1] -= self.matrix.trace().real / self.dimension
         return math.sqrt(np.vdot(c, c).real)
-
-
-@dataclass(frozen=True, eq=False)
-class Observable(_HermitianInput):
-    """A Hermitian matrix standing for a measurable quantity."""
-
-    label: str = ""
-
-    def __post_init__(self) -> None:
-        self._check(self.label or "observable")
 
     @classmethod
     def hermitian_part(cls, g, label: str = "") -> "Observable":
@@ -130,9 +122,6 @@ class PureState(_ArrayEquality):
     @property
     def dimension(self) -> int:
         return self.amplitudes.size
-
-    def projector(self) -> np.ndarray:
-        return np.outer(self.amplitudes, self.amplitudes.conj())
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,27 +214,9 @@ class DensityMatrix(_ArrayEquality):
 QuantumState = PureState | DensityMatrix
 
 
-@dataclass(frozen=True, eq=False)
-class CenteredObservable(_HermitianInput):
-    """A - mean * I for the state the mean was taken in; validated like :class:`Observable`."""
-
-    mean: float
-
-    def __post_init__(self) -> None:
-        self._check("centered observable")
-
-
-@dataclass(frozen=True)
-class GramPair:
-    """The two 2x2 PSD Gram matrices whose determinants drive every bound."""
-
-    c1: np.ndarray
-    c2: np.ndarray
-
-
-def _checked(observable) -> Observable | CenteredObservable:
+def _checked(observable) -> Observable:
     """The entry check: a bare matrix becomes a validated Observable."""
-    if isinstance(observable, _HermitianInput):
+    if isinstance(observable, Observable):
         return observable
     return Observable(observable)
 
@@ -260,8 +231,7 @@ def _observable_pair(observable_a, observable_b) -> tuple[Observable, Observable
     return a, b
 
 
-def _mean_and_image(obs: Observable | CenteredObservable,
-                    state: QuantumState) -> tuple[float, np.ndarray]:
+def _mean_and_image(obs: Observable, state: QuantumState) -> tuple[float, np.ndarray]:
     """tr(X^dagger A X) and the product A X it is read from."""
     if not isinstance(state, (PureState, DensityMatrix)):
         raise TypeError(f"unsupported state type {type(state)!r}")
@@ -279,13 +249,6 @@ def _mean_and_image(obs: Observable | CenteredObservable,
 def expectation(observable, state: QuantumState) -> float:
     """<psi|A|psi> for a pure state, tr(rho A) for a mixed one: tr(X^dagger A X) for both."""
     return _mean_and_image(_checked(observable), state)[0]
-
-
-def center(observable, state: QuantumState) -> CenteredObservable:
-    """Shift the observable so its expectation in ``state`` is zero."""
-    obs = _checked(observable)
-    mean = expectation(obs, state)
-    return CenteredObservable(matrix=obs.matrix - mean * np.eye(obs.dimension), mean=mean)
 
 
 @dataclass(frozen=True)
@@ -310,8 +273,8 @@ class PairMoments:
     cross: complex
     centered_a: np.ndarray
     centered_b: np.ndarray
-    a: Observable | CenteredObservable
-    b: Observable | CenteredObservable
+    a: Observable
+    b: Observable
     state: QuantumState
 
     @property
@@ -348,17 +311,3 @@ def stddev(observable, state: QuantumState) -> float:
     """
     obs = _checked(observable)
     return pair_moments(obs, obs, state).dev_a
-
-
-def gram_pair(observable_a, observable_b, state: QuantumState) -> GramPair:
-    """The pair of 2x2 Gram matrices for (A, B) in ``state``.
-
-    Both are PSD with equal traces; det(c1 + c2) equals
-    4 dev_a^2 dev_b^2 - |commutator expectation|^2.
-    """
-    m = pair_moments(observable_a, observable_b, state)
-    va2 = m.dev_a**2
-    vb2 = m.dev_b**2
-    c1 = np.array([[va2, m.cross], [np.conj(m.cross), vb2]], dtype=complex)
-    c2 = np.array([[va2, -np.conj(m.cross)], [-m.cross, vb2]], dtype=complex)
-    return GramPair(c1=c1, c2=c2)

@@ -1,12 +1,13 @@
-"""Shared fixtures: Pauli matrices and planted saturating pure and mixed instances."""
+"""Shared fixtures: Pauli matrices, planted saturating pure and mixed instances, and two oracles."""
 
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
-from qubounds import DensityMatrix, Observable, PureState, haar_unitary
+from qubounds import DensityMatrix, Observable, PureState, haar_unitary, pair_moments
 from qubounds.goldens import SIGMA_X, SIGMA_Y, SIGMA_Z, block_pair_4x4  # noqa: F401
 
 
@@ -17,6 +18,25 @@ def complex_normal(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray
 def hermitian_array(rng: np.random.Generator, n: int) -> np.ndarray:
     g = complex_normal(rng, n, n)
     return (g + g.conj().T) / 2
+
+
+def projector(psi: PureState) -> np.ndarray:
+    """|psi><psi| as a matrix."""
+    return np.outer(psi.amplitudes, psi.amplitudes.conj())
+
+
+def gram_pair(a, b, state) -> SimpleNamespace:
+    """The two 2x2 Gram matrices ``c1``, ``c2`` of (A, B) in ``state``, read from :func:`pair_moments`.
+
+    Both are PSD with equal traces; det(c1 + c2) equals
+    4 dev_a^2 dev_b^2 - |commutator expectation|^2.
+    """
+    m = pair_moments(a, b, state)
+    va2 = m.dev_a**2
+    vb2 = m.dev_b**2
+    c1 = np.array([[va2, m.cross], [np.conj(m.cross), vb2]], dtype=complex)
+    c2 = np.array([[va2, -np.conj(m.cross)], [-m.cross, vb2]], dtype=complex)
+    return SimpleNamespace(c1=c1, c2=c2)
 
 
 def plant_saturating_pure(n: int, coupling: complex, rng: np.random.Generator):

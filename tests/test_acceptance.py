@@ -15,7 +15,6 @@ from qubounds import (
     construct_case2,
     construct_w_mp6,
     expectation,
-    gram_pair,
     haar_unitary,
     mp3,
     mp6,
@@ -42,7 +41,7 @@ from qubounds.goldens import (
 )
 from qubounds.sampling import bloch_state
 from qubounds.states import PureState
-from helpers import SIGMA_X, SIGMA_Y, hermitian_array, plant_saturating_mixed
+from helpers import SIGMA_X, SIGMA_Y, gram_pair, hermitian_array, plant_saturating_mixed
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:

@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import importlib
+import inspect
 import json
 import math
 import pkgutil
@@ -35,7 +36,7 @@ from qubounds import (
 )
 import qubounds
 from qubounds import goldens, linalg, reporting, sampling, states
-from qubounds.cli import _tolerance, build_parser, main
+from qubounds.cli import build_parser, main
 from qubounds.reporting import (
     bound_report_from_dict,
     bound_report_to_dict,
@@ -312,8 +313,7 @@ def _trial_calls(monkeypatch, config):
                     monkeypatch.setattr(module, attr, wrapper)
     # An input enters through its constructor, a density matrix through its factor,
     # or an observable as the Hermitian part of its draw.
-    for cls in (states.Observable, states.CenteredObservable, states.PureState,
-                states.DensityMatrix):
+    for cls in (states.Observable, states.PureState, states.DensityMatrix):
         monkeypatch.setattr(cls, "__post_init__", counting("inputs", cls.__post_init__))
     for cls, entry in ((states.DensityMatrix, "from_factor"), (states.Observable, "hermitian_part")):
         monkeypatch.setattr(cls, entry, classmethod(counting("inputs", getattr(cls, entry).__func__)))
@@ -450,7 +450,7 @@ def test_zero_tolerance_sweep_fails_nowhere():
 
 
 def test_bare_command_parses_to_the_default_tolerance():
-    assert _tolerance(build_parser().parse_args(["reproduce"])) == linalg.DEFAULT_TOL
+    assert Tolerance(build_parser().parse_args(["reproduce"]).tol) == linalg.DEFAULT_TOL
 
 
 def test_readme_names_exactly_the_cli_long_options():
@@ -483,3 +483,46 @@ def test_every_named_threshold_is_in_the_readme_table():
             assert tuple(map(float, re.findall(r"\d+(?:\.\d+)?e-?\d+", value_cell))) == expected, name
             names += 1
     assert names >= 6
+
+
+PUBLIC_NAMES = [
+    "ARTIFACT_VERSION", "BoundReport", "BoundViolation", "CONSTRUCTION_TOL", "CertificateKind",
+    "ChainReport", "ChainSaturation", "ConstructedPair", "CorollaryViolation", "DEFAULT_TOL",
+    "DensityMatrix", "DimensionMismatch", "EigenSystem", "EqualityCheck", "HypothesisViolated",
+    "MP3Report", "MP6Reports", "MPFrame", "MuChoice", "NonHermitianInput", "NonRealExpectation",
+    "NotOrthogonal", "NotOrthonormal", "NotPositiveSemidefinite", "Observable", "PairMoments",
+    "PureState", "QuantumState", "QuboundsError", "RIndependenceViolation", "RankUnachieved",
+    "RunManifest", "SampleConfig", "SaturationCertificate", "SuiteReport", "Tolerance",
+    "ZeroDeviation", "ZeroProductCheck", "ZeroWitness", "bloch_state", "choose_mu",
+    "complex_dependence", "construct_case1", "construct_case2", "construct_w_mp6", "expectation",
+    "haar_unitary", "hermitian_eig", "mp3", "mp3_saturation", "mp6", "mp6_saturation", "mp_chain",
+    "mp_chain_saturation", "mp_frame", "mu_ratio", "pair_moments", "phase_dependence", "psd_power",
+    "qubit_commutation_witness", "random_density", "random_hermitian", "random_pure_state",
+    "robertson", "robertson_saturation_mixed", "robertson_saturation_pure",
+    "run_verification_suite", "schrodinger", "schrodinger_saturation", "stddev", "trial_rng",
+    "unitary_completion", "zero_product_characterization", "zero_sum_characterization",
+]
+
+
+def test_public_surface_is_pinned():
+    # Adding or removing a public name is an API change, and must show here.
+    assert PUBLIC_NAMES == sorted(PUBLIC_NAMES)
+    assert qubounds.__all__ == PUBLIC_NAMES
+
+
+def test_every_benchmarked_function_is_public():
+    # The benchmark's traced runs read each per-layer `<module>.<fn>.calls` or
+    # `.self_us` of a qubounds module from a wrapper around the public function
+    # <fn> defined in that module; deleting or renaming one breaks those runs.
+    spec = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text(encoding="utf-8"))
+    modules = {info.name for info in pkgutil.iter_modules(qubounds.__path__)}
+    named = set()
+    for metric in spec["per_layer"]:
+        parts = metric["name"].split(".")
+        if len(parts) == 3 and parts[0] in modules and parts[2] in ("calls", "self_us"):
+            module = importlib.import_module(f"qubounds.{parts[0]}")
+            fn = getattr(module, parts[1], None)
+            assert not parts[1].startswith("_"), metric["name"]
+            assert inspect.isfunction(fn) and fn.__module__ == module.__name__, metric["name"]
+            named.add((parts[0], parts[1]))
+    assert len(named) >= 25

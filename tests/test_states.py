@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from qubounds import (
-    CenteredObservable,
     DensityMatrix,
     DimensionMismatch,
     NonHermitianInput,
@@ -13,10 +12,7 @@ from qubounds import (
     Observable,
     PureState,
     bloch_state,
-    center,
     expectation,
-    gram_pair,
-    mp3,
     pair_moments,
     random_density,
     random_hermitian,
@@ -25,10 +21,9 @@ from qubounds import (
     trial_rng,
 )
 from qubounds import linalg, states
-from helpers import SIGMA_X, SIGMA_Y, SIGMA_Z, complex_normal, hermitian_array
+from helpers import SIGMA_X, SIGMA_Y, SIGMA_Z, complex_normal, gram_pair, hermitian_array, projector
 
 KET0 = PureState(np.array([1.0, 0.0]))
-KET1 = PureState(np.array([0.0, 1.0]))
 PLUS = PureState(np.array([1.0, 1.0]) / np.sqrt(2))
 MIXED_QUBIT = DensityMatrix(np.eye(2) / 2)
 
@@ -46,7 +41,7 @@ def test_pure_state_validation():
     with pytest.raises(ValueError):
         PureState(np.array([1.0, 1.0]))
     psi = PureState(np.array([1.0j, 0.0]))
-    np.testing.assert_allclose(psi.projector(), [[1.0, 0.0], [0.0, 0.0]])
+    np.testing.assert_allclose(projector(psi), [[1.0, 0.0], [0.0, 0.0]])
 
 
 def test_pure_state_rejects_a_matrix_of_amplitudes():
@@ -92,11 +87,13 @@ def test_expectation_dimension_mismatch():
 
 
 def test_expectation_rejects_imaginary_residue():
-    # A non-Hermitian operand cannot reach the expectation: a CenteredObservable
-    # is validated where it is built, like an Observable.
+    # A non-Hermitian operand cannot reach the expectation: a bare matrix is
+    # validated where it enters, like an Observable.
     for matrix in ([[0.0, 1.0j], [0.0, 0.0]], [[0.0, 1.0], [0.0, 0.0]]):
         with pytest.raises(NonHermitianInput):
-            CenteredObservable(matrix=np.array(matrix), mean=0.0)
+            expectation(np.array(matrix), KET0)
+        with pytest.raises(NonHermitianInput):
+            pair_moments(np.array(matrix), SIGMA_X, KET0)
 
 
 def test_stddev_golden_values():
@@ -124,28 +121,6 @@ def test_stddev_shift_invariance():
         shifted = a + shift * np.eye(3)
         for state in (psi, rho):
             assert abs(stddev(a, state) - stddev(shifted, state)) <= 1e-10
-
-
-def test_center_golden_values():
-    centered = center(SIGMA_Z, KET0)
-    assert centered.mean == pytest.approx(1.0)
-    np.testing.assert_allclose(centered.matrix, SIGMA_Z - np.eye(2))
-
-    a = np.diag([1.0, 2.0, 6.0])
-    maximally_mixed = DensityMatrix(np.eye(3) / 3)
-    centered = center(a, maximally_mixed)
-    np.testing.assert_allclose(centered.matrix, a - 3.0 * np.eye(3))
-
-    theta, phi = 1.1, 0.3
-    centered = center(SIGMA_X, bloch_state(theta, phi))
-    np.testing.assert_allclose(
-        centered.matrix, SIGMA_X - math.sin(theta) * math.cos(phi) * np.eye(2), atol=1e-12
-    )
-    # Built by the same code as an Observable of its matrix, so every entry takes it alike.
-    same = Observable(centered.matrix)
-    assert (centered.norm, centered.digest) == (same.norm, same.digest)
-    assert mp3(centered, SIGMA_Y, KET0, KET1).report == mp3(same, SIGMA_Y, KET0, KET1).report
-    assert expectation(centered, bloch_state(theta, phi)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_gram_pair_pauli_golden():
@@ -274,10 +249,6 @@ def test_inputs_compare_by_type_and_entries():
         obs = Observable(h, label="A")
         assert obs == Observable(h.copy(), label="A") == Observable.hermitian_part(h, label="A")
         assert obs != Observable(h, label="B") and obs != Observable(moved, label="A")
-        centered = CenteredObservable(h, 0.25)
-        assert centered == CenteredObservable(h.copy(), 0.25)
-        assert centered != CenteredObservable(h, 0.5) and centered != CenteredObservable(moved, 0.25)
-        assert centered != Observable(h) and Observable(h) != centered
         psi = random_pure_state(n, rng)
         assert psi == PureState(psi.amplitudes.copy())
         assert psi != PureState(-psi.amplitudes) and psi != obs
@@ -287,7 +258,7 @@ def test_inputs_compare_by_type_and_entries():
         assert factored == rho == DensityMatrix.from_factor(g)
         if n > 1:  # the one 1 x 1 state has no other entry
             assert rho != DensityMatrix(np.eye(n) / n) and rho != DensityMatrix.from_pure(psi)
-        for x in (obs, centered, psi, rho):
+        for x in (obs, psi, rho):
             with pytest.raises(TypeError):
                 hash(x)
 
@@ -349,8 +320,7 @@ def test_an_observable_computes_its_norm_once(monkeypatch):
     monkeypatch.setattr(linalg, "_finite_norm", counting)
     monkeypatch.setattr(states, "_finite_norm", counting)
     h = hermitian_array(trial_rng(110, 0), 4)
-    for build in (lambda: Observable(h), lambda: CenteredObservable(h, mean=0.0),
-                  lambda: Observable.hermitian_part(h)):
+    for build in (lambda: Observable(h), lambda: Observable.hermitian_part(h)):
         calls.clear()
         obs = build()
         assert len(calls) == 1
@@ -370,7 +340,7 @@ def test_from_pure_runs_no_eigh(monkeypatch):
         calls.clear()
         rho = DensityMatrix.from_pure(psi)
         assert not calls
-        checked = DensityMatrix(psi.projector())
+        checked = DensityMatrix(projector(psi))
         np.testing.assert_allclose(_moments(pair_moments(a, b, rho)),
                                    _moments(pair_moments(a, b, checked)), rtol=0, atol=1e-14)
 
