@@ -5,15 +5,17 @@ carrying both sides of the inequality, the slack, a saturation flag, the
 tolerance used, and a digest of the inputs: a hash of the inputs' own
 digests and the bound's tag.  A negative slack beyond the rounding budget
 raises :class:`~qubounds.errors.BoundViolation` instead of being reported,
-since each inequality is a theorem.  One rule flags saturation
-(:func:`_make_report`), dimensionless and blind to an identity offset, and
-every checker reads its bound's flag.
+since each inequality is a theorem.  One rule decides each bound
+(:func:`_decide`): the slack check, and a saturation flag that is
+dimensionless and blind to an identity offset.
 
 Each public evaluator is a thin entry that validates and reduces its inputs
 (:func:`~qubounds.states.pair_moments`, or :func:`_mp_inputs` for the
-Maccone-Pati family).  Where the verification sweep runs an evaluator, its
-work is a private body that reads only that reduction and the tolerance, so
-the sweep can run every body on the one reduction it holds.
+Maccone-Pati family).  Its work is split in two private bodies that read
+only that reduction and the tolerance: the bound's decision (both sides,
+the slack and the flag), and the report that adds the digest.  The checkers
+and constructions read only decisions, so they hash nothing; the verification
+sweep runs the report bodies on the one reduction it holds.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,6 +55,15 @@ class BoundReport:
     saturated: bool
     tol_used: Tolerance
     inputs_digest: str
+
+
+class _Decision(NamedTuple):
+    """A bound's decision, in :class:`BoundReport` field order; a report adds the tolerance and digest."""
+
+    lhs: float
+    rhs: float
+    slack: float
+    saturated: bool
 
 
 @dataclass(frozen=True)
@@ -115,9 +127,9 @@ def _digest(*parts) -> str:
     return hashlib.sha256(repr([getattr(p, "digest", p) for p in parts]).encode()).hexdigest()[:16]
 
 
-def _make_report(name: str, lhs: float, rhs: float, scale: float, tol: Tolerance,
-                 digest: str, zero: bool = False, size: float = 0.0) -> BoundReport:
-    """The report of lhs >= rhs: saturated when ``zero`` or slack <= tol.eps * ``scale``.
+def _decide(name: str, lhs: float, rhs: float, scale: float, tol: Tolerance,
+            zero: bool = False, size: float = 0.0) -> _Decision:
+    """The decision of lhs >= rhs: saturated when ``zero`` or slack <= tol.eps * ``scale``.
 
     ``scale`` is the bound's natural size: the lhs of a product bound,
     dev(A)^2 + dev(B)^2 for mp3 and the chain, 1 for the mp6 reformulation.
@@ -133,9 +145,13 @@ def _make_report(name: str, lhs: float, rhs: float, scale: float, tol: Tolerance
     budget = max(_input_budget(tol) * max(abs(lhs), abs(rhs)), ROUNDING_TOL * size)
     if slack < -budget:
         raise BoundViolation(f"{name}: slack {slack:.3e} below -{budget:.3e}")
-    return BoundReport(lhs=float(lhs), rhs=float(rhs), slack=float(slack),
-                       saturated=bool(zero or slack <= tol.eps * scale),
-                       tol_used=tol, inputs_digest=digest)
+    return _Decision(float(lhs), float(rhs), float(slack), bool(zero or slack <= tol.eps * scale))
+
+
+def _make_report(name: str, lhs: float, rhs: float, scale: float, tol: Tolerance,
+                 digest: str, zero: bool = False, size: float = 0.0) -> BoundReport:
+    """The report of lhs >= rhs: its :func:`_decide` decision, with ``tol`` and ``digest``."""
+    return BoundReport(*_decide(name, lhs, rhs, scale, tol, zero, size), tol, digest)
 
 
 def _square(x: float) -> float:
@@ -162,18 +178,24 @@ def _zero_deviations(m: PairMoments, tol: Tolerance) -> tuple[bool, bool]:
     return _zero_deviation(m.dev_a, m.a, tol), _zero_deviation(m.dev_b, m.b, tol)
 
 
-def _robertson_report(m: PairMoments, tol: Tolerance) -> BoundReport:
+def _robertson_decision(m: PairMoments, tol: Tolerance) -> _Decision:
     lhs = m.dev_a * m.dev_b
-    return _make_report("robertson", lhs, abs(m.commutator_expectation) / 2.0, lhs, tol,
-                        _digest(m.a, m.b, m.state, "robertson"), any(_zero_deviations(m, tol)),
-                        m.a.norm * m.b.norm)
+    return _decide("robertson", lhs, abs(m.commutator_expectation) / 2.0, lhs, tol,
+                   any(_zero_deviations(m, tol)), m.a.norm * m.b.norm)
+
+
+def _robertson_report(m: PairMoments, tol: Tolerance) -> BoundReport:
+    return BoundReport(*_robertson_decision(m, tol), tol, _digest(m.a, m.b, m.state, "robertson"))
+
+
+def _schrodinger_decision(m: PairMoments, tol: Tolerance) -> _Decision:
+    lhs = _square(m.dev_a * m.dev_b)
+    return _decide("schrodinger", lhs, _square(m.cross.real) + _square(m.cross.imag), lhs, tol,
+                   any(_zero_deviations(m, tol)), _square(m.a.norm * m.b.norm))
 
 
 def _schrodinger_report(m: PairMoments, tol: Tolerance) -> BoundReport:
-    lhs = _square(m.dev_a * m.dev_b)
-    return _make_report("schrodinger", lhs, _square(m.cross.real) + _square(m.cross.imag), lhs, tol,
-                        _digest(m.a, m.b, m.state, "schrodinger"), any(_zero_deviations(m, tol)),
-                        _square(m.a.norm * m.b.norm))
+    return BoundReport(*_schrodinger_decision(m, tol), tol, _digest(m.a, m.b, m.state, "schrodinger"))
 
 
 def robertson(observable_a, observable_b, state: QuantumState, tol: Tolerance = DEFAULT_TOL) -> BoundReport:
@@ -300,15 +322,20 @@ def mp_chain(observable_a, observable_b, psi: PureState, phi: PureState,
 
 def _mp_chain(p: _MPInputs, mu: complex, tol: Tolerance) -> ChainReport:
     m = p.moments
+    decisions = _mp_chain_decisions(p, mu, tol)
     digest = _digest(m.a, m.b, m.state, p.phi, mu, "mp-chain")
+    return ChainReport(steps=tuple(BoundReport(*d, tol, digest) for d in decisions), mu=mu)
+
+
+def _mp_chain_decisions(p: _MPInputs, mu: complex, tol: Tolerance) -> tuple[_Decision, _Decision, _Decision]:
+    m = p.moments
     scale = m.dev_a**2 + m.dev_b**2
     zero = all(_zero_deviations(m, tol))
     abs_c, abs_d = abs(p.c), abs(p.d)
     sides = (scale, abs_c**2 + abs_d**2, _square(abs_c + abs_d) / 2.0, _square(abs(p.c + mu * p.d)) / 2.0)
     size = _square(m.a.norm) + _square(m.b.norm)
-    steps = tuple(_make_report(f"mp-chain step {k + 1}", sides[k], sides[k + 1], scale, tol, digest, zero,
-                               size) for k in range(3))
-    return ChainReport(steps=steps, mu=mu)
+    return tuple(_decide(f"mp-chain step {k + 1}", sides[k], sides[k + 1], scale, tol, zero, size)
+                 for k in range(3))
 
 
 def mu_ratio(observable_a, observable_b, psi: PureState, phi: PureState) -> complex:
@@ -334,18 +361,20 @@ def mp3(observable_a, observable_b, psi: PureState, phi: PureState,
 
 
 def _mp3(p: _MPInputs, tol: Tolerance) -> MP3Report:
-    choice = _moments_mu(p.moments, tol)
-    return MP3Report(report=_mp3_report(p, choice.mu, tol), mu=choice)
+    m = p.moments
+    choice = _moments_mu(m, tol)
+    report = BoundReport(*_mp3_decision(p, choice.mu, tol), tol, _digest(m.a, m.b, m.state, p.phi, "mp3"))
+    return MP3Report(report=report, mu=choice)
 
 
-def _mp3_report(p: _MPInputs, mu: complex, tol: Tolerance) -> BoundReport:
+def _mp3_decision(p: _MPInputs, mu: complex, tol: Tolerance) -> _Decision:
     m = p.moments
     lhs = m.dev_a**2 + m.dev_b**2
     # mu is exactly i or -i and <[A, B]> = cross - conj(cross) exactly imaginary,
     # so mu <[A, B]> is exactly real.
     rhs = (mu * m.commutator_expectation).real + _square(abs(p.c + mu * p.d))
-    return _make_report("mp3", lhs, rhs, lhs, tol, _digest(m.a, m.b, m.state, p.phi, "mp3"),
-                        all(_zero_deviations(m, tol)), _square(m.a.norm) + _square(m.b.norm))
+    return _decide("mp3", lhs, rhs, lhs, tol, all(_zero_deviations(m, tol)),
+                   _square(m.a.norm) + _square(m.b.norm))
 
 
 def mp6(observable_a, observable_b, psi: PureState, phi: PureState,
@@ -364,7 +393,8 @@ def mp6(observable_a, observable_b, psi: PureState, phi: PureState,
 def _mp6(p: _MPInputs, tol: Tolerance) -> MP6Reports:
     m = p.moments
     choice = _moments_mu(m, tol)
-    reformulated, comm_term = _mp6_reformulated(p, choice.mu, tol)
+    decision, comm_term = _mp6_decision(p, choice.mu, tol)
+    reformulated = BoundReport(*decision, tol, _digest(m.a, m.b, m.state, p.phi, "mp6"))
     degenerate = reformulated.lhs <= tol.eps
     lhs = m.dev_a * m.dev_b
     # The product form is dev(A) dev(B) / lhs times the reformulation, and so is its floor.
@@ -375,14 +405,13 @@ def _mp6(p: _MPInputs, tol: Tolerance) -> MP6Reports:
                       denominator_degenerate=degenerate, mu=choice)
 
 
-def _mp6_reformulated(p: _MPInputs, mu: complex, tol: Tolerance) -> tuple[BoundReport, float]:
-    """The division-free report at ``mu``, and mu <[A, B]>."""
+def _mp6_decision(p: _MPInputs, mu: complex, tol: Tolerance) -> tuple[_Decision, float]:
+    """The division-free decision at ``mu``, and mu <[A, B]>."""
     m = p.moments
     _require_deviations(m, tol)
     q_elem = p.c / m.dev_a + mu * p.d / m.dev_b
     comm_term = (mu * m.commutator_expectation).real
-    report = _make_report("mp6 reformulated", 1.0 - abs(q_elem) ** 2 / 2.0,
-                          comm_term / (2.0 * m.dev_a * m.dev_b), 1.0, tol,
-                          _digest(m.a, m.b, m.state, p.phi, "mp6"),
-                          size=m.a.norm / m.dev_a + m.b.norm / m.dev_b)
-    return report, comm_term
+    decision = _decide("mp6 reformulated", 1.0 - abs(q_elem) ** 2 / 2.0,
+                       comm_term / (2.0 * m.dev_a * m.dev_b), 1.0, tol,
+                       size=m.a.norm / m.dev_a + m.b.norm / m.dev_b)
+    return decision, comm_term

@@ -1,18 +1,19 @@
 """Equality certificates and explicit saturating constructions.
 
 Each characterization is one decision.  A Robertson or Schrodinger
-certificate exists exactly when the bound's report is saturated (its
+certificate exists exactly when the bound's decision is saturated (its
 relative slack, or a deviation zero to rounding); the SVD of the centred
 operands then only builds the witness angles, which the mixed checkers
 re-verify at several powers of rho.  The zero-deviation characterizations
 decide each side by its deviation.  The Maccone-Pati checkers read their
-bound's report flag, and c = <psi|A|phi> and d = <psi|B|phi> as matrix
+bound's decision flag, and c = <psi|A|phi> and d = <psi|B|phi> as matrix
 elements; they build no frame.
 Like the evaluators, each checker and constructor is an entry that validates and reduces
 its inputs, with a private body that reads only the reduction where the sweep runs it.
+Checkers and constructors read bound decisions, never reports, so they hash no input.
 
 The constructions (psi = e1) read one reduction of (A, B, e1), its mu, and
-the target bound's body at that mu on [e1 | (0, tail)], orthonormal by construction.
+the target bound's decision at that mu on [e1 | (0, tail)], orthonormal by construction.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ import numpy as np
 from .errors import CorollaryViolation, DimensionMismatch, HypothesisViolated, RIndependenceViolation
 from .linalg import (DEFAULT_TOL, ROUNDING_TOL, TIE_TOL, Tolerance, complex_dependence_detail,
                      phase_dependence_detail)
-from .relations import (BoundReport, _cross_elements, _moments_mu, _mp3_report, _mp6_reformulated, _mp_chain,
-                        _mp_inputs, _MPInputs, _require_deviations, _robertson_report, _schrodinger_report,
-                        _unit_mu, _zero_deviations)
+from .relations import (_cross_elements, _Decision, _moments_mu, _mp3_decision, _mp6_decision,
+                        _mp_chain_decisions, _mp_inputs, _MPInputs, _require_deviations, _robertson_decision,
+                        _schrodinger_decision, _unit_mu, _zero_deviations)
 from .states import PairMoments, PureState, QuantumState, _observable_pair, pair_moments
 
 # Constructed pairs must close their target bound to this relative gap.
@@ -127,7 +128,8 @@ def _verify_r_family(m: PairMoments, coeff_a: complex, coeff_b: complex,
                 ROUNDING_TOL * max(abs(coeff_a) * m.a.norm, abs(coeff_b) * m.b.norm))
     rs, residuals = [], []
     for r in dict.fromkeys(r_list):
-        ma, mb = (c * m.state.weights ** (r - 0.5) for c in (m.centered_a, m.centered_b))
+        power = m.state.weights ** (r - 0.5)
+        ma, mb = m.centered_a * power, m.centered_b * power
         res = float(np.linalg.norm(coeff_a * ma + coeff_b * mb))
         if res > limit * float(np.linalg.norm(m.state.weights ** r)):
             raise RIndependenceViolation(
@@ -142,15 +144,15 @@ def _certificate(kind: CertificateKind, m: PairMoments, tol: Tolerance,
                  r_list) -> SaturationCertificate | None:
     """The witness cos(theta) A_c X + e^{i phi} sin(theta) B_c X = 0 of a saturated bound.
 
-    Returns None exactly when the bound's report is unsaturated, so presence
-    is the report's flag.  The SVD only builds the witness: the phase i for
+    Returns None exactly when the bound's decision is unsaturated, so presence
+    is its report's flag.  The SVD only builds the witness: the phase i for
     the Robertson kinds (phi is None), any phase for the Schrodinger kind.
     When both deviations are zero to rounding every angle is a witness, and
     theta = 0 with residual 0 is taken without an SVD.  The dependence is
     re-verified at every power in ``r_list``.
     """
     schrodinger = kind is CertificateKind.SCHRODINGER
-    if not (_schrodinger_report if schrodinger else _robertson_report)(m, tol).saturated:
+    if not (_schrodinger_decision if schrodinger else _robertson_decision)(m, tol).saturated:
         return None
     if all(_zero_deviations(m, tol)):
         theta, phi, residual = 0.0, 0.0 if schrodinger else None, 0.0
@@ -212,7 +214,7 @@ def mp_chain_saturation(observable_a, observable_b, psi: PureState, phi: PureSta
     p = _mp_inputs(observable_a, observable_b, psi, phi, tol)
     m, c, d = p.moments, p.c, p.d
     abs_c, abs_d = abs(c), abs(d)
-    flags = tuple(step.saturated for step in _mp_chain(p, mu, tol).steps)
+    flags = tuple(step.saturated for step in _mp_chain_decisions(p, mu, tol))
     certificate = None
     if all(flags):
         theta = 0.0 if all(_zero_deviations(m, tol)) else (-cmath.phase(c + mu * d)) % (2.0 * math.pi)
@@ -240,12 +242,12 @@ def _require_mu_hypothesis(m: PairMoments, mu: complex, tol: Tolerance) -> compl
     return mu
 
 
-def _equality_check(p: _MPInputs, mu: complex, report: BoundReport, s_a: float, s_b: float) -> EqualityCheck:
-    """||(A_c/s_a - mu B_c/s_b)|psi>|| against |c/s_a + mu d/s_b|, flagged by the target's ``report`` at mu."""
+def _equality_check(p: _MPInputs, mu: complex, decision: _Decision, s_a: float, s_b: float) -> EqualityCheck:
+    """||(A_c/s_a - mu B_c/s_b)|psi>|| against |c/s_a + mu d/s_b|, flagged by the target's ``decision`` at mu."""
     m = p.moments
     lhs = float(np.linalg.norm(m.centered_a / s_a - mu * m.centered_b / s_b))
     rhs = abs(p.c / s_a + mu * p.d / s_b)
-    return EqualityCheck(saturated=report.saturated, lhs=lhs, rhs=rhs, residual=abs(lhs - rhs))
+    return EqualityCheck(saturated=decision.saturated, lhs=lhs, rhs=rhs, residual=abs(lhs - rhs))
 
 
 def mp3_saturation(observable_a, observable_b, psi: PureState, phi: PureState,
@@ -257,7 +259,7 @@ def mp3_saturation(observable_a, observable_b, psi: PureState, phi: PureState,
     """
     p = _mp_inputs(observable_a, observable_b, psi, phi, tol)
     mu = _require_mu_hypothesis(p.moments, mu, tol)
-    return _equality_check(p, mu, _mp3_report(p, mu, tol), 1.0, 1.0)
+    return _equality_check(p, mu, _mp3_decision(p, mu, tol), 1.0, 1.0)
 
 
 def mp6_saturation(observable_a, observable_b, psi: PureState, phi: PureState,
@@ -266,12 +268,12 @@ def mp6_saturation(observable_a, observable_b, psi: PureState, phi: PureState,
 
     Compares ||(A_c/dev(A) - mu B_c/dev(B))|psi>|| with |<psi|Q_mu|phi>|,
     the condition under which the division-free form closes; the flag is the
-    :func:`~qubounds.relations.mp6` reformulated report's flag at ``mu``; the report
-    is built first, so zero deviations raise :class:`ZeroDeviation` before any division.
+    :func:`~qubounds.relations.mp6` reformulated report's flag at ``mu``; the decision
+    is taken first, so zero deviations raise :class:`ZeroDeviation` before any division.
     """
     p = _mp_inputs(observable_a, observable_b, psi, phi, tol)
     mu = _require_mu_hypothesis(p.moments, mu, tol)
-    return _equality_check(p, mu, _mp6_reformulated(p, mu, tol)[0], p.moments.dev_a, p.moments.dev_b)
+    return _equality_check(p, mu, _mp6_decision(p, mu, tol)[0], p.moments.dev_a, p.moments.dev_b)
 
 
 def _e1_reduction(observable_a, observable_b, tol: Tolerance) -> tuple[PairMoments, complex]:
@@ -291,9 +293,9 @@ def _constructed_pair(m: PairMoments, mu: complex, tail: np.ndarray | None,
 
     The basis [e1 | phi] is orthonormal by construction (the overlap is exactly
     0), so it skips the pair checks a caller's pair goes through.  The achieved
-    gap is the ``target`` report's slack at ``mu`` over the scale its flag uses,
+    gap is the ``target`` decision's slack at ``mu`` over the scale its flag uses,
     dev(A)^2 + dev(B)^2 for mp3 and 1 for the mp6 reformulation; it is 0 where
-    the mp3 report's zero-deviation rule decides.
+    the mp3 decision's zero-deviation rule decides.
     """
     basis = np.eye(m.a.dimension, 2, dtype=complex)
     if tail is not None:
@@ -301,10 +303,10 @@ def _constructed_pair(m: PairMoments, mu: complex, tail: np.ndarray | None,
     phi = PureState(basis[:, 1])
     p = _MPInputs(m, phi, *_cross_elements(m.a, m.b, m.state, phi))
     if target == "mp3":
-        report = _mp3_report(p, mu, tol)
-        gap = 0.0 if all(_zero_deviations(m, tol)) else report.slack / report.lhs
+        decision = _mp3_decision(p, mu, tol)
+        gap = 0.0 if all(_zero_deviations(m, tol)) else decision.slack / decision.lhs
     else:
-        gap = _mp6_reformulated(p, mu, tol)[0].slack
+        gap = _mp6_decision(p, mu, tol)[0].slack
     return ConstructedPair(mu=mu, psi=m.state, phi=phi, target=target, achieved_slack=gap,
                            degenerate=tail is None)
 

@@ -7,8 +7,8 @@ data, so near-saturated instances do not suffer cancellation.
 
 Each input is validated once, where it enters: bare matrices become
 :class:`Observable` objects in :func:`_observable_pair`, and inner calls pass those on.
-Each input is also hashed once, when it is built: observables and states carry
-a ``digest`` of their frozen array, and report digests combine those.
+Each input is hashed when its ``digest`` is first read, at most once: observables and
+states carry a ``digest`` of their frozen array, and report digests combine those.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from .linalg import (INPUT_TOL, EigenSystem, _eigh_descending, _finite_norm, _ps
                      as_complex_matrix, require_hermitian)
 
 
-def _frozen_array(a: np.ndarray, dtype=complex) -> np.ndarray:
-    out = np.array(a, dtype=dtype, copy=True)
+def _frozen_array(a: np.ndarray) -> np.ndarray:
+    out = np.array(a, dtype=complex, copy=True)
     out.setflags(write=False)
     return out
 
@@ -53,11 +53,10 @@ class _ArrayEquality:
 @dataclass(frozen=True, eq=False)
 class Observable(_ArrayEquality):
     """A Hermitian matrix standing for a measurable quantity: validated once, frozen with ||A||_F
-    (``norm``) and its ``digest``."""
+    (``norm``); its ``digest`` is taken when first read."""
 
     matrix: np.ndarray
     norm: float = field(init=False, repr=False, compare=False)
-    digest: str = field(init=False, repr=False, compare=False)
     label: str = ""
 
     def __post_init__(self) -> None:
@@ -65,12 +64,15 @@ class Observable(_ArrayEquality):
         self._freeze(np.array(m), norm)
 
     def _freeze(self, m: np.ndarray, norm: float) -> None:
-        """The one place ``matrix``, ``norm`` and ``digest`` are set, from a Hermitian ``m`` that no
+        """The one place ``matrix`` and ``norm`` are set, from a Hermitian ``m`` that no
         caller holds, frozen in place, and its ||m||_F."""
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "norm", norm)
-        object.__setattr__(self, "digest", _array_digest("observable", m))
+
+    @functools.cached_property
+    def digest(self) -> str:
+        return _array_digest("observable", self.matrix)
 
     @property
     def dimension(self) -> int:
@@ -95,6 +97,11 @@ class Observable(_ArrayEquality):
         return obs
 
 
+# The support weight of every pure state, shared read-only.
+_UNIT_WEIGHT = np.ones(1)
+_UNIT_WEIGHT.setflags(write=False)
+
+
 @dataclass(frozen=True, eq=False)
 class PureState(_ArrayEquality):
     """A unit vector of amplitudes; its factor is the n x 1 column psi, of weight 1."""
@@ -102,7 +109,6 @@ class PureState(_ArrayEquality):
     amplitudes: np.ndarray
     factor: np.ndarray = field(init=False, repr=False, compare=False)
     weights: np.ndarray = field(init=False, repr=False, compare=False)
-    digest: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         a = np.asarray(self.amplitudes, dtype=complex)
@@ -116,8 +122,11 @@ class PureState(_ArrayEquality):
         object.__setattr__(self, "amplitudes", _frozen_array(a.ravel()))
         # Kept 2-D so that a pure state is the one-column case of every matrix path.
         object.__setattr__(self, "factor", self.amplitudes.reshape(-1, 1))
-        object.__setattr__(self, "weights", _frozen_array(np.ones(1), float))
-        object.__setattr__(self, "digest", _array_digest("pure", self.amplitudes))
+        object.__setattr__(self, "weights", _UNIT_WEIGHT)
+
+    @functools.cached_property
+    def digest(self) -> str:
+        return _array_digest("pure", self.amplitudes)
 
     @property
     def dimension(self) -> int:
@@ -138,7 +147,6 @@ class DensityMatrix(_ArrayEquality):
     matrix: np.ndarray
     factor: np.ndarray = field(init=False, repr=False, compare=False)
     weights: np.ndarray = field(init=False, repr=False, compare=False)
-    digest: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         m = require_hermitian(self.matrix, "density matrix")[0]
@@ -149,12 +157,14 @@ class DensityMatrix(_ArrayEquality):
         object.__setattr__(self, "spectrum", spectrum)
         w, v = spectrum.support()
         object.__setattr__(self, "matrix", _frozen_array(m))
-        self._freeze(v * np.sqrt(w), w, _array_digest("density", self.matrix))
+        self._freeze(v * np.sqrt(w), w)
 
-    def _freeze(self, factor: np.ndarray, weights: np.ndarray, digest: str) -> None:
-        object.__setattr__(self, "factor", _frozen_array(factor))
-        object.__setattr__(self, "weights", _frozen_array(weights, float))
-        object.__setattr__(self, "digest", digest)
+    def _freeze(self, factor: np.ndarray, weights: np.ndarray) -> None:
+        """Set ``factor`` and ``weights`` from fresh arrays that no caller holds, frozen in place."""
+        factor.setflags(write=False)
+        weights.setflags(write=False)
+        object.__setattr__(self, "factor", factor)
+        object.__setattr__(self, "weights", weights)
 
     def __getattr__(self, name: str):
         # Only a factor-built state's ``matrix`` is missing: formed from its prescaled G when first read.
@@ -164,6 +174,13 @@ class DensityMatrix(_ArrayEquality):
         rho = rho / np.trace(rho).real
         object.__setattr__(self, "matrix", _frozen_array((rho + rho.conj().T) / 2.0))
         return self.matrix
+
+    @functools.cached_property
+    def digest(self) -> str:
+        """A factor-built state hashes its prescaled G (tagged ``density-factor``), any other its matrix."""
+        if "_prescaled" in vars(self):
+            return _array_digest("density-factor", self._prescaled)
+        return _array_digest("density", self.matrix)
 
     @functools.cached_property
     def spectrum(self) -> EigenSystem:
@@ -185,7 +202,7 @@ class DensityMatrix(_ArrayEquality):
         G is first scaled exactly, by the power of two that puts max |G_ij| in
         [0.5, 1), so 2^k G gives the same state bit for bit and nothing overflows.
         The state keeps that prescaled G, frozen: ``digest`` hashes it (tagged
-        ``density-factor``), and ``matrix`` is formed from it when first read.
+        ``density-factor``), and ``matrix`` is formed from it, each when first read.
         """
         g = as_complex_matrix(g, "factor")
         peak = float(np.abs(g).max())
@@ -201,7 +218,7 @@ class DensityMatrix(_ArrayEquality):
         w = lam / lam.sum()
         state = object.__new__(cls)
         object.__setattr__(state, "_prescaled", g)
-        state._freeze(v * np.sqrt(w), w, _array_digest("density-factor", g))
+        state._freeze(v * np.sqrt(w), w)
         return state
 
     @classmethod

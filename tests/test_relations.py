@@ -64,9 +64,9 @@ def test_bound_oracle_catches_a_wrong_bound_at_every_scale(monkeypatch):
     # instances at every scale, and no caller's tolerance may loosen the check.
     with pytest.raises(BoundViolation):
         _make_report("x", 1.0, 2.0, 1.0, Tolerance(10.0 + 1e-9), "d")
-    make_report = relations._make_report
-    monkeypatch.setattr(relations, "_make_report",
-                        lambda name, lhs, rhs, *args, **kw: make_report(name, lhs, 1.5 * rhs, *args, **kw))
+    decide = relations._decide
+    monkeypatch.setattr(relations, "_decide",
+                        lambda name, lhs, rhs, *args, **kw: decide(name, lhs, 1.5 * rhs, *args, **kw))
     instances = [plant_saturating_pure(4, 0.7j, np.random.default_rng(s)) for s in range(100)]
     for tol in (Tolerance(), Tolerance(0.0), Tolerance(10.0 + 1e-9)):
         for c in (1.0, 1e-4, 1e-6, 1e-8, 1e-13):

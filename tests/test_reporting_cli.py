@@ -35,7 +35,7 @@ from qubounds import (
     trial_rng,
 )
 import qubounds
-from qubounds import goldens, linalg, reporting, sampling, states
+from qubounds import goldens, linalg, relations, reporting, sampling, states
 from qubounds.cli import build_parser, main
 from qubounds.reporting import (
     bound_report_from_dict,
@@ -288,6 +288,7 @@ def _trial_calls(monkeypatch, config):
         "svd": np.linalg.svd,
         "_require_isometry": linalg._require_isometry,
         "_array_digest": states._array_digest,
+        "_digest": relations._digest,
         "_complex_normal": sampling._complex_normal,
     }
     counts = dict.fromkeys(targets, 0)
@@ -329,8 +330,8 @@ def _trial_calls(monkeypatch, config):
 
 def test_verify_trial_validates_once_and_reduces_once(monkeypatch):
     # A, B and rho are validated where they enter, rho is diagonalised once,
-    # each input is hashed once when it is built, and the sweep reduces each
-    # of its four (A, B, state) triples once.
+    # only the inputs of a recorded report are hashed, each once, and the sweep
+    # reduces each of its four (A, B, state) triples once.
     counts, shapes = _trial_calls(monkeypatch, SampleConfig(4, 4, 7, 1))
     # A and B are Hermitian by construction, and the constructions reduce
     # (A, B, e1) from the validated pair.
@@ -344,7 +345,11 @@ def test_verify_trial_validates_once_and_reduces_once(monkeypatch):
     assert shapes["qr"] == [(4, 2)]
     # The Haar pair only: a constructed pair [e1 | (0, tail)] is orthonormal by construction.
     assert counts["_require_isometry"] == 1
-    assert counts["_array_digest"] == counts["inputs"]
+    # A, B, psi, rho and the Haar pair; e1, the constructed phis and the
+    # certificates hash nothing.  One report digest for each of the four
+    # moment bounds, mp3, mp6 (shared by its two forms) and the chain.
+    assert counts["_array_digest"] == 6
+    assert counts["_digest"] == 7
     # The reports decide saturation; an SVD only builds a saturated bound's witness.
     assert counts["svd"] == 0
 
@@ -358,8 +363,27 @@ def test_verify_trial_draws_and_factors_only_what_it_reads(monkeypatch):
     assert shapes["_complex_normal"] == [(16, 1), (16, 2), (16, 2)]
     assert shapes["rho"] == []
     assert shapes["qr"] == [(16, 2)]
-    assert counts["_array_digest"] == counts["inputs"]
+    assert (counts["_array_digest"], counts["_digest"]) == (6, 7)
     assert counts["svd"] == 0
+
+
+def test_a_trials_digests_are_pinned():
+    # Seed 7, n = 4: A, B and rho hash bytes made by elementwise or power-of-two
+    # arithmetic, with no BLAS, so these values hold on every platform.  psi and
+    # the Haar pair pass through BLAS norms and a QR, so they are left out.
+    rng = trial_rng(7, 0)
+    a = random_hermitian(4, rng, label="A")
+    b = random_hermitian(4, rng, label="B")
+    random_pure_state(4, rng)
+    rho = random_density(4, 4, rng)
+    assert (a.digest, b.digest, rho.digest) == (
+        "2d8fd1ff50614d8245463296362d70dffb62a442920004135edc99c82584ccef",
+        "5e34f1539c5773b4e9e2cf938d32fd57d7c8a9603fddfc3cf5a41a1823bda909",
+        "8e26c3d030015e2427fbe6f7f697d177c2fafee64d8568b1b20ef31b4e411f82")
+    record = run_verification_suite(SampleConfig(4, 4, 7, 1), Tolerance()).trials[0]
+    assert record["robertson_mixed"]["inputs_digest"] == robertson(a, b, rho).inputs_digest == "dc82a1dc09eb6ec7"
+    assert record["schrodinger_mixed"]["inputs_digest"] == schrodinger(a, b, rho).inputs_digest \
+        == "5a7a993f85c661ce"
 
 
 def _public_evaluations(n, k, rank, tol, pair_columns=_haar_columns):

@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import math
 
 import numpy as np
@@ -48,6 +49,7 @@ from qubounds import (
     zero_product_characterization,
     zero_sum_characterization,
 )
+from qubounds import relations, states
 from qubounds.saturation import (CONSTRUCTION_TOL, DEFAULT_R_LIST, _constructed_pair,
                                  _e1_reduction, _verify_r_family)
 from helpers import (
@@ -1071,3 +1073,36 @@ def test_zero_product_residuals_match_direct_products():
         if n == 2:
             # The qubit corollary reads its precondition from the same decision.
             assert qubit_commutation_witness(a, b, rho) is None
+
+
+def test_checkers_and_constructions_hash_nothing(monkeypatch):
+    # Checkers and constructors read bound decisions, never reports: building their
+    # inputs and deciding hash nothing.  A digest read afterwards is the input's hash.
+    calls = []
+    for module, name in ((states, "_array_digest"), (relations, "_digest")):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, fn=fn, name=name: calls.append(name) or fn(*args))
+    rng = trial_rng(341, 0)
+    a, b, psi = plant_saturating_pure(4, 0.7j, rng)
+    ma, mb, rho = plant_saturating_mixed(4, 2, 0.6, math.pi / 2, rng)
+    sa, sb, sigma = plant_saturating_mixed(4, 2, 0.6, 0.9, rng)
+    h, g = hermitian_array(rng, 3), hermitian_array(rng, 3)
+    case1, case2, w = construct_case1(SIGMA_X, SIGMA_Y), construct_case2(h, g), construct_w_mp6(h, g)
+    ket0 = PureState(np.array([1.0, 0.0]))
+    results = [
+        robertson_saturation_pure(a, b, psi),
+        robertson_saturation_mixed(ma, mb, rho),
+        schrodinger_saturation(sa, sb, sigma),
+        mp3_saturation(SIGMA_X, SIGMA_Y, case1.psi, case1.phi, case1.mu).saturated,
+        mp3_saturation(h, g, case2.psi, case2.phi, case2.mu).saturated,
+        mp6_saturation(h, g, w.psi, w.phi, w.mu).saturated,
+        mp_chain_saturation(SIGMA_X, SIGMA_Y, bloch_state(0.0, 0.4),
+                            PureState(np.array([0.0, -np.exp(0.4j)])), 1j).all_equalities,
+        zero_product_characterization(SIGMA_Z, SIGMA_X, ket0).product_is_zero,
+        zero_sum_characterization(SIGMA_Z, SIGMA_Z, ket0),
+    ]
+    assert all(r is not None and r is not False for r in results)
+    assert calls == []
+    for x, kind, array in ((a, "observable", a.matrix), (psi, "pure", psi.amplitudes),
+                           (rho, "density", rho.matrix), (w.phi, "pure", w.phi.amplitudes)):
+        assert x.digest == hashlib.sha256(f"{kind}{array.shape}".encode() + array.tobytes()).hexdigest()

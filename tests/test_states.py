@@ -391,3 +391,27 @@ def test_hermitian_part_is_the_checked_observable_bit_for_bit():
     for shape in ((2, 3), (3,), (0, 0)):
         with pytest.raises(DimensionMismatch):
             Observable.hermitian_part(np.ones(shape))
+
+
+def test_input_digests_are_pinned():
+    # Each hashes input bytes made by elementwise or power-of-two arithmetic, with no
+    # BLAS, so the values hold on every platform, and no change to when a digest is
+    # taken can move one.  A factor-built state hashes its prescaled G (here G / 2).
+    assert Observable(SIGMA_X).digest == "503473a670c74cde47d6c9ed0199dc99e5c30c70df41529666e71cb5db7e3fcb"
+    assert KET0.digest == "fcc51566e7a461ab982e1d0044963896902ab9a3e510c5d78b5d350edc090fe1"
+    assert MIXED_QUBIT.digest == "b4abf2c5c8e79d1570beff5ae9d490e1175af14e0291ccaf9ada30c0d3452b0a"
+    factored = DensityMatrix.from_factor(np.array([[1.0, 0.0], [0.0, 1j], [0.5, 0.0]]))
+    assert factored.digest == "02ebad2cc4354098c2b934eea22b7ace950af2ae0dfe00c9c822121dfc3cf3bd"
+
+
+def test_an_input_hashes_when_its_digest_is_first_read(monkeypatch):
+    # Building an input hashes nothing; the first read hashes it once, and later reads reuse that.
+    calls = []
+    array_digest = states._array_digest
+    monkeypatch.setattr(states, "_array_digest", lambda kind, a: calls.append(kind) or array_digest(kind, a))
+    inputs = (Observable(SIGMA_X), Observable.hermitian_part(SIGMA_Y), PureState(np.array([1.0, 0.0])),
+              DensityMatrix(np.eye(2) / 2), DensityMatrix.from_factor(np.ones((2, 1))))
+    assert calls == []
+    for x in inputs:
+        assert x.digest == x.digest
+    assert calls == ["observable", "observable", "pure", "density", "density-factor"]
