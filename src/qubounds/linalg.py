@@ -1,8 +1,8 @@
 """Dense complex-matrix primitives.
 
-Hermitian eigendecomposition, PSD fractional powers, unitary completion
-of orthonormal columns, and the two linear-dependence detectors, whose
-witness halves build the saturation certificates.
+Hermitian eigendecomposition, PSD fractional powers, unitary completion of
+orthonormal columns, and the least direction of a 2 x 2 Gram form, from which
+the dependence detectors and the saturation certificates read their witnesses.
 """
 
 from __future__ import annotations
@@ -189,47 +189,65 @@ def _completion(basis: np.ndarray) -> np.ndarray:
     return q
 
 
-def _canonical_real_pair(c: float, s: float) -> tuple[float, float]:
-    # (c, s) and (-c, -s) encode the same dependence; pick cos >= 0,
-    # and sin >= 0 on the cos = 0 boundary.
-    if c < 0 or (abs(c) <= TIE_TOL and s < 0):
-        return -c, -s
-    return c, s
+def _least_direction(p: float, q: float, r: float) -> tuple[float, float]:
+    """The unit real (c, s) minimising p c^2 + 2 q c s + r s^2, c >= 0 (s >= 0 where c = 0); (1, 0) on a tie.
+
+    It is read off the form's row with the larger diagonal, (-q, d + h) or (h - d, -q) for
+    d = (p - r)/2 and h = hypot(d, q): no step cancels, so each coefficient keeps its own relative accuracy.
+    """
+    d = (p - r) / 2.0
+    h = math.hypot(d, q)
+    c, s = (-q, d + h) if d >= 0 else (h - d, -q)
+    norm = math.hypot(c, s)
+    if norm == 0.0:
+        return 1.0, 0.0
+    sign = -1.0 if c < 0 or (c == 0 and s < 0) else 1.0
+    return sign * c / norm + 0.0, sign * s / norm + 0.0  # + 0.0 turns -0.0 into 0.0
 
 
-def _dependence_decision(witness, residual: float, x, y, tol: Tolerance):
-    """``witness`` if residual^2 <= tol.eps (||x||^2 + ||y||^2) (the flags' shape), else None."""
-    size = math.hypot(*(float(np.linalg.norm(np.asarray(v, dtype=complex))) for v in (x, y)))
-    return witness if residual <= math.sqrt(tol.eps) * size else None
+def _phase_witness(p: float, g: complex, r: float) -> tuple[float, complex, float]:
+    """(a, b, theta) with a x + b y = cos(theta) x + i sin(theta) y least, for the Gram form
+    (p, g, r) = (||x||^2, <x, y>, ||y||^2), where Re<x, i y> = -Im g."""
+    c, s = _least_direction(p, -g.imag, r)
+    return c, 1j * s, math.atan2(s, c) % (2.0 * math.pi)
+
+
+def _complex_witness(p: float, g: complex, r: float) -> tuple[float, complex, tuple[float, float]]:
+    """(a, b, (theta, phi)) with a x + b y = cos(theta) x + e^{i phi} sin(theta) y least, for the Gram
+    form (p, g, r): e^{i phi} = -conj(g)/|g| gives Re(e^{i phi} g) = -|g|, and phi = 0 where g = 0."""
+    c, s = _least_direction(p, -abs(g), r)
+    unit = -g.conjugate() / abs(g) if g else 1.0
+    return c, unit * s, (math.atan2(s, c), cmath.phase(unit) % (2.0 * math.pi))
+
+
+def _dependence(x: np.ndarray, y: np.ndarray, witness):
+    """``witness`` of equal-shaped x and y, scaled exactly by the power of two 2^-e that puts their largest
+    modulus in [0.5, 1) so no square overflows: its angles, ||a x + b y||, and that residual and
+    ||x||^2 + ||y||^2 in units of 2^e and 2^2e."""
+    if x.shape != y.shape:
+        raise DimensionMismatch(f"shape mismatch {x.shape} vs {y.shape}")
+    peak = float(np.maximum(np.abs(x).max(initial=0.0), np.abs(y).max(initial=0.0)))
+    if not math.isfinite(peak):
+        raise ValueError("x or y contains non-finite entries")
+    e = math.frexp(peak)[1]
+    x, y = (v * 2.0 ** (-e // 2) * 2.0 ** -(e // 2) for v in (x, y))  # 2^-e as two normal floats
+    p, r = float(np.vdot(x, x).real), float(np.vdot(y, y).real)
+    a, b, angles = witness(p, complex(np.vdot(x, y)), r)
+    residual = float(np.linalg.norm(a * x + b * y))
+    return angles, residual * 2.0 ** (e // 2) * 2.0 ** (e - e // 2), residual, p + r
+
+
+def _phase_dependence(x, y):
+    return _dependence(*(np.asarray(v, dtype=complex).ravel() for v in (x, y)), _phase_witness)
 
 
 def phase_dependence_detail(x, y) -> tuple[float, float]:
     """The theta minimising ||cos(theta) x + i sin(theta) y||, and that minimum.
 
-    The minimum is the smallest singular value of the real stack [x | i y];
-    two zero vectors give (0, 0).  Decides nothing.
+    theta is the least direction of the Gram form of (x, i y), read from
+    ||x||^2, ||y||^2 and Im <x, y>; two zero vectors give (0, 0).  Decides nothing.
     """
-    xv = np.asarray(x, dtype=complex).ravel()
-    yv = np.asarray(y, dtype=complex).ravel()
-    if xv.shape != yv.shape:
-        raise DimensionMismatch(f"vector lengths differ: {xv.size} vs {yv.size}")
-    nx = float(np.linalg.norm(xv))
-    ny = float(np.linalg.norm(yv))
-    # Finite norms prove finite entries; only a non-finite one needs the entry scan.
-    if not math.isfinite(nx + ny) and not (np.isfinite(xv).all() and np.isfinite(yv).all()):
-        raise ValueError("x or y contains non-finite entries")
-    if nx == 0.0 and ny == 0.0:
-        return 0.0, 0.0
-    iy = 1j * yv
-    stacked = np.column_stack(
-        [
-            np.concatenate([xv.real, xv.imag]),
-            np.concatenate([iy.real, iy.imag]),
-        ]
-    )
-    _, svals, vt = np.linalg.svd(stacked, full_matrices=False)
-    c, s = _canonical_real_pair(float(vt[-1, 0]), float(vt[-1, 1]))
-    return math.atan2(s, c) % (2.0 * math.pi), float(svals[-1])
+    return _phase_dependence(x, y)[:2]
 
 
 def phase_dependence(x, y, tol: Tolerance = DEFAULT_TOL) -> float | None:
@@ -239,39 +257,22 @@ def phase_dependence(x, y, tol: Tolerance = DEFAULT_TOL) -> float | None:
     :func:`phase_dependence_detail` against tol.eps (||x||^2 + ||y||^2).
     Returns None when the vectors are independent at the given tolerance.
     """
-    theta, residual = phase_dependence_detail(x, y)
-    return _dependence_decision(theta, residual, x, y, tol)
+    theta, _, residual, size_sq = _phase_dependence(x, y)
+    return theta if residual <= math.sqrt(tol.eps * size_sq) else None
+
+
+def _complex_dependence(x, y):
+    return _dependence(as_complex_matrix(x, "x"), as_complex_matrix(y, "y"), _complex_witness)
 
 
 def complex_dependence_detail(x, y) -> tuple[tuple[float, float], float]:
     """The (theta, phi) minimising ||cos(theta) x + e^{i phi} sin(theta) y||, and that minimum.
 
-    The minimum is the smaller singular value of [vec x | vec y]; theta lies
-    in [0, pi/2], phi in [0, 2 pi).  Two zero operands give ((0, 0), 0).
-    Decides nothing.
+    theta is the least direction of the Gram form with off-diagonal -|<x, y>|, and
+    phi = arg(-conj <x, y>), or 0 where <x, y> = 0; theta lies in [0, pi/2], phi
+    in [0, 2 pi).  Two zero operands give ((0, 0), 0).  Decides nothing.
     """
-    a = as_complex_matrix(x, "x")
-    b = as_complex_matrix(y, "y")
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"shape mismatch {a.shape} vs {b.shape}")
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 and nb == 0.0:
-        return (0.0, 0.0), 0.0
-    stacked = np.column_stack([a.ravel(), b.ravel()])
-    _, svals, vh = np.linalg.svd(stacked, full_matrices=False)
-    smin = float(svals[-1])
-    va, vb = vh[-1].conj()
-    h = math.hypot(abs(va), abs(vb))
-    if abs(va) <= TIE_TOL * h:
-        # x carries a negligible coefficient: cos(theta) = 0, phase free.
-        return (math.pi / 2.0, 0.0), smin
-    theta = math.atan2(abs(vb), abs(va))
-    if abs(vb) <= TIE_TOL * h:
-        phi = 0.0
-    else:
-        phi = (cmath.phase(vb) - cmath.phase(va)) % (2.0 * math.pi)
-    return (theta, phi), smin
+    return _complex_dependence(x, y)[:2]
 
 
 def complex_dependence(x, y, tol: Tolerance = DEFAULT_TOL) -> tuple[float, float] | None:
@@ -281,5 +282,5 @@ def complex_dependence(x, y, tol: Tolerance = DEFAULT_TOL) -> tuple[float, float
     of :func:`complex_dependence_detail` against tol.eps (||x||_F^2 + ||y||_F^2).
     Returns None when independent.
     """
-    angles, residual = complex_dependence_detail(x, y)
-    return _dependence_decision(angles, residual, x, y, tol)
+    angles, _, residual, size_sq = _complex_dependence(x, y)
+    return angles if residual <= math.sqrt(tol.eps * size_sq) else None

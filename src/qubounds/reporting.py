@@ -27,7 +27,7 @@ from .saturation import (CONSTRUCTION_TOL, DEFAULT_R_LIST, CertificateKind, Cons
                          _construct_w_mp6, _e1_reduction)
 from .states import Observable, PureState, pair_moments
 
-ARTIFACT_VERSION = "0.8.0"
+ARTIFACT_VERSION = "0.9.0"
 
 
 @dataclass(frozen=True)

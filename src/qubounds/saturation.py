@@ -2,9 +2,9 @@
 
 Each characterization is one decision.  A Robertson or Schrodinger
 certificate exists exactly when the bound's decision is saturated (its
-relative slack, or a deviation zero to rounding); the SVD of the centred
-operands then only builds the witness angles, which the mixed checkers
-re-verify at several powers of rho.  The zero-deviation characterizations
+relative slack, or a deviation zero to rounding); its witness is the least
+direction of the same moments' 2 x 2 Gram form, and the mixed checkers
+re-verify it at several powers of rho.  The zero-deviation characterizations
 decide each side by its deviation.  The Maccone-Pati checkers read their
 bound's decision flag, and c = <psi|A|phi> and d = <psi|B|phi> as matrix
 elements; they build no frame.
@@ -26,8 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CorollaryViolation, DimensionMismatch, HypothesisViolated, RIndependenceViolation
-from .linalg import (DEFAULT_TOL, ROUNDING_TOL, TIE_TOL, Tolerance, complex_dependence_detail,
-                     phase_dependence_detail)
+from .linalg import DEFAULT_TOL, ROUNDING_TOL, TIE_TOL, Tolerance, _complex_witness, _phase_witness
 from .relations import (_cross_elements, _Decision, _moments_mu, _mp3_decision, _mp6_decision,
                         _mp_chain_decisions, _mp_inputs, _MPInputs, _require_deviations, _robertson_decision,
                         _schrodinger_decision, _unit_mu, _zero_deviations)
@@ -142,26 +141,25 @@ def _verify_r_family(m: PairMoments, coeff_a: complex, coeff_b: complex,
 
 def _certificate(kind: CertificateKind, m: PairMoments, tol: Tolerance,
                  r_list) -> SaturationCertificate | None:
-    """The witness cos(theta) A_c X + e^{i phi} sin(theta) B_c X = 0 of a saturated bound.
+    """The witness a A_c X + b B_c X = 0 of a saturated bound: a = cos(theta), b = e^{i phi} sin(theta).
 
-    Returns None exactly when the bound's decision is unsaturated, so presence
-    is its report's flag.  The SVD only builds the witness: the phase i for
-    the Robertson kinds (phi is None), any phase for the Schrodinger kind.
-    When both deviations are zero to rounding every angle is a witness, and
-    theta = 0 with residual 0 is taken without an SVD.  The dependence is
-    re-verified at every power in ``r_list``.
+    None exactly when the bound's decision is unsaturated, so presence is its report's flag.  The
+    witness is the least direction of the moments' Gram form (dev(A)^2, cross, dev(B)^2), at the
+    phase i for the Robertson kinds (phi is None).  A deviation zero to rounding enters it as exactly
+    0, so one zero side gives (a, b) = (1, 0) or (0, 1) with phi = 0, and two give theta = 0 with
+    residual 0.  The residual is ||a A_c X + b B_c X||_F; (a, b) is re-verified at each r in ``r_list``.
     """
     schrodinger = kind is CertificateKind.SCHRODINGER
     if not (_schrodinger_decision if schrodinger else _robertson_decision)(m, tol).saturated:
         return None
-    if all(_zero_deviations(m, tol)):
-        theta, phi, residual = 0.0, 0.0 if schrodinger else None, 0.0
-    elif schrodinger:
-        (theta, phi), residual = complex_dependence_detail(m.centered_a, m.centered_b)
-    else:
-        (theta, residual), phi = phase_dependence_detail(m.centered_a, m.centered_b), None
-    phase = 1j if phi is None else cmath.exp(1j * phi)
-    rs, r_residuals = _verify_r_family(m, math.cos(theta), phase * math.sin(theta), r_list, tol)
+    zero = _zero_deviations(m, tol)
+    dev_a, dev_b = (0.0 if z else dev for z, dev in zip(zero, (m.dev_a, m.dev_b)))
+    scale = max(dev_a, dev_b) or 1.0  # so that no square overflows
+    form = ((dev_a / scale) ** 2, 0j if any(zero) else m.cross / scale / scale, (dev_b / scale) ** 2)
+    a, b, angles = (_complex_witness if schrodinger else _phase_witness)(*form)
+    theta, phi = angles if schrodinger else (angles, None)
+    residual = 0.0 if all(zero) else float(np.linalg.norm(a * m.centered_a + b * m.centered_b))
+    rs, r_residuals = _verify_r_family(m, a, b, r_list, tol)
     return SaturationCertificate(kind=kind, theta=theta, phi=phi, mu=None, residual=residual,
                                  r_checked=rs, r_residuals=r_residuals)
 

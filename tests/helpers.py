@@ -1,14 +1,16 @@
-"""Shared fixtures: Pauli matrices, planted saturating pure and mixed instances, and two oracles."""
+"""Shared fixtures: Pauli matrices, planted saturating pure and mixed instances, and four oracles."""
 
 from __future__ import annotations
 
+import cmath
 import math
 from types import SimpleNamespace
 
 import numpy as np
 
-from qubounds import DensityMatrix, Observable, PureState, haar_unitary, pair_moments
+from qubounds import DensityMatrix, DimensionMismatch, Observable, PureState, haar_unitary, pair_moments
 from qubounds.goldens import SIGMA_X, SIGMA_Y, SIGMA_Z, block_pair_4x4  # noqa: F401
+from qubounds.linalg import TIE_TOL, as_complex_matrix
 
 
 def complex_normal(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -88,3 +90,75 @@ def plant_saturating_mixed(n: int, k: int, theta: float, phi: float,
         Observable((b + b.conj().T) / 2, label="B"),
         DensityMatrix((rho + rho.conj().T) / 2),
     )
+
+
+# The SVD minimisers the library's dependence detectors once were, kept as oracles
+# for the 2 x 2 least-direction kernel that replaced them.
+
+
+def _canonical_real_pair(c: float, s: float) -> tuple[float, float]:
+    # (c, s) and (-c, -s) encode the same dependence; pick cos >= 0,
+    # and sin >= 0 on the cos = 0 boundary.
+    if c < 0 or (abs(c) <= TIE_TOL and s < 0):
+        return -c, -s
+    return c, s
+
+
+def svd_phase_dependence_detail(x, y) -> tuple[float, float]:
+    """The theta minimising ||cos(theta) x + i sin(theta) y||, and that minimum.
+
+    The minimum is the smallest singular value of the real stack [x | i y];
+    two zero vectors give (0, 0).  Decides nothing.
+    """
+    xv = np.asarray(x, dtype=complex).ravel()
+    yv = np.asarray(y, dtype=complex).ravel()
+    if xv.shape != yv.shape:
+        raise DimensionMismatch(f"vector lengths differ: {xv.size} vs {yv.size}")
+    nx = float(np.linalg.norm(xv))
+    ny = float(np.linalg.norm(yv))
+    # Finite norms prove finite entries; only a non-finite one needs the entry scan.
+    if not math.isfinite(nx + ny) and not (np.isfinite(xv).all() and np.isfinite(yv).all()):
+        raise ValueError("x or y contains non-finite entries")
+    if nx == 0.0 and ny == 0.0:
+        return 0.0, 0.0
+    iy = 1j * yv
+    stacked = np.column_stack(
+        [
+            np.concatenate([xv.real, xv.imag]),
+            np.concatenate([iy.real, iy.imag]),
+        ]
+    )
+    _, svals, vt = np.linalg.svd(stacked, full_matrices=False)
+    c, s = _canonical_real_pair(float(vt[-1, 0]), float(vt[-1, 1]))
+    return math.atan2(s, c) % (2.0 * math.pi), float(svals[-1])
+
+
+def svd_complex_dependence_detail(x, y) -> tuple[tuple[float, float], float]:
+    """The (theta, phi) minimising ||cos(theta) x + e^{i phi} sin(theta) y||, and that minimum.
+
+    The minimum is the smaller singular value of [vec x | vec y]; theta lies
+    in [0, pi/2], phi in [0, 2 pi).  Two zero operands give ((0, 0), 0).
+    Decides nothing.
+    """
+    a = as_complex_matrix(x, "x")
+    b = as_complex_matrix(y, "y")
+    if a.shape != b.shape:
+        raise DimensionMismatch(f"shape mismatch {a.shape} vs {b.shape}")
+    na = float(np.linalg.norm(a))
+    nb = float(np.linalg.norm(b))
+    if na == 0.0 and nb == 0.0:
+        return (0.0, 0.0), 0.0
+    stacked = np.column_stack([a.ravel(), b.ravel()])
+    _, svals, vh = np.linalg.svd(stacked, full_matrices=False)
+    smin = float(svals[-1])
+    va, vb = vh[-1].conj()
+    h = math.hypot(abs(va), abs(vb))
+    if abs(va) <= TIE_TOL * h:
+        # x carries a negligible coefficient: cos(theta) = 0, phase free.
+        return (math.pi / 2.0, 0.0), smin
+    theta = math.atan2(abs(vb), abs(va))
+    if abs(vb) <= TIE_TOL * h:
+        phi = 0.0
+    else:
+        phi = (cmath.phase(vb) - cmath.phase(va)) % (2.0 * math.pi)
+    return (theta, phi), smin

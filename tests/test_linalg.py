@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qubounds import (
     DimensionMismatch,
@@ -17,8 +19,10 @@ from qubounds import (
     psd_power,
     unitary_completion,
 )
-from qubounds.linalg import _require_isometry
-from helpers import SIGMA_X, SIGMA_Y, complex_normal, hermitian_array
+from qubounds.linalg import (_least_direction, _require_isometry, complex_dependence_detail,
+                             phase_dependence_detail)
+from helpers import (SIGMA_X, SIGMA_Y, complex_normal, hermitian_array, svd_complex_dependence_detail,
+                     svd_phase_dependence_detail)
 
 
 def test_tolerance_is_one_finite_nonnegative_eps():
@@ -263,3 +267,94 @@ def test_dependence_detectors_decide_at_every_scale():
             assert complex_dependence(c * xm, c * ym) is None
             assert phase_dependence(c * x, c * 1j * cot * x) is not None
             assert complex_dependence(c * xm, c * ratio * xm) is not None
+
+
+def test_dependence_detectors_are_exact_under_power_of_two_scales():
+    # The operands are scaled by a power of two before their Gram form is read, so
+    # no square overflows or underflows: 2^k (x, y) gives the same angles, the
+    # residual times 2^k, and the same decision, far beyond where ||x||^2 leaves the floats.
+    rng = np.random.default_rng(13)
+    x, xm = complex_normal(rng, 4, 1).ravel(), complex_normal(rng, 3, 3)
+    for y, ym in ((complex_normal(rng, 4, 1).ravel(), complex_normal(rng, 3, 3)), (0.4j * x, (1 - 2j) * xm)):
+        theta, residual = phase_dependence_detail(x, y)
+        angles, residual_m = complex_dependence_detail(xm, ym)
+        for k in (-600, -300, 300, 600):
+            c = 2.0**k
+            assert phase_dependence_detail(c * x, c * y) == (theta, c * residual)
+            assert complex_dependence_detail(c * xm, c * ym) == (angles, c * residual_m)
+            assert phase_dependence(c * x, c * y) == phase_dependence(x, y)
+            assert complex_dependence(c * xm, c * ym) == complex_dependence(xm, ym)
+
+
+def test_least_direction_conventions():
+    # c >= 0, s >= 0 where c = 0, no negative zero, and (1, 0) where every direction ties.
+    assert _least_direction(0.0, 0.0, 0.0) == (1.0, 0.0)
+    assert _least_direction(2.0, 0.0, 2.0) == (1.0, 0.0)
+    assert _least_direction(2.0, 0.0, 0.0) == (0.0, 1.0)
+    assert _least_direction(0.0, 0.0, 2.0) == (1.0, 0.0)
+    c, s = _least_direction(1.0, 1.0, 1.0)
+    assert c > 0 > s and c == pytest.approx(-s)
+    for p, q, r in ((1.0, -1e-20, 1e-40), (1e-40, 1e-20, 1.0)):
+        # Each coefficient keeps its relative accuracy, however small.
+        c, s = _least_direction(p, q, r)
+        assert min(c, abs(s)) == pytest.approx(1e-20, rel=1e-15)
+
+
+def test_complex_dependence_of_single_entries():
+    # A 1 x 1 pair is always dependent.  The thin SVD of its 1 x 2 stack has one
+    # singular value, the largest, which the SVD detector took for the minimum.
+    (theta, phi), residual = complex_dependence_detail(np.array([[1.0]]), np.array([[2.0j]]))
+    assert residual <= 1e-16
+    assert math.tan(theta) == pytest.approx(0.5) and phi == pytest.approx(math.pi / 2)
+    assert complex_dependence(np.array([[1.0]]), np.array([[2.0j]])) == (theta, phi)
+
+
+@st.composite
+def dependence_operands(draw):
+    """Equal-shaped (x, y) of 2 to 9 entries: random, or y a real multiple of i x or a complex multiple
+    of x moved by 10^-16 to 10^-1; at a common scale 10^-12 to 10^8, with ||y|| / ||x|| in 10^-14 to 10^14."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from([(1, 2), (2, 1), (1, 3), (2, 2), (3, 2), (3, 3)]))
+    x = complex_normal(rng, *shape)
+    kind = draw(st.sampled_from(["random", "phase", "complex"]))
+    if kind == "random":
+        y = complex_normal(rng, *shape)
+    else:
+        factor = 1j * rng.uniform(-2.0, 2.0) if kind == "phase" else complex(*rng.standard_normal(2))
+        moved = 10.0 ** draw(st.floats(-16.0, -1.0))
+        y = factor * x + moved * np.linalg.norm(x) * complex_normal(rng, *shape)
+    ratio, scale = 10.0 ** draw(st.floats(-14.0, 14.0)), 10.0 ** draw(st.floats(-12.0, 8.0))
+    return scale * x, scale * ratio * np.linalg.norm(x) / np.linalg.norm(y) * y
+
+
+def _angle_gap(a: float, b: float, period: float) -> float:
+    d = (a - b) % period
+    return min(d, period - d)
+
+
+@given(dependence_operands())
+def test_least_direction_matches_the_svd_oracle(operands):
+    # The witness read from the 2 x 2 Gram form leaves at most the SVD's minimum plus
+    # 1e-15 ||[x | y]||_F, and where that minimum is simple both find the same direction.
+    x, y = operands
+    size = math.hypot(np.linalg.norm(x), np.linalg.norm(y))
+    xv, iy = x.ravel(), 1j * y.ravel()
+    real_stack = np.column_stack([np.concatenate([xv.real, xv.imag]), np.concatenate([iy.real, iy.imag])])
+    complex_stack = np.column_stack([x.ravel(), y.ravel()])
+
+    theta, residual = phase_dependence_detail(x, y)
+    oracle_theta, oracle_min = svd_phase_dependence_detail(x, y)
+    assert residual <= oracle_min + 1e-15 * size
+    sv = np.linalg.svd(real_stack, compute_uv=False)
+    if sv[0] ** 2 - sv[-1] ** 2 >= 1e-3 * size**2:
+        # (c, s) and (-c, -s) are one witness.
+        assert _angle_gap(theta, oracle_theta, math.pi) <= 1e-9
+
+    (theta, phi), residual = complex_dependence_detail(x, y)
+    (oracle_theta, oracle_phi), oracle_min = svd_complex_dependence_detail(x, y)
+    assert residual <= oracle_min + 1e-15 * size
+    sv = np.linalg.svd(complex_stack, compute_uv=False)
+    if sv[0] ** 2 - sv[-1] ** 2 >= 1e-3 * size**2:
+        assert abs(theta - oracle_theta) <= 1e-9
+        if math.sin(2.0 * theta) >= 1e-2:
+            assert _angle_gap(phi, oracle_phi, 2.0 * math.pi) <= 1e-9

@@ -249,6 +249,41 @@ def test_cli_saturate_rejects_non_hermitian(tmp_path, capsys):
     assert "NonHermitianInput" in capsys.readouterr().err
 
 
+def test_cli_saturate_rejects_a_malformed_pair_file(tmp_path):
+    # No "b" key, and a matrix whose payload does not match its declared shape.
+    no_b = tmp_path / "no_b.json"
+    no_b.write_text(json.dumps({"a": matrix_to_json_dict(SIGMA_X)}))
+    misshaped = tmp_path / "misshaped.json"
+    payload = {"a": matrix_to_json_dict(SIGMA_X), "b": dict(matrix_to_json_dict(SIGMA_Y), rows=3)}
+    misshaped.write_text(json.dumps(payload))
+    for path in (no_b, misshaped):
+        assert main(["saturate", str(path), "--target", "mp3"]) == 1
+
+
+def test_sweep_skips_what_a_zero_deviation_stops():
+    # Under Tolerance(10) every qubit deviation is zero by the rule, so mp6 and
+    # construct_w_mp6 raise ZeroDeviation, and the sweep records a skip, not a failure.
+    report = run_verification_suite(SampleConfig(2, 2, 7, 3), Tolerance(10.0))
+    assert report.summary["failure_count"] == 0
+    for record in report.trials:
+        assert record["mp6_reformulated"] == record["construct_w_mp6"] == {"skipped": "zero deviation"}
+
+
+def test_a_construction_gap_is_a_failure(tmp_path, monkeypatch):
+    # A constructed pair that leaves more than CONSTRUCTION_TOL of its bound open
+    # is a BoundViolation of the sweep: verify exits 2.
+    def leaky(*args):
+        pair = construct_case1(SIGMA_X, SIGMA_Y)
+        return dataclasses.replace(pair, achieved_slack=10 * reporting.CONSTRUCTION_TOL)
+
+    monkeypatch.setattr(reporting, "_construct_case1", leaky)
+    out = tmp_path / "gap.json"
+    assert main(["verify", "--n", "2", "--trials", "2", "--out", str(out)]) == 2
+    failures = json.loads(out.read_text())["summary"]["failures"]
+    assert [(f["trial"], f["where"], f["error"]) for f in failures] == [
+        (0, "construct_case1", "BoundViolation"), (1, "construct_case1", "BoundViolation")]
+
+
 def test_cli_saturate_missing_file():
     assert main(["saturate", "/nonexistent/pair.json", "--target", "mp3"]) == 1
 

@@ -118,6 +118,14 @@ def test_haar_unitary_is_pinned_and_haar_columns_draw_only_n_by_k():
                                   column / np.linalg.norm(column))
 
 
+def test_samplers_reject_dimensions_below_one_and_ranks_out_of_range():
+    for draw in (lambda: random_hermitian(0, 1), lambda: _haar_columns(0, 1, 1),
+                 lambda: random_pure_state(0, 1), lambda: random_density(2, 0, 1),
+                 lambda: random_density(2, 3, 1)):
+        with pytest.raises(ValueError):
+            draw()
+
+
 def test_random_pure_state_unit_norm():
     for n in (1, 2, 6):
         psi = random_pure_state(n, 3)

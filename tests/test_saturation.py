@@ -22,6 +22,7 @@ from qubounds import (
     ZeroProductCheck,
     ZeroWitness,
     bloch_state,
+    complex_dependence,
     construct_case1,
     construct_case2,
     construct_w_mp6,
@@ -34,6 +35,7 @@ from qubounds import (
     mp_chain_saturation,
     mp_frame,
     pair_moments,
+    phase_dependence,
     qubit_commutation_witness,
     random_density,
     random_hermitian,
@@ -50,6 +52,7 @@ from qubounds import (
     zero_sum_characterization,
 )
 from qubounds import relations, states
+from qubounds.linalg import ROUNDING_TOL, complex_dependence_detail, phase_dependence_detail
 from qubounds.saturation import (CONSTRUCTION_TOL, DEFAULT_R_LIST, _constructed_pair,
                                  _e1_reduction, _verify_r_family)
 from helpers import (
@@ -769,6 +772,11 @@ def test_construct_w_mp6_zero_tail_rejected():
         construct_w_mp6(SIGMA_Z, SIGMA_X)
 
 
+def test_construct_w_mp6_rejects_dimension_one():
+    with pytest.raises(DimensionMismatch):
+        construct_w_mp6(np.array([[1.0]]), np.array([[2.0]]))
+
+
 def test_construction_gap_is_scale_free():
     # The gap is the target report's slack over the scale its flag uses, so a pair
     # that does not close its bound reads one gap at every common scale of (A, B).
@@ -1106,3 +1114,128 @@ def test_checkers_and_constructions_hash_nothing(monkeypatch):
     for x, kind, array in ((a, "observable", a.matrix), (psi, "pure", psi.amplitudes),
                            (rho, "density", rho.matrix), (w.phi, "pure", w.phi.amplitudes)):
         assert x.digest == hashlib.sha256(f"{kind}{array.shape}".encode() + array.tobytes()).hexdigest()
+
+
+# ---------------------------------------------------------------------------
+# Witnesses read from the moments' Gram form
+
+
+def test_no_checker_construction_or_detector_runs_an_svd(monkeypatch):
+    # Every witness is the least direction of a 2 x 2 Gram form read from the
+    # moments (or, in the detectors, from three inner products): nothing factors a matrix.
+    svd, calls = np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: calls.append(1) or svd(*args, **kwargs))
+    rng = trial_rng(361, 0)
+    a, b, psi = plant_saturating_pure(3, 0.7j, rng)
+    sa, sb, sigma = plant_saturating_mixed(4, 2, 0.6, 0.9, rng)
+    ma, mb, rho = plant_saturating_mixed(4, 2, 0.6, math.pi / 2, rng)
+    h, g = hermitian_array(rng, 3), hermitian_array(rng, 3)
+    case1, case2, w = construct_case1(SIGMA_X, SIGMA_Y), construct_case2(h, g), construct_w_mp6(h, g)
+    x = complex_normal(rng, 3, 2)
+    results = [
+        robertson_saturation_pure(a, b, psi),
+        robertson_saturation_mixed(a, b, psi),
+        schrodinger_saturation(a, b, psi),
+        robertson_saturation_mixed(ma, mb, rho),
+        schrodinger_saturation(sa, sb, sigma),
+        mp3_saturation(SIGMA_X, SIGMA_Y, case1.psi, case1.phi, case1.mu).saturated,
+        mp3_saturation(h, g, case2.psi, case2.phi, case2.mu).saturated,
+        mp6_saturation(h, g, w.psi, w.phi, w.mu).saturated,
+        mp_chain_saturation(SIGMA_X, SIGMA_Y, bloch_state(0.0, 0.4),
+                            PureState(np.array([0.0, -np.exp(0.4j)])), 1j).all_equalities,
+        zero_product_characterization(SIGMA_Z, SIGMA_X, KET0).product_is_zero,
+        zero_sum_characterization(SIGMA_Z, SIGMA_Z, KET0),
+        qubit_commutation_witness(SIGMA_Z, SIGMA_Z, KET0),
+        phase_dependence(x, 0.3j * x),
+        complex_dependence(x, (0.3 - 2j) * x),
+        phase_dependence_detail(x, 0.3j * x),
+        complex_dependence_detail(x, (0.3 - 2j) * x),
+    ]
+    assert all(r is not None and r is not False for r in results)
+    assert calls == []
+
+
+def _assert_within_the_recheck(cert, m, tol=Tolerance()):
+    """``cert`` re-checks its r = 1/2 residual as ``residual``, and every residual within its budget."""
+    assert cert is not None
+    assert cert.r_residuals[cert.r_checked.index(0.5)] == cert.residual
+    a, b = abs(math.cos(cert.theta)), abs(math.sin(cert.theta))
+    limit = max(math.sqrt(10.0 * tol.eps) * max(a * m.dev_a, b * m.dev_b),
+                ROUNDING_TOL * max(a * m.a.norm, b * m.b.norm))
+    for r, residual in zip(cert.r_checked, cert.r_residuals):
+        assert residual <= limit * np.linalg.norm(m.state.weights ** r)
+
+
+def _zero_observable_cases(states):
+    """(A, 0) and (0, A) with A shifted by 0, 1e4 and 1e8, in each state: the zero side is exactly zero."""
+    rng = trial_rng(371, 0)
+    for state in states:
+        a = hermitian_array(rng, state.dimension)
+        zero = np.zeros_like(a)
+        for shift in (0.0, 1e4, 1e8):
+            shifted = a + shift * np.eye(state.dimension)
+            yield shifted, zero, state, math.pi / 2
+            yield zero, shifted, state, 0.0
+
+
+def _check_zero_observable_certificates(cases):
+    # The zero side enters the Gram form as exactly 0, so the witness is exactly
+    # (a, b) = (0, 1) or (1, 0) and every re-check residual is exactly 0.  Rebuilt
+    # from theta = pi/2, cos(theta) = 6e-17 left 6e-17 dev(A) against a budget of 0.
+    for a, b, state, theta in cases:
+        m = pair_moments(a, b, state)
+        for check in (robertson_saturation_mixed, schrodinger_saturation):
+            cert = check(a, b, state)
+            _assert_within_the_recheck(cert, m)
+            assert cert.theta == theta and cert.residual == 0.0 and set(cert.r_residuals) == {0.0}
+            assert cert.phi in (None, 0.0)
+
+
+def test_a_zero_observable_gives_the_exact_witness_on_pure_states():
+    rng = trial_rng(372, 0)
+    _check_zero_observable_certificates(_zero_observable_cases(
+        [random_pure_state(2, rng) for _ in range(5)] + [random_pure_state(3, rng)]))
+
+
+def test_a_zero_observable_gives_the_exact_witness_on_rank_k_states():
+    rng = trial_rng(373, 0)
+    _check_zero_observable_certificates(_zero_observable_cases(
+        [random_density(3, 2, rng), random_density(4, 2, rng), random_density(4, 3, rng)]))
+
+
+RATIOS = (1e-8, 1e-10, 1e-12, 1e-13, 1e-14)
+
+
+def _check_far_apart_certificates(cases):
+    # With ||B|| / ||A|| = t, theta lies within about t of pi/2 (or of 0 for 1 / t).
+    # The witness coefficients are read from the Gram form, each to its own relative
+    # accuracy; recomputing cos(theta) from theta carried an error of ulp(pi/2) / t.
+    for a, b, state, checks in cases:
+        for t in RATIOS:
+            for sa, sb in ((a, t * b), (t * a, b)):
+                m = pair_moments(sa, sb, state)
+                for check in checks:
+                    _assert_within_the_recheck(check(sa, sb, state), m)
+
+
+def test_far_apart_deviations_keep_their_certificates_on_pure_states():
+    # On a qubit pure state the Schrodinger bound is always saturated; a planted
+    # Robertson instance stays one when either observable is scaled.
+    rng = trial_rng(374, 0)
+    cases = [(hermitian_array(rng, 2), hermitian_array(rng, 2), random_pure_state(2, rng),
+              (schrodinger_saturation,)) for _ in range(10)]
+    for _ in range(4):
+        a, b, psi = plant_saturating_pure(3, 0.8j, rng)
+        cases.append((a.matrix, b.matrix, psi, (robertson_saturation_mixed, schrodinger_saturation)))
+    _check_far_apart_certificates(cases)
+
+
+def test_far_apart_deviations_keep_their_certificates_on_rank_k_states():
+    rng = trial_rng(375, 0)
+    cases = []
+    for k in (1, 2, 3):
+        for phase, check in ((math.pi / 2, robertson_saturation_mixed), (1.1, schrodinger_saturation)):
+            for _ in range(2):
+                a, b, rho = plant_saturating_mixed(4, k, 0.7, phase, rng)
+                cases.append((a.matrix, b.matrix, rho, (check,)))
+    _check_far_apart_certificates(cases)

@@ -44,6 +44,12 @@ def test_pure_state_validation():
     np.testing.assert_allclose(projector(psi), [[1.0, 0.0], [0.0, 0.0]])
 
 
+def test_pure_state_rejects_non_finite_amplitudes():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            PureState(np.array([bad, 0.0]))
+
+
 def test_pure_state_rejects_a_matrix_of_amplitudes():
     # A 2x2 array is not a 4-dimensional state, even with unit Frobenius norm.
     with pytest.raises(DimensionMismatch):
