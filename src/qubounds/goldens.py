@@ -142,16 +142,16 @@ def _distance_to_solutions(theta: float, phi: float) -> float:
     return min(d_theta, d_phi)
 
 
-def golden_qubit_chain_grid(grid: int = 25) -> GoldenResult:
-    """Chain equalities for sigma_x, sigma_y over a (theta, phi) grid.
+def golden_qubit_chain_grid() -> GoldenResult:
+    """Chain equalities for sigma_x, sigma_y over a 25 x 25 (theta, phi) grid.
 
     The first chain step closes identically; the second closes exactly on
     theta in {0, pi} or phi on odd quarter turns, and stays visibly open at
     grid points at least 0.1 rad from that solution set.  The aligning ratio
     equals i at theta = 0 and -i at theta = pi.
     """
-    thetas = np.linspace(0.0, math.pi, grid)
-    phis = np.linspace(0.0, 2.0 * math.pi, grid)
+    thetas = np.linspace(0.0, math.pi, 25)
+    phis = np.linspace(0.0, 2.0 * math.pi, 25)
     max_step1 = 0.0
     max_step1_slack = 0.0
     max_solution_step2 = 0.0

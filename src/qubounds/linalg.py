@@ -220,6 +220,13 @@ def _complex_witness(p: float, g: complex, r: float) -> tuple[float, complex, tu
     return c, unit * s, (math.atan2(s, c), cmath.phase(unit) % (2.0 * math.pi))
 
 
+def _power_of_two_scaled(peak: float, *arrays: np.ndarray) -> tuple[int, tuple[np.ndarray, ...]]:
+    """The e that puts ``peak`` in [0.5, 1) (0 for peak 0), and each array times 2^-e, exactly: 2^-e is
+    applied as two normal floats, 2^(-e // 2) then 2^-(e // 2), so neither factor overflows."""
+    e = math.frexp(peak)[1]
+    return e, tuple(a * 2.0 ** (-e // 2) * 2.0 ** -(e // 2) for a in arrays)
+
+
 def _dependence(x: np.ndarray, y: np.ndarray, witness):
     """``witness`` of equal-shaped x and y, scaled exactly by the power of two 2^-e that puts their largest
     modulus in [0.5, 1) so no square overflows: its angles, ||a x + b y||, and that residual and
@@ -229,8 +236,7 @@ def _dependence(x: np.ndarray, y: np.ndarray, witness):
     peak = float(np.maximum(np.abs(x).max(initial=0.0), np.abs(y).max(initial=0.0)))
     if not math.isfinite(peak):
         raise ValueError("x or y contains non-finite entries")
-    e = math.frexp(peak)[1]
-    x, y = (v * 2.0 ** (-e // 2) * 2.0 ** -(e // 2) for v in (x, y))  # 2^-e as two normal floats
+    e, (x, y) = _power_of_two_scaled(peak, x, y)
     p, r = float(np.vdot(x, x).real), float(np.vdot(y, y).real)
     a, b, angles = witness(p, complex(np.vdot(x, y)), r)
     residual = float(np.linalg.norm(a * x + b * y))

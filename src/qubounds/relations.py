@@ -148,18 +148,17 @@ def _decide(name: str, lhs: float, rhs: float, scale: float, tol: Tolerance,
     return _Decision(float(lhs), float(rhs), float(slack), bool(zero or slack <= tol.eps * scale))
 
 
-def _make_report(name: str, lhs: float, rhs: float, scale: float, tol: Tolerance,
-                 digest: str, zero: bool = False, size: float = 0.0) -> BoundReport:
-    """The report of lhs >= rhs: its :func:`_decide` decision, with ``tol`` and ``digest``."""
-    return BoundReport(*_decide(name, lhs, rhs, scale, tol, zero, size), tol, digest)
-
-
 def _square(x: float) -> float:
     """x ** 2, or inf where a float power raises OverflowError."""
     try:
         return x ** 2
     except OverflowError:
         return math.inf
+
+
+def _zero_budget(o: Observable, tol: Tolerance) -> float:
+    """The largest deviation of A = ``o`` that is zero to rounding (:func:`_zero_deviation`)."""
+    return max(tol.eps * o.spread, min(tol.eps, ROUNDING_TOL) * o.norm)
 
 
 def _zero_deviation(dev: float, o: Observable, tol: Tolerance) -> bool:
@@ -170,7 +169,7 @@ def _zero_deviation(dev: float, o: Observable, tol: Tolerance) -> bool:
     which covers n = 1 and multiples of the identity (spread 0).  As spread(A) <= ||A||_F, a
     deviation above tol.eps ||A||_F is not zero and needs no spread.
     """
-    return dev <= tol.eps * o.norm and dev <= max(tol.eps * o.spread, min(tol.eps, ROUNDING_TOL) * o.norm)
+    return dev <= tol.eps * o.norm and dev <= _zero_budget(o, tol)
 
 
 def _zero_deviations(m: PairMoments, tol: Tolerance) -> tuple[bool, bool]:
@@ -398,9 +397,9 @@ def _mp6(p: _MPInputs, tol: Tolerance) -> MP6Reports:
     degenerate = reformulated.lhs <= tol.eps
     lhs = m.dev_a * m.dev_b
     # The product form is dev(A) dev(B) / lhs times the reformulation, and so is its floor.
-    product = None if degenerate else _make_report(
-        "mp6 product", lhs, comm_term / 2.0 / reformulated.lhs, lhs, tol, reformulated.inputs_digest,
-        size=(m.a.norm * m.dev_b + m.b.norm * m.dev_a) / reformulated.lhs)
+    product = None if degenerate else BoundReport(*_decide(
+        "mp6 product", lhs, comm_term / 2.0 / reformulated.lhs, lhs, tol,
+        size=(m.a.norm * m.dev_b + m.b.norm * m.dev_a) / reformulated.lhs), tol, reformulated.inputs_digest)
     return MP6Reports(reformulated=reformulated, product=product,
                       denominator_degenerate=degenerate, mu=choice)
 

@@ -3,7 +3,8 @@
 Report bodies are deterministic functions of (config, tolerance): per-trial
 randomness comes from streams derived from (seed, trial index), records are
 assembled in trial order, and JSON is emitted with sorted keys.  Only the
-manifest timestamps differ between identical reruns.
+manifest timestamps differ between identical reruns.  Reports are written,
+never read back; the one reader here loads an observable pair for ``saturate``.
 """
 
 from __future__ import annotations
@@ -95,17 +96,6 @@ def bound_report_to_dict(report: BoundReport) -> dict:
     }
 
 
-def bound_report_from_dict(d: dict) -> BoundReport:
-    return BoundReport(
-        lhs=float(d["lhs"]),
-        rhs=float(d["rhs"]),
-        slack=float(d["slack"]),
-        saturated=bool(d["saturated"]),
-        tol_used=Tolerance(**d["tolerance"]),
-        inputs_digest=str(d["inputs_digest"]),
-    )
-
-
 def certificate_to_dict(cert: SaturationCertificate | None) -> dict | None:
     if cert is None:
         return None
@@ -129,20 +119,6 @@ def report_to_dict(report: SuiteReport) -> dict:
     }
 
 
-def report_from_dict(d: dict) -> SuiteReport:
-    manifest = d["manifest"]
-    config = manifest.get("config")
-    return SuiteReport(
-        manifest=RunManifest(**dict(
-            manifest,
-            config=None if config is None else SampleConfig(**config),
-            tolerance=Tolerance(**manifest["tolerance"]),
-        )),
-        trials=tuple(d["trials"]),
-        summary=dict(d["summary"]),
-    )
-
-
 def canonical_json(obj) -> str:
     """Compact strict JSON with sorted keys: floats round-trip bit-faithfully; NaN or inf raises ValueError."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
@@ -151,10 +127,6 @@ def canonical_json(obj) -> str:
 def dumps_report(report: SuiteReport) -> str:
     """The report in :func:`canonical_json` form."""
     return canonical_json(report_to_dict(report))
-
-
-def loads_report(text: str) -> SuiteReport:
-    return report_from_dict(json.loads(text))
 
 
 def report_body_dict(report: SuiteReport) -> dict:
@@ -244,7 +216,9 @@ def run_verification_suite(config: SampleConfig, tol: Tolerance) -> SuiteReport:
     a skip on :class:`ZeroDeviation`, or an error on any other :class:`QuboundsError`.
     Each trial reduces (A, B, psi), (A, B, rho), (A, B, psi_f, phi_f) and (A, B, e1) once
     and runs the bodies on them; case 1 or 2 and ``construct_w_mp6`` share the e1 reduction
-    and its mu.  A reduction that raises does so in every evaluation that needs it.
+    and its mu.  Only the Maccone-Pati reduction, whose pair checks can raise, is deferred
+    to the evaluations that read it, and raises in each; the others cannot raise on a
+    trial's inputs, valid by construction with A and B Hermitian bit for bit.
     """
     started = _utc_now()
     summary = _Summary()
@@ -256,36 +230,35 @@ def run_verification_suite(config: SampleConfig, tol: Tolerance) -> SuiteReport:
         b = random_hermitian(n, rng, label="B")
         psi = random_pure_state(n, rng)
         rho = random_density(n, config.rank, rng)
-        # functools.cache keeps a result, never an exception.
-        pure = functools.cache(lambda: pair_moments(a, b, psi))
-        mixed = functools.cache(lambda: pair_moments(a, b, rho))
+        pure, mixed = pair_moments(a, b, psi), pair_moments(a, b, rho)
         evaluations = {
-            "robertson_pure": lambda: _robertson_report(pure(), tol),
-            "schrodinger_pure": lambda: _schrodinger_report(pure(), tol),
-            "robertson_mixed": lambda: _robertson_report(mixed(), tol),
-            "schrodinger_mixed": lambda: _schrodinger_report(mixed(), tol),
+            "robertson_pure": lambda: _robertson_report(pure, tol),
+            "schrodinger_pure": lambda: _schrodinger_report(pure, tol),
+            "robertson_mixed": lambda: _robertson_report(mixed, tol),
+            "schrodinger_mixed": lambda: _schrodinger_report(mixed, tol),
         }
         if n >= 2:
             columns = _haar_columns(n, 2, rng)
             pair = PureState(columns[:, 0]), PureState(columns[:, 1])
+            # functools.cache keeps a result, never an exception.
             mp = functools.cache(lambda: _mp_inputs(a, b, *pair, tol))
-            e1 = functools.cache(lambda: _e1_reduction(a, b, tol))
+            e1 = _e1_reduction(a, b, tol)
             evaluations["mp3"] = lambda: _mp3(mp(), tol).report
             evaluations["mp6"] = lambda: _mp6_results(_mp6(mp(), tol))
             evaluations["mp_chain"] = lambda: dict(zip(
                 ("chain_step1", "chain_step2", "chain_step3"), _mp_chain(mp(), 1j, tol).steps))
         evaluations["robertson_pure_certificate"] = (
-            lambda: _certificate(CertificateKind.ROBERTSON_PURE, pure(), tol, ()))
+            lambda: _certificate(CertificateKind.ROBERTSON_PURE, pure, tol, ()))
         evaluations["robertson_mixed_certificate"] = lambda: _certificate(
-            CertificateKind.ROBERTSON_MIXED, mixed(), tol, DEFAULT_R_LIST)
+            CertificateKind.ROBERTSON_MIXED, mixed, tol, DEFAULT_R_LIST)
         evaluations["schrodinger_certificate"] = lambda: _certificate(
-            CertificateKind.SCHRODINGER, mixed(), tol, DEFAULT_R_LIST)
+            CertificateKind.SCHRODINGER, mixed, tol, DEFAULT_R_LIST)
         if n == 2:
-            evaluations["construct_case1"] = lambda: _construct_case1(*e1(), tol)
+            evaluations["construct_case1"] = lambda: _construct_case1(*e1, tol)
         elif n > 2:
-            evaluations["construct_case2"] = lambda: _construct_case2(*e1(), tol)
+            evaluations["construct_case2"] = lambda: _construct_case2(*e1, tol)
         if n >= 2:
-            evaluations["construct_w_mp6"] = lambda: _construct_w_mp6(*e1(), tol)
+            evaluations["construct_w_mp6"] = lambda: _construct_w_mp6(*e1, tol)
 
         record: dict = {"trial": k}
         for where, evaluate in evaluations.items():

@@ -4,7 +4,7 @@ Each characterization is one decision.  A Robertson or Schrodinger
 certificate exists exactly when the bound's decision is saturated (its
 relative slack, or a deviation zero to rounding); its witness is the least
 direction of the same moments' 2 x 2 Gram form, and the mixed checkers
-re-verify it at several powers of rho.  The zero-deviation characterizations
+re-verify it at the fixed powers (1/2, 1, 2, 3) of rho.  The zero-deviation characterizations
 decide each side by its deviation.  The Maccone-Pati checkers read their
 bound's decision flag, and c = <psi|A|phi> and d = <psi|B|phi> as matrix
 elements; they build no frame.
@@ -29,7 +29,7 @@ from .errors import CorollaryViolation, DimensionMismatch, HypothesisViolated, R
 from .linalg import DEFAULT_TOL, ROUNDING_TOL, TIE_TOL, Tolerance, _complex_witness, _phase_witness
 from .relations import (_cross_elements, _Decision, _moments_mu, _mp3_decision, _mp6_decision,
                         _mp_chain_decisions, _mp_inputs, _MPInputs, _require_deviations, _robertson_decision,
-                        _schrodinger_decision, _unit_mu, _zero_deviations)
+                        _schrodinger_decision, _unit_mu, _zero_budget, _zero_deviations)
 from .states import PairMoments, PureState, QuantumState, _observable_pair, pair_moments
 
 # Constructed pairs must close their target bound to this relative gap.
@@ -38,7 +38,7 @@ CONSTRUCTION_TOL = 1e-8
 # A checker's mu within this distance of i or -i is taken as exactly i or -i.
 MU_SNAP_TOL = 1e-12
 
-# Positive powers at which mixed-state equality conditions are re-verified.
+# The powers r >= 1/2 at which the mixed checkers re-verify their witness; a dependence at 1/2 carries to each.
 DEFAULT_R_LIST = (0.5, 1.0, 2.0, 3.0)
 
 
@@ -47,8 +47,6 @@ class CertificateKind(str, enum.Enum):
     ROBERTSON_MIXED = "robertson-mixed"
     SCHRODINGER = "schrodinger"
     MP_CHAIN_ALL = "mp-chain-all"
-    MP3 = "mp3"
-    MP6 = "mp6"
 
 
 @dataclass(frozen=True)
@@ -112,42 +110,43 @@ class ZeroProductCheck:
 
 
 def _verify_r_family(m: PairMoments, coeff_a: complex, coeff_b: complex,
-                     r_list, tol: Tolerance) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Residuals of coeff_a * A_c rho^r + coeff_b * B_c rho^r over the distinct r in r_list.
+                     rs: tuple[float, ...], tol: Tolerance) -> tuple[float, ...]:
+    """Residuals of coeff_a A_c rho^r + coeff_b B_c rho^r at each r >= 1/2 in ``rs``: norms of (. X) w^(r - 1/2).
 
-    With rho^r = X w^(r - 1/2) V_k^dagger, each norm is taken of (A_c X) w^(r - 1/2).
-    A residual passes on the flag's eps^2 scale, within a 10x band:
-    (res / scale)^2 <= 10 tol.eps, with the scale-free
-    scale = max(|coeff_a| dev(A), |coeff_b| dev(B)) ||w^r||, the size of the
-    two terms at r = 1/2 carried to r, which no identity offset moves; or when
-    it is within ROUNDING_TOL times the same scale read with
-    ||A||_F and ||B||_F, where the deviations are rounding noise (n = 1, eigenstates).
+    Each must stay within limit ||w^r||.  The limit is the largest of the floor ROUNDING_TOL
+    max(|coeff_a| ||A||_F, |coeff_b| ||B||_F) and one share per side, none moved by an identity offset:
+    |coeff| dev sqrt(10 eps), the flag's eps^2 scale in a 10x band, or, for a side that
+    :func:`_zero_deviations` calls zero, |coeff| z / sqrt(w_max), with its zero budget
+    z = max(eps spread, min(eps, ROUNDING_TOL) ||.||_F) and the largest weight w_max.  A zero side's share
+    raises on no valid input: for r >= 1/2 and the columns y_j of A_c X, ||(A_c X) w^(r - 1/2)||_F^2 =
+    sum_j ||y_j||^2 w_j^(2r - 1) <= w_max^(2r - 1) dev(A)^2 and w_max^r <= ||w^r||, so
+    ||(A_c X) w^(r - 1/2)||_F <= dev(A) ||w^r|| / sqrt(w_max) <= z ||w^r|| / sqrt(w_max).
     """
-    limit = max(math.sqrt(10.0 * tol.eps) * max(abs(coeff_a) * m.dev_a, abs(coeff_b) * m.dev_b),
-                ROUNDING_TOL * max(abs(coeff_a) * m.a.norm, abs(coeff_b) * m.b.norm))
-    rs, residuals = [], []
-    for r in dict.fromkeys(r_list):
+    band, zero = math.sqrt(10.0 * tol.eps), _zero_deviations(m, tol)
+    shares = (abs(c) * (_zero_budget(o, tol) / math.sqrt(m.state.weights.max()) if z else band * dev)
+              for c, o, dev, z in zip((coeff_a, coeff_b), (m.a, m.b), (m.dev_a, m.dev_b), zero))
+    limit = max(*shares, ROUNDING_TOL * max(abs(coeff_a) * m.a.norm, abs(coeff_b) * m.b.norm))
+    residuals = []
+    for r in rs:
         power = m.state.weights ** (r - 0.5)
-        ma, mb = m.centered_a * power, m.centered_b * power
-        res = float(np.linalg.norm(coeff_a * ma + coeff_b * mb))
-        if res > limit * float(np.linalg.norm(m.state.weights ** r)):
-            raise RIndependenceViolation(
-                f"dependence holds at r=1/2 but fails at r={r} (residual {res:.3e})"
-            )
-        rs.append(r)
+        res = float(np.linalg.norm(coeff_a * (m.centered_a * power) + coeff_b * (m.centered_b * power)))
+        budget = limit * float(np.linalg.norm(m.state.weights ** r))
+        if res > budget:
+            raise RIndependenceViolation(f"witness residual {res:.3e} at r={r} exceeds {budget:.3e}")
         residuals.append(res)
-    return tuple(rs), tuple(residuals)
+    return tuple(residuals)
 
 
 def _certificate(kind: CertificateKind, m: PairMoments, tol: Tolerance,
-                 r_list) -> SaturationCertificate | None:
+                 rs: tuple[float, ...]) -> SaturationCertificate | None:
     """The witness a A_c X + b B_c X = 0 of a saturated bound: a = cos(theta), b = e^{i phi} sin(theta).
 
     None exactly when the bound's decision is unsaturated, so presence is its report's flag.  The
     witness is the least direction of the moments' Gram form (dev(A)^2, cross, dev(B)^2), at the
     phase i for the Robertson kinds (phi is None).  A deviation zero to rounding enters it as exactly
     0, so one zero side gives (a, b) = (1, 0) or (0, 1) with phi = 0, and two give theta = 0 with
-    residual 0.  The residual is ||a A_c X + b B_c X||_F; (a, b) is re-verified at each r in ``r_list``.
+    residual 0.  The residual is ||a A_c X + b B_c X||_F; (a, b) is re-verified at each power in ``rs``
+    (:func:`_verify_r_family`).
     """
     schrodinger = kind is CertificateKind.SCHRODINGER
     if not (_schrodinger_decision if schrodinger else _robertson_decision)(m, tol).saturated:
@@ -159,9 +158,8 @@ def _certificate(kind: CertificateKind, m: PairMoments, tol: Tolerance,
     a, b, angles = (_complex_witness if schrodinger else _phase_witness)(*form)
     theta, phi = angles if schrodinger else (angles, None)
     residual = 0.0 if all(zero) else float(np.linalg.norm(a * m.centered_a + b * m.centered_b))
-    rs, r_residuals = _verify_r_family(m, a, b, r_list, tol)
     return SaturationCertificate(kind=kind, theta=theta, phi=phi, mu=None, residual=residual,
-                                 r_checked=rs, r_residuals=r_residuals)
+                                 r_checked=rs, r_residuals=_verify_r_family(m, a, b, rs, tol))
 
 
 def robertson_saturation_pure(observable_a, observable_b, psi: PureState,
@@ -171,28 +169,18 @@ def robertson_saturation_pure(observable_a, observable_b, psi: PureState,
                         pair_moments(observable_a, observable_b, psi), tol, ())
 
 
-def _checked_r_list(r_list) -> tuple[float, ...]:
-    """The mixed checkers' powers as floats; ValueError unless nonempty, each finite and positive."""
-    rs = tuple(float(r) for r in r_list)
-    if not rs or not all(0.0 < r < math.inf for r in rs):
-        raise ValueError(f"r_list must be nonempty with finite positive entries, got {rs!r}")
-    return rs
-
-
 def robertson_saturation_mixed(observable_a, observable_b, state: QuantumState,
-                               tol: Tolerance = DEFAULT_TOL,
-                               r_list=DEFAULT_R_LIST) -> SaturationCertificate | None:
-    """Mixed-state equality witness, re-verified at every power in ``r_list``."""
+                               tol: Tolerance = DEFAULT_TOL) -> SaturationCertificate | None:
+    """Mixed-state equality witness, re-verified at every power in ``DEFAULT_R_LIST``."""
     return _certificate(CertificateKind.ROBERTSON_MIXED,
-                        pair_moments(observable_a, observable_b, state), tol, _checked_r_list(r_list))
+                        pair_moments(observable_a, observable_b, state), tol, DEFAULT_R_LIST)
 
 
 def schrodinger_saturation(observable_a, observable_b, state: QuantumState,
-                           tol: Tolerance = DEFAULT_TOL,
-                           r_list=DEFAULT_R_LIST) -> SaturationCertificate | None:
-    """Witness (theta, phi) with cos(theta) A_c rho^r + e^{i phi} sin(theta) B_c rho^r = 0."""
+                           tol: Tolerance = DEFAULT_TOL) -> SaturationCertificate | None:
+    """Witness (theta, phi) with cos(theta) A_c rho^r + e^{i phi} sin(theta) B_c rho^r = 0 for r >= 1/2."""
     return _certificate(CertificateKind.SCHRODINGER,
-                        pair_moments(observable_a, observable_b, state), tol, _checked_r_list(r_list))
+                        pair_moments(observable_a, observable_b, state), tol, DEFAULT_R_LIST)
 
 
 def mp_chain_saturation(observable_a, observable_b, psi: PureState, phi: PureState,

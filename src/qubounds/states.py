@@ -21,8 +21,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import DimensionMismatch, NonRealExpectation
-from .linalg import (INPUT_TOL, EigenSystem, _eigh_descending, _finite_norm, _psd_eig, _square_matrix,
-                     as_complex_matrix, require_hermitian)
+from .linalg import (INPUT_TOL, EigenSystem, _eigh_descending, _finite_norm, _power_of_two_scaled, _psd_eig,
+                     _square_matrix, as_complex_matrix, require_hermitian)
 
 
 def _frozen_array(a: np.ndarray) -> np.ndarray:
@@ -208,8 +208,7 @@ class DensityMatrix(_ArrayEquality):
         peak = float(np.abs(g).max())
         if not peak > 0.0:
             raise ValueError("factor is zero")
-        e = math.frexp(peak)[1]
-        g = g * 2.0 ** (-e // 2) * 2.0 ** -(e // 2)  # 2^-e as two normal floats
+        _, (g,) = _power_of_two_scaled(peak, g)
         g.setflags(write=False)
         lam, u = _eigh_descending(g.conj().T @ g).support()
         v = g @ u

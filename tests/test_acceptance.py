@@ -96,7 +96,7 @@ def test_criterion_2_block_mixed_golden():
 
 
 def test_criterion_3_chain_equality_grid():
-    result = golden_qubit_chain_grid(grid=25)
+    result = golden_qubit_chain_grid()
     v = result.values
     ok = (
         v["max_step1_residual"] <= 1e-12

@@ -30,7 +30,7 @@ from qubounds import (
     trial_rng,
 )
 from qubounds import relations
-from qubounds.relations import _make_report
+from qubounds.relations import _decide
 from qubounds.sampling import _haar_columns
 from qubounds.errors import BoundViolation
 from helpers import SIGMA_X, SIGMA_Y, SIGMA_Z, block_pair_4x4, hermitian_array, plant_saturating_pure
@@ -48,14 +48,14 @@ def _orthonormal_pair(n, rng):
 
 def test_make_report_flags_and_violation():
     tol = Tolerance(1e-12 + 1e-9)
-    report = _make_report("t", 1.0, 1.0, 1.0, tol, "d")
+    report = _decide("t", 1.0, 1.0, 1.0, tol)
     assert report.saturated and report.slack == 0.0
-    report = _make_report("t", 2.0, 1.0, 1.0, tol, "d")
+    report = _decide("t", 2.0, 1.0, 1.0, tol)
     assert not report.saturated and report.slack == 1.0
     with pytest.raises(BoundViolation):
-        _make_report("t", 1.0, 1.0 + 1e-6, 1.0, tol, "d")
+        _decide("t", 1.0, 1.0 + 1e-6, 1.0, tol)
     # Negative slack inside the rounding budget is reported, not raised.
-    report = _make_report("t", 1.0, 1.0 + 1e-13, 1.0, tol, "d")
+    report = _decide("t", 1.0, 1.0 + 1e-13, 1.0, tol)
     assert report.saturated
 
 
@@ -63,7 +63,7 @@ def test_bound_oracle_catches_a_wrong_bound_at_every_scale(monkeypatch):
     # A Robertson rhs made 1.5 times too large must raise on planted saturated
     # instances at every scale, and no caller's tolerance may loosen the check.
     with pytest.raises(BoundViolation):
-        _make_report("x", 1.0, 2.0, 1.0, Tolerance(10.0 + 1e-9), "d")
+        _decide("x", 1.0, 2.0, 1.0, Tolerance(10.0 + 1e-9))
     decide = relations._decide
     monkeypatch.setattr(relations, "_decide",
                         lambda name, lhs, rhs, *args, **kw: decide(name, lhs, 1.5 * rhs, *args, **kw))
