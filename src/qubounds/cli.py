@@ -49,14 +49,15 @@ def build_parser() -> argparse.ArgumentParser:
     saturate = sub.add_parser("saturate", help="construct a saturating state pair")
     saturate.add_argument("input", help='JSON file holding {"a": matrix, "b": matrix}')
     saturate.add_argument("--target", choices=("mp3", "mp6"), required=True)
-    _add_common(saturate)
+    _add_common(saturate, formats=False)
     return parser
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _add_common(sub: argparse.ArgumentParser, formats: bool = True) -> None:
     sub.add_argument("--tol", type=float, default=DEFAULT_TOL.eps, help="tolerance eps of every check")
     sub.add_argument("--out", default="-", help="output path, '-' for stdout")
-    sub.add_argument("--format", choices=("json", "csv"), default="json")
+    if formats:  # saturate writes its one JSON record only
+        sub.add_argument("--format", choices=("json", "csv"), default="json")
 
 
 def _emit(text: str, out: str) -> None:

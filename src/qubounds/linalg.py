@@ -53,28 +53,36 @@ def _pair_budget(tol: Tolerance, size: float = 1.0) -> float:
     return max(_input_budget(tol), ROUNDING_TOL * size)
 
 
-def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
-    """Coerce to a 2-D complex array with finite entries."""
+def _norm(x: np.ndarray) -> float:
+    """||x||_F bit for bit as ``np.linalg.norm`` computes it, without the wrapper: ravel, re.re + im.im, sqrt."""
+    v = x.ravel(order="K")
+    return math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
+
+
+def as_complex_matrix(m, name: str = "matrix", scan: bool = True) -> np.ndarray:
+    """Coerce to a nonempty 2-D complex array with finite entries; ``scan=False`` leaves them to a norm check."""
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
         raise DimensionMismatch(f"{name} must be a nonempty 2-D array, got shape {a.shape}")
-    if not np.isfinite(a).all():
+    if scan and not np.isfinite(a).all():
         raise ValueError(f"{name} contains non-finite entries")
     return a
 
 
 def _square_matrix(m, name: str = "matrix") -> np.ndarray:
-    """A square 2-D complex array with finite entries."""
-    a = as_complex_matrix(m, name)
+    """A square 2-D complex array; only a non-square one is scanned here (see :func:`_finite_norm`)."""
+    a = as_complex_matrix(m, name, scan=False)
     if a.shape[0] != a.shape[1]:
+        as_complex_matrix(a, name)
         raise DimensionMismatch(f"{name} must be square, got shape {a.shape}")
     return a
 
 
-def _finite_norm(a: np.ndarray, name: str = "matrix") -> float:
-    """||a||_F; ValueError where finite entries overflow it."""
-    norm = float(np.linalg.norm(a))
+def _finite_norm(a: np.ndarray, name: str = "matrix", entries: np.ndarray | None = None) -> float:
+    """||a||_F; ValueError where not finite, for non-finite ``entries`` (default ``a``) if a scan finds any."""
+    norm = _norm(a)
     if not math.isfinite(norm):
+        as_complex_matrix(a if entries is None else entries, name)
         raise ValueError(f"{name} has a non-finite Frobenius norm")
     return norm
 
@@ -84,7 +92,7 @@ def require_hermitian(m, name: str = "matrix") -> tuple[np.ndarray, float]:
     return it as a complex array, with the ||m||_F the test read."""
     a = _square_matrix(m, name)
     norm = _finite_norm(a, name)
-    deviation = float(np.linalg.norm(a - a.conj().T))
+    deviation = _norm(a - a.conj().T)
     if deviation > INPUT_TOL * norm:
         raise NonHermitianInput(f"{name} deviates from Hermitian by {deviation:.3e}")
     return a, norm
@@ -104,7 +112,7 @@ class EigenSystem:
         fractional powers amplify +eps junk far above the reconstruction budget.
         """
         w = self.eigenvalues
-        keep = w > INPUT_TOL * float(np.linalg.norm(w))
+        keep = w > INPUT_TOL * _norm(w)
         return w[keep], self.eigenvectors[:, keep]
 
 
@@ -239,7 +247,7 @@ def _dependence(x: np.ndarray, y: np.ndarray, witness):
     e, (x, y) = _power_of_two_scaled(peak, x, y)
     p, r = float(np.vdot(x, x).real), float(np.vdot(y, y).real)
     a, b, angles = witness(p, complex(np.vdot(x, y)), r)
-    residual = float(np.linalg.norm(a * x + b * y))
+    residual = _norm(a * x + b * y)
     return angles, residual * 2.0 ** (e // 2) * 2.0 ** (e - e // 2), residual, p + r
 
 

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RankUnachieved
+from .linalg import _norm
 from .states import DensityMatrix, Observable, PureState
 
 
@@ -85,7 +86,7 @@ def random_pure_state(n: int, seed) -> PureState:
     if n < 1:
         raise ValueError("dimension must be >= 1")
     column = _complex_normal(_as_rng(seed), n, 1)[:, 0]
-    return PureState(column / np.linalg.norm(column))
+    return PureState(column / _norm(column))
 
 
 def random_density(n: int, rank: int, seed) -> DensityMatrix:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CorollaryViolation, DimensionMismatch, HypothesisViolated, RIndependenceViolation
-from .linalg import DEFAULT_TOL, ROUNDING_TOL, TIE_TOL, Tolerance, _complex_witness, _phase_witness
+from .linalg import DEFAULT_TOL, ROUNDING_TOL, TIE_TOL, Tolerance, _complex_witness, _norm, _phase_witness
 from .relations import (_cross_elements, _Decision, _moments_mu, _mp3_decision, _mp6_decision,
                         _mp_chain_decisions, _mp_inputs, _MPInputs, _require_deviations, _robertson_decision,
                         _schrodinger_decision, _unit_mu, _zero_budget, _zero_deviations)
@@ -111,30 +111,31 @@ class ZeroProductCheck:
 
 def _verify_r_family(m: PairMoments, coeff_a: complex, coeff_b: complex,
                      rs: tuple[float, ...], tol: Tolerance) -> tuple[float, ...]:
-    """Residuals of coeff_a A_c rho^r + coeff_b B_c rho^r at each r >= 1/2 in ``rs``: norms of (. X) w^(r - 1/2).
+    """Residuals of coeff_a A_c rho^r + coeff_b B_c rho^r at each r >= 1/2 in ``rs``: norms of Y w^(r - 1/2).
 
-    Each must stay within limit ||w^r||.  The limit is the largest of the floor ROUNDING_TOL
-    max(|coeff_a| ||A||_F, |coeff_b| ||B||_F) and one share per side, none moved by an identity offset:
-    |coeff| dev sqrt(10 eps), the flag's eps^2 scale in a 10x band, or, for a side that
-    :func:`_zero_deviations` calls zero, |coeff| z / sqrt(w_max), with its zero budget
+    Y = coeff_a A_c X + coeff_b B_c X is formed once; for its squared column norms c_j, residual^2 =
+    sum_j c_j w_j^(2r - 1) and ||w^r||^2 = sum_j w_j w_j^(2r - 1), one product for every r.  At r = 1/2
+    the residual is ||Y||_F, the certificate's ``residual``.  Each must stay within limit ||w^r||: the
+    largest of the floor ROUNDING_TOL max(|coeff_a| ||A||_F, |coeff_b| ||B||_F) and one share per side,
+    none moved by an identity offset: |coeff| dev sqrt(10 eps), the flag's eps^2 scale in a 10x band, or,
+    for a side that :func:`_zero_deviations` calls zero, |coeff| z / sqrt(w_max), with its zero budget
     z = max(eps spread, min(eps, ROUNDING_TOL) ||.||_F) and the largest weight w_max.  A zero side's share
     raises on no valid input: for r >= 1/2 and the columns y_j of A_c X, ||(A_c X) w^(r - 1/2)||_F^2 =
     sum_j ||y_j||^2 w_j^(2r - 1) <= w_max^(2r - 1) dev(A)^2 and w_max^r <= ||w^r||, so
     ||(A_c X) w^(r - 1/2)||_F <= dev(A) ||w^r|| / sqrt(w_max) <= z ||w^r|| / sqrt(w_max).
     """
-    band, zero = math.sqrt(10.0 * tol.eps), _zero_deviations(m, tol)
-    shares = (abs(c) * (_zero_budget(o, tol) / math.sqrt(m.state.weights.max()) if z else band * dev)
+    w, band, zero = m.state.weights, math.sqrt(10.0 * tol.eps), _zero_deviations(m, tol)
+    shares = (abs(c) * (_zero_budget(o, tol) / math.sqrt(w.max()) if z else band * dev)
               for c, o, dev, z in zip((coeff_a, coeff_b), (m.a, m.b), (m.dev_a, m.dev_b), zero))
     limit = max(*shares, ROUNDING_TOL * max(abs(coeff_a) * m.a.norm, abs(coeff_b) * m.b.norm))
-    residuals = []
-    for r in rs:
-        power = m.state.weights ** (r - 0.5)
-        res = float(np.linalg.norm(coeff_a * (m.centered_a * power) + coeff_b * (m.centered_b * power)))
-        budget = limit * float(np.linalg.norm(m.state.weights ** r))
-        if res > budget:
-            raise RIndependenceViolation(f"witness residual {res:.3e} at r={r} exceeds {budget:.3e}")
-        residuals.append(res)
-    return tuple(residuals)
+    y = coeff_a * m.centered_a + coeff_b * m.centered_b
+    columns = np.array([(y.real**2 + y.imag**2).sum(axis=0), w]).T  # (c_j, w_j), one row per j
+    roots = np.sqrt(w ** (2.0 * np.array(rs)[:, None] - 1.0) @ columns).tolist()
+    residuals = tuple(_norm(y) if r == 0.5 else res for r, (res, _) in zip(rs, roots))
+    for r, res, (_, norm_w) in zip(rs, residuals, roots):
+        if res > limit * norm_w:
+            raise RIndependenceViolation(f"witness residual {res:.3e} at r={r} exceeds {limit * norm_w:.3e}")
+    return residuals
 
 
 def _certificate(kind: CertificateKind, m: PairMoments, tol: Tolerance,
@@ -157,9 +158,9 @@ def _certificate(kind: CertificateKind, m: PairMoments, tol: Tolerance,
     form = ((dev_a / scale) ** 2, 0j if any(zero) else m.cross / scale / scale, (dev_b / scale) ** 2)
     a, b, angles = (_complex_witness if schrodinger else _phase_witness)(*form)
     theta, phi = angles if schrodinger else (angles, None)
-    residual = 0.0 if all(zero) else float(np.linalg.norm(a * m.centered_a + b * m.centered_b))
+    residual = 0.0 if all(zero) else _norm(a * m.centered_a + b * m.centered_b)
     return SaturationCertificate(kind=kind, theta=theta, phi=phi, mu=None, residual=residual,
-                                 r_checked=rs, r_residuals=_verify_r_family(m, a, b, rs, tol))
+                                 r_checked=rs, r_residuals=_verify_r_family(m, a, b, rs, tol) if rs else ())
 
 
 def robertson_saturation_pure(observable_a, observable_b, psi: PureState,
@@ -206,7 +207,7 @@ def mp_chain_saturation(observable_a, observable_b, psi: PureState, phi: PureSta
         theta = 0.0 if all(_zero_deviations(m, tol)) else (-cmath.phase(c + mu * d)) % (2.0 * math.pi)
         certificate = SaturationCertificate(
             kind=CertificateKind.MP_CHAIN_ALL, theta=theta, phi=None, mu=mu,
-            residual=float(np.linalg.norm(m.centered_a - np.conj(mu) * m.centered_b)))
+            residual=_norm(m.centered_a - np.conj(mu) * m.centered_b))
     residuals = (max(abs(m.dev_a - abs_c), abs(m.dev_b - abs_d)), abs(abs_c - abs_d),
                  abs_c + abs_d - abs(c + mu * d))
     return ChainSaturation(step_saturated=flags, step_residuals=tuple(map(float, residuals)),
@@ -231,7 +232,7 @@ def _require_mu_hypothesis(m: PairMoments, mu: complex, tol: Tolerance) -> compl
 def _equality_check(p: _MPInputs, mu: complex, decision: _Decision, s_a: float, s_b: float) -> EqualityCheck:
     """||(A_c/s_a - mu B_c/s_b)|psi>|| against |c/s_a + mu d/s_b|, flagged by the target's ``decision`` at mu."""
     m = p.moments
-    lhs = float(np.linalg.norm(m.centered_a / s_a - mu * m.centered_b / s_b))
+    lhs = _norm(m.centered_a / s_a - mu * m.centered_b / s_b)
     rhs = abs(p.c / s_a + mu * p.d / s_b)
     return EqualityCheck(saturated=decision.saturated, lhs=lhs, rhs=rhs, residual=abs(lhs - rhs))
 
@@ -324,7 +325,7 @@ def _construct_case2(m: PairMoments, mu: complex, tol: Tolerance) -> Constructed
         raise DimensionMismatch(f"construction requires dimension > 2, got {m.a.dimension}")
     u, v = m.centered_a[1:, 0], m.centered_b[1:, 0]
     tail = u - mu * v
-    norm = float(np.linalg.norm(tail))
+    norm = _norm(tail)
     direction = None
     # The tail is degenerate when it is rounding noise beside ||u|| + ||v||.
     if norm > tol.eps * (m.dev_a + m.dev_b):
@@ -333,7 +334,7 @@ def _construct_case2(m: PairMoments, mu: complex, tol: Tolerance) -> Constructed
         # unless that entry is rounding noise beside the row it is read from.
         row = u.conj() - mu * v.conj()
         entry = complex(row @ direction)
-        if abs(entry) > TIE_TOL * float(np.linalg.norm(row)):
+        if abs(entry) > TIE_TOL * _norm(row):
             direction = direction * cmath.exp(-1j * cmath.phase(entry))
     return _constructed_pair(m, mu, direction, "mp3", tol)
 
@@ -354,7 +355,7 @@ def _construct_w_mp6(m: PairMoments, mu: complex, tol: Tolerance) -> Constructed
         raise DimensionMismatch("construction requires dimension >= 2")
     _require_deviations(m, tol)
     difference = m.centered_a[1:, 0] / m.dev_a - mu * m.centered_b[1:, 0] / m.dev_b
-    norm = float(np.linalg.norm(difference))
+    norm = _norm(difference)
     direction = difference / norm if norm > tol.eps else None
     return _constructed_pair(m, mu, direction, "mp6", tol)
 
@@ -374,7 +375,7 @@ def zero_product_characterization(observable_a, observable_b, state: QuantumStat
     m = pair_moments(observable_a, observable_b, state)
     zero = _zero_deviations(m, tol)
     # ||A_c rho||_F = ||(A_c X) w^(1/2)||_F.
-    res_a, res_b = (float(np.linalg.norm(c * np.sqrt(m.state.weights)))
+    res_a, res_b = (_norm(c * np.sqrt(m.state.weights))
                     for c in (m.centered_a, m.centered_b))
     return ZeroProductCheck(product_is_zero=any(zero), witness=_ZERO_WITNESSES[zero],
                             residual_a=res_a, residual_b=res_b)
@@ -409,7 +410,7 @@ def qubit_commutation_witness(observable_a, observable_b, state: QuantumState,
     if not all(_zero_deviations(m, tol)):
         return None
     a, b = m.a.matrix, m.b.matrix
-    comm_norm = float(np.linalg.norm(a @ b - b @ a))
+    comm_norm = _norm(a @ b - b @ a)
     allowed = (2.0 * (m.a.spread * m.dev_b + m.b.spread * m.dev_a)
                + 2.0 * math.sqrt(2.0) * m.dev_a * m.dev_b + ROUNDING_TOL * (m.a.norm * m.b.norm))
     if comm_norm > allowed:

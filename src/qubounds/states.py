@@ -21,8 +21,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import DimensionMismatch, NonRealExpectation
-from .linalg import (INPUT_TOL, EigenSystem, _eigh_descending, _finite_norm, _power_of_two_scaled, _psd_eig,
-                     _square_matrix, as_complex_matrix, require_hermitian)
+from .linalg import (INPUT_TOL, EigenSystem, _eigh_descending, _finite_norm, _norm, _power_of_two_scaled,
+                     _psd_eig, _square_matrix, as_complex_matrix, require_hermitian)
 
 
 def _frozen_array(a: np.ndarray) -> np.ndarray:
@@ -91,9 +91,11 @@ class Observable(_ArrayEquality):
         bit for bit by construction, so every check but the Hermiticity test runs."""
         name = label or "observable"
         g = _square_matrix(g, name)
+        if not math.isfinite(_norm(g)):  # a finite norm proves finite entries; h is formed from finite g only
+            as_complex_matrix(g, name)
         obs, h = object.__new__(cls), (g + g.conj().T) / 2.0
         object.__setattr__(obs, "label", label)
-        obs._freeze(h, _finite_norm(h, name))
+        obs._freeze(h, _finite_norm(h, name, g))  # finite g: a non-finite ||h|| is an overflow
         return obs
 
 
@@ -114,9 +116,9 @@ class PureState(_ArrayEquality):
         a = np.asarray(self.amplitudes, dtype=complex)
         if a.size < 1 or a.size != max(a.shape, default=1):
             raise DimensionMismatch(f"state must be a nonempty vector, got shape {a.shape}")
-        if not np.isfinite(a).all():
-            raise ValueError("state vector contains non-finite entries")
-        norm = float(np.linalg.norm(a))
+        norm = _norm(a)
+        if not math.isfinite(norm):  # a finite norm proves finite entries
+            as_complex_matrix(a.reshape(1, -1), "state vector")
         if abs(norm - 1.0) > INPUT_TOL:
             raise ValueError(f"state vector norm {norm!r} is not 1 within {INPUT_TOL}")
         object.__setattr__(self, "amplitudes", _frozen_array(a.ravel()))
@@ -204,8 +206,10 @@ class DensityMatrix(_ArrayEquality):
         The state keeps that prescaled G, frozen: ``digest`` hashes it (tagged
         ``density-factor``), and ``matrix`` is formed from it, each when first read.
         """
-        g = as_complex_matrix(g, "factor")
+        g = as_complex_matrix(g, "factor", scan=False)
         peak = float(np.abs(g).max())
+        if not math.isfinite(peak):  # a finite largest modulus proves finite entries
+            as_complex_matrix(g, "factor")
         if not peak > 0.0:
             raise ValueError("factor is zero")
         _, (g,) = _power_of_two_scaled(peak, g)
@@ -308,8 +312,8 @@ def pair_moments(observable_a, observable_b, state: QuantumState) -> PairMoments
     return PairMoments(
         alpha=alpha,
         beta=beta,
-        dev_a=float(np.linalg.norm(va)),
-        dev_b=float(np.linalg.norm(vb)),
+        dev_a=_norm(va),
+        dev_b=_norm(vb),
         cross=complex(np.vdot(va, vb)),
         centered_a=va,
         centered_b=vb,

@@ -1,4 +1,4 @@
-"""Shared fixtures: Pauli matrices, planted saturating pure and mixed instances, and four oracles."""
+"""Shared fixtures: Pauli matrices, planted saturating pure and mixed instances, and five oracles."""
 
 from __future__ import annotations
 
@@ -8,9 +8,11 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from qubounds import DensityMatrix, DimensionMismatch, Observable, PureState, haar_unitary, pair_moments
+from qubounds import (DensityMatrix, DimensionMismatch, Observable, PureState, RIndependenceViolation, haar_unitary,
+                      pair_moments)
 from qubounds.goldens import SIGMA_X, SIGMA_Y, SIGMA_Z, block_pair_4x4  # noqa: F401
-from qubounds.linalg import TIE_TOL, as_complex_matrix
+from qubounds.linalg import ROUNDING_TOL, TIE_TOL, as_complex_matrix
+from qubounds.relations import _zero_budget, _zero_deviations
 
 
 def complex_normal(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -162,3 +164,21 @@ def svd_complex_dependence_detail(x, y) -> tuple[tuple[float, float], float]:
     else:
         phi = (cmath.phase(vb) - cmath.phase(va)) % (2.0 * math.pi)
     return (theta, phi), smin
+
+
+def per_power_r_family(m, coeff_a: complex, coeff_b: complex, rs: tuple[float, ...], tol) -> tuple[float, ...]:
+    """The power re-check one power at a time, as ``saturation._verify_r_family`` once ran it: an oracle
+    for the one-pass form, with the same limit and the same ``RIndependenceViolation``."""
+    band, zero = math.sqrt(10.0 * tol.eps), _zero_deviations(m, tol)
+    shares = (abs(c) * (_zero_budget(o, tol) / math.sqrt(m.state.weights.max()) if z else band * dev)
+              for c, o, dev, z in zip((coeff_a, coeff_b), (m.a, m.b), (m.dev_a, m.dev_b), zero))
+    limit = max(*shares, ROUNDING_TOL * max(abs(coeff_a) * m.a.norm, abs(coeff_b) * m.b.norm))
+    residuals = []
+    for r in rs:
+        power = m.state.weights ** (r - 0.5)
+        res = float(np.linalg.norm(coeff_a * (m.centered_a * power) + coeff_b * (m.centered_b * power)))
+        budget = limit * float(np.linalg.norm(m.state.weights ** r))
+        if res > budget:
+            raise RIndependenceViolation(f"witness residual {res:.3e} at r={r} exceeds {budget:.3e}")
+        residuals.append(res)
+    return tuple(residuals)

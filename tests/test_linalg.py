@@ -19,7 +19,7 @@ from qubounds import (
     psd_power,
     unitary_completion,
 )
-from qubounds.linalg import (_least_direction, _require_isometry, complex_dependence_detail,
+from qubounds.linalg import (_least_direction, _norm, _require_isometry, complex_dependence_detail,
                              phase_dependence_detail)
 from helpers import (SIGMA_X, SIGMA_Y, complex_normal, hermitian_array, svd_complex_dependence_detail,
                      svd_phase_dependence_detail)
@@ -34,6 +34,28 @@ def test_tolerance_is_one_finite_nonnegative_eps():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
             Tolerance(bad)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_norm_is_np_linalg_norm_bit_for_bit():
+    # _norm is np.linalg.norm's own arithmetic without its wrapper, so the bits agree on every
+    # layout and scale: zeros, subnormal entries and squares, and squares that overflow to inf.
+    rng = np.random.default_rng(2024)
+    shapes = ((6,), (6, 1), (6, 3), (5, 5))
+    checked = 0
+    for scale in (0.0, 1e-310, 1e-160, 1.0, 3.7e5, 1e160, 1e300):
+        for shape in shapes:
+            z = scale * complex_normal(rng, math.prod(shape), 1).reshape(shape)
+            for x in (z, z.real, z.real.copy()):
+                views = [x]
+                if x.ndim == 2:
+                    views += [np.asfortranarray(x), x.T, x[:, -1], x[::2], x[:, ::-1]]
+                for v in views:
+                    assert _norm(v).hex() == float(np.linalg.norm(v)).hex()
+                    checked += 1
+        if scale == 1e300:
+            assert _norm(z) == math.inf
+    assert checked > 200
 
 
 def test_hermitian_eig_diagonal():

@@ -235,6 +235,16 @@ def test_cli_saturate_mp3(tmp_path):
     assert abs(record["achieved_slack"]) <= 1e-12
 
 
+def test_cli_saturate_rejects_format(tmp_path):
+    # saturate writes its one JSON record, so a --format it would ignore is a usage error: exit 1, no file.
+    pair_file = _write_pair_file(tmp_path / "pair.json", SIGMA_X, SIGMA_Y)
+    out = tmp_path / "sat.csv"
+    with pytest.raises(SystemExit) as excinfo:
+        main(["saturate", pair_file, "--target", "mp3", "--format", "csv", "--out", str(out)])
+    assert excinfo.value.code == 1
+    assert not out.exists()
+
+
 def test_cli_saturate_mp6_four_by_four(tmp_path):
     rng = np.random.default_rng(19)
     g1 = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))

@@ -23,11 +23,14 @@ from qubounds import (
     ZeroProductCheck,
     ZeroWitness,
     bloch_state,
+    choose_mu,
     complex_dependence,
     construct_case1,
     construct_case2,
     construct_w_mp6,
+    expectation,
     haar_unitary,
+    hermitian_eig,
     mp3,
     mp3_saturation,
     mp6,
@@ -35,8 +38,10 @@ from qubounds import (
     mp_chain,
     mp_chain_saturation,
     mp_frame,
+    mu_ratio,
     pair_moments,
     phase_dependence,
+    psd_power,
     qubit_commutation_witness,
     random_density,
     random_hermitian,
@@ -52,7 +57,7 @@ from qubounds import (
     zero_product_characterization,
     zero_sum_characterization,
 )
-from qubounds import relations, states
+from qubounds import relations, saturation, states
 from qubounds.linalg import ROUNDING_TOL, complex_dependence_detail, phase_dependence_detail
 from qubounds.saturation import (CONSTRUCTION_TOL, DEFAULT_R_LIST, _constructed_pair,
                                  _e1_reduction, _verify_r_family)
@@ -63,6 +68,7 @@ from helpers import (
     block_pair_4x4,
     complex_normal,
     hermitian_array,
+    per_power_r_family,
     plant_saturating_mixed,
     plant_saturating_pure,
 )
@@ -1139,6 +1145,45 @@ def test_no_checker_construction_or_detector_runs_an_svd(monkeypatch):
     assert calls == []
 
 
+def test_no_request_path_calls_np_linalg_norm(monkeypatch):
+    # Every norm on a request's path is linalg._norm, np.linalg.norm's arithmetic without its
+    # wrapper.  The inputs are planted before the count starts; the entry types are counted too,
+    # all but DensityMatrix.from_factor, whose column normalisation is the one axis norm left.
+    norm, calls = np.linalg.norm, []
+    rng = trial_rng(362, 0)
+    a, b, psi = plant_saturating_pure(3, 0.7j, rng)
+    sa, sb, sigma = plant_saturating_mixed(4, 2, 0.6, 0.9, rng)
+    ma, mb, rho = plant_saturating_mixed(8, 3, 0.6, math.pi / 2, rng)
+    h, g = hermitian_array(rng, 3), hermitian_array(rng, 3)
+    psi_f, phi_f = _orthonormal_pair(3, rng)
+    x = complex_normal(rng, 3, 2)
+    monkeypatch.setattr(np.linalg, "norm", lambda *args, **kwargs: calls.append(1) or norm(*args, **kwargs))
+    case1, case2, w = construct_case1(SIGMA_X, SIGMA_Y), construct_case2(h, g), construct_w_mp6(h, g)
+    mu = choose_mu(h, g, psi_f).mu
+    results = [
+        Observable(h), Observable.hermitian_part(g), PureState(psi.amplitudes), DensityMatrix(rho.matrix),
+        expectation(a, psi), stddev(ma, rho), pair_moments(a, b, psi),
+        robertson(ma, mb, rho), schrodinger(sa, sb, sigma), mp3(h, g, psi_f, phi_f), mp6(h, g, psi_f, phi_f),
+        mp_chain(h, g, psi_f, phi_f, mu), mp_frame(h, g, psi_f, phi_f), mu_ratio(h, g, psi_f, phi_f),
+        robertson_saturation_pure(a, b, psi),
+        robertson_saturation_mixed(ma, mb, rho),
+        schrodinger_saturation(sa, sb, sigma),
+        mp3_saturation(SIGMA_X, SIGMA_Y, case1.psi, case1.phi, case1.mu).saturated,
+        mp3_saturation(h, g, case2.psi, case2.phi, case2.mu).saturated,
+        mp6_saturation(h, g, w.psi, w.phi, w.mu).saturated,
+        mp_chain_saturation(SIGMA_X, SIGMA_Y, bloch_state(0.0, 0.4),
+                            PureState(np.array([0.0, -np.exp(0.4j)])), 1j).all_equalities,
+        zero_product_characterization(SIGMA_Z, SIGMA_X, KET0).product_is_zero,
+        zero_sum_characterization(SIGMA_Z, SIGMA_Z, KET0),
+        qubit_commutation_witness(SIGMA_Z, SIGMA_Z, KET0),
+        phase_dependence(x, 0.3j * x),
+        complex_dependence(x, (0.3 - 2j) * x),
+        hermitian_eig(h), psd_power(rho.matrix, 0.5), random_pure_state(3, rng), random_hermitian(3, rng),
+    ]
+    assert all(r is not None and r is not False for r in results)
+    assert calls == []
+
+
 def _assert_within_the_recheck(cert, m, tol=Tolerance()):
     """``cert`` re-checks its r = 1/2 residual as ``residual``, and every residual within its budget."""
     assert cert is not None
@@ -1304,3 +1349,55 @@ def test_the_zero_side_recheck_raises_where_the_zero_side_outgrows_its_deviation
     _verify_r_family(bad, 1.0, 0.0, (0.5,), tol)
     with pytest.raises(RIndependenceViolation):
         _verify_r_family(bad, 1.0, 0.0, DEFAULT_R_LIST, tol)
+
+
+def _recheck_calls(monkeypatch) -> list:
+    """Each _verify_r_family call a checker makes from here on, as (arguments, residuals)."""
+    calls, real = [], saturation._verify_r_family
+
+    def spy(*args):
+        calls.append((args, real(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(saturation, "_verify_r_family", spy)
+    return calls
+
+
+def _assert_the_per_power_oracle_agrees(args, residuals):
+    # A witness's residual is rounding noise, so it is compared at the size of its two terms,
+    # (|a| dev(A) + |b| dev(B)) w_max^(r - 1/2), which bounds each at r; at r = 1/2 both are ||Y||_F.
+    m, coeff_a, coeff_b, rs, _ = args
+    oracle = per_power_r_family(*args)
+    assert rs[0] == 0.5 and residuals[0] == oracle[0]
+    w_max = m.state.weights.max()
+    for r, got, want in zip(rs, residuals, oracle):
+        size = (abs(coeff_a) * m.dev_a + abs(coeff_b) * m.dev_b) * w_max ** (r - 0.5)
+        assert abs(got - want) <= 1e-13 * max(want, size)
+
+
+def test_the_one_pass_recheck_matches_the_per_power_oracle(monkeypatch):
+    # The one-pass re-check sums Y's column squares against w^(2r - 1); the oracle weights Y's columns
+    # at each r and takes a norm.  On planted rank-k certificates and near-eigenstate ones they agree,
+    # the certificate's residual is its r = 1/2 residual bit for bit, and at random coefficients,
+    # where the residual is not rounding noise (a loose tolerance keeps the budget out), to 1e-13 relative.
+    calls, rng, loose = _recheck_calls(monkeypatch), trial_rng(380, 0), Tolerance(100.0)
+    cases = [plant_saturating_mixed(n, k, 0.7, phase, rng)
+             for n in (2, 4, 8) for k in range(1, n) for phase in (math.pi / 2, 1.0)]
+    cases += [case for delta in DELTAS for n, k in ((3, 0), (4, 2), (5, 3))
+              for case in _near_eigenstate_cases(delta, rng, n, k, 3)]
+    certificates = 0
+    for a, b, state in cases:
+        for check in (robertson_saturation_mixed, schrodinger_saturation):
+            calls.clear()
+            cert = check(a, b, state)
+            if cert is None:
+                continue
+            (args, residuals), = calls
+            assert cert.r_residuals == residuals and residuals[0] == cert.residual
+            _assert_the_per_power_oracle_agrees(args, residuals)
+            coeffs = complex_normal(rng, 2, 1)[:, 0]
+            np.testing.assert_allclose(_verify_r_family(args[0], *coeffs, DEFAULT_R_LIST, loose),
+                                       per_power_r_family(args[0], *coeffs, DEFAULT_R_LIST, loose),
+                                       rtol=1e-13, atol=0)
+            certificates += 1
+    assert certificates >= 60

@@ -399,6 +399,32 @@ def test_hermitian_part_is_the_checked_observable_bit_for_bit():
             Observable.hermitian_part(np.ones(shape))
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered", "ignore:overflow encountered")
+def test_entry_checks_scan_only_where_a_norm_is_not_finite_and_keep_their_errors():
+    # A finite ||.||_F (for from_factor, a finite largest modulus) proves finite entries, so the
+    # entries are scanned only where it is not finite; each error is the one an up-front scan gave.
+    builders = ((Observable, "observable"), (Observable.hermitian_part, "observable"),
+                (DensityMatrix, "density matrix"), (DensityMatrix.from_factor, "factor"))
+    non_finite = (np.array([[np.nan, 0.0], [0.0, 1.0]]), np.array([[1.0, np.inf], [-np.inf, 1.0]]),
+                  np.array([[1.0, complex(0.0, np.inf)], [0.0, 1.0]]), np.array([[np.inf]]),
+                  np.array([[np.nan, 0.0, 1.0]]))  # not square: the entries still raise first
+    for build, name in builders:
+        for m in non_finite:
+            with pytest.raises(ValueError, match=f"^{name} contains non-finite entries$"):
+                build(m)
+    for v in (np.array([np.nan, 1.0]), np.array([1.0, np.inf]), np.array([[np.nan], [1.0]])):
+        with pytest.raises(ValueError, match="^state vector contains non-finite entries$"):
+            PureState(v)
+    # Finite entries whose norm overflows keep their own errors.
+    for build, name in builders[:3]:
+        with pytest.raises(ValueError, match=f"^{name} has a non-finite Frobenius norm$"):
+            build(1e308 * np.ones((2, 2)))
+    with pytest.raises(ValueError, match="^state vector norm inf is not 1"):
+        PureState(1e308 * np.ones(2))
+    # from_factor scales G by a power of two before any square, so 1e308 ones is a rank-1 state.
+    np.testing.assert_array_equal(DensityMatrix.from_factor(1e308 * np.ones((2, 2))).weights, [1.0])
+
+
 def test_input_digests_are_pinned():
     # Each hashes input bytes made by elementwise or power-of-two arithmetic, with no
     # BLAS, so the values hold on every platform, and no change to when a digest is
