@@ -10,6 +10,7 @@ never read back; the one reader here loads an observable pair for ``saturate``.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import time
 from dataclasses import asdict, dataclass, field
@@ -18,17 +19,19 @@ import numpy as np
 
 from .errors import BoundViolation, DimensionMismatch, QuboundsError, ZeroDeviation
 from .goldens import run_goldens
-from .linalg import Tolerance, as_complex_matrix
+from .linalg import Tolerance, _norm, as_complex_matrix
 from .relations import (BoundReport, MP6Reports, _mp3, _mp6, _mp_chain, _mp_inputs,
                         _robertson_report, _schrodinger_report)
-from .sampling import (SampleConfig, _haar_columns, random_density, random_hermitian, random_pure_state,
-                       trial_rng)
+from .sampling import _ROOT_I, SampleConfig, _complex_parts, _full_rank, _haar_stack, trial_rng
 from .saturation import (CONSTRUCTION_TOL, DEFAULT_R_LIST, CertificateKind, ConstructedPair,
                          SaturationCertificate, _certificate, _construct_case1, _construct_case2,
                          _construct_w_mp6, _e1_reduction)
-from .states import Observable, PureState, pair_moments
+from .states import DensityMatrix, Observable, PureState, pair_moments
 
 ARTIFACT_VERSION = "0.9.0"
+# Bytes of a chunk's largest stack, one complex n x n matrix per trial: a sweep's memory does not grow
+# with its trials, and at n = 64 a chunk is one trial, below the 128 KiB at which glibc's malloc maps pages.
+CHUNK_BYTES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -111,9 +114,11 @@ def certificate_to_dict(cert: SaturationCertificate | None) -> dict | None:
 
 
 def report_to_dict(report: SuiteReport) -> dict:
-    # Shallow on purpose: asdict on the whole report would deep-copy every trial.
+    # Shallow and written out: asdict would deep-copy every trial, and on the manifest alone takes 15x as long.
+    manifest, config = report.manifest, report.manifest.config
     return {
-        "manifest": asdict(report.manifest),
+        "manifest": dict(vars(manifest), config=None if config is None else dict(vars(config)),
+                         tolerance={"eps": manifest.tolerance.eps}),
         "trials": list(report.trials),
         "summary": report.summary,
     }
@@ -209,9 +214,35 @@ def _mp6_results(reports: MP6Reports) -> dict:
     return results
 
 
+def _trial_inputs(config: SampleConfig):
+    """Each trial's (k, A, B, psi, rho, Haar pair columns or None), chunk by chunk (see below)."""
+    n, rank = config.dimension, config.rank
+    ends = list(itertools.accumulate((n * n, n * n, 2 * n, 2 * n * rank, 4 * n if n >= 2 else 0)))
+    per_chunk = max(1, CHUNK_BYTES // (16 * n * n))
+    for first in range(0, config.count, per_chunk):
+        ks = range(first, min(first + per_chunk, config.count))
+        rngs = [trial_rng(config.seed, k) for k in ks]
+        draws = np.empty((len(ks), ends[-1]))
+        for rng, row in zip(rngs, draws):
+            rng.standard_normal(out=row[: ends[3]])
+        a = Observable._hermitian_parts(_ROOT_I * draws[:, : ends[0]].reshape(-1, n, n), "A")
+        b = Observable._hermitian_parts(_ROOT_I * draws[:, ends[0]: ends[1]].reshape(-1, n, n), "B")
+        psis = [PureState(z / _norm(z)) for z in _complex_parts(draws[:, ends[1]: ends[2]], n)]
+        factors = _complex_parts(draws[:, ends[2]: ends[3]], n, rank)
+        rhos = [_full_rank(rho, rng, rank) for rho, rng in zip(DensityMatrix._from_factors(factors), rngs)]
+        for rng, row in zip(rngs, draws):
+            rng.standard_normal(out=row[ends[3]:])
+        pairs = _haar_stack(_complex_parts(draws[:, ends[3]:], n, 2)) if n >= 2 else [None] * len(ks)
+        yield from zip(ks, a, b, psis, rhos, pairs)
+
+
 def run_verification_suite(config: SampleConfig, tol: Tolerance) -> SuiteReport:
     """Evaluate every bound, checker, and construction over seeded random inputs.
 
+    A chunk of trials, sized by ``CHUNK_BYTES``, draws from each trial's own ``trial_rng(seed, k)`` in
+    the public samplers' order: A, B, psi, the factor G of rho (and its one redraw), then the n x 2 Haar
+    block.  The samplers' bodies then build the chunk as stacks, byte-identical to the samplers' inputs:
+    one Hermitian-part pass for its As and one for its Bs, one ``eigh`` of its Gram matrices, one QR.
     Each evaluation leaves one record entry: its result (a dict names several),
     a skip on :class:`ZeroDeviation`, or an error on any other :class:`QuboundsError`.
     Each trial reduces (A, B, psi), (A, B, rho), (A, B, psi_f, phi_f) and (A, B, e1) once
@@ -224,12 +255,7 @@ def run_verification_suite(config: SampleConfig, tol: Tolerance) -> SuiteReport:
     summary = _Summary()
     trials = []
     n = config.dimension
-    for k in range(config.count):
-        rng = trial_rng(config.seed, k)
-        a = random_hermitian(n, rng, label="A")
-        b = random_hermitian(n, rng, label="B")
-        psi = random_pure_state(n, rng)
-        rho = random_density(n, config.rank, rng)
+    for k, a, b, psi, rho, columns in _trial_inputs(config):
         pure, mixed = pair_moments(a, b, psi), pair_moments(a, b, rho)
         evaluations = {
             "robertson_pure": lambda: _robertson_report(pure, tol),
@@ -238,7 +264,6 @@ def run_verification_suite(config: SampleConfig, tol: Tolerance) -> SuiteReport:
             "schrodinger_mixed": lambda: _schrodinger_report(mixed, tol),
         }
         if n >= 2:
-            columns = _haar_columns(n, 2, rng)
             pair = PureState(columns[:, 0]), PureState(columns[:, 1])
             # functools.cache keeps a result, never an exception.
             mp = functools.cache(lambda: _mp_inputs(a, b, *pair, tol))

@@ -1,7 +1,12 @@
-"""Seeded generation of observables and states for property sweeps."""
+"""Seeded generation of observables and states for property sweeps.
+
+Each sampler is the one-draw case of a body run on stacks of draws, as a sweep builds its trials'
+inputs in chunks (:func:`qubounds.reporting.run_verification_suite`); stacked QR needs NumPy >= 1.22.
+"""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,16 +45,21 @@ def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(trial_index,)))
 
 
-def _complex_normal(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    """(x + i y) / sqrt(2) for normal draws x then y, each half written in place as x (1 / sqrt(2)).
-
-    NumPy divides by a real as a product with its reciprocal, so these are the bytes of
-    ``(x + 1j * y) / np.sqrt(2.0)`` (up to the sign of an exact zero), from the same draws.
-    """
-    out, scale = np.empty((rows, cols), dtype=complex), 1.0 / np.sqrt(2.0)
-    np.multiply(rng.standard_normal((rows, cols)), scale, out=out.real)
-    np.multiply(rng.standard_normal((rows, cols)), scale, out=out.imag)
+def _complex_parts(x: np.ndarray, *shape: int) -> np.ndarray:
+    """(x + i y) / sqrt(2) of ``shape`` for each row x then y of the stack ``x`` of normal draws, written as
+    x (1 / sqrt(2)): the bytes of ``(x + 1j * y) / np.sqrt(2.0)`` (up to the sign of an exact zero)."""
+    out, half = np.empty(x.shape[:-1] + shape, dtype=complex), x.shape[-1] // 2
+    np.multiply(x[..., :half].reshape(out.shape), 1.0 / np.sqrt(2.0), out=out.real)
+    np.multiply(x[..., half:].reshape(out.shape), 1.0 / np.sqrt(2.0), out=out.imag)
     return out
+
+
+def _complex_normal(rng: np.random.Generator, *shape: int) -> np.ndarray:
+    return _complex_parts(rng.standard_normal(2 * math.prod(shape)), *shape)
+
+
+# e^{i pi/4}: both parts of it times a real X are the same product, bit for bit.
+_ROOT_I = (1 + 1j) / np.sqrt(2.0)
 
 
 def random_hermitian(n: int, seed, label: str = "") -> Observable:
@@ -57,23 +67,24 @@ def random_hermitian(n: int, seed, label: str = "") -> Observable:
     n^2 draws, the law of (G + G^dagger)/2 for a complex normal G (README "Tolerances")."""
     if n < 1:
         raise ValueError("dimension must be >= 1")
-    # Both parts of (1 + i) / sqrt(2) times X are the same product, bit for bit.
-    return Observable.hermitian_part((1 + 1j) / np.sqrt(2.0) * _as_rng(seed).standard_normal((n, n)), label)
+    return Observable._hermitian_parts(_ROOT_I * _as_rng(seed).standard_normal((1, n, n)), label)[0]
+
+
+def _haar_stack(z: np.ndarray) -> list:
+    """Haar-distributed orthonormal columns of each complex normal draw in the stack ``z``: one QR, each
+    triangular diagonal rotated to positive reals (one call per draw), without which the QR output is not
+    Haar distributed (Mezzadri, Notices AMS 54, 592, 2007)."""
+    q, r = np.linalg.qr(z)
+    diag = r.diagonal(axis1=1, axis2=2).copy()
+    diag[np.abs(diag) == 0] = 1.0
+    return [x * phase for x, phase in zip(q, diag / np.abs(diag))]
 
 
 def _haar_columns(n: int, k: int, seed) -> np.ndarray:
-    """``k`` Haar-distributed orthonormal columns: the phase-fixed QR of an n x k complex normal draw.
-
-    The diagonal of the triangular factor is rotated to positive reals; without
-    that phase correction the QR output is not Haar distributed (Mezzadri,
-    Notices AMS 54, 592, 2007).  The draw has only the k columns it factors.
-    """
+    """``k`` Haar-distributed orthonormal columns, from an n x k draw only."""
     if n < 1:
         raise ValueError("dimension must be >= 1")
-    q, r = np.linalg.qr(_complex_normal(_as_rng(seed), n, k))
-    diag = np.diagonal(r).copy()
-    diag[np.abs(diag) == 0] = 1.0
-    return q * (diag / np.abs(diag))
+    return _haar_stack(_complex_normal(_as_rng(seed), 1, n, k))[0]
 
 
 def haar_unitary(n: int, seed) -> np.ndarray:
@@ -82,11 +93,20 @@ def haar_unitary(n: int, seed) -> np.ndarray:
 
 
 def random_pure_state(n: int, seed) -> PureState:
-    """A normalised n x 1 complex normal draw: uniform on the unit sphere, with no QR."""
+    """A normalised complex normal draw of n amplitudes: uniform on the unit sphere, with no QR."""
     if n < 1:
         raise ValueError("dimension must be >= 1")
-    column = _complex_normal(_as_rng(seed), n, 1)[:, 0]
+    column = _complex_normal(_as_rng(seed), n)
     return PureState(column / _norm(column))
+
+
+def _full_rank(state: DensityMatrix, rng: np.random.Generator, rank: int) -> DensityMatrix:
+    """``state`` if its support has ``rank`` directions, else one redraw of its factor from ``rng``."""
+    if state.weights.size != rank:
+        state = DensityMatrix.from_factor(_complex_normal(rng, state.dimension, rank))
+        if state.weights.size != rank:
+            raise RankUnachieved(f"numerical rank {state.weights.size} != requested {rank}")
+    return state
 
 
 def random_density(n: int, rank: int, seed) -> DensityMatrix:
@@ -98,11 +118,7 @@ def random_density(n: int, rank: int, seed) -> DensityMatrix:
     if not 1 <= rank <= n:
         raise ValueError(f"rank must lie in [1, {n}]")
     rng = _as_rng(seed)
-    for _ in range(2):
-        state = DensityMatrix.from_factor(_complex_normal(rng, n, rank))
-        if state.weights.size == rank:
-            return state
-    raise RankUnachieved(f"numerical rank {state.weights.size} != requested {rank}")
+    return _full_rank(DensityMatrix.from_factor(_complex_normal(rng, n, rank)), rng, rank)
 
 
 def bloch_state(theta: float, phi: float) -> PureState:

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import DimensionMismatch, NonRealExpectation
-from .linalg import (INPUT_TOL, EigenSystem, _eigh_descending, _finite_norm, _norm, _power_of_two_scaled,
-                     _psd_eig, _square_matrix, as_complex_matrix, require_hermitian)
+from .linalg import (INPUT_TOL, EigenSystem, _eigh_descending, _finite_norm, _norm, _psd_eig, _square_matrix,
+                     as_complex_matrix, require_hermitian)
 
 
 def _frozen_array(a: np.ndarray) -> np.ndarray:
@@ -89,14 +89,27 @@ class Observable(_ArrayEquality):
     def hermitian_part(cls, g, label: str = "") -> "Observable":
         """A = (G + G^dagger)/2 for a square finite ``g``, equal to ``Observable(A)`` but Hermitian
         bit for bit by construction, so every check but the Hermiticity test runs."""
+        return cls._hermitian_parts(_square_matrix(g, label or "observable")[None], label)[0]
+
+    @classmethod
+    def _hermitian_parts(cls, g: np.ndarray, label: str = "") -> list:
+        """:meth:`hermitian_part` of each matrix of the stack ``g``, each labelled ``label``, in one pass."""
         name = label or "observable"
-        g = _square_matrix(g, name)
         if not math.isfinite(_norm(g)):  # a finite norm proves finite entries; h is formed from finite g only
-            as_complex_matrix(g, name)
-        obs, h = object.__new__(cls), (g + g.conj().T) / 2.0
-        object.__setattr__(obs, "label", label)
-        obs._freeze(h, _finite_norm(h, name, g))  # finite g: a non-finite ||h|| is an overflow
-        return obs
+            for x in g:
+                as_complex_matrix(x, name)
+        h = g + g.conj().swapaxes(1, 2)
+        # NumPy's h / 2.0 is (h_r + h_i 0)/2 + i (h_i - h_r 0)/2: each part halved, bit for bit, unless a part
+        # is -0.  The imaginary diagonal, x - x, is +0; with no other zero part, halving is that quotient.
+        if np.count_nonzero(h.view(float)) == h.size * 2 - h.shape[0] * h.shape[1]:
+            np.multiply(h.view(float), 0.5, out=h.view(float))
+        else:
+            h = h / 2.0
+        observables = [object.__new__(cls) for _ in range(len(h))]
+        for obs, m, x in zip(observables, h, g):
+            object.__setattr__(obs, "label", label)
+            obs._freeze(m, _finite_norm(m, name, x))  # finite x: a non-finite ||m|| is an overflow
+        return observables
 
 
 # The support weight of every pure state, shared read-only.
@@ -201,28 +214,49 @@ class DensityMatrix(_ArrayEquality):
         its eigenvalues above ``INPUT_TOL * ||lambda||`` give the weights, normalised
         to sum 1, and the columns G u_j, each rotated by the conjugate of its
         largest entry and normalised, give V_k; a 1 x 1 state's factor is exactly 1.
-        G is first scaled exactly, by the power of two that puts max |G_ij| in
-        [0.5, 1), so 2^k G gives the same state bit for bit and nothing overflows.
-        The state keeps that prescaled G, frozen: ``digest`` hashes it (tagged
-        ``density-factor``), and ``matrix`` is formed from it, each when first read.
+        G is first scaled exactly, by the power of two that puts max |G_ij| (where that
+        overflows, the largest part) in [0.5, 1), so 2^k G gives the same state bit for bit
+        and nothing overflows.  The state keeps that prescaled G, frozen: ``digest`` hashes
+        it (tagged ``density-factor``), and ``matrix`` is formed from it, each when first read.
         """
-        g = as_complex_matrix(g, "factor", scan=False)
-        peak = float(np.abs(g).max())
-        if not math.isfinite(peak):  # a finite largest modulus proves finite entries
-            as_complex_matrix(g, "factor")
-        if not peak > 0.0:
-            raise ValueError("factor is zero")
-        _, (g,) = _power_of_two_scaled(peak, g)
-        g.setflags(write=False)
-        lam, u = _eigh_descending(g.conj().T @ g).support()
-        v = g @ u
-        v = v * v[np.abs(v).argmax(axis=0), np.arange(v.shape[1])].conj()
-        v = v / np.linalg.norm(v, axis=0)
-        w = lam / lam.sum()
-        state = object.__new__(cls)
-        object.__setattr__(state, "_prescaled", g)
-        state._freeze(v * np.sqrt(w), w)
-        return state
+        return cls._from_factors(as_complex_matrix(g, "factor", scan=False)[None])[0]
+
+    @classmethod
+    def _from_factors(cls, g: np.ndarray) -> list:
+        """:meth:`from_factor` of each factor of the stack ``g``: one ``eigh`` of the Gram matrices."""
+        with np.errstate(over="ignore"):  # an overflowing modulus is replaced below
+            peaks = np.abs(g).max(axis=(1, 2)).tolist()
+        scales = []
+        for t, peak in enumerate(peaks):
+            if not math.isfinite(peak):  # a finite largest modulus proves finite entries
+                as_complex_matrix(g[t], "factor")
+                peak = max(np.abs(g[t].real).max(), np.abs(g[t].imag).max())  # the modulus overflowed
+            if not peak > 0.0:
+                raise ValueError("factor is zero")
+            e = math.frexp(peak)[1]  # 2^-e as two normal factors, as in _power_of_two_scaled
+            scales.append((2.0 ** (-e // 2), 2.0 ** -(e // 2)))
+        scales = np.array(scales).reshape(-1, 2, 1, 1)
+        prescaled = g * scales[:, 0] * scales[:, 1]
+        prescaled.setflags(write=False)
+        es = _eigh_descending(prescaled.conj().swapaxes(1, 2) @ prescaled)
+        lam, u = es.eigenvalues, es.eigenvectors
+        # Descending, so EigenSystem.support keeps every eigenvalue where it keeps the last.
+        if not all(w[-1] > INPUT_TOL * _norm(w) for w in lam):
+            if len(g) > 1:  # each factor on its own support, as its own call
+                return [state for x in g for state in cls._from_factors(x[None])]
+            lam, u = (a[None] for a in EigenSystem(lam[0], u[0]).support())
+        v = prescaled @ u
+        fixed, columns = np.empty_like(v), np.arange(v.shape[2])
+        # One call per factor: how NumPy broadcasts a row of phases sets the rounding of the product.
+        for x, rows, out in zip(v, np.abs(v).argmax(axis=1), fixed):
+            np.multiply(x, x[rows, columns].conj(), out=out)
+        v = fixed / np.sqrt(np.add.reduce((fixed.conj() * fixed).real, axis=1, keepdims=True))  # linalg.norm
+        w = lam / lam.sum(axis=1, keepdims=True)
+        states = [object.__new__(cls) for _ in range(len(g))]
+        for state, x, factor, weights in zip(states, prescaled, v * np.sqrt(w)[:, None], w):
+            object.__setattr__(state, "_prescaled", x)
+            state._freeze(factor, weights)
+        return states
 
     @classmethod
     def from_pure(cls, psi: PureState) -> "DensityMatrix":

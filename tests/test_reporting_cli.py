@@ -121,16 +121,28 @@ def test_cli_verify_csv_format(tmp_path):
     assert out.read_text().startswith("bound,")
 
 
-def _leaning_columns(n, k, rng):
-    """The sweep's Haar pair with phi leaning 1e-6 towards psi: every budget rejects it."""
-    columns = sampling._haar_columns(n, k, rng)
+def _lean(columns):
+    """A Haar pair with phi leaning 1e-6 towards psi, in place: every budget rejects it."""
     columns[:, 1] += 1e-6 * columns[:, 0]
     columns[:, 1] /= np.linalg.norm(columns[:, 1])
     return columns
 
 
+def _leaning_columns(n, k, rng):
+    """The public sampler's Haar pair, leaning."""
+    return _lean(sampling._haar_columns(n, k, rng))
+
+
+def _leaning_stack(z):
+    """The sweep's stacked Haar pairs, each leaning as :func:`_leaning_columns` leans its own."""
+    pairs = sampling._haar_stack(z)
+    for columns in pairs:
+        _lean(columns)
+    return pairs
+
+
 def test_cli_verify_surfaces_failures(tmp_path, monkeypatch):
-    monkeypatch.setattr(reporting, "_haar_columns", _leaning_columns)
+    monkeypatch.setattr(reporting, "_haar_stack", _leaning_stack)
     out = tmp_path / "strict.json"
     code = main(["verify", "--n", "2", "--trials", "20", "--seed", "7", "--out", str(out)])
     assert code == 2
@@ -141,7 +153,7 @@ def test_cli_verify_surfaces_failures(tmp_path, monkeypatch):
 def test_every_failure_names_an_entry_of_its_trial_record(monkeypatch):
     # A pair that is not orthogonal fails every Maccone-Pati call: each failure
     # still leaves an entry.
-    monkeypatch.setattr(reporting, "_haar_columns", _leaning_columns)
+    monkeypatch.setattr(reporting, "_haar_stack", _leaning_stack)
     tol = Tolerance()
     report = run_verification_suite(SampleConfig(dimension=2, rank=2, seed=7, count=20), tol)
     failures = report.summary["failures"]
@@ -327,10 +339,21 @@ def test_cli_non_finite_tolerance_exits_one(tmp_path):
         assert not out.exists()
 
 
+class _DrawSizes:
+    """A trial's generator, recording how many normals each of its draws takes."""
+
+    def __init__(self, rng, sizes):
+        self._rng, self._sizes = rng, sizes
+
+    def standard_normal(self, size=None, out=None):
+        self._sizes.append(int(np.prod(size)) if out is None else out.size)
+        return self._rng.standard_normal(size, out=out)
+
+
 def _trial_calls(monkeypatch, config):
-    """Run ``config``'s sweep, counting the calls each library entry makes, and the
-    shapes of its ``eigh`` and ``qr`` operands, of its complex normal draws, and
-    of every rho its factor-built states formed."""
+    """Run ``config``'s sweep, counting the calls each library entry makes, the
+    shapes of its ``eigh`` and ``qr`` operands, the size of each of its normal
+    draws, the states its factor body built, and every rho those states formed."""
     targets = {
         "require_hermitian": linalg.require_hermitian,
         "pair_moments": states.pair_moments,
@@ -340,18 +363,15 @@ def _trial_calls(monkeypatch, config):
         "_require_isometry": linalg._require_isometry,
         "_array_digest": states._array_digest,
         "_digest": relations._digest,
-        "_complex_normal": sampling._complex_normal,
     }
     counts = dict.fromkeys(targets, 0)
     counts["inputs"] = 0
-    shapes = {"eigh": [], "qr": [], "_complex_normal": []}
+    shapes = {"eigh": [], "qr": [], "draws": []}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
             counts[name] += 1
-            if name == "_complex_normal":
-                shapes[name].append(args[1:3])
-            elif name in shapes:
+            if name in shapes:
                 shapes[name].append(np.shape(args[0]))
             return fn(*args, **kwargs)
         return wrapper
@@ -363,6 +383,7 @@ def _trial_calls(monkeypatch, config):
             for attr, obj in list(vars(module).items()):
                 if obj is fn:
                     monkeypatch.setattr(module, attr, wrapper)
+    monkeypatch.setattr(reporting, "trial_rng", lambda seed, k: _DrawSizes(trial_rng(seed, k), shapes["draws"]))
     # An input enters through its constructor, a density matrix through its factor,
     # or an observable as the Hermitian part of its draw.
     for cls in (states.Observable, states.PureState, states.DensityMatrix):
@@ -370,11 +391,12 @@ def _trial_calls(monkeypatch, config):
     for cls, entry in ((states.DensityMatrix, "from_factor"), (states.Observable, "hermitian_part")):
         monkeypatch.setattr(cls, entry, classmethod(counting("inputs", getattr(cls, entry).__func__)))
     built = []
-    from_factor = states.DensityMatrix.from_factor.__func__
-    monkeypatch.setattr(states.DensityMatrix, "from_factor",
-                        classmethod(lambda cls, g: built.append(from_factor(cls, g)) or built[-1]))
+    from_factors = states.DensityMatrix._from_factors.__func__
+    monkeypatch.setattr(states.DensityMatrix, "_from_factors",
+                        classmethod(lambda cls, g: built.extend(from_factors(cls, g)) or built[-len(g):]))
     report = run_verification_suite(config, Tolerance())
     assert report.summary["failure_count"] == 0
+    shapes["built"] = len(built)
     shapes["rho"] = [vars(state)["matrix"].shape for state in built if "matrix" in vars(state)]
     return counts, shapes
 
@@ -393,7 +415,7 @@ def test_verify_trial_validates_once_and_reduces_once(monkeypatch):
     # One Haar draw, the Maccone-Pati pair, factoring only the columns it reads:
     # psi needs no QR, and no evaluation completes a frame.
     assert counts["qr"] == 1
-    assert shapes["qr"] == [(4, 2)]
+    assert shapes["qr"] == [(1, 4, 2)]
     # The Haar pair only: a constructed pair [e1 | (0, tail)] is orthonormal by construction.
     assert counts["_require_isometry"] == 1
     # A, B, psi, rho and the Haar pair; e1, the constructed phis and the
@@ -405,17 +427,48 @@ def test_verify_trial_validates_once_and_reduces_once(monkeypatch):
     assert counts["svd"] == 0
 
 
+def test_verify_stacks_a_chunks_eigh_and_qr(monkeypatch):
+    # Four trials form one chunk: their Gram matrices share one eigh and their
+    # Haar blocks one QR, while each trial still reduces and hashes alone.
+    counts, shapes = _trial_calls(monkeypatch, SampleConfig(4, 4, 7, 4))
+    assert (counts["eigh"], counts["qr"]) == (1, 1)
+    assert (shapes["eigh"], shapes["qr"]) == ([(4, 4, 4)], [(4, 4, 2)])
+    assert (counts["pair_moments"], counts["_array_digest"], counts["_digest"]) == (16, 24, 28)
+    assert (shapes["built"], shapes["rho"]) == (4, [])
+
+
 def test_verify_trial_draws_and_factors_only_what_it_reads(monkeypatch):
     # rho comes from its n x rank factor, so its only eigendecomposition is of the
     # rank x rank Gram matrix; psi and the pair are n x 1 and n x 2 draws.
     counts, shapes = _trial_calls(monkeypatch, SampleConfig(16, 2, 7, 1))
-    assert shapes["eigh"] == [(2, 2)]
-    # A and B are n^2 real draws, and no state forms its n x n rho.
-    assert shapes["_complex_normal"] == [(16, 1), (16, 2), (16, 2)]
-    assert shapes["rho"] == []
-    assert shapes["qr"] == [(16, 2)]
+    assert shapes["eigh"] == [(1, 2, 2)]
+    # A and B are n^2 real draws, psi and rho's factor complex n x 1 and n x 2,
+    # then the pair's n x 2; and the one state built forms no n x n rho.
+    assert shapes["draws"] == [16 * 16 * 2 + 2 * 16 + 2 * 16 * 2, 2 * 16 * 2]
+    assert (shapes["built"], shapes["rho"]) == (1, [])
+    assert shapes["qr"] == [(1, 16, 2)]
     assert (counts["_array_digest"], counts["_digest"]) == (6, 7)
     assert counts["svd"] == 0
+
+
+class _ConstantDraws(np.random.Generator):
+    """A trial's generator whose every normal draw is 1: its factor, and each redraw, has rank 1."""
+
+    def __init__(self):
+        super().__init__(np.random.PCG64(0))
+
+    def standard_normal(self, size=None, out=None):
+        if out is None:
+            return np.ones(size)
+        out[...] = 1.0
+        return out
+
+
+def test_a_sweep_raises_where_a_trials_redraw_falls_short_of_its_rank(monkeypatch):
+    # Trial 2's factor falls short of rank 2, and so does its one redraw: the chunk raises.
+    monkeypatch.setattr(reporting, "trial_rng", lambda seed, k: _ConstantDraws() if k == 2 else trial_rng(seed, k))
+    with pytest.raises(qubounds.RankUnachieved, match="numerical rank 1 != requested 2"):
+        run_verification_suite(SampleConfig(3, 2, 7, 4), Tolerance())
 
 
 def test_a_trials_digests_are_pinned():
@@ -501,11 +554,13 @@ def test_sweep_records_equal_the_public_api(n, tol, monkeypatch):
     # evaluations; every entry, skips and errors included, and every failure
     # message must be what the public entries give on the same inputs.
     # Every guard, the pair checks included, keeps its rounding floor, so not
-    # even a zero budget rejects a valid input.
+    # even a zero budget rejects a valid input.  Chunks of 5 trials put chunk
+    # boundaries inside the 17 trials.
+    monkeypatch.setattr(reporting, "CHUNK_BYTES", 5 * 16 * n * n)
     assert _sweep_against_public_api(n, tol, _haar_columns).summary["failure_count"] == 0
     if n >= 2:
         # A pair leaning off orthogonal compares the error path too.
-        monkeypatch.setattr(reporting, "_haar_columns", _leaning_columns)
+        monkeypatch.setattr(reporting, "_haar_stack", _leaning_stack)
         assert _sweep_against_public_api(n, tol, _leaning_columns).summary["failure_count"] > 0
 
 

@@ -351,6 +351,20 @@ def test_from_pure_runs_no_eigh(monkeypatch):
                                    _moments(pair_moments(a, b, checked)), rtol=0, atol=1e-14)
 
 
+def test_stacked_factors_are_the_one_factor_states():
+    # The stacked body gives each factor's one-factor state bit for bit, also where one
+    # factor of the stack falls short of its rank and takes its own support.
+    rng = trial_rng(343, 0)
+    for n, k in ((1, 1), (3, 2), (4, 4), (8, 3)):
+        stack = np.stack([complex_normal(rng, n, k) * 10.0 ** e for e in (-30, 0, 4)])
+        for factors in (stack, np.concatenate([stack, stack[:1, :, :1].repeat(k, axis=2)])):
+            for state, g in zip(DensityMatrix._from_factors(factors), factors):
+                one = DensityMatrix.from_factor(g)
+                assert state.digest == one.digest and state.weights.size == one.weights.size
+                for name in ("factor", "weights", "matrix"):
+                    assert getattr(state, name).tobytes() == getattr(one, name).tobytes()
+
+
 def test_from_factor_is_the_same_state_at_every_power_of_two():
     # G is scaled exactly by a power of two before rho is formed, so 2^k G gives
     # the same state bit for bit, and no scale overflows or underflows.
@@ -387,6 +401,17 @@ def test_hermitian_part_is_the_checked_observable_bit_for_bit():
             assert (a.matrix == a.matrix.conj().T).all()
     with pytest.raises(ValueError):
         a.matrix[0, 0] = 0.0
+    # Parts that are zero, of either sign, or subnormal: halving and NumPy's complex quotient
+    # may part only on a zero's sign, and the bytes are still those of (G + G^dagger) / 2.
+    rng = trial_rng(11, 0)
+    for n in (1, 2, 3, 6):
+        for _ in range(100):
+            g = complex_normal(rng, n, n)
+            for part in (g.real, g.imag):
+                mask = rng.random((n, n)) < 0.4
+                part[mask] = rng.choice([0.0, -0.0, 5e-324, -5e-324, 1.0], mask.sum())
+            for x in (g, g.T):
+                assert Observable.hermitian_part(x).matrix.tobytes() == ((x + x.conj().T) / 2).tobytes()
     # Every other check of the constructor still runs.
     for bad in (np.array([[np.nan]]), np.array([[1.0, np.inf], [0.0, 1.0]])):
         with pytest.raises(ValueError, match="non-finite entries"):
@@ -423,6 +448,36 @@ def test_entry_checks_scan_only_where_a_norm_is_not_finite_and_keep_their_errors
         PureState(1e308 * np.ones(2))
     # from_factor scales G by a power of two before any square, so 1e308 ones is a rank-1 state.
     np.testing.assert_array_equal(DensityMatrix.from_factor(1e308 * np.ones((2, 2))).weights, [1.0])
+
+
+def test_a_factor_whose_modulus_overflows_is_a_state_with_its_support():
+    # |G_ij| can overflow with both parts finite; G is then scaled by its largest part, so the
+    # state keeps its support, tr(rho I) = 1, and nothing warns.
+    for g, factor in ((np.full((2, 1), complex(1.7e308, 1.7e308)), np.full((2, 1), 2 ** -0.5)),
+                      (np.array([[complex(1.7e308, -1.7e308)], [1e-300]]), np.array([[1.0], [0.0]])),
+                      (np.array([[complex(-1.7e308, 1.7e308), 0.0], [0.0, 1.7e308]]), np.diag([(2 / 3) ** 0.5, 3 ** -0.5]))):
+        state = DensityMatrix.from_factor(g)
+        assert state.weights.size == g.shape[1] and abs(state.weights.sum() - 1.0) <= 1e-15
+        np.testing.assert_allclose(np.abs(state.factor), factor, atol=1e-15)
+        assert expectation(np.eye(2), state) == pytest.approx(1.0, abs=1e-15)
+        assert abs(np.trace(state.matrix) - 1.0) <= 1e-15
+
+
+def test_expectation_and_moment_means_keep_the_trace_of_an_offset_observable():
+    # tr(rho A) for A = H + c I, with c up to 1e8, on pure and rank-k states, against the sum
+    # over the entries of rho A: a mean that dropped tr(A)/n would miss it by about c.
+    rng = trial_rng(2027, 0)
+    for n, k in ((2, 1), (3, 2), (4, 4), (6, 3)):
+        h_a, h_b = hermitian_array(rng, n), hermitian_array(rng, n)
+        psi, rho = random_pure_state(n, rng), random_density(n, k, rng)
+        for c in (0.0, -2.5, 1e3, 1e8):
+            a, b = h_a + c * np.eye(n), h_b - c * np.eye(n)
+            for state, matrix in ((psi, projector(psi)), (rho, rho.matrix)):
+                want_a, want_b = (float(np.einsum("ij,ji->", matrix, m).real) for m in (a, b))
+                budget = 1e-13 * (1.0 + abs(c))
+                moments = pair_moments(a, b, state)
+                assert abs(expectation(a, state) - want_a) <= budget
+                assert abs(moments.alpha - want_a) <= budget and abs(moments.beta - want_b) <= budget
 
 
 def test_input_digests_are_pinned():
