@@ -249,11 +249,11 @@ def _unit_mu(mu: complex, tol: Tolerance) -> complex:
     return mu
 
 
-def _cross_elements(a: Observable, b: Observable, psi: PureState,
-                    phi: PureState) -> tuple[complex, complex]:
-    """c = <psi|A|phi> and d = <psi|B|phi>, for states of the observables' dimension."""
-    bra = psi.amplitudes.conj()
-    return complex(bra @ (a.matrix @ phi.amplitudes)), complex(bra @ (b.matrix @ phi.amplitudes))
+def _cross_elements(a: np.ndarray, b: np.ndarray, psi: np.ndarray, phi: np.ndarray) -> list:
+    """[c, d] = [<psi|A|phi>, <psi|B|phi>], each a list of shape (...), for matrices A, B (..., n, n) and
+    columns psi, phi (..., n, 1): each slice of a stacked call is the one-triple call."""
+    bra = psi.conj().swapaxes(-1, -2)
+    return [(bra @ (a @ phi))[..., 0, 0].tolist(), (bra @ (b @ phi))[..., 0, 0].tolist()]
 
 
 @dataclass(frozen=True)
@@ -272,15 +272,18 @@ class _MPInputs:
 
 
 def _mp_inputs(observable_a, observable_b, psi: PureState, phi: PureState,
-               tol: Tolerance) -> _MPInputs:
-    """Validate (A, B, psi, phi) once and reduce it; the pair checks are dimensions, overlap, Gram test."""
+               tol: Tolerance, reduced=None) -> _MPInputs:
+    """Validate (A, B, psi, phi) once and reduce it; the pair checks are dimensions, overlap, Gram test.
+    A sweep passes ``reduced``, which returns the moments in psi and (c, d) from its stacked reduction."""
     a, b = _observable_pair(observable_a, observable_b)
     _require_dimensions(a, psi, phi)
     overlap = abs(complex(phi.amplitudes.conj() @ psi.amplitudes))
     if overlap > _pair_budget(tol):
         raise NotOrthogonal(f"|<phi|psi>| = {overlap:.3e}")
     _require_isometry(np.array((psi.amplitudes, phi.amplitudes)).T, tol)
-    return _MPInputs(pair_moments(a, b, psi), phi, *_cross_elements(a, b, psi, phi))
+    m, cd = reduced() if reduced else (
+        pair_moments(a, b, psi), _cross_elements(a.matrix, b.matrix, psi.factor, phi.factor))
+    return _MPInputs(m, phi, *cd)
 
 
 def mp_frame(observable_a, observable_b, psi: PureState, phi: PureState,
@@ -347,7 +350,7 @@ def mu_ratio(observable_a, observable_b, psi: PureState, phi: PureState) -> comp
     """
     a, b = _observable_pair(observable_a, observable_b)
     _require_dimensions(a, psi, phi)
-    c, d = _cross_elements(a, b, psi, phi)
+    c, d = _cross_elements(a.matrix, b.matrix, psi.factor, phi.factor)
     if _zero_deviation(abs(d), b, DEFAULT_TOL):
         raise ZeroDeviation("denominator matrix element <psi|B|phi> vanishes")
     return c / d

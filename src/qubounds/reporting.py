@@ -19,16 +19,16 @@ import numpy as np
 
 from .errors import BoundViolation, DimensionMismatch, QuboundsError, ZeroDeviation
 from .goldens import run_goldens
-from .linalg import Tolerance, _norm, as_complex_matrix
-from .relations import (BoundReport, MP6Reports, _mp3, _mp6, _mp_chain, _mp_inputs,
-                        _robertson_report, _schrodinger_report)
+from .linalg import Tolerance, _norm
+from .relations import (BoundReport, MP6Reports, _cross_elements, _moments_mu, _mp3, _mp6, _mp_chain,
+                        _mp_inputs, _robertson_report, _schrodinger_report)
 from .sampling import _ROOT_I, SampleConfig, _complex_parts, _full_rank, _haar_stack, trial_rng
 from .saturation import (CONSTRUCTION_TOL, DEFAULT_R_LIST, CertificateKind, ConstructedPair,
                          SaturationCertificate, _certificate, _construct_case1, _construct_case2,
-                         _construct_w_mp6, _e1_reduction)
-from .states import DensityMatrix, Observable, PureState, pair_moments
+                         _construct_w_mp6)
+from .states import DensityMatrix, Observable, PureState, _moments, _pair_moments
 
-ARTIFACT_VERSION = "0.9.0"
+ARTIFACT_VERSION = "0.10.0"
 # Bytes of a chunk's largest stack, one complex n x n matrix per trial: a sweep's memory does not grow
 # with its trials, and at n = 64 a chunk is one trial, below the 128 KiB at which glibc's malloc maps pages.
 CHUNK_BYTES = 1 << 16
@@ -56,17 +56,6 @@ class SuiteReport:
 
 # ---------------------------------------------------------------------------
 # Matrix file format
-
-
-def matrix_to_json_dict(m) -> dict:
-    """{"rows", "cols", "re", "im"}: complex entries split for portability."""
-    a = as_complex_matrix(m)
-    return {
-        "rows": int(a.shape[0]),
-        "cols": int(a.shape[1]),
-        "re": a.real.tolist(),
-        "im": a.imag.tolist(),
-    }
 
 
 def matrix_from_json_dict(d: dict) -> np.ndarray:
@@ -215,7 +204,8 @@ def _mp6_results(reports: MP6Reports) -> dict:
 
 
 def _trial_inputs(config: SampleConfig):
-    """Each trial's (k, A, B, psi, rho, Haar pair columns or None), chunk by chunk (see below)."""
+    """Each chunk of trials (see below): the stacks of its As and Bs, and each trial's
+    (k, A, B, psi, rho, Haar pair or None)."""
     n, rank = config.dimension, config.rank
     ends = list(itertools.accumulate((n * n, n * n, 2 * n, 2 * n * rank, 4 * n if n >= 2 else 0)))
     per_chunk = max(1, CHUNK_BYTES // (16 * n * n))
@@ -225,15 +215,16 @@ def _trial_inputs(config: SampleConfig):
         draws = np.empty((len(ks), ends[-1]))
         for rng, row in zip(rngs, draws):
             rng.standard_normal(out=row[: ends[3]])
-        a = Observable._hermitian_parts(_ROOT_I * draws[:, : ends[0]].reshape(-1, n, n), "A")
-        b = Observable._hermitian_parts(_ROOT_I * draws[:, ends[0]: ends[1]].reshape(-1, n, n), "B")
+        a_stack, a = Observable._hermitian_parts(_ROOT_I * draws[:, : ends[0]].reshape(-1, n, n), "A")
+        b_stack, b = Observable._hermitian_parts(_ROOT_I * draws[:, ends[0]: ends[1]].reshape(-1, n, n), "B")
         psis = [PureState(z / _norm(z)) for z in _complex_parts(draws[:, ends[1]: ends[2]], n)]
         factors = _complex_parts(draws[:, ends[2]: ends[3]], n, rank)
         rhos = [_full_rank(rho, rng, rank) for rho, rng in zip(DensityMatrix._from_factors(factors), rngs)]
         for rng, row in zip(rngs, draws):
             rng.standard_normal(out=row[ends[3]:])
-        pairs = _haar_stack(_complex_parts(draws[:, ends[3]:], n, 2)) if n >= 2 else [None] * len(ks)
-        yield from zip(ks, a, b, psis, rhos, pairs)
+        pairs = [None] * len(ks) if n < 2 else [
+            (PureState(c[:, 0]), PureState(c[:, 1])) for c in _haar_stack(_complex_parts(draws[:, ends[3]:], n, 2))]
+        yield a_stack[:, None], b_stack[:, None], list(zip(ks, a, b, psis, rhos, pairs))
 
 
 def run_verification_suite(config: SampleConfig, tol: Tolerance) -> SuiteReport:
@@ -243,64 +234,79 @@ def run_verification_suite(config: SampleConfig, tol: Tolerance) -> SuiteReport:
     the public samplers' order: A, B, psi, the factor G of rho (and its one redraw), then the n x 2 Haar
     block.  The samplers' bodies then build the chunk as stacks, byte-identical to the samplers' inputs:
     one Hermitian-part pass for its As and one for its Bs, one ``eigh`` of its Gram matrices, one QR.
+    The chunk is reduced as stacks too, by the body that :func:`~qubounds.states.pair_moments` runs on
+    one triple: one call for the n x 1 states of its trials (psi, the Maccone-Pati psi_f and e1, which
+    is built once), one for the factors of its rhos, and one product for the pairs' c and d; each slice
+    equals the one-triple call byte for byte.
     Each evaluation leaves one record entry: its result (a dict names several),
     a skip on :class:`ZeroDeviation`, or an error on any other :class:`QuboundsError`.
-    Each trial reduces (A, B, psi), (A, B, rho), (A, B, psi_f, phi_f) and (A, B, e1) once
-    and runs the bodies on them; case 1 or 2 and ``construct_w_mp6`` share the e1 reduction
-    and its mu.  Only the Maccone-Pati reduction, whose pair checks can raise, is deferred
-    to the evaluations that read it, and raises in each; the others cannot raise on a
-    trial's inputs, valid by construction with A and B Hermitian bit for bit.
+    Case 1 or 2 and ``construct_w_mp6`` share the e1 reduction and its mu.  Only the Maccone-Pati
+    reduction, whose pair checks can raise, is deferred to the evaluations that read it, and raises in
+    each, with its mean check after the pair checks, as in the public entries; the other triples cannot
+    raise on a trial's inputs, valid by construction with A and B Hermitian bit for bit.
     """
     started = _utc_now()
     summary = _Summary()
     trials = []
     n = config.dimension
-    for k, a, b, psi, rho, columns in _trial_inputs(config):
-        pure, mixed = pair_moments(a, b, psi), pair_moments(a, b, rho)
-        evaluations = {
-            "robertson_pure": lambda: _robertson_report(pure, tol),
-            "schrodinger_pure": lambda: _schrodinger_report(pure, tol),
-            "robertson_mixed": lambda: _robertson_report(mixed, tol),
-            "schrodinger_mixed": lambda: _schrodinger_report(mixed, tol),
-        }
+    e1 = PureState(np.eye(1, n, dtype=complex)[0])
+    for a_stack, b_stack, chunk in _trial_inputs(config):
+        columns = np.array([[psi.factor, pair[0].factor, e1.factor] if pair else [psi.factor]
+                            for *_, psi, _, pair in chunk])
+        means, grams, centred = _moments(a_stack, b_stack, columns)
+        rho_means, rho_grams, rho_centred = _moments(a_stack, b_stack, np.array([[rho.factor] for *_, rho, _ in chunk]))
+        means, grams, rho_means, rho_grams = (x.tolist() for x in (means, grams, rho_means, rho_grams))
         if n >= 2:
-            pair = PureState(columns[:, 0]), PureState(columns[:, 1])
-            # functools.cache keeps a result, never an exception.
-            mp = functools.cache(lambda: _mp_inputs(a, b, *pair, tol))
-            e1 = _e1_reduction(a, b, tol)
-            evaluations["mp3"] = lambda: _mp3(mp(), tol).report
-            evaluations["mp6"] = lambda: _mp6_results(_mp6(mp(), tol))
-            evaluations["mp_chain"] = lambda: dict(zip(
-                ("chain_step1", "chain_step2", "chain_step3"), _mp_chain(mp(), 1j, tol).steps))
-        evaluations["robertson_pure_certificate"] = (
-            lambda: _certificate(CertificateKind.ROBERTSON_PURE, pure, tol, ()))
-        evaluations["robertson_mixed_certificate"] = lambda: _certificate(
-            CertificateKind.ROBERTSON_MIXED, mixed, tol, DEFAULT_R_LIST)
-        evaluations["schrodinger_certificate"] = lambda: _certificate(
-            CertificateKind.SCHRODINGER, mixed, tol, DEFAULT_R_LIST)
-        if n == 2:
-            evaluations["construct_case1"] = lambda: _construct_case1(*e1, tol)
-        elif n > 2:
-            evaluations["construct_case2"] = lambda: _construct_case2(*e1, tol)
-        if n >= 2:
-            evaluations["construct_w_mp6"] = lambda: _construct_w_mp6(*e1, tol)
+            cds = list(zip(*_cross_elements(a_stack[:, 0], b_stack[:, 0], columns[:, 1],
+                                            np.array([pair[1].factor for *_, pair in chunk]))))
+        for t, (k, a, b, psi, rho, pair) in enumerate(chunk):
+            pure = _pair_moments(a, b, psi, means[t][0], grams[t][0], centred[t, 0])
+            mixed = _pair_moments(a, b, rho, rho_means[t][0], rho_grams[t][0], rho_centred[t, 0])
+            evaluations = {
+                "robertson_pure": lambda: _robertson_report(pure, tol),
+                "schrodinger_pure": lambda: _schrodinger_report(pure, tol),
+                "robertson_mixed": lambda: _robertson_report(mixed, tol),
+                "schrodinger_mixed": lambda: _schrodinger_report(mixed, tol),
+            }
+            if n >= 2:
+                # functools.cache keeps a result, never an exception.
+                mp = functools.cache(lambda: _mp_inputs(a, b, *pair, tol, lambda: (
+                    _pair_moments(a, b, pair[0], means[t][1], grams[t][1], centred[t, 1]), cds[t])))
+                e1_moments = _pair_moments(a, b, e1, means[t][2], grams[t][2], centred[t, 2])
+                constructing = e1_moments, _moments_mu(e1_moments, tol).mu
+                evaluations["mp3"] = lambda: _mp3(mp(), tol).report
+                evaluations["mp6"] = lambda: _mp6_results(_mp6(mp(), tol))
+                evaluations["mp_chain"] = lambda: dict(zip(
+                    ("chain_step1", "chain_step2", "chain_step3"), _mp_chain(mp(), 1j, tol).steps))
+            evaluations["robertson_pure_certificate"] = (
+                lambda: _certificate(CertificateKind.ROBERTSON_PURE, pure, tol, ()))
+            evaluations["robertson_mixed_certificate"] = lambda: _certificate(
+                CertificateKind.ROBERTSON_MIXED, mixed, tol, DEFAULT_R_LIST)
+            evaluations["schrodinger_certificate"] = lambda: _certificate(
+                CertificateKind.SCHRODINGER, mixed, tol, DEFAULT_R_LIST)
+            if n == 2:
+                evaluations["construct_case1"] = lambda: _construct_case1(*constructing, tol)
+            elif n > 2:
+                evaluations["construct_case2"] = lambda: _construct_case2(*constructing, tol)
+            if n >= 2:
+                evaluations["construct_w_mp6"] = lambda: _construct_w_mp6(*constructing, tol)
 
-        record: dict = {"trial": k}
-        for where, evaluate in evaluations.items():
-            # mp6 files its skip and error entries under its always-present report.
-            key = "mp6_reformulated" if where == "mp6" else where
-            try:
-                result = evaluate()
-            except ZeroDeviation:
-                record[key] = {"skipped": "zero deviation"}
-            except QuboundsError as exc:
-                summary.fail(k, where, exc)
-                record[key] = {"error": type(exc).__name__}
-            else:
-                results = result if isinstance(result, dict) else {where: result}
-                for name, value in results.items():
-                    record[name] = summary.entry(k, name, value)
-        trials.append(record)
+            record: dict = {"trial": k}
+            for where, evaluate in evaluations.items():
+                # mp6 files its skip and error entries under its always-present report.
+                key = "mp6_reformulated" if where == "mp6" else where
+                try:
+                    result = evaluate()
+                except ZeroDeviation:
+                    record[key] = {"skipped": "zero deviation"}
+                except QuboundsError as exc:
+                    summary.fail(k, where, exc)
+                    record[key] = {"error": type(exc).__name__}
+                else:
+                    results = result if isinstance(result, dict) else {where: result}
+                    for name, value in results.items():
+                        record[name] = summary.entry(k, name, value)
+            trials.append(record)
     return summary.report("verify", config, tol, started, trials)
 
 

@@ -67,7 +67,7 @@ def random_hermitian(n: int, seed, label: str = "") -> Observable:
     n^2 draws, the law of (G + G^dagger)/2 for a complex normal G (README "Tolerances")."""
     if n < 1:
         raise ValueError("dimension must be >= 1")
-    return Observable._hermitian_parts(_ROOT_I * _as_rng(seed).standard_normal((1, n, n)), label)[0]
+    return Observable._hermitian_parts(_ROOT_I * _as_rng(seed).standard_normal((1, n, n)), label)[1][0]
 
 
 def _haar_stack(z: np.ndarray) -> list:

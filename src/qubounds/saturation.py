@@ -115,8 +115,9 @@ def _verify_r_family(m: PairMoments, coeff_a: complex, coeff_b: complex,
 
     Y = coeff_a A_c X + coeff_b B_c X is formed once; for its squared column norms c_j, residual^2 =
     sum_j c_j w_j^(2r - 1) and ||w^r||^2 = sum_j w_j w_j^(2r - 1), one product for every r.  At r = 1/2
-    the residual is ||Y||_F, the certificate's ``residual``.  Each must stay within limit ||w^r||: the
-    largest of the floor ROUNDING_TOL max(|coeff_a| ||A||_F, |coeff_b| ||B||_F) and one share per side,
+    the residual is ||Y||_F, the certificate's ``residual`` (which, for one zero side, is that side's
+    deviation, equal up to rounding).  Each must stay within limit ||w^r||: the largest of the floor
+    ROUNDING_TOL max(|coeff_a| ||A||_F, |coeff_b| ||B||_F) and one share per side,
     none moved by an identity offset: |coeff| dev sqrt(10 eps), the flag's eps^2 scale in a 10x band, or,
     for a side that :func:`_zero_deviations` calls zero, |coeff| z / sqrt(w_max), with its zero budget
     z = max(eps spread, min(eps, ROUNDING_TOL) ||.||_F) and the largest weight w_max.  A zero side's share
@@ -146,8 +147,8 @@ def _certificate(kind: CertificateKind, m: PairMoments, tol: Tolerance,
     witness is the least direction of the moments' Gram form (dev(A)^2, cross, dev(B)^2), at the
     phase i for the Robertson kinds (phi is None).  A deviation zero to rounding enters it as exactly
     0, so one zero side gives (a, b) = (1, 0) or (0, 1) with phi = 0, and two give theta = 0 with
-    residual 0.  The residual is ||a A_c X + b B_c X||_F; (a, b) is re-verified at each power in ``rs``
-    (:func:`_verify_r_family`).
+    residual 0.  The residual is ||a A_c X + b B_c X||_F, read from the moments for one zero side;
+    (a, b) is re-verified at each power in ``rs`` (:func:`_verify_r_family`).
     """
     schrodinger = kind is CertificateKind.SCHRODINGER
     if not (_schrodinger_decision if schrodinger else _robertson_decision)(m, tol).saturated:
@@ -158,7 +159,9 @@ def _certificate(kind: CertificateKind, m: PairMoments, tol: Tolerance,
     form = ((dev_a / scale) ** 2, 0j if any(zero) else m.cross / scale / scale, (dev_b / scale) ** 2)
     a, b, angles = (_complex_witness if schrodinger else _phase_witness)(*form)
     theta, phi = angles if schrodinger else (angles, None)
-    residual = 0.0 if all(zero) else _norm(a * m.centered_a + b * m.centered_b)
+    # One zero side makes the witness (1, 0) or (0, 1), whose residual is that side's deviation.
+    residual = (0.0 if all(zero) else m.dev_a if zero[0] else m.dev_b if zero[1]
+                else _norm(a * m.centered_a + b * m.centered_b))
     return SaturationCertificate(kind=kind, theta=theta, phi=phi, mu=None, residual=residual,
                                  r_checked=rs, r_residuals=_verify_r_family(m, a, b, rs, tol) if rs else ())
 
@@ -288,7 +291,7 @@ def _constructed_pair(m: PairMoments, mu: complex, tail: np.ndarray | None,
     if tail is not None:
         basis[1:, 1] = tail
     phi = PureState(basis[:, 1])
-    p = _MPInputs(m, phi, *_cross_elements(m.a, m.b, m.state, phi))
+    p = _MPInputs(m, phi, *_cross_elements(m.a.matrix, m.b.matrix, m.state.factor, phi.factor))
     if target == "mp3":
         decision = _mp3_decision(p, mu, tol)
         gap = 0.0 if all(_zero_deviations(m, tol)) else decision.slack / decision.lhs

@@ -3,7 +3,9 @@
 The uncertainty machinery below only ever needs a handful of scalars per
 (A, B, state) triple: the means, the centered deviations, and one cross
 inner product.  :func:`pair_moments` computes them once, on the centered
-data, so near-saturated instances do not suffer cancellation.
+data, so near-saturated instances do not suffer cancellation.  It is the
+one-triple call of the moments body :func:`_moments`, which takes any leading
+batch shape: a sweep reduces a chunk of triples in one call, each slice in the bytes of its own call.
 
 Each input is validated once, where it enters: bare matrices become
 :class:`Observable` objects in :func:`_observable_pair`, and inner calls pass those on.
@@ -89,16 +91,16 @@ class Observable(_ArrayEquality):
     def hermitian_part(cls, g, label: str = "") -> "Observable":
         """A = (G + G^dagger)/2 for a square finite ``g``, equal to ``Observable(A)`` but Hermitian
         bit for bit by construction, so every check but the Hermiticity test runs."""
-        return cls._hermitian_parts(_square_matrix(g, label or "observable")[None], label)[0]
+        return cls._hermitian_parts(_square_matrix(g, label or "observable")[None], label)[1][0]
 
     @classmethod
-    def _hermitian_parts(cls, g: np.ndarray, label: str = "") -> list:
-        """:meth:`hermitian_part` of each matrix of the stack ``g``, each labelled ``label``, in one pass."""
+    def _hermitian_parts(cls, g: np.ndarray, label: str = "") -> tuple[np.ndarray, list]:
+        """:meth:`hermitian_part` of each matrix of the stack ``g``, each labelled ``label``, in one pass:
+        the stack of their matrices, and the observables, whose matrices are its slices."""
         name = label or "observable"
-        if not math.isfinite(_norm(g)):  # a finite norm proves finite entries; h is formed from finite g only
-            for x in g:
-                as_complex_matrix(x, name)
-        h = g + g.conj().swapaxes(1, 2)
+        # A non-finite part of g_ij makes that part of h_ij non-finite, so a finite ||h|| proves g finite.
+        with np.errstate(invalid="ignore", over="ignore"):
+            h = g + g.conj().swapaxes(1, 2)
         # NumPy's h / 2.0 is (h_r + h_i 0)/2 + i (h_i - h_r 0)/2: each part halved, bit for bit, unless a part
         # is -0.  The imaginary diagonal, x - x, is +0; with no other zero part, halving is that quotient.
         if np.count_nonzero(h.view(float)) == h.size * 2 - h.shape[0] * h.shape[1]:
@@ -108,8 +110,8 @@ class Observable(_ArrayEquality):
         observables = [object.__new__(cls) for _ in range(len(h))]
         for obs, m, x in zip(observables, h, g):
             object.__setattr__(obs, "label", label)
-            obs._freeze(m, _finite_norm(m, name, x))  # finite x: a non-finite ||m|| is an overflow
-        return observables
+            obs._freeze(m, _finite_norm(m, name, x))  # scans x where ||m|| is not finite
+        return h, observables
 
 
 # The support weight of every pure state, shared read-only.
@@ -285,26 +287,6 @@ def _observable_pair(observable_a, observable_b) -> tuple[Observable, Observable
     return a, b
 
 
-def _mean_and_image(obs: Observable, state: QuantumState) -> tuple[float, np.ndarray]:
-    """tr(X^dagger A X) and the product A X it is read from."""
-    if not isinstance(state, (PureState, DensityMatrix)):
-        raise TypeError(f"unsupported state type {type(state)!r}")
-    if obs.dimension != state.dimension:
-        raise DimensionMismatch(
-            f"observable dimension {obs.dimension} vs state dimension {state.dimension}"
-        )
-    ax = obs.matrix @ state.factor
-    value = complex(np.vdot(state.factor, ax))
-    if abs(value.imag) > INPUT_TOL * obs.norm:
-        raise NonRealExpectation(f"imaginary residue {value.imag:.3e} in expectation")
-    return float(value.real), ax
-
-
-def expectation(observable, state: QuantumState) -> float:
-    """<psi|A|psi> for a pure state, tr(rho A) for a mixed one: tr(X^dagger A X) for both."""
-    return _mean_and_image(_checked(observable), state)[0]
-
-
 @dataclass(frozen=True)
 class PairMoments:
     """Centered second moments of two observables in one state: the one reduction.
@@ -336,25 +318,53 @@ class PairMoments:
         return self.cross - self.cross.conjugate()
 
 
+def _moments(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The moments body, for A and B (..., n, n) broadcast to the leading shape of the factors X (..., n, k):
+    the means tr(X^dagger A X), tr(X^dagger B X) (..., 2), imaginary residues kept; the Gram matrix
+    (..., 2, 2) of the centred pair A_c X, B_c X, whose entries are dev(A)^2, the cross term and dev(B)^2;
+    and that pair (..., 2, n, k).  Each slice of a stacked call is the one-triple call, byte for byte;
+    states stacked as extra columns of one product would not be, as BLAS picks its kernel by columns."""
+    lead = x.shape[:-2]
+    y = np.empty(lead + (2,) + x.shape[-2:], dtype=complex)  # A X and B X, each one matmul into its slice
+    np.matmul(a, x, out=y[..., 0, :, :])
+    np.matmul(b, x, out=y[..., 1, :, :])
+    # Rows by columns, so each entry is one BLAS dot product, as np.vdot's; a 2 x nk by nk x 2 gemm rounds
+    # about twice as much.
+    means = np.matmul(y.reshape(lead + (2, 1, -1)), x.conj().reshape(lead + (1, -1, 1)))
+    # Y_j -= Re(mean_j) X.  The mean enters with imaginary part 0, so each part of the product is one
+    # rounded real product in any kernel, fused multiply-add or not, stacked or not.
+    y -= means.real * x[..., None, :, :]
+    gram = np.matmul(y.conj().reshape(lead + (2, 1, 1, -1)), y.reshape(lead + (1, 2, -1, 1)))
+    return means[..., 0, 0], gram[..., 0, 0], y
+
+
+def _pair_moments(a: Observable, b: Observable, state: QuantumState, means: list, gram: list,
+                  centred: np.ndarray) -> PairMoments:
+    """The :class:`PairMoments` of a triple from its slice of :func:`_moments` (means and Gram matrix as
+    lists), once each mean's imaginary residue passed its check against its observable's norm."""
+    (alpha, beta), ((dev2_a, cross), (_, dev2_b)) = means, gram
+    for obs, mean in ((a, alpha), (b, beta)):
+        if abs(mean.imag) > INPUT_TOL * obs.norm:
+            raise NonRealExpectation(f"imaginary residue {mean.imag:.3e} in expectation")
+    return PairMoments(alpha.real, beta.real, math.sqrt(dev2_a.real), math.sqrt(dev2_b.real), cross,
+                       centred[0], centred[1], a, b, state)
+
+
 def pair_moments(observable_a, observable_b, state: QuantumState) -> PairMoments:
-    """The one reduction of an (A, B, state) triple that every bound reads."""
-    obs_a, obs_b = _observable_pair(observable_a, observable_b)
-    alpha, ax = _mean_and_image(obs_a, state)
-    beta, bx = _mean_and_image(obs_b, state)
-    va = ax - alpha * state.factor
-    vb = bx - beta * state.factor
-    return PairMoments(
-        alpha=alpha,
-        beta=beta,
-        dev_a=_norm(va),
-        dev_b=_norm(vb),
-        cross=complex(np.vdot(va, vb)),
-        centered_a=va,
-        centered_b=vb,
-        a=obs_a,
-        b=obs_b,
-        state=state,
-    )
+    """The one reduction of an (A, B, state) triple that every bound reads: :func:`_moments` on that triple."""
+    a, b = _observable_pair(observable_a, observable_b)
+    if not isinstance(state, (PureState, DensityMatrix)):
+        raise TypeError(f"unsupported state type {type(state)!r}")
+    if a.dimension != state.dimension:
+        raise DimensionMismatch(f"observable dimension {a.dimension} vs state dimension {state.dimension}")
+    means, gram, centred = _moments(a.matrix, b.matrix, state.factor)
+    return _pair_moments(a, b, state, means.tolist(), gram.tolist(), centred)
+
+
+def expectation(observable, state: QuantumState) -> float:
+    """<psi|A|psi> for a pure state, tr(rho A) for a mixed one: tr(X^dagger A X) for both."""
+    obs = _checked(observable)
+    return pair_moments(obs, obs, state).alpha
 
 
 def stddev(observable, state: QuantumState) -> float:

@@ -1,4 +1,5 @@
-"""Shared fixtures: Pauli matrices, planted saturating pure and mixed instances, and five oracles."""
+"""Shared fixtures: Pauli matrices, planted saturating pure and mixed instances, five oracles, and the
+matrix-file writer."""
 
 from __future__ import annotations
 
@@ -22,6 +23,17 @@ def complex_normal(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray
 def hermitian_array(rng: np.random.Generator, n: int) -> np.ndarray:
     g = complex_normal(rng, n, n)
     return (g + g.conj().T) / 2
+
+
+def matrix_to_json_dict(m) -> dict:
+    """{"rows", "cols", "re", "im"}: complex entries split for portability, as ``saturate`` reads them."""
+    a = as_complex_matrix(m)
+    return {
+        "rows": int(a.shape[0]),
+        "cols": int(a.shape[1]),
+        "re": a.real.tolist(),
+        "im": a.imag.tolist(),
+    }
 
 
 def projector(psi: PureState) -> np.ndarray:

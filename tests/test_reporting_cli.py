@@ -42,13 +42,12 @@ from qubounds.reporting import (
     canonical_json,
     dumps_report,
     matrix_from_json_dict,
-    matrix_to_json_dict,
     report_body_dict,
     summary_csv,
 )
 from qubounds.sampling import _haar_columns
 from qubounds.states import PureState
-from helpers import SIGMA_X, SIGMA_Y
+from helpers import SIGMA_X, SIGMA_Y, matrix_to_json_dict
 
 
 def _write_pair_file(path, a, b):
@@ -356,7 +355,7 @@ def _trial_calls(monkeypatch, config):
     draws, the states its factor body built, and every rho those states formed."""
     targets = {
         "require_hermitian": linalg.require_hermitian,
-        "pair_moments": states.pair_moments,
+        "_moments": states._moments,
         "eigh": np.linalg.eigh,
         "qr": np.linalg.qr,
         "svd": np.linalg.svd,
@@ -365,7 +364,6 @@ def _trial_calls(monkeypatch, config):
         "_digest": relations._digest,
     }
     counts = dict.fromkeys(targets, 0)
-    counts["inputs"] = 0
     shapes = {"eigh": [], "qr": [], "draws": []}
 
     def counting(name, fn):
@@ -384,12 +382,6 @@ def _trial_calls(monkeypatch, config):
                 if obj is fn:
                     monkeypatch.setattr(module, attr, wrapper)
     monkeypatch.setattr(reporting, "trial_rng", lambda seed, k: _DrawSizes(trial_rng(seed, k), shapes["draws"]))
-    # An input enters through its constructor, a density matrix through its factor,
-    # or an observable as the Hermitian part of its draw.
-    for cls in (states.Observable, states.PureState, states.DensityMatrix):
-        monkeypatch.setattr(cls, "__post_init__", counting("inputs", cls.__post_init__))
-    for cls, entry in ((states.DensityMatrix, "from_factor"), (states.Observable, "hermitian_part")):
-        monkeypatch.setattr(cls, entry, classmethod(counting("inputs", getattr(cls, entry).__func__)))
     built = []
     from_factors = states.DensityMatrix._from_factors.__func__
     monkeypatch.setattr(states.DensityMatrix, "_from_factors",
@@ -404,14 +396,15 @@ def _trial_calls(monkeypatch, config):
 def test_verify_trial_validates_once_and_reduces_once(monkeypatch):
     # A, B and rho are validated where they enter, rho is diagonalised once,
     # only the inputs of a recorded report are hashed, each once, and the sweep
-    # reduces each of its four (A, B, state) triples once.
+    # reduces each of its four (A, B, state) triples once, in two calls of the moments body.
     counts, shapes = _trial_calls(monkeypatch, SampleConfig(4, 4, 7, 1))
     # A and B are Hermitian by construction, and the constructions reduce
     # (A, B, e1) from the validated pair.
     assert counts["require_hermitian"] == 0
     assert counts["eigh"] == 1
-    # The pure, mixed and Maccone-Pati triples, and (A, B, e1) once for both constructions.
-    assert counts["pair_moments"] == 4
+    # One call for the n x 1 states (psi, the Maccone-Pati psi and e1, once for both
+    # constructions) and one for rho's factor.
+    assert counts["_moments"] == 2
     # One Haar draw, the Maccone-Pati pair, factoring only the columns it reads:
     # psi needs no QR, and no evaluation completes a frame.
     assert counts["qr"] == 1
@@ -428,12 +421,13 @@ def test_verify_trial_validates_once_and_reduces_once(monkeypatch):
 
 
 def test_verify_stacks_a_chunks_eigh_and_qr(monkeypatch):
-    # Four trials form one chunk: their Gram matrices share one eigh and their
-    # Haar blocks one QR, while each trial still reduces and hashes alone.
+    # Four trials form one chunk: their Gram matrices share one eigh, their
+    # Haar blocks one QR and their triples the two moments calls of one trial,
+    # while each trial still hashes alone.
     counts, shapes = _trial_calls(monkeypatch, SampleConfig(4, 4, 7, 4))
     assert (counts["eigh"], counts["qr"]) == (1, 1)
     assert (shapes["eigh"], shapes["qr"]) == ([(4, 4, 4)], [(4, 4, 2)])
-    assert (counts["pair_moments"], counts["_array_digest"], counts["_digest"]) == (16, 24, 28)
+    assert (counts["_moments"], counts["_array_digest"], counts["_digest"]) == (2, 24, 28)
     assert (shapes["built"], shapes["rho"]) == (4, [])
 
 
@@ -548,7 +542,7 @@ def _sweep_against_public_api(n, tol, pair_columns):
 
 
 @pytest.mark.parametrize("tol", [Tolerance(), Tolerance(0.0)], ids=["default", "zero"])
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 16])
 def test_sweep_records_equal_the_public_api(n, tol, monkeypatch):
     # The sweep runs the private bodies on reductions it shares between
     # evaluations; every entry, skips and errors included, and every failure
