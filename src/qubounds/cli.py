@@ -36,28 +36,25 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="qubounds", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    verify = sub.add_parser("verify", parents=[], help="run seeded property sweeps")
+    verify = sub.add_parser("verify", help="run seeded property sweeps")
     verify.add_argument("--n", type=int, default=2, help="matrix dimension")
     verify.add_argument("--rank", type=int, default=None, help="density rank (default: n)")
     verify.add_argument("--trials", type=int, default=100)
     verify.add_argument("--seed", type=int, default=7)
-    _add_common(verify)
+    verify.add_argument("--format", choices=("json", "csv"), default="json")
 
+    # The goldens run at DEFAULT_TOL, and reproduce writes their one JSON report.
     reproduce = sub.add_parser("reproduce", help="evaluate the golden instances")
-    _add_common(reproduce)
 
     saturate = sub.add_parser("saturate", help="construct a saturating state pair")
     saturate.add_argument("input", help='JSON file holding {"a": matrix, "b": matrix}')
     saturate.add_argument("--target", choices=("mp3", "mp6"), required=True)
-    _add_common(saturate, formats=False)
+
+    for command in (verify, saturate):
+        command.add_argument("--tol", type=float, default=DEFAULT_TOL.eps, help="tolerance eps of every check")
+    for command in (verify, reproduce, saturate):
+        command.add_argument("--out", default="-", help="output path, '-' for stdout")
     return parser
-
-
-def _add_common(sub: argparse.ArgumentParser, formats: bool = True) -> None:
-    sub.add_argument("--tol", type=float, default=DEFAULT_TOL.eps, help="tolerance eps of every check")
-    sub.add_argument("--out", default="-", help="output path, '-' for stdout")
-    if formats:  # saturate writes its one JSON record only
-        sub.add_argument("--format", choices=("json", "csv"), default="json")
 
 
 def _emit(text: str, out: str) -> None:
@@ -80,9 +77,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    report = run_reproduction(Tolerance(args.tol))
-    text = summary_csv(report) if args.format == "csv" else dumps_report(report)
-    _emit(text, args.out)
+    report = run_reproduction()
+    _emit(dumps_report(report), args.out)
     for trial in report.trials:
         status = "pass" if trial["passed"] else "FAIL"
         sys.stderr.write(f"{status} {trial['golden_id']}: {trial['detail']}\n")

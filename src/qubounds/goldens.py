@@ -52,38 +52,30 @@ def block_pair_4x4() -> tuple[np.ndarray, np.ndarray, DensityMatrix]:
     return a, b, rho
 
 
-def golden_qubit_north_pole() -> GoldenResult:
-    """sigma_x, sigma_y on (1, 0): saturation with phase pi/4."""
-    psi = bloch_state(0.0, 0.0)
+def _golden_qubit_pole(golden_id: str, polar: float, expected: float, sides: bool) -> GoldenResult:
+    """sigma_x, sigma_y on the Bloch pole at polar angle ``polar``: saturation with phase ``expected``;
+    ``sides`` adds the Robertson lhs and rhs to the values."""
+    psi = bloch_state(polar, 0.0)
     cert = robertson_saturation_pure(SIGMA_X, SIGMA_Y, psi)
     report = robertson(SIGMA_X, SIGMA_Y, psi)
     theta = None if cert is None else cert.theta
-    theta_err = None if theta is None else abs(theta - math.pi / 4.0)
+    theta_err = None if theta is None else abs(theta - expected)
     passed = cert is not None and theta_err <= 1e-9 and abs(report.slack) <= 1e-12
-    return GoldenResult(
-        golden_id="qubit-north-pole",
-        passed=passed,
-        detail=f"theta={theta}, slack={report.slack:.3e}",
-        values={"theta": theta, "theta_error": theta_err, "slack": report.slack,
-                "lhs": report.lhs, "rhs": report.rhs},
-    )
+    values = {"theta": theta, "theta_error": theta_err, "slack": report.slack}
+    if sides:
+        values.update(lhs=report.lhs, rhs=report.rhs)
+    return GoldenResult(golden_id=golden_id, passed=passed, detail=f"theta={theta}, slack={report.slack:.3e}",
+                        values=values)
+
+
+def golden_qubit_north_pole() -> GoldenResult:
+    """sigma_x, sigma_y on (1, 0): saturation with phase pi/4."""
+    return _golden_qubit_pole("qubit-north-pole", 0.0, math.pi / 4.0, sides=True)
 
 
 def golden_qubit_south_pole() -> GoldenResult:
     """sigma_x, sigma_y on (0, 1): saturation with phase -pi/4 (reported mod 2 pi)."""
-    psi = bloch_state(math.pi, 0.0)
-    cert = robertson_saturation_pure(SIGMA_X, SIGMA_Y, psi)
-    report = robertson(SIGMA_X, SIGMA_Y, psi)
-    theta = None if cert is None else cert.theta
-    expected = 7.0 * math.pi / 4.0
-    theta_err = None if theta is None else abs(theta - expected)
-    passed = cert is not None and theta_err <= 1e-9 and abs(report.slack) <= 1e-12
-    return GoldenResult(
-        golden_id="qubit-south-pole",
-        passed=passed,
-        detail=f"theta={theta}, slack={report.slack:.3e}",
-        values={"theta": theta, "theta_error": theta_err, "slack": report.slack},
-    )
+    return _golden_qubit_pole("qubit-south-pole", math.pi, 7.0 * math.pi / 4.0, sides=False)
 
 
 def golden_block_mixed() -> GoldenResult:

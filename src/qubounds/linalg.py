@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -98,8 +98,20 @@ def require_hermitian(m, name: str = "matrix") -> tuple[np.ndarray, float]:
     return a, norm
 
 
-@dataclass(frozen=True)
-class EigenSystem:
+class _ArrayEquality:
+    """Equal values: one type, equal compared fields, arrays entry by entry; unhashable, as arrays are."""
+
+    __hash__ = None
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self) if f.compare)
+
+
+@dataclass(frozen=True, eq=False)
+class EigenSystem(_ArrayEquality):
     """Eigenvalues in descending order with matching unitary eigenvector columns."""
 
     eigenvalues: np.ndarray
@@ -228,11 +240,11 @@ def _complex_witness(p: float, g: complex, r: float) -> tuple[float, complex, tu
     return c, unit * s, (math.atan2(s, c), cmath.phase(unit) % (2.0 * math.pi))
 
 
-def _power_of_two_scaled(peak: float, *arrays: np.ndarray) -> tuple[int, tuple[np.ndarray, ...]]:
-    """The e that puts ``peak`` in [0.5, 1) (0 for peak 0), and each array times 2^-e, exactly: 2^-e is
-    applied as two normal floats, 2^(-e // 2) then 2^-(e // 2), so neither factor overflows."""
+def _power_of_two_scale(peak: float) -> tuple[int, float, float]:
+    """The e that puts ``peak`` in [0.5, 1) (0 for peak 0), and 2^-e as two normal floats, 2^(-e // 2) and
+    2^-(e // 2): an array times the first, then the second, is scaled exactly, and neither factor overflows."""
     e = math.frexp(peak)[1]
-    return e, tuple(a * 2.0 ** (-e // 2) * 2.0 ** -(e // 2) for a in arrays)
+    return e, 2.0 ** (-e // 2), 2.0 ** -(e // 2)
 
 
 def _dependence(x: np.ndarray, y: np.ndarray, witness):
@@ -244,7 +256,8 @@ def _dependence(x: np.ndarray, y: np.ndarray, witness):
     peak = float(np.maximum(np.abs(x).max(initial=0.0), np.abs(y).max(initial=0.0)))
     if not math.isfinite(peak):
         raise ValueError("x or y contains non-finite entries")
-    e, (x, y) = _power_of_two_scaled(peak, x, y)
+    e, s1, s2 = _power_of_two_scale(peak)
+    x, y = x * s1 * s2, y * s1 * s2
     p, r = float(np.vdot(x, x).real), float(np.vdot(y, y).real)
     a, b, angles = witness(p, complex(np.vdot(x, y)), r)
     residual = _norm(a * x + b * y)

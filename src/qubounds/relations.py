@@ -33,8 +33,8 @@ from .errors import (
     NotOrthogonal,
     ZeroDeviation,
 )
-from .linalg import (DEFAULT_TOL, ROUNDING_TOL, Tolerance, _completion, _input_budget, _pair_budget,
-                     _require_isometry)
+from .linalg import (DEFAULT_TOL, ROUNDING_TOL, Tolerance, _ArrayEquality, _completion, _input_budget,
+                     _pair_budget, _require_isometry)
 from .states import (
     Observable,
     PairMoments,
@@ -75,8 +75,8 @@ class MuChoice:
     tie_broken: bool
 
 
-@dataclass(frozen=True)
-class MPFrame:
+@dataclass(frozen=True, eq=False)
+class MPFrame(_ArrayEquality):
     """Audit quantities from the unitary frame with (psi, phi) as leading columns.
 
     ``u`` and ``v`` are the length n-1 first-row tails of the rotated

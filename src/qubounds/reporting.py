@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import BoundViolation, DimensionMismatch, QuboundsError, ZeroDeviation
 from .goldens import run_goldens
-from .linalg import Tolerance, _norm
+from .linalg import DEFAULT_TOL, Tolerance, _norm
 from .relations import (BoundReport, MP6Reports, _cross_elements, _moments_mu, _mp3, _mp6, _mp_chain,
                         _mp_inputs, _robertson_report, _schrodinger_report)
 from .sampling import _ROOT_I, SampleConfig, _complex_parts, _full_rank, _haar_stack, trial_rng
@@ -310,12 +310,13 @@ def run_verification_suite(config: SampleConfig, tol: Tolerance) -> SuiteReport:
     return summary.report("verify", config, tol, started, trials)
 
 
-def run_reproduction(tol: Tolerance) -> SuiteReport:
-    """Evaluate the golden instances; the failures are the ids of the goldens that failed."""
+def run_reproduction() -> SuiteReport:
+    """Evaluate the golden instances, whose bound and checker calls run at ``DEFAULT_TOL``, the manifest's
+    tolerance; the failures are the ids of the goldens that failed."""
     started = _utc_now()
     results = run_goldens()
     summary = _Summary(failures=[r.golden_id for r in results if not r.passed])
-    return summary.report("reproduce", None, tol, started, [asdict(r) for r in results])
+    return summary.report("reproduce", None, DEFAULT_TOL, started, [asdict(r) for r in results])
 
 
 def load_observable_pair(path: str):

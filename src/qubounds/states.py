@@ -18,13 +18,13 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DimensionMismatch, NonRealExpectation
-from .linalg import (INPUT_TOL, EigenSystem, _eigh_descending, _finite_norm, _norm, _psd_eig, _square_matrix,
-                     as_complex_matrix, require_hermitian)
+from .linalg import (INPUT_TOL, EigenSystem, _ArrayEquality, _eigh_descending, _finite_norm, _norm,
+                     _power_of_two_scale, _psd_eig, _square_matrix, as_complex_matrix, require_hermitian)
 
 
 def _frozen_array(a: np.ndarray) -> np.ndarray:
@@ -38,18 +38,6 @@ def _array_digest(kind: str, a: np.ndarray) -> str:
     h = hashlib.sha256(f"{kind}{a.shape}".encode())
     h.update(np.ascontiguousarray(a))
     return h.hexdigest()
-
-
-class _ArrayEquality:
-    """Equal inputs: one type, equal compared fields, arrays entry by entry; unhashable, as arrays are."""
-
-    __hash__ = None
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
-                   for f in fields(self) if f.compare)
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,10 +143,10 @@ class DensityMatrix(_ArrayEquality):
     """A PSD, trace-one Hermitian matrix rho = X X^dagger.
 
     Built from a matrix, it is checked where it enters: one eigendecomposition
-    decides PSD-ness and is kept in ``spectrum``, and its support weights w_k
-    give the factor X = V_k w_k^(1/2) (see :meth:`EigenSystem.support`).
-    Built by :meth:`from_factor`, it is PSD by construction, its support comes
-    from a k x k Gram matrix, and ``matrix`` and ``spectrum`` are formed when first read.
+    decides PSD-ness, and its support weights w_k give the factor
+    X = V_k w_k^(1/2) (see :meth:`EigenSystem.support`).  Built by
+    :meth:`from_factor`, it is PSD by construction, its support comes from a
+    k x k Gram matrix, and ``matrix`` is formed when first read.
     """
 
     matrix: np.ndarray
@@ -170,9 +158,7 @@ class DensityMatrix(_ArrayEquality):
         trace = float(np.trace(m).real)
         if abs(trace - 1.0) > INPUT_TOL:
             raise ValueError(f"density matrix trace {trace!r} is not 1 within {INPUT_TOL}")
-        spectrum = _psd_eig(m, "density matrix")
-        object.__setattr__(self, "spectrum", spectrum)
-        w, v = spectrum.support()
+        w, v = _psd_eig(m, "density matrix").support()
         object.__setattr__(self, "matrix", _frozen_array(m))
         self._freeze(v * np.sqrt(w), w)
 
@@ -198,11 +184,6 @@ class DensityMatrix(_ArrayEquality):
         if "_prescaled" in vars(self):
             return _array_digest("density-factor", self._prescaled)
         return _array_digest("density", self.matrix)
-
-    @functools.cached_property
-    def spectrum(self) -> EigenSystem:
-        """Eigendecomposition of ``matrix``; a factor-built state takes it when first read."""
-        return _eigh_descending(self.matrix)
 
     @property
     def dimension(self) -> int:
@@ -235,8 +216,7 @@ class DensityMatrix(_ArrayEquality):
                 peak = max(np.abs(g[t].real).max(), np.abs(g[t].imag).max())  # the modulus overflowed
             if not peak > 0.0:
                 raise ValueError("factor is zero")
-            e = math.frexp(peak)[1]  # 2^-e as two normal factors, as in _power_of_two_scaled
-            scales.append((2.0 ** (-e // 2), 2.0 ** -(e // 2)))
+            scales.append(_power_of_two_scale(peak)[1:])
         scales = np.array(scales).reshape(-1, 2, 1, 1)
         prescaled = g * scales[:, 0] * scales[:, 1]
         prescaled.setflags(write=False)
@@ -287,8 +267,8 @@ def _observable_pair(observable_a, observable_b) -> tuple[Observable, Observable
     return a, b
 
 
-@dataclass(frozen=True)
-class PairMoments:
+@dataclass(frozen=True, eq=False)
+class PairMoments(_ArrayEquality):
     """Centered second moments of two observables in one state: the one reduction.
 
     ``centered_a`` is A_c X for the state's factor X (rho = X X^dagger): an

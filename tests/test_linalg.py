@@ -139,6 +139,12 @@ def test_psd_power_rejects_indefinite():
         psd_power(np.diag([1.0, -1.0]), 0.5)
 
 
+def test_psd_power_rejects_a_power_that_is_not_positive():
+    for r in (0.0, -0.5):
+        with pytest.raises(ValueError, match="power must be positive"):
+            psd_power(np.eye(2) / 2.0, r)
+
+
 def test_unitary_completion_single_basis_vector():
     u = unitary_completion([np.array([1.0, 0.0, 0.0])])
     assert u.shape == (3, 3)
@@ -199,6 +205,13 @@ def test_dependence_detectors_reject_non_finite_entries():
                 phase_dependence(np.array(x), np.array(y))
             with pytest.raises(ValueError):
                 complex_dependence(np.array([x]), np.array([y]))
+
+
+def test_dependence_detectors_reject_operands_of_different_shapes():
+    with pytest.raises(DimensionMismatch):
+        phase_dependence(np.ones(2), np.ones(3))
+    with pytest.raises(DimensionMismatch):
+        complex_dependence(np.ones((2, 1)), np.ones((3, 1)))
 
 
 def test_phase_dependence_zero_x_gives_zero_angle():

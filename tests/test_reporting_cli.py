@@ -4,8 +4,10 @@ import importlib
 import inspect
 import json
 import math
+import os
 import pkgutil
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -230,7 +232,7 @@ def test_cli_reproduce_failing_golden_writes_strict_json(monkeypatch, capsys):
     failed = {t["golden_id"]: t for t in payload["trials"] if not t["passed"]}
     assert set(failed) == {"qubit-north-pole", "qubit-south-pole"}
     assert all(t["values"]["theta_error"] is None for t in failed.values())
-    report = reporting.run_reproduction(Tolerance())
+    report = reporting.run_reproduction()
     assert json.loads(dumps_report(report))["trials"] == payload["trials"]
     with pytest.raises(ValueError):
         dumps_report(dataclasses.replace(report, summary={"min_slack": {"x": math.nan}}))
@@ -253,6 +255,21 @@ def test_cli_saturate_rejects_format(tmp_path):
     with pytest.raises(SystemExit) as excinfo:
         main(["saturate", pair_file, "--target", "mp3", "--format", "csv", "--out", str(out)])
     assert excinfo.value.code == 1
+    assert not out.exists()
+
+
+def test_cli_reproduce_rejects_tol_and_format(tmp_path):
+    # The goldens run at DEFAULT_TOL and reproduce writes one JSON report, so either flag is a
+    # usage error: exit 1, no file.  As a module, the run also takes cli.py's __main__ line.
+    out = tmp_path / "goldens.json"
+    with pytest.raises(SystemExit) as excinfo:
+        main(["reproduce", "--format", "csv", "--out", str(out)])
+    assert excinfo.value.code == 1
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-m", "qubounds.cli", "reproduce", "--tol", "1e-6", "--out", str(out)],
+                            env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=60)
+    assert result.returncode == 1 and "unrecognized arguments: --tol" in result.stderr
     assert not out.exists()
 
 
@@ -574,7 +591,18 @@ def test_zero_tolerance_sweep_fails_nowhere():
 
 
 def test_bare_command_parses_to_the_default_tolerance():
-    assert Tolerance(build_parser().parse_args(["reproduce"]).tol) == linalg.DEFAULT_TOL
+    assert Tolerance(build_parser().parse_args(["verify"]).tol) == linalg.DEFAULT_TOL
+
+
+def test_each_subcommand_takes_exactly_its_long_options():
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {name: {option for action in sub._actions for option in action.option_strings
+                      if option.startswith("--")} - {"--help"} for name, sub in subparsers.choices.items()}
+    assert options == {
+        "verify": {"--n", "--rank", "--trials", "--seed", "--tol", "--out", "--format"},
+        "reproduce": {"--out"},
+        "saturate": {"--target", "--tol", "--out"},
+    }
 
 
 def test_readme_names_exactly_the_cli_long_options():

@@ -977,7 +977,7 @@ def _one_path_cases(n, rng):
     theta = rng.uniform(0.2, math.pi / 2 - 0.2)
     for phase in (math.pi / 2, rng.uniform(0.3, 2 * math.pi - 0.3)):
         a, b, rho = plant_saturating_mixed(n, 1, theta, phase, rng)
-        yield a.matrix, b.matrix, PureState(rho.spectrum.eigenvectors[:, 0])
+        yield a.matrix, b.matrix, PureState(hermitian_eig(rho.matrix).eigenvectors[:, 0])
 
 
 def _state_checks(n):

@@ -8,11 +8,13 @@ from qubounds import (
     DensityMatrix,
     DimensionMismatch,
     NonHermitianInput,
+    NonRealExpectation,
     NotPositiveSemidefinite,
     Observable,
     PureState,
     bloch_state,
     expectation,
+    hermitian_eig,
     pair_moments,
     random_density,
     random_hermitian,
@@ -269,6 +271,49 @@ def test_inputs_compare_by_type_and_entries():
                 hash(x)
 
 
+def test_result_types_compare_by_type_and_entries():
+    # PairMoments, EigenSystem and MPFrame compare as the inputs do: two builds of one
+    # value compare True, a moved entry or another type compares False, and none hashes.
+    rng = trial_rng(313, 0)
+    a, b = hermitian_array(rng, 3), hermitian_array(rng, 3)
+    moved = b.copy()
+    moved[0, 0] += 0.5
+    rho = DensityMatrix.from_factor(complex_normal(rng, 3, 2))
+    psi, phi = (PureState(c) for c in np.linalg.qr(complex_normal(rng, 3, 2))[0].T)
+    cases = [
+        tuple(pair_moments(a, y, rho) for y in (b, b.copy(), moved)),
+        tuple(hermitian_eig(h) for h in (SIGMA_X, SIGMA_X.copy(), SIGMA_Z)),
+        tuple(relations.mp_frame(a, y, psi, phi) for y in (b, b.copy(), moved)),
+    ]
+    for x, same, other in cases:
+        assert x == same and not x != same
+        assert x != other and x != psi
+        with pytest.raises(TypeError):
+            hash(x)
+
+
+def test_pair_moments_rejects_an_argument_that_is_not_a_state():
+    with pytest.raises(TypeError, match="unsupported state type"):
+        pair_moments(SIGMA_X, SIGMA_Y, np.array([1.0, 0.0]))
+
+
+def test_a_mean_with_an_imaginary_residue_past_its_budget_raises():
+    # Not reachable through the public API: a validated A keeps |Im <A>| near half the
+    # budget INPUT_TOL * ||A||_F, so the means given to the check are crafted here.
+    a, b, psi = Observable(SIGMA_X), Observable(2.0 * SIGMA_Y), bloch_state(0.7, 0.3)
+    means, gram, centred = states._moments(a.matrix, b.matrix, psi.factor)
+    for side, obs in enumerate((a, b)):
+        for share, raises in ((0.5, False), (2.0, True)):
+            crafted = means.tolist()
+            crafted[side] += 1j * share * linalg.INPUT_TOL * obs.norm
+            if raises:
+                with pytest.raises(NonRealExpectation):
+                    states._pair_moments(a, b, psi, crafted, gram.tolist(), centred)
+            else:
+                m = states._pair_moments(a, b, psi, crafted, gram.tolist(), centred)
+                assert (m.alpha, m.beta) == (means[0].real, means[1].real)
+
+
 def _moments(m):
     return np.array([m.alpha, m.beta, m.dev_a, m.dev_b, m.cross.real, m.cross.imag])
 
@@ -297,7 +342,7 @@ def test_density_from_factor_is_the_matrix_it_factors():
         assert state.factor.shape == (n, k)
         assert abs(state.weights.sum() - 1.0) <= 1e-15
         np.testing.assert_allclose(state.factor @ state.factor.conj().T, recipe, atol=1e-15)
-        np.testing.assert_allclose(state.spectrum.support()[0], state.weights, atol=1e-15)
+        np.testing.assert_allclose(hermitian_eig(state.matrix).support()[0], state.weights, atol=1e-15)
         a, b = random_hermitian(n, rng), random_hermitian(n, rng)
         np.testing.assert_allclose(_moments(pair_moments(a, b, state)),
                                    _moments(pair_moments(a, b, checked)), rtol=1e-14, atol=1e-14)
