@@ -59,6 +59,15 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
 
 
+def _row_norms(x: np.ndarray) -> list:
+    """:func:`_norm` of each row of the stack ``x`` (T, n).  A batched matmul of the same dot products gives the
+    same bits but costs more per call than a loop of them, most of all at T = 1."""
+    norms = []
+    for row in x:
+        norms.append(_norm(row))
+    return norms
+
+
 def as_complex_matrix(m, name: str = "matrix", scan: bool = True) -> np.ndarray:
     """Coerce to a nonempty 2-D complex array with finite entries; ``scan=False`` leaves them to a norm check."""
     a = np.asarray(m, dtype=complex)
@@ -166,23 +175,32 @@ def psd_power(p, r: float) -> np.ndarray:
     return (x + x.conj().T) / 2.0
 
 
+def _grams(rows: np.ndarray) -> list:
+    """The Gram matrix [<x_i, x_j>] of the rows x_i of each slice of the stack ``rows`` (T, k, n), as lists, from
+    one product: each entry one BLAS dot product of unit-stride rows, as ``np.vdot(x_i, x_j)``."""
+    rows = np.ascontiguousarray(rows)
+    return np.matmul(rows.conj()[:, :, None, None], rows[:, None, :, :, None])[..., 0, 0].tolist()
+
+
+def _require_orthonormal(gram: list, tol: Tolerance) -> None:
+    """Raise :class:`NotOrthonormal` where ||Gram - I||_F of k columns (:func:`_grams`) exceeds its budget.  A BLAS
+    product basis^dagger basis is not exactly Hermitian, so orthonormal columns could miss a zero budget."""
+    deviation_sq = 0.0
+    for i, row in enumerate(gram):
+        deviation_sq += (row[i].real - 1.0) ** 2
+        for g in row[i + 1:]:
+            deviation_sq += 2.0 * abs(g) ** 2
+    deviation = math.sqrt(deviation_sq)
+    if deviation > _pair_budget(tol, math.sqrt(len(gram))):
+        raise NotOrthonormal(f"input Gram deviates from identity by {deviation:.3e}")
+
+
 def _require_isometry(basis: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """Return the n x k ``basis`` if it has k <= n orthonormal columns, Gram = I within ``tol``."""
+    """Return the n x k ``basis`` if it has k <= n orthonormal columns (:func:`_require_orthonormal`)."""
     n, k = basis.shape
     if k > n:
         raise DimensionMismatch(f"{k} columns cannot be orthonormal in dimension {n}")
-    # ||Gram - I||_F from one np.vdot per pair of columns.  The BLAS product
-    # basis^dagger basis is not exactly Hermitian, so exactly orthonormal
-    # columns could miss a zero budget by rounding.
-    columns = basis.T
-    deviation_sq = 0.0
-    for i, x in enumerate(columns):
-        deviation_sq += (np.vdot(x, x).real - 1.0) ** 2
-        for y in columns[i + 1:]:
-            deviation_sq += 2.0 * abs(np.vdot(x, y)) ** 2
-    deviation = math.sqrt(deviation_sq)
-    if deviation > _pair_budget(tol, math.sqrt(k)):
-        raise NotOrthonormal(f"input Gram deviates from identity by {deviation:.3e}")
+    _require_orthonormal(_grams(basis.T[None])[0], tol)
     return basis
 
 

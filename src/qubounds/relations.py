@@ -33,8 +33,8 @@ from .errors import (
     NotOrthogonal,
     ZeroDeviation,
 )
-from .linalg import (DEFAULT_TOL, ROUNDING_TOL, Tolerance, _ArrayEquality, _completion, _input_budget,
-                     _pair_budget, _require_isometry)
+from .linalg import (DEFAULT_TOL, ROUNDING_TOL, Tolerance, _ArrayEquality, _completion, _grams, _input_budget,
+                     _pair_budget, _require_orthonormal)
 from .states import (
     Observable,
     PairMoments,
@@ -272,15 +272,17 @@ class _MPInputs:
 
 
 def _mp_inputs(observable_a, observable_b, psi: PureState, phi: PureState,
-               tol: Tolerance, reduced=None) -> _MPInputs:
-    """Validate (A, B, psi, phi) once and reduce it; the pair checks are dimensions, overlap, Gram test.
-    A sweep passes ``reduced``, which returns the moments in psi and (c, d) from its stacked reduction."""
+               tol: Tolerance, gram: list | None = None, reduced=None) -> _MPInputs:
+    """Validate (A, B, psi, phi) once and reduce it; the pair checks are dimensions, overlap, Gram test, the last
+    two read from the pair's Gram matrix.  A sweep passes ``gram`` from its chunk's one Gram product, and
+    ``reduced``, which returns the moments in psi and (c, d) from its stacked reduction."""
     a, b = _observable_pair(observable_a, observable_b)
     _require_dimensions(a, psi, phi)
-    overlap = abs(complex(phi.amplitudes.conj() @ psi.amplitudes))
+    gram = gram or _grams(np.array(((psi.amplitudes, phi.amplitudes),)))[0]
+    overlap = abs(gram[1][0])
     if overlap > _pair_budget(tol):
         raise NotOrthogonal(f"|<phi|psi>| = {overlap:.3e}")
-    _require_isometry(np.array((psi.amplitudes, phi.amplitudes)).T, tol)
+    _require_orthonormal(gram, tol)
     m, cd = reduced() if reduced else (
         pair_moments(a, b, psi), _cross_elements(a.matrix, b.matrix, psi.factor, phi.factor))
     return _MPInputs(m, phi, *cd)

@@ -19,13 +19,12 @@ import numpy as np
 
 from .errors import BoundViolation, DimensionMismatch, QuboundsError, ZeroDeviation
 from .goldens import run_goldens
-from .linalg import DEFAULT_TOL, Tolerance, _norm
+from .linalg import DEFAULT_TOL, Tolerance, _grams
 from .relations import (BoundReport, MP6Reports, _cross_elements, _moments_mu, _mp3, _mp6, _mp_chain,
                         _mp_inputs, _robertson_report, _schrodinger_report)
-from .sampling import _ROOT_I, SampleConfig, _complex_parts, _full_rank, _haar_stack, trial_rng
+from .sampling import _ROOT_I, SampleConfig, _complex_parts, _full_rank, _haar_stack, _unit_rows, trial_rng
 from .saturation import (CONSTRUCTION_TOL, DEFAULT_R_LIST, CertificateKind, ConstructedPair,
-                         SaturationCertificate, _certificate, _construct_case1, _construct_case2,
-                         _construct_w_mp6)
+                         SaturationCertificate, _certificate, _constructions, _e1, _raised)
 from .states import DensityMatrix, Observable, PureState, _moments, _pair_moments
 
 ARTIFACT_VERSION = "0.10.0"
@@ -205,7 +204,7 @@ def _mp6_results(reports: MP6Reports) -> dict:
 
 def _trial_inputs(config: SampleConfig):
     """Each chunk of trials (see below): the stacks of its As and Bs, and each trial's
-    (k, A, B, psi, rho, Haar pair or None)."""
+    (k, A, B, psi, rho, Haar pair and its Gram matrix, or None)."""
     n, rank = config.dimension, config.rank
     ends = list(itertools.accumulate((n * n, n * n, 2 * n, 2 * n * rank, 4 * n if n >= 2 else 0)))
     per_chunk = max(1, CHUNK_BYTES // (16 * n * n))
@@ -217,14 +216,18 @@ def _trial_inputs(config: SampleConfig):
             rng.standard_normal(out=row[: ends[3]])
         a_stack, a = Observable._hermitian_parts(_ROOT_I * draws[:, : ends[0]].reshape(-1, n, n), "A")
         b_stack, b = Observable._hermitian_parts(_ROOT_I * draws[:, ends[0]: ends[1]].reshape(-1, n, n), "B")
-        psis = [PureState(z / _norm(z)) for z in _complex_parts(draws[:, ends[1]: ends[2]], n)]
         factors = _complex_parts(draws[:, ends[2]: ends[3]], n, rank)
         rhos = [_full_rank(rho, rng, rank) for rho, rng in zip(DensityMatrix._from_factors(factors), rngs)]
         for rng, row in zip(rngs, draws):
             rng.standard_normal(out=row[ends[3]:])
-        pairs = [None] * len(ks) if n < 2 else [
-            (PureState(c[:, 0]), PureState(c[:, 1])) for c in _haar_stack(_complex_parts(draws[:, ends[3]:], n, 2))]
-        yield a_stack[:, None], b_stack[:, None], list(zip(ks, a, b, psis, rhos, pairs))
+        # One state pass: each trial's psi, then its Haar pair's two columns.
+        rows = np.empty((len(ks), 3 if n >= 2 else 1, n), dtype=complex)
+        rows[:, 0] = _unit_rows(_complex_parts(draws[:, ends[1]: ends[2]], n))
+        if n >= 2:
+            rows[:, 1:] = np.swapaxes(_haar_stack(_complex_parts(draws[:, ends[3]:], n, 2)), 1, 2)
+        states = PureState._stack(rows.reshape(-1, n))
+        pairs = [None] * len(ks) if n < 2 else list(zip(states[1::3], states[2::3], _grams(rows[:, 1:])))
+        yield a_stack[:, None], b_stack[:, None], list(zip(ks, a, b, states[:: rows.shape[1]], rhos, pairs))
 
 
 def run_verification_suite(config: SampleConfig, tol: Tolerance) -> SuiteReport:
@@ -233,23 +236,25 @@ def run_verification_suite(config: SampleConfig, tol: Tolerance) -> SuiteReport:
     A chunk of trials, sized by ``CHUNK_BYTES``, draws from each trial's own ``trial_rng(seed, k)`` in
     the public samplers' order: A, B, psi, the factor G of rho (and its one redraw), then the n x 2 Haar
     block.  The samplers' bodies then build the chunk as stacks, byte-identical to the samplers' inputs:
-    one Hermitian-part pass for its As and one for its Bs, one ``eigh`` of its Gram matrices, one QR.
-    The chunk is reduced as stacks too, by the body that :func:`~qubounds.states.pair_moments` runs on
-    one triple: one call for the n x 1 states of its trials (psi, the Maccone-Pati psi_f and e1, which
-    is built once), one for the factors of its rhos, and one product for the pairs' c and d; each slice
-    equals the one-triple call byte for byte.
+    one Hermitian-part pass for its As and one for its Bs, one ``eigh`` of its Gram matrices, one QR, one
+    state pass for its psis and Haar columns.  The chunk is reduced as stacks too, each slice equal to the
+    one-trial call byte for byte: one moments-body call (:func:`~qubounds.states.pair_moments`) for the n x 1
+    states of its trials (psi, the Maccone-Pati psi_f and e1, built once), one for its rhos' factors, one
+    product for the pairs' c and d, one Gram product for their checks, and one constructions-body call
+    (:func:`~qubounds.saturation._constructions`) for both constructions of every trial, which share the
+    trial's e1 reduction and its mu.  Only the bound decisions, the record entries and digests run per trial.
     Each evaluation leaves one record entry: its result (a dict names several),
-    a skip on :class:`ZeroDeviation`, or an error on any other :class:`QuboundsError`.
-    Case 1 or 2 and ``construct_w_mp6`` share the e1 reduction and its mu.  Only the Maccone-Pati
-    reduction, whose pair checks can raise, is deferred to the evaluations that read it, and raises in
-    each, with its mean check after the pair checks, as in the public entries; the other triples cannot
-    raise on a trial's inputs, valid by construction with A and B Hermitian bit for bit.
+    a skip on :class:`ZeroDeviation`, or an error on any other :class:`QuboundsError`.  The Maccone-Pati
+    checks and constructions can raise, so each trial's outcome is raised in the evaluations that read it,
+    the pair checks before the mean check, as in the public entries; the other triples cannot raise on a
+    trial's inputs, valid by construction with A and B Hermitian bit for bit.
     """
     started = _utc_now()
     summary = _Summary()
     trials = []
     n = config.dimension
-    e1 = PureState(np.eye(1, n, dtype=complex)[0])
+    e1 = _e1(n)
+    targets = ("case1", "w_mp6") if n == 2 else ("case2", "w_mp6") if n > 2 else ()
     for a_stack, b_stack, chunk in _trial_inputs(config):
         columns = np.array([[psi.factor, pair[0].factor, e1.factor] if pair else [psi.factor]
                             for *_, psi, _, pair in chunk])
@@ -259,6 +264,10 @@ def run_verification_suite(config: SampleConfig, tol: Tolerance) -> SuiteReport:
         if n >= 2:
             cds = list(zip(*_cross_elements(a_stack[:, 0], b_stack[:, 0], columns[:, 1],
                                             np.array([pair[1].factor for *_, pair in chunk]))))
+            e1_moments = [_pair_moments(a, b, e1, means[t][2], grams[t][2], centred[t, 2])
+                          for t, (_, a, b, *_) in enumerate(chunk)]
+            reductions = [(m, _moments_mu(m, tol).mu) for m in e1_moments]
+            built = _constructions(targets, a_stack[:, 0], b_stack[:, 0], reductions, centred[:, 2], tol)
         for t, (k, a, b, psi, rho, pair) in enumerate(chunk):
             pure = _pair_moments(a, b, psi, means[t][0], grams[t][0], centred[t, 0])
             mixed = _pair_moments(a, b, rho, rho_means[t][0], rho_grams[t][0], rho_centred[t, 0])
@@ -270,10 +279,8 @@ def run_verification_suite(config: SampleConfig, tol: Tolerance) -> SuiteReport:
             }
             if n >= 2:
                 # functools.cache keeps a result, never an exception.
-                mp = functools.cache(lambda: _mp_inputs(a, b, *pair, tol, lambda: (
+                mp = functools.cache(lambda: _mp_inputs(a, b, *pair[:2], tol, pair[2], lambda: (
                     _pair_moments(a, b, pair[0], means[t][1], grams[t][1], centred[t, 1]), cds[t])))
-                e1_moments = _pair_moments(a, b, e1, means[t][2], grams[t][2], centred[t, 2])
-                constructing = e1_moments, _moments_mu(e1_moments, tol).mu
                 evaluations["mp3"] = lambda: _mp3(mp(), tol).report
                 evaluations["mp6"] = lambda: _mp6_results(_mp6(mp(), tol))
                 evaluations["mp_chain"] = lambda: dict(zip(
@@ -284,12 +291,8 @@ def run_verification_suite(config: SampleConfig, tol: Tolerance) -> SuiteReport:
                 CertificateKind.ROBERTSON_MIXED, mixed, tol, DEFAULT_R_LIST)
             evaluations["schrodinger_certificate"] = lambda: _certificate(
                 CertificateKind.SCHRODINGER, mixed, tol, DEFAULT_R_LIST)
-            if n == 2:
-                evaluations["construct_case1"] = lambda: _construct_case1(*constructing, tol)
-            elif n > 2:
-                evaluations["construct_case2"] = lambda: _construct_case2(*constructing, tol)
-            if n >= 2:
-                evaluations["construct_w_mp6"] = lambda: _construct_w_mp6(*constructing, tol)
+            for j, target in enumerate(targets):
+                evaluations[f"construct_{target}"] = functools.partial(_raised, built[t][j])
 
             record: dict = {"trial": k}
             for where, evaluate in evaluations.items():

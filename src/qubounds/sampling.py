@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RankUnachieved
-from .linalg import _norm
+from .linalg import _row_norms
 from .states import DensityMatrix, Observable, PureState
 
 
@@ -92,12 +92,16 @@ def haar_unitary(n: int, seed) -> np.ndarray:
     return _haar_columns(n, n, seed)
 
 
+def _unit_rows(z: np.ndarray) -> np.ndarray:
+    """Each row of the stack ``z`` (T, n) over its norm: for complex normal rows, uniform on the unit sphere."""
+    return z / np.reshape(_row_norms(z), (-1, 1))
+
+
 def random_pure_state(n: int, seed) -> PureState:
-    """A normalised complex normal draw of n amplitudes: uniform on the unit sphere, with no QR."""
+    """A normalised complex normal draw of n amplitudes (:func:`_unit_rows`), with no QR."""
     if n < 1:
         raise ValueError("dimension must be >= 1")
-    column = _complex_normal(_as_rng(seed), n)
-    return PureState(column / _norm(column))
+    return PureState._stack(_unit_rows(_complex_normal(_as_rng(seed), 1, n)))[0]
 
 
 def _full_rank(state: DensityMatrix, rng: np.random.Generator, rank: int) -> DensityMatrix:

@@ -14,23 +14,26 @@ Checkers and constructors read bound decisions, never reports, so they hash no i
 
 The constructions (psi = e1) read one reduction of (A, B, e1), its mu, and
 the target bound's decision at that mu on [e1 | (0, tail)], orthonormal by construction.
+Their body, :func:`_constructions`, takes a stack of trials; a public constructor is its one-trial call.
 """
 
 from __future__ import annotations
 
 import cmath
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CorollaryViolation, DimensionMismatch, HypothesisViolated, RIndependenceViolation
-from .linalg import DEFAULT_TOL, ROUNDING_TOL, TIE_TOL, Tolerance, _complex_witness, _norm, _phase_witness
+from .errors import CorollaryViolation, DimensionMismatch, HypothesisViolated, QuboundsError, RIndependenceViolation
+from .linalg import (DEFAULT_TOL, ROUNDING_TOL, TIE_TOL, Tolerance, _complex_witness, _norm, _phase_witness,
+                     _row_norms)
 from .relations import (_cross_elements, _Decision, _moments_mu, _mp3_decision, _mp6_decision,
-                        _mp_chain_decisions, _mp_inputs, _MPInputs, _require_deviations, _robertson_decision,
+                        _mp_chain_decisions, _mp_inputs, _MPInputs, _robertson_decision,
                         _schrodinger_decision, _unit_mu, _zero_budget, _zero_deviations)
-from .states import PairMoments, PureState, QuantumState, _observable_pair, pair_moments
+from .states import PairMoments, PureState, QuantumState, _moments, _observable_pair, _pair_moments, pair_moments
 
 # Constructed pairs must close their target bound to this relative gap.
 CONSTRUCTION_TOL = 1e-8
@@ -266,50 +269,116 @@ def mp6_saturation(observable_a, observable_b, psi: PureState, phi: PureState,
     return _equality_check(p, mu, _mp6_decision(p, mu, tol)[0], p.moments.dev_a, p.moments.dev_b)
 
 
-def _e1_reduction(observable_a, observable_b, tol: Tolerance) -> tuple[PairMoments, complex]:
-    """The reduction of (A, B, e1) and its mu (:func:`~qubounds.relations.choose_mu`): the constructors'
-    one input check, which every constructor body reads and a sweep trial makes once for both.
+# Each construction's target bound, the dimensions it takes, and the rule that rejects the others.
+_CONSTRUCTIONS = {"case1": ("mp3", lambda n: n == 2, "dimension 2, got {}"),
+                  "case2": ("mp3", lambda n: n > 2, "dimension > 2, got {}"),
+                  "w_mp6": ("mp6", lambda n: n >= 2, "dimension >= 2")}
 
-    A_c e1 = (0, u) for the first-column tail u of A, so dev(A) = ||u||; likewise for B.
-    """
+
+@functools.cache
+def _e1(n: int) -> PureState:
+    """e1 in dimension n, the constructions' psi: immutable, so built once per dimension."""
+    return PureState(np.eye(1, n, dtype=complex)[0])
+
+
+def _raised(result):
+    """A construction's ``result``, or the :class:`QuboundsError` it holds, raised."""
+    if isinstance(result, QuboundsError):
+        raise result
+    return result
+
+
+def _constructions(targets: tuple[str, ...], a: np.ndarray, b: np.ndarray, reductions: list,
+                   centred: np.ndarray, tol: Tolerance) -> list:
+    """Each trial's construction per target ("case1", "case2", "w_mp6"), or the QuboundsError it raises, from
+    the stacks a, b (T, n, n) of its observables, its e1 reductions (m, mu) and centred pairs (T, 2, n, 1).
+    Each target's tails form one stack, from the first-column tails u, v of A_c and B_c: 1 for case1;
+    u - mu v for case2, degenerate as rounding noise beside dev(A) + dev(B) = ||u|| + ||v||, phased so
+    <e1|(A - mu B)|phi> is real nonnegative unless that entry is noise beside its row; u/dev(A) - mu v/dev(B)
+    for w_mp6, degenerate below tol.eps.  phi is (0, unit tail), or e2 where degenerate (and for zero
+    deviations, which the mp6 decision rejects first).  One state pass builds every phi, one product reads
+    every c and d."""
+    (size, _, n, _), width = centred.shape, len(targets)
+    u, mu_v = centred[:, 0, 1:, 0], np.array([[mu] for _, mu in reductions]) * centred[:, 1, 1:, 0]
+    rows, keeps = np.zeros((size, width, n), dtype=complex), []
+    for j, target in enumerate(targets):
+        _, allowed, rule = _CONSTRUCTIONS[target]
+        if not allowed(n):
+            raise DimensionMismatch("construction requires " + rule.format(n))
+        keeps.append([True] * size)
+        if target == "case1":
+            rows[:, j, 1] = 1.0
+            continue
+        floors, devs = [], []
+        for m, _ in reductions:
+            zero = target == "w_mp6" and any(_zero_deviations(m, tol))
+            floors.append(tol.eps * (m.dev_a + m.dev_b) if target == "case2" else math.inf if zero else tol.eps)
+            devs.append((1.0, 1.0) if zero else (m.dev_a, m.dev_b))
+        if target == "case2":  # the row conj(u) - mu conj(v) of A - mu B is conj(u + mu v), as mu = +-i
+            tail, row = u - mu_v, np.conjugate(u + mu_v)
+        else:
+            devs = np.array(devs, dtype=complex)
+            tail = u / devs[:, :1] - mu_v / devs[:, 1:]
+        norms, keep, scales = _row_norms(tail), keeps[-1], []
+        for t, floor in enumerate(floors):
+            keep[t] = norms[t] > floor
+            scales.append([norms[t] if keep[t] else 1.0])
+        rows[:, j, 1:] = direction = tail / np.array(scales, dtype=complex)
+        fix = keep
+        if target == "case2":
+            entries, phases, fix = np.matmul(row[:, None], direction[:, :, None]).tolist(), [], []
+            for k, ((e,),), r in zip(keep, entries, _row_norms(row)):
+                fix.append(k and abs(e) > TIE_TOL * r)
+                phases.append([cmath.exp(-1j * cmath.phase(e)) if fix[-1] else 1.0])
+            rows[:, j, 1:] = direction * np.array(phases, dtype=complex)
+        for t in range(size):  # e2 where degenerate; no phase product where none is fixed, as 1 can flip a zero's sign
+            if not keep[t]:
+                rows[t, j, 1:] = np.eye(1, n - 1)
+            elif not fix[t]:
+                rows[t, j, 1:] = direction[t]
+    phis = iter(PureState._stack(rows.reshape(-1, n)))
+    cds = zip(*_cross_elements(a[:, None], b[:, None], reductions[0][0].state.factor, rows[..., None]))
+    built = []
+    for (m, mu), (cs, ds), ks in zip(reductions, cds, zip(*keeps)):
+        built.append([])
+        for target, c, d, k in zip(targets, cs, ds, ks):
+            built[-1].append(_constructed(target, m, mu, next(phis), c, d, not k, tol))
+    return built
+
+
+def _constructed(target: str, m: PairMoments, mu: complex, phi: PureState, c: complex, d: complex,
+                 degenerate: bool, tol: Tolerance):
+    """[e1 | phi], orthonormal by construction (so it skips a caller's pair checks), with its gap: the target
+    decision's slack at mu over its flag's scale, dev(A)^2 + dev(B)^2 (or 0 by the zero rule) for mp3 and 1
+    for mp6; or the QuboundsError that decision raises."""
+    p = _MPInputs(m, phi, c, d)
+    try:
+        if target == "w_mp6":
+            gap = _mp6_decision(p, mu, tol)[0].slack
+        else:
+            decision = _mp3_decision(p, mu, tol)
+            gap = 0.0 if all(_zero_deviations(m, tol)) else decision.slack / decision.lhs
+    except QuboundsError as exc:
+        return exc
+    return ConstructedPair(mu=mu, psi=m.state, phi=phi, target=_CONSTRUCTIONS[target][0], achieved_slack=gap,
+                           degenerate=degenerate)
+
+
+def _construct(target: str, observable_a, observable_b, tol: Tolerance) -> ConstructedPair:
+    """The body's one-trial call, after the constructors' one input check: the reduction of (A, B, e1) by the
+    moments body's one-triple call, and its mu.  A_c e1 = (0, u) for the first-column tail u of A, so
+    dev(A) = ||u||; likewise for B."""
     a, b = _observable_pair(observable_a, observable_b)
-    m = pair_moments(a, b, PureState(np.eye(1, a.dimension, dtype=complex)[0]))
-    return m, _moments_mu(m, tol).mu
-
-
-def _constructed_pair(m: PairMoments, mu: complex, tail: np.ndarray | None,
-                      target: str, tol: Tolerance) -> ConstructedPair:
-    """psi = e1 and phi = the unit ``tail`` embedded below it, or e2 for a degenerate (None) tail.
-
-    The basis [e1 | phi] is orthonormal by construction (the overlap is exactly
-    0), so it skips the pair checks a caller's pair goes through.  The achieved
-    gap is the ``target`` decision's slack at ``mu`` over the scale its flag uses,
-    dev(A)^2 + dev(B)^2 for mp3 and 1 for the mp6 reformulation; it is 0 where
-    the mp3 decision's zero-deviation rule decides.
-    """
-    basis = np.eye(m.a.dimension, 2, dtype=complex)
-    if tail is not None:
-        basis[1:, 1] = tail
-    phi = PureState(basis[:, 1])
-    p = _MPInputs(m, phi, *_cross_elements(m.a.matrix, m.b.matrix, m.state.factor, phi.factor))
-    if target == "mp3":
-        decision = _mp3_decision(p, mu, tol)
-        gap = 0.0 if all(_zero_deviations(m, tol)) else decision.slack / decision.lhs
-    else:
-        gap = _mp6_decision(p, mu, tol)[0].slack
-    return ConstructedPair(mu=mu, psi=m.state, phi=phi, target=target, achieved_slack=gap,
-                           degenerate=tail is None)
+    e1 = _e1(a.dimension)
+    means, gram, centred = _moments(a.matrix, b.matrix, e1.factor)
+    m = _pair_moments(a, b, e1, means.tolist(), gram.tolist(), centred)
+    reductions = [(m, _moments_mu(m, tol).mu)]
+    return _raised(_constructions((target,), a.matrix[None], b.matrix[None], reductions, centred[None], tol)[0][0])
 
 
 def construct_case1(observable_a, observable_b, tol: Tolerance = DEFAULT_TOL) -> ConstructedPair:
     """Saturating pair for the sum bound in dimension 2: psi = e1, phi = e2."""
-    return _construct_case1(*_e1_reduction(observable_a, observable_b, tol), tol)
-
-
-def _construct_case1(m: PairMoments, mu: complex, tol: Tolerance) -> ConstructedPair:
-    if m.a.dimension != 2:
-        raise DimensionMismatch(f"construction requires dimension 2, got {m.a.dimension}")
-    return _constructed_pair(m, mu, np.ones(1), "mp3", tol)
+    return _construct("case1", observable_a, observable_b, tol)
 
 
 def construct_case2(observable_a, observable_b, tol: Tolerance = DEFAULT_TOL) -> ConstructedPair:
@@ -320,26 +389,7 @@ def construct_case2(observable_a, observable_b, tol: Tolerance = DEFAULT_TOL) ->
     normalized (phase-fixed to make <psi|(A - mu B)|phi> real nonnegative).
     A vanishing tail makes the equality hold for any phi; e2 is used then.
     """
-    return _construct_case2(*_e1_reduction(observable_a, observable_b, tol), tol)
-
-
-def _construct_case2(m: PairMoments, mu: complex, tol: Tolerance) -> ConstructedPair:
-    if m.a.dimension <= 2:
-        raise DimensionMismatch(f"construction requires dimension > 2, got {m.a.dimension}")
-    u, v = m.centered_a[1:, 0], m.centered_b[1:, 0]
-    tail = u - mu * v
-    norm = _norm(tail)
-    direction = None
-    # The tail is degenerate when it is rounding noise beside ||u|| + ||v||.
-    if norm > tol.eps * (m.dev_a + m.dev_b):
-        direction = tail / norm
-        # Fix the free phase so <e1|(A - mu B)|phi> comes out real nonnegative,
-        # unless that entry is rounding noise beside the row it is read from.
-        row = u.conj() - mu * v.conj()
-        entry = complex(row @ direction)
-        if abs(entry) > TIE_TOL * _norm(row):
-            direction = direction * cmath.exp(-1j * cmath.phase(entry))
-    return _constructed_pair(m, mu, direction, "mp3", tol)
+    return _construct("case2", observable_a, observable_b, tol)
 
 
 def construct_w_mp6(observable_a, observable_b, tol: Tolerance = DEFAULT_TOL) -> ConstructedPair:
@@ -350,17 +400,7 @@ def construct_w_mp6(observable_a, observable_b, tol: Tolerance = DEFAULT_TOL) ->
     A and B in e1).  When the difference vanishes both equality sides are
     zero for any phi; e2 is used then.
     """
-    return _construct_w_mp6(*_e1_reduction(observable_a, observable_b, tol), tol)
-
-
-def _construct_w_mp6(m: PairMoments, mu: complex, tol: Tolerance) -> ConstructedPair:
-    if m.a.dimension < 2:
-        raise DimensionMismatch("construction requires dimension >= 2")
-    _require_deviations(m, tol)
-    difference = m.centered_a[1:, 0] / m.dev_a - mu * m.centered_b[1:, 0] / m.dev_b
-    norm = _norm(difference)
-    direction = difference / norm if norm > tol.eps else None
-    return _constructed_pair(m, mu, direction, "mp6", tol)
+    return _construct("w_mp6", observable_a, observable_b, tol)
 
 
 _ZERO_WITNESSES = {(False, False): ZeroWitness.NONE, (True, False): ZeroWitness.A_ZERO,

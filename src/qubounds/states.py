@@ -119,15 +119,36 @@ class PureState(_ArrayEquality):
         a = np.asarray(self.amplitudes, dtype=complex)
         if a.size < 1 or a.size != max(a.shape, default=1):
             raise DimensionMismatch(f"state must be a nonempty vector, got shape {a.shape}")
-        norm = _norm(a)
-        if not math.isfinite(norm):  # a finite norm proves finite entries
-            as_complex_matrix(a.reshape(1, -1), "state vector")
-        if abs(norm - 1.0) > INPUT_TOL:
-            raise ValueError(f"state vector norm {norm!r} is not 1 within {INPUT_TOL}")
-        object.__setattr__(self, "amplitudes", _frozen_array(a.ravel()))
+        self._freeze(self._checked(a.reshape(1, -1))[0])
+
+    def _freeze(self, amplitudes: np.ndarray) -> None:
+        object.__setattr__(self, "amplitudes", amplitudes)
         # Kept 2-D so that a pure state is the one-column case of every matrix path.
-        object.__setattr__(self, "factor", self.amplitudes.reshape(-1, 1))
+        object.__setattr__(self, "factor", amplitudes.reshape(-1, 1))
         object.__setattr__(self, "weights", _UNIT_WEIGHT)
+
+    @staticmethod
+    def _checked(a: np.ndarray) -> np.ndarray:
+        """The state pass over the stack ``a`` (T, n): a frozen C-ordered copy, whose rows are the states'
+        amplitudes, once each row's norm is within ``INPUT_TOL`` of 1."""
+        a = np.array(a, dtype=complex, order="C")
+        a.setflags(write=False)
+        for row in a:
+            norm = _norm(row)
+            if not math.isfinite(norm):  # a finite norm proves finite entries
+                as_complex_matrix(row[None], "state vector")
+            if abs(norm - 1.0) > INPUT_TOL:
+                raise ValueError(f"state vector norm {norm!r} is not 1 within {INPUT_TOL}")
+        return a
+
+    @classmethod
+    def _stack(cls, a: np.ndarray) -> list:
+        """The state of each row of the stack ``a`` (T, n), from one pass (:meth:`_checked`)."""
+        states = []
+        for row in cls._checked(a):
+            states.append(object.__new__(cls))
+            states[-1]._freeze(row)
+        return states
 
     @functools.cached_property
     def digest(self) -> str:

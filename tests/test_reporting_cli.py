@@ -37,7 +37,7 @@ from qubounds import (
     trial_rng,
 )
 import qubounds
-from qubounds import goldens, linalg, relations, reporting, sampling, states
+from qubounds import goldens, linalg, relations, reporting, sampling, saturation, states
 from qubounds.cli import build_parser, main
 from qubounds.reporting import (
     bound_report_to_dict,
@@ -316,11 +316,13 @@ def test_sweep_skips_what_a_zero_deviation_stops():
 def test_a_construction_gap_is_a_failure(tmp_path, monkeypatch):
     # A constructed pair that leaves more than CONSTRUCTION_TOL of its bound open
     # is a BoundViolation of the sweep: verify exits 2.
-    def leaky(*args):
-        pair = construct_case1(SIGMA_X, SIGMA_Y)
-        return dataclasses.replace(pair, achieved_slack=10 * reporting.CONSTRUCTION_TOL)
+    def leaky(targets, *args):
+        built = constructions(targets, *args)
+        return [[dataclasses.replace(pair, achieved_slack=10 * reporting.CONSTRUCTION_TOL)
+                 if target == "case1" else pair for target, pair in zip(targets, pairs)] for pairs in built]
 
-    monkeypatch.setattr(reporting, "_construct_case1", leaky)
+    constructions = reporting._constructions
+    monkeypatch.setattr(reporting, "_constructions", leaky)
     out = tmp_path / "gap.json"
     assert main(["verify", "--n", "2", "--trials", "2", "--out", str(out)]) == 2
     failures = json.loads(out.read_text())["summary"]["failures"]
@@ -377,6 +379,8 @@ def _trial_calls(monkeypatch, config):
         "qr": np.linalg.qr,
         "svd": np.linalg.svd,
         "_require_isometry": linalg._require_isometry,
+        "_grams": linalg._grams,
+        "_cross_elements": relations._cross_elements,
         "_array_digest": states._array_digest,
         "_digest": relations._digest,
     }
@@ -426,8 +430,9 @@ def test_verify_trial_validates_once_and_reduces_once(monkeypatch):
     # psi needs no QR, and no evaluation completes a frame.
     assert counts["qr"] == 1
     assert shapes["qr"] == [(1, 4, 2)]
-    # The Haar pair only: a constructed pair [e1 | (0, tail)] is orthonormal by construction.
-    assert counts["_require_isometry"] == 1
+    # The Haar pair only, and in the chunk's one stacked Gram product: a constructed pair
+    # [e1 | (0, tail)] is orthonormal by construction, and no column basis is checked alone.
+    assert (counts["_grams"], counts["_require_isometry"]) == (1, 0)
     # A, B, psi, rho and the Haar pair; e1, the constructed phis and the
     # certificates hash nothing.  One report digest for each of the four
     # moment bounds, mp3, mp6 (shared by its two forms) and the chain.
@@ -446,6 +451,21 @@ def test_verify_stacks_a_chunks_eigh_and_qr(monkeypatch):
     assert (shapes["eigh"], shapes["qr"]) == ([(4, 4, 4)], [(4, 4, 2)])
     assert (counts["_moments"], counts["_array_digest"], counts["_digest"]) == (2, 24, 28)
     assert (shapes["built"], shapes["rho"]) == (4, [])
+
+
+def test_verify_stacks_a_chunks_maccone_pati_stage(monkeypatch):
+    # Four trials form one chunk: their psi and Haar pairs are built in one state pass and
+    # their pairs checked from one Gram product; both constructions of every trial build their
+    # phis in one more pass and read c and d from one product.  e1, built once per dimension,
+    # is the only state built alone.
+    saturation._e1.cache_clear()
+    passes, singles = [], []
+    stack, post_init = states.PureState._stack.__func__, states.PureState.__post_init__
+    monkeypatch.setattr(states.PureState, "_stack", classmethod(lambda cls, a: passes.append(len(a)) or stack(cls, a)))
+    monkeypatch.setattr(states.PureState, "__post_init__", lambda self: singles.append(1) or post_init(self))
+    counts, _ = _trial_calls(monkeypatch, SampleConfig(4, 4, 7, 4))
+    assert (counts["_grams"], counts["_require_isometry"], counts["_cross_elements"]) == (1, 0, 2)
+    assert (passes, singles) == ([12, 8], [1])
 
 
 def test_verify_trial_draws_and_factors_only_what_it_reads(monkeypatch):
@@ -594,28 +614,43 @@ def test_bare_command_parses_to_the_default_tolerance():
     assert Tolerance(build_parser().parse_args(["verify"]).tol) == linalg.DEFAULT_TOL
 
 
-def test_each_subcommand_takes_exactly_its_long_options():
+def _long_options() -> dict:
+    """Each subcommand's long options, as its parser declares them."""
     subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    options = {name: {option for action in sub._actions for option in action.option_strings
-                      if option.startswith("--")} - {"--help"} for name, sub in subparsers.choices.items()}
-    assert options == {
+    return {name: {option for action in sub._actions for option in action.option_strings
+                   if option.startswith("--")} - {"--help"} for name, sub in subparsers.choices.items()}
+
+
+def test_each_subcommand_takes_exactly_its_long_options():
+    assert _long_options() == {
         "verify": {"--n", "--rank", "--trials", "--seed", "--tol", "--out", "--format"},
         "reproduce": {"--out"},
         "saturate": {"--target", "--tol", "--out"},
     }
 
 
+def _readme_option_rows(readme: str) -> dict:
+    """The long options in each subcommand's row of README's "Command line" table."""
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    return {m.group(1): set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", m.group(2)))
+            for m in re.finditer(r"^\| `(\w+)` \|(.*)\|$", section, flags=re.M)}
+
+
 def test_readme_names_exactly_the_cli_long_options():
     # Outside "Install and test", which names pip's flags, README names every long
-    # option of every subcommand and no option the CLI lacks, so a renamed flag fails here.
+    # option of every subcommand and no option the CLI lacks, and its "Command line"
+    # table gives each subcommand exactly its own options, so a renamed flag, or one
+    # given to the wrong subcommand, fails here.
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     head, install = readme.split("## Install and test", 1)
     text = head + install.split("\n## ", 1)[1]
     named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", text))
-    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    options = {option for sub in subparsers.choices.values() for action in sub._actions
-               for option in action.option_strings if option.startswith("--")} - {"--help"}
-    assert "--tol" in options and named == options
+    options = _long_options()
+    assert "--tol" in options["verify"] and named == set().union(*options.values())
+    assert _readme_option_rows(readme) == options
+    # The row check is what catches a misplaced option: the union above does not move.
+    misplaced = readme.replace("| `reproduce` | `--out` |", "| `reproduce` | `--out`, `--format` |")
+    assert misplaced != readme and _readme_option_rows(misplaced) != options
 
 
 def test_every_named_threshold_is_in_the_readme_table():

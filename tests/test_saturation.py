@@ -8,6 +8,7 @@ import pytest
 
 from qubounds import (
     CertificateKind,
+    ConstructedPair,
     DensityMatrix,
     DimensionMismatch,
     HypothesisViolated,
@@ -57,10 +58,9 @@ from qubounds import (
     zero_product_characterization,
     zero_sum_characterization,
 )
-from qubounds import relations, saturation, states
+from qubounds import linalg, relations, saturation, states
 from qubounds.linalg import ROUNDING_TOL, complex_dependence_detail, phase_dependence_detail
-from qubounds.saturation import (CONSTRUCTION_TOL, DEFAULT_R_LIST, _constructed_pair,
-                                 _e1_reduction, _verify_r_family)
+from qubounds.saturation import CONSTRUCTION_TOL, DEFAULT_R_LIST, _constructions, _e1, _verify_r_family
 from helpers import (
     SIGMA_X,
     SIGMA_Y,
@@ -767,21 +767,21 @@ def test_construct_w_mp6_rejects_dimension_one():
         construct_w_mp6(np.array([[1.0]]), np.array([[2.0]]))
 
 
-def test_construction_gap_is_scale_free():
+def test_construction_gap_is_scale_free(monkeypatch):
     # The gap is the target report's slack over the scale its flag uses, so a pair
     # that does not close its bound reads one gap at every common scale of (A, B).
     # Over max(1, |lhs|, |rhs|) it shrank as c^2 below unit scale and passed CONSTRUCTION_TOL.
     rng = trial_rng(337, 0)
-    e2_tail = np.eye(1, 3, dtype=complex)[0]
+    scales = (1e-12, 1e-6, 1e-4, 1.0, 1e8)
     for _ in range(10):
         a, b = hermitian_array(rng, 4), hermitian_array(rng, 4)
-        for target, construct in (("mp3", construct_case2), ("mp6", construct_w_mp6)):
-            wrong = []
-            for c in (1e-12, 1e-6, 1e-4, 1.0, 1e8):
-                # phi = e2 instead of the saturating direction, through the same core.
-                m, mu = _e1_reduction(c * a, c * b, Tolerance())
-                wrong.append(_constructed_pair(m, mu, e2_tail, target, Tolerance()).achieved_slack)
+        for construct in (construct_case2, construct_w_mp6):
+            for c in scales:
                 assert abs(construct(c * a, c * b).achieved_slack) <= 1e-12
+            # phi = e2 instead of the saturating direction, through the same body: every tail reads as degenerate.
+            with monkeypatch.context() as patch:
+                patch.setattr(saturation, "_row_norms", lambda rows: [0.0] * len(rows))
+                wrong = [construct(c * a, c * b).achieved_slack for c in scales]
             assert min(map(abs, wrong)) > CONSTRUCTION_TOL
             np.testing.assert_allclose(wrong, wrong[3], rtol=1e-12, atol=0)
 
@@ -1401,3 +1401,76 @@ def test_the_one_pass_recheck_matches_the_per_power_oracle(monkeypatch):
                                        rtol=1e-13, atol=0)
             certificates += 1
     assert certificates >= 60
+
+
+def _result_or_error(call):
+    """What a call leaves: its result, or the type and message of the QuboundsError it raises."""
+    try:
+        return call()
+    except QuboundsError as exc:
+        return type(exc), str(exc)
+
+
+def _construction_bytes(result):
+    if not isinstance(result, ConstructedPair):
+        return result if isinstance(result, tuple) else (type(result), str(result))
+    return (result.mu, result.achieved_slack.hex(), result.degenerate, result.target,
+            result.psi.amplitudes.tobytes(), result.phi.amplitudes.tobytes(), result.phi.factor.tobytes())
+
+
+def test_stacked_states_pair_checks_and_constructions_are_the_one_trial_calls_byte_for_byte():
+    # A sweep builds a chunk's pure states in one pass, checks its Maccone-Pati pairs from one Gram
+    # product and runs both constructions as stacks; the public entries are each body's one-trial
+    # call.  Every slice of a stacked call must be that call, byte for byte, or raise its error.
+    # Trial 0 has e1 as a common eigenvector (degenerate tails, phi = e2), trial 1 a B offset by
+    # 1e12 I, trial 2 multiples of I (zero deviations), and the last trial a pair leaning 1e-6.
+    rng = trial_rng(24, 0)
+    for n in (2, 3, 4, 8, 16, 17, 64):
+        targets = ("case1" if n == 2 else "case2", "w_mp6")
+        for t in (1, 2, 4, 7):
+            a = np.array([hermitian_array(rng, n) for _ in range(t)])
+            b = np.array([hermitian_array(rng, n) for _ in range(t)])
+            a[0, 0, 1:] = a[0, 1:, 0] = b[0, 0, 1:] = b[0, 1:, 0] = 0.0
+            if t > 1:
+                b[1] += 1e12 * np.eye(n)
+            if t > 2:
+                a[2], b[2] = 2.0 * np.eye(n), -3.0 * np.eye(n)
+            rows = np.array([haar_unitary(n, rng)[:, :2].T for _ in range(t)])
+            rows[-1, 1] += 1e-6 * rows[-1, 0]
+            rows[-1, 1] /= np.linalg.norm(rows[-1, 1])
+            # The state pass.
+            stacked_states = PureState._stack(rows.reshape(-1, n))
+            for state, row in zip(stacked_states, rows.reshape(-1, n)):
+                one = PureState(row.copy())
+                assert [state.amplitudes.tobytes(), state.factor.tobytes(), state.digest] == [
+                    one.amplitudes.tobytes(), one.factor.tobytes(), one.digest]
+            # The pair checks: each trial's Gram slice, and the errors it raises.
+            grams = linalg._grams(rows)
+            for i, gram in enumerate(grams):
+                psi, phi = stacked_states[2 * i: 2 * i + 2]
+                assert repr(gram) == repr(linalg._grams(rows[i: i + 1].copy())[0])
+                assert gram[0][1] == np.vdot(psi.amplitudes, phi.amplitudes)
+                assert gram[1][0] == phi.amplitudes.conj() @ psi.amplitudes
+                for tol in (Tolerance(), Tolerance(0.0)):
+                    stacked = _result_or_error(lambda: relations._mp_inputs(a[i], b[i], psi, phi, tol, gram))
+                    one = _result_or_error(lambda: relations._mp_inputs(a[i], b[i], psi, phi, tol))
+                    assert isinstance(one, tuple) == isinstance(stacked, tuple) == (i == t - 1 and n > 1)
+                    if isinstance(one, tuple):
+                        assert one == stacked and one[0] is NotOrthogonal
+            # The constructions.
+            e1 = _e1(n)
+            means, grams, centred = states._moments(a[:, None], b[:, None], np.broadcast_to(e1.factor, (t, 1, n, 1)))
+            moments = [states._pair_moments(Observable(x), Observable(y), e1, *mg, c) for x, y, *mg, c in
+                       zip(a, b, means[:, 0].tolist(), grams[:, 0].tolist(), centred[:, 0])]
+            for tol in (Tolerance(), Tolerance(0.0)):
+                reductions = [(m, choose_mu(m.a, m.b, e1, tol).mu) for m in moments]
+                built = _constructions(targets, a, b, reductions, centred[:, 0], tol)
+                for i, pairs in enumerate(built):
+                    publics = (construct_case1 if n == 2 else construct_case2, construct_w_mp6)
+                    for result, construct in zip(pairs, publics):
+                        one = _result_or_error(lambda: construct(a[i], b[i], tol))
+                        assert _construction_bytes(result) == _construction_bytes(one), (n, t, i, construct)
+                    if i in (0, 2) and n > 2:
+                        assert pairs[0].degenerate and pairs[0].phi.amplitudes[1] == 1.0
+                    if i == 2:
+                        assert isinstance(pairs[1], ZeroDeviation)
