@@ -15,7 +15,8 @@ Maccone-Pati family).  Its work is split in two private bodies that read
 only that reduction and the tolerance: the bound's decision (both sides,
 the slack and the flag), and the report that adds the digest.  The checkers
 and constructions read only decisions, so they hash nothing; the verification
-sweep runs the report bodies on the one reduction it holds.
+sweep runs the report bodies on the one reduction it holds, after the entries'
+pair checks (:func:`_require_pair`).
 """
 
 from __future__ import annotations
@@ -27,12 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    BoundViolation,
-    DimensionMismatch,
-    NotOrthogonal,
-    ZeroDeviation,
-)
+from .errors import BoundViolation, DimensionMismatch, NotOrthogonal, ZeroDeviation
 from .linalg import (DEFAULT_TOL, ROUNDING_TOL, Tolerance, _ArrayEquality, _completion, _grams, _input_budget,
                      _pair_budget, _require_orthonormal)
 from .states import (
@@ -228,12 +224,6 @@ def choose_mu(observable_a, observable_b, psi: PureState, tol: Tolerance = DEFAU
     return _moments_mu(pair_moments(observable_a, observable_b, psi), tol)
 
 
-def _require_deviations(m: PairMoments, tol: Tolerance) -> None:
-    """Raise :class:`ZeroDeviation` when either deviation is zero to rounding (:func:`_zero_deviations`)."""
-    if any(_zero_deviations(m, tol)):
-        raise ZeroDeviation(f"deviations ({m.dev_a:.3e}, {m.dev_b:.3e}) too small for the product bound")
-
-
 def _require_dimensions(a: Observable, psi: PureState, phi: PureState) -> None:
     if not a.dimension == psi.dimension == phi.dimension:
         raise DimensionMismatch(
@@ -271,21 +261,22 @@ class _MPInputs:
     d: complex
 
 
-def _mp_inputs(observable_a, observable_b, psi: PureState, phi: PureState,
-               tol: Tolerance, gram: list | None = None, reduced=None) -> _MPInputs:
-    """Validate (A, B, psi, phi) once and reduce it; the pair checks are dimensions, overlap, Gram test, the last
-    two read from the pair's Gram matrix.  A sweep passes ``gram`` from its chunk's one Gram product, and
-    ``reduced``, which returns the moments in psi and (c, d) from its stacked reduction."""
-    a, b = _observable_pair(observable_a, observable_b)
-    _require_dimensions(a, psi, phi)
-    gram = gram or _grams(np.array(((psi.amplitudes, phi.amplitudes),)))[0]
+def _require_pair(gram: list, tol: Tolerance) -> None:
+    """The pair checks on the Gram matrix of (psi, phi) (:func:`~qubounds.linalg._grams`), in order: the overlap
+    (:class:`NotOrthogonal`), then the Gram test.  A sweep runs them once per trial on its chunk's Gram slice."""
     overlap = abs(gram[1][0])
     if overlap > _pair_budget(tol):
         raise NotOrthogonal(f"|<phi|psi>| = {overlap:.3e}")
     _require_orthonormal(gram, tol)
-    m, cd = reduced() if reduced else (
-        pair_moments(a, b, psi), _cross_elements(a.matrix, b.matrix, psi.factor, phi.factor))
-    return _MPInputs(m, phi, *cd)
+
+
+def _mp_inputs(observable_a, observable_b, psi: PureState, phi: PureState, tol: Tolerance) -> _MPInputs:
+    """Validate (A, B, psi, phi) once and reduce it: the dimensions, the pair checks (:func:`_require_pair`) on
+    the pair's one Gram product, then the moments in psi, whose mean check comes last, and c, d."""
+    a, b = _observable_pair(observable_a, observable_b)
+    _require_dimensions(a, psi, phi)
+    _require_pair(_grams(np.array(((psi.amplitudes, phi.amplitudes),)))[0], tol)
+    return _MPInputs(pair_moments(a, b, psi), phi, *_cross_elements(a.matrix, b.matrix, psi.factor, phi.factor))
 
 
 def mp_frame(observable_a, observable_b, psi: PureState, phi: PureState,
@@ -410,9 +401,10 @@ def _mp6(p: _MPInputs, tol: Tolerance) -> MP6Reports:
 
 
 def _mp6_decision(p: _MPInputs, mu: complex, tol: Tolerance) -> tuple[_Decision, float]:
-    """The division-free decision at ``mu``, and mu <[A, B]>."""
+    """The division-free decision at ``mu``, and mu <[A, B]>; a deviation zero to rounding raises first."""
     m = p.moments
-    _require_deviations(m, tol)
+    if any(_zero_deviations(m, tol)):
+        raise ZeroDeviation(f"deviations ({m.dev_a:.3e}, {m.dev_b:.3e}) too small for the product bound")
     q_elem = p.c / m.dev_a + mu * p.d / m.dev_b
     comm_term = (mu * m.commutator_expectation).real
     decision = _decide("mp6 reformulated", 1.0 - abs(q_elem) ** 2 / 2.0,

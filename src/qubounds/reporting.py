@@ -20,11 +20,11 @@ import numpy as np
 from .errors import BoundViolation, DimensionMismatch, QuboundsError, ZeroDeviation
 from .goldens import run_goldens
 from .linalg import DEFAULT_TOL, Tolerance, _grams
-from .relations import (BoundReport, MP6Reports, _cross_elements, _moments_mu, _mp3, _mp6, _mp_chain,
-                        _mp_inputs, _robertson_report, _schrodinger_report)
+from .relations import (BoundReport, MP6Reports, _cross_elements, _mp3, _mp6, _mp_chain, _MPInputs, _require_pair,
+                        _robertson_report, _schrodinger_report)
 from .sampling import _ROOT_I, SampleConfig, _complex_parts, _full_rank, _haar_stack, _unit_rows, trial_rng
-from .saturation import (CONSTRUCTION_TOL, DEFAULT_R_LIST, CertificateKind, ConstructedPair,
-                         SaturationCertificate, _certificate, _constructions, _e1, _raised)
+from .saturation import (_CONSTRUCTIONS, CONSTRUCTION_TOL, CertificateKind, ConstructedPair, SaturationCertificate,
+                         _certificate, _constructions, _e1, _outcome, _raised)
 from .states import DensityMatrix, Observable, PureState, _moments, _pair_moments
 
 ARTIFACT_VERSION = "0.10.0"
@@ -203,8 +203,8 @@ def _mp6_results(reports: MP6Reports) -> dict:
 
 
 def _trial_inputs(config: SampleConfig):
-    """Each chunk of trials (see below): the stacks of its As and Bs, and each trial's
-    (k, A, B, psi, rho, Haar pair and its Gram matrix, or None)."""
+    """Each chunk of trials (see below): the stacks of its As and Bs, the rows (T, 3, n) of its psis and Haar
+    pairs ((T, 1, n) at n = 1), and each trial's (k, A, B, psi, rho, Haar pair or None)."""
     n, rank = config.dimension, config.rank
     ends = list(itertools.accumulate((n * n, n * n, 2 * n, 2 * n * rank, 4 * n if n >= 2 else 0)))
     per_chunk = max(1, CHUNK_BYTES // (16 * n * n))
@@ -226,8 +226,14 @@ def _trial_inputs(config: SampleConfig):
         if n >= 2:
             rows[:, 1:] = np.swapaxes(_haar_stack(_complex_parts(draws[:, ends[3]:], n, 2)), 1, 2)
         states = PureState._stack(rows.reshape(-1, n))
-        pairs = [None] * len(ks) if n < 2 else list(zip(states[1::3], states[2::3], _grams(rows[:, 1:])))
-        yield a_stack[:, None], b_stack[:, None], list(zip(ks, a, b, states[:: rows.shape[1]], rhos, pairs))
+        pairs = [None] * len(ks) if n < 2 else list(zip(states[1::3], states[2::3]))
+        yield a_stack[:, None], b_stack[:, None], rows, list(zip(ks, a, b, states[:: rows.shape[1]], rhos, pairs))
+
+
+def _mp_reduced(gram: list, cd: tuple, tol: Tolerance, a, b, psi, phi, *slices) -> _MPInputs:
+    """:func:`~qubounds.relations._mp_inputs` from a trial's stacked slices, in its order: pair checks, mean check."""
+    _require_pair(gram, tol)
+    return _MPInputs(_pair_moments(a, b, psi, *slices), phi, *cd)
 
 
 def run_verification_suite(config: SampleConfig, tol: Tolerance) -> SuiteReport:
@@ -242,32 +248,31 @@ def run_verification_suite(config: SampleConfig, tol: Tolerance) -> SuiteReport:
     states of its trials (psi, the Maccone-Pati psi_f and e1, built once), one for its rhos' factors, one
     product for the pairs' c and d, one Gram product for their checks, and one constructions-body call
     (:func:`~qubounds.saturation._constructions`) for both constructions of every trial, which share the
-    trial's e1 reduction and its mu.  Only the bound decisions, the record entries and digests run per trial.
+    trial's e1 moments.  Only the bound decisions, the record entries and digests run per trial.
     Each evaluation leaves one record entry: its result (a dict names several),
-    a skip on :class:`ZeroDeviation`, or an error on any other :class:`QuboundsError`.  The Maccone-Pati
-    checks and constructions can raise, so each trial's outcome is raised in the evaluations that read it,
-    the pair checks before the mean check, as in the public entries; the other triples cannot raise on a
-    trial's inputs, valid by construction with A and B Hermitian bit for bit.
+    a skip on :class:`ZeroDeviation`, or an error on any other :class:`QuboundsError`.  A trial's Maccone-Pati
+    reduction, checked once in the entries' order, and its constructions are outcomes (its inputs or the error
+    raised, :func:`~qubounds.saturation._outcome`) that each evaluation reading them raises; the other triples
+    cannot raise on a trial's inputs, valid by construction with A and B Hermitian bit for bit.
     """
     started = _utc_now()
     summary = _Summary()
     trials = []
     n = config.dimension
     e1 = _e1(n)
-    targets = ("case1", "w_mp6") if n == 2 else ("case2", "w_mp6") if n > 2 else ()
-    for a_stack, b_stack, chunk in _trial_inputs(config):
-        columns = np.array([[psi.factor, pair[0].factor, e1.factor] if pair else [psi.factor]
-                            for *_, psi, _, pair in chunk])
+    targets = tuple(target for target, (_, allowed, _) in _CONSTRUCTIONS.items() if allowed(n))
+    for a_stack, b_stack, rows, chunk in _trial_inputs(config):
+        columns = rows[..., None].copy()  # psi, psi_f and phi as n x 1 columns; e1 takes phi's place
+        columns[:, 2:] = e1.factor
         means, grams, centred = _moments(a_stack, b_stack, columns)
         rho_means, rho_grams, rho_centred = _moments(a_stack, b_stack, np.array([[rho.factor] for *_, rho, _ in chunk]))
         means, grams, rho_means, rho_grams = (x.tolist() for x in (means, grams, rho_means, rho_grams))
         if n >= 2:
-            cds = list(zip(*_cross_elements(a_stack[:, 0], b_stack[:, 0], columns[:, 1],
-                                            np.array([pair[1].factor for *_, pair in chunk]))))
+            pair_grams = _grams(rows[:, 1:])
+            cds = list(zip(*_cross_elements(a_stack[:, 0], b_stack[:, 0], columns[:, 1], rows[:, 2, :, None])))
             e1_moments = [_pair_moments(a, b, e1, means[t][2], grams[t][2], centred[t, 2])
                           for t, (_, a, b, *_) in enumerate(chunk)]
-            reductions = [(m, _moments_mu(m, tol).mu) for m in e1_moments]
-            built = _constructions(targets, a_stack[:, 0], b_stack[:, 0], reductions, centred[:, 2], tol)
+            built = _constructions(targets, a_stack[:, 0], b_stack[:, 0], e1_moments, centred[:, 2], tol)
         for t, (k, a, b, psi, rho, pair) in enumerate(chunk):
             pure = _pair_moments(a, b, psi, means[t][0], grams[t][0], centred[t, 0])
             mixed = _pair_moments(a, b, rho, rho_means[t][0], rho_grams[t][0], rho_centred[t, 0])
@@ -278,19 +283,16 @@ def run_verification_suite(config: SampleConfig, tol: Tolerance) -> SuiteReport:
                 "schrodinger_mixed": lambda: _schrodinger_report(mixed, tol),
             }
             if n >= 2:
-                # functools.cache keeps a result, never an exception.
-                mp = functools.cache(lambda: _mp_inputs(a, b, *pair[:2], tol, pair[2], lambda: (
-                    _pair_moments(a, b, pair[0], means[t][1], grams[t][1], centred[t, 1]), cds[t])))
-                evaluations["mp3"] = lambda: _mp3(mp(), tol).report
-                evaluations["mp6"] = lambda: _mp6_results(_mp6(mp(), tol))
+                mp = _outcome(_mp_reduced, pair_grams[t], cds[t], tol,
+                              a, b, *pair, means[t][1], grams[t][1], centred[t, 1])
+                evaluations["mp3"] = lambda: _mp3(_raised(mp), tol).report
+                evaluations["mp6"] = lambda: _mp6_results(_mp6(_raised(mp), tol))
                 evaluations["mp_chain"] = lambda: dict(zip(
-                    ("chain_step1", "chain_step2", "chain_step3"), _mp_chain(mp(), 1j, tol).steps))
-            evaluations["robertson_pure_certificate"] = (
-                lambda: _certificate(CertificateKind.ROBERTSON_PURE, pure, tol, ()))
-            evaluations["robertson_mixed_certificate"] = lambda: _certificate(
-                CertificateKind.ROBERTSON_MIXED, mixed, tol, DEFAULT_R_LIST)
-            evaluations["schrodinger_certificate"] = lambda: _certificate(
-                CertificateKind.SCHRODINGER, mixed, tol, DEFAULT_R_LIST)
+                    ("chain_step1", "chain_step2", "chain_step3"), _mp_chain(_raised(mp), 1j, tol).steps))
+            evaluations["robertson_pure_certificate"] = lambda: _certificate(CertificateKind.ROBERTSON_PURE, pure, tol)
+            evaluations["robertson_mixed_certificate"] = (
+                lambda: _certificate(CertificateKind.ROBERTSON_MIXED, mixed, tol))
+            evaluations["schrodinger_certificate"] = lambda: _certificate(CertificateKind.SCHRODINGER, mixed, tol)
             for j, target in enumerate(targets):
                 evaluations[f"construct_{target}"] = functools.partial(_raised, built[t][j])
 

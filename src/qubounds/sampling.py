@@ -32,6 +32,8 @@ class SampleConfig:
             raise ValueError(f"rank must lie in [1, {self.dimension}]")
         if self.count < 1:
             raise ValueError("count must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def _as_rng(seed) -> np.random.Generator:

@@ -12,9 +12,10 @@ Like the evaluators, each checker and constructor is an entry that validates and
 its inputs, with a private body that reads only the reduction where the sweep runs it.
 Checkers and constructors read bound decisions, never reports, so they hash no input.
 
-The constructions (psi = e1) read one reduction of (A, B, e1), its mu, and
+The constructions (psi = e1) read one reduction of (A, B, e1), the mu they pick from it, and
 the target bound's decision at that mu on [e1 | (0, tail)], orthonormal by construction.
 Their body, :func:`_constructions`, takes a stack of trials; a public constructor is its one-trial call.
+A body's error on one trial of a stack is kept as that trial's outcome (:func:`_outcome`).
 """
 
 from __future__ import annotations
@@ -142,16 +143,15 @@ def _verify_r_family(m: PairMoments, coeff_a: complex, coeff_b: complex,
     return residuals
 
 
-def _certificate(kind: CertificateKind, m: PairMoments, tol: Tolerance,
-                 rs: tuple[float, ...]) -> SaturationCertificate | None:
+def _certificate(kind: CertificateKind, m: PairMoments, tol: Tolerance) -> SaturationCertificate | None:
     """The witness a A_c X + b B_c X = 0 of a saturated bound: a = cos(theta), b = e^{i phi} sin(theta).
 
     None exactly when the bound's decision is unsaturated, so presence is its report's flag.  The
     witness is the least direction of the moments' Gram form (dev(A)^2, cross, dev(B)^2), at the
     phase i for the Robertson kinds (phi is None).  A deviation zero to rounding enters it as exactly
     0, so one zero side gives (a, b) = (1, 0) or (0, 1) with phi = 0, and two give theta = 0 with
-    residual 0.  The residual is ||a A_c X + b B_c X||_F, read from the moments for one zero side;
-    (a, b) is re-verified at each power in ``rs`` (:func:`_verify_r_family`).
+    residual 0.  The residual is ||a A_c X + b B_c X||_F, read from the moments for one zero side; the
+    mixed kinds re-verify (a, b) at each power in ``DEFAULT_R_LIST`` (:func:`_verify_r_family`), the pure none.
     """
     schrodinger = kind is CertificateKind.SCHRODINGER
     if not (_schrodinger_decision if schrodinger else _robertson_decision)(m, tol).saturated:
@@ -165,6 +165,7 @@ def _certificate(kind: CertificateKind, m: PairMoments, tol: Tolerance,
     # One zero side makes the witness (1, 0) or (0, 1), whose residual is that side's deviation.
     residual = (0.0 if all(zero) else m.dev_a if zero[0] else m.dev_b if zero[1]
                 else _norm(a * m.centered_a + b * m.centered_b))
+    rs = () if kind is CertificateKind.ROBERTSON_PURE else DEFAULT_R_LIST
     return SaturationCertificate(kind=kind, theta=theta, phi=phi, mu=None, residual=residual,
                                  r_checked=rs, r_residuals=_verify_r_family(m, a, b, rs, tol) if rs else ())
 
@@ -172,22 +173,19 @@ def _certificate(kind: CertificateKind, m: PairMoments, tol: Tolerance,
 def robertson_saturation_pure(observable_a, observable_b, psi: PureState,
                               tol: Tolerance = DEFAULT_TOL) -> SaturationCertificate | None:
     """Phase theta with cos(theta) A_c |psi> + i sin(theta) B_c |psi> = 0, if any."""
-    return _certificate(CertificateKind.ROBERTSON_PURE,
-                        pair_moments(observable_a, observable_b, psi), tol, ())
+    return _certificate(CertificateKind.ROBERTSON_PURE, pair_moments(observable_a, observable_b, psi), tol)
 
 
 def robertson_saturation_mixed(observable_a, observable_b, state: QuantumState,
                                tol: Tolerance = DEFAULT_TOL) -> SaturationCertificate | None:
     """Mixed-state equality witness, re-verified at every power in ``DEFAULT_R_LIST``."""
-    return _certificate(CertificateKind.ROBERTSON_MIXED,
-                        pair_moments(observable_a, observable_b, state), tol, DEFAULT_R_LIST)
+    return _certificate(CertificateKind.ROBERTSON_MIXED, pair_moments(observable_a, observable_b, state), tol)
 
 
 def schrodinger_saturation(observable_a, observable_b, state: QuantumState,
                            tol: Tolerance = DEFAULT_TOL) -> SaturationCertificate | None:
     """Witness (theta, phi) with cos(theta) A_c rho^r + e^{i phi} sin(theta) B_c rho^r = 0 for r >= 1/2."""
-    return _certificate(CertificateKind.SCHRODINGER,
-                        pair_moments(observable_a, observable_b, state), tol, DEFAULT_R_LIST)
+    return _certificate(CertificateKind.SCHRODINGER, pair_moments(observable_a, observable_b, state), tol)
 
 
 def mp_chain_saturation(observable_a, observable_b, psi: PureState, phi: PureState,
@@ -281,25 +279,34 @@ def _e1(n: int) -> PureState:
     return PureState(np.eye(1, n, dtype=complex)[0])
 
 
-def _raised(result):
-    """A construction's ``result``, or the :class:`QuboundsError` it holds, raised."""
-    if isinstance(result, QuboundsError):
-        raise result
-    return result
+def _outcome(body, *args):
+    """``body(*args)``, or the :class:`QuboundsError` it raises, kept as a value for :func:`_raised`."""
+    try:
+        return body(*args)
+    except QuboundsError as exc:
+        return exc
 
 
-def _constructions(targets: tuple[str, ...], a: np.ndarray, b: np.ndarray, reductions: list,
+def _raised(outcome):
+    """An :func:`_outcome`'s result, or the :class:`QuboundsError` it holds, raised."""
+    if isinstance(outcome, QuboundsError):
+        raise outcome
+    return outcome
+
+
+def _constructions(targets: tuple[str, ...], a: np.ndarray, b: np.ndarray, moments: list,
                    centred: np.ndarray, tol: Tolerance) -> list:
     """Each trial's construction per target ("case1", "case2", "w_mp6"), or the QuboundsError it raises, from
-    the stacks a, b (T, n, n) of its observables, its e1 reductions (m, mu) and centred pairs (T, 2, n, 1).
-    Each target's tails form one stack, from the first-column tails u, v of A_c and B_c: 1 for case1;
-    u - mu v for case2, degenerate as rounding noise beside dev(A) + dev(B) = ||u|| + ||v||, phased so
-    <e1|(A - mu B)|phi> is real nonnegative unless that entry is noise beside its row; u/dev(A) - mu v/dev(B)
-    for w_mp6, degenerate below tol.eps.  phi is (0, unit tail), or e2 where degenerate (and for zero
-    deviations, which the mp6 decision rejects first).  One state pass builds every phi, one product reads
-    every c and d."""
+    the stacks a, b (T, n, n) of its observables, its e1 moments, each at the mu :func:`_moments_mu` picks,
+    and centred pairs (T, 2, n, 1).  Each target's tails form one stack, from the first-column tails u, v of
+    A_c and B_c: 1 for case1; u - mu v for case2, degenerate as rounding noise beside dev(A) + dev(B) =
+    ||u|| + ||v||, phased so <e1|(A - mu B)|phi> is real nonnegative unless that entry is noise beside its
+    row; u/dev(A) - mu v/dev(B) for w_mp6, degenerate below tol.eps.  phi is (0, unit tail), or e2 where
+    degenerate (and for zero deviations, which the mp6 decision rejects first).  One state pass builds every
+    phi, one product reads every c and d."""
     (size, _, n, _), width = centred.shape, len(targets)
-    u, mu_v = centred[:, 0, 1:, 0], np.array([[mu] for _, mu in reductions]) * centred[:, 1, 1:, 0]
+    mus = [_moments_mu(m, tol).mu for m in moments]
+    u, mu_v = centred[:, 0, 1:, 0], np.array(mus)[:, None] * centred[:, 1, 1:, 0]
     rows, keeps = np.zeros((size, width, n), dtype=complex), []
     for j, target in enumerate(targets):
         _, allowed, rule = _CONSTRUCTIONS[target]
@@ -310,7 +317,7 @@ def _constructions(targets: tuple[str, ...], a: np.ndarray, b: np.ndarray, reduc
             rows[:, j, 1] = 1.0
             continue
         floors, devs = [], []
-        for m, _ in reductions:
+        for m in moments:
             zero = target == "w_mp6" and any(_zero_deviations(m, tol))
             floors.append(tol.eps * (m.dev_a + m.dev_b) if target == "case2" else math.inf if zero else tol.eps)
             devs.append((1.0, 1.0) if zero else (m.dev_a, m.dev_b))
@@ -337,12 +344,12 @@ def _constructions(targets: tuple[str, ...], a: np.ndarray, b: np.ndarray, reduc
             elif not fix[t]:
                 rows[t, j, 1:] = direction[t]
     phis = iter(PureState._stack(rows.reshape(-1, n)))
-    cds = zip(*_cross_elements(a[:, None], b[:, None], reductions[0][0].state.factor, rows[..., None]))
+    cds = zip(*_cross_elements(a[:, None], b[:, None], moments[0].state.factor, rows[..., None]))
     built = []
-    for (m, mu), (cs, ds), ks in zip(reductions, cds, zip(*keeps)):
+    for m, mu, (cs, ds), ks in zip(moments, mus, cds, zip(*keeps)):
         built.append([])
         for target, c, d, k in zip(targets, cs, ds, ks):
-            built[-1].append(_constructed(target, m, mu, next(phis), c, d, not k, tol))
+            built[-1].append(_outcome(_constructed, target, m, mu, next(phis), c, d, not k, tol))
     return built
 
 
@@ -350,30 +357,26 @@ def _constructed(target: str, m: PairMoments, mu: complex, phi: PureState, c: co
                  degenerate: bool, tol: Tolerance):
     """[e1 | phi], orthonormal by construction (so it skips a caller's pair checks), with its gap: the target
     decision's slack at mu over its flag's scale, dev(A)^2 + dev(B)^2 (or 0 by the zero rule) for mp3 and 1
-    for mp6; or the QuboundsError that decision raises."""
+    for mp6.  The decision may raise."""
     p = _MPInputs(m, phi, c, d)
-    try:
-        if target == "w_mp6":
-            gap = _mp6_decision(p, mu, tol)[0].slack
-        else:
-            decision = _mp3_decision(p, mu, tol)
-            gap = 0.0 if all(_zero_deviations(m, tol)) else decision.slack / decision.lhs
-    except QuboundsError as exc:
-        return exc
+    if target == "w_mp6":
+        gap = _mp6_decision(p, mu, tol)[0].slack
+    else:
+        decision = _mp3_decision(p, mu, tol)
+        gap = 0.0 if all(_zero_deviations(m, tol)) else decision.slack / decision.lhs
     return ConstructedPair(mu=mu, psi=m.state, phi=phi, target=_CONSTRUCTIONS[target][0], achieved_slack=gap,
                            degenerate=degenerate)
 
 
 def _construct(target: str, observable_a, observable_b, tol: Tolerance) -> ConstructedPair:
     """The body's one-trial call, after the constructors' one input check: the reduction of (A, B, e1) by the
-    moments body's one-triple call, and its mu.  A_c e1 = (0, u) for the first-column tail u of A, so
-    dev(A) = ||u||; likewise for B."""
+    moments body's one-triple call.  A_c e1 = (0, u) for the first-column tail u of A, so dev(A) = ||u||;
+    likewise for B."""
     a, b = _observable_pair(observable_a, observable_b)
     e1 = _e1(a.dimension)
     means, gram, centred = _moments(a.matrix, b.matrix, e1.factor)
     m = _pair_moments(a, b, e1, means.tolist(), gram.tolist(), centred)
-    reductions = [(m, _moments_mu(m, tol).mu)]
-    return _raised(_constructions((target,), a.matrix[None], b.matrix[None], reductions, centred[None], tol)[0][0])
+    return _raised(_constructions((target,), a.matrix[None], b.matrix[None], [m], centred[None], tol)[0][0])
 
 
 def construct_case1(observable_a, observable_b, tol: Tolerance = DEFAULT_TOL) -> ConstructedPair:

@@ -142,6 +142,26 @@ def _leaning_stack(z):
     return pairs
 
 
+def _stretch(columns):
+    """A Haar pair with phi scaled by 1 + 5e-11, in place: still orthogonal, and a unit state within
+    ``INPUT_TOL``, but its Gram matrix misses the identity by about 1e-10, which only a zero budget rejects."""
+    columns[:, 1] *= 1.0 + 5e-11
+    return columns
+
+
+def _stretched_columns(n, k, rng):
+    """The public sampler's Haar pair, stretched."""
+    return _stretch(sampling._haar_columns(n, k, rng))
+
+
+def _stretched_stack(z):
+    """The sweep's stacked Haar pairs, each stretched as :func:`_stretched_columns` stretches its own."""
+    pairs = sampling._haar_stack(z)
+    for columns in pairs:
+        _stretch(columns)
+    return pairs
+
+
 def test_cli_verify_surfaces_failures(tmp_path, monkeypatch):
     monkeypatch.setattr(reporting, "_haar_stack", _leaning_stack)
     out = tmp_path / "strict.json"
@@ -343,9 +363,15 @@ def test_cli_bad_flags_exit_one():
     assert excinfo.value.code == 1
 
 
-def test_cli_bad_config_exit_one():
+def test_cli_bad_config_exit_one(tmp_path, capsys):
     assert main(["verify", "--n", "0"]) == 1
     assert main(["verify", "--n", "2", "--rank", "5"]) == 1
+    # A negative seed is rejected where it enters, in SampleConfig, before any draw or write.
+    capsys.readouterr()
+    out = tmp_path / "bad.json"
+    assert main(["verify", "--seed", "-1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: seed must be >= 0\n"
+    assert not out.exists()
 
 
 def test_cli_non_finite_tolerance_exits_one(tmp_path):
@@ -368,10 +394,11 @@ class _DrawSizes:
         return self._rng.standard_normal(size, out=out)
 
 
-def _trial_calls(monkeypatch, config):
-    """Run ``config``'s sweep, counting the calls each library entry makes, the
-    shapes of its ``eigh`` and ``qr`` operands, the size of each of its normal
-    draws, the states its factor body built, and every rho those states formed."""
+def _trial_calls(monkeypatch, config, tol=Tolerance(), failures=0):
+    """Run ``config``'s sweep at ``tol``, with ``failures`` failures, counting the
+    calls each library entry makes, the shapes of its ``eigh`` and ``qr`` operands,
+    the size of each of its normal draws, the states its factor body built, and
+    every rho those states formed."""
     targets = {
         "require_hermitian": linalg.require_hermitian,
         "_moments": states._moments,
@@ -379,6 +406,7 @@ def _trial_calls(monkeypatch, config):
         "qr": np.linalg.qr,
         "svd": np.linalg.svd,
         "_require_isometry": linalg._require_isometry,
+        "_require_orthonormal": linalg._require_orthonormal,
         "_grams": linalg._grams,
         "_cross_elements": relations._cross_elements,
         "_array_digest": states._array_digest,
@@ -407,8 +435,8 @@ def _trial_calls(monkeypatch, config):
     from_factors = states.DensityMatrix._from_factors.__func__
     monkeypatch.setattr(states.DensityMatrix, "_from_factors",
                         classmethod(lambda cls, g: built.extend(from_factors(cls, g)) or built[-len(g):]))
-    report = run_verification_suite(config, Tolerance())
-    assert report.summary["failure_count"] == 0
+    report = run_verification_suite(config, tol)
+    assert report.summary["failure_count"] == failures
     shapes["built"] = len(built)
     shapes["rho"] = [vars(state)["matrix"].shape for state in built if "matrix" in vars(state)]
     return counts, shapes
@@ -466,6 +494,14 @@ def test_verify_stacks_a_chunks_maccone_pati_stage(monkeypatch):
     counts, _ = _trial_calls(monkeypatch, SampleConfig(4, 4, 7, 4))
     assert (counts["_grams"], counts["_require_isometry"], counts["_cross_elements"]) == (1, 0, 2)
     assert (passes, singles) == ([12, 8], [1])
+
+
+def test_a_trials_pair_checks_run_once_when_they_fail(monkeypatch):
+    # A trial's pair checks run once, and mp3, mp6 and mp_chain each raise the error
+    # they kept: 5 Gram tests for 5 trials, and 15 failures.
+    monkeypatch.setattr(reporting, "_haar_stack", _stretched_stack)
+    counts, _ = _trial_calls(monkeypatch, SampleConfig(3, 2, 7, 5), Tolerance(0.0), failures=15)
+    assert (counts["_grams"], counts["_require_orthonormal"]) == (1, 5)
 
 
 def test_verify_trial_draws_and_factors_only_what_it_reads(monkeypatch):
@@ -593,6 +629,18 @@ def test_sweep_records_equal_the_public_api(n, tol, monkeypatch):
         # A pair leaning off orthogonal compares the error path too.
         monkeypatch.setattr(reporting, "_haar_stack", _leaning_stack)
         assert _sweep_against_public_api(n, tol, _leaning_columns).summary["failure_count"] > 0
+        # A pair stretched off unit norm passes the overlap test and reaches the Gram test,
+        # which only the zero budget fails, in every Maccone-Pati evaluation of every trial.
+        # (At the default budget the stretched qubit pairs are admitted, and mp6 raises
+        # BoundViolation on a few of them, as the public entry does.)
+        monkeypatch.setattr(reporting, "_haar_stack", _stretched_stack)
+        failures = _sweep_against_public_api(n, tol, _stretched_columns).summary["failures"]
+        gram_tests = [(f["trial"], f["where"]) for f in failures if f["error"] == "NotOrthonormal"]
+        if tol.eps == 0:
+            assert gram_tests == [(k, where) for k in range(17) for where in ("mp3", "mp6", "mp_chain")]
+            assert len(failures) == len(gram_tests)
+        else:
+            assert gram_tests == [] and all(f["where"] == "mp6" and n == 2 for f in failures)
 
 
 def test_package_version_is_the_artifact_version():

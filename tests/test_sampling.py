@@ -22,6 +22,8 @@ def test_sample_config_validation():
         SampleConfig(dimension=4, rank=0, seed=0, count=1)
     with pytest.raises(ValueError):
         SampleConfig(dimension=4, rank=2, seed=0, count=0)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        SampleConfig(dimension=2, rank=2, seed=-1, count=3)
 
 
 def test_random_hermitian_exact_and_deterministic():
