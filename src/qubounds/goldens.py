@@ -157,13 +157,9 @@ def golden_qubit_chain_grid() -> GoldenResult:
             chain = mp_chain(SIGMA_X, SIGMA_Y, psi, other, 1j)
             max_step1 = max(max_step1, sat.step_residuals[0])
             max_step1_slack = max(max_step1_slack, abs(chain.steps[0].slack))
-            on_solutions = (
-                min(theta, abs(math.pi - theta)) <= 1e-12
-                or min(abs(phi - s) for s in _QUARTER_TURN_PHASES) <= 1e-12
-            )
-            if on_solutions:
+            if (distance := _distance_to_solutions(theta, phi)) <= 1e-12:
                 max_solution_step2 = max(max_solution_step2, sat.step_residuals[1])
-            elif _distance_to_solutions(theta, phi) >= 0.1:
+            elif distance >= 0.1:
                 far_step2.append(sat.step_residuals[1])
             if theta in (0.0, math.pi):
                 expected = 1j if theta == 0.0 else -1j

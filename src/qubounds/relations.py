@@ -15,8 +15,8 @@ Maccone-Pati family).  Its work is split in two private bodies that read
 only that reduction and the tolerance: the bound's decision (both sides,
 the slack and the flag), and the report that adds the digest.  The checkers
 and constructions read only decisions, so they hash nothing; the verification
-sweep runs the report bodies on the one reduction it holds, after the entries'
-pair checks (:func:`_require_pair`).
+sweep runs the report bodies on the one reduction it holds, the Maccone-Pati
+one from the entries' own reduction body (:func:`_mp_reduction`).
 """
 
 from __future__ import annotations
@@ -31,14 +31,8 @@ import numpy as np
 from .errors import BoundViolation, DimensionMismatch, NotOrthogonal, ZeroDeviation
 from .linalg import (DEFAULT_TOL, ROUNDING_TOL, Tolerance, _ArrayEquality, _completion, _grams, _input_budget,
                      _pair_budget, _require_orthonormal)
-from .states import (
-    Observable,
-    PairMoments,
-    PureState,
-    QuantumState,
-    _observable_pair,
-    pair_moments,
-)
+from .states import (Observable, PairMoments, PureState, QuantumState, _moments, _observable_pair, _pair_moments,
+                     pair_moments)
 
 
 @dataclass(frozen=True)
@@ -261,22 +255,26 @@ class _MPInputs:
     d: complex
 
 
-def _require_pair(gram: list, tol: Tolerance) -> None:
-    """The pair checks on the Gram matrix of (psi, phi) (:func:`~qubounds.linalg._grams`), in order: the overlap
-    (:class:`NotOrthogonal`), then the Gram test.  A sweep runs them once per trial on its chunk's Gram slice."""
+def _mp_reduction(a: Observable, b: Observable, psi: PureState, phi: PureState, gram: list, moments: tuple,
+                  cd: list, tol: Tolerance) -> _MPInputs:
+    """The one Maccone-Pati reduction body, from the Gram matrix of (psi, phi) (:func:`~qubounds.linalg._grams`),
+    the moments body's output in psi and [c, d].  Its checks run in order: the overlap (:class:`NotOrthogonal`),
+    the Gram test, then the moments' mean check.  A sweep runs it once per trial on its chunk's slices."""
     overlap = abs(gram[1][0])
     if overlap > _pair_budget(tol):
         raise NotOrthogonal(f"|<phi|psi>| = {overlap:.3e}")
     _require_orthonormal(gram, tol)
+    return _MPInputs(_pair_moments(a, b, psi, moments), phi, *cd)
 
 
 def _mp_inputs(observable_a, observable_b, psi: PureState, phi: PureState, tol: Tolerance) -> _MPInputs:
-    """Validate (A, B, psi, phi) once and reduce it: the dimensions, the pair checks (:func:`_require_pair`) on
-    the pair's one Gram product, then the moments in psi, whose mean check comes last, and c, d."""
+    """Validate (A, B, psi, phi) once, check the dimensions, and reduce it (:func:`_mp_reduction`) from the
+    pair's one Gram product, the moments in psi and c, d."""
     a, b = _observable_pair(observable_a, observable_b)
     _require_dimensions(a, psi, phi)
-    _require_pair(_grams(np.array(((psi.amplitudes, phi.amplitudes),)))[0], tol)
-    return _MPInputs(pair_moments(a, b, psi), phi, *_cross_elements(a.matrix, b.matrix, psi.factor, phi.factor))
+    return _mp_reduction(a, b, psi, phi, _grams(np.array(((psi.amplitudes, phi.amplitudes),)))[0],
+                         _moments(a.matrix, b.matrix, psi.factor),
+                         _cross_elements(a.matrix, b.matrix, psi.factor, phi.factor), tol)
 
 
 def mp_frame(observable_a, observable_b, psi: PureState, phi: PureState,

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import BoundViolation, DimensionMismatch, QuboundsError, ZeroDeviation
 from .goldens import run_goldens
 from .linalg import DEFAULT_TOL, Tolerance, _grams
-from .relations import (BoundReport, MP6Reports, _cross_elements, _mp3, _mp6, _mp_chain, _MPInputs, _require_pair,
+from .relations import (BoundReport, MP6Reports, _cross_elements, _mp3, _mp6, _mp_chain, _mp_reduction,
                         _robertson_report, _schrodinger_report)
 from .sampling import _ROOT_I, SampleConfig, _complex_parts, _full_rank, _haar_stack, _unit_rows, trial_rng
 from .saturation import (_CONSTRUCTIONS, CONSTRUCTION_TOL, CertificateKind, ConstructedPair, SaturationCertificate,
@@ -62,7 +62,7 @@ def matrix_from_json_dict(d: dict) -> np.ndarray:
         rows, cols = int(d["rows"]), int(d["cols"])
         re = np.asarray(d["re"], dtype=float)
         im = np.asarray(d["im"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # int() of an infinite row count overflows
         raise ValueError(f"malformed matrix object: {exc}") from exc
     if re.shape != (rows, cols) or im.shape != (rows, cols):
         raise DimensionMismatch(
@@ -230,12 +230,6 @@ def _trial_inputs(config: SampleConfig):
         yield a_stack[:, None], b_stack[:, None], rows, list(zip(ks, a, b, states[:: rows.shape[1]], rhos, pairs))
 
 
-def _mp_reduced(gram: list, cd: tuple, tol: Tolerance, a, b, psi, phi, *slices) -> _MPInputs:
-    """:func:`~qubounds.relations._mp_inputs` from a trial's stacked slices, in its order: pair checks, mean check."""
-    _require_pair(gram, tol)
-    return _MPInputs(_pair_moments(a, b, psi, *slices), phi, *cd)
-
-
 def run_verification_suite(config: SampleConfig, tol: Tolerance) -> SuiteReport:
     """Evaluate every bound, checker, and construction over seeded random inputs.
 
@@ -251,8 +245,9 @@ def run_verification_suite(config: SampleConfig, tol: Tolerance) -> SuiteReport:
     trial's e1 moments.  Only the bound decisions, the record entries and digests run per trial.
     Each evaluation leaves one record entry: its result (a dict names several),
     a skip on :class:`ZeroDeviation`, or an error on any other :class:`QuboundsError`.  A trial's Maccone-Pati
-    reduction, checked once in the entries' order, and its constructions are outcomes (its inputs or the error
-    raised, :func:`~qubounds.saturation._outcome`) that each evaluation reading them raises; the other triples
+    reduction, by the entries' own body (:func:`~qubounds.relations._mp_reduction`) on its slices, and its
+    constructions are outcomes (the result or the error raised, :func:`~qubounds.saturation._outcome`) that each
+    evaluation reading them raises; the other triples
     cannot raise on a trial's inputs, valid by construction with A and B Hermitian bit for bit.
     """
     started = _utc_now()
@@ -260,22 +255,22 @@ def run_verification_suite(config: SampleConfig, tol: Tolerance) -> SuiteReport:
     trials = []
     n = config.dimension
     e1 = _e1(n)
-    targets = tuple(target for target, (_, allowed, _) in _CONSTRUCTIONS.items() if allowed(n))
+    targets = tuple(target for target, (_, allowed, *_) in _CONSTRUCTIONS.items() if allowed(n))
     for a_stack, b_stack, rows, chunk in _trial_inputs(config):
         columns = rows[..., None].copy()  # psi, psi_f and phi as n x 1 columns; e1 takes phi's place
         columns[:, 2:] = e1.factor
-        means, grams, centred = _moments(a_stack, b_stack, columns)
-        rho_means, rho_grams, rho_centred = _moments(a_stack, b_stack, np.array([[rho.factor] for *_, rho, _ in chunk]))
-        means, grams, rho_means, rho_grams = (x.tolist() for x in (means, grams, rho_means, rho_grams))
+        reduced = _moments(a_stack, b_stack, columns)
+        # Each trial's moments of each column: the stacked call's (means, Gram matrix, centred pair) slices.
+        moments = [list(zip(*x)) for x in zip(*reduced)]
+        rho_moments = zip(*_moments(a_stack[:, 0], b_stack[:, 0], np.array([rho.factor for *_, rho, _ in chunk])))
         if n >= 2:
             pair_grams = _grams(rows[:, 1:])
             cds = list(zip(*_cross_elements(a_stack[:, 0], b_stack[:, 0], columns[:, 1], rows[:, 2, :, None])))
-            e1_moments = [_pair_moments(a, b, e1, means[t][2], grams[t][2], centred[t, 2])
-                          for t, (_, a, b, *_) in enumerate(chunk)]
-            built = _constructions(targets, a_stack[:, 0], b_stack[:, 0], e1_moments, centred[:, 2], tol)
-        for t, (k, a, b, psi, rho, pair) in enumerate(chunk):
-            pure = _pair_moments(a, b, psi, means[t][0], grams[t][0], centred[t, 0])
-            mixed = _pair_moments(a, b, rho, rho_means[t][0], rho_grams[t][0], rho_centred[t, 0])
+            e1_moments = [_pair_moments(a, b, e1, x[2]) for (_, a, b, *_), x in zip(chunk, moments)]
+            built = _constructions(targets, a_stack[:, 0], b_stack[:, 0], e1_moments, reduced[2][:, 2], tol)
+        for t, ((k, a, b, psi, rho, pair), x, rho_x) in enumerate(zip(chunk, moments, rho_moments)):
+            pure = _pair_moments(a, b, psi, x[0])
+            mixed = _pair_moments(a, b, rho, rho_x)
             evaluations = {
                 "robertson_pure": lambda: _robertson_report(pure, tol),
                 "schrodinger_pure": lambda: _schrodinger_report(pure, tol),
@@ -283,8 +278,7 @@ def run_verification_suite(config: SampleConfig, tol: Tolerance) -> SuiteReport:
                 "schrodinger_mixed": lambda: _schrodinger_report(mixed, tol),
             }
             if n >= 2:
-                mp = _outcome(_mp_reduced, pair_grams[t], cds[t], tol,
-                              a, b, *pair, means[t][1], grams[t][1], centred[t, 1])
+                mp = _outcome(_mp_reduction, a, b, *pair, pair_grams[t], x[1], cds[t], tol)
                 evaluations["mp3"] = lambda: _mp3(_raised(mp), tol).report
                 evaluations["mp6"] = lambda: _mp6_results(_mp6(_raised(mp), tol))
                 evaluations["mp_chain"] = lambda: dict(zip(

@@ -267,10 +267,25 @@ def mp6_saturation(observable_a, observable_b, psi: PureState, phi: PureState,
     return _equality_check(p, mu, _mp6_decision(p, mu, tol)[0], p.moments.dev_a, p.moments.dev_b)
 
 
-# Each construction's target bound, the dimensions it takes, and the rule that rejects the others.
-_CONSTRUCTIONS = {"case1": ("mp3", lambda n: n == 2, "dimension 2, got {}"),
-                  "case2": ("mp3", lambda n: n > 2, "dimension > 2, got {}"),
-                  "w_mp6": ("mp6", lambda n: n >= 2, "dimension >= 2")}
+def _case2_tails(u: np.ndarray, mu_v: np.ndarray, moments: list, tol: Tolerance) -> tuple:
+    """u - mu v, degenerate as rounding noise beside dev(A) + dev(B) = ||u|| + ||v||, and the row
+    conj(u) - mu conj(v) = conj(u + mu v) (as mu = +-i) of A - mu B, whose entry with phi is phased real."""
+    return u - mu_v, [tol.eps * (m.dev_a + m.dev_b) for m in moments], np.conjugate(u + mu_v)
+
+
+def _w_mp6_tails(u: np.ndarray, mu_v: np.ndarray, moments: list, tol: Tolerance) -> tuple:
+    """u/dev(A) - mu v/dev(B), degenerate below tol.eps, and no phase row; a trial with a zero deviation (which
+    the mp6 decision rejects first) divides by 1 and is degenerate."""
+    zero = [any(_zero_deviations(m, tol)) for m in moments]
+    devs = np.array([(1.0, 1.0) if z else (m.dev_a, m.dev_b) for z, m in zip(zero, moments)], dtype=complex)
+    return u / devs[:, :1] - mu_v / devs[:, 1:], [math.inf if z else tol.eps for z in zero], None
+
+
+# Each construction's target bound, the dimensions it takes, the rule that rejects the others, and its tails
+# (:func:`_constructions`), or None where phi is e2 (n = 2).
+_CONSTRUCTIONS = {"case1": ("mp3", lambda n: n == 2, "dimension 2, got {}", None),
+                  "case2": ("mp3", lambda n: n > 2, "dimension > 2, got {}", _case2_tails),
+                  "w_mp6": ("mp6", lambda n: n >= 2, "dimension >= 2", _w_mp6_tails)}
 
 
 @functools.cache
@@ -298,45 +313,33 @@ def _constructions(targets: tuple[str, ...], a: np.ndarray, b: np.ndarray, momen
                    centred: np.ndarray, tol: Tolerance) -> list:
     """Each trial's construction per target ("case1", "case2", "w_mp6"), or the QuboundsError it raises, from
     the stacks a, b (T, n, n) of its observables, its e1 moments, each at the mu :func:`_moments_mu` picks,
-    and centred pairs (T, 2, n, 1).  Each target's tails form one stack, from the first-column tails u, v of
-    A_c and B_c: 1 for case1; u - mu v for case2, degenerate as rounding noise beside dev(A) + dev(B) =
-    ||u|| + ||v||, phased so <e1|(A - mu B)|phi> is real nonnegative unless that entry is noise beside its
-    row; u/dev(A) - mu v/dev(B) for w_mp6, degenerate below tol.eps.  phi is (0, unit tail), or e2 where
-    degenerate (and for zero deviations, which the mp6 decision rejects first).  One state pass builds every
-    phi, one product reads every c and d."""
+    and centred pairs (T, 2, n, 1).  A target states its tails once (``_CONSTRUCTIONS``), from the first-column
+    tails u, v of A_c and B_c: their stack, each trial's degeneracy floor, and a phase row or None.  One pass
+    then normalises each tail, marks a trial degenerate where its norm is within its floor, phases phi so its
+    entry with the row is real nonnegative unless that entry is noise beside the row, and puts e2 where
+    degenerate.  phi is (0, unit tail).  One state pass builds every phi, one product reads every c and d."""
     (size, _, n, _), width = centred.shape, len(targets)
     mus = [_moments_mu(m, tol).mu for m in moments]
     u, mu_v = centred[:, 0, 1:, 0], np.array(mus)[:, None] * centred[:, 1, 1:, 0]
     rows, keeps = np.zeros((size, width, n), dtype=complex), []
     for j, target in enumerate(targets):
-        _, allowed, rule = _CONSTRUCTIONS[target]
+        _, allowed, rule, tails = _CONSTRUCTIONS[target]
         if not allowed(n):
             raise DimensionMismatch("construction requires " + rule.format(n))
-        keeps.append([True] * size)
-        if target == "case1":
+        if tails is None:
+            keeps.append([True] * size)
             rows[:, j, 1] = 1.0
             continue
-        floors, devs = [], []
-        for m in moments:
-            zero = target == "w_mp6" and any(_zero_deviations(m, tol))
-            floors.append(tol.eps * (m.dev_a + m.dev_b) if target == "case2" else math.inf if zero else tol.eps)
-            devs.append((1.0, 1.0) if zero else (m.dev_a, m.dev_b))
-        if target == "case2":  # the row conj(u) - mu conj(v) of A - mu B is conj(u + mu v), as mu = +-i
-            tail, row = u - mu_v, np.conjugate(u + mu_v)
-        else:
-            devs = np.array(devs, dtype=complex)
-            tail = u / devs[:, :1] - mu_v / devs[:, 1:]
-        norms, keep, scales = _row_norms(tail), keeps[-1], []
-        for t, floor in enumerate(floors):
-            keep[t] = norms[t] > floor
-            scales.append([norms[t] if keep[t] else 1.0])
-        rows[:, j, 1:] = direction = tail / np.array(scales, dtype=complex)
+        tail, floors, row = tails(u, mu_v, moments, tol)
+        norms = _row_norms(tail)
+        keeps.append(keep := [norm > floor for norm, floor in zip(norms, floors)])
+        scales = np.array([[norm if k else 1.0] for norm, k in zip(norms, keep)], dtype=complex)
+        rows[:, j, 1:] = direction = tail / scales
         fix = keep
-        if target == "case2":
-            entries, phases, fix = np.matmul(row[:, None], direction[:, :, None]).tolist(), [], []
-            for k, ((e,),), r in zip(keep, entries, _row_norms(row)):
-                fix.append(k and abs(e) > TIE_TOL * r)
-                phases.append([cmath.exp(-1j * cmath.phase(e)) if fix[-1] else 1.0])
+        if row is not None:
+            entries = np.matmul(row[:, None], direction[:, :, None]).tolist()
+            fix = [k and abs(e) > TIE_TOL * r for k, ((e,),), r in zip(keep, entries, _row_norms(row))]
+            phases = [[cmath.exp(-1j * cmath.phase(e)) if f else 1.0] for f, ((e,),) in zip(fix, entries)]
             rows[:, j, 1:] = direction * np.array(phases, dtype=complex)
         for t in range(size):  # e2 where degenerate; no phase product where none is fixed, as 1 can flip a zero's sign
             if not keep[t]:
@@ -374,9 +377,9 @@ def _construct(target: str, observable_a, observable_b, tol: Tolerance) -> Const
     likewise for B."""
     a, b = _observable_pair(observable_a, observable_b)
     e1 = _e1(a.dimension)
-    means, gram, centred = _moments(a.matrix, b.matrix, e1.factor)
-    m = _pair_moments(a, b, e1, means.tolist(), gram.tolist(), centred)
-    return _raised(_constructions((target,), a.matrix[None], b.matrix[None], [m], centred[None], tol)[0][0])
+    moments = _moments(a.matrix, b.matrix, e1.factor)
+    m = _pair_moments(a, b, e1, moments)
+    return _raised(_constructions((target,), a.matrix[None], b.matrix[None], [m], moments[2][None], tol)[0][0])
 
 
 def construct_case1(observable_a, observable_b, tol: Tolerance = DEFAULT_TOL) -> ConstructedPair:

@@ -339,11 +339,12 @@ def _moments(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, n
     return means[..., 0, 0], gram[..., 0, 0], y
 
 
-def _pair_moments(a: Observable, b: Observable, state: QuantumState, means: list, gram: list,
-                  centred: np.ndarray) -> PairMoments:
-    """The :class:`PairMoments` of a triple from its slice of :func:`_moments` (means and Gram matrix as
-    lists), once each mean's imaginary residue passed its check against its observable's norm."""
-    (alpha, beta), ((dev2_a, cross), (_, dev2_b)) = means, gram
+def _pair_moments(a: Observable, b: Observable, state: QuantumState, moments: tuple) -> PairMoments:
+    """The :class:`PairMoments` of a triple from its ``moments``, what :func:`_moments` returned for it (the
+    one-triple call, or a slice of a stacked call), once each mean's imaginary residue passed its check against
+    its observable's norm."""
+    means, gram, centred = moments
+    (alpha, beta), ((dev2_a, cross), (_, dev2_b)) = means.tolist(), gram.tolist()
     for obs, mean in ((a, alpha), (b, beta)):
         if abs(mean.imag) > INPUT_TOL * obs.norm:
             raise NonRealExpectation(f"imaginary residue {mean.imag:.3e} in expectation")
@@ -358,8 +359,7 @@ def pair_moments(observable_a, observable_b, state: QuantumState) -> PairMoments
         raise TypeError(f"unsupported state type {type(state)!r}")
     if a.dimension != state.dimension:
         raise DimensionMismatch(f"observable dimension {a.dimension} vs state dimension {state.dimension}")
-    means, gram, centred = _moments(a.matrix, b.matrix, state.factor)
-    return _pair_moments(a, b, state, means.tolist(), gram.tolist(), centred)
+    return _pair_moments(a, b, state, _moments(a.matrix, b.matrix, state.factor))
 
 
 def expectation(observable, state: QuantumState) -> float:

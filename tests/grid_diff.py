@@ -1,0 +1,118 @@
+"""Byte-identity check of two source trees over the report grid.
+
+    python tests/grid_diff.py PARENT CHANGE
+
+Each tree runs in a fresh process, with its own ``src`` first on the path: ``verify`` over
+(n, rank) = (1,1), (2,1), (2,2), (3,1), (3,2), (4,4), (8,3) x 30 trials and (64,4) x 5, at seeds
+7 and 1009, under ``Tolerance()`` and ``Tolerance(0.0)``, and the ``reproduce`` body.  The script
+prints each report body's and summary CSV's SHA-256 (first 16 hex digits) in both trees, lists every
+leaf value that moved with its relative change, and exits 1 when any body or CSV differs.  It uses
+only the standard library and NumPy.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+GRID = (((1, 1), 30), ((2, 1), 30), ((2, 2), 30), ((3, 1), 30), ((3, 2), 30), ((4, 4), 30), ((8, 3), 30),
+        ((64, 4), 5))
+SEEDS = (7, 1009)
+_MISSING = object()
+
+
+def grid_bodies() -> dict:
+    """Each run's name -> [report body, summary CSV], from the ``qubounds`` on the path."""
+    from qubounds import SampleConfig, Tolerance
+    from qubounds.reporting import (canonical_json, report_body_dict, run_reproduction, run_verification_suite,
+                                    summary_csv)
+
+    bodies = {}
+    for (n, rank), count in GRID:
+        for seed in SEEDS:
+            for tol in (Tolerance(), Tolerance(0.0)):
+                report = run_verification_suite(SampleConfig(n, rank, seed, count), tol)
+                name = f"verify n={n} rank={rank} trials={count} seed={seed} eps={tol.eps!r}"
+                bodies[name] = [canonical_json(report_body_dict(report)), summary_csv(report)]
+    report = run_reproduction()
+    bodies["reproduce"] = [canonical_json(report_body_dict(report)), summary_csv(report)]
+    return bodies
+
+
+def tree_bodies(tree: str) -> dict:
+    """:func:`grid_bodies` of ``tree``, run in a fresh process with ``tree/src`` first on ``PYTHONPATH``."""
+    src = Path(tree).resolve() / "src"
+    path = os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))
+    child = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--bodies", str(src)],
+                           env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True)
+    if child.returncode != 0:
+        raise SystemExit(f"grid run failed in {tree}:\n{child.stderr}")
+    return json.loads(child.stdout)
+
+
+def _number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def leaf_diff(old, new, path: str = "") -> list:
+    """One line per leaf where two parsed bodies differ: a moved number with its relative change, any other
+    changed value, or an entry that one side lacks.  Leaves are equal when their reprs are, so a signed zero
+    or an int that became a float counts as moved."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        keys = sorted(old.keys() | new.keys())
+        pairs = [(f"{path}.{k}" if path else str(k), old.get(k, _MISSING), new.get(k, _MISSING)) for k in keys]
+    elif isinstance(old, list) and isinstance(new, list):
+        pad = [_MISSING] * abs(len(old) - len(new))
+        pairs = [(f"{path}[{i}]", o, x) for i, (o, x) in enumerate(zip(old + pad, new + pad))]
+    else:
+        if repr(old) == repr(new):
+            return []
+        if _number(old) and _number(new):
+            change = abs(new - old) / abs(old) if old else (0.0 if new == old else math.inf)
+            return [f"{path}: {old!r} -> {new!r} (relative change {change:.3g})"]
+        return [f"{path}: {old!r} -> {new!r}"]
+    lines = []
+    for where, o, x in pairs:
+        if o is _MISSING or x is _MISSING:
+            lines.append(f"{where}: missing in {'parent' if o is _MISSING else 'change'}")
+        else:
+            lines.extend(leaf_diff(o, x, where))
+    return lines
+
+
+def _hash(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def main(argv: list) -> int:
+    if len(argv) == 2 and argv[0] == "--bodies":
+        import qubounds
+
+        if Path(qubounds.__file__).resolve().parent.parent != Path(argv[1]):
+            raise SystemExit(f"imported {qubounds.__file__}, not the tree's {argv[1]}")
+        json.dump(grid_bodies(), sys.stdout)
+        return 0
+    if len(argv) != 2:
+        raise SystemExit(__doc__)
+    old, new = tree_bodies(argv[0]), tree_bodies(argv[1])
+    moved = 0
+    for name in list(old) + [name for name in new if name not in old]:
+        (body, csv), (new_body, new_csv) = old.get(name, ["", ""]), new.get(name, ["", ""])
+        same = body == new_body and csv == new_csv
+        moved += not same
+        print(f"{'same' if same else 'DIFFERS'}  body {_hash(body)} {_hash(new_body)}"
+              f"  csv {_hash(csv)} {_hash(new_csv)}  {name}")
+        if body != new_body and body and new_body:
+            for line in leaf_diff(json.loads(body), json.loads(new_body)):
+                print(f"    {line}")
+    print(f"{moved} of {len(set(old) | set(new))} runs differ")
+    return 1 if moved else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

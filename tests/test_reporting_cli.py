@@ -49,6 +49,7 @@ from qubounds.reporting import (
 )
 from qubounds.sampling import _haar_columns
 from qubounds.states import PureState
+import grid_diff
 from helpers import SIGMA_X, SIGMA_Y, matrix_to_json_dict
 
 
@@ -313,15 +314,40 @@ def test_cli_saturate_rejects_non_hermitian(tmp_path, capsys):
     assert "NonHermitianInput" in capsys.readouterr().err
 
 
-def test_cli_saturate_rejects_a_malformed_pair_file(tmp_path):
-    # No "b" key, and a matrix whose payload does not match its declared shape.
+def test_cli_saturate_rejects_a_malformed_pair_file(tmp_path, capsys):
+    # No "b" key, a matrix whose payload does not match its declared shape, and a row count of 1e400,
+    # which JSON reads as inf: each exits 1 with one error line.
     no_b = tmp_path / "no_b.json"
     no_b.write_text(json.dumps({"a": matrix_to_json_dict(SIGMA_X)}))
     misshaped = tmp_path / "misshaped.json"
     payload = {"a": matrix_to_json_dict(SIGMA_X), "b": dict(matrix_to_json_dict(SIGMA_Y), rows=3)}
     misshaped.write_text(json.dumps(payload))
-    for path in (no_b, misshaped):
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(dict(payload, b=matrix_to_json_dict(SIGMA_Y))).replace('"rows": 2', '"rows": 1e400', 1))
+    for path in (no_b, misshaped, huge):
         assert main(["saturate", str(path), "--target", "mp3"]) == 1
+        assert capsys.readouterr().err.count("\n") == 1
+    assert "1e400" in huge.read_text()
+
+
+def test_grid_diff_lists_each_moved_leaf_and_fails_on_a_moved_body(monkeypatch, capsys):
+    # Two crafted bodies: one moved float, one flipped flag, and one entry the change lacks.
+    old = {"trials": [{"robertson_pure": {"slack": 0.5, "saturated": True}, "mp3": {"lhs": 1.0}}]}
+    new = {"trials": [{"robertson_pure": {"slack": 0.5 + 2.0**-53, "saturated": False}}]}
+    assert grid_diff.leaf_diff(old, new) == [
+        "trials[0].mp3: missing in change",
+        "trials[0].robertson_pure.saturated: True -> False",
+        "trials[0].robertson_pure.slack: 0.5 -> 0.5000000000000001 (relative change 2.22e-16)",
+    ]
+    assert grid_diff.leaf_diff(old, json.loads(json.dumps(old))) == []
+    trees = {"parent": {"run": [json.dumps(old), "csv\n"]}, "change": {"run": [json.dumps(new), "csv\n"]}}
+    monkeypatch.setattr(grid_diff, "tree_bodies", trees.get)
+    assert grid_diff.main(["parent", "parent"]) == 0
+    assert capsys.readouterr().out.endswith("0 of 1 runs differ\n")
+    assert grid_diff.main(["parent", "change"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("DIFFERS") and "    trials[0].mp3: missing in change\n" in out
+    assert out.endswith("1 of 1 runs differ\n")
 
 
 def test_sweep_skips_what_a_zero_deviation_stops():

@@ -1447,14 +1447,12 @@ def test_stacked_states_pair_checks_and_constructions_are_the_one_trial_calls_by
             # The pair checks: each trial's Gram slice, and the errors it raises; then the stacked
             # reduction of the pairs, the moments in psi and c, d.
             grams = linalg._grams(rows)
-            pair_means, pair_grams, pair_centred = states._moments(a[:, None], b[:, None], rows[:, :1, :, None])
+            reduced = states._moments(a[:, None], b[:, None], rows[:, :1, :, None])
             cds = list(zip(*relations._cross_elements(a, b, rows[:, 0, :, None], rows[:, 1, :, None])))
 
             def stacked_inputs(i, psi, phi, gram, tol):
-                relations._require_pair(gram, tol)
-                m = states._pair_moments(Observable(a[i]), Observable(b[i]), psi, pair_means[i, 0].tolist(),
-                                         pair_grams[i, 0].tolist(), pair_centred[i, 0])
-                return relations._MPInputs(m, phi, *cds[i])
+                return relations._mp_reduction(Observable(a[i]), Observable(b[i]), psi, phi, gram,
+                                               tuple(x[i, 0] for x in reduced), cds[i], tol)
 
             for i, gram in enumerate(grams):
                 psi, phi = stacked_states[2 * i: 2 * i + 2]
@@ -1470,11 +1468,11 @@ def test_stacked_states_pair_checks_and_constructions_are_the_one_trial_calls_by
                         assert one[0] is NotOrthogonal
             # The constructions.
             e1 = _e1(n)
-            means, grams, centred = states._moments(a[:, None], b[:, None], np.broadcast_to(e1.factor, (t, 1, n, 1)))
-            moments = [states._pair_moments(Observable(x), Observable(y), e1, *mg, c) for x, y, *mg, c in
-                       zip(a, b, means[:, 0].tolist(), grams[:, 0].tolist(), centred[:, 0])]
+            reduced = states._moments(a[:, None], b[:, None], np.broadcast_to(e1.factor, (t, 1, n, 1)))
+            moments = [states._pair_moments(Observable(a[i]), Observable(b[i]), e1, tuple(x[i, 0] for x in reduced))
+                       for i in range(t)]
             for tol in (Tolerance(), Tolerance(0.0)):
-                built = _constructions(targets, a, b, moments, centred[:, 0], tol)
+                built = _constructions(targets, a, b, moments, reduced[2][:, 0], tol)
                 for i, pairs in enumerate(built):
                     publics = (construct_case1 if n == 2 else construct_case2, construct_w_mp6)
                     for result, construct in zip(pairs, publics):

@@ -304,13 +304,13 @@ def test_a_mean_with_an_imaginary_residue_past_its_budget_raises():
     means, gram, centred = states._moments(a.matrix, b.matrix, psi.factor)
     for side, obs in enumerate((a, b)):
         for share, raises in ((0.5, False), (2.0, True)):
-            crafted = means.tolist()
+            crafted = means.copy()
             crafted[side] += 1j * share * linalg.INPUT_TOL * obs.norm
             if raises:
                 with pytest.raises(NonRealExpectation):
-                    states._pair_moments(a, b, psi, crafted, gram.tolist(), centred)
+                    states._pair_moments(a, b, psi, (crafted, gram, centred))
             else:
-                m = states._pair_moments(a, b, psi, crafted, gram.tolist(), centred)
+                m = states._pair_moments(a, b, psi, (crafted, gram, centred))
                 assert (m.alpha, m.beta) == (means[0].real, means[1].real)
 
 
