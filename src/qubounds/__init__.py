@@ -13,6 +13,7 @@ from .errors import (
     CorollaryViolation,
     DimensionMismatch,
     HypothesisViolated,
+    InvalidInput,
     NonHermitianInput,
     NonRealExpectation,
     NotOrthogonal,

@@ -119,12 +119,12 @@ def main(argv=None) -> int:
         if args.command == "reproduce":
             return cmd_reproduce(args)
         return cmd_saturate(args)
+    except QuboundsError as exc:
+        # Bad inputs (non-Hermitian matrices, shape mismatches, InvalidInput data) are usage errors.
+        sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
+        return 1
     except (OSError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
         sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except QuboundsError as exc:
-        # Bad inputs (non-Hermitian matrices, shape mismatches) are usage errors.
-        sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return 1
 
 

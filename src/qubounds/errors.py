@@ -5,6 +5,10 @@ class QuboundsError(Exception):
     """Base class for all package-specific errors."""
 
 
+class InvalidInput(QuboundsError, ValueError):
+    """Non-finite entries or norm, a state's norm or trace off 1, or a zero factor; a ValueError too, as before."""
+
+
 class DimensionMismatch(QuboundsError):
     """Operands have incompatible shapes or dimensions."""
 

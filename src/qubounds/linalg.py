@@ -13,12 +13,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    NonHermitianInput,
-    NotOrthonormal,
-    NotPositiveSemidefinite,
-)
+from .errors import DimensionMismatch, InvalidInput, NonHermitianInput, NotOrthonormal, NotPositiveSemidefinite
 
 # Relative budget of every input check, each against the input's own size.
 INPUT_TOL = 1e-10
@@ -74,7 +69,7 @@ def as_complex_matrix(m, name: str = "matrix", scan: bool = True) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
         raise DimensionMismatch(f"{name} must be a nonempty 2-D array, got shape {a.shape}")
     if scan and not np.isfinite(a).all():
-        raise ValueError(f"{name} contains non-finite entries")
+        raise InvalidInput(f"{name} contains non-finite entries")
     return a
 
 
@@ -88,11 +83,11 @@ def _square_matrix(m, name: str = "matrix") -> np.ndarray:
 
 
 def _finite_norm(a: np.ndarray, name: str = "matrix", entries: np.ndarray | None = None) -> float:
-    """||a||_F; ValueError where not finite, for non-finite ``entries`` (default ``a``) if a scan finds any."""
+    """||a||_F; InvalidInput where not finite, for non-finite ``entries`` (default ``a``) if a scan finds any."""
     norm = _norm(a)
     if not math.isfinite(norm):
         as_complex_matrix(a if entries is None else entries, name)
-        raise ValueError(f"{name} has a non-finite Frobenius norm")
+        raise InvalidInput(f"{name} has a non-finite Frobenius norm")
     return norm
 
 
@@ -273,7 +268,7 @@ def _dependence(x: np.ndarray, y: np.ndarray, witness):
         raise DimensionMismatch(f"shape mismatch {x.shape} vs {y.shape}")
     peak = float(np.maximum(np.abs(x).max(initial=0.0), np.abs(y).max(initial=0.0)))
     if not math.isfinite(peak):
-        raise ValueError("x or y contains non-finite entries")
+        raise InvalidInput("x or y contains non-finite entries")
     e, s1, s2 = _power_of_two_scale(peak)
     x, y = x * s1 * s2, y * s1 * s2
     p, r = float(np.vdot(x, x).real), float(np.vdot(y, y).real)

@@ -11,12 +11,12 @@ dimensionless and blind to an identity offset.
 
 Each public evaluator is a thin entry that validates and reduces its inputs
 (:func:`~qubounds.states.pair_moments`, or :func:`_mp_inputs` for the
-Maccone-Pati family).  Its work is split in two private bodies that read
-only that reduction and the tolerance: the bound's decision (both sides,
-the slack and the flag), and the report that adds the digest.  The checkers
-and constructions read only decisions, so they hash nothing; the verification
-sweep runs the report bodies on the one reduction it holds, the Maccone-Pati
-one from the entries' own reduction body (:func:`_mp_reduction`).
+Maccone-Pati family), runs the bound's one decision body on that reduction
+and the tolerance (both sides, the slack and the flag: :class:`_Decision`),
+and wraps the decision in a report with the digest.  The checkers, the
+constructions and the verification sweep read only decisions, so they hash
+nothing; the sweep names each trial's inputs once in its record, and takes
+its Maccone-Pati reduction from the entries' own reduction body (:func:`_mp_reduction`).
 """
 
 from __future__ import annotations
@@ -117,6 +117,12 @@ def _digest(*parts) -> str:
     return hashlib.sha256(repr([getattr(p, "digest", p) for p in parts]).encode()).hexdigest()[:16]
 
 
+def _mp_digest(p: _MPInputs, *tags) -> str:
+    """The report digest of a Maccone-Pati bound: A, B, psi and phi, then ``tags`` (the chain's mu, the tag)."""
+    m = p.moments
+    return _digest(m.a, m.b, m.state, p.phi, *tags)
+
+
 def _decide(name: str, lhs: float, rhs: float, scale: float, tol: Tolerance,
             zero: bool = False, size: float = 0.0) -> _Decision:
     """The decision of lhs >= rhs: saturated when ``zero`` or slack <= tol.eps * ``scale``.
@@ -173,23 +179,16 @@ def _robertson_decision(m: PairMoments, tol: Tolerance) -> _Decision:
                    any(_zero_deviations(m, tol)), m.a.norm * m.b.norm)
 
 
-def _robertson_report(m: PairMoments, tol: Tolerance) -> BoundReport:
-    return BoundReport(*_robertson_decision(m, tol), tol, _digest(m.a, m.b, m.state, "robertson"))
-
-
 def _schrodinger_decision(m: PairMoments, tol: Tolerance) -> _Decision:
     lhs = _square(m.dev_a * m.dev_b)
     return _decide("schrodinger", lhs, _square(m.cross.real) + _square(m.cross.imag), lhs, tol,
                    any(_zero_deviations(m, tol)), _square(m.a.norm * m.b.norm))
 
 
-def _schrodinger_report(m: PairMoments, tol: Tolerance) -> BoundReport:
-    return BoundReport(*_schrodinger_decision(m, tol), tol, _digest(m.a, m.b, m.state, "schrodinger"))
-
-
 def robertson(observable_a, observable_b, state: QuantumState, tol: Tolerance = DEFAULT_TOL) -> BoundReport:
     """dev(A) dev(B) >= |<[A, B]>| / 2, for pure or mixed states."""
-    return _robertson_report(pair_moments(observable_a, observable_b, state), tol)
+    m = pair_moments(observable_a, observable_b, state)
+    return BoundReport(*_robertson_decision(m, tol), tol, _digest(m.a, m.b, m.state, "robertson"))
 
 
 def schrodinger(observable_a, observable_b, state: QuantumState, tol: Tolerance = DEFAULT_TOL) -> BoundReport:
@@ -198,7 +197,8 @@ def schrodinger(observable_a, observable_b, state: QuantumState, tol: Tolerance 
     Both right-hand terms are read off the centered cross inner product, so
     the anticommutator piece never suffers the alpha*beta cancellation.
     """
-    return _schrodinger_report(pair_moments(observable_a, observable_b, state), tol)
+    m = pair_moments(observable_a, observable_b, state)
+    return BoundReport(*_schrodinger_decision(m, tol), tol, _digest(m.a, m.b, m.state, "schrodinger"))
 
 
 def _moments_mu(m: PairMoments, tol: Tolerance) -> MuChoice:
@@ -310,13 +310,9 @@ def mp_chain(observable_a, observable_b, psi: PureState, phi: PureState,
     without a frame (:func:`mp_frame`: ||u||^2 + ||v||^2, |c|, |d|, c + mu d).
     """
     mu = _unit_mu(mu, tol)
-    return _mp_chain(_mp_inputs(observable_a, observable_b, psi, phi, tol), mu, tol)
-
-
-def _mp_chain(p: _MPInputs, mu: complex, tol: Tolerance) -> ChainReport:
-    m = p.moments
+    p = _mp_inputs(observable_a, observable_b, psi, phi, tol)
     decisions = _mp_chain_decisions(p, mu, tol)
-    digest = _digest(m.a, m.b, m.state, p.phi, mu, "mp-chain")
+    digest = _mp_digest(p, mu, "mp-chain")
     return ChainReport(steps=tuple(BoundReport(*d, tol, digest) for d in decisions), mu=mu)
 
 
@@ -350,14 +346,9 @@ def mu_ratio(observable_a, observable_b, psi: PureState, phi: PureState) -> comp
 def mp3(observable_a, observable_b, psi: PureState, phi: PureState,
         tol: Tolerance = DEFAULT_TOL) -> MP3Report:
     """Sum bound: dev(A)^2 + dev(B)^2 >= mu <[A,B]> + |<psi|(A + mu B)|phi>|^2."""
-    return _mp3(_mp_inputs(observable_a, observable_b, psi, phi, tol), tol)
-
-
-def _mp3(p: _MPInputs, tol: Tolerance) -> MP3Report:
-    m = p.moments
-    choice = _moments_mu(m, tol)
-    report = BoundReport(*_mp3_decision(p, choice.mu, tol), tol, _digest(m.a, m.b, m.state, p.phi, "mp3"))
-    return MP3Report(report=report, mu=choice)
+    p = _mp_inputs(observable_a, observable_b, psi, phi, tol)
+    choice = _moments_mu(p.moments, tol)
+    return MP3Report(report=BoundReport(*_mp3_decision(p, choice.mu, tol), tol, _mp_digest(p, "mp3")), mu=choice)
 
 
 def _mp3_decision(p: _MPInputs, mu: complex, tol: Tolerance) -> _Decision:
@@ -380,22 +371,25 @@ def mp6(observable_a, observable_b, psi: PureState, phi: PureState,
         dev(A) dev(B) >= (mu/2) <[A,B]> / (1 - |<psi|Q_mu|phi>|^2 / 2)
     only when the denominator stays clear of zero.
     """
-    return _mp6(_mp_inputs(observable_a, observable_b, psi, phi, tol), tol)
+    p = _mp_inputs(observable_a, observable_b, psi, phi, tol)
+    choice = _moments_mu(p.moments, tol)
+    reformulated, product = _mp6_decisions(p, choice.mu, tol)
+    digest = _mp_digest(p, "mp6")
+    return MP6Reports(reformulated=BoundReport(*reformulated, tol, digest),
+                      product=None if product is None else BoundReport(*product, tol, digest),
+                      denominator_degenerate=product is None, mu=choice)
 
 
-def _mp6(p: _MPInputs, tol: Tolerance) -> MP6Reports:
+def _mp6_decisions(p: _MPInputs, mu: complex, tol: Tolerance) -> tuple[_Decision, _Decision | None]:
+    """The reformulated decision at ``mu``, and the product form's, or None where its denominator is degenerate."""
     m = p.moments
-    choice = _moments_mu(m, tol)
-    decision, comm_term = _mp6_decision(p, choice.mu, tol)
-    reformulated = BoundReport(*decision, tol, _digest(m.a, m.b, m.state, p.phi, "mp6"))
-    degenerate = reformulated.lhs <= tol.eps
+    reformulated, comm_term = _mp6_decision(p, mu, tol)
+    if reformulated.lhs <= tol.eps:
+        return reformulated, None
     lhs = m.dev_a * m.dev_b
     # The product form is dev(A) dev(B) / lhs times the reformulation, and so is its floor.
-    product = None if degenerate else BoundReport(*_decide(
-        "mp6 product", lhs, comm_term / 2.0 / reformulated.lhs, lhs, tol,
-        size=(m.a.norm * m.dev_b + m.b.norm * m.dev_a) / reformulated.lhs), tol, reformulated.inputs_digest)
-    return MP6Reports(reformulated=reformulated, product=product,
-                      denominator_degenerate=degenerate, mu=choice)
+    return reformulated, _decide("mp6 product", lhs, comm_term / 2.0 / reformulated.lhs, lhs, tol,
+                                 size=(m.a.norm * m.dev_b + m.b.norm * m.dev_a) / reformulated.lhs)
 
 
 def _mp6_decision(p: _MPInputs, mu: complex, tol: Tolerance) -> tuple[_Decision, float]:

@@ -3,7 +3,10 @@
 Report bodies are deterministic functions of (config, tolerance): per-trial
 randomness comes from streams derived from (seed, trial index), records are
 assembled in trial order, and JSON is emitted with sorted keys.  Only the
-manifest timestamps differ between identical reruns.  Reports are written,
+manifest timestamps differ between identical reruns.  The manifest holds the
+tolerance; a ``verify`` trial's record names its inputs once (``inputs``: the
+digests of A, B, psi, rho and the Maccone-Pati pair), and each bound's entry
+holds only its decision (``lhs``, ``rhs``, ``slack``, ``saturated``).  Reports are written,
 never read back; the one reader here loads an observable pair for ``saturate``.
 """
 
@@ -20,14 +23,14 @@ import numpy as np
 from .errors import BoundViolation, DimensionMismatch, QuboundsError, ZeroDeviation
 from .goldens import run_goldens
 from .linalg import DEFAULT_TOL, Tolerance, _grams
-from .relations import (BoundReport, MP6Reports, _cross_elements, _mp3, _mp6, _mp_chain, _mp_reduction,
-                        _robertson_report, _schrodinger_report)
+from .relations import (_cross_elements, _Decision, _moments_mu, _mp3_decision, _mp6_decisions, _mp_chain_decisions,
+                        _mp_reduction, _robertson_decision, _schrodinger_decision)
 from .sampling import _ROOT_I, SampleConfig, _complex_parts, _full_rank, _haar_stack, _unit_rows, trial_rng
 from .saturation import (_CONSTRUCTIONS, CONSTRUCTION_TOL, CertificateKind, ConstructedPair, SaturationCertificate,
                          _certificate, _constructions, _e1, _outcome, _raised)
 from .states import DensityMatrix, Observable, PureState, _moments, _pair_moments
 
-ARTIFACT_VERSION = "0.10.0"
+ARTIFACT_VERSION = "0.11.0"
 # Bytes of a chunk's largest stack, one complex n x n matrix per trial: a sweep's memory does not grow
 # with its trials, and at n = 64 a chunk is one trial, below the 128 KiB at which glibc's malloc maps pages.
 CHUNK_BYTES = 1 << 16
@@ -59,10 +62,13 @@ class SuiteReport:
 
 def matrix_from_json_dict(d: dict) -> np.ndarray:
     try:
-        rows, cols = int(d["rows"]), int(d["cols"])
+        rows, cols = d["rows"], d["cols"]
+        # Only a JSON integer is a count: not 2.5, "2", true, or 1e400 (which JSON reads as inf).
+        if not all(isinstance(x, int) and not isinstance(x, bool) for x in (rows, cols)):
+            raise TypeError(f"rows and cols must be integers, got {rows!r} and {cols!r}")
         re = np.asarray(d["re"], dtype=float)
         im = np.asarray(d["im"], dtype=float)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # int() of an infinite row count overflows
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed matrix object: {exc}") from exc
     if re.shape != (rows, cols) or im.shape != (rows, cols):
         raise DimensionMismatch(
@@ -73,18 +79,6 @@ def matrix_from_json_dict(d: dict) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Record serialization
-
-
-def bound_report_to_dict(report: BoundReport) -> dict:
-    return {
-        "lhs": report.lhs,
-        "rhs": report.rhs,
-        "slack": report.slack,
-        "saturated": report.saturated,
-        # Written out: asdict would deep-copy the tolerance for each of a trial's records.
-        "tolerance": {"eps": report.tol_used.eps},
-        "inputs_digest": report.inputs_digest,
-    }
 
 
 def certificate_to_dict(cert: SaturationCertificate | None) -> dict | None:
@@ -163,12 +157,12 @@ class _Summary:
         )
 
     def entry(self, trial: int, name: str, result) -> dict | None:
-        """The record entry for a bound report, a certificate or a construction."""
-        if isinstance(result, BoundReport):
+        """The record entry for a bound's decision (its sides, slack and flag), a certificate or a construction."""
+        if isinstance(result, _Decision):
             if name not in self.min_slack or result.slack < self.min_slack[name]:
                 self.min_slack[name] = result.slack
             self.saturation_counts[name] = self.saturation_counts.get(name, 0) + result.saturated
-            return bound_report_to_dict(result)
+            return result._asdict()
         if not isinstance(result, ConstructedPair):
             return certificate_to_dict(result)
         if abs(result.achieved_slack) > CONSTRUCTION_TOL:
@@ -195,10 +189,11 @@ class _Summary:
         return SuiteReport(manifest=manifest, trials=tuple(trials), summary=summary)
 
 
-def _mp6_results(reports: MP6Reports) -> dict:
-    results = {"mp6_reformulated": reports.reformulated}
-    if reports.product is not None:
-        results["mp6_product"] = reports.product
+def _mp6_results(reformulated, product) -> dict:
+    """mp6's entries: its reformulated form, and its product form unless that is None (a degenerate denominator)."""
+    results = {"mp6_reformulated": reformulated}
+    if product is not None:
+        results["mp6_product"] = product
     return results
 
 
@@ -242,7 +237,8 @@ def run_verification_suite(config: SampleConfig, tol: Tolerance) -> SuiteReport:
     states of its trials (psi, the Maccone-Pati psi_f and e1, built once), one for its rhos' factors, one
     product for the pairs' c and d, one Gram product for their checks, and one constructions-body call
     (:func:`~qubounds.saturation._constructions`) for both constructions of every trial, which share the
-    trial's e1 moments.  Only the bound decisions, the record entries and digests run per trial.
+    trial's e1 moments.  Only the bound decisions and the record entries run per trial: a trial's record
+    names its inputs once, by their digests, and each bound's entry is its decision, with no digest.
     Each evaluation leaves one record entry: its result (a dict names several),
     a skip on :class:`ZeroDeviation`, or an error on any other :class:`QuboundsError`.  A trial's Maccone-Pati
     reduction, by the entries' own body (:func:`~qubounds.relations._mp_reduction`) on its slices, and its
@@ -272,17 +268,19 @@ def run_verification_suite(config: SampleConfig, tol: Tolerance) -> SuiteReport:
             pure = _pair_moments(a, b, psi, x[0])
             mixed = _pair_moments(a, b, rho, rho_x)
             evaluations = {
-                "robertson_pure": lambda: _robertson_report(pure, tol),
-                "schrodinger_pure": lambda: _schrodinger_report(pure, tol),
-                "robertson_mixed": lambda: _robertson_report(mixed, tol),
-                "schrodinger_mixed": lambda: _schrodinger_report(mixed, tol),
+                "robertson_pure": lambda: _robertson_decision(pure, tol),
+                "schrodinger_pure": lambda: _schrodinger_decision(pure, tol),
+                "robertson_mixed": lambda: _robertson_decision(mixed, tol),
+                "schrodinger_mixed": lambda: _schrodinger_decision(mixed, tol),
             }
             if n >= 2:
                 mp = _outcome(_mp_reduction, a, b, *pair, pair_grams[t], x[1], cds[t], tol)
-                evaluations["mp3"] = lambda: _mp3(_raised(mp), tol).report
-                evaluations["mp6"] = lambda: _mp6_results(_mp6(_raised(mp), tol))
+                # mp3's and mp6's mu, as their entries pick it; a failed reduction raises before it is read.
+                mu = None if isinstance(mp, QuboundsError) else _moments_mu(mp.moments, tol).mu
+                evaluations["mp3"] = lambda: _mp3_decision(_raised(mp), mu, tol)
+                evaluations["mp6"] = lambda: _mp6_results(*_mp6_decisions(_raised(mp), mu, tol))
                 evaluations["mp_chain"] = lambda: dict(zip(
-                    ("chain_step1", "chain_step2", "chain_step3"), _mp_chain(_raised(mp), 1j, tol).steps))
+                    ("chain_step1", "chain_step2", "chain_step3"), _mp_chain_decisions(_raised(mp), 1j, tol)))
             evaluations["robertson_pure_certificate"] = lambda: _certificate(CertificateKind.ROBERTSON_PURE, pure, tol)
             evaluations["robertson_mixed_certificate"] = (
                 lambda: _certificate(CertificateKind.ROBERTSON_MIXED, mixed, tol))
@@ -290,7 +288,9 @@ def run_verification_suite(config: SampleConfig, tol: Tolerance) -> SuiteReport:
             for j, target in enumerate(targets):
                 evaluations[f"construct_{target}"] = functools.partial(_raised, built[t][j])
 
-            record: dict = {"trial": k}
+            # The trial's inputs, named once by their digests; its entries hold decisions, not reports.
+            record: dict = {"trial": k, "inputs": {"a": a.digest, "b": b.digest, "psi": psi.digest, "rho": rho.digest,
+                                                   "pair": None if pair is None else [s.digest for s in pair]}}
             for where, evaluate in evaluations.items():
                 # mp6 files its skip and error entries under its always-present report.
                 key = "mp6_reformulated" if where == "mp6" else where

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonRealExpectation
+from .errors import DimensionMismatch, InvalidInput, NonRealExpectation
 from .linalg import (INPUT_TOL, EigenSystem, _ArrayEquality, _eigh_descending, _finite_norm, _norm,
                      _power_of_two_scale, _psd_eig, _square_matrix, as_complex_matrix, require_hermitian)
 
@@ -138,7 +138,7 @@ class PureState(_ArrayEquality):
             if not math.isfinite(norm):  # a finite norm proves finite entries
                 as_complex_matrix(row[None], "state vector")
             if abs(norm - 1.0) > INPUT_TOL:
-                raise ValueError(f"state vector norm {norm!r} is not 1 within {INPUT_TOL}")
+                raise InvalidInput(f"state vector norm {norm!r} is not 1 within {INPUT_TOL}")
         return a
 
     @classmethod
@@ -178,7 +178,7 @@ class DensityMatrix(_ArrayEquality):
         m = require_hermitian(self.matrix, "density matrix")[0]
         trace = float(np.trace(m).real)
         if abs(trace - 1.0) > INPUT_TOL:
-            raise ValueError(f"density matrix trace {trace!r} is not 1 within {INPUT_TOL}")
+            raise InvalidInput(f"density matrix trace {trace!r} is not 1 within {INPUT_TOL}")
         w, v = _psd_eig(m, "density matrix").support()
         object.__setattr__(self, "matrix", _frozen_array(m))
         self._freeze(v * np.sqrt(w), w)
@@ -236,7 +236,7 @@ class DensityMatrix(_ArrayEquality):
                 as_complex_matrix(g[t], "factor")
                 peak = max(np.abs(g[t].real).max(), np.abs(g[t].imag).max())  # the modulus overflowed
             if not peak > 0.0:
-                raise ValueError("factor is zero")
+                raise InvalidInput("factor is zero")
             scales.append(_power_of_two_scale(peak)[1:])
         scales = np.array(scales).reshape(-1, 2, 1, 1)
         prescaled = g * scales[:, 0] * scales[:, 1]

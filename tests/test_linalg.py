@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from qubounds import (
     DimensionMismatch,
+    InvalidInput,
     NonHermitianInput,
     NotOrthonormal,
     NotPositiveSemidefinite,
@@ -19,8 +20,8 @@ from qubounds import (
     psd_power,
     unitary_completion,
 )
-from qubounds.linalg import (_least_direction, _norm, _require_isometry, complex_dependence_detail,
-                             phase_dependence_detail)
+from qubounds.linalg import (_finite_norm, _least_direction, _norm, _require_isometry, as_complex_matrix,
+                             complex_dependence_detail, phase_dependence_detail)
 from helpers import (SIGMA_X, SIGMA_Y, complex_normal, hermitian_array, svd_complex_dependence_detail,
                      svd_phase_dependence_detail)
 
@@ -205,6 +206,30 @@ def test_dependence_detectors_reject_non_finite_entries():
                 phase_dependence(np.array(x), np.array(y))
             with pytest.raises(ValueError):
                 complex_dependence(np.array([x]), np.array([y]))
+
+
+def test_non_finite_entries_are_invalid_input():
+    # Bad input data is a typed QuboundsError that is still the ValueError it was.
+    for bad in (np.nan, np.inf):
+        with pytest.raises(InvalidInput, match="^matrix contains non-finite entries$") as info:
+            as_complex_matrix([[1.0, bad]])
+        assert isinstance(info.value, ValueError)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_a_non_finite_norm_is_invalid_input():
+    # Finite entries whose Frobenius norm overflows.
+    with pytest.raises(InvalidInput, match="^matrix has a non-finite Frobenius norm$") as info:
+        _finite_norm(np.full((2, 2), 1e308 + 0j))
+    assert isinstance(info.value, ValueError)
+
+
+def test_dependence_detectors_type_non_finite_entries_as_invalid_input():
+    # A vector pair reaches the detectors' own scan; a matrix operand is scanned where it enters.
+    with pytest.raises(InvalidInput, match="^x or y contains non-finite entries$"):
+        phase_dependence(np.array([np.nan, 1.0]), np.array([1.0, 0.0]))
+    with pytest.raises(InvalidInput, match="^x contains non-finite entries$"):
+        complex_dependence(np.array([[np.nan, 1.0]]), np.array([[1.0, 0.0]]))
 
 
 def test_dependence_detectors_reject_operands_of_different_shapes():

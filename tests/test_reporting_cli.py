@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from qubounds import (
+    BoundReport,
     QuboundsError,
     SampleConfig,
     Tolerance,
@@ -40,7 +41,6 @@ import qubounds
 from qubounds import goldens, linalg, relations, reporting, sampling, saturation, states
 from qubounds.cli import build_parser, main
 from qubounds.reporting import (
-    bound_report_to_dict,
     canonical_json,
     dumps_report,
     matrix_from_json_dict,
@@ -68,19 +68,23 @@ def test_matrix_json_round_trip():
 
 
 def test_bound_report_round_trip_exact():
+    # A public report's fields survive the canonical JSON form bit for bit.
     report = robertson(SIGMA_X, SIGMA_Y, PureState(np.array([1.0, 0.0])))
-    record = bound_report_to_dict(report)
+    record = dataclasses.asdict(report)
     back = json.loads(canonical_json(record))
     assert back == record
     assert (back["lhs"], back["rhs"], back["slack"], back["saturated"], back["inputs_digest"]) == (
         report.lhs, report.rhs, report.slack, report.saturated, report.inputs_digest)
-    assert back["tolerance"] == {"eps": report.tol_used.eps}
+    assert back["tol_used"] == {"eps": report.tol_used.eps}
 
 
 def test_bound_report_tolerance_is_the_dataclass_dict():
+    # A public report keeps the caller's tolerance; a sweep writes it once, in its manifest.
     for tol in (Tolerance(), Tolerance(0.0), Tolerance(3e-7 + 0.25)):
         report = robertson(SIGMA_X, SIGMA_Y, PureState(np.array([1.0, 0.0])), tol)
-        assert bound_report_to_dict(report)["tolerance"] == dataclasses.asdict(report.tol_used)
+        assert report.tol_used == tol and dataclasses.asdict(report.tol_used) == {"eps": tol.eps}
+        suite = run_verification_suite(SampleConfig(2, 1, 7, 1), tol)
+        assert reporting.report_to_dict(suite)["manifest"]["tolerance"] == dataclasses.asdict(tol)
 
 
 def test_suite_report_round_trip_and_determinism():
@@ -183,7 +187,7 @@ def test_every_failure_names_an_entry_of_its_trial_record(monkeypatch):
     rejected = []
     for k in range(20):
         try:
-            _public_evaluations(2, k, 2, tol, _leaning_columns)["mp_chain"]()
+            _public_evaluations(2, k, 2, tol, _leaning_columns)[1]["mp_chain"]()
         except QuboundsError:
             rejected.append(k)
     assert chain_trials == rejected
@@ -312,11 +316,18 @@ def test_cli_saturate_rejects_non_hermitian(tmp_path, capsys):
     code = main(["saturate", pair_file, "--target", "mp3"])
     assert code == 1
     assert "NonHermitianInput" in capsys.readouterr().err
+    # A NaN entry (Python's JSON reader takes the NaN token) is bad input data, named by its type.
+    nan_file = tmp_path / "nan.json"
+    nan_a = {"rows": 2, "cols": 2, "re": [[math.nan, 0.0], [0.0, 1.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}
+    nan_file.write_text(json.dumps({"a": nan_a, "b": matrix_to_json_dict(SIGMA_Y)}))
+    assert main(["saturate", str(nan_file), "--target", "mp3"]) == 1
+    assert capsys.readouterr().err == "error: InvalidInput: A contains non-finite entries\n"
 
 
 def test_cli_saturate_rejects_a_malformed_pair_file(tmp_path, capsys):
-    # No "b" key, a matrix whose payload does not match its declared shape, and a row count of 1e400,
-    # which JSON reads as inf: each exits 1 with one error line.
+    # No "b" key, a matrix whose payload does not match its declared shape, a row count of 1e400,
+    # which JSON reads as inf, and counts that are not JSON integers (2.5, "2", true; the payloads are
+    # 2 x 2, so int() of each would pass): each exits 1 with one error line.
     no_b = tmp_path / "no_b.json"
     no_b.write_text(json.dumps({"a": matrix_to_json_dict(SIGMA_X)}))
     misshaped = tmp_path / "misshaped.json"
@@ -324,7 +335,13 @@ def test_cli_saturate_rejects_a_malformed_pair_file(tmp_path, capsys):
     misshaped.write_text(json.dumps(payload))
     huge = tmp_path / "huge.json"
     huge.write_text(json.dumps(dict(payload, b=matrix_to_json_dict(SIGMA_Y))).replace('"rows": 2', '"rows": 1e400', 1))
-    for path in (no_b, misshaped, huge):
+    counts = []
+    for count in (2.5, "2", True):
+        counts.append(tmp_path / f"count_{len(counts)}.json")
+        counts[-1].write_text(json.dumps(dict(payload, b=dict(matrix_to_json_dict(SIGMA_Y), rows=count))))
+        with pytest.raises(ValueError, match="malformed matrix object"):
+            matrix_from_json_dict(dict(matrix_to_json_dict(SIGMA_Y), cols=count))
+    for path in (no_b, misshaped, huge, *counts):
         assert main(["saturate", str(path), "--target", "mp3"]) == 1
         assert capsys.readouterr().err.count("\n") == 1
     assert "1e400" in huge.read_text()
@@ -438,8 +455,12 @@ def _trial_calls(monkeypatch, config, tol=Tolerance(), failures=0):
         "_array_digest": states._array_digest,
         "_digest": relations._digest,
     }
-    counts = dict.fromkeys(targets, 0)
+    counts = dict.fromkeys([*targets, "BoundReport"], 0)
     shapes = {"eigh": [], "qr": [], "draws": []}
+    init = relations.BoundReport.__init__
+    monkeypatch.setattr(relations.BoundReport, "__init__",
+                        lambda self, *args, **kwargs: counts.update(BoundReport=counts["BoundReport"] + 1)
+                        or init(self, *args, **kwargs))
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -487,11 +508,11 @@ def test_verify_trial_validates_once_and_reduces_once(monkeypatch):
     # The Haar pair only, and in the chunk's one stacked Gram product: a constructed pair
     # [e1 | (0, tail)] is orthonormal by construction, and no column basis is checked alone.
     assert (counts["_grams"], counts["_require_isometry"]) == (1, 0)
-    # A, B, psi, rho and the Haar pair; e1, the constructed phis and the
-    # certificates hash nothing.  One report digest for each of the four
-    # moment bounds, mp3, mp6 (shared by its two forms) and the chain.
+    # A, B, psi, rho and the Haar pair, each hashed once for the record's inputs block; e1, the
+    # constructed phis and the certificates hash nothing.  The bound entries are decisions: no
+    # report digest and no BoundReport.
     assert counts["_array_digest"] == 6
-    assert counts["_digest"] == 7
+    assert (counts["_digest"], counts["BoundReport"]) == (0, 0)
     # The reports decide saturation; an SVD only builds a saturated bound's witness.
     assert counts["svd"] == 0
 
@@ -499,11 +520,11 @@ def test_verify_trial_validates_once_and_reduces_once(monkeypatch):
 def test_verify_stacks_a_chunks_eigh_and_qr(monkeypatch):
     # Four trials form one chunk: their Gram matrices share one eigh, their
     # Haar blocks one QR and their triples the two moments calls of one trial,
-    # while each trial still hashes alone.
+    # while each trial still hashes its own inputs, and no report digest runs.
     counts, shapes = _trial_calls(monkeypatch, SampleConfig(4, 4, 7, 4))
     assert (counts["eigh"], counts["qr"]) == (1, 1)
     assert (shapes["eigh"], shapes["qr"]) == ([(4, 4, 4)], [(4, 4, 2)])
-    assert (counts["_moments"], counts["_array_digest"], counts["_digest"]) == (2, 24, 28)
+    assert (counts["_moments"], counts["_array_digest"], counts["_digest"], counts["BoundReport"]) == (2, 24, 0, 0)
     assert (shapes["built"], shapes["rho"]) == (4, [])
 
 
@@ -540,7 +561,7 @@ def test_verify_trial_draws_and_factors_only_what_it_reads(monkeypatch):
     assert shapes["draws"] == [16 * 16 * 2 + 2 * 16 + 2 * 16 * 2, 2 * 16 * 2]
     assert (shapes["built"], shapes["rho"]) == (1, [])
     assert shapes["qr"] == [(1, 16, 2)]
-    assert (counts["_array_digest"], counts["_digest"]) == (6, 7)
+    assert (counts["_array_digest"], counts["_digest"]) == (6, 0)
     assert counts["svd"] == 0
 
 
@@ -577,15 +598,16 @@ def test_a_trials_digests_are_pinned():
         "2d8fd1ff50614d8245463296362d70dffb62a442920004135edc99c82584ccef",
         "5e34f1539c5773b4e9e2cf938d32fd57d7c8a9603fddfc3cf5a41a1823bda909",
         "8e26c3d030015e2427fbe6f7f697d177c2fafee64d8568b1b20ef31b4e411f82")
-    record = run_verification_suite(SampleConfig(4, 4, 7, 1), Tolerance()).trials[0]
-    assert record["robertson_mixed"]["inputs_digest"] == robertson(a, b, rho).inputs_digest == "dc82a1dc09eb6ec7"
-    assert record["schrodinger_mixed"]["inputs_digest"] == schrodinger(a, b, rho).inputs_digest \
-        == "5a7a993f85c661ce"
+    inputs = run_verification_suite(SampleConfig(4, 4, 7, 1), Tolerance()).trials[0]["inputs"]
+    assert (inputs["a"], inputs["b"], inputs["rho"]) == (a.digest, b.digest, rho.digest)
+    assert robertson(a, b, rho).inputs_digest == "dc82a1dc09eb6ec7"
+    assert schrodinger(a, b, rho).inputs_digest == "5a7a993f85c661ce"
 
 
 def _public_evaluations(n, k, rank, tol, pair_columns=_haar_columns):
     """One sweep trial's inputs, redrawn in the sweep's order (its pair by
-    ``pair_columns``), and its evaluations made through the public entries."""
+    ``pair_columns``): the record's inputs block, from their own digests, and
+    its evaluations made through the public entries."""
     rng = trial_rng(7, k)
     a = random_hermitian(n, rng, label="A")
     b = random_hermitian(n, rng, label="B")
@@ -597,11 +619,12 @@ def _public_evaluations(n, k, rank, tol, pair_columns=_haar_columns):
         "robertson_mixed": lambda: robertson(a, b, rho, tol),
         "schrodinger_mixed": lambda: schrodinger(a, b, rho, tol),
     }
+    pair = None
     if n >= 2:
         columns = pair_columns(n, 2, rng)
         pair = PureState(columns[:, 0]), PureState(columns[:, 1])
         evaluations["mp3"] = lambda: mp3(a, b, *pair, tol).report
-        evaluations["mp6"] = lambda: reporting._mp6_results(mp6(a, b, *pair, tol))
+        evaluations["mp6"] = lambda: _mp6_entries(mp6(a, b, *pair, tol))
         evaluations["mp_chain"] = lambda: dict(zip(
             ("chain_step1", "chain_step2", "chain_step3"), mp_chain(a, b, *pair, 1j, tol).steps))
     evaluations["robertson_pure_certificate"] = lambda: robertson_saturation_pure(a, b, psi, tol)
@@ -613,7 +636,20 @@ def _public_evaluations(n, k, rank, tol, pair_columns=_haar_columns):
         evaluations["construct_case2"] = lambda: construct_case2(a, b, tol)
     if n >= 2:
         evaluations["construct_w_mp6"] = lambda: construct_w_mp6(a, b, tol)
-    return evaluations
+    inputs = {"a": a.digest, "b": b.digest, "psi": psi.digest, "rho": rho.digest,
+              "pair": None if pair is None else [pair[0].digest, pair[1].digest]}
+    return inputs, evaluations
+
+
+def _mp6_entries(reports):
+    return reporting._mp6_results(reports.reformulated, reports.product)
+
+
+def _as_entry(result):
+    """A public report as the decision a sweep records (its sides, slack and flag); any other result as it is."""
+    if isinstance(result, BoundReport):
+        return relations._Decision(result.lhs, result.rhs, result.slack, result.saturated)
+    return result
 
 
 def _sweep_against_public_api(n, tol, pair_columns):
@@ -622,8 +658,9 @@ def _sweep_against_public_api(n, tol, pair_columns):
     report = run_verification_suite(config, tol)
     summary = reporting._Summary()
     for k in range(config.count):
-        record = {"trial": k}
-        for where, evaluate in _public_evaluations(n, k, config.rank, tol, pair_columns).items():
+        inputs, evaluations = _public_evaluations(n, k, config.rank, tol, pair_columns)
+        record = {"trial": k, "inputs": inputs}
+        for where, evaluate in evaluations.items():
             key = "mp6_reformulated" if where == "mp6" else where
             try:
                 result = evaluate()
@@ -634,7 +671,7 @@ def _sweep_against_public_api(n, tol, pair_columns):
                 record[key] = {"error": type(exc).__name__}
             else:
                 for name, value in (result if isinstance(result, dict) else {where: result}).items():
-                    record[name] = summary.entry(k, name, value)
+                    record[name] = summary.entry(k, name, _as_entry(value))
         assert report.trials[k] == record
     assert report.summary == dict(vars(summary), failure_count=len(summary.failures))
     return report
@@ -750,7 +787,7 @@ PUBLIC_NAMES = [
     "ARTIFACT_VERSION", "BoundReport", "BoundViolation", "CONSTRUCTION_TOL", "CertificateKind",
     "ChainReport", "ChainSaturation", "ConstructedPair", "CorollaryViolation", "DEFAULT_TOL",
     "DensityMatrix", "DimensionMismatch", "EigenSystem", "EqualityCheck", "HypothesisViolated",
-    "MP3Report", "MP6Reports", "MPFrame", "MuChoice", "NonHermitianInput", "NonRealExpectation",
+    "InvalidInput", "MP3Report", "MP6Reports", "MPFrame", "MuChoice", "NonHermitianInput", "NonRealExpectation",
     "NotOrthogonal", "NotOrthonormal", "NotPositiveSemidefinite", "Observable", "PairMoments",
     "PureState", "QuantumState", "QuboundsError", "RIndependenceViolation", "RankUnachieved",
     "RunManifest", "SampleConfig", "SaturationCertificate", "SuiteReport", "Tolerance",

@@ -7,6 +7,7 @@ import pytest
 from qubounds import (
     DensityMatrix,
     DimensionMismatch,
+    InvalidInput,
     NonHermitianInput,
     NonRealExpectation,
     NotPositiveSemidefinite,
@@ -44,6 +45,25 @@ def test_pure_state_validation():
         PureState(np.array([1.0, 1.0]))
     psi = PureState(np.array([1.0j, 0.0]))
     np.testing.assert_allclose(projector(psi), [[1.0, 0.0], [0.0, 0.0]])
+
+
+def test_a_state_norm_off_one_is_invalid_input():
+    # Bad input data is a typed QuboundsError that is still the ValueError it was.
+    with pytest.raises(InvalidInput, match="^state vector norm 2.0 is not 1") as info:
+        PureState(np.array([2.0, 0.0]))
+    assert isinstance(info.value, ValueError)
+
+
+def test_a_trace_off_one_is_invalid_input():
+    with pytest.raises(InvalidInput, match="^density matrix trace 2.0 is not 1") as info:
+        DensityMatrix(np.eye(2))
+    assert isinstance(info.value, ValueError)
+
+
+def test_a_zero_factor_is_invalid_input():
+    with pytest.raises(InvalidInput, match="^factor is zero$") as info:
+        DensityMatrix.from_factor(np.zeros((2, 1)))
+    assert isinstance(info.value, ValueError)
 
 
 def test_pure_state_rejects_non_finite_amplitudes():
