@@ -12,8 +12,6 @@ never read back; the one reader here loads an observable pair for ``saturate``.
 
 from __future__ import annotations
 
-import functools
-import itertools
 import json
 import time
 from dataclasses import asdict, dataclass, field
@@ -25,15 +23,12 @@ from .goldens import run_goldens
 from .linalg import DEFAULT_TOL, Tolerance, _grams
 from .relations import (_cross_elements, _Decision, _moments_mu, _mp3_decision, _mp6_decisions, _mp_chain_decisions,
                         _mp_reduction, _robertson_decision, _schrodinger_decision)
-from .sampling import _ROOT_I, SampleConfig, _complex_parts, _full_rank, _haar_stack, _unit_rows, trial_rng
+from .sampling import SampleConfig, _trial_chunks
 from .saturation import (_CONSTRUCTIONS, CONSTRUCTION_TOL, CertificateKind, ConstructedPair, SaturationCertificate,
-                         _certificate, _constructions, _e1, _outcome, _raised)
-from .states import DensityMatrix, Observable, PureState, _moments, _pair_moments
+                         _certificate, _constructions, _e1, _outcome)
+from .states import Observable, _moments, _pair_moments
 
 ARTIFACT_VERSION = "0.11.0"
-# Bytes of a chunk's largest stack, one complex n x n matrix per trial: a sweep's memory does not grow
-# with its trials, and at n = 64 a chunk is one trial, below the 128 KiB at which glibc's malloc maps pages.
-CHUNK_BYTES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -145,6 +140,10 @@ def _utc_now() -> str:
 # Verification suite
 
 
+# The entries of an evaluation that records several.
+_ENTRY_NAMES = {"mp6": ("mp6_reformulated", "mp6_product"), "mp_chain": ("chain_step1", "chain_step2", "chain_step3")}
+
+
 @dataclass
 class _Summary:
     min_slack: dict[str, float] = field(default_factory=dict)
@@ -155,6 +154,22 @@ class _Summary:
         self.failures.append(
             {"trial": trial, "where": where, "error": type(exc).__name__, "message": str(exc)}
         )
+
+    def file(self, record: dict, trial: int, where: str, outcome) -> None:
+        """File an evaluation's outcome (:func:`~qubounds.saturation._outcome`) in its trial's record: a skip for
+        :class:`ZeroDeviation`, an error entry and a failure for any other :class:`QuboundsError`, else its entries."""
+        key = "mp6_reformulated" if where == "mp6" else where  # mp6's skip or error, under its always-present entry
+        if isinstance(outcome, ZeroDeviation):
+            record[key] = {"skipped": "zero deviation"}
+        elif isinstance(outcome, QuboundsError):
+            self.fail(trial, where, outcome)
+            record[key] = {"error": type(outcome).__name__}
+        elif where not in _ENTRY_NAMES:
+            record[where] = self.entry(trial, where, outcome)
+        else:
+            for name, value in zip(_ENTRY_NAMES[where], outcome):
+                if value is not None:  # mp6's product form, where its denominator is degenerate
+                    record[name] = self.entry(trial, name, value)
 
     def entry(self, trial: int, name: str, result) -> dict | None:
         """The record entry for a bound's decision (its sides, slack and flag), a certificate or a construction."""
@@ -189,62 +204,22 @@ class _Summary:
         return SuiteReport(manifest=manifest, trials=tuple(trials), summary=summary)
 
 
-def _mp6_results(reformulated, product) -> dict:
-    """mp6's entries: its reformulated form, and its product form unless that is None (a degenerate denominator)."""
-    results = {"mp6_reformulated": reformulated}
-    if product is not None:
-        results["mp6_product"] = product
-    return results
-
-
-def _trial_inputs(config: SampleConfig):
-    """Each chunk of trials (see below): the stacks of its As and Bs, the rows (T, 3, n) of its psis and Haar
-    pairs ((T, 1, n) at n = 1), and each trial's (k, A, B, psi, rho, Haar pair or None)."""
-    n, rank = config.dimension, config.rank
-    ends = list(itertools.accumulate((n * n, n * n, 2 * n, 2 * n * rank, 4 * n if n >= 2 else 0)))
-    per_chunk = max(1, CHUNK_BYTES // (16 * n * n))
-    for first in range(0, config.count, per_chunk):
-        ks = range(first, min(first + per_chunk, config.count))
-        rngs = [trial_rng(config.seed, k) for k in ks]
-        draws = np.empty((len(ks), ends[-1]))
-        for rng, row in zip(rngs, draws):
-            rng.standard_normal(out=row[: ends[3]])
-        a_stack, a = Observable._hermitian_parts(_ROOT_I * draws[:, : ends[0]].reshape(-1, n, n), "A")
-        b_stack, b = Observable._hermitian_parts(_ROOT_I * draws[:, ends[0]: ends[1]].reshape(-1, n, n), "B")
-        factors = _complex_parts(draws[:, ends[2]: ends[3]], n, rank)
-        rhos = [_full_rank(rho, rng, rank) for rho, rng in zip(DensityMatrix._from_factors(factors), rngs)]
-        for rng, row in zip(rngs, draws):
-            rng.standard_normal(out=row[ends[3]:])
-        # One state pass: each trial's psi, then its Haar pair's two columns.
-        rows = np.empty((len(ks), 3 if n >= 2 else 1, n), dtype=complex)
-        rows[:, 0] = _unit_rows(_complex_parts(draws[:, ends[1]: ends[2]], n))
-        if n >= 2:
-            rows[:, 1:] = np.swapaxes(_haar_stack(_complex_parts(draws[:, ends[3]:], n, 2)), 1, 2)
-        states = PureState._stack(rows.reshape(-1, n))
-        pairs = [None] * len(ks) if n < 2 else list(zip(states[1::3], states[2::3]))
-        yield a_stack[:, None], b_stack[:, None], rows, list(zip(ks, a, b, states[:: rows.shape[1]], rhos, pairs))
-
-
 def run_verification_suite(config: SampleConfig, tol: Tolerance) -> SuiteReport:
     """Evaluate every bound, checker, and construction over seeded random inputs.
 
-    A chunk of trials, sized by ``CHUNK_BYTES``, draws from each trial's own ``trial_rng(seed, k)`` in
-    the public samplers' order: A, B, psi, the factor G of rho (and its one redraw), then the n x 2 Haar
-    block.  The samplers' bodies then build the chunk as stacks, byte-identical to the samplers' inputs:
-    one Hermitian-part pass for its As and one for its Bs, one ``eigh`` of its Gram matrices, one QR, one
-    state pass for its psis and Haar columns.  The chunk is reduced as stacks too, each slice equal to the
+    The trials come a chunk at a time from :func:`~qubounds.sampling._trial_chunks`, byte-identical to the
+    public samplers' inputs.  The chunk is reduced as stacks too, each slice equal to the
     one-trial call byte for byte: one moments-body call (:func:`~qubounds.states.pair_moments`) for the n x 1
     states of its trials (psi, the Maccone-Pati psi_f and e1, built once), one for its rhos' factors, one
     product for the pairs' c and d, one Gram product for their checks, and one constructions-body call
     (:func:`~qubounds.saturation._constructions`) for both constructions of every trial, which share the
     trial's e1 moments.  Only the bound decisions and the record entries run per trial: a trial's record
     names its inputs once, by their digests, and each bound's entry is its decision, with no digest.
-    Each evaluation leaves one record entry: its result (a dict names several),
-    a skip on :class:`ZeroDeviation`, or an error on any other :class:`QuboundsError`.  A trial's Maccone-Pati
-    reduction, by the entries' own body (:func:`~qubounds.relations._mp_reduction`) on its slices, and its
-    constructions are outcomes (the result or the error raised, :func:`~qubounds.saturation._outcome`) that each
-    evaluation reading them raises; the other triples
-    cannot raise on a trial's inputs, valid by construction with A and B Hermitian bit for bit.
+    Every evaluation is an outcome (the result or the :class:`QuboundsError` raised,
+    :func:`~qubounds.saturation._outcome`), which :meth:`_Summary.file` files as one record entry or several.
+    A trial's Maccone-Pati reduction, by the entries' own body (:func:`~qubounds.relations._mp_reduction`) on
+    its slices, is one outcome: where it failed, mp3, mp6 and the chain each file its error.  The other
+    triples cannot raise on a trial's inputs, valid by construction with A and B Hermitian bit for bit.
     """
     started = _utc_now()
     summary = _Summary()
@@ -252,7 +227,7 @@ def run_verification_suite(config: SampleConfig, tol: Tolerance) -> SuiteReport:
     n = config.dimension
     e1 = _e1(n)
     targets = tuple(target for target, (_, allowed, *_) in _CONSTRUCTIONS.items() if allowed(n))
-    for a_stack, b_stack, rows, chunk in _trial_inputs(config):
+    for a_stack, b_stack, rows, chunk in _trial_chunks(config):
         columns = rows[..., None].copy()  # psi, psi_f and phi as n x 1 columns; e1 takes phi's place
         columns[:, 2:] = e1.factor
         reduced = _moments(a_stack, b_stack, columns)
@@ -267,44 +242,31 @@ def run_verification_suite(config: SampleConfig, tol: Tolerance) -> SuiteReport:
         for t, ((k, a, b, psi, rho, pair), x, rho_x) in enumerate(zip(chunk, moments, rho_moments)):
             pure = _pair_moments(a, b, psi, x[0])
             mixed = _pair_moments(a, b, rho, rho_x)
-            evaluations = {
-                "robertson_pure": lambda: _robertson_decision(pure, tol),
-                "schrodinger_pure": lambda: _schrodinger_decision(pure, tol),
-                "robertson_mixed": lambda: _robertson_decision(mixed, tol),
-                "schrodinger_mixed": lambda: _schrodinger_decision(mixed, tol),
-            }
+            outcomes = {"robertson_pure": _outcome(_robertson_decision, pure, tol),
+                        "schrodinger_pure": _outcome(_schrodinger_decision, pure, tol),
+                        "robertson_mixed": _outcome(_robertson_decision, mixed, tol),
+                        "schrodinger_mixed": _outcome(_schrodinger_decision, mixed, tol)}
             if n >= 2:
                 mp = _outcome(_mp_reduction, a, b, *pair, pair_grams[t], x[1], cds[t], tol)
-                # mp3's and mp6's mu, as their entries pick it; a failed reduction raises before it is read.
-                mu = None if isinstance(mp, QuboundsError) else _moments_mu(mp.moments, tol).mu
-                evaluations["mp3"] = lambda: _mp3_decision(_raised(mp), mu, tol)
-                evaluations["mp6"] = lambda: _mp6_results(*_mp6_decisions(_raised(mp), mu, tol))
-                evaluations["mp_chain"] = lambda: dict(zip(
-                    ("chain_step1", "chain_step2", "chain_step3"), _mp_chain_decisions(_raised(mp), 1j, tol)))
-            evaluations["robertson_pure_certificate"] = lambda: _certificate(CertificateKind.ROBERTSON_PURE, pure, tol)
-            evaluations["robertson_mixed_certificate"] = (
-                lambda: _certificate(CertificateKind.ROBERTSON_MIXED, mixed, tol))
-            evaluations["schrodinger_certificate"] = lambda: _certificate(CertificateKind.SCHRODINGER, mixed, tol)
+                if isinstance(mp, QuboundsError):
+                    outcomes.update(dict.fromkeys(("mp3", "mp6", "mp_chain"), mp))
+                else:
+                    mu = _moments_mu(mp.moments, tol).mu  # mp3's and mp6's mu, as their entries pick it
+                    outcomes["mp3"] = _outcome(_mp3_decision, mp, mu, tol)
+                    outcomes["mp6"] = _outcome(_mp6_decisions, mp, mu, tol)
+                    outcomes["mp_chain"] = _outcome(_mp_chain_decisions, mp, 1j, tol)
+            outcomes["robertson_pure_certificate"] = _outcome(_certificate, CertificateKind.ROBERTSON_PURE, pure, tol)
+            outcomes["robertson_mixed_certificate"] = _outcome(
+                _certificate, CertificateKind.ROBERTSON_MIXED, mixed, tol)
+            outcomes["schrodinger_certificate"] = _outcome(_certificate, CertificateKind.SCHRODINGER, mixed, tol)
             for j, target in enumerate(targets):
-                evaluations[f"construct_{target}"] = functools.partial(_raised, built[t][j])
+                outcomes[f"construct_{target}"] = built[t][j]
 
             # The trial's inputs, named once by their digests; its entries hold decisions, not reports.
             record: dict = {"trial": k, "inputs": {"a": a.digest, "b": b.digest, "psi": psi.digest, "rho": rho.digest,
                                                    "pair": None if pair is None else [s.digest for s in pair]}}
-            for where, evaluate in evaluations.items():
-                # mp6 files its skip and error entries under its always-present report.
-                key = "mp6_reformulated" if where == "mp6" else where
-                try:
-                    result = evaluate()
-                except ZeroDeviation:
-                    record[key] = {"skipped": "zero deviation"}
-                except QuboundsError as exc:
-                    summary.fail(k, where, exc)
-                    record[key] = {"error": type(exc).__name__}
-                else:
-                    results = result if isinstance(result, dict) else {where: result}
-                    for name, value in results.items():
-                        record[name] = summary.entry(k, name, value)
+            for where, outcome in outcomes.items():
+                summary.file(record, k, where, outcome)
             trials.append(record)
     return summary.report("verify", config, tol, started, trials)
 

@@ -1,11 +1,13 @@
 """Seeded generation of observables and states for property sweeps.
 
-Each sampler is the one-draw case of a body run on stacks of draws, as a sweep builds its trials'
-inputs in chunks (:func:`qubounds.reporting.run_verification_suite`); stacked QR needs NumPy >= 1.22.
+Each sampler is the one-draw case of a body run on stacks of draws.  A sweep's trials draw here too,
+a chunk at a time (:func:`_trial_chunks`), in the samplers' order and with their bytes, so the draw
+layout is known in this module only; stacked QR needs NumPy >= 1.22.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -14,6 +16,10 @@ import numpy as np
 from .errors import RankUnachieved
 from .linalg import _row_norms
 from .states import DensityMatrix, Observable, PureState
+
+# Bytes of a chunk's largest stack, one complex n x n matrix per trial: a sweep's memory does not grow
+# with its trials, and at n = 64 a chunk is one trial, below the 128 KiB at which glibc's malloc maps pages.
+CHUNK_BYTES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -132,3 +138,36 @@ def bloch_state(theta: float, phi: float) -> PureState:
     return PureState(
         np.array([np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0)], dtype=complex)
     )
+
+
+def _trial_chunks(config: SampleConfig):
+    """A sweep's trials, a chunk of at most ``CHUNK_BYTES`` at a time: the stacks of the chunk's As and Bs, the
+    rows (T, 3, n) of its psis and Haar pairs ((T, 1, n) at n = 1), and each trial's (k, A, B, psi, rho, Haar
+    pair or None).  Each trial draws from its own ``trial_rng(seed, k)`` in the public samplers' order: A, B, psi
+    and the factor G of rho in one call, G's one redraw (:func:`_full_rank`), then the n x 2 Haar block.  The
+    samplers' bodies then build the chunk as stacks, byte-identical to the samplers' inputs: one Hermitian-part
+    pass for its As and one for its Bs, one ``eigh`` of its Gram matrices, one QR, one state pass for its psis
+    and Haar columns."""
+    n, rank = config.dimension, config.rank
+    ends = list(itertools.accumulate((n * n, n * n, 2 * n, 2 * n * rank, 4 * n if n >= 2 else 0)))
+    per_chunk = max(1, CHUNK_BYTES // (16 * n * n))
+    for first in range(0, config.count, per_chunk):
+        ks = range(first, min(first + per_chunk, config.count))
+        rngs = [trial_rng(config.seed, k) for k in ks]
+        draws = np.empty((len(ks), ends[-1]))
+        for rng, row in zip(rngs, draws):
+            rng.standard_normal(out=row[: ends[3]])
+        a_stack, a = Observable._hermitian_parts(_ROOT_I * draws[:, : ends[0]].reshape(-1, n, n), "A")
+        b_stack, b = Observable._hermitian_parts(_ROOT_I * draws[:, ends[0]: ends[1]].reshape(-1, n, n), "B")
+        factors = _complex_parts(draws[:, ends[2]: ends[3]], n, rank)
+        rhos = [_full_rank(rho, rng, rank) for rho, rng in zip(DensityMatrix._from_factors(factors), rngs)]
+        for rng, row in zip(rngs, draws):
+            rng.standard_normal(out=row[ends[3]:])
+        # One state pass: each trial's psi, then its Haar pair's two columns.
+        rows = np.empty((len(ks), 3 if n >= 2 else 1, n), dtype=complex)
+        rows[:, 0] = _unit_rows(_complex_parts(draws[:, ends[1]: ends[2]], n))
+        if n >= 2:
+            rows[:, 1:] = np.swapaxes(_haar_stack(_complex_parts(draws[:, ends[3]:], n, 2)), 1, 2)
+        states = PureState._stack(rows.reshape(-1, n))
+        pairs = [None] * len(ks) if n < 2 else list(zip(states[1::3], states[2::3]))
+        yield a_stack[:, None], b_stack[:, None], rows, list(zip(ks, a, b, states[:: rows.shape[1]], rhos, pairs))

@@ -295,18 +295,11 @@ def _e1(n: int) -> PureState:
 
 
 def _outcome(body, *args):
-    """``body(*args)``, or the :class:`QuboundsError` it raises, kept as a value for :func:`_raised`."""
+    """``body(*args)``, or the :class:`QuboundsError` it raises, kept as a value."""
     try:
         return body(*args)
     except QuboundsError as exc:
         return exc
-
-
-def _raised(outcome):
-    """An :func:`_outcome`'s result, or the :class:`QuboundsError` it holds, raised."""
-    if isinstance(outcome, QuboundsError):
-        raise outcome
-    return outcome
 
 
 def _constructions(targets: tuple[str, ...], a: np.ndarray, b: np.ndarray, moments: list,
@@ -379,7 +372,10 @@ def _construct(target: str, observable_a, observable_b, tol: Tolerance) -> Const
     e1 = _e1(a.dimension)
     moments = _moments(a.matrix, b.matrix, e1.factor)
     m = _pair_moments(a, b, e1, moments)
-    return _raised(_constructions((target,), a.matrix[None], b.matrix[None], [m], moments[2][None], tol)[0][0])
+    built = _constructions((target,), a.matrix[None], b.matrix[None], [m], moments[2][None], tol)[0][0]
+    if isinstance(built, QuboundsError):
+        raise built
+    return built
 
 
 def construct_case1(observable_a, observable_b, tol: Tolerance = DEFAULT_TOL) -> ConstructedPair:

@@ -134,19 +134,6 @@ def _lean(columns):
     return columns
 
 
-def _leaning_columns(n, k, rng):
-    """The public sampler's Haar pair, leaning."""
-    return _lean(sampling._haar_columns(n, k, rng))
-
-
-def _leaning_stack(z):
-    """The sweep's stacked Haar pairs, each leaning as :func:`_leaning_columns` leans its own."""
-    pairs = sampling._haar_stack(z)
-    for columns in pairs:
-        _lean(columns)
-    return pairs
-
-
 def _stretch(columns):
     """A Haar pair with phi scaled by 1 + 5e-11, in place: still orthogonal, and a unit state within
     ``INPUT_TOL``, but its Gram matrix misses the identity by about 1e-10, which only a zero budget rejects."""
@@ -154,21 +141,17 @@ def _stretch(columns):
     return columns
 
 
-def _stretched_columns(n, k, rng):
-    """The public sampler's Haar pair, stretched."""
-    return _stretch(sampling._haar_columns(n, k, rng))
+_HAAR_STACK = sampling._haar_stack
 
 
-def _stretched_stack(z):
-    """The sweep's stacked Haar pairs, each stretched as :func:`_stretched_columns` stretches its own."""
-    pairs = sampling._haar_stack(z)
-    for columns in pairs:
-        _stretch(columns)
-    return pairs
+def _perturbed_stack(perturb):
+    """``sampling._haar_stack`` with each pair perturbed once, in place.  Patched over it, it perturbs the sweep's
+    stacked pairs and the public sampler's pair (``_haar_columns``, the stack's one-draw call) alike."""
+    return lambda z: [perturb(columns) for columns in _HAAR_STACK(z)]
 
 
 def test_cli_verify_surfaces_failures(tmp_path, monkeypatch):
-    monkeypatch.setattr(reporting, "_haar_stack", _leaning_stack)
+    monkeypatch.setattr(sampling, "_haar_stack", _perturbed_stack(_lean))
     out = tmp_path / "strict.json"
     code = main(["verify", "--n", "2", "--trials", "20", "--seed", "7", "--out", str(out)])
     assert code == 2
@@ -179,7 +162,7 @@ def test_cli_verify_surfaces_failures(tmp_path, monkeypatch):
 def test_every_failure_names_an_entry_of_its_trial_record(monkeypatch):
     # A pair that is not orthogonal fails every Maccone-Pati call: each failure
     # still leaves an entry.
-    monkeypatch.setattr(reporting, "_haar_stack", _leaning_stack)
+    monkeypatch.setattr(sampling, "_haar_stack", _perturbed_stack(_lean))
     tol = Tolerance()
     report = run_verification_suite(SampleConfig(dimension=2, rank=2, seed=7, count=20), tol)
     failures = report.summary["failures"]
@@ -187,7 +170,7 @@ def test_every_failure_names_an_entry_of_its_trial_record(monkeypatch):
     rejected = []
     for k in range(20):
         try:
-            _public_evaluations(2, k, 2, tol, _leaning_columns)[1]["mp_chain"]()
+            _public_evaluations(2, k, 2, tol)[1]["mp_chain"]()
         except QuboundsError:
             rejected.append(k)
     assert chain_trials == rejected
@@ -477,7 +460,7 @@ def _trial_calls(monkeypatch, config, tol=Tolerance(), failures=0):
             for attr, obj in list(vars(module).items()):
                 if obj is fn:
                     monkeypatch.setattr(module, attr, wrapper)
-    monkeypatch.setattr(reporting, "trial_rng", lambda seed, k: _DrawSizes(trial_rng(seed, k), shapes["draws"]))
+    monkeypatch.setattr(sampling, "trial_rng", lambda seed, k: _DrawSizes(trial_rng(seed, k), shapes["draws"]))
     built = []
     from_factors = states.DensityMatrix._from_factors.__func__
     monkeypatch.setattr(states.DensityMatrix, "_from_factors",
@@ -546,7 +529,7 @@ def test_verify_stacks_a_chunks_maccone_pati_stage(monkeypatch):
 def test_a_trials_pair_checks_run_once_when_they_fail(monkeypatch):
     # A trial's pair checks run once, and mp3, mp6 and mp_chain each raise the error
     # they kept: 5 Gram tests for 5 trials, and 15 failures.
-    monkeypatch.setattr(reporting, "_haar_stack", _stretched_stack)
+    monkeypatch.setattr(sampling, "_haar_stack", _perturbed_stack(_stretch))
     counts, _ = _trial_calls(monkeypatch, SampleConfig(3, 2, 7, 5), Tolerance(0.0), failures=15)
     assert (counts["_grams"], counts["_require_orthonormal"]) == (1, 5)
 
@@ -580,7 +563,7 @@ class _ConstantDraws(np.random.Generator):
 
 def test_a_sweep_raises_where_a_trials_redraw_falls_short_of_its_rank(monkeypatch):
     # Trial 2's factor falls short of rank 2, and so does its one redraw: the chunk raises.
-    monkeypatch.setattr(reporting, "trial_rng", lambda seed, k: _ConstantDraws() if k == 2 else trial_rng(seed, k))
+    monkeypatch.setattr(sampling, "trial_rng", lambda seed, k: _ConstantDraws() if k == 2 else trial_rng(seed, k))
     with pytest.raises(qubounds.RankUnachieved, match="numerical rank 1 != requested 2"):
         run_verification_suite(SampleConfig(3, 2, 7, 4), Tolerance())
 
@@ -604,10 +587,10 @@ def test_a_trials_digests_are_pinned():
     assert schrodinger(a, b, rho).inputs_digest == "5a7a993f85c661ce"
 
 
-def _public_evaluations(n, k, rank, tol, pair_columns=_haar_columns):
-    """One sweep trial's inputs, redrawn in the sweep's order (its pair by
-    ``pair_columns``): the record's inputs block, from their own digests, and
-    its evaluations made through the public entries."""
+def _public_evaluations(n, k, rank, tol):
+    """One sweep trial's inputs, redrawn in the sweep's order: the record's
+    inputs block, from their own digests, and its evaluations made through the
+    public entries."""
     rng = trial_rng(7, k)
     a = random_hermitian(n, rng, label="A")
     b = random_hermitian(n, rng, label="B")
@@ -621,7 +604,7 @@ def _public_evaluations(n, k, rank, tol, pair_columns=_haar_columns):
     }
     pair = None
     if n >= 2:
-        columns = pair_columns(n, 2, rng)
+        columns = _haar_columns(n, 2, rng)
         pair = PureState(columns[:, 0]), PureState(columns[:, 1])
         evaluations["mp3"] = lambda: mp3(a, b, *pair, tol).report
         evaluations["mp6"] = lambda: _mp6_entries(mp6(a, b, *pair, tol))
@@ -642,7 +625,11 @@ def _public_evaluations(n, k, rank, tol, pair_columns=_haar_columns):
 
 
 def _mp6_entries(reports):
-    return reporting._mp6_results(reports.reformulated, reports.product)
+    """mp6's entries: its reformulated form, and its product form unless that is None (a degenerate denominator)."""
+    entries = {"mp6_reformulated": reports.reformulated}
+    if reports.product is not None:
+        entries["mp6_product"] = reports.product
+    return entries
 
 
 def _as_entry(result):
@@ -652,13 +639,13 @@ def _as_entry(result):
     return result
 
 
-def _sweep_against_public_api(n, tol, pair_columns):
+def _sweep_against_public_api(n, tol):
     """Run a sweep and assert that its records and summary are what the public entries give."""
     config = SampleConfig(n, min(n, 2), 7, 17)
     report = run_verification_suite(config, tol)
     summary = reporting._Summary()
     for k in range(config.count):
-        inputs, evaluations = _public_evaluations(n, k, config.rank, tol, pair_columns)
+        inputs, evaluations = _public_evaluations(n, k, config.rank, tol)
         record = {"trial": k, "inputs": inputs}
         for where, evaluate in evaluations.items():
             key = "mp6_reformulated" if where == "mp6" else where
@@ -686,18 +673,18 @@ def test_sweep_records_equal_the_public_api(n, tol, monkeypatch):
     # Every guard, the pair checks included, keeps its rounding floor, so not
     # even a zero budget rejects a valid input.  Chunks of 5 trials put chunk
     # boundaries inside the 17 trials.
-    monkeypatch.setattr(reporting, "CHUNK_BYTES", 5 * 16 * n * n)
-    assert _sweep_against_public_api(n, tol, _haar_columns).summary["failure_count"] == 0
+    monkeypatch.setattr(sampling, "CHUNK_BYTES", 5 * 16 * n * n)
+    assert _sweep_against_public_api(n, tol).summary["failure_count"] == 0
     if n >= 2:
         # A pair leaning off orthogonal compares the error path too.
-        monkeypatch.setattr(reporting, "_haar_stack", _leaning_stack)
-        assert _sweep_against_public_api(n, tol, _leaning_columns).summary["failure_count"] > 0
+        monkeypatch.setattr(sampling, "_haar_stack", _perturbed_stack(_lean))
+        assert _sweep_against_public_api(n, tol).summary["failure_count"] > 0
         # A pair stretched off unit norm passes the overlap test and reaches the Gram test,
         # which only the zero budget fails, in every Maccone-Pati evaluation of every trial.
         # (At the default budget the stretched qubit pairs are admitted, and mp6 raises
         # BoundViolation on a few of them, as the public entry does.)
-        monkeypatch.setattr(reporting, "_haar_stack", _stretched_stack)
-        failures = _sweep_against_public_api(n, tol, _stretched_columns).summary["failures"]
+        monkeypatch.setattr(sampling, "_haar_stack", _perturbed_stack(_stretch))
+        failures = _sweep_against_public_api(n, tol).summary["failures"]
         gram_tests = [(f["trial"], f["where"]) for f in failures if f["error"] == "NotOrthonormal"]
         if tol.eps == 0:
             assert gram_tests == [(k, where) for k in range(17) for where in ("mp3", "mp6", "mp_chain")]
