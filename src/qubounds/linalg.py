@@ -48,6 +48,14 @@ def _pair_budget(tol: Tolerance, size: float = 1.0) -> float:
     return max(_input_budget(tol), ROUNDING_TOL * size)
 
 
+def _square(x: float) -> float:
+    """x ** 2, or inf where a float power raises OverflowError."""
+    try:
+        return x ** 2
+    except OverflowError:
+        return math.inf
+
+
 def _norm(x: np.ndarray) -> float:
     """||x||_F bit for bit as ``np.linalg.norm`` computes it, without the wrapper: ravel, re.re + im.im, sqrt."""
     v = x.ravel(order="K")
@@ -57,15 +65,20 @@ def _norm(x: np.ndarray) -> float:
 def _row_norms(x: np.ndarray) -> list:
     """:func:`_norm` of each row of the stack ``x`` (T, n).  A batched matmul of the same dot products gives the
     same bits but costs more per call than a loop of them, most of all at T = 1."""
-    norms = []
-    for row in x:
-        norms.append(_norm(row))
-    return norms
+    return [_norm(row) for row in x]
+
+
+def _complex_array(x, name: str) -> np.ndarray:
+    """``x`` as a complex array: InvalidInput where an entry is not a number or the input is ragged."""
+    try:
+        return np.asarray(x, dtype=complex)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInput(f"{name} is not an array of numbers: {exc}") from exc
 
 
 def as_complex_matrix(m, name: str = "matrix", scan: bool = True) -> np.ndarray:
     """Coerce to a nonempty 2-D complex array with finite entries; ``scan=False`` leaves them to a norm check."""
-    a = np.asarray(m, dtype=complex)
+    a = _complex_array(m, name)
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
         raise DimensionMismatch(f"{name} must be a nonempty 2-D array, got shape {a.shape}")
     if scan and not np.isfinite(a).all():
@@ -95,8 +108,9 @@ def require_hermitian(m, name: str = "matrix") -> tuple[np.ndarray, float]:
     """Validate that ``m`` is square, of finite ||m||_F, and Hermitian within ``INPUT_TOL * ||m||_F``;
     return it as a complex array, with the ||m||_F the test read."""
     a = _square_matrix(m, name)
-    norm = _finite_norm(a, name)
-    deviation = _norm(a - a.conj().T)
+    with np.errstate(over="ignore"):  # an overflowing norm is an InvalidInput, and an overflowing deviation fails
+        norm = _finite_norm(a, name)
+        deviation = _norm(a - a.conj().T)
     if deviation > INPUT_TOL * norm:
         raise NonHermitianInput(f"{name} deviates from Hermitian by {deviation:.3e}")
     return a, norm
@@ -178,15 +192,15 @@ def _grams(rows: np.ndarray) -> list:
 
 
 def _require_orthonormal(gram: list, tol: Tolerance) -> None:
-    """Raise :class:`NotOrthonormal` where ||Gram - I||_F of k columns (:func:`_grams`) exceeds its budget.  A BLAS
-    product basis^dagger basis is not exactly Hermitian, so orthonormal columns could miss a zero budget."""
+    """Raise :class:`NotOrthonormal` unless ||Gram - I||_F of k columns (:func:`_grams`) is within its budget.  A
+    BLAS product basis^dagger basis is not exactly Hermitian, so orthonormal columns could miss a zero budget."""
     deviation_sq = 0.0
     for i, row in enumerate(gram):
-        deviation_sq += (row[i].real - 1.0) ** 2
+        deviation_sq += _square(row[i].real - 1.0)
         for g in row[i + 1:]:
-            deviation_sq += 2.0 * abs(g) ** 2
+            deviation_sq += 2.0 * _square(abs(g))
     deviation = math.sqrt(deviation_sq)
-    if deviation > _pair_budget(tol, math.sqrt(len(gram))):
+    if not deviation <= _pair_budget(tol, math.sqrt(len(gram))):
         raise NotOrthonormal(f"input Gram deviates from identity by {deviation:.3e}")
 
 
@@ -195,7 +209,8 @@ def _require_isometry(basis: np.ndarray, tol: Tolerance) -> np.ndarray:
     n, k = basis.shape
     if k > n:
         raise DimensionMismatch(f"{k} columns cannot be orthonormal in dimension {n}")
-    _require_orthonormal(_grams(basis.T[None])[0], tol)
+    with np.errstate(over="ignore", invalid="ignore"):  # an entry that overflows fails the test, as inf or NaN
+        _require_orthonormal(_grams(basis.T[None])[0], tol)
     return basis
 
 
@@ -208,7 +223,10 @@ def unitary_completion(columns, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     columns then replace their phase-rotated copies in Q and are kept
     exactly as the leading columns.
     """
-    cols = [np.asarray(c, dtype=complex).ravel() for c in columns]
+    try:
+        cols = [_complex_array(c, "columns").ravel() for c in columns]
+    except TypeError as exc:  # not a sequence of columns
+        raise DimensionMismatch(f"columns must be a sequence of vectors: {exc}") from exc
     if not cols or any(c.size != cols[0].size for c in cols):
         raise DimensionMismatch("need one or more columns of one length")
     basis = as_complex_matrix(np.column_stack(cols), "columns")
@@ -266,9 +284,11 @@ def _dependence(x: np.ndarray, y: np.ndarray, witness):
     ||x||^2 + ||y||^2 in units of 2^e and 2^2e."""
     if x.shape != y.shape:
         raise DimensionMismatch(f"shape mismatch {x.shape} vs {y.shape}")
-    peak = float(np.maximum(np.abs(x).max(initial=0.0), np.abs(y).max(initial=0.0)))
+    with np.errstate(over="ignore"):  # a modulus that overflows is an InvalidInput below
+        peak = float(np.maximum(np.abs(x).max(initial=0.0), np.abs(y).max(initial=0.0)))
     if not math.isfinite(peak):
-        raise InvalidInput("x or y contains non-finite entries")
+        as_complex_matrix(np.concatenate((x.ravel(), y.ravel()))[None], "x or y")  # names non-finite entries
+        raise InvalidInput("x or y has an entry whose modulus overflows")
     e, s1, s2 = _power_of_two_scale(peak)
     x, y = x * s1 * s2, y * s1 * s2
     p, r = float(np.vdot(x, x).real), float(np.vdot(y, y).real)
@@ -278,7 +298,7 @@ def _dependence(x: np.ndarray, y: np.ndarray, witness):
 
 
 def _phase_dependence(x, y):
-    return _dependence(*(np.asarray(v, dtype=complex).ravel() for v in (x, y)), _phase_witness)
+    return _dependence(_complex_array(x, "x").ravel(), _complex_array(y, "y").ravel(), _phase_witness)
 
 
 def phase_dependence_detail(x, y) -> tuple[float, float]:

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import BoundViolation, DimensionMismatch, NotOrthogonal, ZeroDeviation
 from .linalg import (DEFAULT_TOL, ROUNDING_TOL, Tolerance, _ArrayEquality, _completion, _grams, _input_budget,
-                     _pair_budget, _require_orthonormal)
+                     _pair_budget, _require_orthonormal, _square)
 from .states import (Observable, PairMoments, PureState, QuantumState, _moments, _observable_pair, _pair_moments,
                      pair_moments)
 
@@ -142,14 +142,6 @@ def _decide(name: str, lhs: float, rhs: float, scale: float, tol: Tolerance,
     if slack < -budget:
         raise BoundViolation(f"{name}: slack {slack:.3e} below -{budget:.3e}")
     return _Decision(float(lhs), float(rhs), float(slack), bool(zero or slack <= tol.eps * scale))
-
-
-def _square(x: float) -> float:
-    """x ** 2, or inf where a float power raises OverflowError."""
-    try:
-        return x ** 2
-    except OverflowError:
-        return math.inf
 
 
 def _zero_budget(o: Observable, tol: Tolerance) -> float:

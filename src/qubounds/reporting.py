@@ -1,13 +1,13 @@
 """Run manifests, suite reports, and their JSON/CSV serialization.
 
-Report bodies are deterministic functions of (config, tolerance): per-trial
-randomness comes from streams derived from (seed, trial index), records are
-assembled in trial order, and JSON is emitted with sorted keys.  Only the
-manifest timestamps differ between identical reruns.  The manifest holds the
-tolerance; a ``verify`` trial's record names its inputs once (``inputs``: the
-digests of A, B, psi, rho and the Maccone-Pati pair), and each bound's entry
-holds only its decision (``lhs``, ``rhs``, ``slack``, ``saturated``).  Reports are written,
-never read back; the one reader here loads an observable pair for ``saturate``.
+Report bodies are deterministic functions of (config, tolerance): per-trial randomness comes from
+streams derived from (seed, trial index) (:func:`~qubounds.sampling._trial_chunks` draws), records are
+assembled in trial order, and JSON is emitted with sorted keys.  Only the manifest timestamps differ
+between identical reruns.  The manifest holds the tolerance; a ``verify`` trial's record names its inputs
+once (``inputs``: the digests of A, B, psi, rho and the Maccone-Pati pair), and each bound's entry holds
+only its decision (``lhs``, ``rhs``, ``slack``, ``saturated``).  Each evaluation is an outcome, its result
+or the error it raised, and one method files it in the record.  Reports are written, never read back;
+the one reader here loads an observable pair for ``saturate``.
 """
 
 from __future__ import annotations
@@ -140,20 +140,16 @@ def _utc_now() -> str:
 # Verification suite
 
 
-# The entries of an evaluation that records several.
-_ENTRY_NAMES = {"mp6": ("mp6_reformulated", "mp6_product"), "mp_chain": ("chain_step1", "chain_step2", "chain_step3")}
-
-
 @dataclass
 class _Summary:
+    # The entries of an evaluation that records several (a class attribute, not a field).
+    ENTRIES = {"mp6": ("mp6_reformulated", "mp6_product"), "mp_chain": ("chain_step1", "chain_step2", "chain_step3")}
     min_slack: dict[str, float] = field(default_factory=dict)
     saturation_counts: dict[str, int] = field(default_factory=dict)
     failures: list = field(default_factory=list)
 
     def fail(self, trial: int, where: str, exc: Exception) -> None:
-        self.failures.append(
-            {"trial": trial, "where": where, "error": type(exc).__name__, "message": str(exc)}
-        )
+        self.failures.append({"trial": trial, "where": where, "error": type(exc).__name__, "message": str(exc)})
 
     def file(self, record: dict, trial: int, where: str, outcome) -> None:
         """File an evaluation's outcome (:func:`~qubounds.saturation._outcome`) in its trial's record: a skip for
@@ -164,10 +160,10 @@ class _Summary:
         elif isinstance(outcome, QuboundsError):
             self.fail(trial, where, outcome)
             record[key] = {"error": type(outcome).__name__}
-        elif where not in _ENTRY_NAMES:
+        elif where not in self.ENTRIES:
             record[where] = self.entry(trial, where, outcome)
         else:
-            for name, value in zip(_ENTRY_NAMES[where], outcome):
+            for name, value in zip(self.ENTRIES[where], outcome):
                 if value is not None:  # mp6's product form, where its denominator is degenerate
                     record[name] = self.entry(trial, name, value)
 
@@ -208,18 +204,16 @@ def run_verification_suite(config: SampleConfig, tol: Tolerance) -> SuiteReport:
     """Evaluate every bound, checker, and construction over seeded random inputs.
 
     The trials come a chunk at a time from :func:`~qubounds.sampling._trial_chunks`, byte-identical to the
-    public samplers' inputs.  The chunk is reduced as stacks too, each slice equal to the
-    one-trial call byte for byte: one moments-body call (:func:`~qubounds.states.pair_moments`) for the n x 1
-    states of its trials (psi, the Maccone-Pati psi_f and e1, built once), one for its rhos' factors, one
-    product for the pairs' c and d, one Gram product for their checks, and one constructions-body call
-    (:func:`~qubounds.saturation._constructions`) for both constructions of every trial, which share the
-    trial's e1 moments.  Only the bound decisions and the record entries run per trial: a trial's record
-    names its inputs once, by their digests, and each bound's entry is its decision, with no digest.
-    Every evaluation is an outcome (the result or the :class:`QuboundsError` raised,
-    :func:`~qubounds.saturation._outcome`), which :meth:`_Summary.file` files as one record entry or several.
-    A trial's Maccone-Pati reduction, by the entries' own body (:func:`~qubounds.relations._mp_reduction`) on
-    its slices, is one outcome: where it failed, mp3, mp6 and the chain each file its error.  The other
-    triples cannot raise on a trial's inputs, valid by construction with A and B Hermitian bit for bit.
+    public samplers' inputs, and each chunk is reduced as stacks, each slice the one-trial call byte for byte:
+    one moments-body call (:func:`~qubounds.states.pair_moments`) for the n x 1 states of its trials (psi, the
+    Maccone-Pati psi_f and e1, built once), one for its rhos' factors, one product for the pairs' c and d, one
+    Gram product for their checks, and one constructions-body call (:func:`~qubounds.saturation._constructions`)
+    for both constructions of every trial, which share the trial's e1 moments.  Only the bound decisions and the
+    record entries run per trial: a trial's record names its inputs once, by their digests, and each bound's
+    entry is its decision, with no digest.  Every evaluation is an outcome (:func:`~qubounds.saturation._outcome`),
+    its result or the :class:`QuboundsError` it raised, filed by :meth:`_Summary.file`; the Maccone-Pati
+    reduction (:func:`~qubounds.relations._mp_reduction`, on the trial's slices) is one too, and where it failed,
+    mp3, mp6 and the chain each file its error.
     """
     started = _utc_now()
     summary = _Summary()

@@ -141,13 +141,11 @@ def bloch_state(theta: float, phi: float) -> PureState:
 
 
 def _trial_chunks(config: SampleConfig):
-    """A sweep's trials, a chunk of at most ``CHUNK_BYTES`` at a time: the stacks of the chunk's As and Bs, the
-    rows (T, 3, n) of its psis and Haar pairs ((T, 1, n) at n = 1), and each trial's (k, A, B, psi, rho, Haar
-    pair or None).  Each trial draws from its own ``trial_rng(seed, k)`` in the public samplers' order: A, B, psi
-    and the factor G of rho in one call, G's one redraw (:func:`_full_rank`), then the n x 2 Haar block.  The
-    samplers' bodies then build the chunk as stacks, byte-identical to the samplers' inputs: one Hermitian-part
-    pass for its As and one for its Bs, one ``eigh`` of its Gram matrices, one QR, one state pass for its psis
-    and Haar columns."""
+    """A sweep's trials by chunks of ``CHUNK_BYTES``: the stacks of a chunk's As and Bs, the rows (T, 3, n) of its
+    psis and Haar pairs ((T, 1, n) at n = 1), and each trial's (k, A, B, psi, rho, Haar pair or None).  Trial k
+    draws from ``trial_rng(seed, k)`` in the public samplers' order (A, B, psi and rho's factor G, G's one redraw,
+    the n x 2 Haar block); their bodies build the chunk as stacks, with their bytes: one Hermitian-part pass for
+    the As and one for the Bs, one ``eigh`` of the Gram matrices, one QR, one state pass for psis and pairs."""
     n, rank = config.dimension, config.rank
     ends = list(itertools.accumulate((n * n, n * n, 2 * n, 2 * n * rank, 4 * n if n >= 2 else 0)))
     per_chunk = max(1, CHUNK_BYTES // (16 * n * n))

@@ -341,12 +341,9 @@ def _constructions(targets: tuple[str, ...], a: np.ndarray, b: np.ndarray, momen
                 rows[t, j, 1:] = direction[t]
     phis = iter(PureState._stack(rows.reshape(-1, n)))
     cds = zip(*_cross_elements(a[:, None], b[:, None], moments[0].state.factor, rows[..., None]))
-    built = []
-    for m, mu, (cs, ds), ks in zip(moments, mus, cds, zip(*keeps)):
-        built.append([])
-        for target, c, d, k in zip(targets, cs, ds, ks):
-            built[-1].append(_outcome(_constructed, target, m, mu, next(phis), c, d, not k, tol))
-    return built
+    return [[_outcome(_constructed, target, m, mu, next(phis), c, d, not k, tol)
+             for target, c, d, k in zip(targets, cs, ds, ks)]
+            for m, mu, (cs, ds), ks in zip(moments, mus, cds, zip(*keeps))]
 
 
 def _constructed(target: str, m: PairMoments, mu: complex, phi: PureState, c: complex, d: complex,

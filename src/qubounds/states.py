@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidInput, NonRealExpectation
-from .linalg import (INPUT_TOL, EigenSystem, _ArrayEquality, _eigh_descending, _finite_norm, _norm,
+from .linalg import (INPUT_TOL, EigenSystem, _ArrayEquality, _complex_array, _eigh_descending, _finite_norm, _norm,
                      _power_of_two_scale, _psd_eig, _square_matrix, as_complex_matrix, require_hermitian)
 
 
@@ -89,16 +89,16 @@ class Observable(_ArrayEquality):
         # A non-finite part of g_ij makes that part of h_ij non-finite, so a finite ||h|| proves g finite.
         with np.errstate(invalid="ignore", over="ignore"):
             h = g + g.conj().swapaxes(1, 2)
-        # NumPy's h / 2.0 is (h_r + h_i 0)/2 + i (h_i - h_r 0)/2: each part halved, bit for bit, unless a part
-        # is -0.  The imaginary diagonal, x - x, is +0; with no other zero part, halving is that quotient.
-        if np.count_nonzero(h.view(float)) == h.size * 2 - h.shape[0] * h.shape[1]:
-            np.multiply(h.view(float), 0.5, out=h.view(float))
-        else:
-            h = h / 2.0
-        observables = [object.__new__(cls) for _ in range(len(h))]
-        for obs, m, x in zip(observables, h, g):
-            object.__setattr__(obs, "label", label)
-            obs._freeze(m, _finite_norm(m, name, x))  # scans x where ||m|| is not finite
+            # NumPy's h / 2.0 is (h_r + h_i 0)/2 + i (h_i - h_r 0)/2: each part halved, bit for bit, unless a part
+            # is -0.  The imaginary diagonal, x - x, is +0; with no other zero part, halving is that quotient.
+            if np.count_nonzero(h.view(float)) == h.size * 2 - h.shape[0] * h.shape[1]:
+                np.multiply(h.view(float), 0.5, out=h.view(float))
+            else:
+                h = h / 2.0
+            observables = [object.__new__(cls) for _ in range(len(h))]
+            for obs, m, x in zip(observables, h, g):
+                object.__setattr__(obs, "label", label)
+                obs._freeze(m, _finite_norm(m, name, x))  # scans x where ||m|| is not finite, with no warning
         return h, observables
 
 
@@ -116,10 +116,11 @@ class PureState(_ArrayEquality):
     weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        a = np.asarray(self.amplitudes, dtype=complex)
+        a = _complex_array(self.amplitudes, "state vector")
         if a.size < 1 or a.size != max(a.shape, default=1):
             raise DimensionMismatch(f"state must be a nonempty vector, got shape {a.shape}")
-        self._freeze(self._checked(a.reshape(1, -1))[0])
+        with np.errstate(over="ignore"):  # a caller's norm may overflow, an InvalidInput; a stack's rows are unit
+            self._freeze(self._checked(a.reshape(1, -1))[0])
 
     def _freeze(self, amplitudes: np.ndarray) -> None:
         object.__setattr__(self, "amplitudes", amplitudes)

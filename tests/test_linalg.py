@@ -20,8 +20,8 @@ from qubounds import (
     psd_power,
     unitary_completion,
 )
-from qubounds.linalg import (_finite_norm, _least_direction, _norm, _require_isometry, as_complex_matrix,
-                             complex_dependence_detail, phase_dependence_detail)
+from qubounds.linalg import (_least_direction, _norm, _require_isometry, as_complex_matrix,
+                             complex_dependence_detail, phase_dependence_detail, require_hermitian)
 from helpers import (SIGMA_X, SIGMA_Y, complex_normal, hermitian_array, svd_complex_dependence_detail,
                      svd_phase_dependence_detail)
 
@@ -216,11 +216,11 @@ def test_non_finite_entries_are_invalid_input():
         assert isinstance(info.value, ValueError)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_a_non_finite_norm_is_invalid_input():
-    # Finite entries whose Frobenius norm overflows.
+    # Finite entries whose Frobenius norm overflows, at the entry check that reads the norm: no
+    # overflow warning comes before the error.
     with pytest.raises(InvalidInput, match="^matrix has a non-finite Frobenius norm$") as info:
-        _finite_norm(np.full((2, 2), 1e308 + 0j))
+        require_hermitian(np.full((2, 2), 1e308 + 0j))
     assert isinstance(info.value, ValueError)
 
 
@@ -230,6 +230,11 @@ def test_dependence_detectors_type_non_finite_entries_as_invalid_input():
         phase_dependence(np.array([np.nan, 1.0]), np.array([1.0, 0.0]))
     with pytest.raises(InvalidInput, match="^x contains non-finite entries$"):
         complex_dependence(np.array([[np.nan, 1.0]]), np.array([[1.0, 0.0]]))
+    # Finite entries whose modulus overflows are named as that, and no overflow warning comes first.
+    with pytest.raises(InvalidInput, match="^x or y has an entry whose modulus overflows$"):
+        phase_dependence([1.5e308 + 1.5e308j, 0], [1, 0])
+    with pytest.raises(InvalidInput, match="^x or y has an entry whose modulus overflows$"):
+        complex_dependence([[1.0, 0.0]], [[0.0, -1.5e308 + 1.5e308j]])
 
 
 def test_dependence_detectors_reject_operands_of_different_shapes():

@@ -79,7 +79,6 @@ def test_bound_oracle_catches_a_wrong_bound_at_every_scale(monkeypatch):
             assert raised >= 99, (tol, c, raised)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_an_overflow_never_becomes_a_report():
     # ||A||_F that overflows is rejected where A enters; a bound whose sides
     # overflow raises BoundViolation instead of reporting a NaN or inf slack.

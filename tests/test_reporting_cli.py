@@ -9,6 +9,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -374,6 +375,16 @@ def test_a_construction_gap_is_a_failure(tmp_path, monkeypatch):
     failures = json.loads(out.read_text())["summary"]["failures"]
     assert [(f["trial"], f["where"], f["error"]) for f in failures] == [
         (0, "construct_case1", "BoundViolation"), (1, "construct_case1", "BoundViolation")]
+
+
+def test_cli_saturate_on_an_overflowing_matrix_prints_one_error_line(tmp_path, capsys):
+    # Entries of 1e308 give A a non-finite Frobenius norm: exit code 1 and one error line, with no
+    # overflow warning before it (here a warning is an error, and would end in a traceback).
+    path = _write_pair_file(tmp_path / "overflow.json", np.full((2, 2), 1e308), SIGMA_Y)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["saturate", path, "--target", "mp3"]) == 1
+    assert capsys.readouterr().err == "error: InvalidInput: A has a non-finite Frobenius norm\n"
 
 
 def test_cli_saturate_missing_file():

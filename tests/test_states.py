@@ -458,7 +458,6 @@ def test_from_factor_is_the_same_state_at_every_power_of_two():
         np.testing.assert_array_equal(state.weights, [1.0])
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 def test_hermitian_part_is_the_checked_observable_bit_for_bit():
     # (G + G^dagger)/2 is Hermitian bit for bit, so hermitian_part skips only the
     # Hermiticity test: its bytes, layout, norm and digest are those of the
@@ -498,7 +497,6 @@ def test_hermitian_part_is_the_checked_observable_bit_for_bit():
             Observable.hermitian_part(np.ones(shape))
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered", "ignore:overflow encountered")
 def test_entry_checks_scan_only_where_a_norm_is_not_finite_and_keep_their_errors():
     # A finite ||.||_F (for from_factor, a finite largest modulus) proves finite entries, so the
     # entries are scanned only where it is not finite; each error is the one an up-front scan gave.
