@@ -538,8 +538,8 @@ def test_verify_stacks_a_chunks_maccone_pati_stage(monkeypatch):
 
 
 def test_a_trials_pair_checks_run_once_when_they_fail(monkeypatch):
-    # A trial's pair checks run once, and mp3, mp6 and mp_chain each raise the error
-    # they kept: 5 Gram tests for 5 trials, and 15 failures.
+    # A trial's pair checks run once, and mp3, mp6 and mp_chain each file the error
+    # its reduction kept: 5 Gram tests for 5 trials, and 15 failures.
     monkeypatch.setattr(sampling, "_haar_stack", _perturbed_stack(_stretch))
     counts, _ = _trial_calls(monkeypatch, SampleConfig(3, 2, 7, 5), Tolerance(0.0), failures=15)
     assert (counts["_grams"], counts["_require_orthonormal"]) == (1, 5)
@@ -599,9 +599,10 @@ def test_a_trials_digests_are_pinned():
 
 
 def _public_evaluations(n, k, rank, tol):
-    """One sweep trial's inputs, redrawn in the sweep's order: the record's
-    inputs block, from their own digests, and its evaluations made through the
-    public entries."""
+    """One sweep trial's inputs, redrawn in the sweep's order (its pair by
+    ``_haar_columns``, so a patched ``sampling._haar_stack`` perturbs it as it
+    perturbs the sweep's): the record's inputs block, from their own digests,
+    and its evaluations made through the public entries."""
     rng = trial_rng(7, k)
     a = random_hermitian(n, rng, label="A")
     b = random_hermitian(n, rng, label="B")
