@@ -166,7 +166,7 @@ def _psd_eig(a: np.ndarray, name: str = "matrix") -> EigenSystem:
     """
     es = _eigh_descending(a)
     low = float(es.eigenvalues[-1])
-    if low < -INPUT_TOL * float(np.abs(es.eigenvalues).sum()):
+    if low < 0.0 and low < -INPUT_TOL * float(np.abs(es.eigenvalues).sum()):
         raise NotPositiveSemidefinite(f"{name} has eigenvalue {low:.3e}")
     return es
 
@@ -174,14 +174,15 @@ def _psd_eig(a: np.ndarray, name: str = "matrix") -> EigenSystem:
 def psd_power(p, r: float) -> np.ndarray:
     """``p`` raised to a positive power ``r`` through its spectral decomposition, on its support.
 
-    Noise-band eigenvalues count as zero (see :meth:`EigenSystem.support`); a
-    more negative one raises :class:`NotPositiveSemidefinite`.
+    Noise-band eigenvalues count as zero (see :meth:`EigenSystem.support`); a more negative one raises
+    :class:`NotPositiveSemidefinite`, and a power that overflows to a non-finite entry :class:`InvalidInput`.
     """
     if r <= 0:
         raise ValueError("power must be positive")
     w, v = _psd_eig(require_hermitian(p)[0]).support()
-    x = (v * w**r) @ v.conj().T
-    return (x + x.conj().T) / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves a non-finite entry, an InvalidInput
+        x = (v * w**r) @ v.conj().T
+        return as_complex_matrix((x + x.conj().T) / 2.0, f"matrix power {r!r}")
 
 
 def _grams(rows: np.ndarray) -> list:

@@ -31,7 +31,7 @@ import numpy as np
 from .errors import BoundViolation, DimensionMismatch, NotOrthogonal, ZeroDeviation
 from .linalg import (DEFAULT_TOL, ROUNDING_TOL, Tolerance, _ArrayEquality, _completion, _grams, _input_budget,
                      _pair_budget, _require_orthonormal, _square)
-from .states import (Observable, PairMoments, PureState, QuantumState, _moments, _observable_pair, _pair_moments,
+from .states import (Observable, PairMoments, PureState, QuantumState, _observable_pair, _pair_moments, _reduction,
                      pair_moments)
 
 
@@ -247,25 +247,24 @@ class _MPInputs:
     d: complex
 
 
-def _mp_reduction(a: Observable, b: Observable, psi: PureState, phi: PureState, gram: list, moments: tuple,
+def _mp_reduction(a: Observable, b: Observable, psi: PureState, phi: PureState, gram: list, moments: tuple | None,
                   cd: list, tol: Tolerance) -> _MPInputs:
     """The one Maccone-Pati reduction body, from the Gram matrix of (psi, phi) (:func:`~qubounds.linalg._grams`),
-    the moments body's output in psi and [c, d].  Its checks run in order: the overlap (:class:`NotOrthogonal`),
-    the Gram test, then the moments' mean check.  A sweep runs it once per trial on its chunk's slices."""
+    the moments body's output in psi (None: psi's slot) and [c, d].  Its checks run in order: the overlap
+    (:class:`NotOrthogonal`), the Gram test, then the mean check.  A sweep runs it on each trial's slices."""
     overlap = abs(gram[1][0])
     if overlap > _pair_budget(tol):
         raise NotOrthogonal(f"|<phi|psi>| = {overlap:.3e}")
     _require_orthonormal(gram, tol)
-    return _MPInputs(_pair_moments(a, b, psi, moments), phi, *cd)
+    return _MPInputs(_reduction(a, b, psi) if moments is None else _pair_moments(a, b, psi, moments), phi, *cd)
 
 
 def _mp_inputs(observable_a, observable_b, psi: PureState, phi: PureState, tol: Tolerance) -> _MPInputs:
     """Validate (A, B, psi, phi) once, check the dimensions, and reduce it (:func:`_mp_reduction`) from the
-    pair's one Gram product, the moments in psi and c, d."""
+    pair's one Gram product, the moments in psi, through psi's slot, and c, d."""
     a, b = _observable_pair(observable_a, observable_b)
     _require_dimensions(a, psi, phi)
-    return _mp_reduction(a, b, psi, phi, _grams(np.array(((psi.amplitudes, phi.amplitudes),)))[0],
-                         _moments(a.matrix, b.matrix, psi.factor),
+    return _mp_reduction(a, b, psi, phi, _grams(np.array(((psi.amplitudes, phi.amplitudes),)))[0], None,
                          _cross_elements(a.matrix, b.matrix, psi.factor, phi.factor), tol)
 
 

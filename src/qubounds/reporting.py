@@ -57,19 +57,20 @@ class SuiteReport:
 
 def matrix_from_json_dict(d: dict) -> np.ndarray:
     try:
-        rows, cols = d["rows"], d["cols"]
+        rows, cols, parts = d["rows"], d["cols"], (d["re"], d["im"])
         # Only a JSON integer is a count: not 2.5, "2", true, or 1e400 (which JSON reads as inf).
         if not all(isinstance(x, int) and not isinstance(x, bool) for x in (rows, cols)):
             raise TypeError(f"rows and cols must be integers, got {rows!r} and {cols!r}")
-        re = np.asarray(d["re"], dtype=float)
-        im = np.asarray(d["im"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+        # Only JSON numbers are entries, not "1" or true, which float() takes; an int past float range overflows.
+        if not all(type(v) in (int, float) for part in parts for row in part for v in row):
+            raise TypeError("re and im must be arrays of arrays of JSON numbers")
+        re, im = (np.asarray(p, dtype=float) for p in parts)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed matrix object: {exc}") from exc
     if re.shape != (rows, cols) or im.shape != (rows, cols):
-        raise DimensionMismatch(
-            f"matrix payload shape {re.shape}/{im.shape} does not match ({rows}, {cols})"
-        )
-    return re + 1j * im
+        raise DimensionMismatch(f"matrix payload shape {re.shape}/{im.shape} does not match ({rows}, {cols})")
+    with np.errstate(invalid="ignore"):  # 1j times an infinite entry gives a NaN part: non-finite all the same
+        return re + 1j * im
 
 
 # ---------------------------------------------------------------------------
@@ -277,12 +278,9 @@ def run_reproduction() -> SuiteReport:
 def load_observable_pair(path: str):
     """Read {"a": matrix, "b": matrix} from a JSON file, validating Hermiticity."""
     with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    try:
-        raw_a = payload["a"]
-        raw_b = payload["b"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError('input file must hold {"a": matrix, "b": matrix}') from exc
-    a = matrix_from_json_dict(raw_a)
-    b = matrix_from_json_dict(raw_b)
-    return Observable(a, label="A"), Observable(b, label="B")
+        try:  # JSON nested past the interpreter's recursion limit raises RecursionError
+            payload = json.load(fh)
+            raw_a, raw_b = payload["a"], payload["b"]
+        except (KeyError, TypeError, RecursionError) as exc:
+            raise ValueError('input file must hold {"a": matrix, "b": matrix}') from exc
+    return Observable(matrix_from_json_dict(raw_a), label="A"), Observable(matrix_from_json_dict(raw_b), label="B")

@@ -34,7 +34,7 @@ from .linalg import (DEFAULT_TOL, ROUNDING_TOL, TIE_TOL, Tolerance, _complex_wit
 from .relations import (_cross_elements, _Decision, _moments_mu, _mp3_decision, _mp6_decision,
                         _mp_chain_decisions, _mp_inputs, _MPInputs, _robertson_decision,
                         _schrodinger_decision, _unit_mu, _zero_budget, _zero_deviations)
-from .states import PairMoments, PureState, QuantumState, _moments, _observable_pair, _pair_moments, pair_moments
+from .states import PairMoments, PureState, QuantumState, _observable_pair, _reduction, pair_moments
 
 # Constructed pairs must close their target bound to this relative gap.
 CONSTRUCTION_TOL = 1e-8
@@ -130,7 +130,7 @@ def _verify_r_family(m: PairMoments, coeff_a: complex, coeff_b: complex,
     ||(A_c X) w^(r - 1/2)||_F <= dev(A) ||w^r|| / sqrt(w_max) <= z ||w^r|| / sqrt(w_max).
     """
     w, band, zero = m.state.weights, math.sqrt(10.0 * tol.eps), _zero_deviations(m, tol)
-    shares = (abs(c) * (_zero_budget(o, tol) / math.sqrt(w.max()) if z else band * dev)
+    shares = (abs(c) * (_zero_budget(o, tol) / math.sqrt(w[0]) if z else band * dev)
               for c, o, dev, z in zip((coeff_a, coeff_b), (m.a, m.b), (m.dev_a, m.dev_b), zero))
     limit = max(*shares, ROUNDING_TOL * max(abs(coeff_a) * m.a.norm, abs(coeff_b) * m.b.norm))
     y = coeff_a * m.centered_a + coeff_b * m.centered_b
@@ -162,12 +162,13 @@ def _certificate(kind: CertificateKind, m: PairMoments, tol: Tolerance) -> Satur
     form = ((dev_a / scale) ** 2, 0j if any(zero) else m.cross / scale / scale, (dev_b / scale) ** 2)
     a, b, angles = (_complex_witness if schrodinger else _phase_witness)(*form)
     theta, phi = angles if schrodinger else (angles, None)
-    # One zero side makes the witness (1, 0) or (0, 1), whose residual is that side's deviation.
-    residual = (0.0 if all(zero) else m.dev_a if zero[0] else m.dev_b if zero[1]
-                else _norm(a * m.centered_a + b * m.centered_b))
     rs = () if kind is CertificateKind.ROBERTSON_PURE else DEFAULT_R_LIST
+    r_residuals = _verify_r_family(m, a, b, rs, tol) if rs else ()
+    # One zero side's witness is (1, 0) or (0, 1), of residual that side's deviation; a mixed kind's is its r = 1/2 one.
+    residual = (0.0 if all(zero) else m.dev_a if zero[0] else m.dev_b if zero[1]
+                else r_residuals[0] if rs else _norm(a * m.centered_a + b * m.centered_b))
     return SaturationCertificate(kind=kind, theta=theta, phi=phi, mu=None, residual=residual,
-                                 r_checked=rs, r_residuals=_verify_r_family(m, a, b, rs, tol) if rs else ())
+                                 r_checked=rs, r_residuals=r_residuals)
 
 
 def robertson_saturation_pure(observable_a, observable_b, psi: PureState,
@@ -362,14 +363,15 @@ def _constructed(target: str, m: PairMoments, mu: complex, phi: PureState, c: co
 
 
 def _construct(target: str, observable_a, observable_b, tol: Tolerance) -> ConstructedPair:
-    """The body's one-trial call, after the constructors' one input check: the reduction of (A, B, e1) by the
-    moments body's one-triple call.  A_c e1 = (0, u) for the first-column tail u of A, so dev(A) = ||u||;
-    likewise for B."""
+    """The body's one-trial call, after the constructors' one input check: the reduction of (A, B, e1) kept for the
+    pair's checkers (:func:`~qubounds.states._reduction`) by its own e1, a fresh state over ``_e1``'s amplitudes.
+    A_c e1 = (0, u) for the first-column tail u of A, so dev(A) = ||u||; likewise for B."""
     a, b = _observable_pair(observable_a, observable_b)
-    e1 = _e1(a.dimension)
-    moments = _moments(a.matrix, b.matrix, e1.factor)
-    m = _pair_moments(a, b, e1, moments)
-    built = _constructions((target,), a.matrix[None], b.matrix[None], [m], moments[2][None], tol)[0][0]
+    e1 = object.__new__(PureState)
+    e1._freeze(_e1(a.dimension).amplitudes)
+    m = _reduction(a, b, e1)
+    centred = np.array(((m.centered_a, m.centered_b),))
+    built = _constructions((target,), a.matrix[None], b.matrix[None], [m], centred, tol)[0][0]
     if isinstance(built, QuboundsError):
         raise built
     return built

@@ -5,9 +5,14 @@ whose norm or modulus overflows.  The generated suite draws the array arguments 
 that takes one (wrong, ragged and empty shapes; float, complex, int, bool, object and string
 dtypes; NaN and inf; finite entries whose norms overflow or underflow) under the profile pinned
 in ``conftest.py``: each call returns or raises a QuboundsError, and no RuntimeWarning escapes.
+A second generated suite draws bad pair files for ``qubounds saturate``: each exits 1 with one
+``error:`` line and writes no ``--out`` file.
 """
 
+import io
+import json
 import warnings
+from contextlib import redirect_stderr
 
 import numpy as np
 import pytest
@@ -15,7 +20,8 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from qubounds import (DensityMatrix, InvalidInput, NotOrthonormal, Observable, PureState, QuboundsError,
-                      complex_dependence, phase_dependence, unitary_completion)
+                      complex_dependence, phase_dependence, psd_power, unitary_completion)
+from qubounds.cli import main
 
 NOT_NUMBERS = {
     "observable-strings": lambda: Observable([["a", "b"], ["c", "d"]]),
@@ -129,3 +135,112 @@ def test_an_entry_returns_or_raises_a_qubounds_error(entry, x):
 @example(xy=(np.array([[1.5e308 + 1.5e308j, 0.0]]), np.array([[1.0, 0.0]])))
 def test_a_detector_returns_or_raises_a_qubounds_error(detector, xy):
     _returns_or_raises_a_qubounds_error(detector, *xy)
+
+
+def test_a_psd_power_that_overflows_is_invalid_input_with_no_warning():
+    # 1e100 ** 4 overflows: the power of a finite PSD input is not finite, a typed error and no warning
+    # first.  1e50 ** 4 is in range (1 is below the support cutoff of 1e50 INPUT_TOL, so it counts as 0).
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInput, match="^matrix power 4.0 contains non-finite entries$"):
+            psd_power(np.diag([1e100, 1.0]), 4.0)
+        np.testing.assert_allclose(psd_power(np.diag([1e50, 1.0]), 4.0), np.diag([1e200, 0.0]), rtol=1e-15, atol=0)
+
+
+# A valid pair file: Pauli X and Y.  Each strategy below spoils it in one way.
+PAIR = {"a": {"rows": 2, "cols": 2, "re": [[0, 1], [1, 0]], "im": [[0, 0], [0, 0]]},
+        "b": {"rows": 2, "cols": 2, "re": [[0, 0], [0, 0]], "im": [[0, -1], [1, 0]]}}
+# Stands in the payload for JSON text that json.dumps cannot write: huge integers and deep nesting.
+RAW = "@raw@"
+NOT_A_MATRIX = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=3),
+                         st.lists(st.integers(), max_size=2))
+NOT_A_COUNT = st.one_of(NOT_A_MATRIX, st.sampled_from([2.0, 2.5, "2", True, 0, 1, 3, -2, 10**400, 1e400]))
+BAD_ENTRY = st.one_of(st.sampled_from(["1", "0", "-1", "1e400", "", True, False, None, {}, [0],
+                                       "NaN", "Infinity", "-Infinity"]),
+                      st.text(max_size=3), st.booleans())
+HUGE_INT = st.tuples(st.sampled_from(["", "-"]), st.integers(309, 420)).map(lambda s: s[0] + "1" + "0" * s[1])
+RAW_ENTRY = st.one_of(HUGE_INT, st.sampled_from(["NaN", "Infinity", "-Infinity", "1e400", "-1e400"]),
+                      st.integers(2, 100_000).map(lambda depth: "[" * depth + "1" + "]" * depth))
+
+
+@st.composite
+def bad_pair_files(draw):
+    """The text of a pair file spoilt in one way: a key missing, a value that is not an object, a count that is
+    not the shape's, a ragged or resized payload, an entry that is not a finite JSON number, or deep nesting."""
+    payload = json.loads(json.dumps(PAIR))
+    side, key = draw(st.sampled_from("ab")), draw(st.sampled_from(["rows", "cols", "re", "im"]))
+    matrix, part = payload[side], payload[side][draw(st.sampled_from(["re", "im"]))]
+    row = part[draw(st.integers(0, 1))]
+    how = draw(st.sampled_from(["missing", "not-object", "count", "ragged", "resized", "entry", "deep"]))
+    raw = draw(RAW_ENTRY)
+    if how == "missing":
+        if draw(st.booleans()):
+            del matrix[key]
+        else:
+            del payload[side]
+    elif how == "not-object":
+        value = draw(NOT_A_MATRIX)
+        target = draw(st.sampled_from(["payload", "matrix", "part"]))
+        if target == "payload":
+            payload = value
+        elif target == "matrix":
+            payload[side] = value
+        else:
+            matrix[key if key in ("re", "im") else "re"] = value
+    elif how == "count":
+        count = draw(NOT_A_COUNT.filter(lambda c: not (type(c) is int and c == 2)))
+        matrix[draw(st.sampled_from(["rows", "cols"]))] = count
+    elif how == "ragged":  # one row an entry longer or shorter than the other
+        if draw(st.booleans()):
+            row.append(0)
+        else:
+            row.pop()
+    elif how == "resized":  # a third row, or a third entry in every row
+        if draw(st.booleans()):
+            part.append([0, 0])
+        else:
+            for r in part:
+                r.append(0)
+    elif how == "entry":
+        row[draw(st.integers(0, 1))] = RAW if draw(st.booleans()) else draw(BAD_ENTRY)
+    else:  # the whole payload nested past the recursion limit, as arrays or as objects
+        depth = draw(st.integers(1_500, 100_000))
+        payload, raw = RAW, "[" * depth + "]" * depth if draw(st.booleans()) else '{"a": ' * depth + "0" + "}" * depth
+    return json.dumps(payload).replace(json.dumps(RAW), raw)
+
+
+def _saturate_a_bad_pair_file(tmp_path_factory, text, target):
+    """Run ``saturate`` on the pair file ``text``: exit code 1, one ``error:`` line on stderr, nothing raised
+    (so no traceback), no warning, and no --out file."""
+    folder = tmp_path_factory.mktemp("pair", numbered=True)
+    path, out = folder / "pair.json", folder / "out.json"
+    path.write_text(text)
+    stderr = io.StringIO()
+    with warnings.catch_warnings(), redirect_stderr(stderr):
+        warnings.simplefilter("error")
+        code = main(["saturate", str(path), "--target", target, "--out", str(out)])
+    lines = stderr.getvalue().splitlines()
+    assert (code, len(lines), lines[0].startswith("error: "), out.exists()) == (1, 1, True, False), lines
+
+
+BAD_PAIR_FILES = {
+    "huge-int": json.dumps(PAIR).replace("1]", str(10**400) + "]", 1),
+    "deep": json.dumps(dict(PAIR, a=dict(PAIR["a"], re=RAW))).replace(json.dumps(RAW), "[" * 10**5 + "]" * 10**5),
+    "strings": json.dumps(dict(PAIR, a=dict(PAIR["a"], re=[["1", "0"], ["0", "-1"]]))),
+    "bools": json.dumps(dict(PAIR, a=dict(PAIR["a"], re=[[False, True], [True, False]]))),
+    "empty": json.dumps(dict(PAIR, a={"rows": 0, "cols": 0, "re": [], "im": []})),
+    "infinite-im": json.dumps(dict(PAIR, b=dict(PAIR["b"], im=[[0, -1e400], [1e400, 0]]))),
+}
+
+
+@pytest.mark.parametrize("text", BAD_PAIR_FILES.values(), ids=BAD_PAIR_FILES)
+def test_saturate_rejects_a_named_bad_pair_file_in_one_line(tmp_path_factory, text):
+    # An int beyond float range, nesting past the recursion limit, and entries that are strings or bools
+    # (which float() would take as numbers) are each a usage error, not a traceback or a written report.
+    _saturate_a_bad_pair_file(tmp_path_factory, text, "mp3")
+
+
+@settings(max_examples=60)
+@given(text=bad_pair_files(), target=st.sampled_from(["mp3", "mp6"]))
+def test_saturate_rejects_a_generated_bad_pair_file_in_one_line(tmp_path_factory, text, target):
+    _saturate_a_bad_pair_file(tmp_path_factory, text, target)

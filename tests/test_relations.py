@@ -6,7 +6,9 @@ import pytest
 from qubounds import (
     DensityMatrix,
     DimensionMismatch,
+    NonRealExpectation,
     NotOrthogonal,
+    NotOrthonormal,
     Observable,
     PureState,
     QuboundsError,
@@ -29,7 +31,8 @@ from qubounds import (
     stddev,
     trial_rng,
 )
-from qubounds import relations
+from qubounds import relations, states
+from qubounds.linalg import DEFAULT_TOL
 from qubounds.relations import _decide
 from qubounds.sampling import _haar_columns
 from qubounds.errors import BoundViolation
@@ -431,3 +434,30 @@ def test_reports_carry_digest_and_tolerance():
         mp_chain(SIGMA_X, SIGMA_Y, KET0, KET1, -1j).steps[0].inputs_digest,
     }
     assert len(mp_digests) == 5
+
+
+def test_the_pair_checks_run_before_the_mean_check_through_the_slot(monkeypatch):
+    # With a moments body whose means carry an imaginary residue, the Maccone-Pati entries still
+    # check in their documented order: the dimensions, the overlap, the Gram test at the caller's
+    # tolerance, and only then the means, which the slot's reduction checks.
+    real = states._moments
+
+    def non_real(*args):
+        means, gram, centred = real(*args)
+        return means + 1j, gram, centred
+
+    for module in (states, relations):
+        for attr, obj in list(vars(module).items()):
+            if obj is real:
+                monkeypatch.setattr(module, attr, non_real)
+    a, b = Observable(SIGMA_X), Observable(SIGMA_Y)
+    ket0, ket1, plus = (PureState(s.amplitudes) for s in (KET0, KET1, PLUS))
+    stretched = PureState(np.array([0.0, 1.0 + 1e-11]))
+    cases = ((PureState(np.array([1.0, 0.0, 0.0])), ket1, DEFAULT_TOL, DimensionMismatch),
+             (ket0, plus, DEFAULT_TOL, NotOrthogonal), (ket0, stretched, Tolerance(0.0), NotOrthonormal),
+             (ket0, stretched, DEFAULT_TOL, NonRealExpectation), (ket0, ket1, DEFAULT_TOL, NonRealExpectation))
+    for psi, phi, tol, error in cases:
+        for entry in (mp3, mp6):
+            with pytest.raises(error):
+                entry(a, b, psi, phi, tol)
+        assert "_reduced" not in vars(psi)

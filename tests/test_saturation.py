@@ -18,6 +18,7 @@ from qubounds import (
     PureState,
     QuboundsError,
     RIndependenceViolation,
+    SampleConfig,
     SaturationCertificate,
     Tolerance,
     ZeroDeviation,
@@ -50,6 +51,7 @@ from qubounds import (
     robertson,
     robertson_saturation_mixed,
     robertson_saturation_pure,
+    run_verification_suite,
     schrodinger,
     schrodinger_saturation,
     stddev,
@@ -1482,3 +1484,83 @@ def test_stacked_states_pair_checks_and_constructions_are_the_one_trial_calls_by
                         assert pairs[0].degenerate and pairs[0].phi.amplitudes[1] == 1.0
                     if i == 2:
                         assert isinstance(pairs[1], ZeroDeviation)
+
+
+def _count_moments(monkeypatch) -> list:
+    """Count every call of the moments body from here on, through each module's name for it."""
+    calls, real = [], states._moments
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    for module in (states, relations, saturation):
+        for attr, obj in list(vars(module).items()):
+            if obj is real:
+                monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
+def test_a_constructed_pair_handed_to_its_checkers_is_reduced_once(monkeypatch):
+    # The pair's own e1 keeps the reduction of (A, B, e1) in its slot, so the checker and the
+    # bound handed the same validated A and B read it back: one moments call per construction.
+    # A fresh e1 of the same amplitudes reduces again and gives the same results.
+    calls, rng = _count_moments(monkeypatch), trial_rng(29, 0)
+    for n in (2, 3, 5):
+        a, b = Observable(hermitian_array(rng, n)), Observable(hermitian_array(rng, n))
+        calls.clear()
+        pair = construct_case1(a, b) if n == 2 else construct_case2(a, b)
+        check, report = mp3_saturation(a, b, pair.psi, pair.phi, pair.mu), mp3(a, b, pair.psi, pair.phi)
+        assert (len(calls), check.saturated, report.report.saturated) == (1, True, True)
+        fresh = PureState(pair.psi.amplitudes)
+        assert mp3_saturation(a, b, fresh, pair.phi, pair.mu) == check
+        assert mp3(a, b, fresh, pair.phi) == report
+        assert len(calls) == 2
+        calls.clear()
+        pair = construct_w_mp6(a, b)
+        check = mp6_saturation(a, b, pair.psi, pair.phi, pair.mu)
+        assert (len(calls), check.saturated) == (1, True)
+        assert mp6_saturation(a, b, PureState(pair.psi.amplitudes), pair.phi, pair.mu) == check
+
+
+def test_each_construction_owns_its_e1_and_the_cached_e1_holds_no_slot():
+    # e1 is cached per dimension and shared by the sweep, so the reduction slot is never on it:
+    # each constructed pair gets its own e1 over the cached (frozen) amplitudes, and the sweep's
+    # stacked bodies write no slot.
+    rng = trial_rng(29, 1)
+    a, b = Observable(hermitian_array(rng, 3)), Observable(hermitian_array(rng, 3))
+    first, second, third = construct_case2(a, b), construct_case2(a, b), construct_w_mp6(a, b)
+    mp3_saturation(a, b, first.psi, first.phi, first.mu)
+    run_verification_suite(SampleConfig(3, 2, 7, 3), Tolerance())
+    psis = (first.psi, second.psi, third.psi)
+    assert len({id(psi) for psi in (*psis, _e1(3))}) == 4
+    assert all(psi.amplitudes is _e1(3).amplitudes for psi in psis)
+    assert "_reduced" not in vars(_e1(3)) and all("_reduced" in vars(psi) for psi in psis)
+
+
+class _CountedProducts(np.ndarray):
+    """A centred pair that counts the scalar products taken of it: one per witness formed."""
+
+    products = 0
+
+    def __rmul__(self, coefficient):
+        type(self).products += 1
+        return coefficient * self.view(np.ndarray)
+
+
+def test_a_saturated_mixed_certificate_forms_and_norms_its_witness_once(monkeypatch):
+    # Y = a A_c X + b B_c X is formed and normed once: a mixed certificate's residual is its
+    # re-verification's r = 1/2 residual.  A pure certificate, which re-verifies nothing, forms it once too.
+    norms, real_norm, rng = [], saturation._norm, trial_rng(29, 2)
+    monkeypatch.setattr(saturation, "_norm", lambda x: norms.append(real_norm(x)) or norms[-1])
+    cases = [(kind, *plant_saturating_mixed(n, k, 0.7, phase, rng))
+             for kind, phase in ((CertificateKind.ROBERTSON_MIXED, math.pi / 2), (CertificateKind.SCHRODINGER, 1.0))
+             for n, k in ((2, 1), (4, 2), (8, 3))]
+    cases += [(CertificateKind.ROBERTSON_PURE, *plant_saturating_pure(n, 0.7j, rng)) for n in (2, 4)]
+    for kind, a, b, state in cases:
+        m = pair_moments(a, b, state)
+        counted = dataclasses.replace(m, centered_a=m.centered_a.view(_CountedProducts))
+        norms.clear()
+        _CountedProducts.products = 0
+        cert = saturation._certificate(kind, counted, Tolerance())
+        assert (_CountedProducts.products, norms) == (1, [cert.residual]), kind

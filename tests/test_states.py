@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -599,3 +601,46 @@ def test_stacked_moments_are_the_one_triple_moments_byte_for_byte():
                     one = relations._cross_elements(a[i, 0].copy(), b[i, 0].copy(), x[i, 0, :, :1].copy(),
                                                     x[i, -1, :, :1].copy())
                     assert np.array(cd)[:, i].tobytes() == np.array(one).tobytes(), (n, k, t, g)
+
+
+def _moment_bytes(m):
+    """Every value of a PairMoments, in bytes, and its inputs by identity."""
+    scalars = np.array([m.alpha, m.beta, m.dev_a, m.dev_b, m.cross]).tobytes()
+    return scalars, m.centered_a.tobytes(), m.centered_b.tobytes(), id(m.a), id(m.b), id(m.state)
+
+
+def test_a_states_slot_returns_its_last_reduction_for_the_same_observables_only(monkeypatch):
+    # One entry per state, keyed by the identity of the validated A and B: a hit reads back the kept
+    # reduction, byte for byte the one-triple call, with no moments call; equal new observables, or
+    # another pair on the same state, reduce again and take the slot.  The kept centred pair is read-only.
+    calls, real = [], states._moments
+    monkeypatch.setattr(states, "_moments", lambda *args: calls.append(1) or real(*args))
+    rng = trial_rng(29, 3)
+    a, b, c = (Observable(hermitian_array(rng, 4)) for _ in range(3))
+    for state in (random_pure_state(4, rng), random_density(4, 2, rng), DensityMatrix(np.eye(4) / 4)):
+        calls.clear()
+        m = pair_moments(a, b, state)
+        hit = pair_moments(a, b, state)
+        one = states._pair_moments(a, b, state, real(a.matrix, b.matrix, state.factor))
+        assert _moment_bytes(hit) == _moment_bytes(m) == _moment_bytes(one) and len(calls) == 1
+        assert not (hit.centered_a.flags.writeable or hit.centered_b.flags.writeable)
+        again = pair_moments(Observable(a.matrix), b, state)
+        assert _moment_bytes(again)[:3] == _moment_bytes(m)[:3] and len(calls) == 2
+        pair_moments(a, c, state)
+        pair_moments(a, b, state)
+        assert len(calls) == 4
+        # Bare matrices are validated on each call, into new observables.
+        pair_moments(a.matrix, b.matrix, state)
+        pair_moments(a.matrix, b.matrix, state)
+        assert len(calls) == 6
+    # The slot holds no reference to its state: a state with a kept reduction is freed by its reference
+    # count alone, with the cycle collector off.
+    gc.disable()
+    try:
+        state = random_density(4, 2, rng)
+        m = pair_moments(a, b, state)
+        freed = weakref.ref(state)
+        del state, m
+        assert freed() is None
+    finally:
+        gc.enable()
