@@ -26,7 +26,6 @@ from .errors import (
 )
 from .linalg import (
     DEFAULT_TOL,
-    EigenSystem,
     Tolerance,
     complex_dependence,
     hermitian_eig,

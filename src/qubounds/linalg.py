@@ -128,58 +128,51 @@ class _ArrayEquality:
                    for f in fields(self) if f.compare)
 
 
-@dataclass(frozen=True, eq=False)
-class EigenSystem(_ArrayEquality):
-    """Eigenvalues in descending order with matching unitary eigenvector columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def support(self) -> tuple[np.ndarray, np.ndarray]:
-        """The eigenvalues above ``INPUT_TOL * ||P||_F`` and their eigenvector columns.
-
-        Eigenvalues up to that cutoff are dropped, not just negative ones:
-        fractional powers amplify +eps junk far above the reconstruction budget.
-        """
-        w = self.eigenvalues
-        keep = w > INPUT_TOL * _norm(w)
-        return w[keep], self.eigenvectors[:, keep]
-
-
-def _eigh_descending(a: np.ndarray) -> EigenSystem:
+def _eigh_descending(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(w, v) of each Hermitian slice of ``a``: eigenvalues descending, with matching unitary eigenvector columns."""
     if a.shape[-2:] == (1, 1):
         # Its own eigendecomposition: what eigh returns, without the call.
-        return EigenSystem(eigenvalues=a.real[..., 0].copy(), eigenvectors=np.ones(a.shape, dtype=complex))
+        return a.real[..., 0].copy(), np.ones(a.shape, dtype=complex)
     w, vecs = np.linalg.eigh((a + a.conj().swapaxes(-1, -2)) / 2.0)
-    return EigenSystem(eigenvalues=w[..., ::-1].copy(), eigenvectors=vecs[..., ::-1].copy())
+    return w[..., ::-1].copy(), vecs[..., ::-1].copy()
 
 
-def hermitian_eig(h) -> EigenSystem:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues descending."""
+def _support(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenvalues ``w`` above ``INPUT_TOL * ||w||`` and their eigenvector columns of ``v``.
+
+    Eigenvalues up to that cutoff are dropped, not just negative ones:
+    fractional powers amplify +eps junk far above the reconstruction budget.
+    """
+    keep = w > INPUT_TOL * _norm(w)
+    return w[keep], v[:, keep]
+
+
+def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition (w, v) of a Hermitian matrix, eigenvalues descending."""
     return _eigh_descending(require_hermitian(h)[0])
 
 
-def _psd_eig(a: np.ndarray, name: str = "matrix") -> EigenSystem:
-    """Spectrum of the validated Hermitian ``a``: the one PSD decision.
+def _psd_eig(a: np.ndarray, name: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
+    """Spectrum (w, v) of the validated Hermitian ``a``: the one PSD decision.
 
     Eigenvalues down to ``-INPUT_TOL * sum |lambda|`` (1 for a state) pass as rounding noise.
     """
-    es = _eigh_descending(a)
-    low = float(es.eigenvalues[-1])
-    if low < 0.0 and low < -INPUT_TOL * float(np.abs(es.eigenvalues).sum()):
+    w, v = _eigh_descending(a)
+    low = float(w[-1])
+    if low < 0.0 and low < -INPUT_TOL * float(np.abs(w).sum()):
         raise NotPositiveSemidefinite(f"{name} has eigenvalue {low:.3e}")
-    return es
+    return w, v
 
 
 def psd_power(p, r: float) -> np.ndarray:
     """``p`` raised to a positive power ``r`` through its spectral decomposition, on its support.
 
-    Noise-band eigenvalues count as zero (see :meth:`EigenSystem.support`); a more negative one raises
+    Noise-band eigenvalues count as zero (see :func:`_support`); a more negative one raises
     :class:`NotPositiveSemidefinite`, and a power that overflows to a non-finite entry :class:`InvalidInput`.
     """
     if r <= 0:
         raise ValueError("power must be positive")
-    w, v = _psd_eig(require_hermitian(p)[0]).support()
+    w, v = _support(*_psd_eig(require_hermitian(p)[0]))
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves a non-finite entry, an InvalidInput
         x = (v * w**r) @ v.conj().T
         return as_complex_matrix((x + x.conj().T) / 2.0, f"matrix power {r!r}")

@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidInput, NonRealExpectation
-from .linalg import (INPUT_TOL, EigenSystem, _ArrayEquality, _complex_array, _eigh_descending, _finite_norm, _norm,
-                     _power_of_two_scale, _psd_eig, _square_matrix, as_complex_matrix, require_hermitian)
+from .linalg import (INPUT_TOL, _ArrayEquality, _complex_array, _eigh_descending, _finite_norm, _norm,
+                     _power_of_two_scale, _psd_eig, _square_matrix, _support, as_complex_matrix, require_hermitian)
 
 
 def _frozen_array(a: np.ndarray) -> np.ndarray:
@@ -89,12 +89,7 @@ class Observable(_ArrayEquality):
         # A non-finite part of g_ij makes that part of h_ij non-finite, so a finite ||h|| proves g finite.
         with np.errstate(invalid="ignore", over="ignore"):
             h = g + g.conj().swapaxes(1, 2)
-            # NumPy's h / 2.0 is (h_r + h_i 0)/2 + i (h_i - h_r 0)/2: each part halved, bit for bit, unless a part
-            # is -0.  The imaginary diagonal, x - x, is +0; with no other zero part, halving is that quotient.
-            if np.count_nonzero(h.view(float)) == h.size * 2 - h.shape[0] * h.shape[1]:
-                np.multiply(h.view(float), 0.5, out=h.view(float))
-            else:
-                h = h / 2.0
+            np.divide(h, 2.0, out=h)
             observables = [object.__new__(cls) for _ in range(len(h))]
             for obs, m, x in zip(observables, h, g):
                 object.__setattr__(obs, "label", label)
@@ -166,7 +161,7 @@ class DensityMatrix(_ArrayEquality):
 
     Built from a matrix, it is checked where it enters: one eigendecomposition
     decides PSD-ness, and its support weights w_k give the factor
-    X = V_k w_k^(1/2) (see :meth:`EigenSystem.support`).  Built by
+    X = V_k w_k^(1/2) (see :func:`~qubounds.linalg._support`).  Built by
     :meth:`from_factor`, it is PSD by construction, its support comes from a
     k x k Gram matrix, and ``matrix`` is formed when first read.
     """
@@ -180,7 +175,7 @@ class DensityMatrix(_ArrayEquality):
         trace = float(m.trace().real)
         if abs(trace - 1.0) > INPUT_TOL:
             raise InvalidInput(f"density matrix trace {trace!r} is not 1 within {INPUT_TOL}")
-        w, v = _psd_eig(m, "density matrix").support()
+        w, v = _support(*_psd_eig(m, "density matrix"))
         object.__setattr__(self, "matrix", _frozen_array(m))
         self._freeze(v * np.sqrt(w), w)
 
@@ -242,13 +237,12 @@ class DensityMatrix(_ArrayEquality):
         scales = np.array(scales).reshape(-1, 2, 1, 1)
         prescaled = g * scales[:, 0] * scales[:, 1]
         prescaled.setflags(write=False)
-        es = _eigh_descending(prescaled.conj().swapaxes(1, 2) @ prescaled)
-        lam, u = es.eigenvalues, es.eigenvectors
-        # Descending, so EigenSystem.support keeps every eigenvalue where it keeps the last.
+        lam, u = _eigh_descending(prescaled.conj().swapaxes(1, 2) @ prescaled)
+        # Descending, so _support keeps every eigenvalue where it keeps the last.
         if not all(w[-1] > INPUT_TOL * _norm(w) for w in lam):
             if len(g) > 1:  # each factor on its own support, as its own call
                 return [state for x in g for state in cls._from_factors(x[None])]
-            lam, u = (a[None] for a in EigenSystem(lam[0], u[0]).support())
+            lam, u = (a[None] for a in _support(lam[0], u[0]))
         v = prescaled @ u
         fixed, columns = np.empty_like(v), np.arange(v.shape[2])
         # One call per factor: how NumPy broadcasts a row of phases sets the rounding of the product.
@@ -354,17 +348,15 @@ def _pair_moments(a: Observable, b: Observable, state: QuantumState, moments: tu
 
 
 def _reduction(a: Observable, b: Observable, state: QuantumState) -> PairMoments:
-    """The :class:`PairMoments` of the validated triple, from a one-entry slot on ``state`` keyed by the identity of
-    ``a`` and ``b``, else :func:`_moments`, kept frozen; the slot keeps A, B and the centred pair but not the state."""
+    """:func:`_pair_moments` of the validated triple, from the moments that a one-entry slot (a, b, moments) on
+    ``state`` keeps for ``a`` and ``b`` by identity (not the state), else from :func:`_moments`, which fill it."""
     slot = vars(state).get("_reduced")
-    if slot is not None and slot["a"] is a and slot["b"] is b:
-        m = object.__new__(PairMoments)  # its frozen fields, set as its __init__ sets them
-        vars(m).update(slot, state=state)
-        return m
+    if slot is not None and slot[0] is a and slot[1] is b:
+        return _pair_moments(a, b, state, slot[2])
     moments = _moments(a.matrix, b.matrix, state.factor)
     moments[2].setflags(write=False)
     m = _pair_moments(a, b, state, moments)
-    object.__setattr__(state, "_reduced", dict(vars(m), state=None))
+    object.__setattr__(state, "_reduced", (a, b, moments))
     return m
 
 

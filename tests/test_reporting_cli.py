@@ -785,7 +785,7 @@ def test_every_named_threshold_is_in_the_readme_table():
 PUBLIC_NAMES = [
     "ARTIFACT_VERSION", "BoundReport", "BoundViolation", "CONSTRUCTION_TOL", "CertificateKind",
     "ChainReport", "ChainSaturation", "ConstructedPair", "CorollaryViolation", "DEFAULT_TOL",
-    "DensityMatrix", "DimensionMismatch", "EigenSystem", "EqualityCheck", "HypothesisViolated",
+    "DensityMatrix", "DimensionMismatch", "EqualityCheck", "HypothesisViolated",
     "InvalidInput", "MP3Report", "MP6Reports", "MPFrame", "MuChoice", "NonHermitianInput", "NonRealExpectation",
     "NotOrthogonal", "NotOrthonormal", "NotPositiveSemidefinite", "Observable", "PairMoments",
     "PureState", "QuantumState", "QuboundsError", "RIndependenceViolation", "RankUnachieved",
