@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -25,14 +26,18 @@ TIE_TOL = 1e-14
 
 @dataclass(frozen=True)
 class Tolerance:
-    """The one tolerance eps: each check compares its error with eps times a scale it states."""
+    """The one tolerance eps, kept as a float: each check compares its error with eps times a scale it states."""
 
     eps: float = 1e-9
 
     def __post_init__(self) -> None:
-        # NaN would switch every comparison off and inf would pass every one.
-        if not 0 <= self.eps < math.inf:
-            raise ValueError("tolerance must be finite and nonnegative")
+        try:  # NaN would switch every comparison off, and inf, or an int past float range, would pass every one
+            eps = float(self.eps) if isinstance(self.eps, numbers.Real) and not isinstance(self.eps, bool) else math.nan
+        except OverflowError:
+            eps = math.inf
+        if not 0 <= eps < math.inf:  # a bool, or any other value that is not a real number, is no tolerance
+            raise ValueError(f"tolerance must be a finite nonnegative real number, got {self.eps!r}")
+        object.__setattr__(self, "eps", eps)
 
 
 DEFAULT_TOL = Tolerance()
@@ -185,8 +190,8 @@ def _grams(rows: np.ndarray) -> list:
     return np.matmul(rows.conj()[:, :, None, None], rows[:, None, :, :, None])[..., 0, 0].tolist()
 
 
-def _require_orthonormal(gram: list, tol: Tolerance) -> None:
-    """Raise :class:`NotOrthonormal` unless ||Gram - I||_F of k columns (:func:`_grams`) is within its budget.  A
+def _require_orthonormal(gram: list, tol: Tolerance) -> float:
+    """||Gram - I||_F of k columns (:func:`_grams`); :class:`NotOrthonormal` unless it is within its budget.  A
     BLAS product basis^dagger basis is not exactly Hermitian, so orthonormal columns could miss a zero budget."""
     deviation_sq = 0.0
     for i, row in enumerate(gram):
@@ -196,6 +201,7 @@ def _require_orthonormal(gram: list, tol: Tolerance) -> None:
     deviation = math.sqrt(deviation_sq)
     if not deviation <= _pair_budget(tol, math.sqrt(len(gram))):
         raise NotOrthonormal(f"input Gram deviates from identity by {deviation:.3e}")
+    return deviation
 
 
 def _require_isometry(basis: np.ndarray, tol: Tolerance) -> np.ndarray:

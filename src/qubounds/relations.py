@@ -124,7 +124,7 @@ def _mp_digest(p: _MPInputs, *tags) -> str:
 
 
 def _decide(name: str, lhs: float, rhs: float, scale: float, tol: Tolerance,
-            zero: bool = False, size: float = 0.0) -> _Decision:
+            zero: bool = False, size: float = 0.0, pair: float = 0.0) -> _Decision:
     """The decision of lhs >= rhs: saturated when ``zero`` or slack <= tol.eps * ``scale``.
 
     ``scale`` is the bound's natural size: the lhs of a product bound,
@@ -132,13 +132,13 @@ def _decide(name: str, lhs: float, rhs: float, scale: float, tol: Tolerance,
     The relative slack so tested is of order eps^2 at distance eps from
     saturation.  ``zero`` marks deviations zero to rounding
     (:func:`_zero_deviations`): any for a product bound, both for a sum bound.
-    A slack that is not finite, or below -max(_input_budget(tol) max(|lhs|, |rhs|),
-    ROUNDING_TOL ``size``, for ``size`` the inputs' size in the bound's units), raises.
+    A slack that is not finite, or below -max(_input_budget(tol) max(|lhs|, |rhs|), ROUNDING_TOL ``size``) - ``pair``
+    raises: ``size`` is the inputs' size in the bound's units, and ``pair`` a Maccone-Pati pair's Gram term.
     """
     slack = lhs - rhs
     if not math.isfinite(slack):
         raise BoundViolation(f"{name}: slack {slack!r} is not finite")
-    budget = max(_input_budget(tol) * max(abs(lhs), abs(rhs)), ROUNDING_TOL * size)
+    budget = max(_input_budget(tol) * max(abs(lhs), abs(rhs)), ROUNDING_TOL * size) + pair
     if slack < -budget:
         raise BoundViolation(f"{name}: slack {slack:.3e} below -{budget:.3e}")
     return _Decision(float(lhs), float(rhs), float(slack), bool(zero or slack <= tol.eps * scale))
@@ -236,15 +236,15 @@ def _cross_elements(a: np.ndarray, b: np.ndarray, psi: np.ndarray, phi: np.ndarr
 class _MPInputs:
     """The one Maccone-Pati reduction of (A, B, psi, phi).
 
-    The moments in psi (which carry A, B and psi), phi, c = <psi|A|phi>
-    and d = <psi|B|phi>.  A caller's pair passed the pair checks; a
-    constructed pair [e1 | (0, tail)] is orthonormal by construction.
-    """
+    The moments in psi (which carry A, B and psi), phi, c = <psi|A|phi>, d = <psi|B|phi>, and the ||Gram - I||_F
+    of (psi, phi) that the pair checks admitted, 0 for a constructed pair [e1 | (0, tail)].  Each bound's Gram term,
+    that deviation times the part of its sides quadratic in phi, widens its violation floor (:func:`_decide`)."""
 
     moments: PairMoments
     phi: PureState
     c: complex
     d: complex
+    gram: float = 0.0
 
 
 def _mp_reduction(a: Observable, b: Observable, psi: PureState, phi: PureState, gram: list, moments: tuple | None,
@@ -255,8 +255,9 @@ def _mp_reduction(a: Observable, b: Observable, psi: PureState, phi: PureState, 
     overlap = abs(gram[1][0])
     if overlap > _pair_budget(tol):
         raise NotOrthogonal(f"|<phi|psi>| = {overlap:.3e}")
-    _require_orthonormal(gram, tol)
-    return _MPInputs(_reduction(a, b, psi) if moments is None else _pair_moments(a, b, psi, moments), phi, *cd)
+    deviation = _require_orthonormal(gram, tol)
+    return _MPInputs(_reduction(a, b, psi) if moments is None else _pair_moments(a, b, psi, moments), phi, *cd,
+                     deviation)
 
 
 def _mp_inputs(observable_a, observable_b, psi: PureState, phi: PureState, tol: Tolerance) -> _MPInputs:
@@ -313,8 +314,8 @@ def _mp_chain_decisions(p: _MPInputs, mu: complex, tol: Tolerance) -> tuple[_Dec
     zero = all(_zero_deviations(m, tol))
     abs_c, abs_d = abs(p.c), abs(p.d)
     sides = (scale, abs_c**2 + abs_d**2, _square(abs_c + abs_d) / 2.0, _square(abs(p.c + mu * p.d)) / 2.0)
-    size = _square(m.a.norm) + _square(m.b.norm)
-    return tuple(_decide(f"mp-chain step {k + 1}", sides[k], sides[k + 1], scale, tol, zero, size)
+    size, pair = _square(m.a.norm) + _square(m.b.norm), p.gram * sides[1]
+    return tuple(_decide(f"mp-chain step {k + 1}", sides[k], sides[k + 1], scale, tol, zero, size, pair)
                  for k in range(3))
 
 
@@ -347,9 +348,10 @@ def _mp3_decision(p: _MPInputs, mu: complex, tol: Tolerance) -> _Decision:
     lhs = m.dev_a**2 + m.dev_b**2
     # mu is exactly i or -i and <[A, B]> = cross - conj(cross) exactly imaginary,
     # so mu <[A, B]> is exactly real.
-    rhs = (mu * m.commutator_expectation).real + _square(abs(p.c + mu * p.d))
+    quadratic = _square(abs(p.c + mu * p.d))
+    rhs = (mu * m.commutator_expectation).real + quadratic
     return _decide("mp3", lhs, rhs, lhs, tol, all(_zero_deviations(m, tol)),
-                   _square(m.a.norm) + _square(m.b.norm))
+                   _square(m.a.norm) + _square(m.b.norm), p.gram * quadratic)
 
 
 def mp6(observable_a, observable_b, psi: PureState, phi: PureState,
@@ -374,23 +376,24 @@ def mp6(observable_a, observable_b, psi: PureState, phi: PureState,
 def _mp6_decisions(p: _MPInputs, mu: complex, tol: Tolerance) -> tuple[_Decision, _Decision | None]:
     """The reformulated decision at ``mu``, and the product form's, or None where its denominator is degenerate."""
     m = p.moments
-    reformulated, comm_term = _mp6_decision(p, mu, tol)
+    reformulated, comm_term, pair = _mp6_decision(p, mu, tol)
     if reformulated.lhs <= tol.eps:
         return reformulated, None
     lhs = m.dev_a * m.dev_b
     # The product form is dev(A) dev(B) / lhs times the reformulation, and so is its floor.
     return reformulated, _decide("mp6 product", lhs, comm_term / 2.0 / reformulated.lhs, lhs, tol,
-                                 size=(m.a.norm * m.dev_b + m.b.norm * m.dev_a) / reformulated.lhs)
+                                 size=(m.a.norm * m.dev_b + m.b.norm * m.dev_a) / reformulated.lhs,
+                                 pair=pair * lhs / reformulated.lhs)
 
 
-def _mp6_decision(p: _MPInputs, mu: complex, tol: Tolerance) -> tuple[_Decision, float]:
-    """The division-free decision at ``mu``, and mu <[A, B]>; a deviation zero to rounding raises first."""
+def _mp6_decision(p: _MPInputs, mu: complex, tol: Tolerance) -> tuple[_Decision, float, float]:
+    """The division-free decision at ``mu``, mu <[A, B]>, and its Gram term (:class:`_MPInputs`), for q =
+    <psi|Q_mu|phi> the pair's ||Gram - I||_F times |q|^2; a deviation zero to rounding raises first."""
     m = p.moments
     if any(_zero_deviations(m, tol)):
         raise ZeroDeviation(f"deviations ({m.dev_a:.3e}, {m.dev_b:.3e}) too small for the product bound")
     q_elem = p.c / m.dev_a + mu * p.d / m.dev_b
-    comm_term = (mu * m.commutator_expectation).real
-    decision = _decide("mp6 reformulated", 1.0 - abs(q_elem) ** 2 / 2.0,
-                       comm_term / (2.0 * m.dev_a * m.dev_b), 1.0, tol,
-                       size=m.a.norm / m.dev_a + m.b.norm / m.dev_b)
-    return decision, comm_term
+    comm_term, q_sq = (mu * m.commutator_expectation).real, abs(q_elem) ** 2
+    decision = _decide("mp6 reformulated", 1.0 - q_sq / 2.0, comm_term / (2.0 * m.dev_a * m.dev_b), 1.0, tol,
+                       size=m.a.norm / m.dev_a + m.b.norm / m.dev_b, pair=p.gram * q_sq)
+    return decision, comm_term, p.gram * q_sq

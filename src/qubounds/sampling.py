@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,7 @@ CHUNK_BYTES = 1 << 16
 
 @dataclass(frozen=True)
 class SampleConfig:
-    """Everything needed to regenerate one sweep of random inputs."""
+    """Everything needed to regenerate one sweep of random inputs, each an integer (not a bool), kept as an int."""
 
     dimension: int
     rank: int
@@ -32,6 +33,11 @@ class SampleConfig:
     count: int
 
     def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            try:  # operator.index takes integers only; a bool, which it takes too, is no integer here
+                object.__setattr__(self, name, int(operator.index(None if isinstance(value, bool) else value)))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if self.dimension < 1:
             raise ValueError("dimension must be >= 1")
         if not 1 <= self.rank <= self.dimension:

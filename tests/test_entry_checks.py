@@ -6,11 +6,13 @@ that takes one (wrong, ragged and empty shapes; float, complex, int, bool, objec
 dtypes; NaN and inf; finite entries whose norms overflow or underflow) under the profile pinned
 in ``conftest.py``: each call returns or raises a QuboundsError, and no RuntimeWarning escapes.
 A second generated suite draws bad pair files for ``qubounds saturate``: each exits 1 with one
-``error:`` line and writes no ``--out`` file.
+``error:`` line and writes no ``--out`` file.  A bad configuration value (``Tolerance``, ``SampleConfig``)
+is a plain ValueError where it is constructed.
 """
 
 import io
 import json
+import math
 import warnings
 from contextlib import redirect_stderr
 
@@ -19,9 +21,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from qubounds import (DensityMatrix, InvalidInput, NotOrthonormal, Observable, PureState, QuboundsError,
-                      complex_dependence, phase_dependence, psd_power, unitary_completion)
+from qubounds import (DensityMatrix, InvalidInput, NotOrthonormal, Observable, PureState, QuboundsError, SampleConfig,
+                      Tolerance, complex_dependence, phase_dependence, psd_power, run_verification_suite,
+                      unitary_completion)
 from qubounds.cli import main
+from qubounds.reporting import dumps_report
 
 NOT_NUMBERS = {
     "observable-strings": lambda: Observable([["a", "b"], ["c", "d"]]),
@@ -244,3 +248,34 @@ def test_saturate_rejects_a_named_bad_pair_file_in_one_line(tmp_path_factory, te
 @given(text=bad_pair_files(), target=st.sampled_from(["mp3", "mp6"]))
 def test_saturate_rejects_a_generated_bad_pair_file_in_one_line(tmp_path_factory, text, target):
     _saturate_a_bad_pair_file(tmp_path_factory, text, target)
+
+
+BAD_CONFIGS = {
+    "float-dimension": lambda: SampleConfig(2.5, 1, 0, 1),
+    "float-rank": lambda: SampleConfig(2, 1.0, 0, 1),
+    "float-count": lambda: SampleConfig(2, 1, 0, 3.0),
+    "bool-dimension": lambda: SampleConfig(True, 1, 0, 1),
+    "half-seed": lambda: SampleConfig(2, 1, 0.5, 1),
+    "nan-seed": lambda: SampleConfig(2, 1, math.nan, 1),
+    "bool-tolerance": lambda: Tolerance(True),
+    "string-tolerance": lambda: Tolerance("1e-9"),
+    "huge-int-tolerance": lambda: Tolerance(10**400),
+}
+
+
+@pytest.mark.parametrize("call", BAD_CONFIGS.values(), ids=BAD_CONFIGS)
+def test_a_bad_configuration_value_is_a_plain_value_error_where_it_enters(call):
+    # Not a TypeError from inside NumPy once the sweep runs, and not a value written into a report.
+    with pytest.raises(ValueError) as info:
+        call()
+    assert not isinstance(info.value, QuboundsError)
+
+
+def test_configuration_values_are_kept_as_python_numbers():
+    # NumPy integers are integers: the sweep runs and its report serialises.  A tolerance is
+    # kept as a float, so Tolerance(0) is Tolerance(0.0) and writes 0.0, never true or 0.
+    config = SampleConfig(2, 1, np.int64(3), np.int64(2))
+    assert [type(v) for v in vars(config).values()] == [int] * 4
+    assert '"count":2' in dumps_report(run_verification_suite(config, Tolerance()))
+    assert Tolerance(0) == Tolerance(0.0) and type(Tolerance(np.float64(1e-9)).eps) is float
+    assert '"tolerance":{"eps":0.0}' in dumps_report(run_verification_suite(SampleConfig(2, 1, 0, 1), Tolerance(0)))

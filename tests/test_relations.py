@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -461,3 +462,51 @@ def test_the_pair_checks_run_before_the_mean_check_through_the_slot(monkeypatch)
             with pytest.raises(error):
                 entry(a, b, psi, phi, tol)
         assert "_reduced" not in vars(psi)
+
+
+def _stretched_qubit_trial(k):
+    """Trial k of ``SampleConfig(2, 2, 7, ...)``'s draws (A, B, psi, rho, then the Haar pair), with phi scaled by
+    1 + 5e-11: a unit state within ``INPUT_TOL`` whose Gram deviation, about 1e-10, the default pair budget admits."""
+    rng = trial_rng(7, k)
+    a, b = random_hermitian(2, rng), random_hermitian(2, rng)
+    random_pure_state(2, rng), random_density(2, 2, rng)
+    pair = _haar_columns(2, 2, rng)
+    return a, b, PureState(pair[:, 0]), PureState(pair[:, 1] * (1.0 + 5e-11))
+
+
+@pytest.mark.parametrize("k", [4, 10, 13])
+def test_a_stretched_pair_that_the_gram_test_admits_violates_no_bound(k):
+    # These near-saturated qubit pairs read an mp6 slack of about -9.5e-11, below the floor of
+    # the sides and the inputs alone (about -5e-11).  Each Maccone-Pati floor carries the admitted
+    # ||Gram - I||_F times the part of its sides quadratic in phi, so none of them raises.
+    a, b, psi, phi = _stretched_qubit_trial(k)
+    p = relations._mp_inputs(a, b, psi, phi, DEFAULT_TOL)
+    assert 0.5e-10 < p.gram < 2e-10
+    reports = mp6(a, b, psi, phi)
+    assert reports.reformulated.slack < -5e-11 and reports.reformulated.saturated
+    assert mp3(a, b, psi, phi).report.saturated
+    mp_chain(a, b, psi, phi, 1j)
+    # Without the Gram term, or with c and d moved 1e-9 further than the pair's deviation, the
+    # reformulated slack is a violation again.
+    mu = reports.mu.mu
+    for pushed in (dataclasses.replace(p, gram=0.0), dataclasses.replace(p, c=p.c * (1 + 1e-9), d=p.d * (1 + 1e-9))):
+        with pytest.raises(BoundViolation, match="mp6 reformulated"):
+            relations._mp6_decisions(pushed, mu, DEFAULT_TOL)
+
+
+def test_a_zero_slack_is_saturated_at_a_zero_tolerance():
+    # dev(sigma_x) dev(sigma_y) = 1 = |<[sigma_x, sigma_y]>| / 2 in |0>, exactly: the flag's
+    # comparison admits the slack equal to eps times the scale, 0 here.
+    report = robertson(SIGMA_X, SIGMA_Y, KET0, Tolerance(0.0))
+    assert report.slack == 0.0 and report.saturated
+
+
+def test_a_sum_bound_with_one_zero_deviation_is_decided_by_its_slack():
+    # The sum bounds' zero rule needs both deviations zero.  With A = 2 I, dev(A) = 0 but
+    # dev(B)^2 exceeds |<e1|B|e2>|^2 for a B with a nonzero <e3|B|e1>, so mp3 and the
+    # chain's first two steps are not saturated.
+    rng = trial_rng(337, 0)
+    a, b = 2.0 * np.eye(3), random_hermitian(3, rng)
+    psi, phi = (PureState(np.eye(3)[j]) for j in (0, 1))
+    assert not mp3(a, b, psi, phi).report.saturated
+    assert [step.saturated for step in mp_chain(a, b, psi, phi, 1j).steps[:2]] == [False, False]

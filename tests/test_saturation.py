@@ -711,6 +711,21 @@ def test_construct_case2_degenerate_first_row():
     assert abs(pair.achieved_slack) <= 1e-12
 
 
+def test_construct_case2_degeneracy_floor_counts_both_deviations():
+    # The tail u - mu v is degenerate within eps (dev(A) + dev(B)) = eps (||u|| + ||v||).  With
+    # v = -i u + delta and ||delta|| = 1.5e-9 ||u||, <[A, B]> in e1 is 2i Im <u, v> < 0, so mu = i and
+    # the tail is -i delta: inside that floor, about 2e-9 ||u||, but outside eps dev(A) alone.
+    rng = trial_rng(338, 0)
+    u = complex_normal(rng, 2, 1).ravel()
+    delta = complex_normal(rng, 2, 1).ravel()
+    delta *= 1.5e-9 * np.linalg.norm(u) / np.linalg.norm(delta)
+    a, b = hermitian_array(rng, 3), hermitian_array(rng, 3)
+    for m, tail in ((a, u), (b, -1j * u + delta)):
+        m[1:, 0], m[0, 1:] = tail, tail.conj()
+    pair = construct_case2(a, b)
+    assert pair.mu == 1j and pair.degenerate
+
+
 def test_construct_case2_block_pair_degenerate_but_saturating():
     a, b, _ = block_pair_4x4()
     pair = construct_case2(a, b)
