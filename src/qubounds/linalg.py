@@ -31,11 +31,11 @@ class Tolerance:
     eps: float = 1e-9
 
     def __post_init__(self) -> None:
-        try:  # NaN would switch every comparison off, and inf, or an int past float range, would pass every one
+        try:  # a bool or a value that is not a real number is no tolerance (NaN); one past float range is inf
             eps = float(self.eps) if isinstance(self.eps, numbers.Real) and not isinstance(self.eps, bool) else math.nan
         except OverflowError:
             eps = math.inf
-        if not 0 <= eps < math.inf:  # a bool, or any other value that is not a real number, is no tolerance
+        if not 0 <= eps < math.inf:  # NaN would switch every comparison off and inf would pass every one
             raise ValueError(f"tolerance must be a finite nonnegative real number, got {self.eps!r}")
         object.__setattr__(self, "eps", eps)
 
