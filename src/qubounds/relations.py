@@ -17,6 +17,9 @@ and wraps the decision in a report with the digest.  The checkers, the
 constructions and the verification sweep read only decisions, so they hash
 nothing; the sweep names each trial's inputs once in its record, and takes
 its Maccone-Pati reduction from the entries' own reduction body (:func:`_mp_reduction`).
+Every Maccone-Pati reduction reads c = <A_c psi, phi> and d = <B_c psi, phi> (:func:`_mp_pair`), which are
+<psi|A|phi> and <psi|B|phi> for phi orthogonal to psi; each Maccone-Pati inequality is then Cauchy-Schwarz
+between a unit phi and (A_c/s_a - mu B_c/s_b) psi, with s = 1 for mp3 and the deviations for mp6.
 """
 
 from __future__ import annotations
@@ -225,20 +228,13 @@ def _unit_mu(mu: complex, tol: Tolerance) -> complex:
     return mu
 
 
-def _cross_elements(a: np.ndarray, b: np.ndarray, psi: np.ndarray, phi: np.ndarray) -> list:
-    """[c, d] = [<psi|A|phi>, <psi|B|phi>], each a list of shape (...), for matrices A, B (..., n, n) and
-    columns psi, phi (..., n, 1): each slice of a stacked call is the one-triple call."""
-    bra = psi.conj().swapaxes(-1, -2)
-    return [(bra @ (a @ phi))[..., 0, 0].tolist(), (bra @ (b @ phi))[..., 0, 0].tolist()]
-
-
 @dataclass(frozen=True)
 class _MPInputs:
-    """The one Maccone-Pati reduction of (A, B, psi, phi).
+    """The one Maccone-Pati reduction of (A, B, psi, phi), built only by :func:`_mp_pair`.
 
-    The moments in psi (which carry A, B and psi), phi, c = <psi|A|phi>, d = <psi|B|phi>, and the ||Gram - I||_F
-    of (psi, phi) that the pair checks admitted, 0 for a constructed pair [e1 | (0, tail)].  Each bound's Gram term,
-    that deviation times the part of its sides quadratic in phi, widens its violation floor (:func:`_decide`)."""
+    The moments in psi (which carry A, B and psi), phi, c = <A_c psi, phi>, d = <B_c psi, phi>, and the
+    ||Gram - I||_F of (psi, phi) that the pair checks admitted, 0 for a constructed pair [e1 | (0, tail)].  Each
+    bound's Gram term, that deviation times the part of its sides quadratic in phi, widens its violation floor."""
 
     moments: PairMoments
     phi: PureState
@@ -247,26 +243,31 @@ class _MPInputs:
     gram: float = 0.0
 
 
+def _mp_pair(m: PairMoments, phi: PureState, gram: float = 0.0) -> _MPInputs:
+    """The :class:`_MPInputs` of psi's moments ``m``, phi and the admitted ||Gram - I||_F ``gram``: c = <A_c psi, phi>
+    and d = <B_c psi, phi>, two dot products with the centred pair, so no identity offset enters them."""
+    x = phi.factor
+    return _MPInputs(m, phi, complex(np.vdot(m.centered_a, x)), complex(np.vdot(m.centered_b, x)), gram)
+
+
 def _mp_reduction(a: Observable, b: Observable, psi: PureState, phi: PureState, gram: list, moments: tuple | None,
-                  cd: list, tol: Tolerance) -> _MPInputs:
-    """The one Maccone-Pati reduction body, from the Gram matrix of (psi, phi) (:func:`~qubounds.linalg._grams`),
-    the moments body's output in psi (None: psi's slot) and [c, d].  Its checks run in order: the overlap
-    (:class:`NotOrthogonal`), the Gram test, then the mean check.  A sweep runs it on each trial's slices."""
+                  tol: Tolerance) -> _MPInputs:
+    """The one Maccone-Pati reduction body, from the Gram matrix of (psi, phi) (:func:`~qubounds.linalg._grams`) and
+    the moments body's output in psi (None: psi's slot).  Its checks run in order: the overlap (:class:`NotOrthogonal`),
+    the Gram test, then the mean check; :func:`_mp_pair` then reads c and d.  A sweep runs it on each trial's slices."""
     overlap = abs(gram[1][0])
     if overlap > _pair_budget(tol):
         raise NotOrthogonal(f"|<phi|psi>| = {overlap:.3e}")
     deviation = _require_orthonormal(gram, tol)
-    return _MPInputs(_reduction(a, b, psi) if moments is None else _pair_moments(a, b, psi, moments), phi, *cd,
-                     deviation)
+    return _mp_pair(_reduction(a, b, psi) if moments is None else _pair_moments(a, b, psi, moments), phi, deviation)
 
 
 def _mp_inputs(observable_a, observable_b, psi: PureState, phi: PureState, tol: Tolerance) -> _MPInputs:
     """Validate (A, B, psi, phi) once, check the dimensions, and reduce it (:func:`_mp_reduction`) from the
-    pair's one Gram product, the moments in psi, through psi's slot, and c, d."""
+    pair's one Gram product and the moments in psi, through psi's slot."""
     a, b = _observable_pair(observable_a, observable_b)
     _require_dimensions(a, psi, phi)
-    return _mp_reduction(a, b, psi, phi, _grams(np.array(((psi.amplitudes, phi.amplitudes),)))[0], None,
-                         _cross_elements(a.matrix, b.matrix, psi.factor, phi.factor), tol)
+    return _mp_reduction(a, b, psi, phi, _grams(np.array(((psi.amplitudes, phi.amplitudes),)))[0], None, tol)
 
 
 def mp_frame(observable_a, observable_b, psi: PureState, phi: PureState,
@@ -298,8 +299,8 @@ def mp_chain(observable_a, observable_b, psi: PureState, phi: PureState,
 
     dev(A)^2 + dev(B)^2 >= |c|^2 + |d|^2 >= (|c| + |d|)^2 / 2
                         >= |<psi|(A + mu B)|phi>|^2 / 2,
-    with c = <psi|A|phi> and d = <psi|B|phi>, read from the moments and c, d
-    without a frame (:func:`mp_frame`: ||u||^2 + ||v||^2, |c|, |d|, c + mu d).
+    with c = <psi|A|phi> = <A_c psi, phi> and d = <psi|B|phi> = <B_c psi, phi> (:func:`_mp_pair`), so step 1 is
+    Cauchy-Schwarz for the unit phi; no frame (:func:`mp_frame`: ||u||^2 + ||v||^2, |c|, |d|, c + mu d) is built.
     """
     mu = _unit_mu(mu, tol)
     p = _mp_inputs(observable_a, observable_b, psi, phi, tol)
@@ -322,17 +323,16 @@ def _mp_chain_decisions(p: _MPInputs, mu: complex, tol: Tolerance) -> tuple[_Dec
 def mu_ratio(observable_a, observable_b, psi: PureState, phi: PureState) -> complex:
     """<psi|A|phi> / <psi|B|phi>: the mu that aligns the chain's last step.
 
-    For orthogonal psi and phi, |<psi|B|phi>| <= dev(B) <= spread(B), so the
-    denominator is zero when a deviation of B would be (:func:`_zero_deviation`
-    at the default tolerance): beside spread(B), or within the rounding floor
-    of ||B||_F.
+    Read as c / d from psi's moments (:func:`_mp_pair`), blind to an identity offset.  |d| <= dev(B) <= spread(B),
+    so the denominator is zero when a deviation of B would be (:func:`_zero_deviation` at the default
+    tolerance): beside spread(B), or within the rounding floor of ||B||_F.
     """
     a, b = _observable_pair(observable_a, observable_b)
     _require_dimensions(a, psi, phi)
-    c, d = _cross_elements(a.matrix, b.matrix, psi.factor, phi.factor)
-    if _zero_deviation(abs(d), b, DEFAULT_TOL):
+    p = _mp_pair(_reduction(a, b, psi), phi)
+    if _zero_deviation(abs(p.d), b, DEFAULT_TOL):
         raise ZeroDeviation("denominator matrix element <psi|B|phi> vanishes")
-    return c / d
+    return p.c / p.d
 
 
 def mp3(observable_a, observable_b, psi: PureState, phi: PureState,

@@ -5,9 +5,10 @@ streams derived from (seed, trial index) (:func:`~qubounds.sampling._trial_chunk
 assembled in trial order, and JSON is emitted with sorted keys.  Only the manifest timestamps differ
 between identical reruns.  The manifest holds the tolerance; a ``verify`` trial's record names its inputs
 once (``inputs``: the digests of A, B, psi, rho and the Maccone-Pati pair), and each bound's entry holds
-only its decision (``lhs``, ``rhs``, ``slack``, ``saturated``).  Each evaluation is an outcome, its result
-or the error it raised, and one method files it in the record.  Reports are written, never read back;
-the one reader here loads an observable pair for ``saturate``.
+only its decision (``lhs``, ``rhs``, ``slack``, ``saturated``), a Maccone-Pati one from c = <A_c psi, phi>
+and d = <B_c psi, phi>, where each inequality is Cauchy-Schwarz for a unit phi.  Each evaluation is an outcome,
+its result or the error it raised, and one method files it in the record.  Reports are written, never read
+back; the one reader here loads an observable pair for ``saturate``.
 """
 
 from __future__ import annotations
@@ -21,14 +22,14 @@ import numpy as np
 from .errors import BoundViolation, DimensionMismatch, QuboundsError, ZeroDeviation
 from .goldens import run_goldens
 from .linalg import DEFAULT_TOL, Tolerance, _grams
-from .relations import (_cross_elements, _Decision, _moments_mu, _mp3_decision, _mp6_decisions, _mp_chain_decisions,
-                        _mp_reduction, _robertson_decision, _schrodinger_decision)
+from .relations import (_Decision, _moments_mu, _mp3_decision, _mp6_decisions, _mp_chain_decisions, _mp_reduction,
+                        _robertson_decision, _schrodinger_decision)
 from .sampling import SampleConfig, _trial_chunks
 from .saturation import (_CONSTRUCTIONS, CONSTRUCTION_TOL, CertificateKind, ConstructedPair, SaturationCertificate,
                          _certificate, _constructions, _e1, _outcome)
 from .states import Observable, _moments, _pair_moments
 
-ARTIFACT_VERSION = "0.11.0"
+ARTIFACT_VERSION = "0.12.0"
 
 
 @dataclass(frozen=True)
@@ -207,14 +208,14 @@ def run_verification_suite(config: SampleConfig, tol: Tolerance) -> SuiteReport:
     The trials come a chunk at a time from :func:`~qubounds.sampling._trial_chunks`, byte-identical to the
     public samplers' inputs, and each chunk is reduced as stacks, each slice the one-trial call byte for byte:
     one moments-body call (:func:`~qubounds.states.pair_moments`) for the n x 1 states of its trials (psi, the
-    Maccone-Pati psi_f and e1, built once), one for its rhos' factors, one product for the pairs' c and d, one
-    Gram product for their checks, and one constructions-body call (:func:`~qubounds.saturation._constructions`)
-    for both constructions of every trial, which share the trial's e1 moments.  Only the bound decisions and the
-    record entries run per trial: a trial's record names its inputs once, by their digests, and each bound's
-    entry is its decision, with no digest.  Every evaluation is an outcome (:func:`~qubounds.saturation._outcome`),
-    its result or the :class:`QuboundsError` it raised, filed by :meth:`_Summary.file`; the Maccone-Pati
-    reduction (:func:`~qubounds.relations._mp_reduction`, on the trial's slices) is one too, and where it failed,
-    mp3, mp6 and the chain each file its error.
+    Maccone-Pati psi_f and e1, built once), one for its rhos' factors, one Gram product for the pairs' checks,
+    and one constructions-body call (:func:`~qubounds.saturation._constructions`) for both constructions of every
+    trial, which share the trial's e1 moments; every pair reads c and d from its psi's centred pair.  Only the
+    bound decisions and the record entries run per trial: a trial's record names its inputs once, by their
+    digests, and each bound's entry is its decision, with no digest.  Every evaluation is an outcome
+    (:func:`~qubounds.saturation._outcome`), its result or the :class:`QuboundsError` it raised, filed by
+    :meth:`_Summary.file`; the Maccone-Pati reduction (:func:`~qubounds.relations._mp_reduction`, on the trial's
+    slices) is one too, and where it failed, mp3, mp6 and the chain each file its error.
     """
     started = _utc_now()
     summary = _Summary()
@@ -231,9 +232,8 @@ def run_verification_suite(config: SampleConfig, tol: Tolerance) -> SuiteReport:
         rho_moments = zip(*_moments(a_stack[:, 0], b_stack[:, 0], np.array([rho.factor for *_, rho, _ in chunk])))
         if n >= 2:
             pair_grams = _grams(rows[:, 1:])
-            cds = list(zip(*_cross_elements(a_stack[:, 0], b_stack[:, 0], columns[:, 1], rows[:, 2, :, None])))
             e1_moments = [_pair_moments(a, b, e1, x[2]) for (_, a, b, *_), x in zip(chunk, moments)]
-            built = _constructions(targets, a_stack[:, 0], b_stack[:, 0], e1_moments, reduced[2][:, 2], tol)
+            built = _constructions(targets, e1_moments, reduced[2][:, 2], tol)
         for t, ((k, a, b, psi, rho, pair), x, rho_x) in enumerate(zip(chunk, moments, rho_moments)):
             pure = _pair_moments(a, b, psi, x[0])
             mixed = _pair_moments(a, b, rho, rho_x)
@@ -242,7 +242,7 @@ def run_verification_suite(config: SampleConfig, tol: Tolerance) -> SuiteReport:
                         "robertson_mixed": _outcome(_robertson_decision, mixed, tol),
                         "schrodinger_mixed": _outcome(_schrodinger_decision, mixed, tol)}
             if n >= 2:
-                mp = _outcome(_mp_reduction, a, b, *pair, pair_grams[t], x[1], cds[t], tol)
+                mp = _outcome(_mp_reduction, a, b, *pair, pair_grams[t], x[1], tol)
                 if isinstance(mp, QuboundsError):
                     outcomes.update(dict.fromkeys(("mp3", "mp6", "mp_chain"), mp))
                 else:

@@ -6,8 +6,8 @@ relative slack, or a deviation zero to rounding); its witness is the least
 direction of the same moments' 2 x 2 Gram form, and the mixed checkers
 re-verify it at the fixed powers (1/2, 1, 2, 3) of rho.  The zero-deviation characterizations
 decide each side by its deviation.  The Maccone-Pati checkers read their
-bound's decision flag, and c = <psi|A|phi> and d = <psi|B|phi> as matrix
-elements; they build no frame.
+bound's decision flag, and c = <A_c psi, phi> and d = <B_c psi, phi> (:func:`~qubounds.relations._mp_pair`),
+for which each Maccone-Pati inequality is Cauchy-Schwarz for a unit phi; they build no frame.
 Like the evaluators, each checker and constructor is an entry that validates and reduces
 its inputs, with a private body that reads only the reduction where the sweep runs it.
 Checkers and constructors read bound decisions, never reports, so they hash no input.
@@ -31,9 +31,9 @@ import numpy as np
 from .errors import CorollaryViolation, DimensionMismatch, HypothesisViolated, QuboundsError, RIndependenceViolation
 from .linalg import (DEFAULT_TOL, ROUNDING_TOL, TIE_TOL, Tolerance, _complex_witness, _norm, _phase_witness,
                      _row_norms)
-from .relations import (_cross_elements, _Decision, _moments_mu, _mp3_decision, _mp6_decision,
-                        _mp_chain_decisions, _mp_inputs, _MPInputs, _robertson_decision,
-                        _schrodinger_decision, _unit_mu, _zero_budget, _zero_deviations)
+from .relations import (_Decision, _moments_mu, _mp3_decision, _mp6_decision, _mp_chain_decisions, _mp_inputs,
+                        _mp_pair, _MPInputs, _robertson_decision, _schrodinger_decision, _unit_mu, _zero_budget,
+                        _zero_deviations)
 from .states import PairMoments, PureState, QuantumState, _observable_pair, _reduction, pair_moments
 
 # Constructed pairs must close their target bound to this relative gap.
@@ -303,15 +303,14 @@ def _outcome(body, *args):
         return exc
 
 
-def _constructions(targets: tuple[str, ...], a: np.ndarray, b: np.ndarray, moments: list,
-                   centred: np.ndarray, tol: Tolerance) -> list:
+def _constructions(targets: tuple[str, ...], moments: list, centred: np.ndarray, tol: Tolerance) -> list:
     """Each trial's construction per target ("case1", "case2", "w_mp6"), or the QuboundsError it raises, from
-    the stacks a, b (T, n, n) of its observables, its e1 moments, each at the mu :func:`_moments_mu` picks,
-    and centred pairs (T, 2, n, 1).  A target states its tails once (``_CONSTRUCTIONS``), from the first-column
-    tails u, v of A_c and B_c: their stack, each trial's degeneracy floor, and a phase row or None.  One pass
-    then normalises each tail, marks a trial degenerate where its norm is within its floor, phases phi so its
-    entry with the row is real nonnegative unless that entry is noise beside the row, and puts e2 where
-    degenerate.  phi is (0, unit tail).  One state pass builds every phi, one product reads every c and d."""
+    its e1 moments, each at the mu :func:`_moments_mu` picks, and centred pairs (T, 2, n, 1).  A target states its
+    tails once (``_CONSTRUCTIONS``), from the first-column tails u, v of A_c and B_c: their stack, each trial's
+    degeneracy floor, and a phase row or None.  One pass then normalises each tail, marks a trial degenerate where
+    its norm is within its floor, phases phi so its entry with the row is real nonnegative unless that entry is
+    noise beside the row, and puts e2 where degenerate.  phi is (0, unit tail).  One state pass builds every phi;
+    c = <A_c e1, phi> = <u, tail> and d = <v, tail> are read from the moments (:func:`~qubounds.relations._mp_pair`)."""
     (size, _, n, _), width = centred.shape, len(targets)
     mus = [_moments_mu(m, tol).mu for m in moments]
     u, mu_v = centred[:, 0, 1:, 0], np.array(mus)[:, None] * centred[:, 1, 1:, 0]
@@ -341,18 +340,15 @@ def _constructions(targets: tuple[str, ...], a: np.ndarray, b: np.ndarray, momen
             elif not fix[t]:
                 rows[t, j, 1:] = direction[t]
     phis = iter(PureState._stack(rows.reshape(-1, n)))
-    cds = zip(*_cross_elements(a[:, None], b[:, None], moments[0].state.factor, rows[..., None]))
-    return [[_outcome(_constructed, target, m, mu, next(phis), c, d, not k, tol)
-             for target, c, d, k in zip(targets, cs, ds, ks)]
-            for m, mu, (cs, ds), ks in zip(moments, mus, cds, zip(*keeps))]
+    return [[_outcome(_constructed, target, m, mu, next(phis), not k, tol) for target, k in zip(targets, ks)]
+            for m, mu, ks in zip(moments, mus, zip(*keeps))]
 
 
-def _constructed(target: str, m: PairMoments, mu: complex, phi: PureState, c: complex, d: complex,
-                 degenerate: bool, tol: Tolerance):
+def _constructed(target: str, m: PairMoments, mu: complex, phi: PureState, degenerate: bool, tol: Tolerance):
     """[e1 | phi], orthonormal by construction (so it skips a caller's pair checks), with its gap: the target
     decision's slack at mu over its flag's scale, dev(A)^2 + dev(B)^2 (or 0 by the zero rule) for mp3 and 1
     for mp6.  The decision may raise."""
-    p = _MPInputs(m, phi, c, d)
+    p = _mp_pair(m, phi)
     if target == "w_mp6":
         gap = _mp6_decision(p, mu, tol)[0].slack
     else:
@@ -371,7 +367,7 @@ def _construct(target: str, observable_a, observable_b, tol: Tolerance) -> Const
     e1._freeze(_e1(a.dimension).amplitudes)
     m = _reduction(a, b, e1)
     centred = np.array(((m.centered_a, m.centered_b),))
-    built = _constructions((target,), a.matrix[None], b.matrix[None], [m], centred, tol)[0][0]
+    built = _constructions((target,), [m], centred, tol)[0][0]
     if isinstance(built, QuboundsError):
         raise built
     return built

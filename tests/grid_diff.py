@@ -6,12 +6,14 @@ Each tree runs in a fresh process, with its own ``src`` first on the path: ``ver
 (n, rank) = (1,1), (2,1), (2,2), (3,1), (3,2), (4,4), (8,3) x 30 trials and (64,4) x 5, at seeds
 7 and 1009, under ``Tolerance()`` and ``Tolerance(0.0)``, and the ``reproduce`` body.  The script
 prints each report body's and summary CSV's SHA-256 (first 16 hex digits) in both trees, lists every
-leaf value that moved with its relative change, and exits 1 when any body or CSV differs.  It uses
-only the standard library and NumPy.
+leaf value that moved with its relative change, closes with a count of the flipped ``saturated`` flags
+per run and per bound, and exits 1 when any body or CSV differs.  It uses only the standard library and
+NumPy.
 """
 
 from __future__ import annotations
 
+import collections
 import hashlib
 import json
 import math
@@ -85,6 +87,16 @@ def leaf_diff(old, new, path: str = "") -> list:
     return lines
 
 
+def flip_tally(lines: list) -> collections.Counter:
+    """Per bound, the ``saturated`` leaves that flipped among :func:`leaf_diff`'s lines."""
+    return collections.Counter(path.split(".")[-2] for path, _, change in (line.partition(": ") for line in lines)
+                               if path.endswith(".saturated") and change in ("True -> False", "False -> True"))
+
+
+def _counts(tally: collections.Counter) -> str:
+    return ", ".join(f"{bound} {count}" for bound, count in sorted(tally.items()))
+
+
 def _hash(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
@@ -100,7 +112,7 @@ def main(argv: list) -> int:
     if len(argv) != 2:
         raise SystemExit(__doc__)
     old, new = tree_bodies(argv[0]), tree_bodies(argv[1])
-    moved = 0
+    moved, flips = 0, {}
     for name in list(old) + [name for name in new if name not in old]:
         (body, csv), (new_body, new_csv) = old.get(name, ["", ""]), new.get(name, ["", ""])
         same = body == new_body and csv == new_csv
@@ -108,8 +120,17 @@ def main(argv: list) -> int:
         print(f"{'same' if same else 'DIFFERS'}  body {_hash(body)} {_hash(new_body)}"
               f"  csv {_hash(csv)} {_hash(new_csv)}  {name}")
         if body != new_body and body and new_body:
-            for line in leaf_diff(json.loads(body), json.loads(new_body)):
+            lines = leaf_diff(json.loads(body), json.loads(new_body))
+            for line in lines:
                 print(f"    {line}")
+            if tally := flip_tally(lines):
+                flips[name] = tally
+    total = sum(flips.values(), collections.Counter())
+    print(f"saturated flags flipped: {total.total()}")
+    for name, tally in flips.items():
+        print(f"    {name}: {_counts(tally)}")
+    if total:
+        print(f"    by bound: {_counts(total)}")
     print(f"{moved} of {len(set(old) | set(new))} runs differ")
     return 1 if moved else 0
 

@@ -17,6 +17,7 @@ from qubounds import (
     ZeroDeviation,
     bloch_state,
     choose_mu,
+    construct_case2,
     haar_unitary,
     mp3,
     mp6,
@@ -492,6 +493,31 @@ def test_a_stretched_pair_that_the_gram_test_admits_violates_no_bound(k):
     for pushed in (dataclasses.replace(p, gram=0.0), dataclasses.replace(p, c=p.c * (1 + 1e-9), d=p.d * (1 + 1e-9))):
         with pytest.raises(BoundViolation, match="mp6 reformulated"):
             relations._mp6_decisions(pushed, mu, DEFAULT_TOL)
+
+
+def test_an_admitted_overlap_moves_no_maccone_pati_decision_under_an_identity_offset():
+    # construct_case2's phi leaned by -5e-10 e1 has an overlap of 5e-10 with psi = e1, which the
+    # default pair budget admits.  c and d are read from the centred pair, so A -> A + cI moves
+    # neither.  Read from A itself, c carried c <psi|phi>: at an offset of 1e3 mp3 raised ("slack
+    # -7.497e-07 below -3.014e-07"), and at 1e6 a slack of -7.5e-4 passed under the rounding floor.
+    rng = trial_rng(11, 0)
+    h, b = random_hermitian(3, rng).matrix, random_hermitian(3, rng).matrix
+    decisions = []
+    for offset in (0.0, 1e3, 1e6):
+        a = h + offset * np.eye(3)
+        pair = construct_case2(a, b)
+        leaned = pair.phi.amplitudes - 5e-10 * np.eye(3)[0]
+        psi, phi = pair.psi, PureState(leaned / np.linalg.norm(leaned))
+        assert 4e-10 < abs(np.vdot(psi.amplitudes, phi.amplitudes)) < 6e-10
+        sum_bound, product_bound, chain = mp3(a, b, psi, phi), mp6(a, b, psi, phi), mp_chain(a, b, psi, phi, 1j)
+        reports = (sum_bound.report, product_bound.reformulated, product_bound.product, *chain.steps)
+        decisions.append(([None if r is None else r.saturated for r in reports], product_bound.denominator_degenerate,
+                          sum_bound.mu, product_bound.mu, sum_bound.report.slack))
+        assert sum_bound.report.saturated
+    assert decisions[0] == decisions[1] == decisions[2]
+    # mu_ratio reads the same c and d, so an offset of 1e6 leaves it where it was.
+    mu = mu_ratio(h, b, psi, phi)
+    assert mu_ratio(h + 1e6 * np.eye(3), b, psi, phi) == pytest.approx(mu, rel=1e-12)
 
 
 def test_a_zero_slack_is_saturated_at_a_zero_tolerance():

@@ -348,7 +348,9 @@ def test_grid_diff_lists_each_moved_leaf_and_fails_on_a_moved_body(monkeypatch, 
     assert grid_diff.main(["parent", "change"]) == 1
     out = capsys.readouterr().out
     assert out.startswith("DIFFERS") and "    trials[0].mp3: missing in change\n" in out
-    assert out.endswith("1 of 1 runs differ\n")
+    # The flipped flags are counted per run and per bound; the count changes no exit code.
+    assert out.endswith("saturated flags flipped: 1\n    run: robertson_pure 1\n    by bound: robertson_pure 1\n"
+                        "1 of 1 runs differ\n")
 
 
 def test_sweep_skips_what_a_zero_deviation_stops():
@@ -445,7 +447,7 @@ def _trial_calls(monkeypatch, config, tol=Tolerance(), failures=0):
         "_require_isometry": linalg._require_isometry,
         "_require_orthonormal": linalg._require_orthonormal,
         "_grams": linalg._grams,
-        "_cross_elements": relations._cross_elements,
+        "_mp_pair": relations._mp_pair,
         "_array_digest": states._array_digest,
         "_digest": relations._digest,
     }
@@ -525,15 +527,15 @@ def test_verify_stacks_a_chunks_eigh_and_qr(monkeypatch):
 def test_verify_stacks_a_chunks_maccone_pati_stage(monkeypatch):
     # Four trials form one chunk: their psi and Haar pairs are built in one state pass and
     # their pairs checked from one Gram product; both constructions of every trial build their
-    # phis in one more pass and read c and d from one product.  e1, built once per dimension,
-    # is the only state built alone.
+    # phis in one more pass.  Every pair reads c and d through the one reader: 4 drawn pairs and
+    # 4 x 2 constructed ones.  e1, built once per dimension, is the only state built alone.
     saturation._e1.cache_clear()
     passes, singles = [], []
     stack, post_init = states.PureState._stack.__func__, states.PureState.__post_init__
     monkeypatch.setattr(states.PureState, "_stack", classmethod(lambda cls, a: passes.append(len(a)) or stack(cls, a)))
     monkeypatch.setattr(states.PureState, "__post_init__", lambda self: singles.append(1) or post_init(self))
     counts, _ = _trial_calls(monkeypatch, SampleConfig(4, 4, 7, 4))
-    assert (counts["_grams"], counts["_require_isometry"], counts["_cross_elements"]) == (1, 0, 2)
+    assert (counts["_grams"], counts["_require_isometry"], counts["_mp_pair"]) == (1, 0, 12)
     assert (passes, singles) == ([12, 8], [1])
 
 

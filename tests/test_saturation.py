@@ -521,7 +521,7 @@ def _maccone_pati_checks(a, b, psi, phi, mu, tol):
 
 
 def test_maccone_pati_checkers_build_no_frame(monkeypatch):
-    # c = <psi|A|phi> and d = <psi|B|phi> are matrix elements: no QR completion,
+    # c = <A_c psi, phi> and d = <B_c psi, phi> are dot products: no QR completion,
     # in the checkers, in mp3 and mp6, or in the chain; only mp_frame completes one.
     rng = trial_rng(309, 0)
     cases = []
@@ -1462,14 +1462,13 @@ def test_stacked_states_pair_checks_and_constructions_are_the_one_trial_calls_by
                 assert [state.amplitudes.tobytes(), state.factor.tobytes(), state.digest] == [
                     one.amplitudes.tobytes(), one.factor.tobytes(), one.digest]
             # The pair checks: each trial's Gram slice, and the errors it raises; then the stacked
-            # reduction of the pairs, the moments in psi and c, d.
+            # reduction of the pairs from the moments in psi.
             grams = linalg._grams(rows)
             reduced = states._moments(a[:, None], b[:, None], rows[:, :1, :, None])
-            cds = list(zip(*relations._cross_elements(a, b, rows[:, 0, :, None], rows[:, 1, :, None])))
 
             def stacked_inputs(i, psi, phi, gram, tol):
                 return relations._mp_reduction(Observable(a[i]), Observable(b[i]), psi, phi, gram,
-                                               tuple(x[i, 0] for x in reduced), cds[i], tol)
+                                               tuple(x[i, 0] for x in reduced), tol)
 
             for i, gram in enumerate(grams):
                 psi, phi = stacked_states[2 * i: 2 * i + 2]
@@ -1489,7 +1488,7 @@ def test_stacked_states_pair_checks_and_constructions_are_the_one_trial_calls_by
             moments = [states._pair_moments(Observable(a[i]), Observable(b[i]), e1, tuple(x[i, 0] for x in reduced))
                        for i in range(t)]
             for tol in (Tolerance(), Tolerance(0.0)):
-                built = _constructions(targets, a, b, moments, reduced[2][:, 0], tol)
+                built = _constructions(targets, moments, reduced[2][:, 0], tol)
                 for i, pairs in enumerate(built):
                     publics = (construct_case1 if n == 2 else construct_case2, construct_w_mp6)
                     for result, construct in zip(pairs, publics):
