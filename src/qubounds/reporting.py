@@ -29,7 +29,7 @@ from .saturation import (_CONSTRUCTIONS, CONSTRUCTION_TOL, CertificateKind, Cons
                          _certificate, _constructions, _e1, _outcome)
 from .states import Observable, _moments, _pair_moments
 
-ARTIFACT_VERSION = "0.12.0"
+ARTIFACT_VERSION = "0.13.0"
 
 
 @dataclass(frozen=True)
@@ -229,7 +229,7 @@ def run_verification_suite(config: SampleConfig, tol: Tolerance) -> SuiteReport:
         reduced = _moments(a_stack, b_stack, columns)
         # Each trial's moments of each column: the stacked call's (means, Gram matrix, centred pair) slices.
         moments = [list(zip(*x)) for x in zip(*reduced)]
-        rho_moments = zip(*_moments(a_stack[:, 0], b_stack[:, 0], np.array([rho.factor for *_, rho, _ in chunk])))
+        rho_moments = zip(*_moments(a_stack[:, 0], b_stack[:, 0], np.array([rho._root for *_, rho, _ in chunk])))
         if n >= 2:
             pair_grams = _grams(rows[:, 1:])
             e1_moments = [_pair_moments(a, b, e1, x[2]) for (_, a, b, *_), x in zip(chunk, moments)]

@@ -119,11 +119,11 @@ def random_pure_state(n: int, seed) -> PureState:
 
 
 def _full_rank(state: DensityMatrix, rng: np.random.Generator, rank: int) -> DensityMatrix:
-    """``state`` if its support has ``rank`` directions, else one redraw of its factor from ``rng``."""
-    if state.weights.size != rank:
+    """``state`` if its support, the columns its moments read, has ``rank`` directions, else one redraw from ``rng``."""
+    if state._root.shape[1] != rank:
         state = DensityMatrix.from_factor(_complex_normal(rng, state.dimension, rank))
-        if state.weights.size != rank:
-            raise RankUnachieved(f"numerical rank {state.weights.size} != requested {rank}")
+        if state._root.shape[1] != rank:
+            raise RankUnachieved(f"numerical rank {state._root.shape[1]} != requested {rank}")
     return state
 
 
@@ -151,7 +151,7 @@ def _trial_chunks(config: SampleConfig):
     psis and Haar pairs ((T, 1, n) at n = 1), and each trial's (k, A, B, psi, rho, Haar pair or None).  Trial k
     draws from ``trial_rng(seed, k)`` in the public samplers' order (A, B, psi and rho's factor G, G's one redraw,
     the n x 2 Haar block); their bodies build the chunk as stacks, with their bytes: one Hermitian-part pass for
-    the As and one for the Bs, one ``eigh`` of the Gram matrices, one QR, one state pass for psis and pairs."""
+    the As and one for the Bs, one ``eigvalsh`` of the Gram matrices, one QR, one frozen copy of the psis and pairs."""
     n, rank = config.dimension, config.rank
     ends = list(itertools.accumulate((n * n, n * n, 2 * n, 2 * n * rank, 4 * n if n >= 2 else 0)))
     per_chunk = max(1, CHUNK_BYTES // (16 * n * n))
@@ -167,7 +167,7 @@ def _trial_chunks(config: SampleConfig):
         rhos = [_full_rank(rho, rng, rank) for rho, rng in zip(DensityMatrix._from_factors(factors), rngs)]
         for rng, row in zip(rngs, draws):
             rng.standard_normal(out=row[ends[3]:])
-        # One state pass: each trial's psi, then its Haar pair's two columns.
+        # One stack of unit rows, frozen once: each trial's psi, then its Haar pair's two columns.
         rows = np.empty((len(ks), 3 if n >= 2 else 1, n), dtype=complex)
         rows[:, 0] = _unit_rows(_complex_parts(draws[:, ends[1]: ends[2]], n))
         if n >= 2:

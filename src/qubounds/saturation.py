@@ -117,16 +117,17 @@ def _verify_r_family(m: PairMoments, coeff_a: complex, coeff_b: complex,
                      rs: tuple[float, ...], tol: Tolerance) -> tuple[float, ...]:
     """Residuals of coeff_a A_c rho^r + coeff_b B_c rho^r at each r >= 1/2 in ``rs``: norms of Y w^(r - 1/2).
 
-    Y = coeff_a A_c X + coeff_b B_c X is formed once; for its squared column norms c_j, residual^2 =
-    sum_j c_j w_j^(2r - 1) and ||w^r||^2 = sum_j w_j w_j^(2r - 1), one product for every r.  At r = 1/2
-    the residual is ||Y||_F, the certificate's ``residual`` (which, for one zero side, is that side's
-    deviation, equal up to rounding).  Each must stay within limit ||w^r||: the largest of the floor
-    ROUNDING_TOL max(|coeff_a| ||A||_F, |coeff_b| ||B||_F) and one share per side,
+    Y = coeff_a A_c X + coeff_b B_c X is formed once, over the square root X that the moments read; for the
+    squared norms c_j of its columns over the state's factor (:meth:`~qubounds.states.PairMoments._over_factor`),
+    residual^2 = sum_j c_j w_j^(2r - 1) and ||w^r||^2 = sum_j w_j w_j^(2r - 1), one product for every r.  At
+    r = 1/2 the residual is ||Y||_F over any square root, the certificate's ``residual`` (which, for one zero
+    side, is that side's deviation, equal up to rounding).  Each must stay within limit ||w^r||: the largest of
+    the floor ROUNDING_TOL max(|coeff_a| ||A||_F, |coeff_b| ||B||_F) and one share per side,
     none moved by an identity offset: |coeff| dev sqrt(10 eps), the flag's eps^2 scale in a 10x band, or,
     for a side that :func:`_zero_deviations` calls zero, |coeff| z / sqrt(w_max), with its zero budget
     z = max(eps spread, min(eps, ROUNDING_TOL) ||.||_F) and the largest weight w_max.  A zero side's share
-    raises on no valid input: for r >= 1/2 and the columns y_j of A_c X, ||(A_c X) w^(r - 1/2)||_F^2 =
-    sum_j ||y_j||^2 w_j^(2r - 1) <= w_max^(2r - 1) dev(A)^2 and w_max^r <= ||w^r||, so
+    raises on no valid input: for r >= 1/2 and the columns y_j of A_c X over the factor,
+    ||(A_c X) w^(r - 1/2)||_F^2 = sum_j ||y_j||^2 w_j^(2r - 1) <= w_max^(2r - 1) dev(A)^2 and w_max^r <= ||w^r||, so
     ||(A_c X) w^(r - 1/2)||_F <= dev(A) ||w^r|| / sqrt(w_max) <= z ||w^r|| / sqrt(w_max).
     """
     w, band, zero = m.state.weights, math.sqrt(10.0 * tol.eps), _zero_deviations(m, tol)
@@ -134,7 +135,8 @@ def _verify_r_family(m: PairMoments, coeff_a: complex, coeff_b: complex,
               for c, o, dev, z in zip((coeff_a, coeff_b), (m.a, m.b), (m.dev_a, m.dev_b), zero))
     limit = max(*shares, ROUNDING_TOL * max(abs(coeff_a) * m.a.norm, abs(coeff_b) * m.b.norm))
     y = coeff_a * m.centered_a + coeff_b * m.centered_b
-    columns = np.array([(y.real**2 + y.imag**2).sum(axis=0), w]).T  # (c_j, w_j), one row per j
+    turned = m._over_factor(y)
+    columns = np.array([(turned.real**2 + turned.imag**2).sum(axis=0), w]).T  # (c_j, w_j), one row per j
     roots = np.sqrt(w ** (2.0 * np.array(rs)[:, None] - 1.0) @ columns).tolist()
     residuals = tuple(_norm(y) if r == 0.5 else res for r, (res, _) in zip(rs, roots))
     for r, res, (_, norm_w) in zip(rs, residuals, roots):
@@ -415,8 +417,7 @@ def zero_product_characterization(observable_a, observable_b, state: QuantumStat
     m = pair_moments(observable_a, observable_b, state)
     zero = _zero_deviations(m, tol)
     # ||A_c rho||_F = ||(A_c X) w^(1/2)||_F.
-    res_a, res_b = (_norm(c * np.sqrt(m.state.weights))
-                    for c in (m.centered_a, m.centered_b))
+    res_a, res_b = (_norm(m._over_factor(c) * np.sqrt(m.state.weights)) for c in (m.centered_a, m.centered_b))
     return ZeroProductCheck(product_is_zero=any(zero), witness=_ZERO_WITNESSES[zero],
                             residual_a=res_a, residual_b=res_b)
 

@@ -114,36 +114,29 @@ class PureState(_ArrayEquality):
         a = _complex_array(self.amplitudes, "state vector")
         if a.size < 1 or a.size != max(a.shape, default=1):
             raise DimensionMismatch(f"state must be a nonempty vector, got shape {a.shape}")
-        with np.errstate(over="ignore"):  # a caller's norm may overflow, an InvalidInput; a stack's rows are unit
-            self._freeze(self._checked(a.reshape(1, -1))[0])
+        a = _frozen_array(a.reshape(-1))
+        with np.errstate(over="ignore"):  # a norm that overflows is an InvalidInput
+            norm = _norm(a)
+        if not math.isfinite(norm):  # a finite norm proves finite entries
+            as_complex_matrix(a[None], "state vector")
+        if abs(norm - 1.0) > INPUT_TOL:
+            raise InvalidInput(f"state vector norm {norm!r} is not 1 within {INPUT_TOL}")
+        self._freeze(a)
 
     def _freeze(self, amplitudes: np.ndarray) -> None:
         object.__setattr__(self, "amplitudes", amplitudes)
-        # Kept 2-D so that a pure state is the one-column case of every matrix path.
+        # Kept 2-D so that a pure state is the one-column case of every matrix path; it is also the moments' root.
         object.__setattr__(self, "factor", amplitudes.reshape(-1, 1))
+        object.__setattr__(self, "_root", self.factor)
         object.__setattr__(self, "weights", _UNIT_WEIGHT)
-
-    @staticmethod
-    def _checked(a: np.ndarray) -> np.ndarray:
-        """The state pass over the stack ``a`` (T, n): a frozen C-ordered copy, whose rows are the states'
-        amplitudes, once each row's norm is within ``INPUT_TOL`` of 1."""
-        a = np.array(a, dtype=complex, order="C")
-        a.setflags(write=False)
-        for row in a:
-            norm = _norm(row)
-            if not math.isfinite(norm):  # a finite norm proves finite entries
-                as_complex_matrix(row[None], "state vector")
-            if abs(norm - 1.0) > INPUT_TOL:
-                raise InvalidInput(f"state vector norm {norm!r} is not 1 within {INPUT_TOL}")
-        return a
 
     @classmethod
     def _stack(cls, a: np.ndarray) -> list:
-        """The state of each row of the stack ``a`` (T, n), from one pass (:meth:`_checked`)."""
-        states = []
-        for row in cls._checked(a):
-            states.append(object.__new__(cls))
-            states[-1]._freeze(row)
+        """The state of each row of the stack ``a`` (T, n) of unit rows that the library built (each over its own
+        norm, or e2): one frozen copy, with no state pass."""
+        states = [object.__new__(cls) for _ in range(len(a))]
+        for state, row in zip(states, _frozen_array(a)):
+            state._freeze(row)
         return states
 
     @functools.cached_property
@@ -161,9 +154,9 @@ class DensityMatrix(_ArrayEquality):
 
     Built from a matrix, it is checked where it enters: one eigendecomposition
     decides PSD-ness, and its support weights w_k give the factor
-    X = V_k w_k^(1/2) (see :func:`~qubounds.linalg._support`).  Built by
-    :meth:`from_factor`, it is PSD by construction, its support comes from a
-    k x k Gram matrix, and ``matrix`` is formed when first read.
+    X = V_k w_k^(1/2) (see :func:`~qubounds.linalg._support`) that its moments read.
+    Built by :meth:`from_factor`, it is PSD by construction, its support comes from
+    the eigenvalues of a k x k Gram matrix, and ``matrix`` is formed when first read.
     """
 
     matrix: np.ndarray
@@ -178,6 +171,7 @@ class DensityMatrix(_ArrayEquality):
         w, v = _support(*_psd_eig(m, "density matrix"))
         object.__setattr__(self, "matrix", _frozen_array(m))
         self._freeze(v * np.sqrt(w), w)
+        object.__setattr__(self, "_root", self.factor)
 
     def _freeze(self, factor: np.ndarray, weights: np.ndarray) -> None:
         """Set ``factor`` and ``weights`` from fresh arrays that no caller holds, frozen in place."""
@@ -187,13 +181,34 @@ class DensityMatrix(_ArrayEquality):
         object.__setattr__(self, "weights", weights)
 
     def __getattr__(self, name: str):
-        # Only a factor-built state's ``matrix`` is missing: formed from its prescaled G when first read.
-        if name != "matrix" or "_prescaled" not in vars(self):
+        # Only a factor-built state's arrays are missing: formed from its prescaled G when first read.
+        if name not in ("matrix", "factor", "weights", "_basis", "_root") or "_prescaled" not in vars(self):
             raise AttributeError(name)
+        if name != "matrix":
+            self._spectrum()
+            return vars(self)[name]
         rho = self._prescaled @ self._prescaled.conj().T
         rho = rho / np.trace(rho).real
         object.__setattr__(self, "matrix", _frozen_array((rho + rho.conj().T) / 2.0))
         return self.matrix
+
+    def _spectrum(self) -> None:
+        """Set a factor-built state's ``factor`` and ``weights`` (see :meth:`from_factor`) from one ``eigh`` of its Gram
+        matrix, and ``_basis``: where its moments read G/||G||_F (``_root``), over all k, and U with (G/||G||_F) U the
+        factor up to its columns' phases; else over the support alone, None, and the moments read that factor."""
+        x = self._prescaled
+        lam, u = _eigh_descending(x.conj().T @ x)
+        full = "_root" in vars(self)
+        if not full:
+            lam, u = _support(lam, u)
+        v = x @ u
+        v = v * v[np.abs(v).argmax(axis=0), np.arange(v.shape[1])].conj()
+        v = v / np.sqrt(np.add.reduce((v.conj() * v).real, axis=0))  # linalg.norm
+        w = lam / lam.sum()
+        self._freeze(v * np.sqrt(w), w)
+        object.__setattr__(self, "_basis", u if full else None)
+        if not full:
+            object.__setattr__(self, "_root", self.factor)
 
     @functools.cached_property
     def digest(self) -> str:
@@ -204,7 +219,7 @@ class DensityMatrix(_ArrayEquality):
 
     @property
     def dimension(self) -> int:
-        return self.factor.shape[0]
+        return self._root.shape[0]
 
     @classmethod
     def from_factor(cls, g) -> "DensityMatrix":
@@ -212,8 +227,10 @@ class DensityMatrix(_ArrayEquality):
 
         The support is that of the Gram matrix G^dagger G = U diag(lambda) U^dagger:
         its eigenvalues above ``INPUT_TOL * ||lambda||`` give the weights, normalised
-        to sum 1, and the columns G u_j, each rotated by the conjugate of its
-        largest entry and normalised, give V_k; a 1 x 1 state's factor is exactly 1.
+        to sum 1, and the columns G u_j, each rotated by the conjugate of its largest
+        entry and normalised, give V_k; a 1 x 1 state's factor is exactly 1.  The moments
+        read G/||G||_F where the cutoff keeps every eigenvalue, and else that factor; only
+        ``eigvalsh`` runs until the factor, the weights or such moments are first read.
         G is first scaled exactly, by the power of two that puts max |G_ij| (where that
         overflows, the largest part) in [0.5, 1), so 2^k G gives the same state bit for bit
         and nothing overflows.  The state keeps that prescaled G, frozen: ``digest`` hashes
@@ -223,7 +240,9 @@ class DensityMatrix(_ArrayEquality):
 
     @classmethod
     def _from_factors(cls, g: np.ndarray) -> list:
-        """:meth:`from_factor` of each factor of the stack ``g``: one ``eigh`` of the Gram matrices."""
+        """:meth:`from_factor` of each factor of the stack ``g``: one ``eigvalsh`` of the Gram matrices decides
+        every support, and a state's ``eigh`` runs only when its factor, weights or (where its support drops a
+        direction) moments are first read."""
         with np.errstate(over="ignore"):  # an overflowing modulus is replaced below
             peaks = np.abs(g).max(axis=(1, 2)).tolist()
         scales = []
@@ -237,23 +256,16 @@ class DensityMatrix(_ArrayEquality):
         scales = np.array(scales).reshape(-1, 2, 1, 1)
         prescaled = g * scales[:, 0] * scales[:, 1]
         prescaled.setflags(write=False)
-        lam, u = _eigh_descending(prescaled.conj().swapaxes(1, 2) @ prescaled)
-        # Descending, so _support keeps every eigenvalue where it keeps the last.
-        if not all(w[-1] > INPUT_TOL * _norm(w) for w in lam):
-            if len(g) > 1:  # each factor on its own support, as its own call
-                return [state for x in g for state in cls._from_factors(x[None])]
-            lam, u = (a[None] for a in _support(lam[0], u[0]))
-        v = prescaled @ u
-        fixed, columns = np.empty_like(v), np.arange(v.shape[2])
-        # One call per factor: how NumPy broadcasts a row of phases sets the rounding of the product.
-        for x, rows, out in zip(v, np.abs(v).argmax(axis=1), fixed):
-            np.multiply(x, x[rows, columns].conj(), out=out)
-        v = fixed / np.sqrt(np.add.reduce((fixed.conj() * fixed).real, axis=1, keepdims=True))  # linalg.norm
-        w = lam / lam.sum(axis=1, keepdims=True)
+        gram = prescaled.conj().swapaxes(1, 2) @ prescaled
+        # A 1 x 1 Gram matrix is its own eigenvalue.
+        lam = gram.real[..., 0] if gram.shape[1] == 1 else np.linalg.eigvalsh(gram)
+        roots = prescaled / np.sqrt(np.trace(gram, axis1=1, axis2=2).real)[:, None, None]
+        roots.setflags(write=False)
         states = [object.__new__(cls) for _ in range(len(g))]
-        for state, x, factor, weights in zip(states, prescaled, v * np.sqrt(w)[:, None], w):
+        for state, x, root, w in zip(states, prescaled, roots, lam):
             object.__setattr__(state, "_prescaled", x)
-            state._freeze(factor, weights)
+            if w[0] > INPUT_TOL * _norm(w):  # ascending, so the cutoff keeps every eigenvalue where it keeps the first
+                object.__setattr__(state, "_root", root)
         return states
 
     @classmethod
@@ -287,11 +299,11 @@ def _observable_pair(observable_a, observable_b) -> tuple[Observable, Observable
 class PairMoments(_ArrayEquality):
     """Centered second moments of two observables in one state: the one reduction.
 
-    ``centered_a`` is A_c X for the state's factor X (rho = X X^dagger): an
-    n x k matrix over the k support directions, n x 1 (A_c psi) for a pure
-    state; likewise ``centered_b``.  ``dev_a`` is its Frobenius norm, and
-    ||A_c rho^r||_F = ||A_c X w^(r - 1/2)||_F for the support weights w.
-    ``cross`` is the Frobenius inner product <A_c X, B_c X>; its imaginary
+    ``centered_a`` is A_c X for the state's square root X (rho = X X^dagger)
+    that the moments read: an n x k matrix, n x 1 (A_c psi) for a pure state;
+    likewise ``centered_b``.  ``dev_a`` is its Frobenius norm, and over the
+    state's ``factor`` (:meth:`_over_factor`), ||A_c rho^r||_F = ||A_c X w^(r - 1/2)||_F
+    for the support weights w.  ``cross`` is the Frobenius inner product <A_c X, B_c X>; its imaginary
     part is half the commutator expectation, its real part the centered
     anticommutator half-sum.  ``a``, ``b`` and ``state`` are the validated
     inputs the moments were taken from, so a bound or checker body needs
@@ -312,6 +324,12 @@ class PairMoments(_ArrayEquality):
     @property
     def commutator_expectation(self) -> complex:
         return self.cross - self.cross.conjugate()
+
+    def _over_factor(self, y: np.ndarray) -> np.ndarray:
+        """Columns ``y`` over the square root X that the moments read, such as A_c X, turned over the state's
+        ``factor``, whose orthogonal columns pair with its ``weights``: y U for its ``_basis`` U, where it has one."""
+        basis = getattr(self.state, "_basis", None)
+        return y if basis is None else y @ basis
 
 
 def _moments(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -353,7 +371,7 @@ def _reduction(a: Observable, b: Observable, state: QuantumState) -> PairMoments
     slot = vars(state).get("_reduced")
     if slot is not None and slot[0] is a and slot[1] is b:
         return _pair_moments(a, b, state, slot[2])
-    moments = _moments(a.matrix, b.matrix, state.factor)
+    moments = _moments(a.matrix, b.matrix, state._root)
     moments[2].setflags(write=False)
     m = _pair_moments(a, b, state, moments)
     object.__setattr__(state, "_reduced", (a, b, moments))

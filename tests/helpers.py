@@ -188,7 +188,10 @@ def per_power_r_family(m, coeff_a: complex, coeff_b: complex, rs: tuple[float, .
     residuals = []
     for r in rs:
         power = m.state.weights ** (r - 0.5)
-        res = float(np.linalg.norm(coeff_a * (m.centered_a * power) + coeff_b * (m.centered_b * power)))
+        # The weights pair with the columns over the factor; at r = 1/2 the power is 1, and any square root of
+        # rho serves, so the moments' own centred pair is read.
+        centred_a, centred_b = (c if r == 0.5 else m._over_factor(c) for c in (m.centered_a, m.centered_b))
+        res = float(np.linalg.norm(coeff_a * (centred_a * power) + coeff_b * (centred_b * power)))
         budget = limit * float(np.linalg.norm(m.state.weights ** r))
         if res > budget:
             raise RIndependenceViolation(f"witness residual {res:.3e} at r={r} exceeds {budget:.3e}")

@@ -435,13 +435,14 @@ class _DrawSizes:
 
 def _trial_calls(monkeypatch, config, tol=Tolerance(), failures=0):
     """Run ``config``'s sweep at ``tol``, with ``failures`` failures, counting the
-    calls each library entry makes, the shapes of its ``eigh`` and ``qr`` operands,
+    calls each library entry makes, the shapes of its ``eigh``, ``eigvalsh`` and ``qr`` operands,
     the size of each of its normal draws, the states its factor body built, and
     every rho those states formed."""
     targets = {
         "require_hermitian": linalg.require_hermitian,
         "_moments": states._moments,
         "eigh": np.linalg.eigh,
+        "eigvalsh": np.linalg.eigvalsh,
         "qr": np.linalg.qr,
         "svd": np.linalg.svd,
         "_require_isometry": linalg._require_isometry,
@@ -452,7 +453,7 @@ def _trial_calls(monkeypatch, config, tol=Tolerance(), failures=0):
         "_digest": relations._digest,
     }
     counts = dict.fromkeys([*targets, "BoundReport"], 0)
-    shapes = {"eigh": [], "qr": [], "draws": []}
+    shapes = {"eigh": [], "eigvalsh": [], "qr": [], "draws": []}
     init = relations.BoundReport.__init__
     monkeypatch.setattr(relations.BoundReport, "__init__",
                         lambda self, *args, **kwargs: counts.update(BoundReport=counts["BoundReport"] + 1)
@@ -486,14 +487,14 @@ def _trial_calls(monkeypatch, config, tol=Tolerance(), failures=0):
 
 
 def test_verify_trial_validates_once_and_reduces_once(monkeypatch):
-    # A, B and rho are validated where they enter, rho is diagonalised once,
+    # A, B and rho are validated where they enter, rho's Gram eigenvalues are taken once, with no eigenvector,
     # only the inputs of a recorded report are hashed, each once, and the sweep
     # reduces each of its four (A, B, state) triples once, in two calls of the moments body.
     counts, shapes = _trial_calls(monkeypatch, SampleConfig(4, 4, 7, 1))
     # A and B are Hermitian by construction, and the constructions reduce
     # (A, B, e1) from the validated pair.
     assert counts["require_hermitian"] == 0
-    assert counts["eigh"] == 1
+    assert (counts["eigh"], counts["eigvalsh"]) == (0, 1)
     # One call for the n x 1 states (psi, the Maccone-Pati psi and e1, once for both
     # constructions) and one for rho's factor.
     assert counts["_moments"] == 2
@@ -514,12 +515,12 @@ def test_verify_trial_validates_once_and_reduces_once(monkeypatch):
 
 
 def test_verify_stacks_a_chunks_eigh_and_qr(monkeypatch):
-    # Four trials form one chunk: their Gram matrices share one eigh, their
+    # Four trials form one chunk: their Gram matrices share one eigvalsh (and no eigh runs), their
     # Haar blocks one QR and their triples the two moments calls of one trial,
     # while each trial still hashes its own inputs, and no report digest runs.
     counts, shapes = _trial_calls(monkeypatch, SampleConfig(4, 4, 7, 4))
-    assert (counts["eigh"], counts["qr"]) == (1, 1)
-    assert (shapes["eigh"], shapes["qr"]) == ([(4, 4, 4)], [(4, 4, 2)])
+    assert (counts["eigh"], counts["eigvalsh"], counts["qr"]) == (0, 1, 1)
+    assert (shapes["eigvalsh"], shapes["qr"]) == ([(4, 4, 4)], [(4, 4, 2)])
     assert (counts["_moments"], counts["_array_digest"], counts["_digest"], counts["BoundReport"]) == (2, 24, 0, 0)
     assert (shapes["built"], shapes["rho"]) == (4, [])
 
@@ -548,10 +549,10 @@ def test_a_trials_pair_checks_run_once_when_they_fail(monkeypatch):
 
 
 def test_verify_trial_draws_and_factors_only_what_it_reads(monkeypatch):
-    # rho comes from its n x rank factor, so its only eigendecomposition is of the
-    # rank x rank Gram matrix; psi and the pair are n x 1 and n x 2 draws.
+    # rho comes from its n x rank factor, so its only eigenvalues are of the
+    # rank x rank Gram matrix, with no eigenvector; psi and the pair are n x 1 and n x 2 draws.
     counts, shapes = _trial_calls(monkeypatch, SampleConfig(16, 2, 7, 1))
-    assert shapes["eigh"] == [(1, 2, 2)]
+    assert (shapes["eigh"], shapes["eigvalsh"]) == ([], [(1, 2, 2)])
     # A and B are n^2 real draws, psi and rho's factor complex n x 1 and n x 2,
     # then the pair's n x 2; and the one state built forms no n x n rho.
     assert shapes["draws"] == [16 * 16 * 2 + 2 * 16 + 2 * 16 * 2, 2 * 16 * 2]

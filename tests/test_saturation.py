@@ -1362,7 +1362,8 @@ def test_the_zero_side_recheck_raises_where_the_zero_side_outgrows_its_deviation
     inflated = np.zeros_like(m.centered_a)
     inflated[:, np.argmax(m.state.weights)] = (z * (1 / math.sqrt(w[0]) + math.sqrt(1 + (w[1] / w[0]) ** 6)) / 2
                                                * column / np.linalg.norm(column))
-    bad = dataclasses.replace(m, centered_a=inflated)
+    # The inflated column is over rho's factor; the moments read G/||G||_F, which _basis turns into the factor.
+    bad = dataclasses.replace(m, centered_a=inflated @ rho._basis.conj().T)
     _verify_r_family(bad, 1.0, 0.0, (0.5,), tol)
     with pytest.raises(RIndependenceViolation):
         _verify_r_family(bad, 1.0, 0.0, DEFAULT_R_LIST, tol)
@@ -1578,3 +1579,101 @@ def test_a_saturated_mixed_certificate_forms_and_norms_its_witness_once(monkeypa
         _CountedProducts.products = 0
         cert = saturation._certificate(kind, counted, Tolerance())
         assert (_CountedProducts.products, norms) == (1, [cert.residual]), kind
+
+
+def test_every_row_the_library_freezes_as_states_is_unit(monkeypatch):
+    # PureState._stack takes no state pass, as each of its producers divides its rows by their norms: psi
+    # (_unit_rows), the Haar pair (QR columns times unit phases), and a construction's phi (its tail over the
+    # tail's norm, phased or not, or e2 where degenerate).  Every row handed to it is unit within INPUT_TOL, so
+    # a producer that stops normalising fails here.
+    handed, stack = [], states.PureState._stack.__func__
+    monkeypatch.setattr(states.PureState, "_stack",
+                        classmethod(lambda cls, a: handed.append(np.array(a)) or stack(cls, a)))
+    for seed in (7, 1009):
+        for n in (1, 2, 3, 8, 64):
+            run_verification_suite(SampleConfig(n, min(n, 3), seed, 2 if n == 64 else 5), Tolerance())
+            random_pure_state(n, seed)
+    # A degenerate case-2 construction (e1 a common eigenvector: phi = e2), and a case-2 phi whose phase was fixed:
+    # its element <e1|A - mu B|phi> is real and positive, which the unphased tail's is not.
+    assert construct_case2(np.diag([1.0, 2.0, 3.0]), np.diag([3.0, 1.0, 2.0])).degenerate
+    rng = trial_rng(382, 0)
+    a, b = random_hermitian(3, rng), random_hermitian(3, rng)
+    pair = construct_case2(a, b)
+    element = ((a.matrix - pair.mu * b.matrix) @ pair.phi.amplitudes)[0]
+    assert not pair.degenerate and element.real > 0.0 and abs(element.imag) <= 1e-15 * element.real
+    rows = np.concatenate([x.reshape(-1, x.shape[-1]) for x in handed if x.shape[-1] == 3])
+    assert any(np.array_equal(row, [0.0, 1.0, 0.0]) for row in rows)
+    assert np.isin(rows, pair.phi.amplitudes).all(axis=1).any()
+    norms = np.array([np.linalg.norm(row) for x in handed for row in x])
+    assert norms.size > 150 and np.abs(norms - 1.0).max() <= linalg.INPUT_TOL
+
+
+def test_a_phase_below_the_tie_floor_is_left_unfixed():
+    # Case 2 at n = 3 with dyadic first-column tails u = (1, 0) and v = (0, 1 + 2^-e): mu = i (a tie), the tail is
+    # u - i v and the row conj(u + i v), whose entry with the unit tail is -(2^(1-e) + 2^-2e) / ||tail||, real
+    # and negative.  At e = 50 it is nonzero but below TIE_TOL ||row||, so phi is the unit tail as it is; at
+    # e = 40 it is above, and phi is turned by -1 so that the entry is real nonnegative.
+    for e, fixed in ((50, False), (40, True)):
+        a = np.zeros((3, 3))
+        a[0, 1] = a[1, 0] = 1.0
+        b = np.zeros((3, 3))
+        b[0, 2] = b[2, 0] = 1.0 + 2.0 ** -e
+        u, v = a[1:, 0], b[1:, 0]
+        tail, row = u - 1j * v, np.conj(u + 1j * v)
+        direction = tail / np.linalg.norm(tail)
+        entry = row @ direction
+        assert entry.real < 0.0 and (abs(entry) > linalg.TIE_TOL * np.linalg.norm(row)) == fixed
+        pair = construct_case2(a, b)
+        assert pair.mu == 1j and not pair.degenerate and pair.phi.amplitudes[0] == 0.0
+        if fixed:
+            np.testing.assert_allclose(pair.phi.amplitudes[1:], -direction, rtol=0, atol=1e-15)
+            assert (row @ pair.phi.amplitudes[1:]).real > 0.0
+        else:
+            np.testing.assert_array_equal(pair.phi.amplitudes[1:], direction)
+
+
+def test_both_factor_paths_keep_their_factor_and_weights_and_the_matrix_states_values():
+    # A factor G whose Gram eigenvalues all clear the cutoff is read through G/||G||_F, with no eigenvector until
+    # its factor or weights is read; one with a dependent column reads its support factor, of weights.size its
+    # rank.  On both, factor factor^dagger is rho, the factor's columns are orthogonal with squared norms the
+    # weights, and the bounds, the zero-product residuals and the power re-check at random coefficients (a loose
+    # tolerance keeps the budget out) are the matrix-built state's, to rounding.
+    rng, loose = trial_rng(383, 0), Tolerance(100.0)
+    for n, k in ((1, 1), (2, 1), (3, 2), (4, 4), (8, 3)):
+        g = complex_normal(rng, n, k) @ haar_unitary(k, rng)
+        dependent = np.column_stack([g, g[:, :1] * (0.5 - 2.0j)])
+        a, b = random_hermitian(n, rng), random_hermitian(n, rng)
+        coeffs = complex_normal(rng, 2, 1)[:, 0]
+        for factor_g, full in ((g, True), (dependent, False)):
+            state = DensityMatrix.from_factor(factor_g)
+            if full:
+                assert not {"factor", "weights", "_basis"} & set(vars(state))
+                np.testing.assert_allclose(state._root, g / np.linalg.norm(g), rtol=0, atol=1e-15)
+            else:
+                assert state._root is state.factor and state._basis is None
+            assert state.weights.size == k and abs(state.weights.sum() - 1.0) <= 1e-15
+            x = state.factor
+            np.testing.assert_allclose(x @ x.conj().T, state.matrix, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(x.conj().T @ x, np.diag(state.weights), rtol=0, atol=1e-15)
+            checked = DensityMatrix(state.matrix)
+            for bound in (robertson, schrodinger):
+                got, want = bound(a, b, state), bound(a, b, checked)
+                np.testing.assert_allclose([got.lhs, got.rhs], [want.lhs, want.rhs], rtol=1e-12, atol=1e-15)
+            got, want = (zero_product_characterization(a, b, s) for s in (state, checked))
+            np.testing.assert_allclose([got.residual_a, got.residual_b], [want.residual_a, want.residual_b],
+                                       rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(_verify_r_family(pair_moments(a, b, state), *coeffs, DEFAULT_R_LIST, loose),
+                                       _verify_r_family(pair_moments(a, b, checked), *coeffs, DEFAULT_R_LIST, loose),
+                                       rtol=1e-12, atol=1e-15)
+    # A saturated mixed certificate on a factor-built state, its columns mixed by a unitary, re-verifies every
+    # power and is the matrix-built certificate, to rounding (a phase other than pi/2 saturates Schrodinger only).
+    for n, k, phase in ((4, 2, math.pi / 2), (4, 2, 1.0), (8, 3, 1.0)):
+        a, b, rho = plant_saturating_mixed(n, k, 0.7, phase, rng)
+        state = DensityMatrix.from_factor(rho.factor @ haar_unitary(k, rng))
+        assert state._basis is not None
+        for check in (robertson_saturation_mixed, schrodinger_saturation)[phase != math.pi / 2:]:
+            got, want = check(a, b, state), check(a, b, rho)
+            assert got is not None and want is not None and got.r_checked == DEFAULT_R_LIST
+            assert got.theta == pytest.approx(want.theta, abs=1e-12)
+            assert got.phi == pytest.approx(want.phi, abs=1e-12)
+            np.testing.assert_allclose(got.r_residuals, want.r_residuals, rtol=0, atol=1e-13)

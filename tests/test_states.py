@@ -435,7 +435,7 @@ def test_stacked_factors_are_the_one_factor_states():
             for state, g in zip(DensityMatrix._from_factors(factors), factors):
                 one = DensityMatrix.from_factor(g)
                 assert state.digest == one.digest and state.weights.size == one.weights.size
-                for name in ("factor", "weights", "matrix"):
+                for name in ("_root", "factor", "weights", "matrix"):
                     assert getattr(state, name).tobytes() == getattr(one, name).tobytes()
 
 
@@ -443,7 +443,7 @@ def test_from_factor_is_the_same_state_at_every_power_of_two():
     # G is scaled exactly by a power of two before rho is formed, so 2^k G gives
     # the same state bit for bit, and no scale overflows or underflows.
     rng = trial_rng(341, 0)
-    fields = ("matrix", "factor", "weights")
+    fields = ("matrix", "_root", "factor", "weights")
     for n, k in ((1, 1), (3, 1), (4, 2), (8, 3)):
         g = complex_normal(rng, n, k)
         state = DensityMatrix.from_factor(g)
@@ -614,7 +614,7 @@ def test_a_states_slot_returns_its_last_reduction_for_the_same_observables_only(
         calls.clear()
         m = pair_moments(a, b, state)
         hit = pair_moments(a, b, state)
-        one = states._pair_moments(a, b, state, real(a.matrix, b.matrix, state.factor))
+        one = states._pair_moments(a, b, state, real(a.matrix, b.matrix, state._root))
         assert _moment_bytes(hit) == _moment_bytes(m) == _moment_bytes(one) and len(calls) == 1
         assert not (hit.centered_a.flags.writeable or hit.centered_b.flags.writeable)
         again = pair_moments(Observable(a.matrix), b, state)
