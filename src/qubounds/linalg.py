@@ -135,9 +135,6 @@ class _ArrayEquality:
 
 def _eigh_descending(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(w, v) of each Hermitian slice of ``a``: eigenvalues descending, with matching unitary eigenvector columns."""
-    if a.shape[-2:] == (1, 1):
-        # Its own eigendecomposition: what eigh returns, without the call.
-        return a.real[..., 0].copy(), np.ones(a.shape, dtype=complex)
     w, vecs = np.linalg.eigh((a + a.conj().swapaxes(-1, -2)) / 2.0)
     return w[..., ::-1].copy(), vecs[..., ::-1].copy()
 

@@ -213,13 +213,6 @@ def choose_mu(observable_a, observable_b, psi: PureState, tol: Tolerance = DEFAU
     return _moments_mu(pair_moments(observable_a, observable_b, psi), tol)
 
 
-def _require_dimensions(a: Observable, psi: PureState, phi: PureState) -> None:
-    if not a.dimension == psi.dimension == phi.dimension:
-        raise DimensionMismatch(
-            f"dimensions differ: {a.dimension} vs {psi.dimension} and {phi.dimension}"
-        )
-
-
 def _unit_mu(mu: complex, tol: Tolerance) -> complex:
     mu = complex(mu)
     # Written so that a NaN modulus fails the test too.
@@ -263,10 +256,15 @@ def _mp_reduction(a: Observable, b: Observable, psi: PureState, phi: PureState, 
 
 
 def _mp_inputs(observable_a, observable_b, psi: PureState, phi: PureState, tol: Tolerance) -> _MPInputs:
-    """Validate (A, B, psi, phi) once, check the dimensions, and reduce it (:func:`_mp_reduction`) from the
-    pair's one Gram product and the moments in psi, through psi's slot."""
+    """The one door of every Maccone-Pati entry: validate (A, B, psi, phi) once, check the state types (the
+    TypeError of :func:`~qubounds.states.pair_moments`) and the dimensions, and reduce it (:func:`_mp_reduction`)
+    from the pair's one Gram product and the moments in psi, through psi's slot."""
     a, b = _observable_pair(observable_a, observable_b)
-    _require_dimensions(a, psi, phi)
+    for state in (psi, phi):
+        if not isinstance(state, PureState):
+            raise TypeError(f"unsupported state type {type(state)!r}")
+    if not a.dimension == psi.dimension == phi.dimension:
+        raise DimensionMismatch(f"dimensions differ: {a.dimension} vs {psi.dimension} and {phi.dimension}")
     return _mp_reduction(a, b, psi, phi, _grams(np.array(((psi.amplitudes, phi.amplitudes),)))[0], None, tol)
 
 
@@ -323,14 +321,13 @@ def _mp_chain_decisions(p: _MPInputs, mu: complex, tol: Tolerance) -> tuple[_Dec
 def mu_ratio(observable_a, observable_b, psi: PureState, phi: PureState) -> complex:
     """<psi|A|phi> / <psi|B|phi>: the mu that aligns the chain's last step.
 
-    Read as c / d from psi's moments (:func:`_mp_pair`), blind to an identity offset.  |d| <= dev(B) <= spread(B),
+    Read as c / d, blind to an identity offset, through the door of :func:`mp3` (:func:`_mp_inputs` at the
+    default tolerance), so its type, dimension, overlap, Gram and mean checks run first.  |d| <= dev(B) <= spread(B),
     so the denominator is zero when a deviation of B would be (:func:`_zero_deviation` at the default
     tolerance): beside spread(B), or within the rounding floor of ||B||_F.
     """
-    a, b = _observable_pair(observable_a, observable_b)
-    _require_dimensions(a, psi, phi)
-    p = _mp_pair(_reduction(a, b, psi), phi)
-    if _zero_deviation(abs(p.d), b, DEFAULT_TOL):
+    p = _mp_inputs(observable_a, observable_b, psi, phi, DEFAULT_TOL)
+    if _zero_deviation(abs(p.d), p.moments.b, DEFAULT_TOL):
         raise ZeroDeviation("denominator matrix element <psi|B|phi> vanishes")
     return p.c / p.d
 

@@ -445,9 +445,9 @@ def qubit_commutation_witness(observable_a, observable_b, state: QuantumState,
     normal to n.  As a_par x b_par = 0, |a x b| <= |a| |b_perp| + |a_perp| |b| + |a_perp| |b_perp|:
     ||[A, B]||_F <= 2 (spread(A) dev(B) + spread(B) dev(A)) + 2 sqrt(2) dev(A) dev(B).
     """
-    if state.dimension != 2:
-        raise DimensionMismatch(f"qubit check requires dimension 2, got {state.dimension}")
     m = pair_moments(observable_a, observable_b, state)
+    if m.a.dimension != 2:
+        raise DimensionMismatch(f"qubit check requires dimension 2, got {m.a.dimension}")
     if not all(_zero_deviations(m, tol)):
         return None
     a, b = m.a.matrix, m.b.matrix

@@ -228,7 +228,7 @@ class DensityMatrix(_ArrayEquality):
         The support is that of the Gram matrix G^dagger G = U diag(lambda) U^dagger:
         its eigenvalues above ``INPUT_TOL * ||lambda||`` give the weights, normalised
         to sum 1, and the columns G u_j, each rotated by the conjugate of its largest
-        entry and normalised, give V_k; a 1 x 1 state's factor is exactly 1.  The moments
+        entry and normalised, give V_k; a 1 x 1 state's factor is 1 up to rounding.  The moments
         read G/||G||_F where the cutoff keeps every eigenvalue, and else that factor; only
         ``eigvalsh`` runs until the factor, the weights or such moments are first read.
         G is first scaled exactly, by the power of two that puts max |G_ij| (where that
@@ -257,8 +257,7 @@ class DensityMatrix(_ArrayEquality):
         prescaled = g * scales[:, 0] * scales[:, 1]
         prescaled.setflags(write=False)
         gram = prescaled.conj().swapaxes(1, 2) @ prescaled
-        # A 1 x 1 Gram matrix is its own eigenvalue.
-        lam = gram.real[..., 0] if gram.shape[1] == 1 else np.linalg.eigvalsh(gram)
+        lam = np.linalg.eigvalsh(gram)
         roots = prescaled / np.sqrt(np.trace(gram, axis1=1, axis2=2).real)[:, None, None]
         roots.setflags(write=False)
         states = [object.__new__(cls) for _ in range(len(g))]

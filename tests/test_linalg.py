@@ -20,7 +20,7 @@ from qubounds import (
     psd_power,
     unitary_completion,
 )
-from qubounds.linalg import (_least_direction, _norm, _require_isometry, as_complex_matrix,
+from qubounds.linalg import (_eigh_descending, _least_direction, _norm, _require_isometry, as_complex_matrix,
                              complex_dependence_detail, phase_dependence_detail, require_hermitian)
 from helpers import (SIGMA_X, SIGMA_Y, complex_normal, hermitian_array, svd_complex_dependence_detail,
                      svd_phase_dependence_detail)
@@ -92,6 +92,37 @@ def test_hermitian_eig_rejects_bad_input():
         hermitian_eig(np.zeros((2, 3)))
     with pytest.raises(ValueError):
         hermitian_eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+def test_a_one_by_one_hermitian_stack_is_its_own_eigendecomposition_bit_for_bit():
+    # _eigh_descending and the eigvalsh of DensityMatrix._from_factors call LAPACK on 1 x 1 slices too, with no
+    # branch of their own: both rest on eigh giving (Re a, [[1]]) and eigvalsh giving Re a, bit for bit.  The
+    # diagonals carry an imaginary residue (as a BLAS Gram product leaves), signed zeros, subnormal values and
+    # values near overflow (up to max / 2 where _eigh_descending's symmetrisation doubles the entry).  That
+    # symmetrisation divides by 2 in complex arithmetic, which turns -0 into +0, as on every diagonal for n > 1.
+    rng = np.random.default_rng(1)
+    huge = np.finfo(float).max
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, np.finfo(float).tiny, 1.0, -0.75, 1e154, huge / 2,
+                        -huge / 2])
+    checked = negative_zeros = 0
+    for t in range(36):
+        size = 1 + t % 6
+        re = np.where(rng.random(size) < 0.5, rng.choice(special, size), rng.standard_normal(size) * 2.0 ** t)
+        im = rng.choice(np.concatenate((special, rng.standard_normal(3) * 1e-17)), size)
+        a = np.empty((size, 1, 1), dtype=complex)
+        a.real.flat, a.imag.flat = re, im  # a sum with 1j * im could drop the sign of a zero
+        ones = np.ones((size, 1, 1), dtype=complex).tobytes()
+        w, v = np.linalg.eigh(a)
+        assert (w.tobytes(), v.tobytes()) == (a.real[..., 0].tobytes(), ones)
+        assert np.linalg.eigvalsh(a).tobytes() == a.real[..., 0].tobytes()
+        w, v = _eigh_descending(a)
+        assert (w.tobytes(), v.tobytes()) == ((a.real[..., 0] + 0.0).tobytes(), ones)
+        checked += size
+        negative_zeros += int(np.signbit(a.real[np.where(a.real == 0.0)]).sum())
+    assert checked > 100 and negative_zeros > 0
+    edge = np.empty((3, 1, 1), dtype=complex)
+    edge.real.flat, edge.imag.flat = (huge, -huge, -0.0), (-huge, 1e-17, -0.0)
+    assert np.linalg.eigvalsh(edge).tobytes() == edge.real[..., 0].tobytes()
 
 
 def test_psd_power_diagonal_square_root():

@@ -20,11 +20,15 @@ from qubounds import (
     construct_case2,
     haar_unitary,
     mp3,
+    mp3_saturation,
     mp6,
+    mp6_saturation,
     mp_chain,
     mp_chain_saturation,
     mp_frame,
     mu_ratio,
+    pair_moments,
+    qubit_commutation_witness,
     random_density,
     random_hermitian,
     random_pure_state,
@@ -536,3 +540,135 @@ def test_a_sum_bound_with_one_zero_deviation_is_decided_by_its_slack():
     psi, phi = (PureState(np.eye(3)[j]) for j in (0, 1))
     assert not mp3(a, b, psi, phi).report.saturated
     assert [step.saturated for step in mp_chain(a, b, psi, phi, 1j).steps[:2]] == [False, False]
+
+
+# Each Maccone-Pati entry as a call on (psi, phi), with the qubit pair (sigma_x, sigma_y) and mu = i where one is taken.
+MP_ENTRIES = {
+    "mp3": lambda psi, phi: mp3(SIGMA_X, SIGMA_Y, psi, phi),
+    "mp6": lambda psi, phi: mp6(SIGMA_X, SIGMA_Y, psi, phi),
+    "mp_chain": lambda psi, phi: mp_chain(SIGMA_X, SIGMA_Y, psi, phi, 1j),
+    "mp_frame": lambda psi, phi: mp_frame(SIGMA_X, SIGMA_Y, psi, phi),
+    "mu_ratio": lambda psi, phi: mu_ratio(SIGMA_X, SIGMA_Y, psi, phi),
+    "mp3_saturation": lambda psi, phi: mp3_saturation(SIGMA_X, SIGMA_Y, psi, phi, 1j),
+    "mp6_saturation": lambda psi, phi: mp6_saturation(SIGMA_X, SIGMA_Y, psi, phi, 1j),
+    "mp_chain_saturation": lambda psi, phi: mp_chain_saturation(SIGMA_X, SIGMA_Y, psi, phi, 1j),
+}
+NOT_PURE = {"density-matrix": DensityMatrix(np.eye(2) / 2), "list": [1.0, 0.0], "str": "10"}
+# Each entry with states of the wrong kind: the Maccone-Pati entries at psi and at phi, and
+# qubit_commutation_witness, which takes a DensityMatrix, at its state.
+WRONG_KIND = {f"{name}-{kind}-{slot}": (entry, (bad, KET1) if slot == "psi" else (KET0, bad))
+              for name, entry in MP_ENTRIES.items() for kind, bad in NOT_PURE.items() for slot in ("psi", "phi")}
+WRONG_KIND.update({f"qubit_commutation_witness-{kind}":
+                   (lambda state: qubit_commutation_witness(SIGMA_X, SIGMA_Y, state), (NOT_PURE[kind],))
+                   for kind in ("list", "str")})
+
+
+@pytest.mark.parametrize("entry, args", WRONG_KIND.values(), ids=WRONG_KIND)
+def test_a_state_of_the_wrong_kind_is_a_type_error(entry, args):
+    # psi and phi enter every Maccone-Pati entry through one door, which takes only PureStates and raises the
+    # TypeError of pair_moments for anything else; qubit_commutation_witness reads the dimension only after
+    # pair_moments has checked the state.  An AttributeError or NumPy's reshape ValueError escaped before.
+    with pytest.raises(TypeError, match="unsupported state type") as info:
+        entry(*args)
+    assert type(info.value) is TypeError
+
+
+def test_mu_ratio_runs_the_checks_of_mp3():
+    # mu_ratio reads c / d through the door of mp3, so it raises what mp3 raises for the same inputs.  On the
+    # first pair, phi = (e1 + e2) / sqrt(2) leans on psi = e1: c / d from the centred pair would read -0.5i, where
+    # <psi|A|phi> / <psi|B|phi> = -1.5i.  The third phi has an overlap of 9e-10 with psi, within the default pair
+    # budget 1e-9, and a Gram deviation of about sqrt(2) 9e-10, beyond it.
+    a = np.array([[1.0, 0.5, 0.0], [0.5, 2.0, 0.0], [0.0, 0.0, 5.0]])
+    b = np.array([[0.0, 1j, 0.0], [-1j, 0.0, 1.0], [0.0, 1.0, 3.0]])
+    e = np.eye(3)
+    psi = PureState(e[0])
+    cases = (((e[0] + e[1]) / math.sqrt(2), NotOrthogonal), (np.eye(2)[1], DimensionMismatch),
+             (np.array([9e-10, math.sqrt(1.0 - 8.1e-19), 0.0]), NotOrthonormal))
+    for amplitudes, error in cases:
+        phi = PureState(amplitudes)
+        for entry in (mp3, mu_ratio):
+            with pytest.raises(error) as info:
+                entry(a, b, psi, phi)
+            assert type(info.value) is error
+    assert mu_ratio(a, b, psi, PureState(e[1])) == pytest.approx(0.5 / 1j, rel=1e-15)
+
+
+def test_the_mu_tie_sits_at_eps_times_twice_the_deviations():
+    # In rho = diag(p, 1 - p), dev(sigma_x) = dev(sigma_y) = 1 and <[sigma_x, sigma_y]> = 2i (2p - 1), so the
+    # tie's ratio |<[A, B]>| / (2 dev(A) dev(B)) is the dyadic 2p - 1.  At eps = 1/16, 1/32 ties (mu = i) and
+    # 3/32 and 5/32 do not (mu = -i, as the commutator's imaginary part is positive).  A budget twice as wide
+    # would tie 3/32 as well.
+    tol = Tolerance(2.0 ** -4)
+    for ratio, tie in ((1 / 32, True), (3 / 32, False), (5 / 32, False)):
+        p = 0.5 + ratio / 2
+        choice = choose_mu(SIGMA_X, SIGMA_Y, DensityMatrix(np.diag([p, 1.0 - p])), tol)
+        assert choice.commutator_expectation == pytest.approx(2j * ratio, rel=1e-14)
+        assert (choice.tie_broken, choice.mu) == (tie, 1j if tie else -1j)
+
+
+def test_the_schrodinger_violation_floor_is_quartic_at_every_scale():
+    # Schrodinger's sides are quartic in (A, B), and so is its rounding floor ROUNDING_TOL (||A||_F ||B||_F)^2:
+    # scaling both by 2^k moves no decision.  In |0>, s sigma_x and s sigma_y give dev = s and cross = s^2 i
+    # exactly.  A cross planted at s^2 i (1 + 2^-48) reads the slack -2^-47 s^4, within the floor 4e-13 s^4 (a
+    # floor quadratic in the norms, 2e-13 s^2, would raise from s = 8 on); one at s^2 i (1 + 2^-38) reads
+    # -2^-37 s^4, beyond it at every scale.  At eps = 0 the input budget is 0, so the floor alone decides.
+    tol = Tolerance(0.0)
+    for k in range(-8, 9):
+        s = 2.0 ** k
+        m = pair_moments(s * SIGMA_X, s * SIGMA_Y, KET0)
+        assert (m.dev_a, m.dev_b, m.cross) == (s, s, s * s * 1j)
+        decision = relations._schrodinger_decision(dataclasses.replace(m, cross=s * s * 1j * (1.0 + 2.0 ** -48)), tol)
+        assert decision.slack == -(2.0 ** -47) * s ** 4 and decision.saturated
+        with pytest.raises(BoundViolation, match="schrodinger"):
+            relations._schrodinger_decision(dataclasses.replace(m, cross=s * s * 1j * (1.0 + 2.0 ** -38)), tol)
+
+
+def test_the_overlap_check_rejects_what_the_pair_budget_does_not_admit():
+    # At eps = 2^-30 the overlap and Gram budgets are both 2^-30, and phi = (s, sqrt(1 - s^2), 0) has overlap s
+    # with e1 exactly, and a Gram deviation of sqrt(2) s.  s = 2^-31 passes both checks; s = 2^-30 passes the
+    # overlap check and fails the Gram test; 3 2^-31 and 2^-26 fail the overlap check.  An overlap budget ten
+    # times as wide would send 3 2^-31 on to the Gram test, which raises NotOrthonormal instead.
+    tol = Tolerance(2.0 ** -30)
+    a, b = hermitian_array(np.random.default_rng(33), 3), hermitian_array(np.random.default_rng(34), 3)
+    psi = PureState(np.eye(3)[0])
+    for s, error in ((2.0 ** -31, None), (2.0 ** -30, NotOrthonormal), (3 * 2.0 ** -31, NotOrthogonal),
+                     (2.0 ** -26, NotOrthogonal)):
+        phi = PureState(np.array([s, math.sqrt(1.0 - s * s), 0.0]))
+        assert np.vdot(psi.amplitudes, phi.amplitudes) == s
+        for entry in (mp3, mp6):
+            if error is None:
+                entry(a, b, psi, phi, tol)
+                continue
+            with pytest.raises(error) as info:
+                entry(a, b, psi, phi, tol)
+            assert type(info.value) is error
+
+
+def test_a_mu_off_the_unit_circle_by_more_than_the_pair_budget_is_a_bad_input():
+    # At eps = 2^-30 the |mu| budget is 2^-30, and | |mu| - 1 | is exact for mu = +-i (1 + x) with dyadic x:
+    # x = 2^-31 and 2^-30 pass, 3 2^-31 and 2^-28 raise.  A budget twice as wide would pass 3 2^-31.
+    tol = Tolerance(2.0 ** -30)
+    for unit in (1j, -1j):
+        for x, passes in ((2.0 ** -31, True), (2.0 ** -30, True), (3 * 2.0 ** -31, False), (2.0 ** -28, False)):
+            mu = unit * (1.0 + x)
+            assert abs(mu) - 1.0 == x
+            for check in (mp_chain, mp_chain_saturation):
+                if passes:
+                    check(SIGMA_X, SIGMA_Y, KET0, KET1, mu, tol)
+                    continue
+                with pytest.raises(ValueError, match="must be 1"):
+                    check(SIGMA_X, SIGMA_Y, KET0, KET1, mu, tol)
+
+
+def test_the_mp6_denominator_is_degenerate_up_to_and_at_eps():
+    # With A = sigma_x, B = [[0, 24 + 7i], [24 - 7i, 0]] (dev(B) = 25 exactly), psi = |0> and phi = |1>, the
+    # commutator's imaginary part is negative, so mu = i at every tolerance and the reformulated lhs
+    # L = 1 - |1 + i (24 + 7i) / 25|^2 / 2, about 0.28, does not move with eps.  The product form is degenerate
+    # exactly when L <= eps: at eps = L and one ulp above it, and not one ulp below it.
+    a, b = SIGMA_X, np.array([[0.0, 24 + 7j], [24 - 7j, 0.0]])
+    lhs = mp6(a, b, KET0, KET1).reformulated.lhs
+    assert lhs == pytest.approx(0.28, rel=1e-14)
+    for eps, degenerate in ((np.nextafter(lhs, 0.0), False), (lhs, True), (np.nextafter(lhs, 1.0), True)):
+        reports = mp6(a, b, KET0, KET1, Tolerance(float(eps)))
+        assert reports.mu.mu == 1j and reports.reformulated.lhs == lhs
+        assert reports.denominator_degenerate is degenerate and (reports.product is None) is degenerate

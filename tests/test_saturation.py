@@ -1369,6 +1369,24 @@ def test_the_zero_side_recheck_raises_where_the_zero_side_outgrows_its_deviation
         _verify_r_family(bad, 1.0, 0.0, DEFAULT_R_LIST, tol)
 
 
+def test_the_power_recheck_admits_a_residual_up_to_its_band():
+    # With B = A = sigma_x in rho = diag(3/4, 1/4), the pair (1, -(1 - delta)) leaves Y = delta A_c X, whose
+    # residual at every power r is delta ||w^r||, as A_c X has the column norms w_j^(1/2) over the factor.  The
+    # limit is the band sqrt(10 eps) dev(A) = 1e-4 at the default eps: delta = 5e-5 passes, 2e-4 and 5e-4 raise.
+    # A band sqrt(10) times as wide would pass 2e-4.
+    tol = Tolerance()
+    m = pair_moments(SIGMA_X, SIGMA_X, DensityMatrix(np.diag([0.75, 0.25])))
+    assert m.dev_a == pytest.approx(1.0, abs=1e-15) and relations._zero_deviations(m, tol) == (False, False)
+    for delta, passes in ((5e-5, True), (2e-4, False), (5e-4, False)):
+        if passes:
+            residuals = _verify_r_family(m, 1.0, -(1.0 - delta), DEFAULT_R_LIST, tol)
+            norms = [np.linalg.norm(np.array([0.75, 0.25]) ** r) for r in DEFAULT_R_LIST]
+            assert residuals == pytest.approx([delta * n for n in norms], rel=1e-9)
+            continue
+        with pytest.raises(RIndependenceViolation, match="at r=0.5"):
+            _verify_r_family(m, 1.0, -(1.0 - delta), DEFAULT_R_LIST, tol)
+
+
 def _recheck_calls(monkeypatch) -> list:
     """Each _verify_r_family call a checker makes from here on, as (arguments, residuals)."""
     calls, real = [], saturation._verify_r_family
