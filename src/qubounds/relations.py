@@ -31,10 +31,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BoundViolation, DimensionMismatch, NotOrthogonal, ZeroDeviation
+from .errors import BoundViolation, NotOrthogonal, ZeroDeviation
 from .linalg import (DEFAULT_TOL, ROUNDING_TOL, Tolerance, _ArrayEquality, _completion, _grams, _input_budget,
                      _pair_budget, _require_orthonormal, _square)
-from .states import (Observable, PairMoments, PureState, QuantumState, _observable_pair, _pair_moments, _reduction,
+from .states import (Observable, PairMoments, PureState, QuantumState, _entry, _pair_moments, _reduction,
                      pair_moments)
 
 
@@ -256,15 +256,10 @@ def _mp_reduction(a: Observable, b: Observable, psi: PureState, phi: PureState, 
 
 
 def _mp_inputs(observable_a, observable_b, psi: PureState, phi: PureState, tol: Tolerance) -> _MPInputs:
-    """The one door of every Maccone-Pati entry: validate (A, B, psi, phi) once, check the state types (the
-    TypeError of :func:`~qubounds.states.pair_moments`) and the dimensions, and reduce it (:func:`_mp_reduction`)
-    from the pair's one Gram product and the moments in psi, through psi's slot."""
-    a, b = _observable_pair(observable_a, observable_b)
-    for state in (psi, phi):
-        if not isinstance(state, PureState):
-            raise TypeError(f"unsupported state type {type(state)!r}")
-    if not a.dimension == psi.dimension == phi.dimension:
-        raise DimensionMismatch(f"dimensions differ: {a.dimension} vs {psi.dimension} and {phi.dimension}")
+    """The one door of every Maccone-Pati entry: check (A, B, psi, phi) once, psi and phi as pure states
+    (:func:`~qubounds.states._entry`), and reduce it (:func:`_mp_reduction`) from the pair's one Gram product and
+    the moments in psi, through psi's slot."""
+    a, b = _entry(observable_a, observable_b, (psi, phi), PureState)
     return _mp_reduction(a, b, psi, phi, _grams(np.array(((psi.amplitudes, phi.amplitudes),)))[0], None, tol)
 
 

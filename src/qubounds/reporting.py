@@ -233,7 +233,7 @@ def run_verification_suite(config: SampleConfig, tol: Tolerance) -> SuiteReport:
         if n >= 2:
             pair_grams = _grams(rows[:, 1:])
             e1_moments = [_pair_moments(a, b, e1, x[2]) for (_, a, b, *_), x in zip(chunk, moments)]
-            built = _constructions(targets, e1_moments, reduced[2][:, 2], tol)
+            built = _constructions(targets, e1_moments, tol)
         for t, ((k, a, b, psi, rho, pair), x, rho_x) in enumerate(zip(chunk, moments, rho_moments)):
             pure = _pair_moments(a, b, psi, x[0])
             mixed = _pair_moments(a, b, rho, rho_x)

@@ -34,7 +34,7 @@ from .linalg import (DEFAULT_TOL, ROUNDING_TOL, TIE_TOL, Tolerance, _complex_wit
 from .relations import (_Decision, _moments_mu, _mp3_decision, _mp6_decision, _mp_chain_decisions, _mp_inputs,
                         _mp_pair, _MPInputs, _robertson_decision, _schrodinger_decision, _unit_mu, _zero_budget,
                         _zero_deviations)
-from .states import PairMoments, PureState, QuantumState, _observable_pair, _reduction, pair_moments
+from .states import PairMoments, PureState, QuantumState, _entry, _reduction, pair_moments
 
 # Constructed pairs must close their target bound to this relative gap.
 CONSTRUCTION_TOL = 1e-8
@@ -305,42 +305,37 @@ def _outcome(body, *args):
         return exc
 
 
-def _constructions(targets: tuple[str, ...], moments: list, centred: np.ndarray, tol: Tolerance) -> list:
-    """Each trial's construction per target ("case1", "case2", "w_mp6"), or the QuboundsError it raises, from
-    its e1 moments, each at the mu :func:`_moments_mu` picks, and centred pairs (T, 2, n, 1).  A target states its
-    tails once (``_CONSTRUCTIONS``), from the first-column tails u, v of A_c and B_c: their stack, each trial's
-    degeneracy floor, and a phase row or None.  One pass then normalises each tail, marks a trial degenerate where
-    its norm is within its floor, phases phi so its entry with the row is real nonnegative unless that entry is
-    noise beside the row, and puts e2 where degenerate.  phi is (0, unit tail).  One state pass builds every phi;
-    c = <A_c e1, phi> = <u, tail> and d = <v, tail> are read from the moments (:func:`~qubounds.relations._mp_pair`)."""
-    (size, _, n, _), width = centred.shape, len(targets)
-    mus = [_moments_mu(m, tol).mu for m in moments]
-    u, mu_v = centred[:, 0, 1:, 0], np.array(mus)[:, None] * centred[:, 1, 1:, 0]
-    rows, keeps = np.zeros((size, width, n), dtype=complex), []
+def _constructions(targets: tuple[str, ...], moments: list, tol: Tolerance) -> list:
+    """Each trial's construction per target ("case1", "case2", "w_mp6"), or the QuboundsError it raises, from its
+    e1 moments, each at the mu :func:`_moments_mu` picks.  A target states its tails once (``_CONSTRUCTIONS``), from
+    the first-column tails u, v of each trial's A_c e1 and B_c e1: their stack, each trial's degeneracy floor, and a
+    phase row or None.  phi is e2 on every trial; one pass per target then rewrites only the rows it keeps, those
+    whose tail's norm is above its floor, with the tail over that norm, phased so that its entry with the row is real
+    nonnegative where that entry is not noise beside the row.  A dropped row stays e2 and marks its trial
+    degenerate.  One state pass builds every phi; c = <A_c e1, phi> = <u, tail> and d = <v, tail> are read from the
+    moments (:func:`~qubounds.relations._mp_pair`)."""
+    n, mus = moments[0].a.dimension, [_moments_mu(m, tol).mu for m in moments]
+    centred = np.array([(m.centered_a[1:, 0], m.centered_b[1:, 0]) for m in moments])
+    u, mu_v = centred[:, 0], np.array(mus)[:, None] * centred[:, 1]
+    rows, keeps = np.zeros((len(moments), len(targets), n), dtype=complex), []
     for j, target in enumerate(targets):
         _, allowed, rule, tails = _CONSTRUCTIONS[target]
         if not allowed(n):
             raise DimensionMismatch("construction requires " + rule.format(n))
+        rows[:, j, 1] = 1.0  # e2, where no kept tail replaces it
         if tails is None:
-            keeps.append([True] * size)
-            rows[:, j, 1] = 1.0
+            keeps.append(np.ones(len(moments), dtype=bool))
             continue
         tail, floors, row = tails(u, mu_v, moments, tol)
-        norms = _row_norms(tail)
-        keeps.append(keep := [norm > floor for norm, floor in zip(norms, floors)])
-        scales = np.array([[norm if k else 1.0] for norm, k in zip(norms, keep)], dtype=complex)
-        rows[:, j, 1:] = direction = tail / scales
-        fix = keep
-        if row is not None:
-            entries = np.matmul(row[:, None], direction[:, :, None]).tolist()
-            fix = [k and abs(e) > TIE_TOL * r for k, ((e,),), r in zip(keep, entries, _row_norms(row))]
-            phases = [[cmath.exp(-1j * cmath.phase(e)) if f else 1.0] for f, ((e,),) in zip(fix, entries)]
-            rows[:, j, 1:] = direction * np.array(phases, dtype=complex)
-        for t in range(size):  # e2 where degenerate; no phase product where none is fixed, as 1 can flip a zero's sign
-            if not keep[t]:
-                rows[t, j, 1:] = np.eye(1, n - 1)
-            elif not fix[t]:
-                rows[t, j, 1:] = direction[t]
+        norms = np.array(_row_norms(tail))
+        keeps.append(keep := norms > floors)
+        direction = rows[:, j, 1:]
+        np.divide(tail, norms[:, None], out=direction, where=keep[:, None])  # complex: no complex-by-real loop
+        if row is not None:  # a phase product only where fixed, as a factor 1 can flip a zero's sign
+            entries = np.matmul(row[:, None], direction[:, :, None]).ravel().tolist()
+            fix = keep & [abs(e) > TIE_TOL * r for e, r in zip(entries, _row_norms(row))]
+            phases = [cmath.exp(-1j * cmath.phase(e)) if f else 1.0 for e, f in zip(entries, fix)]
+            np.multiply(direction, np.array(phases)[:, None], out=direction, where=fix[:, None])
     phis = iter(PureState._stack(rows.reshape(-1, n)))
     return [[_outcome(_constructed, target, m, mu, next(phis), not k, tol) for target, k in zip(targets, ks)]
             for m, mu, ks in zip(moments, mus, zip(*keeps))]
@@ -364,12 +359,10 @@ def _construct(target: str, observable_a, observable_b, tol: Tolerance) -> Const
     """The body's one-trial call, after the constructors' one input check: the reduction of (A, B, e1) kept for the
     pair's checkers (:func:`~qubounds.states._reduction`) by its own e1, a fresh state over ``_e1``'s amplitudes.
     A_c e1 = (0, u) for the first-column tail u of A, so dev(A) = ||u||; likewise for B."""
-    a, b = _observable_pair(observable_a, observable_b)
+    a, b = _entry(observable_a, observable_b)
     e1 = object.__new__(PureState)
     e1._freeze(_e1(a.dimension).amplitudes)
-    m = _reduction(a, b, e1)
-    centred = np.array(((m.centered_a, m.centered_b),))
-    built = _constructions((target,), [m], centred, tol)[0][0]
+    built = _constructions((target,), [_reduction(a, b, e1)], tol)[0][0]
     if isinstance(built, QuboundsError):
         raise built
     return built

@@ -8,7 +8,7 @@ one-triple call of the moments body :func:`_moments`, which takes any leading
 batch shape: a sweep reduces a chunk of triples in one call, each slice in the bytes of its own call.
 
 Each input is validated once, where it enters: bare matrices become
-:class:`Observable` objects in :func:`_observable_pair`, and inner calls pass those on.
+:class:`Observable` objects in :func:`_entry`, and inner calls pass those on.
 Each input is hashed when its ``digest`` is first read, at most once: observables and
 states carry a ``digest`` of their frozen array, and report digests combine those.
 """
@@ -270,6 +270,8 @@ class DensityMatrix(_ArrayEquality):
     @classmethod
     def from_pure(cls, psi: PureState) -> "DensityMatrix":
         """The projector |psi><psi|, built from psi as its factor; no eigendecomposition runs."""
+        if not isinstance(psi, PureState):
+            raise TypeError(f"unsupported state type {type(psi)!r}")
         return cls.from_factor(psi.factor)
 
 
@@ -284,13 +286,18 @@ def _checked(observable) -> Observable:
     return Observable(observable)
 
 
-def _observable_pair(observable_a, observable_b) -> tuple[Observable, Observable]:
-    """Both observables checked once, of one dimension; pass the result inward."""
+def _entry(observable_a, observable_b, states=(), kind=(PureState, DensityMatrix)) -> tuple[Observable, Observable]:
+    """The one entry check, in order: both observables checked once, of one dimension; each of ``states`` an
+    instance of ``kind``; then each of the observables' dimension.  Pass the observables it returns inward."""
     a, b = _checked(observable_a), _checked(observable_b)
     if a.matrix.shape != b.matrix.shape:
-        raise DimensionMismatch(
-            f"observable dimensions differ: {a.matrix.shape[0]} vs {b.matrix.shape[0]}"
-        )
+        raise DimensionMismatch(f"observable dimensions differ: {a.matrix.shape[0]} vs {b.matrix.shape[0]}")
+    for state in states:
+        if not isinstance(state, kind):
+            raise TypeError(f"unsupported state type {type(state)!r}")
+    for state in states:
+        if a.dimension != state.dimension:
+            raise DimensionMismatch(f"observable dimension {a.dimension} vs state dimension {state.dimension}")
     return a, b
 
 
@@ -379,12 +386,7 @@ def _reduction(a: Observable, b: Observable, state: QuantumState) -> PairMoments
 
 def pair_moments(observable_a, observable_b, state: QuantumState) -> PairMoments:
     """The one reduction of an (A, B, state) triple that every bound reads (:func:`_reduction`)."""
-    a, b = _observable_pair(observable_a, observable_b)
-    if not isinstance(state, (PureState, DensityMatrix)):
-        raise TypeError(f"unsupported state type {type(state)!r}")
-    if a.dimension != state.dimension:
-        raise DimensionMismatch(f"observable dimension {a.dimension} vs state dimension {state.dimension}")
-    return _reduction(a, b, state)
+    return _reduction(*_entry(observable_a, observable_b, (state,)), state)
 
 
 def expectation(observable, state: QuantumState) -> float:

@@ -1460,6 +1460,24 @@ def test_stacked_states_pair_checks_and_constructions_are_the_one_trial_calls_by
     # call.  Every slice of a stacked call must be that call, byte for byte, or raise its error.
     # Trial 0 has e1 as a common eigenvector (degenerate tails, phi = e2), trial 1 a B offset by
     # 1e12 I, trial 2 multiples of I (zero deviations), and the last trial a pair leaning 1e-6.
+    def constructions(a, b, targets):
+        """The stacked constructions of the trials (a, b) at both tolerances, each slice checked against its
+        public call's bytes."""
+        t, n = a.shape[:2]
+        e1 = _e1(n)
+        reduced = states._moments(a[:, None], b[:, None], np.broadcast_to(e1.factor, (t, 1, n, 1)))
+        moments = [states._pair_moments(Observable(a[i]), Observable(b[i]), e1, tuple(x[i, 0] for x in reduced))
+                   for i in range(t)]
+        publics = [{"case1": construct_case1, "case2": construct_case2, "w_mp6": construct_w_mp6}[x] for x in targets]
+        stacks = []
+        for tol in (Tolerance(), Tolerance(0.0)):
+            stacks.append(built := _constructions(targets, moments, tol))
+            for i, pairs in enumerate(built):
+                for result, construct in zip(pairs, publics):
+                    one = _result_or_error(lambda: construct(a[i], b[i], tol))
+                    assert _construction_bytes(result) == _construction_bytes(one), (n, t, i, construct)
+        return stacks
+
     rng = trial_rng(24, 0)
     for n in (2, 3, 4, 8, 16, 17, 64):
         targets = ("case1" if n == 2 else "case2", "w_mp6")
@@ -1502,21 +1520,25 @@ def test_stacked_states_pair_checks_and_constructions_are_the_one_trial_calls_by
                     if isinstance(one, tuple):
                         assert one[0] is NotOrthogonal
             # The constructions.
-            e1 = _e1(n)
-            reduced = states._moments(a[:, None], b[:, None], np.broadcast_to(e1.factor, (t, 1, n, 1)))
-            moments = [states._pair_moments(Observable(a[i]), Observable(b[i]), e1, tuple(x[i, 0] for x in reduced))
-                       for i in range(t)]
-            for tol in (Tolerance(), Tolerance(0.0)):
-                built = _constructions(targets, moments, reduced[2][:, 0], tol)
+            for built in constructions(a, b, targets):
                 for i, pairs in enumerate(built):
-                    publics = (construct_case1 if n == 2 else construct_case2, construct_w_mp6)
-                    for result, construct in zip(pairs, publics):
-                        one = _result_or_error(lambda: construct(a[i], b[i], tol))
-                        assert _construction_bytes(result) == _construction_bytes(one), (n, t, i, construct)
                     if i in (0, 2) and n > 2:
                         assert pairs[0].degenerate and pairs[0].phi.amplitudes[1] == 1.0
                     if i == 2:
                         assert isinstance(pairs[1], ZeroDeviation)
+    # One case-2 stack at n = 3 holds a degenerate trial (zero observables), then the dyadic tails of
+    # test_a_phase_below_the_tie_floor_is_left_unfixed: at e = 50 a kept row whose phase is left unfixed, at
+    # e = 40 one turned by -1, so the body's keep mask and its phase mask within the kept rows both differ.
+    a, b = np.zeros((3, 3, 3)), np.zeros((3, 3, 3))
+    a[1:, 0, 1] = a[1:, 1, 0] = 1.0
+    b[1:, 0, 2] = b[1:, 2, 0] = 1.0 + 2.0 ** -np.array([50.0, 40.0])
+    for built in constructions(a, b, ("case2", "w_mp6")):
+        assert [pairs[0].degenerate for pairs in built] == [True, False, False]
+        assert isinstance(built[0][1], ZeroDeviation)
+        for i, fixed in ((1, False), (2, True)):
+            tail = a[i, 1:, 0] - 1j * b[i, 1:, 0]
+            unit = tail / np.linalg.norm(tail)
+            assert np.array_equal(built[i][0].phi.amplitudes[1:], unit) != fixed
 
 
 def _count_moments(monkeypatch) -> list:

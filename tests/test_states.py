@@ -317,6 +317,15 @@ def test_pair_moments_rejects_an_argument_that_is_not_a_state():
         pair_moments(SIGMA_X, SIGMA_Y, np.array([1.0, 0.0]))
 
 
+def test_from_pure_rejects_an_argument_that_is_not_a_pure_state():
+    # The TypeError of pair_moments.  A list or an array escaped as an AttributeError on .factor before, and a
+    # DensityMatrix was rebuilt from its own factor with no error.
+    for bad in ([1.0, 0.0], np.array([1.0, 0.0]), DensityMatrix(np.diag([1.0, 0.0]))):
+        with pytest.raises(TypeError, match="unsupported state type") as info:
+            DensityMatrix.from_pure(bad)
+        assert type(info.value) is TypeError
+
+
 def test_a_mean_with_an_imaginary_residue_past_its_budget_raises():
     # Not reachable through the public API: a validated A keeps |Im <A>| near half the
     # budget INPUT_TOL * ||A||_F, so the means given to the check are crafted here.
