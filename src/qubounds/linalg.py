@@ -139,42 +139,37 @@ def _eigh_descending(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w[..., ::-1].copy(), vecs[..., ::-1].copy()
 
 
-def _support(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The eigenvalues ``w`` above ``INPUT_TOL * ||w||`` and their eigenvector columns of ``v``.
-
-    Eigenvalues up to that cutoff are dropped, not just negative ones:
-    fractional powers amplify +eps junk far above the reconstruction budget.
-    """
-    keep = w > INPUT_TOL * _norm(w)
-    return w[keep], v[:, keep]
-
-
 def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition (w, v) of a Hermitian matrix, eigenvalues descending."""
     return _eigh_descending(require_hermitian(h)[0])
 
 
-def _psd_eig(a: np.ndarray, name: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
-    """Spectrum (w, v) of the validated Hermitian ``a``: the one PSD decision.
+def _psd_support(a: np.ndarray, name: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
+    """The support (w, v) of the validated Hermitian ``a``, after the one PSD decision: its eigenvalues above
+    ``INPUT_TOL * ||w||``, descending, and their eigenvector columns, as prefixes of :func:`_eigh_descending`'s
+    arrays, sliced with no copy.
 
-    Eigenvalues down to ``-INPUT_TOL * sum |lambda|`` (1 for a state) pass as rounding noise.
+    Eigenvalues down to ``-INPUT_TOL * sum |lambda|`` (1 for a state) pass as rounding noise.  Eigenvalues up
+    to the cutoff are dropped, not just negative ones: fractional powers amplify +eps junk far above the
+    reconstruction budget.
     """
     w, v = _eigh_descending(a)
     low = float(w[-1])
     if low < 0.0 and low < -INPUT_TOL * float(np.abs(w).sum()):
         raise NotPositiveSemidefinite(f"{name} has eigenvalue {low:.3e}")
-    return w, v
+    k = int(np.count_nonzero(w > INPUT_TOL * _norm(w)))
+    return w[:k], v[:, :k]
 
 
 def psd_power(p, r: float) -> np.ndarray:
     """``p`` raised to a positive power ``r`` through its spectral decomposition, on its support.
 
-    Noise-band eigenvalues count as zero (see :func:`_support`); a more negative one raises
+    Noise-band eigenvalues count as zero (see :func:`_psd_support`); a more negative one raises
     :class:`NotPositiveSemidefinite`, and a power that overflows to a non-finite entry :class:`InvalidInput`.
     """
     if r <= 0:
         raise ValueError("power must be positive")
-    w, v = _support(*_psd_eig(require_hermitian(p)[0]))
+    w, v = _psd_support(require_hermitian(p)[0])
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves a non-finite entry, an InvalidInput
         x = (v * w**r) @ v.conj().T
         return as_complex_matrix((x + x.conj().T) / 2.0, f"matrix power {r!r}")

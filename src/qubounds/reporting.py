@@ -79,17 +79,12 @@ def matrix_from_json_dict(d: dict) -> np.ndarray:
 
 
 def certificate_to_dict(cert: SaturationCertificate | None) -> dict | None:
+    """Every field of ``cert`` (or None), as JSON values: the kind's value, mu as [re, im], and lists."""
     if cert is None:
         return None
-    return {
-        "kind": cert.kind.value,
-        "theta": cert.theta,
-        "phi": cert.phi,
-        "mu": None if cert.mu is None else [cert.mu.real, cert.mu.imag],
-        "residual": cert.residual,
-        "r_checked": list(cert.r_checked),
-        "r_residuals": list(cert.r_residuals),
-    }
+    mu = None if cert.mu is None else [cert.mu.real, cert.mu.imag]
+    return dict(vars(cert), kind=cert.kind.value, mu=mu, r_checked=list(cert.r_checked),
+                r_residuals=list(cert.r_residuals))
 
 
 def report_to_dict(report: SuiteReport) -> dict:
@@ -154,37 +149,36 @@ class _Summary:
         self.failures.append({"trial": trial, "where": where, "error": type(exc).__name__, "message": str(exc)})
 
     def file(self, record: dict, trial: int, where: str, outcome) -> None:
-        """File an evaluation's outcome (:func:`~qubounds.saturation._outcome`) in its trial's record: a skip for
-        :class:`ZeroDeviation`, an error entry and a failure for any other :class:`QuboundsError`, else its entries."""
+        """File an evaluation's outcome (:func:`~qubounds.saturation._outcome`) in its trial's record: a bound's
+        decision, tested first as the most common, as its sides, slack and flag; a skip for :class:`ZeroDeviation`;
+        an error entry and a failure for any other :class:`QuboundsError`; each decision of a tuple (``ENTRIES``);
+        a construction, with a failure where its gap exceeds ``CONSTRUCTION_TOL``; else a certificate or None."""
         key = "mp6_reformulated" if where == "mp6" else where  # mp6's skip or error, under its always-present entry
-        if isinstance(outcome, ZeroDeviation):
+        if type(outcome) is _Decision:
+            lhs, rhs, slack, saturated = outcome
+            if where not in self.min_slack or slack < self.min_slack[where]:
+                self.min_slack[where] = slack
+            self.saturation_counts[where] = self.saturation_counts.get(where, 0) + saturated
+            record[where] = {"lhs": lhs, "rhs": rhs, "slack": slack, "saturated": saturated}
+        elif isinstance(outcome, ZeroDeviation):
             record[key] = {"skipped": "zero deviation"}
         elif isinstance(outcome, QuboundsError):
             self.fail(trial, where, outcome)
             record[key] = {"error": type(outcome).__name__}
-        elif where not in self.ENTRIES:
-            record[where] = self.entry(trial, where, outcome)
-        else:
+        elif where in self.ENTRIES:
             for name, value in zip(self.ENTRIES[where], outcome):
                 if value is not None:  # mp6's product form, where its denominator is degenerate
-                    record[name] = self.entry(trial, name, value)
-
-    def entry(self, trial: int, name: str, result) -> dict | None:
-        """The record entry for a bound's decision (its sides, slack and flag), a certificate or a construction."""
-        if isinstance(result, _Decision):
-            if name not in self.min_slack or result.slack < self.min_slack[name]:
-                self.min_slack[name] = result.slack
-            self.saturation_counts[name] = self.saturation_counts.get(name, 0) + result.saturated
-            return result._asdict()
-        if not isinstance(result, ConstructedPair):
-            return certificate_to_dict(result)
-        if abs(result.achieved_slack) > CONSTRUCTION_TOL:
-            self.fail(trial, name, BoundViolation(f"construction gap {result.achieved_slack:.3e}"))
-        return {
-            "mu": [result.mu.real, result.mu.imag],
-            "achieved_slack": result.achieved_slack,
-            "degenerate": result.degenerate,
-        }
+                    self.file(record, trial, name, value)
+        elif isinstance(outcome, ConstructedPair):
+            if abs(outcome.achieved_slack) > CONSTRUCTION_TOL:
+                self.fail(trial, where, BoundViolation(f"construction gap {outcome.achieved_slack:.3e}"))
+            record[where] = {
+                "mu": [outcome.mu.real, outcome.mu.imag],
+                "achieved_slack": outcome.achieved_slack,
+                "degenerate": outcome.degenerate,
+            }
+        else:
+            record[where] = certificate_to_dict(outcome)
 
     def report(self, command: str, config: SampleConfig | None, tol: Tolerance,
                started: str, trials: list) -> SuiteReport:
@@ -211,8 +205,9 @@ def run_verification_suite(config: SampleConfig, tol: Tolerance) -> SuiteReport:
     Maccone-Pati psi_f and e1, built once), one for its rhos' factors, one Gram product for the pairs' checks,
     and one constructions-body call (:func:`~qubounds.saturation._constructions`) for both constructions of every
     trial, which share the trial's e1 moments; every pair reads c and d from its psi's centred pair.  Only the
-    bound decisions and the record entries run per trial: a trial's record names its inputs once, by their
-    digests, and each bound's entry is its decision, with no digest.  Every evaluation is an outcome
+    bound decisions and the record entries run per trial: a trial's record names its inputs once, by the digests
+    its chunk stored, each bound's entry is its decision, with no digest, and each certificate reads its bound's
+    decision (or keeps that decision's error as its own outcome).  Every evaluation is an outcome
     (:func:`~qubounds.saturation._outcome`), its result or the :class:`QuboundsError` it raised, filed by
     :meth:`_Summary.file`; the Maccone-Pati reduction (:func:`~qubounds.relations._mp_reduction`, on the trial's
     slices) is one too, and where it failed, mp3, mp6 and the chain each file its error.
@@ -250,10 +245,14 @@ def run_verification_suite(config: SampleConfig, tol: Tolerance) -> SuiteReport:
                     outcomes["mp3"] = _outcome(_mp3_decision, mp, mu, tol)
                     outcomes["mp6"] = _outcome(_mp6_decisions, mp, mu, tol)
                     outcomes["mp_chain"] = _outcome(_mp_chain_decisions, mp, 1j, tol)
-            outcomes["robertson_pure_certificate"] = _outcome(_certificate, CertificateKind.ROBERTSON_PURE, pure, tol)
-            outcomes["robertson_mixed_certificate"] = _outcome(
-                _certificate, CertificateKind.ROBERTSON_MIXED, mixed, tol)
-            outcomes["schrodinger_certificate"] = _outcome(_certificate, CertificateKind.SCHRODINGER, mixed, tol)
+            # Each certificate reads its bound's decision, or files that decision's error as its own.
+            for where, kind, m, bound in (
+                    ("robertson_pure_certificate", CertificateKind.ROBERTSON_PURE, pure, "robertson_pure"),
+                    ("robertson_mixed_certificate", CertificateKind.ROBERTSON_MIXED, mixed, "robertson_mixed"),
+                    ("schrodinger_certificate", CertificateKind.SCHRODINGER, mixed, "schrodinger_mixed")):
+                decision = outcomes[bound]
+                outcomes[where] = (decision if isinstance(decision, QuboundsError)
+                                   else _outcome(_certificate, kind, m, decision, tol))
             for j, target in enumerate(targets):
                 outcomes[f"construct_{target}"] = built[t][j]
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import RankUnachieved
 from .linalg import _row_norms
-from .states import DensityMatrix, Observable, PureState
+from .states import DensityMatrix, Observable, PureState, _store_digests
 
 # Bytes of a chunk's largest stack, one complex n x n matrix per trial: a sweep's memory does not grow
 # with its trials, and at n = 64 a chunk is one trial, below the 128 KiB at which glibc's malloc maps pages.
@@ -59,12 +59,16 @@ def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(trial_index,)))
 
 
+# fl(1/sqrt(2)), each part of fl(e^{i pi/4}) = (1 + 1j) / np.sqrt(2.0).
+_ROOT_HALF = 1.0 / np.sqrt(2.0)
+
+
 def _complex_parts(x: np.ndarray, *shape: int) -> np.ndarray:
     """(x + i y) / sqrt(2) of ``shape`` for each row x then y of the stack ``x`` of normal draws, written as
     x (1 / sqrt(2)): the bytes of ``(x + 1j * y) / np.sqrt(2.0)`` (up to the sign of an exact zero)."""
     out, half = np.empty(x.shape[:-1] + shape, dtype=complex), x.shape[-1] // 2
-    np.multiply(x[..., :half].reshape(out.shape), 1.0 / np.sqrt(2.0), out=out.real)
-    np.multiply(x[..., half:].reshape(out.shape), 1.0 / np.sqrt(2.0), out=out.imag)
+    np.multiply(x[..., :half].reshape(out.shape), _ROOT_HALF, out=out.real)
+    np.multiply(x[..., half:].reshape(out.shape), _ROOT_HALF, out=out.imag)
     return out
 
 
@@ -72,16 +76,27 @@ def _complex_normal(rng: np.random.Generator, *shape: int) -> np.ndarray:
     return _complex_parts(rng.standard_normal(2 * math.prod(shape)), *shape)
 
 
-# e^{i pi/4}: both parts of it times a real X are the same product, bit for bit.
-_ROOT_I = (1 + 1j) / np.sqrt(2.0)
+def _hermitian_parts(x: np.ndarray, labels: tuple) -> tuple[np.ndarray, list]:
+    """:meth:`Observable.hermitian_part` of e^{i pi/4} X for each real matrix X of the stack ``x`` (T, len(labels),
+    n, n), in one real-arithmetic pass: both parts of e^{i pi/4} X are y = X fl(1/sqrt(2)), so the real part is
+    (y + y^T)/2 and the imaginary part (y - y^T)/2 (halving is exact, as times 0.5).  Bit for bit wherever X has no
+    entry -0.0, to which the complex product gives the imaginary part +0.0; a normal draw has none.  The stack of
+    those matrices, and for each label the list of its T observables."""
+    y = x * _ROOT_HALF
+    h = np.empty(x.shape, dtype=complex)
+    np.add(y, y.swapaxes(-1, -2), out=h.real)
+    np.subtract(y, y.swapaxes(-1, -2), out=h.imag)
+    halves = h.view(np.float64)
+    np.multiply(halves, 0.5, out=halves)
+    return h, [Observable._frozen(h[:, j], x[:, j], label) for j, label in enumerate(labels)]
 
 
 def random_hermitian(n: int, seed, label: str = "") -> Observable:
-    """:meth:`Observable.hermitian_part` of e^{i pi/4} X for a real standard normal n x n X: from
-    n^2 draws, the law of (G + G^dagger)/2 for a complex normal G (README "Tolerances")."""
+    """:meth:`Observable.hermitian_part` of e^{i pi/4} X for a real standard normal n x n X (:func:`_hermitian_parts`):
+    from n^2 draws, the law of (G + G^dagger)/2 for a complex normal G (README "Tolerances")."""
     if n < 1:
         raise ValueError("dimension must be >= 1")
-    return Observable._hermitian_parts(_ROOT_I * _as_rng(seed).standard_normal((1, n, n)), label)[1][0]
+    return _hermitian_parts(_as_rng(seed).standard_normal((1, 1, n, n)), (label,))[1][0][0]
 
 
 def _haar_stack(z: np.ndarray) -> list:
@@ -150,8 +165,10 @@ def _trial_chunks(config: SampleConfig):
     """A sweep's trials by chunks of ``CHUNK_BYTES``: the stacks of a chunk's As and Bs, the rows (T, 3, n) of its
     psis and Haar pairs ((T, 1, n) at n = 1), and each trial's (k, A, B, psi, rho, Haar pair or None).  Trial k
     draws from ``trial_rng(seed, k)`` in the public samplers' order (A, B, psi and rho's factor G, G's one redraw,
-    the n x 2 Haar block); their bodies build the chunk as stacks, with their bytes: one Hermitian-part pass for
-    the As and one for the Bs, one ``eigvalsh`` of the Gram matrices, one QR, one frozen copy of the psis and pairs."""
+    the n x 2 Haar block); their bodies build the chunk as stacks, with their bytes: one real Hermitian-part pass
+    for the As and Bs, one ``eigvalsh`` of the Gram matrices, one QR, one frozen copy of the psis and pairs.  Each
+    input stack (the As, the Bs, the psi and pair rows, and the prescaled G of each rho yielded, a redraw's
+    included) is hashed in one call, which stores every input's ``digest``."""
     n, rank = config.dimension, config.rank
     ends = list(itertools.accumulate((n * n, n * n, 2 * n, 2 * n * rank, 4 * n if n >= 2 else 0)))
     per_chunk = max(1, CHUNK_BYTES // (16 * n * n))
@@ -161,8 +178,7 @@ def _trial_chunks(config: SampleConfig):
         draws = np.empty((len(ks), ends[-1]))
         for rng, row in zip(rngs, draws):
             rng.standard_normal(out=row[: ends[3]])
-        a_stack, a = Observable._hermitian_parts(_ROOT_I * draws[:, : ends[0]].reshape(-1, n, n), "A")
-        b_stack, b = Observable._hermitian_parts(_ROOT_I * draws[:, ends[0]: ends[1]].reshape(-1, n, n), "B")
+        h, (a, b) = _hermitian_parts(draws[:, : ends[1]].reshape(-1, 2, n, n), ("A", "B"))
         factors = _complex_parts(draws[:, ends[2]: ends[3]], n, rank)
         rhos = [_full_rank(rho, rng, rank) for rho, rng in zip(DensityMatrix._from_factors(factors), rngs)]
         for rng, row in zip(rngs, draws):
@@ -174,4 +190,6 @@ def _trial_chunks(config: SampleConfig):
             rows[:, 1:] = np.swapaxes(_haar_stack(_complex_parts(draws[:, ends[3]:], n, 2)), 1, 2)
         states = PureState._stack(rows.reshape(-1, n))
         pairs = [None] * len(ks) if n < 2 else list(zip(states[1::3], states[2::3]))
-        yield a_stack[:, None], b_stack[:, None], rows, list(zip(ks, a, b, states[:: rows.shape[1]], rhos, pairs))
+        for inputs in (a, b, states, rhos):
+            _store_digests(inputs)
+        yield h[:, :1], h[:, 1:], rows, list(zip(ks, a, b, states[:: rows.shape[1]], rhos, pairs))

@@ -1,8 +1,9 @@
 """Equality certificates and explicit saturating constructions.
 
 Each characterization is one decision.  A Robertson or Schrodinger
-certificate exists exactly when the bound's decision is saturated (its
-relative slack, or a deviation zero to rounding); its witness is the least
+certificate exists exactly when the bound's decision, taken once and handed
+to the witness body, is saturated (its relative slack, or a deviation zero
+to rounding); its witness is the least
 direction of the same moments' 2 x 2 Gram form, and the mixed checkers
 re-verify it at the fixed powers (1/2, 1, 2, 3) of rho.  The zero-deviation characterizations
 decide each side by its deviation.  The Maccone-Pati checkers read their
@@ -145,19 +146,21 @@ def _verify_r_family(m: PairMoments, coeff_a: complex, coeff_b: complex,
     return residuals
 
 
-def _certificate(kind: CertificateKind, m: PairMoments, tol: Tolerance) -> SaturationCertificate | None:
+def _certificate(kind: CertificateKind, m: PairMoments, decision: _Decision,
+                 tol: Tolerance) -> SaturationCertificate | None:
     """The witness a A_c X + b B_c X = 0 of a saturated bound: a = cos(theta), b = e^{i phi} sin(theta).
 
-    None exactly when the bound's decision is unsaturated, so presence is its report's flag.  The
+    None exactly when ``decision``, the bound's decision on ``m`` (Schrodinger's for that kind, else
+    Robertson's), already taken, is unsaturated, so presence is its report's flag.  The
     witness is the least direction of the moments' Gram form (dev(A)^2, cross, dev(B)^2), at the
     phase i for the Robertson kinds (phi is None).  A deviation zero to rounding enters it as exactly
     0, so one zero side gives (a, b) = (1, 0) or (0, 1) with phi = 0, and two give theta = 0 with
     residual 0.  The residual is ||a A_c X + b B_c X||_F, read from the moments for one zero side; the
     mixed kinds re-verify (a, b) at each power in ``DEFAULT_R_LIST`` (:func:`_verify_r_family`), the pure none.
     """
-    schrodinger = kind is CertificateKind.SCHRODINGER
-    if not (_schrodinger_decision if schrodinger else _robertson_decision)(m, tol).saturated:
+    if not decision.saturated:
         return None
+    schrodinger = kind is CertificateKind.SCHRODINGER
     zero = _zero_deviations(m, tol)
     dev_a, dev_b = (0.0 if z else dev for z, dev in zip(zero, (m.dev_a, m.dev_b)))
     scale = max(dev_a, dev_b) or 1.0  # so that no square overflows
@@ -176,19 +179,22 @@ def _certificate(kind: CertificateKind, m: PairMoments, tol: Tolerance) -> Satur
 def robertson_saturation_pure(observable_a, observable_b, psi: PureState,
                               tol: Tolerance = DEFAULT_TOL) -> SaturationCertificate | None:
     """Phase theta with cos(theta) A_c |psi> + i sin(theta) B_c |psi> = 0, if any."""
-    return _certificate(CertificateKind.ROBERTSON_PURE, pair_moments(observable_a, observable_b, psi), tol)
+    m = pair_moments(observable_a, observable_b, psi)
+    return _certificate(CertificateKind.ROBERTSON_PURE, m, _robertson_decision(m, tol), tol)
 
 
 def robertson_saturation_mixed(observable_a, observable_b, state: QuantumState,
                                tol: Tolerance = DEFAULT_TOL) -> SaturationCertificate | None:
     """Mixed-state equality witness, re-verified at every power in ``DEFAULT_R_LIST``."""
-    return _certificate(CertificateKind.ROBERTSON_MIXED, pair_moments(observable_a, observable_b, state), tol)
+    m = pair_moments(observable_a, observable_b, state)
+    return _certificate(CertificateKind.ROBERTSON_MIXED, m, _robertson_decision(m, tol), tol)
 
 
 def schrodinger_saturation(observable_a, observable_b, state: QuantumState,
                            tol: Tolerance = DEFAULT_TOL) -> SaturationCertificate | None:
     """Witness (theta, phi) with cos(theta) A_c rho^r + e^{i phi} sin(theta) B_c rho^r = 0 for r >= 1/2."""
-    return _certificate(CertificateKind.SCHRODINGER, pair_moments(observable_a, observable_b, state), tol)
+    m = pair_moments(observable_a, observable_b, state)
+    return _certificate(CertificateKind.SCHRODINGER, m, _schrodinger_decision(m, tol), tol)
 
 
 def mp_chain_saturation(observable_a, observable_b, psi: PureState, phi: PureState,

@@ -10,7 +10,8 @@ batch shape: a sweep reduces a chunk of triples in one call, each slice in the b
 Each input is validated once, where it enters: bare matrices become
 :class:`Observable` objects in :func:`_entry`, and inner calls pass those on.
 Each input is hashed when its ``digest`` is first read, at most once: observables and
-states carry a ``digest`` of their frozen array, and report digests combine those.
+states carry a ``digest`` of their frozen array, and report digests combine those.  A sweep
+hashes each stack of its inputs in one call instead (:func:`_store_digests`), which stores each ``digest``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidInput, NonRealExpectation
 from .linalg import (INPUT_TOL, _ArrayEquality, _complex_array, _eigh_descending, _finite_norm, _norm,
-                     _power_of_two_scale, _psd_eig, _square_matrix, _support, as_complex_matrix, require_hermitian)
+                     _power_of_two_scale, _psd_support, _square_matrix, as_complex_matrix, require_hermitian)
 
 
 def _frozen_array(a: np.ndarray) -> np.ndarray:
@@ -33,18 +34,45 @@ def _frozen_array(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _digests(kind: str, arrays) -> list:
+    """SHA-256 of each of ``arrays``, all of one shape, in C order, tagged with ``kind`` and that shape: the tag is
+    hashed once, and each array's hash goes on from a copy of that hash."""
+    tagged = hashlib.sha256(f"{kind}{arrays[0].shape}".encode())
+    hashes = [tagged.copy() for _ in arrays]
+    for h, a in zip(hashes, arrays):
+        h.update(np.ascontiguousarray(a))
+    return [h.hexdigest() for h in hashes]
+
+
 def _array_digest(kind: str, a: np.ndarray) -> str:
-    """SHA-256 of an input array's entries in C order, tagged with its kind and shape."""
-    h = hashlib.sha256(f"{kind}{a.shape}".encode())
-    h.update(np.ascontiguousarray(a))
-    return h.hexdigest()
+    """SHA-256 of an input array's entries in C order, tagged with its kind and shape: :func:`_digests` of one."""
+    return _digests(kind, (a,))[0]
+
+
+def _store_digests(inputs: list) -> None:
+    """Store each input's ``digest`` from one :func:`_digests` call: the ``inputs`` share their kind and hashed array
+    (``_HASHED``) and its shape, as each input stack of a sweep does, so their tag is hashed once."""
+    kind, name = inputs[0]._HASHED
+    for x, digest in zip(inputs, _digests(kind, [getattr(x, name) for x in inputs])):
+        object.__setattr__(x, "digest", digest)
+
+
+class _Input(_ArrayEquality):
+    """An observable or a state: ``_HASHED`` names its kind and the frozen array that its ``digest`` hashes
+    (:func:`_array_digest`) when first read, unless a sweep stored it (:func:`_store_digests`)."""
+
+    @functools.cached_property
+    def digest(self) -> str:
+        kind, name = self._HASHED
+        return _array_digest(kind, getattr(self, name))
 
 
 @dataclass(frozen=True, eq=False)
-class Observable(_ArrayEquality):
+class Observable(_Input):
     """A Hermitian matrix standing for a measurable quantity: validated once, frozen with ||A||_F
     (``norm``); its ``digest`` is taken when first read."""
 
+    _HASHED = ("observable", "matrix")
     matrix: np.ndarray
     norm: float = field(init=False, repr=False, compare=False)
     label: str = ""
@@ -59,10 +87,6 @@ class Observable(_ArrayEquality):
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "norm", norm)
-
-    @functools.cached_property
-    def digest(self) -> str:
-        return _array_digest("observable", self.matrix)
 
     @property
     def dimension(self) -> int:
@@ -79,22 +103,23 @@ class Observable(_ArrayEquality):
     def hermitian_part(cls, g, label: str = "") -> "Observable":
         """A = (G + G^dagger)/2 for a square finite ``g``, equal to ``Observable(A)`` but Hermitian
         bit for bit by construction, so every check but the Hermiticity test runs."""
-        return cls._hermitian_parts(_square_matrix(g, label or "observable")[None], label)[1][0]
-
-    @classmethod
-    def _hermitian_parts(cls, g: np.ndarray, label: str = "") -> tuple[np.ndarray, list]:
-        """:meth:`hermitian_part` of each matrix of the stack ``g``, each labelled ``label``, in one pass:
-        the stack of their matrices, and the observables, whose matrices are its slices."""
-        name = label or "observable"
+        g = _square_matrix(g, label or "observable")[None]
         # A non-finite part of g_ij makes that part of h_ij non-finite, so a finite ||h|| proves g finite.
         with np.errstate(invalid="ignore", over="ignore"):
             h = g + g.conj().swapaxes(1, 2)
             np.divide(h, 2.0, out=h)
-            observables = [object.__new__(cls) for _ in range(len(h))]
-            for obs, m, x in zip(observables, h, g):
-                object.__setattr__(obs, "label", label)
-                obs._freeze(m, _finite_norm(m, name, x))  # scans x where ||m|| is not finite, with no warning
-        return h, observables
+            return cls._frozen(h, g, label)[0]
+
+    @classmethod
+    def _frozen(cls, h: np.ndarray, g: np.ndarray, label: str) -> list:
+        """The observables labelled ``label`` whose matrices are the slices of the stack ``h``, Hermitian bit for bit
+        and formed from the stack ``g``, each frozen with its ||.||_F; where that norm is not finite, the slice of
+        ``g`` is scanned, so that non-finite entries of the input raise as such."""
+        observables = [object.__new__(cls) for _ in range(len(h))]
+        for obs, m, x in zip(observables, h, g):
+            object.__setattr__(obs, "label", label)
+            obs._freeze(m, _finite_norm(m, label or "observable", x))
+        return observables
 
 
 # The support weight of every pure state, shared read-only.
@@ -103,9 +128,10 @@ _UNIT_WEIGHT.setflags(write=False)
 
 
 @dataclass(frozen=True, eq=False)
-class PureState(_ArrayEquality):
+class PureState(_Input):
     """A unit vector of amplitudes; its factor is the n x 1 column psi, of weight 1."""
 
+    _HASHED = ("pure", "amplitudes")
     amplitudes: np.ndarray
     factor: np.ndarray = field(init=False, repr=False, compare=False)
     weights: np.ndarray = field(init=False, repr=False, compare=False)
@@ -139,26 +165,23 @@ class PureState(_ArrayEquality):
             state._freeze(row)
         return states
 
-    @functools.cached_property
-    def digest(self) -> str:
-        return _array_digest("pure", self.amplitudes)
-
     @property
     def dimension(self) -> int:
         return self.amplitudes.size
 
 
 @dataclass(frozen=True, eq=False)
-class DensityMatrix(_ArrayEquality):
+class DensityMatrix(_Input):
     """A PSD, trace-one Hermitian matrix rho = X X^dagger.
 
     Built from a matrix, it is checked where it enters: one eigendecomposition
     decides PSD-ness, and its support weights w_k give the factor
-    X = V_k w_k^(1/2) (see :func:`~qubounds.linalg._support`) that its moments read.
+    X = V_k w_k^(1/2) (see :func:`~qubounds.linalg._psd_support`) that its moments read.
     Built by :meth:`from_factor`, it is PSD by construction, its support comes from
     the eigenvalues of a k x k Gram matrix, and ``matrix`` is formed when first read.
     """
 
+    _HASHED = ("density-factor", "_prescaled")  # a factor-built state's; a matrix-built one hashes its matrix
     matrix: np.ndarray
     factor: np.ndarray = field(init=False, repr=False, compare=False)
     weights: np.ndarray = field(init=False, repr=False, compare=False)
@@ -168,10 +191,11 @@ class DensityMatrix(_ArrayEquality):
         trace = float(m.trace().real)
         if abs(trace - 1.0) > INPUT_TOL:
             raise InvalidInput(f"density matrix trace {trace!r} is not 1 within {INPUT_TOL}")
-        w, v = _support(*_psd_eig(m, "density matrix"))
+        w, v = _psd_support(m, "density matrix")
         object.__setattr__(self, "matrix", _frozen_array(m))
         self._freeze(v * np.sqrt(w), w)
         object.__setattr__(self, "_root", self.factor)
+        object.__setattr__(self, "_HASHED", ("density", "matrix"))
 
     def _freeze(self, factor: np.ndarray, weights: np.ndarray) -> None:
         """Set ``factor`` and ``weights`` from fresh arrays that no caller holds, frozen in place."""
@@ -197,10 +221,8 @@ class DensityMatrix(_ArrayEquality):
         matrix, and ``_basis``: where its moments read G/||G||_F (``_root``), over all k, and U with (G/||G||_F) U the
         factor up to its columns' phases; else over the support alone, None, and the moments read that factor."""
         x = self._prescaled
-        lam, u = _eigh_descending(x.conj().T @ x)
         full = "_root" in vars(self)
-        if not full:
-            lam, u = _support(lam, u)
+        lam, u = (_eigh_descending if full else _psd_support)(x.conj().T @ x)  # a Gram matrix passes the PSD test
         v = x @ u
         v = v * v[np.abs(v).argmax(axis=0), np.arange(v.shape[1])].conj()
         v = v / np.sqrt(np.add.reduce((v.conj() * v).real, axis=0))  # linalg.norm
@@ -209,13 +231,6 @@ class DensityMatrix(_ArrayEquality):
         object.__setattr__(self, "_basis", u if full else None)
         if not full:
             object.__setattr__(self, "_root", self.factor)
-
-    @functools.cached_property
-    def digest(self) -> str:
-        """A factor-built state hashes its prescaled G (tagged ``density-factor``), any other its matrix."""
-        if "_prescaled" in vars(self):
-            return _array_digest("density-factor", self._prescaled)
-        return _array_digest("density", self.matrix)
 
     @property
     def dimension(self) -> int:

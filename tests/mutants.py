@@ -41,6 +41,7 @@ class Mutant(NamedTuple):
 
 
 RELATIONS, SATURATION = "src/qubounds/relations.py", "src/qubounds/saturation.py"
+STATES, SAMPLING, REPORTING = "src/qubounds/states.py", "src/qubounds/sampling.py", "src/qubounds/reporting.py"
 
 CATALOGUE = (
     Mutant("decide-flag-strict", RELATIONS,
@@ -81,6 +82,22 @@ CATALOGUE = (
     Mutant("construction-phase-dropped", SATURATION,
            "np.multiply(direction, np.array(phases)[:, None], out=direction, where=fix[:, None])", "pass",
            "case 2 phases phi so that <psi|(A - mu B)|phi> is real nonnegative"),
+    Mutant("decide-pair-term-dropped", RELATIONS,
+           "ROUNDING_TOL * size) + pair", "ROUNDING_TOL * size)",
+           "a Maccone-Pati violation floor carries the Gram deviation that the pair checks admit"),
+    Mutant("moments-uncentred", STATES,
+           "y -= means.real * x[..., None, :, :]", "pass",
+           "the deviations and the cross term are read from the centred pair A_c X, B_c X"),
+    Mutant("digest-tag-shapeless", STATES,
+           'hashlib.sha256(f"{kind}{arrays[0].shape}".encode())', 'hashlib.sha256(f"{kind}".encode())',
+           "an input's digest is tagged with its kind and its shape"),
+    Mutant("hermitian-imaginary-transposed", SAMPLING,
+           "np.subtract(y, y.swapaxes(-1, -2), out=h.imag)", "np.subtract(y.swapaxes(-1, -2), y, out=h.imag)",
+           "the sampler's imaginary part of e^{i pi/4} X is (y - y^T)/2, that of Observable.hermitian_part"),
+    Mutant("schrodinger-certificate-robertson-decision", REPORTING,
+           '("schrodinger_certificate", CertificateKind.SCHRODINGER, mixed, "schrodinger_mixed")',
+           '("schrodinger_certificate", CertificateKind.SCHRODINGER, mixed, "robertson_mixed")',
+           "a certificate exists exactly when its own bound's decision is saturated"),
     Mutant("mu-sign-inclusive", RELATIONS,
            "mu = -1j if comm.imag > 0 and not tie else 1j", "mu = -1j if comm.imag >= 0 and not tie else 1j",
            "mu makes mu <[A, B]> nonnegative, ties to i",

@@ -436,8 +436,8 @@ class _DrawSizes:
 def _trial_calls(monkeypatch, config, tol=Tolerance(), failures=0):
     """Run ``config``'s sweep at ``tol``, with ``failures`` failures, counting the
     calls each library entry makes, the shapes of its ``eigh``, ``eigvalsh`` and ``qr`` operands,
-    the size of each of its normal draws, the states its factor body built, and
-    every rho those states formed."""
+    the size of each of its normal draws, the kind of each input digest it made (one entry per digest,
+    however many one hashing call made), the states its factor body built, and every rho those states formed."""
     targets = {
         "require_hermitian": linalg.require_hermitian,
         "_moments": states._moments,
@@ -449,11 +449,15 @@ def _trial_calls(monkeypatch, config, tol=Tolerance(), failures=0):
         "_require_orthonormal": linalg._require_orthonormal,
         "_grams": linalg._grams,
         "_mp_pair": relations._mp_pair,
-        "_array_digest": states._array_digest,
         "_digest": relations._digest,
+        "_robertson_decision": relations._robertson_decision,
+        "_schrodinger_decision": relations._schrodinger_decision,
     }
     counts = dict.fromkeys([*targets, "BoundReport"], 0)
-    shapes = {"eigh": [], "eigvalsh": [], "qr": [], "draws": []}
+    shapes = {"eigh": [], "eigvalsh": [], "qr": [], "draws": [], "digests": []}
+    digests = states._digests
+    monkeypatch.setattr(states, "_digests",
+                        lambda kind, arrays: shapes["digests"].extend([kind] * len(arrays)) or digests(kind, arrays))
     init = relations.BoundReport.__init__
     monkeypatch.setattr(relations.BoundReport, "__init__",
                         lambda self, *args, **kwargs: counts.update(BoundReport=counts["BoundReport"] + 1)
@@ -508,7 +512,7 @@ def test_verify_trial_validates_once_and_reduces_once(monkeypatch):
     # A, B, psi, rho and the Haar pair, each hashed once for the record's inputs block; e1, the
     # constructed phis and the certificates hash nothing.  The bound entries are decisions: no
     # report digest and no BoundReport.
-    assert counts["_array_digest"] == 6
+    assert sorted(shapes["digests"]) == ["density-factor", "observable", "observable", "pure", "pure", "pure"]
     assert (counts["_digest"], counts["BoundReport"]) == (0, 0)
     # The reports decide saturation; an SVD only builds a saturated bound's witness.
     assert counts["svd"] == 0
@@ -517,11 +521,12 @@ def test_verify_trial_validates_once_and_reduces_once(monkeypatch):
 def test_verify_stacks_a_chunks_eigh_and_qr(monkeypatch):
     # Four trials form one chunk: their Gram matrices share one eigvalsh (and no eigh runs), their
     # Haar blocks one QR and their triples the two moments calls of one trial,
-    # while each trial still hashes its own inputs, and no report digest runs.
+    # while each trial's inputs are still hashed, each once, and no report digest runs.
     counts, shapes = _trial_calls(monkeypatch, SampleConfig(4, 4, 7, 4))
     assert (counts["eigh"], counts["eigvalsh"], counts["qr"]) == (0, 1, 1)
     assert (shapes["eigvalsh"], shapes["qr"]) == ([(4, 4, 4)], [(4, 4, 2)])
-    assert (counts["_moments"], counts["_array_digest"], counts["_digest"], counts["BoundReport"]) == (2, 24, 0, 0)
+    assert (counts["_moments"], counts["_digest"], counts["BoundReport"]) == (2, 0, 0)
+    assert sorted(shapes["digests"]) == 4 * ["density-factor"] + 8 * ["observable"] + 12 * ["pure"]
     assert (shapes["built"], shapes["rho"]) == (4, [])
 
 
@@ -548,6 +553,45 @@ def test_a_trials_pair_checks_run_once_when_they_fail(monkeypatch):
     assert (counts["_grams"], counts["_require_orthonormal"]) == (1, 5)
 
 
+def test_a_chunks_certificates_read_their_bounds_decisions(monkeypatch):
+    # Each of a chunk's 4 trials takes its Robertson and Schrodinger decisions once, pure and mixed: 16 in all.
+    # Its three certificates read those decisions and take none again (they took 12 more).
+    counts, _ = _trial_calls(monkeypatch, SampleConfig(4, 4, 7, 4))
+    assert (counts["_robertson_decision"], counts["_schrodinger_decision"]) == (8, 8)
+
+
+def test_a_certificate_is_present_exactly_where_its_bound_is_saturated():
+    # A qubit rank-1 rho is pure, so every trial saturates Schrodinger, and on these draws none saturates Robertson,
+    # whose equality also needs the centred anticommutator term to vanish: each certificate must read its own
+    # bound's decision, not the other one.
+    pairs = (("robertson_pure_certificate", "robertson_pure"), ("robertson_mixed_certificate", "robertson_mixed"),
+             ("schrodinger_certificate", "schrodinger_mixed"))
+    for n, rank in ((2, 1), (3, 1), (4, 2)):
+        trials = run_verification_suite(SampleConfig(n, rank, 7, 12), Tolerance()).trials
+        for record in trials:
+            for certificate, bound in pairs:
+                assert (record[certificate] is not None) == record[bound]["saturated"], (n, rank, record["trial"])
+        if n == 2:
+            assert all(r["schrodinger_mixed"]["saturated"] and not r["robertson_mixed"]["saturated"] for r in trials)
+
+
+def test_a_bounds_error_is_its_certificates_outcome(monkeypatch):
+    # A Robertson decision that raises is filed once as the bound's error and once as its certificate's, each a
+    # failure with the decision's message, in the order the record files them; Schrodinger's certify as before.
+    def violated(m, tol):
+        raise qubounds.BoundViolation(f"planted at {m.state.dimension}")
+
+    monkeypatch.setattr(reporting, "_robertson_decision", violated)
+    report = run_verification_suite(SampleConfig(3, 2, 7, 2), Tolerance())
+    for record in report.trials:
+        for where in ("robertson_pure", "robertson_pure_certificate", "robertson_mixed", "robertson_mixed_certificate"):
+            assert record[where] == {"error": "BoundViolation"}
+        assert (record["schrodinger_certificate"] is not None) == record["schrodinger_mixed"]["saturated"]
+    assert [(f["trial"], f["where"], f["message"]) for f in report.summary["failures"]] == [
+        (k, where, "planted at 3") for k in range(2)
+        for where in ("robertson_pure", "robertson_mixed", "robertson_pure_certificate", "robertson_mixed_certificate")]
+
+
 def test_verify_trial_draws_and_factors_only_what_it_reads(monkeypatch):
     # rho comes from its n x rank factor, so its only eigenvalues are of the
     # rank x rank Gram matrix, with no eigenvector; psi and the pair are n x 1 and n x 2 draws.
@@ -558,7 +602,7 @@ def test_verify_trial_draws_and_factors_only_what_it_reads(monkeypatch):
     assert shapes["draws"] == [16 * 16 * 2 + 2 * 16 + 2 * 16 * 2, 2 * 16 * 2]
     assert (shapes["built"], shapes["rho"]) == (1, [])
     assert shapes["qr"] == [(1, 16, 2)]
-    assert (counts["_array_digest"], counts["_digest"]) == (6, 0)
+    assert (len(shapes["digests"]), counts["_digest"]) == (6, 0)
     assert counts["svd"] == 0
 
 
@@ -673,7 +717,7 @@ def _sweep_against_public_api(n, tol):
                 record[key] = {"error": type(exc).__name__}
             else:
                 for name, value in (result if isinstance(result, dict) else {where: result}).items():
-                    record[name] = summary.entry(k, name, _as_entry(value))
+                    summary.file(record, k, name, _as_entry(value))
         assert report.trials[k] == record
     assert report.summary == dict(vars(summary), failure_count=len(summary.failures))
     return report

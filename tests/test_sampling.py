@@ -1,7 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from qubounds import (
+    Observable,
     SampleConfig,
     bloch_state,
     haar_unitary,
@@ -10,7 +13,8 @@ from qubounds import (
     random_pure_state,
     trial_rng,
 )
-from qubounds.sampling import _complex_normal, _haar_columns
+from qubounds import sampling, states
+from qubounds.sampling import _complex_normal, _haar_columns, _trial_chunks
 from helpers import complex_normal
 
 
@@ -183,3 +187,59 @@ def test_trial_rng_streams_are_independent_and_stable():
     other = trial_rng(5, 1).standard_normal(4)
     np.testing.assert_array_equal(first, again)
     assert not np.array_equal(first, other)
+
+
+def test_the_samplers_real_hermitian_part_is_the_complex_one_bit_for_bit():
+    # The sampler forms the Hermitian part of e^{i pi/4} X in real arithmetic, as (y + y^T)/2 + i (y - y^T)/2 for
+    # y = X fl(1/sqrt(2)); its bytes, norm and digest are those of Observable.hermitian_part of the complex product,
+    # for random_hermitian and for a sweep's As and Bs (drawn first in each trial's stream).
+    root_i = (1 + 1j) / np.sqrt(2.0)
+    for seed in (7, 1009):
+        for n in (1, 2, 3, 4, 16, 64):
+            draws = trial_rng(seed, 0).standard_normal((2, n, n))
+            want = [Observable.hermitian_part(root_i * draws[j], label) for j, label in enumerate("AB")]
+            rng = trial_rng(seed, 0)
+            sampled = [random_hermitian(n, rng, label=label) for label in "AB"]
+            (_, a, b, *_), = next(_trial_chunks(SampleConfig(n, 1, seed, 1)))[-1]
+            for x, y, z in zip(want, sampled, (a, b)):
+                assert x.matrix.tobytes() == y.matrix.tobytes() == z.matrix.tobytes()
+                assert (x.norm, x.digest, x.label) == (y.norm, y.digest, y.label) == (z.norm, z.digest, z.label)
+
+
+class _FirstFactorOfOnes:
+    """A trial's generator whose first factor G (the last ``size`` normals of its first draw) is all ones, so of
+    rank 1, and which draws normally otherwise: the rho's one redraw."""
+
+    def __init__(self, rng, size):
+        self._rng, self._size, self._first = rng, size, True
+
+    def standard_normal(self, size=None, out=None):
+        drawn = self._rng.standard_normal(size, out=out)
+        if self._first:
+            drawn[-self._size:] = 1.0
+            self._first = False
+        return drawn
+
+
+@pytest.mark.parametrize("redraw", [False, True], ids=["drawn", "redrawn"])
+@pytest.mark.parametrize("n", [1, 2, 4, 64])
+def test_a_chunks_stacked_digests_are_each_inputs_own(n, redraw, monkeypatch):
+    # _trial_chunks hashes each input stack in one call (A, B, the psi and pair rows, each rho's prescaled G); every
+    # digest it stores is _array_digest of that input alone, the SHA-256 of its kind, shape and bytes.  A rho whose
+    # factor falls short of its rank is hashed from its redraw, the state the chunk yields.
+    rank = min(n, 2)
+    if redraw:
+        monkeypatch.setattr(sampling, "trial_rng", lambda seed, k: _FirstFactorOfOnes(trial_rng(seed, k), 2 * n * rank))
+    count = 2 if n == 64 else 5
+    inputs = [x for *_, chunk in _trial_chunks(SampleConfig(n, rank, 7, count))
+              for _, a, b, psi, rho, pair in chunk for x in (a, b, psi, rho, *(pair or ()))]
+    per_trial = 4 if n == 1 else 6
+    assert len(inputs) == count * per_trial
+    for x in inputs:
+        kind, name = x._HASHED
+        array = getattr(x, name)
+        assert vars(x)["digest"] == states._array_digest(kind, array) == hashlib.sha256(
+            f"{kind}{array.shape}".encode() + np.ascontiguousarray(array).tobytes()).hexdigest()
+    rhos = inputs[3::per_trial]
+    if redraw and rank > 1:  # the redrawn factor is not the all-ones one
+        assert all(not np.allclose(rho._prescaled, rho._prescaled[0, 0]) for rho in rhos)

@@ -1617,7 +1617,8 @@ def test_a_saturated_mixed_certificate_forms_and_norms_its_witness_once(monkeypa
         counted = dataclasses.replace(m, centered_a=m.centered_a.view(_CountedProducts))
         norms.clear()
         _CountedProducts.products = 0
-        cert = saturation._certificate(kind, counted, Tolerance())
+        decide = relations._schrodinger_decision if kind is CertificateKind.SCHRODINGER else relations._robertson_decision
+        cert = saturation._certificate(kind, counted, decide(counted, Tolerance()), Tolerance())
         assert (_CountedProducts.products, norms) == (1, [cert.residual]), kind
 
 

@@ -646,3 +646,40 @@ def test_a_states_slot_returns_its_last_reduction_for_the_same_observables_only(
         assert freed() is None
     finally:
         gc.enable()
+
+
+def _boolean_support(a):
+    """The support as it was selected by a boolean index of the descending eigh arrays: the reference."""
+    w, v = linalg._eigh_descending(a)
+    keep = w > linalg.INPUT_TOL * linalg._norm(w)
+    return w[keep], v[:, keep]
+
+
+def test_a_support_is_a_prefix_of_the_descending_spectrum_bit_for_bit():
+    # DensityMatrix(m), psd_power and a factor-built state whose cutoff drops a direction take their support as
+    # prefixes of the descending eigh arrays, sliced with no copy; every byte is the boolean selection's.
+    rng = trial_rng(36, 0)
+    for n in range(1, 9):
+        for k in range(1, n + 1):
+            g = complex_normal(rng, n, k)
+            m = g @ g.conj().T
+            m = (m + m.conj().T) / 2 / np.trace(m).real
+            w, v = _boolean_support(m)
+            support = linalg._psd_support(m)
+            assert support[0].base is not None and support[1].base is not None  # slices, not copies
+            assert [x.tobytes() for x in support] == [w.tobytes(), v.tobytes()]
+            state = DensityMatrix(m)
+            assert (state.weights.tobytes(), state.factor.tobytes()) == (w.tobytes(), (v * np.sqrt(w)).tobytes())
+            power = (v * w**3.0) @ v.conj().T
+            assert linalg.psd_power(m, 3.0).tobytes() == ((power + power.conj().T) / 2.0).tobytes()
+            # A repeated column: the Gram matrix of G has a zero eigenvalue, which the cutoff drops.
+            state = DensityMatrix.from_factor(np.hstack([g, g[:, -1:]]))
+            assert "_root" not in vars(state)
+            x = state._prescaled
+            lam, u = _boolean_support(x.conj().T @ x)
+            y = x @ u
+            y = y * y[np.abs(y).argmax(axis=0), np.arange(y.shape[1])].conj()
+            y = y / np.sqrt(np.add.reduce((y.conj() * y).real, axis=0))
+            weights = lam / lam.sum()
+            assert (state.weights.tobytes(), state.factor.tobytes()) == (
+                weights.tobytes(), (y * np.sqrt(weights)).tobytes())
