@@ -19,7 +19,7 @@ from .saturation import (
     robertson_saturation_mixed,
     robertson_saturation_pure,
 )
-from .states import DensityMatrix, PureState
+from .states import DensityMatrix, Observable, PureState
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -149,12 +149,13 @@ def golden_qubit_chain_grid() -> GoldenResult:
     max_solution_step2 = 0.0
     far_step2 = []
     max_mu_error = 0.0
+    sx, sy = Observable(SIGMA_X), Observable(SIGMA_Y)  # validated once; each point's entries share psi's slot
     for theta in thetas:
         for phi in phis:
             psi = bloch_state(theta, phi)
             other = _grid_phi_vector(theta, phi)
-            sat = mp_chain_saturation(SIGMA_X, SIGMA_Y, psi, other, 1j)
-            chain = mp_chain(SIGMA_X, SIGMA_Y, psi, other, 1j)
+            sat = mp_chain_saturation(sx, sy, psi, other, 1j)
+            chain = mp_chain(sx, sy, psi, other, 1j)
             max_step1 = max(max_step1, sat.step_residuals[0])
             max_step1_slack = max(max_step1_slack, abs(chain.steps[0].slack))
             if (distance := _distance_to_solutions(theta, phi)) <= 1e-12:
@@ -164,7 +165,7 @@ def golden_qubit_chain_grid() -> GoldenResult:
             if theta in (0.0, math.pi):
                 expected = 1j if theta == 0.0 else -1j
                 max_mu_error = max(
-                    max_mu_error, abs(mu_ratio(SIGMA_X, SIGMA_Y, psi, other) - expected)
+                    max_mu_error, abs(mu_ratio(sx, sy, psi, other) - expected)
                 )
     min_far_step2 = min(far_step2, default=None)
     passed = (

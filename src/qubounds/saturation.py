@@ -178,8 +178,9 @@ def _certificate(kind: CertificateKind, m: PairMoments, decision: _Decision,
 
 def robertson_saturation_pure(observable_a, observable_b, psi: PureState,
                               tol: Tolerance = DEFAULT_TOL) -> SaturationCertificate | None:
-    """Phase theta with cos(theta) A_c |psi> + i sin(theta) B_c |psi> = 0, if any."""
-    m = pair_moments(observable_a, observable_b, psi)
+    """Phase theta with cos(theta) A_c |psi> + i sin(theta) B_c |psi> = 0, if any; ``psi`` must be a
+    :class:`PureState`, as a mixed state's certificate needs the power re-check (:func:`robertson_saturation_mixed`)."""
+    m = _reduction(*_entry(observable_a, observable_b, (psi,), PureState), psi)
     return _certificate(CertificateKind.ROBERTSON_PURE, m, _robertson_decision(m, tol), tol)
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,7 +60,12 @@ def _store_digests(inputs: list) -> None:
 
 class _Input(_ArrayEquality):
     """An observable or a state: ``_HASHED`` names its kind and the frozen array that its ``digest`` hashes
-    (:func:`_array_digest`) when first read, unless a sweep stored it (:func:`_store_digests`)."""
+    (:func:`_array_digest`) when first read, unless a sweep stored it (:func:`_store_digests`).  That array's leading
+    axis is the ``dimension``: of the matrix, the amplitudes, or a factor-built state's prescaled G."""
+
+    @property
+    def dimension(self) -> int:
+        return getattr(self, self._HASHED[1]).shape[0]
 
     @functools.cached_property
     def digest(self) -> str:
@@ -87,10 +93,6 @@ class Observable(_Input):
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "norm", norm)
-
-    @property
-    def dimension(self) -> int:
-        return self.matrix.shape[0]
 
     @functools.cached_property
     def spread(self) -> float:
@@ -165,10 +167,6 @@ class PureState(_Input):
             state._freeze(row)
         return states
 
-    @property
-    def dimension(self) -> int:
-        return self.amplitudes.size
-
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix(_Input):
@@ -191,50 +189,42 @@ class DensityMatrix(_Input):
         trace = float(m.trace().real)
         if abs(trace - 1.0) > INPUT_TOL:
             raise InvalidInput(f"density matrix trace {trace!r} is not 1 within {INPUT_TOL}")
-        w, v = _psd_support(m, "density matrix")
         object.__setattr__(self, "matrix", _frozen_array(m))
-        self._freeze(v * np.sqrt(w), w)
-        object.__setattr__(self, "_root", self.factor)
         object.__setattr__(self, "_HASHED", ("density", "matrix"))
+        self._support(*_psd_support(m, "density matrix"))
 
-    def _freeze(self, factor: np.ndarray, weights: np.ndarray) -> None:
-        """Set ``factor`` and ``weights`` from fresh arrays that no caller holds, frozen in place."""
+    def _support(self, w: np.ndarray, v: np.ndarray, basis: np.ndarray | None = None) -> None:
+        """The one support body, for the weights ``w`` and orthonormal columns ``v``, fresh arrays that no caller
+        holds: freeze ``weights`` = w, ``factor`` = V w^(1/2) and ``_basis``, and set the moments' root
+        (``_root``) to that factor unless it is G/||G||_F already.  ``basis`` is U, with (G/||G||_F) U the factor
+        up to its columns' phases, where the root is G/||G||_F, and else None."""
+        factor = v * np.sqrt(w)
         factor.setflags(write=False)
-        weights.setflags(write=False)
+        w.setflags(write=False)
         object.__setattr__(self, "factor", factor)
-        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "_basis", basis)
+        vars(self).setdefault("_root", factor)
 
     def __getattr__(self, name: str):
-        # Only a factor-built state's arrays are missing: formed from its prescaled G when first read.
+        # Only a factor-built state's arrays are missing: formed from its prescaled G when first read.  Its support
+        # (see :meth:`from_factor`) comes from one ``eigh`` of its Gram matrix: over all k where the moments read
+        # G/||G||_F, else over the support alone.
         if name not in ("matrix", "factor", "weights", "_basis", "_root") or "_prescaled" not in vars(self):
             raise AttributeError(name)
         if name != "matrix":
-            self._spectrum()
+            x = self._prescaled
+            full = "_root" in vars(self)
+            lam, u = (_eigh_descending if full else _psd_support)(x.conj().T @ x)  # a Gram matrix passes the PSD test
+            v = x @ u
+            v = v * v[np.abs(v).argmax(axis=0), np.arange(v.shape[1])].conj()
+            v = v / np.sqrt(np.add.reduce((v.conj() * v).real, axis=0))  # linalg.norm
+            self._support(lam / lam.sum(), v, u if full else None)
             return vars(self)[name]
         rho = self._prescaled @ self._prescaled.conj().T
         rho = rho / np.trace(rho).real
         object.__setattr__(self, "matrix", _frozen_array((rho + rho.conj().T) / 2.0))
         return self.matrix
-
-    def _spectrum(self) -> None:
-        """Set a factor-built state's ``factor`` and ``weights`` (see :meth:`from_factor`) from one ``eigh`` of its Gram
-        matrix, and ``_basis``: where its moments read G/||G||_F (``_root``), over all k, and U with (G/||G||_F) U the
-        factor up to its columns' phases; else over the support alone, None, and the moments read that factor."""
-        x = self._prescaled
-        full = "_root" in vars(self)
-        lam, u = (_eigh_descending if full else _psd_support)(x.conj().T @ x)  # a Gram matrix passes the PSD test
-        v = x @ u
-        v = v * v[np.abs(v).argmax(axis=0), np.arange(v.shape[1])].conj()
-        v = v / np.sqrt(np.add.reduce((v.conj() * v).real, axis=0))  # linalg.norm
-        w = lam / lam.sum()
-        self._freeze(v * np.sqrt(w), w)
-        object.__setattr__(self, "_basis", u if full else None)
-        if not full:
-            object.__setattr__(self, "_root", self.factor)
-
-    @property
-    def dimension(self) -> int:
-        return self._root.shape[0]
 
     @classmethod
     def from_factor(cls, g) -> "DensityMatrix":
@@ -388,14 +378,16 @@ def _pair_moments(a: Observable, b: Observable, state: QuantumState, moments: tu
 
 def _reduction(a: Observable, b: Observable, state: QuantumState) -> PairMoments:
     """:func:`_pair_moments` of the validated triple, from the moments that a one-entry slot (a, b, moments) on
-    ``state`` keeps for ``a`` and ``b`` by identity (not the state), else from :func:`_moments`, which fill it."""
+    ``state`` keeps for ``a`` and ``b`` by identity, else from :func:`_moments`, which fill it.  The slot holds weak
+    references to ``a`` and ``b`` and none to the state, so it keeps none of them alive; a hit needs the same live
+    objects."""
     slot = vars(state).get("_reduced")
-    if slot is not None and slot[0] is a and slot[1] is b:
+    if slot is not None and slot[0]() is a and slot[1]() is b:
         return _pair_moments(a, b, state, slot[2])
     moments = _moments(a.matrix, b.matrix, state._root)
     moments[2].setflags(write=False)
     m = _pair_moments(a, b, state, moments)
-    object.__setattr__(state, "_reduced", (a, b, moments))
+    object.__setattr__(state, "_reduced", (weakref.ref(a), weakref.ref(b), moments))
     return m
 
 

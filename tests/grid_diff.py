@@ -6,9 +6,11 @@ Each tree runs in a fresh process, with its own ``src`` first on the path: ``ver
 (n, rank) = (1,1), (2,1), (2,2), (3,1), (3,2), (4,4), (8,3) x 30 trials and (64,4) x 5, at seeds
 7 and 1009, under ``Tolerance()`` and ``Tolerance(0.0)``, and the ``reproduce`` body.  The script
 prints each report body's and summary CSV's SHA-256 (first 16 hex digits) in both trees, lists every
-leaf value that moved with its relative change, closes with a count of the flipped ``saturated`` flags
-per run and per bound, and exits 1 when any body or CSV differs.  It uses only the standard library and
-NumPy.
+leaf value that moved with its relative change, and closes with a count of the flipped ``saturated`` flags
+per run and per bound.  A report body or CSV that moved needs a new artifact version: the script reads
+``artifact_version`` from each tree's report bodies, and exits 1 when any body or CSV differs under one
+version; where the version moved, it prints the move and exits 0.  Two runs of one tree share their version,
+so there any difference exits 1.  It uses only the standard library and NumPy.
 """
 
 from __future__ import annotations
@@ -55,6 +57,11 @@ def tree_bodies(tree: str) -> dict:
     if child.returncode != 0:
         raise SystemExit(f"grid run failed in {tree}:\n{child.stderr}")
     return json.loads(child.stdout)
+
+
+def artifact_version(bodies: dict) -> str:
+    """The ``artifact_version`` that the report bodies of :func:`grid_bodies` name, ``/``-joined if they differ."""
+    return "/".join(sorted({json.loads(body)["manifest"]["artifact_version"] for body, _ in bodies.values()}))
 
 
 def _number(x) -> bool:
@@ -132,7 +139,14 @@ def main(argv: list) -> int:
     if total:
         print(f"    by bound: {_counts(total)}")
     print(f"{moved} of {len(set(old) | set(new))} runs differ")
-    return 1 if moved else 0
+    if not moved:
+        return 0
+    old_version, new_version = artifact_version(old), artifact_version(new)
+    if old_version != new_version:
+        print(f"report bytes moved with artifact_version {old_version} -> {new_version}")
+        return 0
+    print(f"report bytes moved, but artifact_version is {new_version} in both trees")
+    return 1
 
 
 if __name__ == "__main__":

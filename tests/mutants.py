@@ -40,7 +40,7 @@ class Mutant(NamedTuple):
     equivalent: str | None = None
 
 
-RELATIONS, SATURATION = "src/qubounds/relations.py", "src/qubounds/saturation.py"
+LINALG, RELATIONS, SATURATION = "src/qubounds/linalg.py", "src/qubounds/relations.py", "src/qubounds/saturation.py"
 STATES, SAMPLING, REPORTING = "src/qubounds/states.py", "src/qubounds/sampling.py", "src/qubounds/reporting.py"
 
 CATALOGUE = (
@@ -107,6 +107,45 @@ CATALOGUE = (
            "a deviation is zero within the zero budget, which no identity offset moves",
            equivalent="spread(A) <= ||A||_F and min(eps, ROUNDING_TOL) <= eps, so the budget is at most "
                       "eps ||A||_F and the dropped test is implied: it is only a fast path"),
+    Mutant("tolerance-zero-exclusive", LINALG,
+           "if not 0 <= eps < math.inf:", "if not 0 < eps < math.inf:",
+           "eps = 0 is a tolerance: every comparison exact, with only the rounding floors left"),
+    Mutant("sample-rank-strict", SAMPLING,
+           "if not 1 <= self.rank <= self.dimension:", "if not 1 <= self.rank < self.dimension:",
+           "a sample's rank lies in [1, n], full rank included"),
+    Mutant("certificate-zero-witness-swapped", SATURATION,
+           "m.dev_a if zero[0]", "m.dev_b if zero[0]",
+           "a zero side's witness (1, 0) leaves the residual dev(A), that side's deviation"),
+    Mutant("support-cutoff-inclusive", LINALG,
+           "np.count_nonzero(w > INPUT_TOL * _norm(w))", "np.count_nonzero(w >= INPUT_TOL * _norm(w))",
+           "a support keeps the eigenvalues above INPUT_TOL ||w||, and drops one at the cutoff"),
+    Mutant("full-support-inclusive", STATES,
+           "if w[0] > INPUT_TOL * _norm(w):", "if w[0] >= INPUT_TOL * _norm(w):",
+           "a factor-built state's moments read G/||G||_F only where the cutoff keeps every Gram eigenvalue"),
+    Mutant("psd-floor-x10", LINALG,
+           "low < -INPUT_TOL * float(np.abs(w).sum())", "low < -10.0 * INPUT_TOL * float(np.abs(w).sum())",
+           "an eigenvalue below -INPUT_TOL sum |lambda| is NotPositiveSemidefinite"),
+    Mutant("mean-residue-inclusive", STATES,
+           "if abs(mean.imag) > INPUT_TOL * obs.norm:", "if abs(mean.imag) >= INPUT_TOL * obs.norm:",
+           "a mean's imaginary residue passes up to and at INPUT_TOL ||A||_F"),
+    Mutant("hermitian-inclusive", LINALG,
+           "if deviation > INPUT_TOL * norm:", "if deviation >= INPUT_TOL * norm:",
+           "a matrix is Hermitian within INPUT_TOL ||m||_F, the bound included"),
+    Mutant("orthonormal-budget-size-one", LINALG,
+           "_pair_budget(tol, math.sqrt(len(gram)))", "_pair_budget(tol, 1.0)",
+           "k columns' Gram deviation has the rounding floor ROUNDING_TOL sqrt(k), the Frobenius size of I_k"),
+    Mutant("mu-snap-x10", SATURATION,
+           "MU_SNAP_TOL = 1e-12", "MU_SNAP_TOL = 1e-11",
+           "a given mu is i or -i only within MU_SNAP_TOL"),
+    Mutant("construction-gate-inclusive", REPORTING,
+           "if abs(outcome.achieved_slack) > CONSTRUCTION_TOL:", "if abs(outcome.achieved_slack) >= CONSTRUCTION_TOL:",
+           "a construction fails the sweep only where its gap exceeds CONSTRUCTION_TOL, as the CLI's exit code 2"),
+    Mutant("dimension-last-axis", STATES,
+           "return getattr(self, self._HASHED[1]).shape[0]", "return getattr(self, self._HASHED[1]).shape[-1]",
+           "an input's dimension is n, the leading axis of its hashed array, not a factor's k columns"),
+    Mutant("slot-b-key-dropped", STATES,
+           "slot[0]() is a and slot[1]() is b", "slot[0]() is a",
+           "a state's kept moments serve only the same A and B"),
 )
 
 

@@ -20,8 +20,9 @@ from qubounds import (
     psd_power,
     unitary_completion,
 )
-from qubounds.linalg import (_eigh_descending, _least_direction, _norm, _require_isometry, as_complex_matrix,
-                             complex_dependence_detail, phase_dependence_detail, require_hermitian)
+from qubounds.linalg import (_eigh_descending, _least_direction, _norm, _psd_support, _require_isometry,
+                             _require_orthonormal, as_complex_matrix, complex_dependence_detail,
+                             phase_dependence_detail, require_hermitian)
 from helpers import (SIGMA_X, SIGMA_Y, complex_normal, hermitian_array, svd_complex_dependence_detail,
                      svd_phase_dependence_detail)
 
@@ -166,6 +167,32 @@ def test_psd_power_round_trip_on_support():
 def test_psd_power_rejects_indefinite():
     with pytest.raises(NotPositiveSemidefinite):
         psd_power(np.diag([1.0, -1.0]), 0.5)
+
+
+def test_a_support_drops_an_eigenvalue_at_the_cutoff_and_keeps_one_above_it():
+    # Eigenvalues 1e10 and 1, exact floats: ||w|| is 1e10 and the cutoff INPUT_TOL ||w|| is 1 exactly, so the
+    # eigenvalue 1 sits at the cutoff and is dropped; 1 + 2^-20 is above it and kept.
+    for low, kept in ((1.0, [1e10]), (1.0 + 2.0**-20, [1e10, 1.0 + 2.0**-20])):
+        assert _psd_support(np.diag([1e10, low]).astype(complex))[0].tolist() == kept
+        assert np.count_nonzero(psd_power(np.diag([1e10, low]), 1.0)) == len(kept)
+
+
+def test_psd_power_rejects_an_eigenvalue_only_below_its_floor():
+    # diag(1, -d) has sum |lambda| = 1 + d, so its floor -INPUT_TOL (1 + d) is about -1e-10: d = 2^-34 (5.8e-11)
+    # passes as rounding noise and is dropped, while d = 2^-33 (1.2e-10) and d = 2^-29 (1.9e-9) raise.
+    assert psd_power(np.diag([1.0, -2.0**-34]), 1.0).tolist() == [[1.0, 0.0], [0.0, 0.0]]
+    for d in (2.0**-33, 2.0**-29):
+        with pytest.raises(NotPositiveSemidefinite):
+            psd_power(np.diag([1.0, -d]), 1.0)
+
+
+def test_the_orthonormal_budget_grows_with_the_square_root_of_the_column_count():
+    # Under Tolerance(0) the budget is the rounding floor ROUNDING_TOL sqrt(k), 1.41e-13 for two columns: a
+    # squared norm off 1 by 2^-46 (1.4e-14) or 2^-43 (1.1e-13) passes, and one off by 2^-42 (2.3e-13) does not.
+    for d in (2.0**-46, 2.0**-43):
+        assert _require_orthonormal([[1.0 + 0j, 0j], [0j, 1.0 + d + 0j]], Tolerance(0.0)) == d
+    with pytest.raises(NotOrthonormal):
+        _require_orthonormal([[1.0 + 0j, 0j], [0j, 1.0 + 2.0**-42 + 0j]], Tolerance(0.0))
 
 
 def test_psd_power_rejects_a_power_that_is_not_positive():

@@ -33,6 +33,7 @@ from qubounds import (
     random_hermitian,
     random_pure_state,
     robertson,
+    robertson_saturation_pure,
     schrodinger,
     stddev,
     trial_rng,
@@ -554,20 +555,26 @@ MP_ENTRIES = {
     "mp_chain_saturation": lambda psi, phi: mp_chain_saturation(SIGMA_X, SIGMA_Y, psi, phi, 1j),
 }
 NOT_PURE = {"density-matrix": DensityMatrix(np.eye(2) / 2), "list": [1.0, 0.0], "str": "10"}
-# Each entry with states of the wrong kind: the Maccone-Pati entries at psi and at phi, and
-# qubit_commutation_witness, which takes a DensityMatrix, at its state.
+# Each entry with states of the wrong kind: the Maccone-Pati entries at psi and at phi, qubit_commutation_witness,
+# which takes a DensityMatrix, at its state, and robertson_saturation_pure, which does not, at its state.  A mixed
+# state's certificate needs the power re-check of robertson_saturation_mixed: the pure checker returned one with
+# r_checked=() for the projector |0><0| before.
 WRONG_KIND = {f"{name}-{kind}-{slot}": (entry, (bad, KET1) if slot == "psi" else (KET0, bad))
               for name, entry in MP_ENTRIES.items() for kind, bad in NOT_PURE.items() for slot in ("psi", "phi")}
 WRONG_KIND.update({f"qubit_commutation_witness-{kind}":
                    (lambda state: qubit_commutation_witness(SIGMA_X, SIGMA_Y, state), (NOT_PURE[kind],))
                    for kind in ("list", "str")})
+WRONG_KIND.update({f"robertson_saturation_pure-{kind}":
+                   (lambda state: robertson_saturation_pure(SIGMA_X, SIGMA_Y, state), (bad,))
+                   for kind, bad in dict(NOT_PURE, projector=DensityMatrix.from_pure(KET0)).items()})
 
 
 @pytest.mark.parametrize("entry, args", WRONG_KIND.values(), ids=WRONG_KIND)
 def test_a_state_of_the_wrong_kind_is_a_type_error(entry, args):
-    # psi and phi enter every Maccone-Pati entry through one door, which takes only PureStates and raises the
-    # TypeError of pair_moments for anything else; qubit_commutation_witness reads the dimension only after
-    # pair_moments has checked the state.  An AttributeError or NumPy's reshape ValueError escaped before.
+    # psi and phi enter every Maccone-Pati entry, and psi robertson_saturation_pure, through one door, which takes
+    # only PureStates and raises the TypeError of pair_moments for anything else; qubit_commutation_witness reads
+    # the dimension only after pair_moments has checked the state.  An AttributeError or NumPy's reshape ValueError
+    # escaped before.
     with pytest.raises(TypeError, match="unsupported state type") as info:
         entry(*args)
     assert type(info.value) is TypeError

@@ -332,16 +332,19 @@ def test_cli_saturate_rejects_a_malformed_pair_file(tmp_path, capsys):
 
 
 def test_grid_diff_lists_each_moved_leaf_and_fails_on_a_moved_body(monkeypatch, capsys):
-    # Two crafted bodies: one moved float, one flipped flag, and one entry the change lacks.
-    old = {"trials": [{"robertson_pure": {"slack": 0.5, "saturated": True}, "mp3": {"lhs": 1.0}}]}
-    new = {"trials": [{"robertson_pure": {"slack": 0.5 + 2.0**-53, "saturated": False}}]}
+    # Two crafted bodies of one artifact version: one moved float, one flipped flag, and one entry the change lacks.
+    manifest = {"artifact_version": "0.13.0"}
+    old = {"manifest": manifest, "trials": [{"robertson_pure": {"slack": 0.5, "saturated": True}, "mp3": {"lhs": 1.0}}]}
+    new = {"manifest": manifest, "trials": [{"robertson_pure": {"slack": 0.5 + 2.0**-53, "saturated": False}}]}
     assert grid_diff.leaf_diff(old, new) == [
         "trials[0].mp3: missing in change",
         "trials[0].robertson_pure.saturated: True -> False",
         "trials[0].robertson_pure.slack: 0.5 -> 0.5000000000000001 (relative change 2.22e-16)",
     ]
     assert grid_diff.leaf_diff(old, json.loads(json.dumps(old))) == []
-    trees = {"parent": {"run": [json.dumps(old), "csv\n"]}, "change": {"run": [json.dumps(new), "csv\n"]}}
+    bumped = dict(new, manifest={"artifact_version": "0.14.0"})
+    trees = {"parent": {"run": [json.dumps(old), "csv\n"]}, "change": {"run": [json.dumps(new), "csv\n"]},
+             "bumped": {"run": [json.dumps(bumped), "csv\n"]}}
     monkeypatch.setattr(grid_diff, "tree_bodies", trees.get)
     assert grid_diff.main(["parent", "parent"]) == 0
     assert capsys.readouterr().out.endswith("0 of 1 runs differ\n")
@@ -350,7 +353,12 @@ def test_grid_diff_lists_each_moved_leaf_and_fails_on_a_moved_body(monkeypatch, 
     assert out.startswith("DIFFERS") and "    trials[0].mp3: missing in change\n" in out
     # The flipped flags are counted per run and per bound; the count changes no exit code.
     assert out.endswith("saturated flags flipped: 1\n    run: robertson_pure 1\n    by bound: robertson_pure 1\n"
-                        "1 of 1 runs differ\n")
+                        "1 of 1 runs differ\nreport bytes moved, but artifact_version is 0.13.0 in both trees\n")
+    # Under a new artifact version the same moves pass, and the version's move is printed.
+    assert grid_diff.main(["parent", "bumped"]) == 0
+    out = capsys.readouterr().out
+    assert "    manifest.artifact_version: '0.13.0' -> '0.14.0'\n" in out
+    assert out.endswith("1 of 1 runs differ\nreport bytes moved with artifact_version 0.13.0 -> 0.14.0\n")
 
 
 def test_sweep_skips_what_a_zero_deviation_stops():
@@ -377,6 +385,24 @@ def test_a_construction_gap_is_a_failure(tmp_path, monkeypatch):
     failures = json.loads(out.read_text())["summary"]["failures"]
     assert [(f["trial"], f["where"], f["error"]) for f in failures] == [
         (0, "construct_case1", "BoundViolation"), (1, "construct_case1", "BoundViolation")]
+
+
+def test_a_construction_gap_at_the_gate_is_no_failure(tmp_path, monkeypatch):
+    # The sweep's gate is the CLI's: a gap of exactly CONSTRUCTION_TOL, of either sign, passes, and the next float
+    # past it is a BoundViolation.
+    def gapped(targets, *args):
+        built = constructions(targets, *args)
+        return [[dataclasses.replace(pair, achieved_slack=gaps[target]) if target in gaps else pair
+                 for target, pair in zip(targets, pairs)] for pairs in built]
+
+    constructions = reporting._constructions
+    monkeypatch.setattr(reporting, "_constructions", gapped)
+    for at_gate in (reporting.CONSTRUCTION_TOL, -reporting.CONSTRUCTION_TOL):
+        gaps = {"case1": at_gate, "w_mp6": math.nextafter(reporting.CONSTRUCTION_TOL, 1.0)}
+        out = tmp_path / "gate.json"
+        assert main(["verify", "--n", "2", "--trials", "2", "--out", str(out)]) == 2
+        failures = json.loads(out.read_text())["summary"]["failures"]
+        assert [(f["trial"], f["where"]) for f in failures] == [(0, "construct_w_mp6"), (1, "construct_w_mp6")]
 
 
 def test_cli_saturate_on_an_overflowing_matrix_prints_one_error_line(tmp_path, capsys):

@@ -440,6 +440,16 @@ def test_mp3_saturation_hypothesis_guard():
         mp3_saturation(SIGMA_X, SIGMA_Y, KET0, KET1, 1.0)
 
 
+def test_a_given_mu_is_a_unit_only_within_mu_snap_tol():
+    # -i + 2^-40 (9.1e-13 from -i) is within MU_SNAP_TOL = 1e-12 and taken as -i exactly; -i + 2^-39 (1.8e-12)
+    # and -i + 2^-36 (1.5e-11) are not, and are no mu.
+    assert mp3_saturation(SIGMA_X, SIGMA_Y, KET0, KET1, -1j + 2.0**-40) == mp3_saturation(SIGMA_X, SIGMA_Y, KET0,
+                                                                                          KET1, -1j)
+    for off in (2.0**-39, 2.0**-36):
+        with pytest.raises(ValueError, match="mu must be i or -i"):
+            mp3_saturation(SIGMA_X, SIGMA_Y, KET0, KET1, -1j + off)
+
+
 def test_mp3_saturation_agrees_with_report():
     rng = trial_rng(307, 0)
     agreements = 0

@@ -648,6 +648,31 @@ def test_a_states_slot_returns_its_last_reduction_for_the_same_observables_only(
         gc.enable()
 
 
+def test_a_states_slot_keeps_no_observable_alive():
+    # The slot keys its entry by weak references to A and B: once the caller drops them, they are freed by their
+    # reference counts alone, with the cycle collector off, while the state and its kept moments live on.
+    rng = trial_rng(29, 4)
+    for state in (random_pure_state(4, rng), random_density(4, 2, rng), DensityMatrix(np.eye(4) / 4)):
+        gc.disable()
+        try:
+            a, b = (Observable(hermitian_array(rng, 4)) for _ in range(2))
+            m = pair_moments(a, b, state)
+            freed = weakref.ref(a), weakref.ref(b)
+            del a, b, m
+            assert [ref() for ref in freed] == [None, None] and "_reduced" in vars(state)
+        finally:
+            gc.enable()
+
+
+def test_a_factor_built_states_moments_read_g_only_where_the_cutoff_keeps_every_gram_eigenvalue():
+    # G = diag(1e5, 1) has Gram eigenvalues 1e10 and 1, exact floats whose ratio is INPUT_TOL: the smaller one sits
+    # at the cutoff and is dropped, so the moments read the one-column support factor.  With 1 + 2^-20 in place of
+    # 1 it is above the cutoff, and the moments read G/||G||_F, both columns.
+    for low, columns in ((1.0, 1), (1.0 + 2.0**-20, 2)):
+        state = DensityMatrix.from_factor(np.diag([1e5, low]))
+        assert ("_root" in vars(state)) == (columns == 2) and state._root.shape == (2, columns)
+
+
 def _boolean_support(a):
     """The support as it was selected by a boolean index of the descending eigh arrays: the reference."""
     w, v = linalg._eigh_descending(a)
