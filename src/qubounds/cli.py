@@ -52,8 +52,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     for command in (verify, saturate):
         command.add_argument("--tol", type=float, default=DEFAULT_TOL.eps, help="tolerance eps of every check")
-    for command in (verify, reproduce, saturate):
+    for command, run in ((verify, cmd_verify), (reproduce, cmd_reproduce), (saturate, cmd_saturate)):
         command.add_argument("--out", default="-", help="output path, '-' for stdout")
+        command.set_defaults(run=run)
     return parser
 
 
@@ -114,11 +115,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "reproduce":
-            return cmd_reproduce(args)
-        return cmd_saturate(args)
+        return args.run(args)
     except QuboundsError as exc:
         # Bad inputs (non-Hermitian matrices, shape mismatches, InvalidInput data) are usage errors.
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")

@@ -48,9 +48,10 @@ class SampleConfig:
             raise ValueError("seed must be >= 0")
 
 
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
+def _rng(n: int, seed) -> np.random.Generator:
+    """The samplers' one door: check n >= 1, then ``default_rng(seed)``, which returns a ``Generator`` as it is."""
+    if n < 1:
+        raise ValueError("dimension must be >= 1")
     return np.random.default_rng(seed)
 
 
@@ -94,9 +95,7 @@ def _hermitian_parts(x: np.ndarray, labels: tuple) -> tuple[np.ndarray, list]:
 def random_hermitian(n: int, seed, label: str = "") -> Observable:
     """:meth:`Observable.hermitian_part` of e^{i pi/4} X for a real standard normal n x n X (:func:`_hermitian_parts`):
     from n^2 draws, the law of (G + G^dagger)/2 for a complex normal G (README "Tolerances")."""
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
-    return _hermitian_parts(_as_rng(seed).standard_normal((1, 1, n, n)), (label,))[1][0][0]
+    return _hermitian_parts(_rng(n, seed).standard_normal((1, 1, n, n)), (label,))[1][0][0]
 
 
 def _haar_stack(z: np.ndarray) -> list:
@@ -111,9 +110,7 @@ def _haar_stack(z: np.ndarray) -> list:
 
 def _haar_columns(n: int, k: int, seed) -> np.ndarray:
     """``k`` Haar-distributed orthonormal columns, from an n x k draw only."""
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
-    return _haar_stack(_complex_normal(_as_rng(seed), 1, n, k))[0]
+    return _haar_stack(_complex_normal(_rng(n, seed), 1, n, k))[0]
 
 
 def haar_unitary(n: int, seed) -> np.ndarray:
@@ -128,9 +125,7 @@ def _unit_rows(z: np.ndarray) -> np.ndarray:
 
 def random_pure_state(n: int, seed) -> PureState:
     """A normalised complex normal draw of n amplitudes (:func:`_unit_rows`), with no QR."""
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
-    return PureState._stack(_unit_rows(_complex_normal(_as_rng(seed), 1, n)))[0]
+    return PureState._stack(_unit_rows(_complex_normal(_rng(n, seed), 1, n)))[0]
 
 
 def _full_rank(state: DensityMatrix, rng: np.random.Generator, rank: int) -> DensityMatrix:
@@ -150,7 +145,7 @@ def random_density(n: int, rank: int, seed) -> DensityMatrix:
     """
     if not 1 <= rank <= n:
         raise ValueError(f"rank must lie in [1, {n}]")
-    rng = _as_rng(seed)
+    rng = _rng(n, seed)
     return _full_rank(DensityMatrix.from_factor(_complex_normal(rng, n, rank)), rng, rank)
 
 

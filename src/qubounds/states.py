@@ -72,6 +72,10 @@ class _Input(_ArrayEquality):
         kind, name = self._HASHED
         return _array_digest(kind, getattr(self, name))
 
+    def __getstate__(self) -> dict:
+        # A state's kept moments (:func:`_reduction`) are a cache, not part of its value: a pickle or copy drops them.
+        return {k: v for k, v in vars(self).items() if k != "_reduced"}
+
 
 @dataclass(frozen=True, eq=False)
 class Observable(_Input):

@@ -186,6 +186,17 @@ def test_psd_power_rejects_an_eigenvalue_only_below_its_floor():
             psd_power(np.diag([1.0, -d]), 1.0)
 
 
+def test_a_matrix_is_hermitian_up_to_and_at_its_budget():
+    # ||m - m^dagger||_F is compared with INPUT_TOL ||m||_F, the bound included: the zero matrix has both zero and is
+    # Hermitian.  [[1, t], [0, 1]] deviates by sqrt(2) t against the budget INPUT_TOL sqrt(2 + t^2), and
+    # INPUT_TOL = 1e-10 lies between 2^-34 and 2^-33: t = 2^-34 passes and t = 2^-33 does not.
+    for n in (1, 3):
+        assert require_hermitian(np.zeros((n, n)))[1] == 0.0
+    require_hermitian(np.array([[1.0, 2.0**-34], [0.0, 1.0]]))
+    with pytest.raises(NonHermitianInput):
+        require_hermitian(np.array([[1.0, 2.0**-33], [0.0, 1.0]]))
+
+
 def test_the_orthonormal_budget_grows_with_the_square_root_of_the_column_count():
     # Under Tolerance(0) the budget is the rounding floor ROUNDING_TOL sqrt(k), 1.41e-13 for two columns: a
     # squared norm off 1 by 2^-46 (1.4e-14) or 2^-43 (1.1e-13) passes, and one off by 2^-42 (2.3e-13) does not.
@@ -349,6 +360,22 @@ def test_complex_dependence_proportional_matrices():
 
 def test_complex_dependence_independent_matrices():
     assert complex_dependence(SIGMA_X, SIGMA_Y) is None
+
+
+def test_a_dependence_detector_compares_its_squared_residual_with_eps_times_the_size():
+    # x = e1 and y = 2^-k e2: the least combination is y alone, an exact witness, so the residual is 2^-k against
+    # the size ||x||^2 + ||y||^2 = 1 + 2^-2k.  At eps = 1e-9, 2^-30 / (1 + 2^-30) lies below eps, and
+    # 2^-28 / (1 + 2^-28) above it but below 10 eps: each detector finds x and y dependent at k = 15 only.
+    for k, dependent in ((15, True), (14, False)):
+        x, y = np.array([[1.0, 0.0]]), np.array([[0.0, 2.0**-k]])
+        assert phase_dependence_detail(x, y) == (math.pi / 2, 2.0**-k)
+        assert complex_dependence_detail(x, y) == ((math.pi / 2, 0.0), 2.0**-k)
+        assert phase_dependence(x, y) == (math.pi / 2 if dependent else None)
+        assert complex_dependence(x, y) == ((math.pi / 2, 0.0) if dependent else None)
+    # The budget is included: for y = -x, cos(pi/4) x + sin(pi/4) y is exactly zero, which even eps = 0 admits.
+    x, y = np.array([[1.0, 0.0]]), np.array([[-1.0, 0.0]])
+    assert complex_dependence_detail(x, y)[1] == 0.0
+    assert complex_dependence(x, y, Tolerance(0.0)) == pytest.approx((math.pi / 4, 0.0))
 
 
 def test_complex_dependence_zero_operands():

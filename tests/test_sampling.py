@@ -20,6 +20,7 @@ from helpers import complex_normal
 
 def test_sample_config_validation():
     SampleConfig(dimension=4, rank=2, seed=0, count=1)
+    SampleConfig(dimension=4, rank=4, seed=0, count=1)  # both ends of [1, n] are ranks
     with pytest.raises(ValueError):
         SampleConfig(dimension=4, rank=5, seed=0, count=1)
     with pytest.raises(ValueError):
@@ -125,11 +126,19 @@ def test_haar_unitary_is_pinned_and_haar_columns_draw_only_n_by_k():
 
 
 def test_samplers_reject_dimensions_below_one_and_ranks_out_of_range():
-    for draw in (lambda: random_hermitian(0, 1), lambda: _haar_columns(0, 1, 1),
-                 lambda: random_pure_state(0, 1), lambda: random_density(2, 0, 1),
-                 lambda: random_density(2, 3, 1)):
-        with pytest.raises(ValueError):
+    # Every sampler draws through sampling._rng(n, seed), which rejects n < 1 and returns a Generator seed as it is;
+    # random_density checks its rank, which lies in [1, n], first.
+    for draw, message in ((lambda: random_hermitian(0, 1), "dimension must be >= 1"),
+                          (lambda: _haar_columns(0, 1, 1), "dimension must be >= 1"),
+                          (lambda: haar_unitary(0, 1), "dimension must be >= 1"),
+                          (lambda: random_pure_state(0, 1), "dimension must be >= 1"),
+                          (lambda: random_density(0, 1, 1), r"rank must lie in \[1, 0\]"),
+                          (lambda: random_density(2, 0, 1), r"rank must lie in \[1, 2\]"),
+                          (lambda: random_density(2, 3, 1), r"rank must lie in \[1, 2\]")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             draw()
+    rng = np.random.default_rng(3)
+    assert sampling._rng(1, rng) is rng
 
 
 def test_random_pure_state_unit_norm():

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import math
+import pickle
 import weakref
 
 import numpy as np
@@ -53,12 +54,25 @@ def test_a_state_norm_off_one_is_invalid_input():
     with pytest.raises(InvalidInput, match="^state vector norm 2.0 is not 1") as info:
         PureState(np.array([2.0, 0.0]))
     assert isinstance(info.value, ValueError)
+    # A one-entry vector's norm is its modulus, exactly, and INPUT_TOL = 1e-10 lies between 2^-34 and 2^-33:
+    # 1 +- 2^-34 is a unit vector and 1 +- 2^-33 is not, on both sides of 1.
+    for d in (2.0**-34, -(2.0**-34)):
+        assert PureState(np.array([1.0 + d])).amplitudes[0] == 1.0 + d
+    for d in (2.0**-33, -(2.0**-33)):
+        with pytest.raises(InvalidInput, match="^state vector norm .* is not 1 within 1e-10$"):
+            PureState(np.array([1.0 + d]))
 
 
 def test_a_trace_off_one_is_invalid_input():
     with pytest.raises(InvalidInput, match="^density matrix trace 2.0 is not 1") as info:
         DensityMatrix(np.eye(2))
     assert isinstance(info.value, ValueError)
+    # tr diag(1/2 + d, 1/2) = 1 + d exactly: within INPUT_TOL at d = +-2^-34, outside it at d = +-2^-33.
+    for d in (2.0**-34, -(2.0**-34)):
+        assert DensityMatrix(np.diag([0.5 + d, 0.5])).matrix.trace() == 1.0 + d
+    for d in (2.0**-33, -(2.0**-33)):
+        with pytest.raises(InvalidInput, match="^density matrix trace .* is not 1 within 1e-10$"):
+            DensityMatrix(np.diag([0.5 + d, 0.5]))
 
 
 def test_a_zero_factor_is_invalid_input():
@@ -328,14 +342,16 @@ def test_from_pure_rejects_an_argument_that_is_not_a_pure_state():
 
 def test_a_mean_with_an_imaginary_residue_past_its_budget_raises():
     # Not reachable through the public API: a validated A keeps |Im <A>| near half the
-    # budget INPUT_TOL * ||A||_F, so the means given to the check are crafted here.
+    # budget INPUT_TOL * ||A||_F, so the means given to the check are crafted here.  The budget
+    # is included: a residue equal to it, of either sign, passes, and the next double above it raises.
     a, b, psi = Observable(SIGMA_X), Observable(2.0 * SIGMA_Y), bloch_state(0.7, 0.3)
     means, gram, centred = states._moments(a.matrix, b.matrix, psi.factor)
     for side, obs in enumerate((a, b)):
-        for share, raises in ((0.5, False), (2.0, True)):
+        budget = linalg.INPUT_TOL * obs.norm
+        for residue in (0.5 * budget, budget, -budget, np.nextafter(budget, 1.0), 2.0 * budget):
             crafted = means.copy()
-            crafted[side] += 1j * share * linalg.INPUT_TOL * obs.norm
-            if raises:
+            crafted[side] = complex(means[side].real, residue)
+            if abs(residue) > budget:
                 with pytest.raises(NonRealExpectation):
                     states._pair_moments(a, b, psi, (crafted, gram, centred))
             else:
@@ -662,6 +678,19 @@ def test_a_states_slot_keeps_no_observable_alive():
             assert [ref() for ref in freed] == [None, None] and "_reduced" in vars(state)
         finally:
             gc.enable()
+
+
+def test_an_evaluated_state_pickles_without_its_slot():
+    # The slot is a cache of weak references, not part of a state's value: a state that has been evaluated pickles,
+    # loads equal to the original with no slot, and evaluates to the same report; the original keeps its slot.
+    a, b = Observable(SIGMA_X), Observable(SIGMA_Y)
+    for state in (PureState(np.array([0.6, 0.8j])), DensityMatrix(np.diag([0.75, 0.25])),
+                  DensityMatrix.from_factor(np.array([[1.0, 0.5], [0.0, 1.0j]]))):
+        report = relations.robertson(a, b, state)
+        slot = vars(state)["_reduced"]
+        loaded = pickle.loads(pickle.dumps(state))
+        assert "_reduced" not in vars(loaded) and loaded == state
+        assert relations.robertson(a, b, loaded) == report and vars(state)["_reduced"] is slot
 
 
 def test_a_factor_built_states_moments_read_g_only_where_the_cutoff_keeps_every_gram_eigenvalue():
