@@ -13,6 +13,7 @@ import sys
 from .errors import QuboundsError
 from .linalg import DEFAULT_TOL, Tolerance
 from .reporting import (
+    _pair_entry,
     canonical_json,
     dumps_report,
     load_observable_pair,
@@ -21,7 +22,7 @@ from .reporting import (
     summary_csv,
 )
 from .sampling import SampleConfig
-from .saturation import CONSTRUCTION_TOL, construct_case1, construct_case2, construct_w_mp6
+from .saturation import _CONSTRUCTIONS, CONSTRUCTION_TOL, _construct
 
 
 class _Parser(argparse.ArgumentParser):
@@ -92,23 +93,16 @@ def cmd_reproduce(args) -> int:
 
 def cmd_saturate(args) -> int:
     obs_a, obs_b = load_observable_pair(args.input)
-    tol = Tolerance(args.tol)
-    n = obs_a.dimension
-    if args.target == "mp3":
-        pair = construct_case1(obs_a, obs_b, tol) if n == 2 else construct_case2(obs_a, obs_b, tol)
-    else:
-        pair = construct_w_mp6(obs_a, obs_b, tol)
-    record = {
-        "target": pair.target,
-        "mu": [pair.mu.real, pair.mu.imag],
-        "psi": {"re": pair.psi.amplitudes.real.tolist(), "im": pair.psi.amplitudes.imag.tolist()},
-        "phi": {"re": pair.phi.amplitudes.real.tolist(), "im": pair.phi.amplitudes.imag.tolist()},
-        "achieved_slack": pair.achieved_slack,
-        "degenerate": pair.degenerate,
-        "construction_tol": CONSTRUCTION_TOL,
-    }
+    # The sweep's table: the target's first construction allowed at n, else its last, whose dimension rule raises.
+    names = [name for name, (target, *_) in _CONSTRUCTIONS.items() if target == args.target]
+    name = next((name for name in names if _CONSTRUCTIONS[name][1](obs_a.dimension)), names[-1])
+    pair = _construct(name, obs_a, obs_b, Tolerance(args.tol))
+    entry, failed = _pair_entry(pair)
+    record = dict(entry, target=pair.target, construction_tol=CONSTRUCTION_TOL,
+                  psi={"re": pair.psi.amplitudes.real.tolist(), "im": pair.psi.amplitudes.imag.tolist()},
+                  phi={"re": pair.phi.amplitudes.real.tolist(), "im": pair.phi.amplitudes.imag.tolist()})
     _emit(canonical_json(record), args.out)
-    return 0 if abs(pair.achieved_slack) <= CONSTRUCTION_TOL else 2
+    return 2 if failed else 0
 
 
 def main(argv=None) -> int:

@@ -133,6 +133,14 @@ def _utc_now() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
 
+def _pair_entry(pair: ConstructedPair) -> tuple[dict, bool]:
+    """A constructed pair's record entry (mu as [re, im], its gap ``achieved_slack`` and ``degenerate``), and whether
+    its gap exceeds ``CONSTRUCTION_TOL``: the one gate of the sweep's "construction gap" failure and of ``saturate``'s
+    exit code 2."""
+    entry = {"mu": [pair.mu.real, pair.mu.imag], "achieved_slack": pair.achieved_slack, "degenerate": pair.degenerate}
+    return entry, abs(pair.achieved_slack) > CONSTRUCTION_TOL
+
+
 # ---------------------------------------------------------------------------
 # Verification suite
 
@@ -152,7 +160,7 @@ class _Summary:
         """File an evaluation's outcome (:func:`~qubounds.saturation._outcome`) in its trial's record: a bound's
         decision, tested first as the most common, as its sides, slack and flag; a skip for :class:`ZeroDeviation`;
         an error entry and a failure for any other :class:`QuboundsError`; each decision of a tuple (``ENTRIES``);
-        a construction, with a failure where its gap exceeds ``CONSTRUCTION_TOL``; else a certificate or None."""
+        a construction as its :func:`_pair_entry`, with a failure where that gates it; else a certificate or None."""
         key = "mp6_reformulated" if where == "mp6" else where  # mp6's skip or error, under its always-present entry
         if type(outcome) is _Decision:
             lhs, rhs, slack, saturated = outcome
@@ -170,13 +178,9 @@ class _Summary:
                 if value is not None:  # mp6's product form, where its denominator is degenerate
                     self.file(record, trial, name, value)
         elif isinstance(outcome, ConstructedPair):
-            if abs(outcome.achieved_slack) > CONSTRUCTION_TOL:
+            record[where], failed = _pair_entry(outcome)
+            if failed:
                 self.fail(trial, where, BoundViolation(f"construction gap {outcome.achieved_slack:.3e}"))
-            record[where] = {
-                "mu": [outcome.mu.real, outcome.mu.imag],
-                "achieved_slack": outcome.achieved_slack,
-                "degenerate": outcome.degenerate,
-            }
         else:
             record[where] = certificate_to_dict(outcome)
 

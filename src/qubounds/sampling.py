@@ -79,16 +79,15 @@ def _complex_normal(rng: np.random.Generator, *shape: int) -> np.ndarray:
 
 def _hermitian_parts(x: np.ndarray, labels: tuple) -> tuple[np.ndarray, list]:
     """:meth:`Observable.hermitian_part` of e^{i pi/4} X for each real matrix X of the stack ``x`` (T, len(labels),
-    n, n), in one real-arithmetic pass: both parts of e^{i pi/4} X are y = X fl(1/sqrt(2)), so the real part is
-    (y + y^T)/2 and the imaginary part (y - y^T)/2 (halving is exact, as times 0.5).  Bit for bit wherever X has no
-    entry -0.0, to which the complex product gives the imaginary part +0.0; a normal draw has none.  The stack of
-    those matrices, and for each label the list of its T observables."""
-    y = x * _ROOT_HALF
+    n, n), in one real-arithmetic pass: both parts of e^{i pi/4} X are X fl(1/sqrt(2)), so with the halving folded
+    into the scale, y = X (fl(1/sqrt(2))/2), the real part is y + y^T and the imaginary part y - y^T.  Halving is
+    exact away from subnormals, so this is bit for bit wherever X has no entry -0.0, to which the complex product
+    gives the imaginary part +0.0, and no value that either path forms is subnormal; a normal draw has neither.  The
+    stack of those matrices, and for each label the list of its T observables."""
+    y = x * (_ROOT_HALF / 2.0)
     h = np.empty(x.shape, dtype=complex)
     np.add(y, y.swapaxes(-1, -2), out=h.real)
     np.subtract(y, y.swapaxes(-1, -2), out=h.imag)
-    halves = h.view(np.float64)
-    np.multiply(halves, 0.5, out=halves)
     return h, [Observable._frozen(h[:, j], x[:, j], label) for j, label in enumerate(labels)]
 
 

@@ -76,6 +76,13 @@ class _Input(_ArrayEquality):
         # A state's kept moments (:func:`_reduction`) are a cache, not part of its value: a pickle or copy drops them.
         return {k: v for k, v in vars(self).items() if k != "_reduced"}
 
+    def __setstate__(self, state: dict) -> None:
+        # A loaded or copied input is frozen again: a pickle or a deep copy gives it writable arrays.
+        for v in state.values():
+            if isinstance(v, np.ndarray):
+                v.setflags(write=False)
+        vars(self).update(state)
+
 
 @dataclass(frozen=True, eq=False)
 class Observable(_Input):
@@ -161,6 +168,11 @@ class PureState(_Input):
         object.__setattr__(self, "factor", amplitudes.reshape(-1, 1))
         object.__setattr__(self, "_root", self.factor)
         object.__setattr__(self, "weights", _UNIT_WEIGHT)
+
+    def __setstate__(self, state: dict) -> None:
+        # A loaded copy of ``factor`` shares no memory with ``amplitudes``: derive it, and the root, again.
+        super().__setstate__(state)
+        self._freeze(self.amplitudes)
 
     @classmethod
     def _stack(cls, a: np.ndarray) -> list:

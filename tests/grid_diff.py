@@ -4,11 +4,13 @@
 
 Each tree runs in a fresh process, with its own ``src`` first on the path: ``verify`` over
 (n, rank) = (1,1), (2,1), (2,2), (3,1), (3,2), (4,4), (8,3) x 30 trials and (64,4) x 5, at seeds
-7 and 1009, under ``Tolerance()`` and ``Tolerance(0.0)``, and the ``reproduce`` body.  The script
-prints each report body's and summary CSV's SHA-256 (first 16 hex digits) in both trees, lists every
+7 and 1009, under ``Tolerance()`` and ``Tolerance(0.0)``, and the ``reproduce`` body; and ``qubounds saturate``
+for both targets on each pair file of :func:`saturate_pairs`, which this process writes once for both trees.  The
+script prints each report body's and summary CSV's SHA-256 (first 16 hex digits) in both trees, lists every
 leaf value that moved with its relative change, and closes with a count of the flipped ``saturated`` flags
-per run and per bound.  A report body or CSV that moved needs a new artifact version: the script reads
-``artifact_version`` from each tree's report bodies, and exits 1 when any body or CSV differs under one
+per run and per bound; a ``saturate`` run is compared by its stdout, stderr and exit code.  A report body or
+CSV, or a ``saturate`` run, that moved needs a new artifact version: the script reads ``artifact_version`` from
+each tree's report bodies (a ``saturate`` record carries none), and exits 1 when any of them differs under one
 version; where the version moved, it prints the move and exits 0.  Two runs of one tree share their version,
 so there any difference exits 1.  It uses only the standard library and NumPy.
 """
@@ -16,18 +18,64 @@ so there any difference exits 1.  It uses only the standard library and NumPy.
 from __future__ import annotations
 
 import collections
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+
+import numpy as np
 
 GRID = (((1, 1), 30), ((2, 1), 30), ((2, 2), 30), ((3, 1), 30), ((3, 2), 30), ((4, 4), 30), ((8, 3), 30),
         ((64, 4), 5))
 SEEDS = (7, 1009)
+SATURATE = "saturate"  # the name of every saturate run starts so
 _MISSING = object()
+
+
+def _hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return (g + g.conj().T) / 2.0
+
+
+def saturate_pairs() -> dict:
+    """Each ``saturate`` pair file's stem -> (A, B): seeded (G + G^dagger)/2 pairs at n = 1 (which no construction
+    takes), 2, 3 and 8; the CI's 3 x 3 pair; and a 3 x 3 pair whose A has e1 as an eigenvector (dev(A) = 0 in e1)."""
+    pairs = {f"seeded-n{n}": (_hermitian(rng, n), _hermitian(rng, n))
+             for n, rng in ((n, np.random.default_rng(100 + n)) for n in (1, 2, 3, 8))}
+    pairs["ci-3x3"] = (np.array([[1, 1, 0], [1, 0, 1], [0, 1, -1]]), np.array([[0, 1j, 1], [-1j, 2, 0], [1, 0, 0]]))
+    a, b = (_hermitian(np.random.default_rng(seed), 3) for seed in (110, 111))
+    a[0, 1:] = a[1:, 0] = 0.0
+    pairs["e1-eigenvector"] = (a, b)
+    return pairs
+
+
+def write_pair_files(folder: Path) -> None:
+    """Write each pair of :func:`saturate_pairs` into ``folder`` as ``STEM.json``, in ``saturate``'s format."""
+    for stem, pair in saturate_pairs().items():
+        matrices = {key: {"rows": len(m), "cols": len(m), "re": np.real(m).tolist(), "im": np.imag(m).tolist()}
+                    for key, m in zip("ab", pair)}
+        (folder / f"{stem}.json").write_text(json.dumps(matrices), encoding="utf-8")
+
+
+def saturate_runs(folder: Path) -> dict:
+    """Each ``saturate`` run's name -> [stdout, stderr, exit code], from ``qubounds.cli.main`` on the path, for both
+    targets on each pair file in ``folder``."""
+    from qubounds.cli import main
+
+    runs = {}
+    for path in sorted(folder.glob("*.json")):
+        for target in ("mp3", "mp6"):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["saturate", str(path), "--target", target])
+            runs[f"{SATURATE} --target {target} {path.stem}"] = [out.getvalue(), err.getvalue(), code]
+    return runs
 
 
 def grid_bodies() -> dict:
@@ -48,11 +96,12 @@ def grid_bodies() -> dict:
     return bodies
 
 
-def tree_bodies(tree: str) -> dict:
-    """:func:`grid_bodies` of ``tree``, run in a fresh process with ``tree/src`` first on ``PYTHONPATH``."""
+def tree_bodies(tree: str, folder: Path) -> dict:
+    """:func:`grid_bodies` and :func:`saturate_runs` on ``folder`` of ``tree``, run in a fresh process with
+    ``tree/src`` first on ``PYTHONPATH``."""
     src = Path(tree).resolve() / "src"
     path = os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))
-    child = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--bodies", str(src)],
+    child = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--bodies", str(src), str(folder)],
                            env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True)
     if child.returncode != 0:
         raise SystemExit(f"grid run failed in {tree}:\n{child.stderr}")
@@ -61,7 +110,8 @@ def tree_bodies(tree: str) -> dict:
 
 def artifact_version(bodies: dict) -> str:
     """The ``artifact_version`` that the report bodies of :func:`grid_bodies` name, ``/``-joined if they differ."""
-    return "/".join(sorted({json.loads(body)["manifest"]["artifact_version"] for body, _ in bodies.values()}))
+    return "/".join(sorted({json.loads(run[0])["manifest"]["artifact_version"] for name, run in bodies.items()
+                            if not name.startswith(SATURATE)}))
 
 
 def _number(x) -> bool:
@@ -108,19 +158,34 @@ def _hash(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+def _saturate_diff(run: list, new_run: list) -> list:
+    """The lines that say how a ``saturate`` run moved: :func:`leaf_diff` of its stdout records where both are
+    JSON, else both stdouts; both stderrs and exit codes where they differ."""
+    (out, err, code), (new_out, new_err, new_code) = run, new_run
+    try:
+        lines = leaf_diff(json.loads(out), json.loads(new_out)) if out != new_out else []
+    except ValueError:
+        lines = [f"stdout: {out!r} -> {new_out!r}"]
+    return lines + ([f"stderr: {err!r} -> {new_err!r}"] if err != new_err else []) + (
+        [f"exit code: {code} -> {new_code}"] if code != new_code else [])
+
+
 def main(argv: list) -> int:
-    if len(argv) == 2 and argv[0] == "--bodies":
+    if len(argv) == 3 and argv[0] == "--bodies":
         import qubounds
 
         if Path(qubounds.__file__).resolve().parent.parent != Path(argv[1]):
             raise SystemExit(f"imported {qubounds.__file__}, not the tree's {argv[1]}")
-        json.dump(grid_bodies(), sys.stdout)
+        json.dump(dict(grid_bodies(), **saturate_runs(Path(argv[2]))), sys.stdout)
         return 0
     if len(argv) != 2:
         raise SystemExit(__doc__)
-    old, new = tree_bodies(argv[0]), tree_bodies(argv[1])
+    with tempfile.TemporaryDirectory(prefix="qubounds-pairs-") as folder:
+        write_pair_files(Path(folder))
+        old, new = (tree_bodies(tree, Path(folder)) for tree in argv)
+    names = list(old) + [name for name in new if name not in old]
     moved, flips = 0, {}
-    for name in list(old) + [name for name in new if name not in old]:
+    for name in (name for name in names if not name.startswith(SATURATE)):
         (body, csv), (new_body, new_csv) = old.get(name, ["", ""]), new.get(name, ["", ""])
         same = body == new_body and csv == new_csv
         moved += not same
@@ -132,14 +197,26 @@ def main(argv: list) -> int:
                 print(f"    {line}")
             if tally := flip_tally(lines):
                 flips[name] = tally
+    saturate = [name for name in names if name.startswith(SATURATE)]
+    saturate_moved = 0
+    for name in saturate:
+        (out, err, code), (new_out, new_err, new_code) = old.get(name, ["", "", None]), new.get(name, ["", "", None])
+        same = [out, err, code] == [new_out, new_err, new_code]
+        saturate_moved += not same
+        print(f"{'same' if same else 'DIFFERS'}  stdout {_hash(out)} {_hash(new_out)}  stderr {_hash(err)} "
+              f"{_hash(new_err)}  exit {code} {new_code}  {name}")
+        if not same and name in old and name in new:
+            for line in _saturate_diff(old[name], new[name]):
+                print(f"    {line}")
+    print(f"{saturate_moved} of {len(saturate)} saturate runs differ")
     total = sum(flips.values(), collections.Counter())
     print(f"saturated flags flipped: {total.total()}")
     for name, tally in flips.items():
         print(f"    {name}: {_counts(tally)}")
     if total:
         print(f"    by bound: {_counts(total)}")
-    print(f"{moved} of {len(set(old) | set(new))} runs differ")
-    if not moved:
+    print(f"{moved} of {len(names) - len(saturate)} runs differ")
+    if not moved and not saturate_moved:
         return 0
     old_version, new_version = artifact_version(old), artifact_version(new)
     if old_version != new_version:

@@ -48,6 +48,7 @@ class Mutant(NamedTuple):
 
 LINALG, RELATIONS, SATURATION = "src/qubounds/linalg.py", "src/qubounds/relations.py", "src/qubounds/saturation.py"
 STATES, SAMPLING, REPORTING = "src/qubounds/states.py", "src/qubounds/sampling.py", "src/qubounds/reporting.py"
+CLI = "src/qubounds/cli.py"
 
 # Why a norm or trace check's `>` may read `>=`: near 1, x - 1.0 is exact, so |x - 1| is a multiple of 2^-53,
 # and INPUT_TOL (the double nearest 1e-10) is not; the nearest such multiples are 9.99998e-11 and 1.0000001e-10.
@@ -178,9 +179,13 @@ CATALOGUE = (
            "a given mu is i or -i only within MU_SNAP_TOL",
            "test_saturation.py::test_a_given_mu_is_a_unit_only_within_mu_snap_tol"),
     Mutant("construction-gate-inclusive", REPORTING,
-           "if abs(outcome.achieved_slack) > CONSTRUCTION_TOL:", "if abs(outcome.achieved_slack) >= CONSTRUCTION_TOL:",
-           "a construction fails the sweep only where its gap exceeds CONSTRUCTION_TOL, as the CLI's exit code 2",
+           "abs(pair.achieved_slack) > CONSTRUCTION_TOL", "abs(pair.achieved_slack) >= CONSTRUCTION_TOL",
+           "a construction fails the sweep, and saturate exits 2, only where its gap exceeds CONSTRUCTION_TOL",
            "test_reporting_cli.py::test_a_construction_gap_at_the_gate_is_no_failure"),
+    Mutant("saturate-choice-first", CLI,
+           "names[-1])", "names[0])",
+           "saturate builds the target's first construction allowed at n, else fails with its last one's rule",
+           "test_reporting_cli.py::test_saturate_builds_the_construction_that_the_sweeps_table_allows_at_n"),
     Mutant("dimension-last-axis", STATES,
            "return getattr(self, self._HASHED[1]).shape[0]", "return getattr(self, self._HASHED[1]).shape[-1]",
            "an input's dimension is n, the leading axis of its hashed array, not a factor's k columns",
@@ -227,6 +232,74 @@ CATALOGUE = (
            "if n < 1:", "if n < 0:",
            "every sampler rejects a dimension below 1 at its one door, _rng",
            "test_sampling.py::test_samplers_reject_dimensions_below_one_and_ranks_out_of_range"),
+    Mutant("sample-count-zero", SAMPLING,
+           "if self.count < 1:", "if self.count < 0:",
+           "a sweep runs at least one trial",
+           "test_sampling.py::test_sample_config_validation"),
+    Mutant("zero-factor-inclusive", STATES,
+           "if not peak > 0.0:", "if not peak >= 0.0:",
+           "a factor with no nonzero entry is InvalidInput",
+           "test_states.py::test_a_zero_factor_is_invalid_input"),
+    Mutant("hermitian-scale-unhalved", SAMPLING,
+           "x * (_ROOT_HALF / 2.0)", "x * _ROOT_HALF",
+           "the sampler's halving is folded into its scale, fl(1/sqrt(2))/2, exact away from subnormals",
+           "test_sampling.py::test_the_samplers_real_hermitian_part_is_the_complex_one_bit_for_bit"),
+    # The zero rule at each site that reads it: a product form needs one deviation zero to rounding (any), a sum form
+    # both (all).  Each pin has one deviation zero to rounding but not exactly zero, unless it says otherwise.
+    Mutant("robertson-zero-rule-all", RELATIONS,
+           "any(_zero_deviations(m, tol)), m.a.norm * m.b.norm)", "all(_zero_deviations(m, tol)), m.a.norm * m.b.norm)",
+           "Robertson is saturated by the zero rule where one deviation is zero",
+           "test_relations.py::test_a_product_bound_reads_one_deviation_zero_to_rounding_as_saturated"),
+    Mutant("schrodinger-zero-rule-all", RELATIONS,
+           "any(_zero_deviations(m, tol)), _square(", "all(_zero_deviations(m, tol)), _square(",
+           "Schrodinger is saturated by the zero rule where one deviation is zero",
+           "test_relations.py::test_a_product_bound_reads_one_deviation_zero_to_rounding_as_saturated"),
+    Mutant("mu-tie-zero-rule-all", RELATIONS,
+           "m.dev_a * m.dev_b or any(_zero_deviations(m, tol))", "m.dev_a * m.dev_b or all(_zero_deviations(m, tol))",
+           "mu is a tie, which goes to i, where one deviation is zero",
+           "test_relations.py::test_one_deviation_zero_to_rounding_ties_mu"),
+    Mutant("mp6-zero-rule-all", RELATIONS,
+           "if any(_zero_deviations(m, tol)):", "if all(_zero_deviations(m, tol)):",
+           "the product bound raises ZeroDeviation where one deviation is zero, before it divides by it",
+           "test_relations.py::test_mp6_rejects_one_deviation_zero_to_rounding"),
+    Mutant("chain-zero-rule-any", RELATIONS,
+           "zero = all(_zero_deviations(m, tol))", "zero = any(_zero_deviations(m, tol))",
+           "the chain's steps are saturated by the zero rule only where both deviations are zero (pin: one exact zero)",
+           "test_relations.py::test_a_sum_bound_with_one_zero_deviation_is_decided_by_its_slack"),
+    Mutant("certificate-gram-zero-all", SATURATION,
+           "0j if any(zero) else m.cross", "0j if all(zero) else m.cross",
+           "a deviation zero to rounding enters the Gram form as an exact 0, with a cross term 0",
+           "test_saturation.py::test_a_certificate_enters_one_deviation_zero_to_rounding_as_exactly_zero"),
+    Mutant("certificate-residual-zero-any", SATURATION,
+           "residual = (0.0 if all(zero) else", "residual = (0.0 if any(zero) else",
+           "a certificate's residual is 0 only where both deviations are zero; one zero side leaves its deviation",
+           "test_saturation.py::test_a_certificate_enters_one_deviation_zero_to_rounding_as_exactly_zero"),
+    Mutant("chain-theta-zero-any", SATURATION,
+           "theta = 0.0 if all(_zero_deviations(m, tol))", "theta = 0.0 if any(_zero_deviations(m, tol))",
+           "the chain certificate's theta is 0 only where both deviations are zero, else -arg(c + mu d)",
+           "test_saturation.py::test_the_chain_certificate_angle_is_zero_only_where_both_deviations_are"),
+    Mutant("w-mp6-tails-zero-all", SATURATION,
+           "zero = [any(_zero_deviations(m, tol)) for m in moments]",
+           "zero = [all(_zero_deviations(m, tol)) for m in moments]",
+           "a w_mp6 trial with one zero deviation divides by 1 and is degenerate (pin: an exact zero, whose "
+           "division would warn)",
+           "test_saturation.py::test_construct_w_mp6_zero_tail_rejected"),
+    Mutant("construction-gap-zero-any", SATURATION,
+           "gap = 0.0 if all(_zero_deviations(m, tol))", "gap = 0.0 if any(_zero_deviations(m, tol))",
+           "an mp3 construction's gap is 0 by the zero rule only where both deviations are zero",
+           "test_saturation.py::test_a_construction_gap_is_zero_only_where_both_deviations_are"),
+    Mutant("zero-product-all", SATURATION,
+           "product_is_zero=any(zero)", "product_is_zero=all(zero)",
+           "dev(A) dev(B) is zero where one deviation is",
+           "test_saturation.py::test_the_zero_characterizations_read_one_deviation_zero_to_rounding"),
+    Mutant("zero-sum-any", SATURATION,
+           "return all(_zero_deviations(pair_moments(", "return any(_zero_deviations(pair_moments(",
+           "dev(A)^2 + dev(B)^2 is zero only where both deviations are",
+           "test_saturation.py::test_the_zero_characterizations_read_one_deviation_zero_to_rounding"),
+    Mutant("commutation-witness-zero-any", SATURATION,
+           "if not all(_zero_deviations(m, tol)):", "if not any(_zero_deviations(m, tol)):",
+           "the qubit commutation witness needs both centred products to vanish, else it is None",
+           "test_saturation.py::test_the_zero_characterizations_read_one_deviation_zero_to_rounding"),
 )
 
 

@@ -543,6 +543,39 @@ def test_a_sum_bound_with_one_zero_deviation_is_decided_by_its_slack():
     assert [step.saturated for step in mp_chain(a, b, psi, phi, 1j).steps[:2]] == [False, False]
 
 
+# dev(A) in e1 is 2^-31: zero to rounding beside spread(A), whose zero budget eps spread(A) is about 7e-10, but not
+# exactly zero; dev(B) = 1 is not zero.  A_c e1 = 2^-31 e2 with B_c e1 = e3 (n = 3), or with B_c e1 = i e2 (sigma_y).
+TINY = 2.0 ** -31
+ONE_ZERO_3 = (np.array([[0, TINY, 0], [TINY, 1, 0], [0, 0, 1]]), np.array([[0, 0, 1], [0, 0, 0], [1, 0, 0]]))
+ONE_ZERO_2 = (np.array([[0, TINY], [TINY, 1]]), SIGMA_Y)
+
+
+def test_a_product_bound_reads_one_deviation_zero_to_rounding_as_saturated():
+    # A product bound's zero rule needs one deviation zero (any).  ONE_ZERO_3 in e1 has the cross term 0, so Robertson
+    # reads 2^-31 >= 0 and Schrodinger 2^-62 >= 0, each saturated by that rule alone, in pure and in projector form.
+    a, b = ONE_ZERO_3
+    e1 = PureState(np.eye(3)[0])
+    m = pair_moments(a, b, e1)
+    assert (m.dev_a, m.dev_b) == (TINY, 1.0) and relations._zero_deviations(m, DEFAULT_TOL) == (True, False)
+    for state in (e1, DensityMatrix.from_pure(e1)):
+        for bound in (robertson, schrodinger):
+            report = bound(a, b, state)
+            assert report.rhs == 0.0 and report.slack > 0.0 and report.saturated
+
+
+def test_mp6_rejects_one_deviation_zero_to_rounding():
+    # The product bound divides by each deviation, so one zero to rounding, though not exactly zero, is a ZeroDeviation.
+    with pytest.raises(ZeroDeviation):
+        mp6(*ONE_ZERO_3, *(PureState(np.eye(3)[j]) for j in (0, 1)))
+
+
+def test_one_deviation_zero_to_rounding_ties_mu():
+    # ONE_ZERO_2 in |0> gives <[A, B]> = 2^-30 i, 2 dev(A) dev(B) and far above the tie budget eps 2 dev(A) dev(B), so
+    # its sign alone would pick mu = -i; dev(A), zero to rounding, makes it a tie, which goes to i.
+    choice = choose_mu(*ONE_ZERO_2, KET0)
+    assert choice.commutator_expectation == 2.0 * TINY * 1j and (choice.mu, choice.tie_broken) == (1j, True)
+
+
 # Each Maccone-Pati entry as a call on (psi, phi), with the qubit pair (sigma_x, sigma_y) and mu = i where one is taken.
 MP_ENTRIES = {
     "mp3": lambda psi, phi: mp3(SIGMA_X, SIGMA_Y, psi, phi),

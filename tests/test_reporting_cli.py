@@ -39,7 +39,7 @@ from qubounds import (
     trial_rng,
 )
 import qubounds
-from qubounds import goldens, linalg, relations, reporting, sampling, saturation, states
+from qubounds import cli, goldens, linalg, relations, reporting, sampling, saturation, states
 from qubounds.cli import build_parser, main
 from qubounds.reporting import (
     canonical_json,
@@ -51,7 +51,7 @@ from qubounds.reporting import (
 from qubounds.sampling import _haar_columns
 from qubounds.states import PureState
 import grid_diff
-from helpers import SIGMA_X, SIGMA_Y, matrix_to_json_dict
+from helpers import SIGMA_X, SIGMA_Y, hermitian_array, matrix_to_json_dict
 
 
 def _write_pair_file(path, a, b):
@@ -361,6 +361,41 @@ def test_grid_diff_lists_each_moved_leaf_and_fails_on_a_moved_body(monkeypatch, 
     assert out.endswith("1 of 1 runs differ\nreport bytes moved with artifact_version 0.13.0 -> 0.14.0\n")
 
 
+def test_grid_diff_compares_saturate_runs_under_the_report_bodies_version(monkeypatch, capsys):
+    # A saturate run carries no artifact version: a moved stdout, stderr or exit code fails under the report bodies'
+    # one version, and passes where that version moved.
+    body, bumped = (json.dumps({"manifest": {"artifact_version": v}, "trials": []}) for v in ("0.13.0", "0.14.0"))
+    run = ['{"achieved_slack":0.0}\n', "", 0]
+    trees = {"parent": {"run": [body, "csv\n"], "saturate x": run},
+             "change": {"run": [body, "csv\n"], "saturate x": ['{"achieved_slack":1e-16}\n', "", 0]},
+             "bumped": {"run": [bumped, "csv\n"], "saturate x": ["", "error: E: m\n", 1]}}
+    monkeypatch.setattr(grid_diff, "tree_bodies", lambda tree, folder: trees[tree])
+    assert grid_diff.main(["parent", "parent"]) == 0
+    out = capsys.readouterr().out
+    assert "0 of 1 saturate runs differ\n" in out and out.endswith("0 of 1 runs differ\n")
+    assert grid_diff.main(["parent", "change"]) == 1
+    out = capsys.readouterr().out
+    assert "DIFFERS  stdout" in out and "    achieved_slack: 0.0 -> 1e-16 (relative change inf)\n" in out
+    assert out.endswith("1 of 1 saturate runs differ\nsaturated flags flipped: 0\n0 of 1 runs differ\n"
+                        "report bytes moved, but artifact_version is 0.13.0 in both trees\n")
+    assert grid_diff.main(["parent", "bumped"]) == 0
+    out = capsys.readouterr().out
+    assert "    stderr: '' -> 'error: E: m\\n'\n    exit code: 0 -> 1\n" in out
+    assert out.endswith("report bytes moved with artifact_version 0.13.0 -> 0.14.0\n")
+
+
+def test_grid_diff_runs_saturate_for_both_targets_on_each_pair_file(tmp_path):
+    # Six pair files, two targets each: n = 1 takes no construction, and mp6 rejects the pair whose A has e1 as an
+    # eigenvector (dev(A) = 0 in e1); every other run writes its record and exits 0.
+    grid_diff.write_pair_files(tmp_path)
+    runs = grid_diff.saturate_runs(tmp_path)
+    assert len(runs) == 12
+    failed = {name: err for name, (out, err, code) in runs.items() if code != 0 or not out}
+    assert {name: err.split(":")[1] for name, err in failed.items()} == {
+        "saturate --target mp3 seeded-n1": " DimensionMismatch", "saturate --target mp6 seeded-n1": " DimensionMismatch",
+        "saturate --target mp6 e1-eigenvector": " ZeroDeviation"}
+
+
 def test_sweep_skips_what_a_zero_deviation_stops():
     # Under Tolerance(10) every qubit deviation is zero by the rule, so mp6 and
     # construct_w_mp6 raise ZeroDeviation, and the sweep records a skip, not a failure.
@@ -387,9 +422,9 @@ def test_a_construction_gap_is_a_failure(tmp_path, monkeypatch):
         (0, "construct_case1", "BoundViolation"), (1, "construct_case1", "BoundViolation")]
 
 
-def test_a_construction_gap_at_the_gate_is_no_failure(tmp_path, monkeypatch):
-    # The sweep's gate is the CLI's: a gap of exactly CONSTRUCTION_TOL, of either sign, passes, and the next float
-    # past it is a BoundViolation.
+def test_a_construction_gap_at_the_gate_is_no_failure(tmp_path, monkeypatch, capsys):
+    # One gate (reporting._pair_entry) serves the sweep and saturate: a gap of exactly CONSTRUCTION_TOL, of either
+    # sign, passes, and the next float past it is a BoundViolation of the sweep and saturate's exit code 2.
     def gapped(targets, *args):
         built = constructions(targets, *args)
         return [[dataclasses.replace(pair, achieved_slack=gaps[target]) if target in gaps else pair
@@ -403,6 +438,30 @@ def test_a_construction_gap_at_the_gate_is_no_failure(tmp_path, monkeypatch):
         assert main(["verify", "--n", "2", "--trials", "2", "--out", str(out)]) == 2
         failures = json.loads(out.read_text())["summary"]["failures"]
         assert [(f["trial"], f["where"]) for f in failures] == [(0, "construct_w_mp6"), (1, "construct_w_mp6")]
+    construct, gate = cli._construct, reporting.CONSTRUCTION_TOL
+    pair_file = _write_pair_file(tmp_path / "pair.json", SIGMA_X, SIGMA_Y)
+    for gap, code in ((gate, 0), (-gate, 0), (math.nextafter(gate, 1.0), 2), (-math.nextafter(gate, 1.0), 2)):
+        monkeypatch.setattr(cli, "_construct", lambda *args: dataclasses.replace(construct(*args), achieved_slack=gap))
+        for target in ("mp3", "mp6"):
+            assert main(["saturate", pair_file, "--target", target]) == code
+            assert json.loads(capsys.readouterr().out)["achieved_slack"] == gap
+
+
+def test_saturate_builds_the_construction_that_the_sweeps_table_allows_at_n(tmp_path, capsys):
+    # For mp3, case 1 at n = 2 and case 2 at n = 3; for mp6, w_mp6 at both.  At n = 1 no construction is allowed,
+    # and the error is the dimension rule of the target's last one: exit code 1, one error line.
+    rng = np.random.default_rng(41)
+    for n, target, construct in ((2, "mp3", construct_case1), (3, "mp3", construct_case2), (2, "mp6", construct_w_mp6),
+                                 (3, "mp6", construct_w_mp6)):
+        a, b = hermitian_array(rng, n), hermitian_array(rng, n)
+        assert main(["saturate", _write_pair_file(tmp_path / "pair.json", a, b), "--target", target]) == 0
+        record, pair = json.loads(capsys.readouterr().out), construct(a, b)
+        assert record["phi"] == {"re": pair.phi.amplitudes.real.tolist(), "im": pair.phi.amplitudes.imag.tolist()}
+        assert (record["target"], record["achieved_slack"]) == (target, pair.achieved_slack)
+    pair_file = _write_pair_file(tmp_path / "n1.json", [[2.0]], [[3.0]])
+    for target, rule in (("mp3", "dimension > 2, got 1"), ("mp6", "dimension >= 2")):
+        assert main(["saturate", pair_file, "--target", target]) == 1
+        assert capsys.readouterr().err == f"error: DimensionMismatch: construction requires {rule}\n"
 
 
 def test_cli_saturate_on_an_overflowing_matrix_prints_one_error_line(tmp_path, capsys):

@@ -115,6 +115,53 @@ def test_pure_certificate_degenerate_deviation():
     assert report.rhs == pytest.approx(0.0, abs=1e-14)
 
 
+# In |0>, A = [[0, t], [t, 1]] with t = 2^-31 gives dev(A) = t: zero to rounding beside spread(A), but not exactly zero.
+TINY = 2.0 ** -31
+TINY_TAIL = np.array([[0, TINY], [TINY, 1]])
+
+
+def test_a_certificate_enters_one_deviation_zero_to_rounding_as_exactly_zero():
+    # With sigma_y, dev(B) = 1 and the cross term is t i.  The Gram form takes dev(A) and the cross term as exact
+    # zeros, so the witness is (1, 0) at theta = 0 (kept, the cross term would lean it by about t), and its residual
+    # is that side's deviation, t, not the both-zero 0.
+    for cert in (robertson_saturation_pure(TINY_TAIL, SIGMA_Y, KET0),
+                 schrodinger_saturation(TINY_TAIL, SIGMA_Y, DensityMatrix.from_pure(KET0))):
+        assert (cert.theta, cert.residual) == (0.0, TINY)
+
+
+def test_the_zero_characterizations_read_one_deviation_zero_to_rounding():
+    # dev(A) = t is zero to rounding and dev(B) = 1 is not: the product dev(A) dev(B) is zero (any), the sum
+    # dev(A)^2 + dev(B)^2 is not (all), and the qubit commutation witness, which needs both zero, is None.
+    check = zero_product_characterization(TINY_TAIL, SIGMA_Y, KET0)
+    assert (check.product_is_zero, check.witness, check.residual_a) == (True, ZeroWitness.A_ZERO, TINY)
+    assert not zero_sum_characterization(TINY_TAIL, SIGMA_Y, KET0)
+    assert qubit_commutation_witness(TINY_TAIL, SIGMA_Y, KET0) is None
+
+
+def test_the_chain_certificate_angle_is_zero_only_where_both_deviations_are():
+    # In |0> with phi = |1>, A = [[0, -i t], [i t, 1]] and B = t sigma_x give dev(A) = dev(B) = t, c = -i t and d = t:
+    # at mu = -i every step holds exactly, with c + mu d = -2 i t.  dev(A) is zero to rounding beside spread(A), but
+    # dev(B) is not beside spread(B) = sqrt(2) t, so theta is -arg(c + mu d) = pi/2, not the both-zero 0.
+    chain = mp_chain_saturation(np.array([[0, -1j * TINY], [1j * TINY, 1]]), TINY * SIGMA_X, KET0, KET1, -1j)
+    assert chain.step_saturated == (True, True, True) and chain.all_equalities.theta == math.pi / 2
+
+
+def test_a_construction_gap_is_zero_only_where_both_deviations_are():
+    # A = diag(0, 1, 2) with t in its first column's tail has dev(A) = sqrt(2) t in e1, zero to rounding beside
+    # spread(A) = sqrt(2); B is random.  mp3's zero rule needs both deviations zero, so the gap of case 2 is its
+    # decision's slack over its flag's scale: rounding noise, nonzero on some draws, and never the zero rule's 0.
+    a = np.diag([0.0, 1.0, 2.0])
+    a[0, 1:] = a[1:, 0] = TINY
+    gaps = []
+    for seed in range(6):
+        b = hermitian_array(np.random.default_rng(seed), 3)
+        pair = construct_case2(a, b)
+        report = mp3(a, b, pair.psi, pair.phi).report
+        assert pair.achieved_slack == report.slack / report.lhs
+        gaps.append(pair.achieved_slack)
+    assert any(gaps)
+
+
 def test_pure_certificate_agreement_sweep():
     rng = trial_rng(300, 0)
     seen_present = 0

@@ -1,3 +1,4 @@
+import copy
 import gc
 import hashlib
 import math
@@ -691,6 +692,26 @@ def test_an_evaluated_state_pickles_without_its_slot():
         loaded = pickle.loads(pickle.dumps(state))
         assert "_reduced" not in vars(loaded) and loaded == state
         assert relations.robertson(a, b, loaded) == report and vars(state)["_reduced"] is slot
+
+
+@pytest.mark.parametrize("load", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy], ids=["pickle", "deepcopy"])
+def test_a_loaded_or_copied_input_is_frozen_again(load):
+    # A pickle or a deep copy gives fresh, writable arrays: each is frozen again on load, and a pure state's factor,
+    # its moments' root, is again a view of its amplitudes.  The loaded input equals the original, keeps its digest,
+    # and evaluates to the same report.
+    a, b = Observable(SIGMA_X), Observable(SIGMA_Y)
+    for x in (Observable(SIGMA_Z), PureState(np.array([0.6, 0.8j])), DensityMatrix(np.diag([0.75, 0.25])),
+              DensityMatrix.from_factor(np.array([[1.0, 0.5], [0.0, 1.0j]]))):
+        report = (lambda y: relations.robertson(y, b, PLUS)) if isinstance(x, Observable) else (
+            lambda y: relations.robertson(a, b, y))
+        before = report(x)
+        loaded = load(x)
+        arrays = [v for v in vars(loaded).values() if isinstance(v, np.ndarray)]
+        assert arrays and not any(v.flags.writeable for v in arrays)
+        assert loaded == x and loaded.digest == x.digest and report(loaded) == before
+        if isinstance(x, PureState):
+            assert np.shares_memory(loaded.factor, loaded.amplitudes) and loaded._root is loaded.factor
+            assert loaded.weights is x.weights
 
 
 def test_a_factor_built_states_moments_read_g_only_where_the_cutoff_keeps_every_gram_eigenvalue():
