@@ -284,11 +284,11 @@ def _case2_tails(u: np.ndarray, mu_v: np.ndarray, moments: list, tol: Tolerance)
 
 
 def _w_mp6_tails(u: np.ndarray, mu_v: np.ndarray, moments: list, tol: Tolerance) -> tuple:
-    """u/dev(A) - mu v/dev(B), degenerate below tol.eps, and no phase row; a trial with a zero deviation (which
-    the mp6 decision rejects first) divides by 1 and is degenerate."""
-    zero = [any(_zero_deviations(m, tol)) for m in moments]
-    devs = np.array([(1.0, 1.0) if z else (m.dev_a, m.dev_b) for z, m in zip(zero, moments)], dtype=complex)
-    return u / devs[:, :1] - mu_v / devs[:, 1:], [math.inf if z else tol.eps for z in zero], None
+    """u/dev(A) - mu v/dev(B), degenerate below tol.eps, and no phase row.  Where dev(A) or dev(B) is exactly zero,
+    each entry has a NaN part, so no floor keeps the row; the mp6 decision rejects every trial with a zero deviation."""
+    devs = np.array([(m.dev_a, m.dev_b) for m in moments], dtype=complex)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return u / devs[:, :1] - mu_v / devs[:, 1:], [tol.eps] * len(moments), None
 
 
 # Each construction's target bound, the dimensions it takes, the rule that rejects the others, and its tails
@@ -368,7 +368,7 @@ def _construct(target: str, observable_a, observable_b, tol: Tolerance) -> Const
     A_c e1 = (0, u) for the first-column tail u of A, so dev(A) = ||u||; likewise for B."""
     a, b = _entry(observable_a, observable_b)
     e1 = object.__new__(PureState)
-    e1._freeze(_e1(a.dimension).amplitudes)
+    e1._set({"amplitudes": _e1(a.dimension).amplitudes})
     built = _constructions((target,), [_reduction(a, b, e1)], tol)[0][0]
     if isinstance(built, QuboundsError):
         raise built

@@ -29,12 +29,6 @@ from .linalg import (INPUT_TOL, _ArrayEquality, _complex_array, _eigh_descending
                      _power_of_two_scale, _psd_support, _square_matrix, as_complex_matrix, require_hermitian)
 
 
-def _frozen_array(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=complex, copy=True)
-    out.setflags(write=False)
-    return out
-
-
 def _digests(kind: str, arrays) -> list:
     """SHA-256 of each of ``arrays``, all of one shape, in C order, tagged with ``kind`` and that shape: the tag is
     hashed once, and each array's hash goes on from a copy of that hash."""
@@ -55,7 +49,7 @@ def _store_digests(inputs: list) -> None:
     (``_HASHED``) and its shape, as each input stack of a sweep does, so their tag is hashed once."""
     kind, name = inputs[0]._HASHED
     for x, digest in zip(inputs, _digests(kind, [getattr(x, name) for x in inputs])):
-        object.__setattr__(x, "digest", digest)
+        vars(x)["digest"] = digest
 
 
 class _Input(_ArrayEquality):
@@ -76,12 +70,16 @@ class _Input(_ArrayEquality):
         # A state's kept moments (:func:`_reduction`) are a cache, not part of its value: a pickle or copy drops them.
         return {k: v for k, v in vars(self).items() if k != "_reduced"}
 
-    def __setstate__(self, state: dict) -> None:
-        # A loaded or copied input is frozen again: a pickle or a deep copy gives it writable arrays.
-        for v in state.values():
+    def _set(self, attrs: dict) -> None:
+        """The one writer of an existing input's attributes: each array in ``attrs``, which no caller holds, is
+        frozen in place.  A loaded or copied input is set by it too, as a pickle or a deep copy gives writable
+        arrays."""
+        for v in attrs.values():
             if isinstance(v, np.ndarray):
                 v.setflags(write=False)
-        vars(self).update(state)
+        vars(self).update(attrs)
+
+    __setstate__ = _set
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,14 +94,7 @@ class Observable(_Input):
 
     def __post_init__(self) -> None:
         m, norm = require_hermitian(self.matrix, self.label or "observable")
-        self._freeze(np.array(m), norm)
-
-    def _freeze(self, m: np.ndarray, norm: float) -> None:
-        """The one place ``matrix`` and ``norm`` are set, from a Hermitian ``m`` that no
-        caller holds, frozen in place, and its ||m||_F."""
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "norm", norm)
+        self._set({"matrix": np.array(m), "norm": norm})
 
     @functools.cached_property
     def spread(self) -> float:
@@ -127,11 +118,11 @@ class Observable(_Input):
     def _frozen(cls, h: np.ndarray, g: np.ndarray, label: str) -> list:
         """The observables labelled ``label`` whose matrices are the slices of the stack ``h``, Hermitian bit for bit
         and formed from the stack ``g``, each frozen with its ||.||_F; where that norm is not finite, the slice of
-        ``g`` is scanned, so that non-finite entries of the input raise as such."""
+        ``g`` is scanned, so that non-finite entries of the input raise as such.  ``h`` is frozen in place."""
+        h.setflags(write=False)
         observables = [object.__new__(cls) for _ in range(len(h))]
         for obs, m, x in zip(observables, h, g):
-            object.__setattr__(obs, "label", label)
-            obs._freeze(m, _finite_norm(m, label or "observable", x))
+            vars(obs).update(label=label, matrix=m, norm=_finite_norm(m, label or "observable", x))
         return observables
 
 
@@ -142,45 +133,42 @@ _UNIT_WEIGHT.setflags(write=False)
 
 @dataclass(frozen=True, eq=False)
 class PureState(_Input):
-    """A unit vector of amplitudes; its factor is the n x 1 column psi, of weight 1."""
+    """A unit vector of amplitudes, all that it stores; its factor is the n x 1 column psi, of weight 1."""
 
     _HASHED = ("pure", "amplitudes")
+    weights = _UNIT_WEIGHT
     amplitudes: np.ndarray
-    factor: np.ndarray = field(init=False, repr=False, compare=False)
-    weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         a = _complex_array(self.amplitudes, "state vector")
         if a.size < 1 or a.size != max(a.shape, default=1):
             raise DimensionMismatch(f"state must be a nonempty vector, got shape {a.shape}")
-        a = _frozen_array(a.reshape(-1))
+        a = np.array(a.reshape(-1))
         with np.errstate(over="ignore"):  # a norm that overflows is an InvalidInput
             norm = _norm(a)
         if not math.isfinite(norm):  # a finite norm proves finite entries
             as_complex_matrix(a[None], "state vector")
         if abs(norm - 1.0) > INPUT_TOL:
             raise InvalidInput(f"state vector norm {norm!r} is not 1 within {INPUT_TOL}")
-        self._freeze(a)
+        self._set({"amplitudes": a})
 
-    def _freeze(self, amplitudes: np.ndarray) -> None:
-        object.__setattr__(self, "amplitudes", amplitudes)
-        # Kept 2-D so that a pure state is the one-column case of every matrix path; it is also the moments' root.
-        object.__setattr__(self, "factor", amplitudes.reshape(-1, 1))
-        object.__setattr__(self, "_root", self.factor)
-        object.__setattr__(self, "weights", _UNIT_WEIGHT)
+    @property
+    def factor(self) -> np.ndarray:
+        """psi as a column view of the amplitudes, so that a pure state is the one-column case of every matrix path;
+        it is also the moments' root.  ``reshape`` keeps the column's strides those of a matrix."""
+        return self.amplitudes.reshape(-1, 1)
 
-    def __setstate__(self, state: dict) -> None:
-        # A loaded copy of ``factor`` shares no memory with ``amplitudes``: derive it, and the root, again.
-        super().__setstate__(state)
-        self._freeze(self.amplitudes)
+    _root = factor
 
     @classmethod
     def _stack(cls, a: np.ndarray) -> list:
         """The state of each row of the stack ``a`` (T, n) of unit rows that the library built (each over its own
         norm, or e2): one frozen copy, with no state pass."""
+        a = np.array(a, dtype=complex)
+        a.setflags(write=False)
         states = [object.__new__(cls) for _ in range(len(a))]
-        for state, row in zip(states, _frozen_array(a)):
-            state._freeze(row)
+        for state, row in zip(states, a):
+            vars(state)["amplitudes"] = row
         return states
 
 
@@ -205,22 +193,16 @@ class DensityMatrix(_Input):
         trace = float(m.trace().real)
         if abs(trace - 1.0) > INPUT_TOL:
             raise InvalidInput(f"density matrix trace {trace!r} is not 1 within {INPUT_TOL}")
-        object.__setattr__(self, "matrix", _frozen_array(m))
-        object.__setattr__(self, "_HASHED", ("density", "matrix"))
+        self._set({"matrix": np.array(m), "_HASHED": ("density", "matrix")})
         self._support(*_psd_support(m, "density matrix"))
 
     def _support(self, w: np.ndarray, v: np.ndarray, basis: np.ndarray | None = None) -> None:
         """The one support body, for the weights ``w`` and orthonormal columns ``v``, fresh arrays that no caller
-        holds: freeze ``weights`` = w, ``factor`` = V w^(1/2) and ``_basis``, and set the moments' root
-        (``_root``) to that factor unless it is G/||G||_F already.  ``basis`` is U, with (G/||G||_F) U the factor
-        up to its columns' phases, where the root is G/||G||_F, and else None."""
+        holds: set ``weights`` = w, ``factor`` = V w^(1/2) and ``_basis``, and the moments' root (``_root``) to
+        that factor unless it is G/||G||_F already.  ``basis`` is U, with (G/||G||_F) U the factor up to its
+        columns' phases, where the root is G/||G||_F, and else None."""
         factor = v * np.sqrt(w)
-        factor.setflags(write=False)
-        w.setflags(write=False)
-        object.__setattr__(self, "factor", factor)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "_basis", basis)
-        vars(self).setdefault("_root", factor)
+        self._set({"factor": factor, "weights": w, "_basis": basis, "_root": vars(self).get("_root", factor)})
 
     def __getattr__(self, name: str):
         # Only a factor-built state's arrays are missing: formed from its prescaled G when first read.  Its support
@@ -239,7 +221,7 @@ class DensityMatrix(_Input):
             return vars(self)[name]
         rho = self._prescaled @ self._prescaled.conj().T
         rho = rho / np.trace(rho).real
-        object.__setattr__(self, "matrix", _frozen_array((rho + rho.conj().T) / 2.0))
+        self._set({"matrix": (rho + rho.conj().T) / 2.0})
         return self.matrix
 
     @classmethod
@@ -283,9 +265,9 @@ class DensityMatrix(_Input):
         roots.setflags(write=False)
         states = [object.__new__(cls) for _ in range(len(g))]
         for state, x, root, w in zip(states, prescaled, roots, lam):
-            object.__setattr__(state, "_prescaled", x)
+            vars(state)["_prescaled"] = x
             if w[0] > INPUT_TOL * _norm(w):  # ascending, so the cutoff keeps every eigenvalue where it keeps the first
-                object.__setattr__(state, "_root", root)
+                vars(state)["_root"] = root
         return states
 
     @classmethod
@@ -403,7 +385,7 @@ def _reduction(a: Observable, b: Observable, state: QuantumState) -> PairMoments
     moments = _moments(a.matrix, b.matrix, state._root)
     moments[2].setflags(write=False)
     m = _pair_moments(a, b, state, moments)
-    object.__setattr__(state, "_reduced", (weakref.ref(a), weakref.ref(b), moments))
+    vars(state)["_reduced"] = (weakref.ref(a), weakref.ref(b), moments)
     return m
 
 

@@ -55,6 +55,8 @@ CLI = "src/qubounds/cli.py"
 NO_DOUBLE_AT_THE_BUDGET = ("no double x gives |x - 1| = INPUT_TOL: near 1, x - 1.0 is exact and a multiple of 2^-53, "
                            "and 1e-10 is not (the nearest give 9.99998e-11 and 1.0000001e-10)")
 
+READ_ONLY_PIN = "test_states.py::test_every_array_an_input_holds_is_read_only_on_every_build_path"
+
 CATALOGUE = (
     Mutant("decide-flag-strict", RELATIONS,
            "bool(zero or slack <= tol.eps * scale)", "bool(zero or slack < tol.eps * scale)",
@@ -240,6 +242,24 @@ CATALOGUE = (
            "if not peak > 0.0:", "if not peak >= 0.0:",
            "a factor with no nonzero entry is InvalidInput",
            "test_states.py::test_a_zero_factor_is_invalid_input"),
+    # Every array an input holds is read-only: the one writer of an existing input freezes what it sets, and each
+    # stacked maker freezes its stack where it is made.
+    Mutant("input-set-unfrozen", STATES,
+           "v.setflags(write=False)", "v.setflags(write=v.flags.writeable)",
+           "an input's one writer (_set) freezes each array it sets, a loaded or copied input's included",
+           READ_ONLY_PIN),
+    Mutant("observable-stack-unfrozen", STATES,
+           "h.setflags(write=False)", "h.setflags(write=h.flags.writeable)",
+           "Observable._frozen freezes its stack of matrices", READ_ONLY_PIN),
+    Mutant("pure-stack-unfrozen", STATES,
+           "a.setflags(write=False)", "a.setflags(write=a.flags.writeable)",
+           "PureState._stack freezes its stack of amplitudes", READ_ONLY_PIN),
+    Mutant("factor-stack-unfrozen", STATES,
+           "prescaled.setflags(write=False)", "prescaled.setflags(write=prescaled.flags.writeable)",
+           "DensityMatrix._from_factors freezes its stack of prescaled factors", READ_ONLY_PIN),
+    Mutant("root-stack-unfrozen", STATES,
+           "roots.setflags(write=False)", "roots.setflags(write=roots.flags.writeable)",
+           "DensityMatrix._from_factors freezes its stack of roots G/||G||_F", READ_ONLY_PIN),
     Mutant("hermitian-scale-unhalved", SAMPLING,
            "x * (_ROOT_HALF / 2.0)", "x * _ROOT_HALF",
            "the sampler's halving is folded into its scale, fl(1/sqrt(2))/2, exact away from subnormals",
@@ -278,11 +298,10 @@ CATALOGUE = (
            "theta = 0.0 if all(_zero_deviations(m, tol))", "theta = 0.0 if any(_zero_deviations(m, tol))",
            "the chain certificate's theta is 0 only where both deviations are zero, else -arg(c + mu d)",
            "test_saturation.py::test_the_chain_certificate_angle_is_zero_only_where_both_deviations_are"),
-    Mutant("w-mp6-tails-zero-all", SATURATION,
-           "zero = [any(_zero_deviations(m, tol)) for m in moments]",
-           "zero = [all(_zero_deviations(m, tol)) for m in moments]",
-           "a w_mp6 trial with one zero deviation divides by 1 and is degenerate (pin: an exact zero, whose "
-           "division would warn)",
+    Mutant("w-mp6-tails-errstate-dropped", SATURATION,
+           'with np.errstate(divide="ignore", invalid="ignore"):', "with np.errstate():",
+           "a w_mp6 trial with a zero deviation divides into a NaN row with no warning, and the mp6 decision raises "
+           "ZeroDeviation (pin: an exact zero, and a dev(A) that underflows beside a nonzero tail)",
            "test_saturation.py::test_construct_w_mp6_zero_tail_rejected"),
     Mutant("construction-gap-zero-any", SATURATION,
            "gap = 0.0 if all(_zero_deviations(m, tol))", "gap = 0.0 if any(_zero_deviations(m, tol))",

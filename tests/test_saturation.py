@@ -832,8 +832,12 @@ def test_construct_w_mp6_parallel_tails_degenerate():
 
 
 def test_construct_w_mp6_zero_tail_rejected():
-    with pytest.raises(ZeroDeviation):
-        construct_w_mp6(SIGMA_Z, SIGMA_X)
+    # An exact zero deviation, and one that underflows: in e1 the tail u = (1e-170, 0) is nonzero but dev(A)^2 =
+    # 1e-340 is 0.  Each raises ZeroDeviation with no RuntimeWarning (an error under the test configuration).
+    underflow = np.array([[0.0, 1e-170, 0.0], [1e-170, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    for a, b in ((SIGMA_Z, SIGMA_X), (underflow, np.roll(np.eye(3), 1, axis=0) + np.roll(np.eye(3), -1, axis=0))):
+        with pytest.raises(ZeroDeviation):
+            construct_w_mp6(a, b)
 
 
 def test_construct_w_mp6_rejects_dimension_one():

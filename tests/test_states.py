@@ -17,7 +17,9 @@ from qubounds import (
     NotPositiveSemidefinite,
     Observable,
     PureState,
+    SampleConfig,
     bloch_state,
+    construct_case2,
     expectation,
     pair_moments,
     random_density,
@@ -27,6 +29,7 @@ from qubounds import (
     trial_rng,
 )
 from qubounds import linalg, relations, states
+from qubounds.sampling import _trial_chunks
 from helpers import SIGMA_X, SIGMA_Y, SIGMA_Z, complex_normal, gram_pair, hermitian_array, projector
 
 KET0 = PureState(np.array([1.0, 0.0]))
@@ -710,9 +713,42 @@ def test_a_loaded_or_copied_input_is_frozen_again(load):
         assert arrays and not any(v.flags.writeable for v in arrays)
         assert loaded == x and loaded.digest == x.digest and report(loaded) == before
         if isinstance(x, PureState):
-            assert np.shares_memory(loaded.factor, loaded.amplitudes) and loaded._root is loaded.factor
+            assert np.shares_memory(loaded.factor, loaded.amplitudes)
+            assert np.shares_memory(loaded._root, loaded.amplitudes)
             assert loaded.weights is x.weights
 
+
+def _held_arrays(x) -> list:
+    """Every array that the input ``x`` holds: those in its ``vars``, and a pure state's factor, derived when read."""
+    arrays = [v for v in vars(x).values() if isinstance(v, np.ndarray)]
+    return arrays + [x.factor] if isinstance(x, PureState) else arrays
+
+
+def test_every_array_an_input_holds_is_read_only_on_every_build_path():
+    # Each build path, the stacked makers of a sweep and a construction included, leaves no writable array in an
+    # input: a factor-built state's support, Gram eigenvectors and matrix, formed when first read, neither, and a
+    # loaded or copied input neither.  A pure state stores its amplitudes alone, besides the digest and the kept
+    # moments (a constructed psi carries those of its construction).
+    a, b = Observable(SIGMA_X), Observable(SIGMA_Y)
+    g = complex_normal(trial_rng(40, 0), 3, 2)
+    pair = construct_case2(hermitian_array(trial_rng(40, 1), 3), hermitian_array(trial_rng(40, 2), 3))
+    (_, sweep_a, sweep_b, sweep_psi, sweep_rho, haar), _ = next(_trial_chunks(SampleConfig(3, 2, 7, 2)))[-1]
+    inputs = [Observable(SIGMA_Z), Observable.hermitian_part(SIGMA_X + 1j * SIGMA_Z), sweep_a, sweep_b,
+              PureState(np.array([0.6, 0.8j])), random_pure_state(3, 40), pair.psi, pair.phi, sweep_psi, *haar,
+              DensityMatrix(np.diag([0.75, 0.25])), DensityMatrix.from_pure(PLUS), sweep_rho]
+    factor_built = [DensityMatrix.from_factor(g), DensityMatrix.from_factor(np.column_stack([g, g[:, :1] * 0.5j]))]
+    for x in inputs + factor_built:
+        assert _held_arrays(x) and not any(v.flags.writeable for v in _held_arrays(x))
+    for x in factor_built:
+        for name in ("factor", "weights", "_basis", "matrix"):
+            getattr(x, name)
+        assert not any(v.flags.writeable for v in _held_arrays(x))
+    assert factor_built[0]._basis is not None and factor_built[1]._basis is None
+    for x in inputs + factor_built:
+        for load in (lambda y: pickle.loads(pickle.dumps(y)), copy.deepcopy):
+            assert not any(v.flags.writeable for v in _held_arrays(load(x)))
+        if isinstance(x, PureState):
+            assert set(vars(x)) - {"digest", "_reduced"} == {"amplitudes"}
 
 def test_a_factor_built_states_moments_read_g_only_where_the_cutoff_keeps_every_gram_eigenvalue():
     # G = diag(1e5, 1) has Gram eigenvalues 1e10 and 1, exact floats whose ratio is INPUT_TOL: the smaller one sits
