@@ -122,15 +122,14 @@ def require_hermitian(m, name: str = "matrix") -> tuple[np.ndarray, float]:
 
 
 class _ArrayEquality:
-    """Equal values: one type, equal compared fields, arrays entry by entry; unhashable, as arrays are."""
+    """Equal values: one type, equal fields, arrays entry by entry; unhashable, as arrays are."""
 
     __hash__ = None
 
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
-                   for f in fields(self) if f.compare)
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
 
 
 def _eigh_descending(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

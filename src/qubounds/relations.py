@@ -233,7 +233,7 @@ class _MPInputs:
     phi: PureState
     c: complex
     d: complex
-    gram: float = 0.0
+    gram: float
 
 
 def _mp_pair(m: PairMoments, phi: PureState, gram: float = 0.0) -> _MPInputs:

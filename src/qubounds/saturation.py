@@ -114,24 +114,24 @@ class ZeroProductCheck:
     residual_b: float
 
 
-def _verify_r_family(m: PairMoments, coeff_a: complex, coeff_b: complex,
-                     rs: tuple[float, ...], tol: Tolerance) -> tuple[float, ...]:
-    """Residuals of coeff_a A_c rho^r + coeff_b B_c rho^r at each r >= 1/2 in ``rs``: norms of Y w^(r - 1/2).
+def _verify_r_family(m: PairMoments, coeff_a: complex, coeff_b: complex, zero: tuple[bool, bool],
+                     tol: Tolerance) -> tuple[float, ...]:
+    """Residuals of coeff_a A_c rho^r + coeff_b B_c rho^r at each r in ``DEFAULT_R_LIST``: norms of Y w^(r - 1/2).
 
     Y = coeff_a A_c X + coeff_b B_c X is formed once, over the square root X that the moments read; for the
     squared norms c_j of its columns over the state's factor (:meth:`~qubounds.states.PairMoments._over_factor`),
     residual^2 = sum_j c_j w_j^(2r - 1) and ||w^r||^2 = sum_j w_j w_j^(2r - 1), one product for every r.  At
-    r = 1/2 the residual is ||Y||_F over any square root, the certificate's ``residual`` (which, for one zero
-    side, is that side's deviation, equal up to rounding).  Each must stay within limit ||w^r||: the largest of
-    the floor ROUNDING_TOL max(|coeff_a| ||A||_F, |coeff_b| ||B||_F) and one share per side,
-    none moved by an identity offset: |coeff| dev sqrt(10 eps), the flag's eps^2 scale in a 10x band, or,
-    for a side that :func:`_zero_deviations` calls zero, |coeff| z / sqrt(w_max), with its zero budget
+    r = 1/2 the residual is ||Y||_F over any square root, a mixed certificate's ``residual``.  Each must stay
+    within limit ||w^r||: the largest of the floor ROUNDING_TOL max(|coeff_a| ||A||_F, |coeff_b| ||B||_F) and one
+    share per side, none moved by an identity offset: |coeff| dev sqrt(10 eps), the flag's eps^2 scale in a 10x
+    band, or, for a side that the certificate's flags ``zero`` (:func:`_zero_deviations`) call zero,
+    |coeff| z / sqrt(w_max), with its zero budget
     z = max(eps spread, min(eps, ROUNDING_TOL) ||.||_F) and the largest weight w_max.  A zero side's share
     raises on no valid input: for r >= 1/2 and the columns y_j of A_c X over the factor,
     ||(A_c X) w^(r - 1/2)||_F^2 = sum_j ||y_j||^2 w_j^(2r - 1) <= w_max^(2r - 1) dev(A)^2 and w_max^r <= ||w^r||, so
     ||(A_c X) w^(r - 1/2)||_F <= dev(A) ||w^r|| / sqrt(w_max) <= z ||w^r|| / sqrt(w_max).
     """
-    w, band, zero = m.state.weights, math.sqrt(10.0 * tol.eps), _zero_deviations(m, tol)
+    w, band, rs = m.state.weights, math.sqrt(10.0 * tol.eps), DEFAULT_R_LIST
     shares = (abs(c) * (_zero_budget(o, tol) / math.sqrt(w[0]) if z else band * dev)
               for c, o, dev, z in zip((coeff_a, coeff_b), (m.a, m.b), (m.dev_a, m.dev_b), zero))
     limit = max(*shares, ROUNDING_TOL * max(abs(coeff_a) * m.a.norm, abs(coeff_b) * m.b.norm))
@@ -155,8 +155,9 @@ def _certificate(kind: CertificateKind, m: PairMoments, decision: _Decision,
     witness is the least direction of the moments' Gram form (dev(A)^2, cross, dev(B)^2), at the
     phase i for the Robertson kinds (phi is None).  A deviation zero to rounding enters it as exactly
     0, so one zero side gives (a, b) = (1, 0) or (0, 1) with phi = 0, and two give theta = 0 with
-    residual 0.  The residual is ||a A_c X + b B_c X||_F, read from the moments for one zero side; the
-    mixed kinds re-verify (a, b) at each power in ``DEFAULT_R_LIST`` (:func:`_verify_r_family`), the pure none.
+    residual 0.  The mixed kinds re-verify (a, b) at each power in ``DEFAULT_R_LIST`` (:func:`_verify_r_family`),
+    on the same zero sides, and their residual ||a A_c X + b B_c X||_F is that re-check's r = 1/2 one; the pure
+    kind re-verifies nothing, and reads one zero side's residual from the moments.
     """
     if not decision.saturated:
         return None
@@ -168,10 +169,10 @@ def _certificate(kind: CertificateKind, m: PairMoments, decision: _Decision,
     a, b, angles = (_complex_witness if schrodinger else _phase_witness)(*form)
     theta, phi = angles if schrodinger else (angles, None)
     rs = () if kind is CertificateKind.ROBERTSON_PURE else DEFAULT_R_LIST
-    r_residuals = _verify_r_family(m, a, b, rs, tol) if rs else ()
-    # One zero side's witness is (1, 0) or (0, 1), of residual that side's deviation; a mixed kind's is its r = 1/2 one.
-    residual = (0.0 if all(zero) else m.dev_a if zero[0] else m.dev_b if zero[1]
-                else r_residuals[0] if rs else _norm(a * m.centered_a + b * m.centered_b))
+    r_residuals = _verify_r_family(m, a, b, zero, tol) if rs else ()
+    # A pure kind's one zero side has the witness (1, 0) or (0, 1), of residual that side's deviation.
+    residual = (0.0 if all(zero) else r_residuals[0] if rs else m.dev_a if zero[0] else m.dev_b if zero[1]
+                else _norm(a * m.centered_a + b * m.centered_b))
     return SaturationCertificate(kind=kind, theta=theta, phi=phi, mu=None, residual=residual,
                                  r_checked=rs, r_residuals=r_residuals)
 

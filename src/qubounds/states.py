@@ -20,7 +20,7 @@ import functools
 import hashlib
 import math
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,7 +55,9 @@ def _store_digests(inputs: list) -> None:
 class _Input(_ArrayEquality):
     """An observable or a state: ``_HASHED`` names its kind and the frozen array that its ``digest`` hashes
     (:func:`_array_digest`) when first read, unless a sweep stored it (:func:`_store_digests`).  That array's leading
-    axis is the ``dimension``: of the matrix, the amplitudes, or a factor-built state's prescaled G."""
+    axis is the ``dimension``: of the matrix, the amplitudes, or a factor-built state's prescaled G.  What a maker
+    derives from that array (an observable's ``norm``, a density matrix's ``factor`` and ``weights``) is written by
+    the makers and is not declared as a field."""
 
     @property
     def dimension(self) -> int:
@@ -89,7 +91,6 @@ class Observable(_Input):
 
     _HASHED = ("observable", "matrix")
     matrix: np.ndarray
-    norm: float = field(init=False, repr=False, compare=False)
     label: str = ""
 
     def __post_init__(self) -> None:
@@ -185,8 +186,6 @@ class DensityMatrix(_Input):
 
     _HASHED = ("density-factor", "_prescaled")  # a factor-built state's; a matrix-built one hashes its matrix
     matrix: np.ndarray
-    factor: np.ndarray = field(init=False, repr=False, compare=False)
-    weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         m = require_hermitian(self.matrix, "density matrix")[0]

@@ -89,9 +89,17 @@ CATALOGUE = (
            "a mu off the unit circle by more than the pair budget is a bad input",
            "test_relations.py::test_a_mu_off_the_unit_circle_by_more_than_the_pair_budget_is_a_bad_input"),
     Mutant("r-family-band-x-sqrt10", SATURATION,
-           "math.sqrt(10.0 * tol.eps), _zero_deviations", "math.sqrt(100.0 * tol.eps), _zero_deviations",
+           "math.sqrt(10.0 * tol.eps), DEFAULT_R_LIST", "math.sqrt(100.0 * tol.eps), DEFAULT_R_LIST",
            "a certificate's power re-check admits a residual up to dev sqrt(10 eps), and no more",
            "test_saturation.py::test_the_power_recheck_admits_a_residual_up_to_its_band"),
+    Mutant("r-family-zero-sides-dropped", SATURATION,
+           "_verify_r_family(m, a, b, zero, tol)", "_verify_r_family(m, a, b, (False, False), tol)",
+           "the power re-check gives a side that the certificate calls zero its zero budget's share, not the band",
+           "test_saturation.py::test_near_eigenstates_keep_their_certificates_on_rank_k_states"),
+    Mutant("mixed-residual-second-norm", SATURATION,
+           "r_residuals[0] if rs else ", "",
+           "a mixed certificate's residual is its re-check's r = 1/2 residual, also where one side is zero",
+           "test_saturation.py::test_a_mixed_certificate_with_one_zero_side_reports_its_recheck_residual"),
     Mutant("mp6-degenerate-strict", RELATIONS,
            "if reformulated.lhs <= tol.eps:", "if reformulated.lhs < tol.eps:",
            "the mp6 product form's denominator is degenerate up to and at eps",
@@ -108,6 +116,15 @@ CATALOGUE = (
            "np.multiply(direction, np.array(phases)[:, None], out=direction, where=fix[:, None])", "pass",
            "case 2 phases phi so that <psi|(A - mu B)|phi> is real nonnegative",
            "test_saturation.py::test_construct_case2_phase_convention"),
+    Mutant("decide-violation-inclusive", RELATIONS,
+           "if slack < -budget:", "if slack <= -budget:",
+           "a bound is violated only where its slack is below minus its budget, so a zero slack at budget 0 is not",
+           "test_relations.py::test_a_zero_slack_within_a_zero_violation_budget_is_saturated_and_raises_nothing"),
+    Mutant("decide-input-budget-dropped", RELATIONS,
+           "max(_input_budget(tol) * max(abs(lhs), abs(rhs)), ROUNDING_TOL * size) + pair",
+           "ROUNDING_TOL * size + pair",
+           "a negative slack within the input budget times the larger side is reported, not raised",
+           "test_relations.py::test_make_report_flags_and_violation"),
     Mutant("decide-pair-term-dropped", RELATIONS,
            "ROUNDING_TOL * size) + pair", "ROUNDING_TOL * size)",
            "a Maccone-Pati violation floor carries the Gram deviation that the pair checks admit",
@@ -148,7 +165,7 @@ CATALOGUE = (
            "test_sampling.py::test_sample_config_validation"),
     Mutant("certificate-zero-witness-swapped", SATURATION,
            "m.dev_a if zero[0]", "m.dev_b if zero[0]",
-           "a zero side's witness (1, 0) leaves the residual dev(A), that side's deviation",
+           "a pure certificate's zero side, of witness (1, 0), leaves the residual dev(A), that side's deviation",
            "test_saturation.py::test_pure_certificate_degenerate_deviation"),
     Mutant("support-cutoff-inclusive", LINALG,
            "np.count_nonzero(w > INPUT_TOL * _norm(w))", "np.count_nonzero(w >= INPUT_TOL * _norm(w))",

@@ -532,6 +532,16 @@ def test_a_zero_slack_is_saturated_at_a_zero_tolerance():
     assert report.slack == 0.0 and report.saturated
 
 
+def test_a_zero_slack_within_a_zero_violation_budget_is_saturated_and_raises_nothing():
+    # Zero observables give lhs = rhs = 0, so slack 0, and a violation budget of exactly 0 (no size, no Gram
+    # term for the basis pair): a slack equal to minus the budget is no violation, at eps = 0 too.
+    zero = np.zeros((2, 2))
+    for tol in (Tolerance(), Tolerance(0.0)):
+        reports = (robertson(zero, zero, KET0, tol), schrodinger(zero, zero, KET0, tol),
+                   mp3(zero, zero, KET0, KET1, tol).report)
+        assert [(r.slack, r.saturated) for r in reports] == 3 * [(0.0, True)]
+
+
 def test_a_sum_bound_with_one_zero_deviation_is_decided_by_its_slack():
     # The sum bounds' zero rule needs both deviations zero.  With A = 2 I, dev(A) = 0 but
     # dev(B)^2 exceeds |<e1|B|e2>|^2 for a B with a nonzero <e3|B|e1>, so mp3 and the

@@ -274,7 +274,8 @@ def test_rescaled_r_family_check_fires_at_every_scale():
             coeff_b = (1j if cert.phi is None else cmath.exp(1j * cert.phi)) * math.sin(cert.theta)
             m = pair_moments(c * moved + shift * np.eye(5), b, rho)
             with pytest.raises(RIndependenceViolation):
-                _verify_r_family(m, math.cos(cert.theta), coeff_b, DEFAULT_R_LIST, Tolerance())
+                _verify_r_family(m, math.cos(cert.theta), coeff_b, relations._zero_deviations(m, Tolerance()),
+                                 Tolerance())
 
 
 # The Maccone-Pati sum bound adds dev(A)^2 and dev(B)^2, so A and B scale together.
@@ -1369,9 +1370,10 @@ def _near_eigenstate_cases(delta, rng, n, k, count):
 
 def _check_near_eigenstate_certificates(n, k, seed):
     # dev(A) of order delta is zero by the rule up to delta ~ 1e-9, so the flag is saturated and the
-    # witness is exactly (a, b) = (1, 0), whose residual is dev(A) itself.  Against the 10x band's
-    # sqrt(10 eps) dev(A) no witness could pass; the zero rule carried to r bounds the residual at
-    # each r by dev(A) ||w^r|| / sqrt(w_max), which no valid input exceeds.
+    # witness is exactly (a, b) = (1, 0), whose residual, the r = 1/2 re-check's ||A_c X||_F, is dev(A)
+    # to rounding.  Against the 10x band's sqrt(10 eps) dev(A) no witness could pass; the zero rule
+    # carried to r bounds the residual at each r by dev(A) ||w^r|| / sqrt(w_max), which no valid input
+    # exceeds.
     rng = trial_rng(seed, 0)
     tol, zero_sides = Tolerance(), 0
     for delta in DELTAS:
@@ -1389,7 +1391,8 @@ def _check_near_eigenstate_certificates(n, k, seed):
                 if not zero[0]:
                     _assert_within_the_recheck(cert, m)
                     continue
-                assert cert.theta == 0.0 and cert.residual == m.dev_a
+                assert cert.theta == 0.0 and cert.residual == cert.r_residuals[0]
+                assert cert.residual == pytest.approx(m.dev_a, rel=1e-14)
                 for r, residual in zip(cert.r_checked, cert.r_residuals):
                     assert residual <= (1 + 1e-12) * scale * np.linalg.norm(weights ** r)
     # The zero rule decides every draw below delta = 1e-9.
@@ -1405,6 +1408,44 @@ def test_near_eigenstates_keep_their_certificates_on_rank_k_states():
     _check_near_eigenstate_certificates(5, 3, 378)
 
 
+def test_a_mixed_certificate_with_one_zero_side_reports_its_recheck_residual():
+    # A mixed certificate's residual is its power re-check's r = 1/2 residual ||a A_c X + b B_c X||_F, bit for
+    # bit, also where one deviation is zero to rounding and the witness is (1, 0).  dev(A), read from the
+    # moments' Gram entry, is that norm taken a second way, and may differ from it in the last place.
+    rng, tol, checked = trial_rng(377, 0), Tolerance(), 0
+    for delta in DELTAS:
+        for n, k in ((4, 2), (5, 3)):
+            for a, b, state in _near_eigenstate_cases(delta, rng, n, k, 10):
+                if relations._zero_deviations(pair_moments(a, b, state), tol) != (True, False):
+                    continue
+                for check in (robertson_saturation_mixed, schrodinger_saturation):
+                    cert = check(a, b, state)
+                    assert cert.residual == cert.r_residuals[0]
+                    checked += 1
+    assert checked >= 60
+
+
+def _count_zero_rule(monkeypatch) -> list:
+    """Count every evaluation of the zero rule (relations._zero_deviation) from here on."""
+    calls, real = [], relations._zero_deviation
+    monkeypatch.setattr(relations, "_zero_deviation", lambda *args: calls.append(1) or real(*args))
+    return calls
+
+
+def test_a_certificate_request_decides_each_zero_side_twice(monkeypatch):
+    # A certificate request evaluates the zero rule on each side for its bound's decision, and once more for its
+    # witness, whose zero sides the mixed kinds' power re-check reads: 4 evaluations, pure or mixed.
+    rng, calls = trial_rng(29, 3), _count_zero_rule(monkeypatch)
+    requests = [(robertson_saturation_pure, *plant_saturating_pure(n, 0.7j, rng)) for n in (2, 4)]
+    requests += [(check, *plant_saturating_mixed(n, k, 0.7, phase, rng))
+                 for check, phase in ((robertson_saturation_mixed, math.pi / 2), (schrodinger_saturation, 1.0))
+                 for n, k in ((2, 1), (4, 2), (8, 3))]
+    for check, a, b, state in requests:
+        calls.clear()
+        assert check(a, b, state) is not None
+        assert len(calls) == 4, check.__name__
+
+
 def test_the_zero_side_recheck_raises_where_the_zero_side_outgrows_its_deviation():
     # A zero side along the heaviest support direction, of norm between z sqrt(1 + (w2/w1)^6)
     # and z / sqrt(w1) for the zero rule's budget z: the r = 1/2 re-check passes, and the one at
@@ -1415,8 +1456,9 @@ def test_the_zero_side_recheck_raises_where_the_zero_side_outgrows_its_deviation
     rho = DensityMatrix.from_factor(u[:, :2] * np.sqrt([0.7, 0.3]) + 1e-11 * complex_normal(rng, 4, 2))
     tol = Tolerance()
     m = pair_moments(a, hermitian_array(rng, 4), rho)
-    assert relations._zero_deviations(m, tol) == (True, False)
-    _verify_r_family(m, 1.0, 0.0, DEFAULT_R_LIST, tol)
+    zero = relations._zero_deviations(m, tol)
+    assert zero == (True, False)
+    _verify_r_family(m, 1.0, 0.0, zero, tol)
     w = np.sort(m.state.weights)[::-1]
     z = relations._zero_budget(m.a, tol)
     column = complex_normal(rng, 4, 1)[:, 0]
@@ -1425,9 +1467,8 @@ def test_the_zero_side_recheck_raises_where_the_zero_side_outgrows_its_deviation
                                                * column / np.linalg.norm(column))
     # The inflated column is over rho's factor; the moments read G/||G||_F, which _basis turns into the factor.
     bad = dataclasses.replace(m, centered_a=inflated @ rho._basis.conj().T)
-    _verify_r_family(bad, 1.0, 0.0, (0.5,), tol)
-    with pytest.raises(RIndependenceViolation):
-        _verify_r_family(bad, 1.0, 0.0, DEFAULT_R_LIST, tol)
+    with pytest.raises(RIndependenceViolation, match="at r=[123]"):
+        _verify_r_family(bad, 1.0, 0.0, zero, tol)
 
 
 def test_the_power_recheck_admits_a_residual_up_to_its_band():
@@ -1437,15 +1478,16 @@ def test_the_power_recheck_admits_a_residual_up_to_its_band():
     # A band sqrt(10) times as wide would pass 2e-4.
     tol = Tolerance()
     m = pair_moments(SIGMA_X, SIGMA_X, DensityMatrix(np.diag([0.75, 0.25])))
-    assert m.dev_a == pytest.approx(1.0, abs=1e-15) and relations._zero_deviations(m, tol) == (False, False)
+    zero = relations._zero_deviations(m, tol)
+    assert m.dev_a == pytest.approx(1.0, abs=1e-15) and zero == (False, False)
     for delta, passes in ((5e-5, True), (2e-4, False), (5e-4, False)):
         if passes:
-            residuals = _verify_r_family(m, 1.0, -(1.0 - delta), DEFAULT_R_LIST, tol)
+            residuals = _verify_r_family(m, 1.0, -(1.0 - delta), zero, tol)
             norms = [np.linalg.norm(np.array([0.75, 0.25]) ** r) for r in DEFAULT_R_LIST]
             assert residuals == pytest.approx([delta * n for n in norms], rel=1e-9)
             continue
         with pytest.raises(RIndependenceViolation, match="at r=0.5"):
-            _verify_r_family(m, 1.0, -(1.0 - delta), DEFAULT_R_LIST, tol)
+            _verify_r_family(m, 1.0, -(1.0 - delta), zero, tol)
 
 
 def _recheck_calls(monkeypatch) -> list:
@@ -1463,11 +1505,11 @@ def _recheck_calls(monkeypatch) -> list:
 def _assert_the_per_power_oracle_agrees(args, residuals):
     # A witness's residual is rounding noise, so it is compared at the size of its two terms,
     # (|a| dev(A) + |b| dev(B)) w_max^(r - 1/2), which bounds each at r; at r = 1/2 both are ||Y||_F.
-    m, coeff_a, coeff_b, rs, _ = args
-    oracle = per_power_r_family(*args)
-    assert rs[0] == 0.5 and residuals[0] == oracle[0]
+    m, coeff_a, coeff_b, _, tol = args
+    oracle = per_power_r_family(m, coeff_a, coeff_b, DEFAULT_R_LIST, tol)
+    assert DEFAULT_R_LIST[0] == 0.5 and residuals[0] == oracle[0]
     w_max = m.state.weights.max()
-    for r, got, want in zip(rs, residuals, oracle):
+    for r, got, want in zip(DEFAULT_R_LIST, residuals, oracle):
         size = (abs(coeff_a) * m.dev_a + abs(coeff_b) * m.dev_b) * w_max ** (r - 0.5)
         assert abs(got - want) <= 1e-13 * max(want, size)
 
@@ -1493,7 +1535,8 @@ def test_the_one_pass_recheck_matches_the_per_power_oracle(monkeypatch):
             assert cert.r_residuals == residuals and residuals[0] == cert.residual
             _assert_the_per_power_oracle_agrees(args, residuals)
             coeffs = complex_normal(rng, 2, 1)[:, 0]
-            np.testing.assert_allclose(_verify_r_family(args[0], *coeffs, DEFAULT_R_LIST, loose),
+            np.testing.assert_allclose(_verify_r_family(args[0], *coeffs, relations._zero_deviations(args[0], loose),
+                                                        loose),
                                        per_power_r_family(args[0], *coeffs, DEFAULT_R_LIST, loose),
                                        rtol=1e-13, atol=0)
             certificates += 1
@@ -1764,8 +1807,9 @@ def test_both_factor_paths_keep_their_factor_and_weights_and_the_matrix_states_v
             got, want = (zero_product_characterization(a, b, s) for s in (state, checked))
             np.testing.assert_allclose([got.residual_a, got.residual_b], [want.residual_a, want.residual_b],
                                        rtol=1e-12, atol=1e-15)
-            np.testing.assert_allclose(_verify_r_family(pair_moments(a, b, state), *coeffs, DEFAULT_R_LIST, loose),
-                                       _verify_r_family(pair_moments(a, b, checked), *coeffs, DEFAULT_R_LIST, loose),
+            got, want = (pair_moments(a, b, s) for s in (state, checked))
+            np.testing.assert_allclose(_verify_r_family(got, *coeffs, relations._zero_deviations(got, loose), loose),
+                                       _verify_r_family(want, *coeffs, relations._zero_deviations(want, loose), loose),
                                        rtol=1e-12, atol=1e-15)
     # A saturated mixed certificate on a factor-built state, its columns mixed by a unitary, re-verifies every
     # power and is the matrix-built certificate, to rounding (a phase other than pi/2 saturates Schrodinger only).

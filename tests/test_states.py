@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import gc
 import hashlib
 import math
@@ -308,6 +309,28 @@ def test_inputs_compare_by_type_and_entries():
         for x in (obs, psi, rho):
             with pytest.raises(TypeError):
                 hash(x)
+
+
+def test_an_input_declares_only_what_it_is_built_from():
+    # What a maker derives (an observable's norm, a density matrix's factor and weights) is written by the makers
+    # and declared as no field.  The fields are the constructor's arguments: repr shows those alone, == compares
+    # those alone, and dataclasses.replace builds through the entry check, which derives the rest again.
+    rng = trial_rng(311, 1)
+    assert [f.name for f in dataclasses.fields(Observable)] == ["matrix", "label"]
+    assert [f.name for f in dataclasses.fields(PureState)] == ["amplitudes"]
+    assert [f.name for f in dataclasses.fields(DensityMatrix)] == ["matrix"]
+    obs, psi = Observable(hermitian_array(rng, 3), label="A"), random_pure_state(3, rng)
+    assert repr(obs) == f"Observable(matrix={obs.matrix!r}, label='A')"
+    assert repr(psi) == f"PureState(amplitudes={psi.amplitudes!r})"
+    relabelled = dataclasses.replace(obs, label="B")
+    assert relabelled != obs and relabelled == Observable(obs.matrix, label="B") and relabelled.norm == obs.norm
+    assert dataclasses.replace(obs) == obs and dataclasses.replace(psi) == psi
+    for rho in (random_density(3, 2, rng), DensityMatrix.from_factor(complex_normal(rng, 3, 2))):
+        assert repr(rho) == f"DensityMatrix(matrix={rho.matrix!r})"
+        rebuilt = dataclasses.replace(rho)
+        assert rebuilt == rho and rebuilt is not rho
+        np.testing.assert_allclose(rebuilt.weights, rho.weights, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(rebuilt.factor @ rebuilt.factor.conj().T, rho.matrix, rtol=0, atol=1e-15)
 
 
 def test_result_types_compare_by_type_and_entries():
