@@ -62,15 +62,10 @@ def _square(x: float) -> float:
 
 
 def _norm(x: np.ndarray) -> float:
-    """||x||_F bit for bit as ``np.linalg.norm`` computes it, without the wrapper: ravel, re.re + im.im, sqrt."""
+    """||x||_F bit for bit as ``np.linalg.norm`` computes it, without the wrapper: ravel, re.re + im.im (v.v for a
+    real x), sqrt."""
     v = x.ravel(order="K")
-    return math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
-
-
-def _row_norms(x: np.ndarray) -> list:
-    """:func:`_norm` of each row of the stack ``x`` (T, n).  A batched matmul of the same dot products gives the
-    same bits but costs more per call than a loop of them, most of all at T = 1."""
-    return [_norm(row) for row in x]
+    return math.sqrt(v.dot(v) if v.dtype.kind != "c" else v.real.dot(v.real) + v.imag.dot(v.imag))
 
 
 def _complex_array(x, name: str) -> np.ndarray:
@@ -93,9 +88,9 @@ def as_complex_matrix(m, name: str = "matrix", scan: bool = True) -> np.ndarray:
 
 def _square_matrix(m, name: str = "matrix") -> np.ndarray:
     """A square 2-D complex array; only a non-square one is scanned here (see :func:`_finite_norm`)."""
-    a = as_complex_matrix(m, name, scan=False)
-    if a.shape[0] != a.shape[1]:
-        as_complex_matrix(a, name)
+    a = _complex_array(m, name)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
+        as_complex_matrix(a, name)  # not 2-D or empty: DimensionMismatch; else the scan of the entries
         raise DimensionMismatch(f"{name} must be square, got shape {a.shape}")
     return a
 

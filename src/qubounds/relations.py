@@ -221,7 +221,7 @@ def _unit_mu(mu: complex, tol: Tolerance) -> complex:
     return mu
 
 
-@dataclass(frozen=True)
+@dataclass  # not frozen: a frozen init costs four times as much, and no caller writes one
 class _MPInputs:
     """The one Maccone-Pati reduction of (A, B, psi, phi), built only by :func:`_mp_pair`.
 
@@ -239,7 +239,7 @@ class _MPInputs:
 def _mp_pair(m: PairMoments, phi: PureState, gram: float = 0.0) -> _MPInputs:
     """The :class:`_MPInputs` of psi's moments ``m``, phi and the admitted ||Gram - I||_F ``gram``: c = <A_c psi, phi>
     and d = <B_c psi, phi>, two dot products with the centred pair, so no identity offset enters them."""
-    x = phi.factor
+    x = phi.amplitudes
     return _MPInputs(m, phi, complex(np.vdot(m.centered_a, x)), complex(np.vdot(m.centered_b, x)), gram)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RankUnachieved
-from .linalg import _row_norms
+from .linalg import _norm
 from .states import DensityMatrix, Observable, PureState, _store_digests
 
 # Bytes of a chunk's largest stack, one complex n x n matrix per trial: a sweep's memory does not grow
@@ -119,7 +119,7 @@ def haar_unitary(n: int, seed) -> np.ndarray:
 
 def _unit_rows(z: np.ndarray) -> np.ndarray:
     """Each row of the stack ``z`` (T, n) over its norm: for complex normal rows, uniform on the unit sphere."""
-    return z / np.reshape(_row_norms(z), (-1, 1))
+    return z / np.reshape([_norm(row) for row in z], (-1, 1))
 
 
 def random_pure_state(n: int, seed) -> PureState:

@@ -30,8 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CorollaryViolation, DimensionMismatch, HypothesisViolated, QuboundsError, RIndependenceViolation
-from .linalg import (DEFAULT_TOL, ROUNDING_TOL, TIE_TOL, Tolerance, _complex_witness, _norm, _phase_witness,
-                     _row_norms)
+from .linalg import DEFAULT_TOL, ROUNDING_TOL, TIE_TOL, Tolerance, _complex_witness, _norm, _phase_witness
 from .relations import (_Decision, _moments_mu, _mp3_decision, _mp6_decision, _mp_chain_decisions, _mp_inputs,
                         _mp_pair, _MPInputs, _robertson_decision, _schrodinger_decision, _unit_mu, _zero_budget,
                         _zero_deviations)
@@ -45,6 +44,9 @@ MU_SNAP_TOL = 1e-12
 
 # The powers r >= 1/2 at which the mixed checkers re-verify their witness; a dependence at 1/2 carries to each.
 DEFAULT_R_LIST = (0.5, 1.0, 2.0, 3.0)
+# The exponents 2r - 1 of the re-check's weights, one row per power.
+_EXPONENTS = 2.0 * np.array(DEFAULT_R_LIST)[:, None] - 1.0
+_EXPONENTS.setflags(write=False)
 
 
 class CertificateKind(str, enum.Enum):
@@ -131,16 +133,17 @@ def _verify_r_family(m: PairMoments, coeff_a: complex, coeff_b: complex, zero: t
     ||(A_c X) w^(r - 1/2)||_F^2 = sum_j ||y_j||^2 w_j^(2r - 1) <= w_max^(2r - 1) dev(A)^2 and w_max^r <= ||w^r||, so
     ||(A_c X) w^(r - 1/2)||_F <= dev(A) ||w^r|| / sqrt(w_max) <= z ||w^r|| / sqrt(w_max).
     """
-    w, band, rs = m.state.weights, math.sqrt(10.0 * tol.eps), DEFAULT_R_LIST
-    shares = (abs(c) * (_zero_budget(o, tol) / math.sqrt(w[0]) if z else band * dev)
-              for c, o, dev, z in zip((coeff_a, coeff_b), (m.a, m.b), (m.dev_a, m.dev_b), zero))
+    w, band = m.state.weights, math.sqrt(10.0 * tol.eps)
+    shares = [abs(c) * (_zero_budget(o, tol) / math.sqrt(w[0]) if z else band * dev)
+              for c, o, dev, z in ((coeff_a, m.a, m.dev_a, zero[0]), (coeff_b, m.b, m.dev_b, zero[1]))]
     limit = max(*shares, ROUNDING_TOL * max(abs(coeff_a) * m.a.norm, abs(coeff_b) * m.b.norm))
     y = coeff_a * m.centered_a + coeff_b * m.centered_b
     turned = m._over_factor(y)
-    columns = np.array([(turned.real**2 + turned.imag**2).sum(axis=0), w]).T  # (c_j, w_j), one row per j
-    roots = np.sqrt(w ** (2.0 * np.array(rs)[:, None] - 1.0) @ columns).tolist()
-    residuals = tuple(_norm(y) if r == 0.5 else res for r, (res, _) in zip(rs, roots))
-    for r, res, (_, norm_w) in zip(rs, residuals, roots):
+    columns = np.empty((2, len(w)))  # its transpose holds (c_j, w_j), one row per j
+    columns[0], columns[1] = np.add.reduce(turned.real**2 + turned.imag**2, axis=0), w
+    roots, norms_w = np.sqrt(w ** _EXPONENTS @ columns.T).T.tolist()
+    residuals = (_norm(y), *roots[1:])  # the first power is 1/2
+    for r, res, norm_w in zip(DEFAULT_R_LIST, residuals, norms_w):
         if res > limit * norm_w:
             raise RIndependenceViolation(f"witness residual {res:.3e} at r={r} exceeds {limit * norm_w:.3e}")
     return residuals
@@ -163,7 +166,7 @@ def _certificate(kind: CertificateKind, m: PairMoments, decision: _Decision,
         return None
     schrodinger = kind is CertificateKind.SCHRODINGER
     zero = _zero_deviations(m, tol)
-    dev_a, dev_b = (0.0 if z else dev for z, dev in zip(zero, (m.dev_a, m.dev_b)))
+    dev_a, dev_b = 0.0 if zero[0] else m.dev_a, 0.0 if zero[1] else m.dev_b
     scale = max(dev_a, dev_b) or 1.0  # so that no square overflows
     form = ((dev_a / scale) ** 2, 0j if any(zero) else m.cross / scale / scale, (dev_b / scale) ** 2)
     a, b, angles = (_complex_witness if schrodinger else _phase_witness)(*form)
@@ -235,11 +238,10 @@ def _require_mu_hypothesis(m: PairMoments, mu: complex, tol: Tolerance) -> compl
     An accepted mu is returned as exactly i or -i, so mu <[A, B]> is exactly real.
     """
     given = complex(mu)
-    mu = next((unit for unit in (1j, -1j) if abs(given - unit) <= MU_SNAP_TOL), None)
+    mu = 1j if abs(given - 1j) <= MU_SNAP_TOL else -1j if abs(given + 1j) <= MU_SNAP_TOL else None
     if mu is None:
         raise ValueError(f"mu must be i or -i, got {given!r}")
-    choice = _moments_mu(m, tol)
-    if not choice.tie_broken and mu != choice.mu:
+    if not (choice := _moments_mu(m, tol)).tie_broken and mu != choice.mu:
         raise HypothesisViolated(f"mu * <[A, B]> = {(mu * m.commutator_expectation).real:.3e} is negative")
     return mu
 
@@ -278,18 +280,17 @@ def mp6_saturation(observable_a, observable_b, psi: PureState, phi: PureState,
     return _equality_check(p, mu, _mp6_decision(p, mu, tol)[0], p.moments.dev_a, p.moments.dev_b)
 
 
-def _case2_tails(u: np.ndarray, mu_v: np.ndarray, moments: list, tol: Tolerance) -> tuple:
+def _case2_tails(u: np.ndarray, mu_v: np.ndarray, m: PairMoments, tol: Tolerance) -> tuple:
     """u - mu v, degenerate as rounding noise beside dev(A) + dev(B) = ||u|| + ||v||, and the row
     conj(u) - mu conj(v) = conj(u + mu v) (as mu = +-i) of A - mu B, whose entry with phi is phased real."""
-    return u - mu_v, [tol.eps * (m.dev_a + m.dev_b) for m in moments], np.conjugate(u + mu_v)
+    return u - mu_v, tol.eps * (m.dev_a + m.dev_b), np.conjugate(u + mu_v)
 
 
-def _w_mp6_tails(u: np.ndarray, mu_v: np.ndarray, moments: list, tol: Tolerance) -> tuple:
+def _w_mp6_tails(u: np.ndarray, mu_v: np.ndarray, m: PairMoments, tol: Tolerance) -> tuple:
     """u/dev(A) - mu v/dev(B), degenerate below tol.eps, and no phase row.  Where dev(A) or dev(B) is exactly zero,
     each entry has a NaN part, so no floor keeps the row; the mp6 decision rejects every trial with a zero deviation."""
-    devs = np.array([(m.dev_a, m.dev_b) for m in moments], dtype=complex)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return u / devs[:, :1] - mu_v / devs[:, 1:], [tol.eps] * len(moments), None
+        return u / m.dev_a - mu_v / m.dev_b, tol.eps, None
 
 
 # Each construction's target bound, the dimensions it takes, the rule that rejects the others, and its tails
@@ -316,37 +317,37 @@ def _outcome(body, *args):
 def _constructions(targets: tuple[str, ...], moments: list, tol: Tolerance) -> list:
     """Each trial's construction per target ("case1", "case2", "w_mp6"), or the QuboundsError it raises, from its
     e1 moments, each at the mu :func:`_moments_mu` picks.  A target states its tails once (``_CONSTRUCTIONS``), from
-    the first-column tails u, v of each trial's A_c e1 and B_c e1: their stack, each trial's degeneracy floor, and a
-    phase row or None.  phi is e2 on every trial; one pass per target then rewrites only the rows it keeps, those
-    whose tail's norm is above its floor, with the tail over that norm, phased so that its entry with the row is real
-    nonnegative where that entry is not noise beside the row.  A dropped row stays e2 and marks its trial
-    degenerate.  One state pass builds every phi; c = <A_c e1, phi> = <u, tail> and d = <v, tail> are read from the
-    moments (:func:`~qubounds.relations._mp_pair`)."""
-    n, mus = moments[0].a.dimension, [_moments_mu(m, tol).mu for m in moments]
-    centred = np.array([(m.centered_a[1:, 0], m.centered_b[1:, 0]) for m in moments])
-    u, mu_v = centred[:, 0], np.array(mus)[:, None] * centred[:, 1]
-    rows, keeps = np.zeros((len(moments), len(targets), n), dtype=complex), []
-    for j, target in enumerate(targets):
-        _, allowed, rule, tails = _CONSTRUCTIONS[target]
-        if not allowed(n):
-            raise DimensionMismatch("construction requires " + rule.format(n))
-        rows[:, j, 1] = 1.0  # e2, where no kept tail replaces it
-        if tails is None:
-            keeps.append(np.ones(len(moments), dtype=bool))
-            continue
-        tail, floors, row = tails(u, mu_v, moments, tol)
-        norms = np.array(_row_norms(tail))
-        keeps.append(keep := norms > floors)
-        direction = rows[:, j, 1:]
-        np.divide(tail, norms[:, None], out=direction, where=keep[:, None])  # complex: no complex-by-real loop
-        if row is not None:  # a phase product only where fixed, as a factor 1 can flip a zero's sign
-            entries = np.matmul(row[:, None], direction[:, :, None]).ravel().tolist()
-            fix = keep & [abs(e) > TIE_TOL * r for e, r in zip(entries, _row_norms(row))]
-            phases = [cmath.exp(-1j * cmath.phase(e)) if f else 1.0 for e, f in zip(entries, fix)]
-            np.multiply(direction, np.array(phases)[:, None], out=direction, where=fix[:, None])
+    the first-column tails u, v of the trial's A_c e1 and B_c e1: the tail, its degeneracy floor, and a phase row or
+    None.  phi is e2 unless the tail's norm is above its floor; then it is the tail over that norm, phased so that
+    its entry with the row is real nonnegative where that entry is not noise beside the row.  A dropped tail leaves
+    e2 and marks the construction degenerate.  One state pass builds every phi; c = <A_c e1, phi> = <u, tail> and
+    d = <v, tail> are read from the moments (:func:`~qubounds.relations._mp_pair`)."""
+    n = moments[0].a.dimension
+    rows = np.zeros((len(moments), len(targets), n), dtype=complex)
+    rows[:, :, 1:2] = 1.0  # e2, where no kept tail replaces it (none at n = 1, which no construction takes)
+    mus, keeps = [], []
+    for m, trial in zip(moments, rows):
+        mus.append(mu := _moments_mu(m, tol).mu)
+        u, mu_v = m.centered_a[1:, 0], mu * m.centered_b[1:, 0]
+        keeps.append(keep := [])
+        for target, direction in zip(targets, trial[:, 1:]):
+            _, allowed, rule, tails = _CONSTRUCTIONS[target]
+            if not allowed(n):
+                raise DimensionMismatch("construction requires " + rule.format(n))
+            if tails is None:
+                keep.append(True)
+                continue
+            tail, floor, row = tails(u, mu_v, m, tol)
+            norm = _norm(tail)
+            keep.append(kept := norm > floor)
+            if kept:
+                np.divide(tail, norm, out=direction)  # complex: no complex-by-real loop
+                # A phase product only where fixed, as a factor 1 can flip a zero's sign.
+                if row is not None and abs(entry := complex(row @ direction)) > TIE_TOL * _norm(row):
+                    direction *= cmath.exp(-1j * cmath.phase(entry))
     phis = iter(PureState._stack(rows.reshape(-1, n)))
     return [[_outcome(_constructed, target, m, mu, next(phis), not k, tol) for target, k in zip(targets, ks)]
-            for m, mu, ks in zip(moments, mus, zip(*keeps))]
+            for m, mu, ks in zip(moments, mus, keeps)]
 
 
 def _constructed(target: str, m: PairMoments, mu: complex, phi: PureState, degenerate: bool, tol: Tolerance):
@@ -369,7 +370,7 @@ def _construct(target: str, observable_a, observable_b, tol: Tolerance) -> Const
     A_c e1 = (0, u) for the first-column tail u of A, so dev(A) = ||u||; likewise for B."""
     a, b = _entry(observable_a, observable_b)
     e1 = object.__new__(PureState)
-    e1._set({"amplitudes": _e1(a.dimension).amplitudes})
+    vars(e1)["amplitudes"] = _e1(a.dimension).amplitudes  # frozen already
     built = _constructions((target,), [_reduction(a, b, e1)], tol)[0][0]
     if isinstance(built, QuboundsError):
         raise built

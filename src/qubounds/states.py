@@ -192,16 +192,16 @@ class DensityMatrix(_Input):
         trace = float(m.trace().real)
         if abs(trace - 1.0) > INPUT_TOL:
             raise InvalidInput(f"density matrix trace {trace!r} is not 1 within {INPUT_TOL}")
-        self._set({"matrix": np.array(m), "_HASHED": ("density", "matrix")})
-        self._support(*_psd_support(m, "density matrix"))
+        support = self._support(*_psd_support(m, "density matrix"))
+        self._set(dict(support, matrix=np.array(m), _HASHED=("density", "matrix")))
 
-    def _support(self, w: np.ndarray, v: np.ndarray, basis: np.ndarray | None = None) -> None:
+    def _support(self, w: np.ndarray, v: np.ndarray, basis: np.ndarray | None = None) -> dict:
         """The one support body, for the weights ``w`` and orthonormal columns ``v``, fresh arrays that no caller
-        holds: set ``weights`` = w, ``factor`` = V w^(1/2) and ``_basis``, and the moments' root (``_root``) to
-        that factor unless it is G/||G||_F already.  ``basis`` is U, with (G/||G||_F) U the factor up to its
-        columns' phases, where the root is G/||G||_F, and else None."""
+        holds: the state's ``weights`` = w, ``factor`` = V w^(1/2) and ``_basis``, and the moments' root (``_root``)
+        that factor unless it is G/||G||_F already, for the caller to ``_set``.  ``basis`` is U, with (G/||G||_F) U
+        the factor up to its columns' phases, where the root is G/||G||_F, and else None."""
         factor = v * np.sqrt(w)
-        self._set({"factor": factor, "weights": w, "_basis": basis, "_root": vars(self).get("_root", factor)})
+        return {"factor": factor, "weights": w, "_basis": basis, "_root": vars(self).get("_root", factor)}
 
     def __getattr__(self, name: str):
         # Only a factor-built state's arrays are missing: formed from its prescaled G when first read.  Its support
@@ -216,7 +216,7 @@ class DensityMatrix(_Input):
             v = x @ u
             v = v * v[np.abs(v).argmax(axis=0), np.arange(v.shape[1])].conj()
             v = v / np.sqrt(np.add.reduce((v.conj() * v).real, axis=0))  # linalg.norm
-            self._support(lam / lam.sum(), v, u if full else None)
+            self._set(self._support(lam / lam.sum(), v, u if full else None))
             return vars(self)[name]
         rho = self._prescaled @ self._prescaled.conj().T
         rho = rho / np.trace(rho).real
@@ -369,8 +369,10 @@ def _pair_moments(a: Observable, b: Observable, state: QuantumState, moments: tu
     for obs, mean in ((a, alpha), (b, beta)):
         if abs(mean.imag) > INPUT_TOL * obs.norm:
             raise NonRealExpectation(f"imaginary residue {mean.imag:.3e} in expectation")
-    return PairMoments(alpha.real, beta.real, math.sqrt(dev2_a.real), math.sqrt(dev2_b.real), cross,
-                       centred[0], centred[1], a, b, state)
+    m = object.__new__(PairMoments)  # its fields without a frozen init's object.__setattr__ each, at half the cost
+    vars(m).update(alpha=alpha.real, beta=beta.real, dev_a=math.sqrt(dev2_a.real), dev_b=math.sqrt(dev2_b.real),
+                   cross=cross, centered_a=centred[0], centered_b=centred[1], a=a, b=b, state=state)
+    return m
 
 
 def _reduction(a: Observable, b: Observable, state: QuantumState) -> PairMoments:

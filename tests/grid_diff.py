@@ -1,24 +1,27 @@
-"""Byte-identity check of two source trees over the report grid.
+"""Byte-identity check of two source trees over the report grid and the certify requests.
 
     python tests/grid_diff.py PARENT CHANGE
 
 Each tree runs in a fresh process, with its own ``src`` first on the path: ``verify`` over
 (n, rank) = (1,1), (2,1), (2,2), (3,1), (3,2), (4,4), (8,3) x 30 trials and (64,4) x 5, at seeds
-7 and 1009, under ``Tolerance()`` and ``Tolerance(0.0)``, and the ``reproduce`` body; and ``qubounds saturate``
-for both targets on each pair file of :func:`saturate_pairs`, which this process writes once for both trees.  The
-script prints each report body's and summary CSV's SHA-256 (first 16 hex digits) in both trees, lists every
-leaf value that moved with its relative change, and closes with a count of the flipped ``saturated`` flags
-per run and per bound; a ``saturate`` run is compared by its stdout, stderr and exit code.  A report body or
-CSV, or a ``saturate`` run, that moved needs a new artifact version: the script reads ``artifact_version`` from
-each tree's report bodies (a ``saturate`` record carries none), and exits 1 when any of them differs under one
-version; where the version moved, it prints the move and exits 0.  Two runs of one tree share their version,
-so there any difference exits 1.  It uses only the standard library and NumPy.
+7 and 1009, under ``Tolerance()`` and ``Tolerance(0.0)``, and the ``reproduce`` body; ``qubounds saturate``
+for both targets on each pair file of :func:`saturate_pairs`, which this process writes once for both trees; and the
+certify section, :func:`certify_runs`.  The script prints each report body's and summary CSV's SHA-256 (first 16 hex
+digits) in both trees, lists every leaf value that moved with its relative change, and closes with a count of the
+flipped ``saturated`` flags per run and per bound; a ``saturate`` run is compared by its stdout, stderr and exit
+code.  A report body or CSV, or a ``saturate`` run, that moved needs a new artifact version: the script reads
+``artifact_version`` from each tree's report bodies (a ``saturate`` record carries none), and exits 1 when any of
+them differs under one version; where the version moved, it prints the move and exits 0.  Two runs of one tree share
+their version, so there any difference exits 1.  No artifact version covers the certify section's values, so any
+difference there exits 1.  It uses only the standard library, NumPy and ``tests/helpers.py``.
 """
 
 from __future__ import annotations
 
 import collections
 import contextlib
+import dataclasses
+import enum
 import hashlib
 import io
 import json
@@ -35,6 +38,8 @@ GRID = (((1, 1), 30), ((2, 1), 30), ((2, 2), 30), ((3, 1), 30), ((3, 2), 30), ((
         ((64, 4), 5))
 SEEDS = (7, 1009)
 SATURATE = "saturate"  # the name of every saturate run starts so
+CERTIFY = "certify"  # and that of every certify run
+CERTIFY_SEEDS = (7, 1009)
 _MISSING = object()
 
 
@@ -78,6 +83,51 @@ def saturate_runs(folder: Path) -> dict:
     return runs
 
 
+def _hexed(x):
+    """``x`` as JSON with every float written by ``float.hex``: a complex as its two parts, an array as nested lists,
+    a dataclass as a dict of its fields, an enum as its value, and an error as its type and message."""
+    if isinstance(x, np.generic):
+        x = x.item()
+    if isinstance(x, float):
+        return x.hex()
+    if isinstance(x, complex):
+        return [x.real.hex(), x.imag.hex()]
+    if isinstance(x, np.ndarray):
+        return _hexed(x.tolist())
+    if isinstance(x, (list, tuple)):
+        return [_hexed(v) for v in x]
+    if isinstance(x, dict):
+        return {k: _hexed(v) for k, v in x.items()}
+    if isinstance(x, enum.Enum):
+        return x.value
+    if isinstance(x, Exception):
+        return [type(x).__name__, str(x)]
+    if dataclasses.is_dataclass(x):
+        return {f.name: _hexed(getattr(x, f.name)) for f in dataclasses.fields(x)}
+    return x
+
+
+def certify_runs() -> dict:
+    """Each certify run's name -> its results as :func:`_hexed` JSON, from the ``qubounds`` on the path: every
+    request of ``helpers.certify_requests`` at each of ``CERTIFY_SEEDS`` (a certificate, or a constructed pair and
+    its check, or the error raised), and each mixed kind's matrix-built state's ``factor`` and ``weights``."""
+    from qubounds import DensityMatrix, QuboundsError
+    from helpers import certify_requests
+
+    runs = {}
+    for seed in CERTIFY_SEEDS:
+        for kind, n, raw, request in certify_requests(seed):
+            name = f"{CERTIFY} seed={seed} {kind} n={n}"
+            try:
+                runs[name] = json.dumps(_hexed(request()))
+            except QuboundsError as exc:
+                runs[name] = json.dumps(_hexed(exc))
+            if kind in ("mixed", "schrodinger"):
+                rho = DensityMatrix(raw[2])
+                runs[f"{name} state"] = json.dumps(_hexed({"factor": rho.factor, "weights": rho.weights}))
+    return runs
+
+
 def grid_bodies() -> dict:
     """Each run's name -> [report body, summary CSV], from the ``qubounds`` on the path."""
     from qubounds import SampleConfig, Tolerance
@@ -111,7 +161,7 @@ def tree_bodies(tree: str, folder: Path) -> dict:
 def artifact_version(bodies: dict) -> str:
     """The ``artifact_version`` that the report bodies of :func:`grid_bodies` name, ``/``-joined if they differ."""
     return "/".join(sorted({json.loads(run[0])["manifest"]["artifact_version"] for name, run in bodies.items()
-                            if not name.startswith(SATURATE)}))
+                            if not name.startswith((SATURATE, CERTIFY))}))
 
 
 def _number(x) -> bool:
@@ -176,7 +226,7 @@ def main(argv: list) -> int:
 
         if Path(qubounds.__file__).resolve().parent.parent != Path(argv[1]):
             raise SystemExit(f"imported {qubounds.__file__}, not the tree's {argv[1]}")
-        json.dump(dict(grid_bodies(), **saturate_runs(Path(argv[2]))), sys.stdout)
+        json.dump(dict(grid_bodies(), **saturate_runs(Path(argv[2])), **certify_runs()), sys.stdout)
         return 0
     if len(argv) != 2:
         raise SystemExit(__doc__)
@@ -185,7 +235,7 @@ def main(argv: list) -> int:
         old, new = (tree_bodies(tree, Path(folder)) for tree in argv)
     names = list(old) + [name for name in new if name not in old]
     moved, flips = 0, {}
-    for name in (name for name in names if not name.startswith(SATURATE)):
+    for name in (name for name in names if not name.startswith((SATURATE, CERTIFY))):
         (body, csv), (new_body, new_csv) = old.get(name, ["", ""]), new.get(name, ["", ""])
         same = body == new_body and csv == new_csv
         moved += not same
@@ -209,13 +259,27 @@ def main(argv: list) -> int:
             for line in _saturate_diff(old[name], new[name]):
                 print(f"    {line}")
     print(f"{saturate_moved} of {len(saturate)} saturate runs differ")
+    certify = [name for name in names if name.startswith(CERTIFY)]
+    certify_moved = 0
+    for name in certify:
+        run, new_run = old.get(name, ""), new.get(name, "")
+        certify_moved += run != new_run
+        print(f"{'same' if run == new_run else 'DIFFERS'}  {_hash(run)} {_hash(new_run)}  {name}")
+        if run != new_run and run and new_run:
+            for line in leaf_diff(json.loads(run), json.loads(new_run)):
+                print(f"    {line}")
+    if certify:
+        print(f"{certify_moved} of {len(certify)} certify runs differ")
     total = sum(flips.values(), collections.Counter())
     print(f"saturated flags flipped: {total.total()}")
     for name, tally in flips.items():
         print(f"    {name}: {_counts(tally)}")
     if total:
         print(f"    by bound: {_counts(total)}")
-    print(f"{moved} of {len(names) - len(saturate)} runs differ")
+    print(f"{moved} of {len(names) - len(saturate) - len(certify)} runs differ")
+    if certify_moved:
+        print("certify values moved, which no artifact version covers")
+        return 1
     if not moved and not saturate_moved:
         return 0
     old_version, new_version = artifact_version(old), artifact_version(new)

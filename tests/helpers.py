@@ -1,5 +1,5 @@
-"""Shared fixtures: Pauli matrices, planted saturating pure and mixed instances, five oracles, and the
-matrix-file writer."""
+"""Shared fixtures: Pauli matrices, planted saturating pure and mixed instances, the certify requests, five
+oracles, and the matrix-file writer."""
 
 from __future__ import annotations
 
@@ -9,8 +9,9 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from qubounds import (DensityMatrix, DimensionMismatch, Observable, PureState, RIndependenceViolation, haar_unitary,
-                      pair_moments)
+from qubounds import (DensityMatrix, DimensionMismatch, Observable, PureState, RIndependenceViolation, construct_case1,
+                      construct_case2, construct_w_mp6, haar_unitary, mp3_saturation, mp6_saturation, pair_moments,
+                      robertson_saturation_mixed, robertson_saturation_pure, schrodinger_saturation)
 from qubounds.goldens import SIGMA_X, SIGMA_Y, SIGMA_Z, block_pair_4x4  # noqa: F401
 from qubounds.linalg import ROUNDING_TOL, TIE_TOL, as_complex_matrix
 from qubounds.relations import _zero_budget, _zero_deviations
@@ -104,6 +105,47 @@ def plant_saturating_mixed(n: int, k: int, theta: float, phi: float,
         Observable((b + b.conj().T) / 2, label="B"),
         DensityMatrix((rho + rho.conj().T) / 2),
     )
+
+
+# The dimensions of the certify requests, as on the benchmark's certify-saturating workload.
+CERTIFY_DIMS = (2, 4, 8)
+
+
+def _certificate_request(checker, a, b, state, kind):
+    return lambda: checker(Observable(a), Observable(b), kind(state))
+
+
+def _construction_request(construct, check, a, b):
+    def request():
+        obs_a, obs_b = Observable(a), Observable(b)
+        pair = construct(obs_a, obs_b)
+        return pair, check(obs_a, obs_b, pair.psi, pair.phi, pair.mu)
+
+    return request
+
+
+def certify_requests(seed: int) -> list:
+    """(kind, n, raw inputs, request) for each certify request kind at each n in ``CERTIFY_DIMS``, planted from
+    ``seed``: the pure Robertson, mixed Robertson and Schrodinger certificates, on rank-n/2 states for the mixed
+    kinds, and each construction followed by its mp3 or mp6 check (case 1 at n = 2, case 2 above).  A request is
+    shaped as a benchmark op: fresh Observables and state from the raw arrays, then the checker, which it returns;
+    or fresh Observables, then the constructor, then its checker, and it returns (pair, check)."""
+    rng, requests = np.random.default_rng(seed), []
+    for n in CERTIFY_DIMS:
+        a, b, psi = plant_saturating_pure(n, 0.7j, rng)
+        raw = (a.matrix, b.matrix, psi.amplitudes)
+        requests.append(("pure", n, raw, _certificate_request(robertson_saturation_pure, *raw, PureState)))
+        for kind, checker, phase in (("mixed", robertson_saturation_mixed, math.pi / 2),
+                                     ("schrodinger", schrodinger_saturation, 1.0)):
+            a, b, rho = plant_saturating_mixed(n, n // 2, 0.7, phase, rng)
+            raw = (a.matrix, b.matrix, rho.matrix)
+            requests.append((kind, n, raw, _certificate_request(checker, *raw, DensityMatrix)))
+        for kind, construct, check in (("case1+mp3", construct_case1, mp3_saturation) if n == 2
+                                       else ("case2+mp3", construct_case2, mp3_saturation),
+                                       ("w_mp6+mp6", construct_w_mp6, mp6_saturation)):
+            raw = (hermitian_array(rng, n), hermitian_array(rng, n))
+            requests.append((kind, n, raw, _construction_request(construct, check, *raw)))
+    return requests
 
 
 # The SVD minimisers the library's dependence detectors once were, kept as oracles

@@ -68,7 +68,7 @@ CATALOGUE = (
            "a sum bound is saturated by the zero rule only when both deviations are zero",
            "test_relations.py::test_a_sum_bound_with_one_zero_deviation_is_decided_by_its_slack"),
     Mutant("case2-floor-one-deviation", SATURATION,
-           "[tol.eps * (m.dev_a + m.dev_b) for m in moments]", "[tol.eps * m.dev_a for m in moments]",
+           "tol.eps * (m.dev_a + m.dev_b), np.conjugate", "tol.eps * m.dev_a, np.conjugate",
            "the case-2 tail is degenerate at or below eps (dev(A) + dev(B)), the scale of its rounding",
            "test_saturation.py::test_construct_case2_degeneracy_floor_counts_both_deviations"),
     Mutant("mu-tie-budget-x2", RELATIONS,
@@ -89,7 +89,7 @@ CATALOGUE = (
            "a mu off the unit circle by more than the pair budget is a bad input",
            "test_relations.py::test_a_mu_off_the_unit_circle_by_more_than_the_pair_budget_is_a_bad_input"),
     Mutant("r-family-band-x-sqrt10", SATURATION,
-           "math.sqrt(10.0 * tol.eps), DEFAULT_R_LIST", "math.sqrt(100.0 * tol.eps), DEFAULT_R_LIST",
+           "band = m.state.weights, math.sqrt(10.0 * tol.eps)", "band = m.state.weights, math.sqrt(100.0 * tol.eps)",
            "a certificate's power re-check admits a residual up to dev sqrt(10 eps), and no more",
            "test_saturation.py::test_the_power_recheck_admits_a_residual_up_to_its_band"),
     Mutant("r-family-zero-sides-dropped", SATURATION,
@@ -105,15 +105,15 @@ CATALOGUE = (
            "the mp6 product form's denominator is degenerate up to and at eps",
            "test_relations.py::test_the_mp6_denominator_is_degenerate_up_to_and_at_eps"),
     Mutant("phase-floor-zero", SATURATION,
-           "abs(e) > TIE_TOL * r for e, r", "abs(e) > 0.0 * r for e, r",
+           "> TIE_TOL * _norm(row):", "> 0.0 * _norm(row):",
            "a construction's phase is fixed only where its entry with the row is above TIE_TOL ||row||",
            "test_saturation.py::test_a_phase_below_the_tie_floor_is_left_unfixed"),
     Mutant("construction-keep-inclusive", SATURATION,
-           "keeps.append(keep := norms > floors)", "keeps.append(keep := norms >= floors)",
+           "keep.append(kept := norm > floor)", "keep.append(kept := norm >= floor)",
            "a construction is degenerate, with phi = e2, where its tail's norm is at or below its floor",
            "test_saturation.py::test_construct_case2_degenerate_first_row"),
     Mutant("construction-phase-dropped", SATURATION,
-           "np.multiply(direction, np.array(phases)[:, None], out=direction, where=fix[:, None])", "pass",
+           "direction *= cmath.exp(-1j * cmath.phase(entry))", "pass",
            "case 2 phases phi so that <psi|(A - mu B)|phi> is real nonnegative",
            "test_saturation.py::test_construct_case2_phase_convention"),
     Mutant("decide-violation-inclusive", RELATIONS,
@@ -152,9 +152,10 @@ CATALOGUE = (
            equivalent="an exactly zero commutator is always a tie, so comm.imag = 0 never reaches the sign test"),
     Mutant("zero-deviation-fast-path-dropped", RELATIONS,
            "return dev <= tol.eps * o.norm and dev <= _zero_budget(o, tol)", "return dev <= _zero_budget(o, tol)",
-           "a deviation is zero within the zero budget, which no identity offset moves",
-           equivalent="spread(A) <= ||A||_F and min(eps, ROUNDING_TOL) <= eps, so the budget is at most "
-                      "eps ||A||_F and the dropped test is implied: it is only a fast path"),
+           "a deviation above eps ||A||_F is not zero, and the zero rule decides it without the zero budget: the "
+           "budget is at most eps ||A||_F (spread(A) <= ||A||_F), so the dropped test changes no decision, only the "
+           "certify requests' pinned call counts",
+           "test_saturation.py::test_a_certify_request_makes_a_fixed_number_of_python_calls"),
     Mutant("tolerance-zero-exclusive", LINALG,
            "if not 0 <= eps < math.inf:", "if not 0 < eps < math.inf:",
            "eps = 0 is a tolerance: every comparison exact, with only the rounding floors left",
@@ -332,6 +333,19 @@ CATALOGUE = (
            "return all(_zero_deviations(pair_moments(", "return any(_zero_deviations(pair_moments(",
            "dev(A)^2 + dev(B)^2 is zero only where both deviations are",
            "test_saturation.py::test_the_zero_characterizations_read_one_deviation_zero_to_rounding"),
+    # Rules that the certify path's trimmed entry checks, power re-check and mu check state in new places.
+    Mutant("square-matrix-empty-admitted", LINALG,
+           "a.shape[0] != a.shape[1] or not a.size:", "a.shape[0] != a.shape[1]:",
+           "an empty matrix is no square matrix: DimensionMismatch, as for any shape but n x n with n >= 1",
+           "test_states.py::test_hermitian_part_is_the_checked_observable_bit_for_bit"),
+    Mutant("r-family-half-from-product", SATURATION,
+           "residuals = (_norm(y), *roots[1:])", "residuals = tuple(roots)",
+           "the power re-check's r = 1/2 residual is ||Y||_F itself, bit for bit, not the product's root",
+           "test_saturation.py::test_the_one_pass_recheck_matches_the_per_power_oracle"),
+    Mutant("mu-snap-minus-i-dropped", SATURATION,
+           "-1j if abs(given + 1j) <= MU_SNAP_TOL else None", "None",
+           "a checker takes a given mu within MU_SNAP_TOL of -i as -i exactly, as it takes one near i as i",
+           "test_saturation.py::test_a_given_mu_is_a_unit_only_within_mu_snap_tol"),
     Mutant("commutation-witness-zero-any", SATURATION,
            "if not all(_zero_deviations(m, tol)):", "if not any(_zero_deviations(m, tol)):",
            "the qubit commutation witness needs both centred products to vanish, else it is None",

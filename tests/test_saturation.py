@@ -2,6 +2,8 @@ import cmath
 import dataclasses
 import hashlib
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -60,6 +62,7 @@ from qubounds import (
     zero_product_characterization,
     zero_sum_characterization,
 )
+import qubounds
 from qubounds import linalg, relations, saturation, states
 from qubounds.linalg import ROUNDING_TOL, complex_dependence_detail, phase_dependence_detail
 from qubounds.saturation import CONSTRUCTION_TOL, DEFAULT_R_LIST, _constructions, _e1, _verify_r_family
@@ -68,6 +71,7 @@ from helpers import (
     SIGMA_Y,
     SIGMA_Z,
     block_pair_4x4,
+    certify_requests,
     complex_normal,
     hermitian_array,
     per_power_r_family,
@@ -859,7 +863,7 @@ def test_construction_gap_is_scale_free(monkeypatch):
                 assert abs(construct(c * a, c * b).achieved_slack) <= 1e-12
             # phi = e2 instead of the saturating direction, through the same body: every tail reads as degenerate.
             with monkeypatch.context() as patch:
-                patch.setattr(saturation, "_row_norms", lambda rows: [0.0] * len(rows))
+                patch.setattr(saturation, "_norm", lambda x: 0.0)
                 wrong = [construct(c * a, c * b).achieved_slack for c in scales]
             assert min(map(abs, wrong)) > CONSTRUCTION_TOL
             np.testing.assert_allclose(wrong, wrong[3], rtol=1e-12, atol=0)
@@ -1444,6 +1448,38 @@ def test_a_certificate_request_decides_each_zero_side_twice(monkeypatch):
         calls.clear()
         assert check(a, b, state) is not None
         assert len(calls) == 4, check.__name__
+
+
+def _library_calls(request) -> int:
+    """The Python calls under ``src/qubounds`` that one run of ``request`` makes, counted with ``sys.setprofile``:
+    each resumption of a generator counts, and a list, dict or set comprehension, which Python 3.12 inlines, does
+    not."""
+    root, calls = os.path.dirname(qubounds.__file__), 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        code = frame.f_code
+        calls += (event == "call" and code.co_filename.startswith(root)
+                  and code.co_name not in ("<listcomp>", "<dictcomp>", "<setcomp>"))
+
+    sys.setprofile(profile)
+    try:
+        request()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+# Python calls per certify request kind, the same at every n.
+CERTIFY_CALLS = {"pure": 44, "mixed": 54, "schrodinger": 57, "case1+mp3": 91, "case2+mp3": 94, "w_mp6+mp6": 84}
+
+
+def test_a_certify_request_makes_a_fixed_number_of_python_calls():
+    # Each request is shaped as a benchmark op (fresh Observables and state, then the checker; or fresh Observables,
+    # the constructor, then its checker), run once first so that the cached e1 of its dimension exists.
+    for kind, n, _, request in certify_requests(7):
+        request()
+        assert _library_calls(request) == CERTIFY_CALLS[kind], (kind, n)
 
 
 def test_the_zero_side_recheck_raises_where_the_zero_side_outgrows_its_deviation():
