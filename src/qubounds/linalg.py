@@ -148,10 +148,11 @@ def _psd_support(a: np.ndarray, name: str = "matrix") -> tuple[np.ndarray, np.nd
     reconstruction budget.
     """
     w, v = _eigh_descending(a)
-    low = float(w[-1])
-    if low < 0.0 and low < -INPUT_TOL * float(np.abs(w).sum()):
-        raise NotPositiveSemidefinite(f"{name} has eigenvalue {low:.3e}")
-    k = int(np.count_nonzero(w > INPUT_TOL * _norm(w)))
+    lam, cut = w.tolist(), INPUT_TOL * _norm(w)
+    # As sum |lambda| >= lambda_max in floats too, an eigenvalue at or above -INPUT_TOL lambda_max passes unsummed.
+    if lam[-1] < -INPUT_TOL * lam[0] and lam[-1] < -INPUT_TOL * float(np.abs(w).sum()):
+        raise NotPositiveSemidefinite(f"{name} has eigenvalue {lam[-1]:.3e}")
+    k = len([x for x in lam if x > cut])
     return w[:k], v[:, :k]
 
 

@@ -238,8 +238,11 @@ class _MPInputs:
 
 def _mp_pair(m: PairMoments, phi: PureState, gram: float = 0.0) -> _MPInputs:
     """The :class:`_MPInputs` of psi's moments ``m``, phi and the admitted ||Gram - I||_F ``gram``: c = <A_c psi, phi>
-    and d = <B_c psi, phi>, two dot products with the centred pair, so no identity offset enters them."""
-    x = phi.amplitudes
+    and d = <B_c psi, phi>, two dot products with the centred pair, so no identity offset enters them; or the c and d
+    that a construction's own psi = e1 keeps for that phi, A and B (:func:`~qubounds.saturation._constructed`)."""
+    kept, x = vars(m.state).get("_paired"), phi.amplitudes
+    if kept is not None and kept[0]() is phi and kept[1]() is m.a and kept[2]() is m.b:
+        return _MPInputs(m, phi, kept[3], kept[4], gram)
     return _MPInputs(m, phi, complex(np.vdot(m.centered_a, x)), complex(np.vdot(m.centered_b, x)), gram)
 
 
@@ -258,9 +261,14 @@ def _mp_reduction(a: Observable, b: Observable, psi: PureState, phi: PureState, 
 def _mp_inputs(observable_a, observable_b, psi: PureState, phi: PureState, tol: Tolerance) -> _MPInputs:
     """The one door of every Maccone-Pati entry: check (A, B, psi, phi) once, psi and phi as pure states
     (:func:`~qubounds.states._entry`), and reduce it (:func:`_mp_reduction`) from the pair's one Gram product and
-    the moments in psi, through psi's slot."""
+    the moments in psi, through psi's slot.  For the phi that a construction built on its own psi = e1
+    (:func:`~qubounds.saturation._constructed`), the Gram rows are [[1, 0], [0, <phi, phi>]], as phi[0] = 0: each
+    entry as that product gives it, with one dot product."""
     a, b = _entry(observable_a, observable_b, (psi, phi), PureState)
-    return _mp_reduction(a, b, psi, phi, _grams(np.array(((psi.amplitudes, phi.amplitudes),)))[0], None, tol)
+    kept, x = vars(psi).get("_paired"), phi.amplitudes
+    if kept is not None and kept[0]() is phi:  # [e1 | (0, tail)]: its Gram rows, each entry as _grams gives it
+        return _mp_reduction(a, b, psi, phi, [[1.0, 0.0], [0.0, complex(np.vdot(x, x))]], None, tol)
+    return _mp_reduction(a, b, psi, phi, _grams(np.array(((psi.amplitudes, x),)))[0], None, tol)
 
 
 def mp_frame(observable_a, observable_b, psi: PureState, phi: PureState,

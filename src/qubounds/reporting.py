@@ -99,8 +99,9 @@ def report_to_dict(report: SuiteReport) -> dict:
 
 
 def canonical_json(obj) -> str:
-    """Compact strict JSON with sorted keys: floats round-trip bit-faithfully; NaN or inf raises ValueError."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    """Compact strict JSON with sorted keys: floats round-trip bit-faithfully; NaN or inf raises ValueError.  Its
+    input is a tree that the library built (a report or a ``saturate`` record), so no cycle check runs."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False, check_circular=False)
 
 
 def dumps_report(report: SuiteReport) -> str:

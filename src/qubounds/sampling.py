@@ -182,6 +182,7 @@ def _trial_chunks(config: SampleConfig):
         rows[:, 0] = _unit_rows(_complex_parts(draws[:, ends[1]: ends[2]], n))
         if n >= 2:
             rows[:, 1:] = np.swapaxes(_haar_stack(_complex_parts(draws[:, ends[3]:], n, 2)), 1, 2)
+        rows.setflags(write=False)  # the states hold its rows, uncopied; the sweep reads it only
         states = PureState._stack(rows.reshape(-1, n))
         pairs = [None] * len(ks) if n < 2 else list(zip(states[1::3], states[2::3]))
         for inputs in (a, b, states, rhos):

@@ -25,6 +25,7 @@ import cmath
 import enum
 import functools
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,8 +33,7 @@ import numpy as np
 from .errors import CorollaryViolation, DimensionMismatch, HypothesisViolated, QuboundsError, RIndependenceViolation
 from .linalg import DEFAULT_TOL, ROUNDING_TOL, TIE_TOL, Tolerance, _complex_witness, _norm, _phase_witness
 from .relations import (_Decision, _moments_mu, _mp3_decision, _mp6_decision, _mp_chain_decisions, _mp_inputs,
-                        _mp_pair, _MPInputs, _robertson_decision, _schrodinger_decision, _unit_mu, _zero_budget,
-                        _zero_deviations)
+                        _mp_pair, _robertson_decision, _schrodinger_decision, _unit_mu, _zero_budget, _zero_deviations)
 from .states import PairMoments, PureState, QuantumState, _entry, _reduction, pair_moments
 
 # Constructed pairs must close their target bound to this relative gap.
@@ -246,12 +246,19 @@ def _require_mu_hypothesis(m: PairMoments, mu: complex, tol: Tolerance) -> compl
     return mu
 
 
-def _equality_check(p: _MPInputs, mu: complex, decision: _Decision, s_a: float, s_b: float) -> EqualityCheck:
-    """||(A_c/s_a - mu B_c/s_b)|psi>|| against |c/s_a + mu d/s_b|, flagged by the target's ``decision`` at mu."""
-    m = p.moments
-    lhs = _norm(m.centered_a / s_a - mu * m.centered_b / s_b)
-    rhs = abs(p.c / s_a + mu * p.d / s_b)
-    return EqualityCheck(saturated=decision.saturated, lhs=lhs, rhs=rhs, residual=abs(lhs - rhs))
+def _equality_check(observable_a, observable_b, psi, phi, mu: complex, tol: Tolerance, mp6: bool) -> EqualityCheck:
+    """The checkers' one body: ||(A_c/s_a - mu B_c/s_b)|psi>|| against |c/s_a + mu d/s_b|, flagged by the target
+    bound's decision at the accepted mu, taken first: s the deviations for mp6, whose decision raises on a zero one,
+    and 1, with no division, for mp3."""
+    p = _mp_inputs(observable_a, observable_b, psi, phi, tol)
+    m, mu = p.moments, _require_mu_hypothesis(p.moments, mu, tol)
+    saturated = (_mp6_decision(p, mu, tol)[0] if mp6 else _mp3_decision(p, mu, tol)).saturated
+    if mp6:
+        lhs = _norm(m.centered_a / m.dev_a - mu * m.centered_b / m.dev_b)
+        rhs = abs(p.c / m.dev_a + mu * p.d / m.dev_b)
+    else:
+        lhs, rhs = _norm(m.centered_a - mu * m.centered_b), abs(p.c + mu * p.d)
+    return EqualityCheck(saturated=saturated, lhs=lhs, rhs=rhs, residual=abs(lhs - rhs))
 
 
 def mp3_saturation(observable_a, observable_b, psi: PureState, phi: PureState,
@@ -261,9 +268,7 @@ def mp3_saturation(observable_a, observable_b, psi: PureState, phi: PureState,
     The squares of the two sides differ by the mp3 slack at ``mu``, so the flag
     is the :func:`~qubounds.relations.mp3` report's flag at ``mu``.
     """
-    p = _mp_inputs(observable_a, observable_b, psi, phi, tol)
-    mu = _require_mu_hypothesis(p.moments, mu, tol)
-    return _equality_check(p, mu, _mp3_decision(p, mu, tol), 1.0, 1.0)
+    return _equality_check(observable_a, observable_b, psi, phi, mu, tol, False)
 
 
 def mp6_saturation(observable_a, observable_b, psi: PureState, phi: PureState,
@@ -275,9 +280,7 @@ def mp6_saturation(observable_a, observable_b, psi: PureState, phi: PureState,
     :func:`~qubounds.relations.mp6` reformulated report's flag at ``mu``; the decision
     is taken first, so zero deviations raise :class:`ZeroDeviation` before any division.
     """
-    p = _mp_inputs(observable_a, observable_b, psi, phi, tol)
-    mu = _require_mu_hypothesis(p.moments, mu, tol)
-    return _equality_check(p, mu, _mp6_decision(p, mu, tol)[0], p.moments.dev_a, p.moments.dev_b)
+    return _equality_check(observable_a, observable_b, psi, phi, mu, tol, True)
 
 
 def _case2_tails(u: np.ndarray, mu_v: np.ndarray, m: PairMoments, tol: Tolerance) -> tuple:
@@ -323,10 +326,9 @@ def _constructions(targets: tuple[str, ...], moments: list, tol: Tolerance) -> l
     e2 and marks the construction degenerate.  One state pass builds every phi; c = <A_c e1, phi> = <u, tail> and
     d = <v, tail> are read from the moments (:func:`~qubounds.relations._mp_pair`)."""
     n = moments[0].a.dimension
-    rows = np.zeros((len(moments), len(targets), n), dtype=complex)
-    rows[:, :, 1:2] = 1.0  # e2, where no kept tail replaces it (none at n = 1, which no construction takes)
+    rows = np.zeros((len(moments) * len(targets), n), dtype=complex)  # one row per phi, frozen whole by _stack
     mus, keeps = [], []
-    for m, trial in zip(moments, rows):
+    for m, trial in zip(moments, rows.reshape(len(moments), len(targets), n)):
         mus.append(mu := _moments_mu(m, tol).mu)
         u, mu_v = m.centered_a[1:, 0], mu * m.centered_b[1:, 0]
         keeps.append(keep := [])
@@ -334,18 +336,16 @@ def _constructions(targets: tuple[str, ...], moments: list, tol: Tolerance) -> l
             _, allowed, rule, tails = _CONSTRUCTIONS[target]
             if not allowed(n):
                 raise DimensionMismatch("construction requires " + rule.format(n))
-            if tails is None:
-                keep.append(True)
+            tail, floor, row = (None, None, None) if tails is None else tails(u, mu_v, m, tol)
+            keep.append(kept := tail is None or (norm := _norm(tail)) > floor)
+            if tail is None or not kept:  # phi is e2, written here alone, as a kept tail fills its whole row
+                direction[0] = 1.0
                 continue
-            tail, floor, row = tails(u, mu_v, m, tol)
-            norm = _norm(tail)
-            keep.append(kept := norm > floor)
-            if kept:
-                np.divide(tail, norm, out=direction)  # complex: no complex-by-real loop
-                # A phase product only where fixed, as a factor 1 can flip a zero's sign.
-                if row is not None and abs(entry := complex(row @ direction)) > TIE_TOL * _norm(row):
-                    direction *= cmath.exp(-1j * cmath.phase(entry))
-    phis = iter(PureState._stack(rows.reshape(-1, n)))
+            np.divide(tail, norm, out=direction)  # complex: no complex-by-real loop
+            # A phase product only where fixed, as a factor 1 can flip a zero's sign.
+            if row is not None and abs(entry := complex(row @ direction)) > TIE_TOL * _norm(row):
+                direction *= cmath.exp(-1j * cmath.phase(entry))
+    phis = iter(PureState._stack(rows))
     return [[_outcome(_constructed, target, m, mu, next(phis), not k, tol) for target, k in zip(targets, ks)]
             for m, mu, ks in zip(moments, mus, keeps)]
 
@@ -353,8 +353,12 @@ def _constructions(targets: tuple[str, ...], moments: list, tol: Tolerance) -> l
 def _constructed(target: str, m: PairMoments, mu: complex, phi: PureState, degenerate: bool, tol: Tolerance):
     """[e1 | phi], orthonormal by construction (so it skips a caller's pair checks), with its gap: the target
     decision's slack at mu over its flag's scale, dev(A)^2 + dev(B)^2 (or 0 by the zero rule) for mp3 and 1
-    for mp6.  The decision may raise."""
+    for mp6.  The decision may raise.  An e1 that keeps its moments, a construction's own (:func:`_construct`; the
+    sweep's shared e1 keeps none), keeps c and d too, for the pair's checkers: weak references to phi, A and B key
+    them, as the moments slot keys its moments, so the slot keeps nothing alive, and a pickle or copy drops it."""
     p = _mp_pair(m, phi)
+    if "_reduced" in vars(m.state):  # a construction's own e1 (:func:`_construct`) keeps the pair for its checkers
+        vars(m.state)["_paired"] = (weakref.ref(phi), weakref.ref(m.a), weakref.ref(m.b), p.c, p.d)
     if target == "w_mp6":
         gap = _mp6_decision(p, mu, tol)[0].slack
     else:

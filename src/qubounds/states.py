@@ -69,8 +69,9 @@ class _Input(_ArrayEquality):
         return _array_digest(kind, getattr(self, name))
 
     def __getstate__(self) -> dict:
-        # A state's kept moments (:func:`_reduction`) are a cache, not part of its value: a pickle or copy drops them.
-        return {k: v for k, v in vars(self).items() if k != "_reduced"}
+        # A state's kept moments (:func:`_reduction`) and pair (:func:`~qubounds.saturation._constructed`) are caches,
+        # not part of its value: a pickle or copy drops them.
+        return {k: v for k, v in vars(self).items() if k not in ("_reduced", "_paired")}
 
     def _set(self, attrs: dict) -> None:
         """The one writer of an existing input's attributes: each array in ``attrs``, which no caller holds, is
@@ -163,9 +164,8 @@ class PureState(_Input):
 
     @classmethod
     def _stack(cls, a: np.ndarray) -> list:
-        """The state of each row of the stack ``a`` (T, n) of unit rows that the library built (each over its own
-        norm, or e2): one frozen copy, with no state pass."""
-        a = np.array(a, dtype=complex)
+        """The state of each row of the complex stack ``a`` (T, n) of unit rows that the library built (each over its
+        own norm, or e2) and writes no more: frozen in place, with no copy and no state pass."""
         a.setflags(write=False)
         states = [object.__new__(cls) for _ in range(len(a))]
         for state, row in zip(states, a):

@@ -109,7 +109,7 @@ CATALOGUE = (
            "a construction's phase is fixed only where its entry with the row is above TIE_TOL ||row||",
            "test_saturation.py::test_a_phase_below_the_tie_floor_is_left_unfixed"),
     Mutant("construction-keep-inclusive", SATURATION,
-           "keep.append(kept := norm > floor)", "keep.append(kept := norm >= floor)",
+           "(norm := _norm(tail)) > floor)", "(norm := _norm(tail)) >= floor)",
            "a construction is degenerate, with phi = e2, where its tail's norm is at or below its floor",
            "test_saturation.py::test_construct_case2_degenerate_first_row"),
     Mutant("construction-phase-dropped", SATURATION,
@@ -169,7 +169,7 @@ CATALOGUE = (
            "a pure certificate's zero side, of witness (1, 0), leaves the residual dev(A), that side's deviation",
            "test_saturation.py::test_pure_certificate_degenerate_deviation"),
     Mutant("support-cutoff-inclusive", LINALG,
-           "np.count_nonzero(w > INPUT_TOL * _norm(w))", "np.count_nonzero(w >= INPUT_TOL * _norm(w))",
+           "len([x for x in lam if x > cut])", "len([x for x in lam if x >= cut])",
            "a support keeps the eigenvalues above INPUT_TOL ||w||, and drops one at the cutoff",
            "test_linalg.py::test_a_support_drops_an_eigenvalue_at_the_cutoff_and_keeps_one_above_it"),
     Mutant("full-support-inclusive", STATES,
@@ -178,9 +178,17 @@ CATALOGUE = (
            "test_states.py::"
            "test_a_factor_built_states_moments_read_g_only_where_the_cutoff_keeps_every_gram_eigenvalue"),
     Mutant("psd-floor-x10", LINALG,
-           "low < -INPUT_TOL * float(np.abs(w).sum())", "low < -10.0 * INPUT_TOL * float(np.abs(w).sum())",
+           "lam[-1] < -INPUT_TOL * float(np.abs(w).sum())", "lam[-1] < -10.0 * INPUT_TOL * float(np.abs(w).sum())",
            "an eigenvalue below -INPUT_TOL sum |lambda| is NotPositiveSemidefinite",
            "test_linalg.py::test_psd_power_rejects_an_eigenvalue_only_below_its_floor"),
+    Mutant("psd-pretest-decides-alone", LINALG,
+           " and lam[-1] < -INPUT_TOL * float(np.abs(w).sum())", "",
+           "the PSD pre-test at -INPUT_TOL lambda_max only skips the sum; -INPUT_TOL sum |lambda| decides",
+           "test_linalg.py::test_the_psd_pretest_decides_as_the_summed_rule_at_its_floor_to_the_ulp"),
+    Mutant("psd-pretest-reads-lambda-min", LINALG,
+           "lam[-1] < -INPUT_TOL * lam[0] and", "lam[-1] < -INPUT_TOL * lam[-1] and",
+           "the PSD test sums |lambda| only below -INPUT_TOL lambda_max, where the sum can decide",
+           "test_linalg.py::test_the_psd_test_sums_the_spectrum_only_where_it_can_fail"),
     Mutant("mean-residue-inclusive", STATES,
            "if abs(mean.imag) > INPUT_TOL * obs.norm:", "if abs(mean.imag) >= INPUT_TOL * obs.norm:",
            "a mean's imaginary residue passes up to and at INPUT_TOL ||A||_F",
@@ -272,6 +280,26 @@ CATALOGUE = (
     Mutant("pure-stack-unfrozen", STATES,
            "a.setflags(write=False)", "a.setflags(write=a.flags.writeable)",
            "PureState._stack freezes its stack of amplitudes", READ_ONLY_PIN),
+    Mutant("sweep-rows-unfrozen", SAMPLING,
+           "rows.setflags(write=False)", "pass",
+           "a chunk's stack of unit rows, which its states hold uncopied, is frozen as a whole",
+           "test_states.py::test_a_stacked_pure_states_amplitudes_alias_no_writable_array"),
+    Mutant("construction-stack-a-view", SATURATION,
+           "PureState._stack(rows))", "PureState._stack(rows[:]))",
+           "a construction hands PureState._stack the array that owns its phis, so the owner is frozen too",
+           "test_states.py::test_a_stacked_pure_states_amplitudes_alias_no_writable_array"),
+    Mutant("pair-slot-ab-unkeyed", RELATIONS,
+           "kept[0]() is phi and kept[1]() is m.a and kept[2]() is m.b", "kept[0]() is phi",
+           "a constructed pair's kept c and d are read only with the A and B objects that built them",
+           "test_saturation.py::test_maccone_pati_flags_are_their_reports_at_every_scale"),
+    Mutant("pair-slot-phi-unkeyed", RELATIONS,
+           "kept[0]() is phi and kept[1]() is m.a", "kept[1]() is m.a",
+           "a constructed pair's kept c and d are read only with the phi object that they pair e1 with",
+           "test_saturation.py::test_a_copied_e1_or_another_phi_takes_the_full_path"),
+    Mutant("pair-gram-phi-unkeyed", RELATIONS,
+           "if kept is not None and kept[0]() is phi:", "if kept is not None:",
+           "a constructed pair's Gram rows [[1, 0], [0, <phi, phi>]] stand only for its own phi object",
+           "test_saturation.py::test_a_copied_e1_or_another_phi_takes_the_full_path"),
     Mutant("factor-stack-unfrozen", STATES,
            "prescaled.setflags(write=False)", "prescaled.setflags(write=prescaled.flags.writeable)",
            "DensityMatrix._from_factors freezes its stack of prescaled factors", READ_ONLY_PIN),

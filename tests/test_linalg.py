@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qubounds import (
+    DensityMatrix,
     DimensionMismatch,
     InvalidInput,
     NonHermitianInput,
@@ -20,7 +21,7 @@ from qubounds import (
     psd_power,
     unitary_completion,
 )
-from qubounds.linalg import (_eigh_descending, _least_direction, _norm, _psd_support, _require_isometry,
+from qubounds.linalg import (INPUT_TOL, _eigh_descending, _least_direction, _norm, _psd_support, _require_isometry,
                              _require_orthonormal, as_complex_matrix, complex_dependence_detail,
                              phase_dependence_detail, require_hermitian)
 from helpers import (SIGMA_X, SIGMA_Y, complex_normal, hermitian_array, svd_complex_dependence_detail,
@@ -184,6 +185,66 @@ def test_psd_power_rejects_an_eigenvalue_only_below_its_floor():
     for d in (2.0**-33, 2.0**-29):
         with pytest.raises(NotPositiveSemidefinite):
             psd_power(np.diag([1.0, -d]), 1.0)
+
+
+def _summed_rule(spectrum) -> bool:
+    """Whether the PSD test rejects the descending ``spectrum``, by its stated rule: lambda_min < -INPUT_TOL sum |lambda|,
+    summed as the test sums it."""
+    w = np.array(spectrum)
+    return w[-1] < 0.0 and w[-1] < -INPUT_TOL * float(np.abs(w).sum())
+
+
+def _floor(top) -> float:
+    """The rejected eigenvalue nearest 0 beside the descending eigenvalues ``top``: a bisection on the bits of its
+    modulus, over which the summed rule is monotone."""
+    lo, hi = np.array([INPUT_TOL * sum(top) / 2.0, 2.0 * INPUT_TOL * sum(top)]).view(np.int64).tolist()
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if _summed_rule([*top, -np.int64(mid).view(np.float64)]) else (mid, hi)
+    return -float(np.int64(hi).view(np.float64))
+
+
+def test_the_psd_pretest_decides_as_the_summed_rule_at_its_floor_to_the_ulp():
+    # The test sums |lambda| only below -INPUT_TOL lambda_max, which the summed floor lies below.  At that floor, and
+    # one and two ulps either side, the support raises exactly where the summed rule does.  Beside (0.5, 0.5), the
+    # floor is twice -INPUT_TOL lambda_max, so an eigenvalue between the two passes: the sum decides, not lambda_max.
+    for top in ([1.0], [0.6, 0.4], [0.5, 0.5], [0.5, 0.25, 0.25], [2.0**-40, 2.0**-41]):
+        floor = _floor(top)
+        outcomes = set()
+        for low in (floor, *(np.nextafter(floor, side) for side in (-1.0, 1.0)),
+                    *(np.nextafter(np.nextafter(floor, side), side) for side in (-1.0, 1.0))):
+            spectrum = [*top, float(low)]
+            assert _eigh_descending(np.diag(spectrum).astype(complex))[0].tolist() == spectrum
+            rejected = _summed_rule(spectrum)
+            outcomes.add(rejected)
+            if rejected:
+                with pytest.raises(NotPositiveSemidefinite):
+                    _psd_support(np.diag(spectrum).astype(complex))
+            else:
+                assert _psd_support(np.diag(spectrum).astype(complex))[0].tolist() == top
+        assert outcomes == {True, False}, top
+    assert _psd_support(np.diag([0.5, 0.5, -0.75 * INPUT_TOL]).astype(complex))[0].tolist() == [0.5, 0.5]
+
+
+def test_the_psd_test_sums_the_spectrum_only_where_it_can_fail(monkeypatch):
+    # Rank-deficient states whose null eigenvalues come out of eigh just below 0 pass without the sum, which only an
+    # eigenvalue below -INPUT_TOL lambda_max can need; diag(1, -2^-29) needs it, and raises, and so does a negative
+    # definite matrix, whose lambda_max < 0 sets a positive pre-test floor.
+    sums, real = [], np.abs
+    monkeypatch.setattr(np, "abs", lambda x: sums.append(1) or real(x))
+    rng, negative = np.random.default_rng(44), 0
+    for n, k in ((2, 1), (4, 2), (8, 3), (8, 7)):
+        u = np.linalg.qr(complex_normal(rng, n, n))[0][:, :k]
+        rho = (u * rng.uniform(0.2, 1.0, k)) @ u.conj().T
+        rho = (rho + rho.conj().T) / 2.0 / np.trace(rho).real
+        negative += _eigh_descending(rho)[0][-1] < 0.0
+        DensityMatrix(rho)
+    assert negative and not sums
+    with pytest.raises(NotPositiveSemidefinite):
+        psd_power(np.diag([1.0, -2.0**-29]), 1.0)
+    with pytest.raises(NotPositiveSemidefinite):
+        psd_power(np.diag([-0.5, -1.0]), 1.0)
+    assert len(sums) == 2
 
 
 def test_a_matrix_is_hermitian_up_to_and_at_its_budget():

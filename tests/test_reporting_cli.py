@@ -79,6 +79,17 @@ def test_bound_report_round_trip_exact():
     assert back["tol_used"] == {"eps": report.tol_used.eps}
 
 
+def test_canonical_json_refuses_every_non_finite_float_and_writes_the_cycle_checked_bytes():
+    # canonical_json runs no cycle check, as its input is a tree the library built; NaN and +-inf still raise
+    # ValueError wherever they sit, and a report is written byte for byte as the cycle-checked dump writes it.
+    for bad in (math.nan, math.inf, -math.inf):
+        for obj in (bad, [1.0, bad], {"a": {"b": [0.5, bad]}}, {"t": ({"x": bad},)}):
+            with pytest.raises(ValueError):
+                canonical_json(obj)
+    body = reporting.report_to_dict(run_verification_suite(SampleConfig(4, 2, 7, 4), Tolerance()))
+    assert canonical_json(body) == json.dumps(body, sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
 def test_bound_report_tolerance_is_the_dataclass_dict():
     # A public report keeps the caller's tolerance; a sweep writes it once, in its manifest.
     for tol in (Tolerance(), Tolerance(0.0), Tolerance(3e-7 + 0.25)):

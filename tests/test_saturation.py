@@ -1,8 +1,10 @@
 import cmath
+import copy
 import dataclasses
 import hashlib
 import math
 import os
+import pickle
 import sys
 
 import numpy as np
@@ -1471,7 +1473,7 @@ def _library_calls(request) -> int:
 
 
 # Python calls per certify request kind, the same at every n.
-CERTIFY_CALLS = {"pure": 44, "mixed": 54, "schrodinger": 57, "case1+mp3": 91, "case2+mp3": 94, "w_mp6+mp6": 84}
+CERTIFY_CALLS = {"pure": 44, "mixed": 54, "schrodinger": 57, "case1+mp3": 90, "case2+mp3": 93, "w_mp6+mp6": 83}
 
 
 def test_a_certify_request_makes_a_fixed_number_of_python_calls():
@@ -1716,6 +1718,107 @@ def test_a_constructed_pair_handed_to_its_checkers_is_reduced_once(monkeypatch):
         check = mp6_saturation(a, b, pair.psi, pair.phi, pair.mu)
         assert (len(calls), check.saturated) == (1, True)
         assert mp6_saturation(a, b, PureState(pair.psi.amplitudes), pair.phi, pair.mu) == check
+
+
+def _count_pair_work(monkeypatch) -> dict:
+    """Count, from here on, the Gram products of a Maccone-Pati door (relations._grams) and the c and d dot products
+    (np.vdot of two distinct arrays; phi's own squared norm is one array with itself)."""
+    counts, grams, vdot = {"grams": 0, "cd": 0}, relations._grams, np.vdot
+
+    def counted_grams(rows):
+        counts["grams"] += 1
+        return grams(rows)
+
+    def counted_vdot(x, y):
+        counts["cd"] += x is not y
+        return vdot(x, y)
+
+    monkeypatch.setattr(relations, "_grams", counted_grams)
+    monkeypatch.setattr(np, "vdot", counted_vdot)
+    return counts
+
+
+def _pair_checks(a, b, psi, phi, mu) -> tuple:
+    """Every Maccone-Pati entry on (A, B, psi, phi), at ``mu`` where it takes one."""
+    return (mp3(a, b, psi, phi), mp_chain(a, b, psi, phi, mu), mp3_saturation(a, b, psi, phi, mu),
+            mp_chain_saturation(a, b, psi, phi, mu), mp6(a, b, psi, phi), mp6_saturation(a, b, psi, phi, mu))
+
+
+def _bits(p) -> tuple:
+    """A Maccone-Pati reduction's c, d and Gram deviation, as hex."""
+    return tuple(x.hex() for x in (p.c.real, p.c.imag, p.d.real, p.d.imag, p.gram))
+
+
+def test_a_checker_on_a_constructed_pair_reads_the_pair_its_constructor_built(monkeypatch):
+    # A construction's e1 keeps its pair's c and d: a checker handed that pair, with the same A and B, forms no Gram
+    # product and no c or d, and gives what a fresh psi of the same amplitudes gives, which forms both.
+    counts, rng = _count_pair_work(monkeypatch), trial_rng(43, 1)
+    for n in (2, 3, 5):
+        a, b = Observable(hermitian_array(rng, n)), Observable(hermitian_array(rng, n))
+        for construct in (construct_case1 if n == 2 else construct_case2, construct_w_mp6):
+            pair = construct(a, b)
+            counts.update(grams=0, cd=0)
+            kept = _pair_checks(a, b, pair.psi, pair.phi, pair.mu)
+            assert counts == {"grams": 0, "cd": 0}
+            assert _pair_checks(a, b, PureState(pair.psi.amplitudes), pair.phi, pair.mu) == kept
+            assert counts == {"grams": 6, "cd": 12}
+
+
+def test_a_constructed_pairs_kept_reduction_is_the_full_paths_bit_for_bit():
+    # phi[0] is an exact 0, so the kept Gram rows [[1, 0], [0, <phi, phi>]] give the deviation that the Gram product
+    # gives, and the kept c and d are those that the dot products give, at every n.
+    rng = trial_rng(43, 2)
+    for n in (2, 3, 4, 5, 8, 16, 64):
+        for _ in range(4):
+            a, b = Observable(hermitian_array(rng, n)), Observable(hermitian_array(rng, n))
+            for construct in (construct_case1 if n == 2 else construct_case2, construct_w_mp6):
+                pair = construct(a, b)
+                kept = relations._mp_inputs(a, b, pair.psi, pair.phi, Tolerance())
+                full = relations._mp_inputs(a, b, PureState(pair.psi.amplitudes), pair.phi, Tolerance())
+                assert _bits(kept) == _bits(full), (n, construct.__name__)
+
+
+def test_a_constructed_pair_under_other_observables_recomputes_c_and_d(monkeypatch):
+    # c and d are kept for the A and B objects that built the pair: scaled, offset or merely new observables recompute
+    # them (and the moments), and every entry gives what the full path gives on a fresh psi.  The pair's own A and B
+    # read them back again afterwards.
+    counts, rng = _count_pair_work(monkeypatch), trial_rng(43, 3)
+    for n in (2, 4):
+        a, b = Observable(hermitian_array(rng, n)), Observable(hermitian_array(rng, n))
+        for construct in (construct_case1 if n == 2 else construct_case2, construct_w_mp6):
+            pair = construct(a, b)
+            fresh = PureState(pair.psi.amplitudes)
+            for x, y in ((Observable(a.matrix), Observable(b.matrix)), (Observable(2.0 * a.matrix), b),
+                         (a, Observable(b.matrix + 3.0 * np.eye(n))), (a, b)):
+                counts.update(grams=0, cd=0)
+                kept = _pair_checks(x, y, pair.psi, pair.phi, pair.mu)
+                assert counts == {"grams": 0, "cd": 0 if x is a and y is b else 12}
+                assert kept == _pair_checks(x, y, fresh, pair.phi, pair.mu)
+                assert _bits(relations._mp_inputs(x, y, pair.psi, pair.phi, Tolerance())) == _bits(
+                    relations._mp_inputs(x, y, fresh, pair.phi, Tolerance()))
+
+
+def test_a_copied_e1_or_another_phi_takes_the_full_path(monkeypatch):
+    # The slot is a cache: a pickle or a copy of the constructed e1 drops it, and another phi object, even one of the
+    # same amplitudes, is not the pair's.  Each forms its Gram product and its c and d, and gives what a fresh psi
+    # gives; a phi off orthogonal to e1 fails the overlap test, as it does on a fresh psi.
+    counts, rng = _count_pair_work(monkeypatch), trial_rng(43, 4)
+    a, b = Observable(hermitian_array(rng, 4)), Observable(hermitian_array(rng, 4))
+    pair = construct_case2(a, b)
+    fresh = PureState(pair.psi.amplitudes)
+    for psi in (pickle.loads(pickle.dumps(pair.psi)), copy.deepcopy(pair.psi), copy.copy(pair.psi)):
+        assert "_paired" not in vars(psi)
+        for phi in (pair.phi, PureState(pair.phi.amplitudes)):
+            counts.update(grams=0, cd=0)
+            assert _pair_checks(a, b, psi, phi, pair.mu) == _pair_checks(a, b, fresh, phi, pair.mu)
+            assert counts == {"grams": 12, "cd": 24}
+    for phi in (PureState(pair.phi.amplitudes), PureState(np.array([0.0, 0.0, 1.0, 0.0]))):
+        counts.update(grams=0, cd=0)
+        assert _pair_checks(a, b, pair.psi, phi, pair.mu) == _pair_checks(a, b, fresh, phi, pair.mu)
+        assert counts == {"grams": 12, "cd": 24}
+    for psi in (pair.psi, fresh):
+        with pytest.raises(NotOrthogonal):
+            mp3_saturation(a, b, psi, PureState(np.array([1.0, 1.0, 0.0, 0.0]) / math.sqrt(2.0)), pair.mu)
 
 
 def test_each_construction_owns_its_e1_and_the_cached_e1_holds_no_slot():

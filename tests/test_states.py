@@ -22,6 +22,7 @@ from qubounds import (
     bloch_state,
     construct_case2,
     expectation,
+    mp3_saturation,
     pair_moments,
     random_density,
     random_hermitian,
@@ -705,6 +706,21 @@ def test_a_states_slot_keeps_no_observable_alive():
             assert [ref() for ref in freed] == [None, None] and "_reduced" in vars(state)
         finally:
             gc.enable()
+    # A construction's e1 keeps its pair's c and d by weak references to phi, A and B: once the caller drops the pair
+    # and the observables, each is freed, while e1 keeps both slots; and e1 is freed by its reference count alone.
+    gc.disable()
+    try:
+        a, b = (Observable(hermitian_array(rng, 4)) for _ in range(2))
+        pair = construct_case2(a, b)
+        check = mp3_saturation(a, b, pair.psi, pair.phi, pair.mu)
+        psi, freed = pair.psi, (weakref.ref(a), weakref.ref(b), weakref.ref(pair.phi))
+        del a, b, pair, check
+        assert [ref() for ref in freed] == [None] * 3 and {"_reduced", "_paired"} <= set(vars(psi))
+        freed = weakref.ref(psi)
+        del psi
+        assert freed() is None
+    finally:
+        gc.enable()
 
 
 def test_an_evaluated_state_pickles_without_its_slot():
@@ -751,7 +767,7 @@ def test_every_array_an_input_holds_is_read_only_on_every_build_path():
     # Each build path, the stacked makers of a sweep and a construction included, leaves no writable array in an
     # input: a factor-built state's support, Gram eigenvectors and matrix, formed when first read, neither, and a
     # loaded or copied input neither.  A pure state stores its amplitudes alone, besides the digest and the kept
-    # moments (a constructed psi carries those of its construction).
+    # moments (a constructed psi carries those of its construction, and its pair's c and d).
     a, b = Observable(SIGMA_X), Observable(SIGMA_Y)
     g = complex_normal(trial_rng(40, 0), 3, 2)
     pair = construct_case2(hermitian_array(trial_rng(40, 1), 3), hermitian_array(trial_rng(40, 2), 3))
@@ -771,7 +787,21 @@ def test_every_array_an_input_holds_is_read_only_on_every_build_path():
         for load in (lambda y: pickle.loads(pickle.dumps(y)), copy.deepcopy):
             assert not any(v.flags.writeable for v in _held_arrays(load(x)))
         if isinstance(x, PureState):
-            assert set(vars(x)) - {"digest", "_reduced"} == {"amplitudes"}
+            assert set(vars(x)) - {"digest", "_reduced", "_paired"} == {"amplitudes"}
+
+
+def test_a_stacked_pure_states_amplitudes_alias_no_writable_array():
+    # PureState._stack freezes the stack it is handed, with no copy, so each maker hands it the array that owns its
+    # rows: a chunk's psi and Haar pairs hold the rows of the stack that the chunk also hands on, which is frozen,
+    # and a construction's phi and a sampled state view a frozen owner too.
+    _, _, rows, trials = next(_trial_chunks(SampleConfig(3, 2, 7, 2)))
+    assert not rows.flags.writeable
+    for _, _, _, psi, _, pair in trials:
+        assert all(np.shares_memory(state.amplitudes, rows) for state in (psi, *pair))
+    pair = construct_case2(hermitian_array(trial_rng(44, 0), 3), hermitian_array(trial_rng(44, 1), 3))
+    for state in (pair.phi, random_pure_state(3, 44)):
+        assert not state.amplitudes.flags.writeable and not state.amplitudes.base.flags.writeable
+
 
 def test_a_factor_built_states_moments_read_g_only_where_the_cutoff_keeps_every_gram_eigenvalue():
     # G = diag(1e5, 1) has Gram eigenvalues 1e10 and 1, exact floats whose ratio is INPUT_TOL: the smaller one sits
