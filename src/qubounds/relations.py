@@ -10,10 +10,11 @@ since each inequality is a theorem.  One rule decides each bound
 dimensionless and blind to an identity offset.
 
 Each public evaluator is a thin entry that validates and reduces its inputs
-(:func:`~qubounds.states.pair_moments`, or :func:`_mp_inputs` for the
-Maccone-Pati family), runs the bound's one decision body on that reduction
-and the tolerance (both sides, the slack and the flag: :class:`_Decision`),
-and wraps the decision in a report with the digest.  The checkers, the
+at its tolerance (:func:`~qubounds.states._reduction`, or :func:`_mp_inputs` for the
+Maccone-Pati family), runs the bound's one decision body on that reduction alone
+(both sides, the slack and the flag: :class:`_Decision`), and wraps the decision
+in a report with the digest.  The reduction carries the tolerance and its zero
+sides, so no body takes a tolerance.  The checkers, the
 constructions and the verification sweep read only decisions, so they hash
 nothing; the sweep names each trial's inputs once in its record, and takes
 its Maccone-Pati reduction from the entries' own reduction body (:func:`_mp_reduction`).
@@ -35,7 +36,7 @@ from .errors import BoundViolation, NotOrthogonal, ZeroDeviation
 from .linalg import (DEFAULT_TOL, ROUNDING_TOL, Tolerance, _ArrayEquality, _completion, _grams, _input_budget,
                      _pair_budget, _require_orthonormal, _square)
 from .states import (Observable, PairMoments, PureState, QuantumState, _entry, _pair_moments, _reduction,
-                     pair_moments)
+                     _zero_deviation)
 
 
 @dataclass(frozen=True)
@@ -133,8 +134,8 @@ def _decide(name: str, lhs: float, rhs: float, scale: float, tol: Tolerance,
     ``scale`` is the bound's natural size: the lhs of a product bound,
     dev(A)^2 + dev(B)^2 for mp3 and the chain, 1 for the mp6 reformulation.
     The relative slack so tested is of order eps^2 at distance eps from
-    saturation.  ``zero`` marks deviations zero to rounding
-    (:func:`_zero_deviations`): any for a product bound, both for a sum bound.
+    saturation.  ``zero`` marks deviations zero to rounding (the reduction's
+    ``zero``): any for a product bound, both for a sum bound.
     A slack that is not finite, or below -max(_input_budget(tol) max(|lhs|, |rhs|), ROUNDING_TOL ``size``) - ``pair``
     raises: ``size`` is the inputs' size in the bound's units, and ``pair`` a Maccone-Pati pair's Gram term.
     """
@@ -147,43 +148,21 @@ def _decide(name: str, lhs: float, rhs: float, scale: float, tol: Tolerance,
     return _Decision(float(lhs), float(rhs), float(slack), bool(zero or slack <= tol.eps * scale))
 
 
-def _zero_budget(o: Observable, tol: Tolerance) -> float:
-    """The largest deviation of A = ``o`` that is zero to rounding (:func:`_zero_deviation`)."""
-    return max(tol.eps * o.spread, min(tol.eps, ROUNDING_TOL) * o.norm)
-
-
-def _zero_deviation(dev: float, o: Observable, tol: Tolerance) -> bool:
-    """Whether dev(A) = ``dev`` is zero to rounding, for A = ``o``.
-
-    dev(A) is zero within tol.eps times the spread of A, which no identity
-    offset moves, or within the rounding floor min(tol.eps, ROUNDING_TOL) ||A||_F,
-    which covers n = 1 and multiples of the identity (spread 0).  As spread(A) <= ||A||_F, a
-    deviation above tol.eps ||A||_F is not zero and needs no spread.
-    """
-    return dev <= tol.eps * o.norm and dev <= _zero_budget(o, tol)
-
-
-def _zero_deviations(m: PairMoments, tol: Tolerance) -> tuple[bool, bool]:
-    """Whether dev(A) and dev(B) are zero to rounding (:func:`_zero_deviation`)."""
-    return _zero_deviation(m.dev_a, m.a, tol), _zero_deviation(m.dev_b, m.b, tol)
-
-
-def _robertson_decision(m: PairMoments, tol: Tolerance) -> _Decision:
+def _robertson_decision(m: PairMoments) -> _Decision:
     lhs = m.dev_a * m.dev_b
-    return _decide("robertson", lhs, abs(m.commutator_expectation) / 2.0, lhs, tol,
-                   any(_zero_deviations(m, tol)), m.a.norm * m.b.norm)
+    return _decide("robertson", lhs, abs(m.commutator_expectation) / 2.0, lhs, m.tol, any(m.zero), m.a.norm * m.b.norm)
 
 
-def _schrodinger_decision(m: PairMoments, tol: Tolerance) -> _Decision:
+def _schrodinger_decision(m: PairMoments) -> _Decision:
     lhs = _square(m.dev_a * m.dev_b)
-    return _decide("schrodinger", lhs, _square(m.cross.real) + _square(m.cross.imag), lhs, tol,
-                   any(_zero_deviations(m, tol)), _square(m.a.norm * m.b.norm))
+    return _decide("schrodinger", lhs, _square(m.cross.real) + _square(m.cross.imag), lhs, m.tol,
+                   any(m.zero), _square(m.a.norm * m.b.norm))
 
 
 def robertson(observable_a, observable_b, state: QuantumState, tol: Tolerance = DEFAULT_TOL) -> BoundReport:
     """dev(A) dev(B) >= |<[A, B]>| / 2, for pure or mixed states."""
-    m = pair_moments(observable_a, observable_b, state)
-    return BoundReport(*_robertson_decision(m, tol), tol, _digest(m.a, m.b, m.state, "robertson"))
+    m = _reduction(*_entry(observable_a, observable_b, (state,)), state, tol)
+    return BoundReport(*_robertson_decision(m), tol, _digest(m.a, m.b, m.state, "robertson"))
 
 
 def schrodinger(observable_a, observable_b, state: QuantumState, tol: Tolerance = DEFAULT_TOL) -> BoundReport:
@@ -192,25 +171,25 @@ def schrodinger(observable_a, observable_b, state: QuantumState, tol: Tolerance 
     Both right-hand terms are read off the centered cross inner product, so
     the anticommutator piece never suffers the alpha*beta cancellation.
     """
-    m = pair_moments(observable_a, observable_b, state)
-    return BoundReport(*_schrodinger_decision(m, tol), tol, _digest(m.a, m.b, m.state, "schrodinger"))
+    m = _reduction(*_entry(observable_a, observable_b, (state,)), state, tol)
+    return BoundReport(*_schrodinger_decision(m), tol, _digest(m.a, m.b, m.state, "schrodinger"))
 
 
-def _moments_mu(m: PairMoments, tol: Tolerance) -> MuChoice:
+def _moments_mu(m: PairMoments) -> MuChoice:
     """The one mu policy: the sign that makes mu <[A, B]> nonnegative, ties to i.
 
     A tie is |<[A, B]>| <= tol.eps * 2 dev(A) dev(B), relative as
     |<[A, B]>| <= 2 dev(A) dev(B), or a deviation zero to rounding.
     """
     comm = m.commutator_expectation
-    tie = bool(abs(comm) <= tol.eps * 2.0 * m.dev_a * m.dev_b or any(_zero_deviations(m, tol)))
+    tie = bool(abs(comm) <= m.tol.eps * 2.0 * m.dev_a * m.dev_b or any(m.zero))
     mu = -1j if comm.imag > 0 and not tie else 1j
     return MuChoice(mu=mu, commutator_expectation=comm, tie_broken=tie)
 
 
 def choose_mu(observable_a, observable_b, psi: PureState, tol: Tolerance = DEFAULT_TOL) -> MuChoice:
     """Pick mu in {i, -i} with mu * <psi|[A, B]|psi> >= 0; ties go to i."""
-    return _moments_mu(pair_moments(observable_a, observable_b, psi), tol)
+    return _moments_mu(_reduction(*_entry(observable_a, observable_b, (psi,)), psi, tol))
 
 
 def _unit_mu(mu: complex, tol: Tolerance) -> complex:
@@ -255,7 +234,8 @@ def _mp_reduction(a: Observable, b: Observable, psi: PureState, phi: PureState, 
     if overlap > _pair_budget(tol):
         raise NotOrthogonal(f"|<phi|psi>| = {overlap:.3e}")
     deviation = _require_orthonormal(gram, tol)
-    return _mp_pair(_reduction(a, b, psi) if moments is None else _pair_moments(a, b, psi, moments), phi, deviation)
+    m = _reduction(a, b, psi, tol) if moments is None else _pair_moments(a, b, psi, moments, tol)
+    return _mp_pair(m, phi, deviation)
 
 
 def _mp_inputs(observable_a, observable_b, psi: PureState, phi: PureState, tol: Tolerance) -> _MPInputs:
@@ -305,19 +285,18 @@ def mp_chain(observable_a, observable_b, psi: PureState, phi: PureState,
     """
     mu = _unit_mu(mu, tol)
     p = _mp_inputs(observable_a, observable_b, psi, phi, tol)
-    decisions = _mp_chain_decisions(p, mu, tol)
+    decisions = _mp_chain_decisions(p, mu)
     digest = _mp_digest(p, mu, "mp-chain")
     return ChainReport(steps=tuple(BoundReport(*d, tol, digest) for d in decisions), mu=mu)
 
 
-def _mp_chain_decisions(p: _MPInputs, mu: complex, tol: Tolerance) -> tuple[_Decision, _Decision, _Decision]:
+def _mp_chain_decisions(p: _MPInputs, mu: complex) -> tuple[_Decision, _Decision, _Decision]:
     m = p.moments
     scale = m.dev_a**2 + m.dev_b**2
-    zero = all(_zero_deviations(m, tol))
     abs_c, abs_d = abs(p.c), abs(p.d)
     sides = (scale, abs_c**2 + abs_d**2, _square(abs_c + abs_d) / 2.0, _square(abs(p.c + mu * p.d)) / 2.0)
     size, pair = _square(m.a.norm) + _square(m.b.norm), p.gram * sides[1]
-    return tuple(_decide(f"mp-chain step {k + 1}", sides[k], sides[k + 1], scale, tol, zero, size, pair)
+    return tuple(_decide(f"mp-chain step {k + 1}", sides[k], sides[k + 1], scale, m.tol, all(m.zero), size, pair)
                  for k in range(3))
 
 
@@ -326,8 +305,9 @@ def mu_ratio(observable_a, observable_b, psi: PureState, phi: PureState) -> comp
 
     Read as c / d, blind to an identity offset, through the door of :func:`mp3` (:func:`_mp_inputs` at the
     default tolerance), so its type, dimension, overlap, Gram and mean checks run first.  |d| <= dev(B) <= spread(B),
-    so the denominator is zero when a deviation of B would be (:func:`_zero_deviation` at the default
-    tolerance): beside spread(B), or within the rounding floor of ||B||_F.
+    so the denominator is zero when a deviation of B would be (the zero rule,
+    :func:`~qubounds.states._zero_deviation`, at the default tolerance): beside spread(B), or within the rounding
+    floor of ||B||_F.
     """
     p = _mp_inputs(observable_a, observable_b, psi, phi, DEFAULT_TOL)
     if _zero_deviation(abs(p.d), p.moments.b, DEFAULT_TOL):
@@ -339,19 +319,19 @@ def mp3(observable_a, observable_b, psi: PureState, phi: PureState,
         tol: Tolerance = DEFAULT_TOL) -> MP3Report:
     """Sum bound: dev(A)^2 + dev(B)^2 >= mu <[A,B]> + |<psi|(A + mu B)|phi>|^2."""
     p = _mp_inputs(observable_a, observable_b, psi, phi, tol)
-    choice = _moments_mu(p.moments, tol)
-    return MP3Report(report=BoundReport(*_mp3_decision(p, choice.mu, tol), tol, _mp_digest(p, "mp3")), mu=choice)
+    choice = _moments_mu(p.moments)
+    return MP3Report(report=BoundReport(*_mp3_decision(p, choice.mu), tol, _mp_digest(p, "mp3")), mu=choice)
 
 
-def _mp3_decision(p: _MPInputs, mu: complex, tol: Tolerance) -> _Decision:
+def _mp3_decision(p: _MPInputs, mu: complex) -> _Decision:
     m = p.moments
     lhs = m.dev_a**2 + m.dev_b**2
     # mu is exactly i or -i and <[A, B]> = cross - conj(cross) exactly imaginary,
     # so mu <[A, B]> is exactly real.
     quadratic = _square(abs(p.c + mu * p.d))
     rhs = (mu * m.commutator_expectation).real + quadratic
-    return _decide("mp3", lhs, rhs, lhs, tol, all(_zero_deviations(m, tol)),
-                   _square(m.a.norm) + _square(m.b.norm), p.gram * quadratic)
+    return _decide("mp3", lhs, rhs, lhs, m.tol, all(m.zero), _square(m.a.norm) + _square(m.b.norm),
+                   p.gram * quadratic)
 
 
 def mp6(observable_a, observable_b, psi: PureState, phi: PureState,
@@ -365,35 +345,35 @@ def mp6(observable_a, observable_b, psi: PureState, phi: PureState,
     only when the denominator stays clear of zero.
     """
     p = _mp_inputs(observable_a, observable_b, psi, phi, tol)
-    choice = _moments_mu(p.moments, tol)
-    reformulated, product = _mp6_decisions(p, choice.mu, tol)
+    choice = _moments_mu(p.moments)
+    reformulated, product = _mp6_decisions(p, choice.mu)
     digest = _mp_digest(p, "mp6")
     return MP6Reports(reformulated=BoundReport(*reformulated, tol, digest),
                       product=None if product is None else BoundReport(*product, tol, digest),
                       denominator_degenerate=product is None, mu=choice)
 
 
-def _mp6_decisions(p: _MPInputs, mu: complex, tol: Tolerance) -> tuple[_Decision, _Decision | None]:
+def _mp6_decisions(p: _MPInputs, mu: complex) -> tuple[_Decision, _Decision | None]:
     """The reformulated decision at ``mu``, and the product form's, or None where its denominator is degenerate."""
     m = p.moments
-    reformulated, comm_term, pair = _mp6_decision(p, mu, tol)
-    if reformulated.lhs <= tol.eps:
+    reformulated, comm_term, pair = _mp6_decision(p, mu)
+    if reformulated.lhs <= m.tol.eps:
         return reformulated, None
     lhs = m.dev_a * m.dev_b
     # The product form is dev(A) dev(B) / lhs times the reformulation, and so is its floor.
-    return reformulated, _decide("mp6 product", lhs, comm_term / 2.0 / reformulated.lhs, lhs, tol,
+    return reformulated, _decide("mp6 product", lhs, comm_term / 2.0 / reformulated.lhs, lhs, m.tol,
                                  size=(m.a.norm * m.dev_b + m.b.norm * m.dev_a) / reformulated.lhs,
                                  pair=pair * lhs / reformulated.lhs)
 
 
-def _mp6_decision(p: _MPInputs, mu: complex, tol: Tolerance) -> tuple[_Decision, float, float]:
+def _mp6_decision(p: _MPInputs, mu: complex) -> tuple[_Decision, float, float]:
     """The division-free decision at ``mu``, mu <[A, B]>, and its Gram term (:class:`_MPInputs`), for q =
     <psi|Q_mu|phi> the pair's ||Gram - I||_F times |q|^2; a deviation zero to rounding raises first."""
     m = p.moments
-    if any(_zero_deviations(m, tol)):
+    if any(m.zero):
         raise ZeroDeviation(f"deviations ({m.dev_a:.3e}, {m.dev_b:.3e}) too small for the product bound")
     q_elem = p.c / m.dev_a + mu * p.d / m.dev_b
     comm_term, q_sq = (mu * m.commutator_expectation).real, abs(q_elem) ** 2
-    decision = _decide("mp6 reformulated", 1.0 - q_sq / 2.0, comm_term / (2.0 * m.dev_a * m.dev_b), 1.0, tol,
+    decision = _decide("mp6 reformulated", 1.0 - q_sq / 2.0, comm_term / (2.0 * m.dev_a * m.dev_b), 1.0, m.tol,
                        size=m.a.norm / m.dev_a + m.b.norm / m.dev_b, pair=p.gram * q_sq)
     return decision, comm_term, p.gram * q_sq

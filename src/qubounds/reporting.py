@@ -209,10 +209,11 @@ def run_verification_suite(config: SampleConfig, tol: Tolerance) -> SuiteReport:
     one moments-body call (:func:`~qubounds.states.pair_moments`) for the n x 1 states of its trials (psi, the
     Maccone-Pati psi_f and e1, built once), one for its rhos' factors, one Gram product for the pairs' checks,
     and one constructions-body call (:func:`~qubounds.saturation._constructions`) for both constructions of every
-    trial, which share the trial's e1 moments; every pair reads c and d from its psi's centred pair.  Only the
-    bound decisions and the record entries run per trial: a trial's record names its inputs once, by the digests
-    its chunk stored, each bound's entry is its decision, with no digest, and each certificate reads its bound's
-    decision (or keeps that decision's error as its own outcome).  Every evaluation is an outcome
+    trial, which share the trial's e1 moments; every pair reads c and d from its psi's centred pair.  Each slice's
+    reduction is built at ``tol``, which decides its zero sides there once (:func:`~qubounds.states._pair_moments`).
+    Only the bound decisions and the record entries run per trial: a trial's record names its inputs once, by the
+    digests its chunk stored, each bound's entry is its decision, with no digest, and each certificate reads its
+    bound's decision (or keeps that decision's error as its own outcome).  Every evaluation is an outcome
     (:func:`~qubounds.saturation._outcome`), its result or the :class:`QuboundsError` it raised, filed by
     :meth:`_Summary.file`; the Maccone-Pati reduction (:func:`~qubounds.relations._mp_reduction`, on the trial's
     slices) is one too, and where it failed, mp3, mp6 and the chain each file its error.
@@ -232,24 +233,24 @@ def run_verification_suite(config: SampleConfig, tol: Tolerance) -> SuiteReport:
         rho_moments = zip(*_moments(a_stack[:, 0], b_stack[:, 0], np.array([rho._root for *_, rho, _ in chunk])))
         if n >= 2:
             pair_grams = _grams(rows[:, 1:])
-            e1_moments = [_pair_moments(a, b, e1, x[2]) for (_, a, b, *_), x in zip(chunk, moments)]
-            built = _constructions(targets, e1_moments, tol)
+            e1_moments = [_pair_moments(a, b, e1, x[2], tol) for (_, a, b, *_), x in zip(chunk, moments)]
+            built = _constructions(targets, e1_moments)
         for t, ((k, a, b, psi, rho, pair), x, rho_x) in enumerate(zip(chunk, moments, rho_moments)):
-            pure = _pair_moments(a, b, psi, x[0])
-            mixed = _pair_moments(a, b, rho, rho_x)
-            outcomes = {"robertson_pure": _outcome(_robertson_decision, pure, tol),
-                        "schrodinger_pure": _outcome(_schrodinger_decision, pure, tol),
-                        "robertson_mixed": _outcome(_robertson_decision, mixed, tol),
-                        "schrodinger_mixed": _outcome(_schrodinger_decision, mixed, tol)}
+            pure = _pair_moments(a, b, psi, x[0], tol)
+            mixed = _pair_moments(a, b, rho, rho_x, tol)
+            outcomes = {"robertson_pure": _outcome(_robertson_decision, pure),
+                        "schrodinger_pure": _outcome(_schrodinger_decision, pure),
+                        "robertson_mixed": _outcome(_robertson_decision, mixed),
+                        "schrodinger_mixed": _outcome(_schrodinger_decision, mixed)}
             if n >= 2:
                 mp = _outcome(_mp_reduction, a, b, *pair, pair_grams[t], x[1], tol)
                 if isinstance(mp, QuboundsError):
                     outcomes.update(dict.fromkeys(("mp3", "mp6", "mp_chain"), mp))
                 else:
-                    mu = _moments_mu(mp.moments, tol).mu  # mp3's and mp6's mu, as their entries pick it
-                    outcomes["mp3"] = _outcome(_mp3_decision, mp, mu, tol)
-                    outcomes["mp6"] = _outcome(_mp6_decisions, mp, mu, tol)
-                    outcomes["mp_chain"] = _outcome(_mp_chain_decisions, mp, 1j, tol)
+                    mu = _moments_mu(mp.moments).mu  # mp3's and mp6's mu, as their entries pick it
+                    outcomes["mp3"] = _outcome(_mp3_decision, mp, mu)
+                    outcomes["mp6"] = _outcome(_mp6_decisions, mp, mu)
+                    outcomes["mp_chain"] = _outcome(_mp_chain_decisions, mp, 1j)
             # Each certificate reads its bound's decision, or files that decision's error as its own.
             for where, kind, m, bound in (
                     ("robertson_pure_certificate", CertificateKind.ROBERTSON_PURE, pure, "robertson_pure"),
@@ -257,7 +258,7 @@ def run_verification_suite(config: SampleConfig, tol: Tolerance) -> SuiteReport:
                     ("schrodinger_certificate", CertificateKind.SCHRODINGER, mixed, "schrodinger_mixed")):
                 decision = outcomes[bound]
                 outcomes[where] = (decision if isinstance(decision, QuboundsError)
-                                   else _outcome(_certificate, kind, m, decision, tol))
+                                   else _outcome(_certificate, kind, m, decision))
             for j, target in enumerate(targets):
                 outcomes[f"construct_{target}"] = built[t][j]
 

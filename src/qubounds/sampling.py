@@ -88,6 +88,7 @@ def _hermitian_parts(x: np.ndarray, labels: tuple) -> tuple[np.ndarray, list]:
     h = np.empty(x.shape, dtype=complex)
     np.add(y, y.swapaxes(-1, -2), out=h.real)
     np.subtract(y, y.swapaxes(-1, -2), out=h.imag)
+    h.setflags(write=False)  # the observables hold its slices, uncopied
     return h, [Observable._frozen(h[:, j], x[:, j], label) for j, label in enumerate(labels)]
 
 

@@ -33,8 +33,8 @@ import numpy as np
 from .errors import CorollaryViolation, DimensionMismatch, HypothesisViolated, QuboundsError, RIndependenceViolation
 from .linalg import DEFAULT_TOL, ROUNDING_TOL, TIE_TOL, Tolerance, _complex_witness, _norm, _phase_witness
 from .relations import (_Decision, _moments_mu, _mp3_decision, _mp6_decision, _mp_chain_decisions, _mp_inputs,
-                        _mp_pair, _robertson_decision, _schrodinger_decision, _unit_mu, _zero_budget, _zero_deviations)
-from .states import PairMoments, PureState, QuantumState, _entry, _reduction, pair_moments
+                        _MPInputs, _mp_pair, _robertson_decision, _schrodinger_decision, _unit_mu)
+from .states import PairMoments, PureState, QuantumState, _entry, _reduction, _zero_budget
 
 # Constructed pairs must close their target bound to this relative gap.
 CONSTRUCTION_TOL = 1e-8
@@ -116,8 +116,7 @@ class ZeroProductCheck:
     residual_b: float
 
 
-def _verify_r_family(m: PairMoments, coeff_a: complex, coeff_b: complex, zero: tuple[bool, bool],
-                     tol: Tolerance) -> tuple[float, ...]:
+def _verify_r_family(m: PairMoments, coeff_a: complex, coeff_b: complex) -> tuple[float, ...]:
     """Residuals of coeff_a A_c rho^r + coeff_b B_c rho^r at each r in ``DEFAULT_R_LIST``: norms of Y w^(r - 1/2).
 
     Y = coeff_a A_c X + coeff_b B_c X is formed once, over the square root X that the moments read; for the
@@ -126,16 +125,15 @@ def _verify_r_family(m: PairMoments, coeff_a: complex, coeff_b: complex, zero: t
     r = 1/2 the residual is ||Y||_F over any square root, a mixed certificate's ``residual``.  Each must stay
     within limit ||w^r||: the largest of the floor ROUNDING_TOL max(|coeff_a| ||A||_F, |coeff_b| ||B||_F) and one
     share per side, none moved by an identity offset: |coeff| dev sqrt(10 eps), the flag's eps^2 scale in a 10x
-    band, or, for a side that the certificate's flags ``zero`` (:func:`_zero_deviations`) call zero,
-    |coeff| z / sqrt(w_max), with its zero budget
-    z = max(eps spread, min(eps, ROUNDING_TOL) ||.||_F) and the largest weight w_max.  A zero side's share
-    raises on no valid input: for r >= 1/2 and the columns y_j of A_c X over the factor,
+    band, or, for a side that the reduction's ``zero`` calls zero, |coeff| z / sqrt(w_max), with its zero budget
+    z = max(eps spread, min(eps, ROUNDING_TOL) ||.||_F) and the largest weight w_max; eps is the reduction's ``tol``.
+    A zero side's share raises on no valid input: for r >= 1/2 and the columns y_j of A_c X over the factor,
     ||(A_c X) w^(r - 1/2)||_F^2 = sum_j ||y_j||^2 w_j^(2r - 1) <= w_max^(2r - 1) dev(A)^2 and w_max^r <= ||w^r||, so
     ||(A_c X) w^(r - 1/2)||_F <= dev(A) ||w^r|| / sqrt(w_max) <= z ||w^r|| / sqrt(w_max).
     """
-    w, band = m.state.weights, math.sqrt(10.0 * tol.eps)
-    shares = [abs(c) * (_zero_budget(o, tol) / math.sqrt(w[0]) if z else band * dev)
-              for c, o, dev, z in ((coeff_a, m.a, m.dev_a, zero[0]), (coeff_b, m.b, m.dev_b, zero[1]))]
+    w, band = m.state.weights, math.sqrt(10.0 * m.tol.eps)
+    shares = [abs(c) * (_zero_budget(o, m.tol) / math.sqrt(w[0]) if z else band * dev)
+              for c, o, dev, z in ((coeff_a, m.a, m.dev_a, m.zero[0]), (coeff_b, m.b, m.dev_b, m.zero[1]))]
     limit = max(*shares, ROUNDING_TOL * max(abs(coeff_a) * m.a.norm, abs(coeff_b) * m.b.norm))
     y = coeff_a * m.centered_a + coeff_b * m.centered_b
     turned = m._over_factor(y)
@@ -149,8 +147,7 @@ def _verify_r_family(m: PairMoments, coeff_a: complex, coeff_b: complex, zero: t
     return residuals
 
 
-def _certificate(kind: CertificateKind, m: PairMoments, decision: _Decision,
-                 tol: Tolerance) -> SaturationCertificate | None:
+def _certificate(kind: CertificateKind, m: PairMoments, decision: _Decision) -> SaturationCertificate | None:
     """The witness a A_c X + b B_c X = 0 of a saturated bound: a = cos(theta), b = e^{i phi} sin(theta).
 
     None exactly when ``decision``, the bound's decision on ``m`` (Schrodinger's for that kind, else
@@ -159,20 +156,20 @@ def _certificate(kind: CertificateKind, m: PairMoments, decision: _Decision,
     phase i for the Robertson kinds (phi is None).  A deviation zero to rounding enters it as exactly
     0, so one zero side gives (a, b) = (1, 0) or (0, 1) with phi = 0, and two give theta = 0 with
     residual 0.  The mixed kinds re-verify (a, b) at each power in ``DEFAULT_R_LIST`` (:func:`_verify_r_family`),
-    on the same zero sides, and their residual ||a A_c X + b B_c X||_F is that re-check's r = 1/2 one; the pure
+    on the reduction's zero sides, and their residual ||a A_c X + b B_c X||_F is that re-check's r = 1/2 one; the pure
     kind re-verifies nothing, and reads one zero side's residual from the moments.
     """
     if not decision.saturated:
         return None
     schrodinger = kind is CertificateKind.SCHRODINGER
-    zero = _zero_deviations(m, tol)
+    zero = m.zero
     dev_a, dev_b = 0.0 if zero[0] else m.dev_a, 0.0 if zero[1] else m.dev_b
     scale = max(dev_a, dev_b) or 1.0  # so that no square overflows
     form = ((dev_a / scale) ** 2, 0j if any(zero) else m.cross / scale / scale, (dev_b / scale) ** 2)
     a, b, angles = (_complex_witness if schrodinger else _phase_witness)(*form)
     theta, phi = angles if schrodinger else (angles, None)
     rs = () if kind is CertificateKind.ROBERTSON_PURE else DEFAULT_R_LIST
-    r_residuals = _verify_r_family(m, a, b, zero, tol) if rs else ()
+    r_residuals = _verify_r_family(m, a, b) if rs else ()
     # A pure kind's one zero side has the witness (1, 0) or (0, 1), of residual that side's deviation.
     residual = (0.0 if all(zero) else r_residuals[0] if rs else m.dev_a if zero[0] else m.dev_b if zero[1]
                 else _norm(a * m.centered_a + b * m.centered_b))
@@ -184,22 +181,22 @@ def robertson_saturation_pure(observable_a, observable_b, psi: PureState,
                               tol: Tolerance = DEFAULT_TOL) -> SaturationCertificate | None:
     """Phase theta with cos(theta) A_c |psi> + i sin(theta) B_c |psi> = 0, if any; ``psi`` must be a
     :class:`PureState`, as a mixed state's certificate needs the power re-check (:func:`robertson_saturation_mixed`)."""
-    m = _reduction(*_entry(observable_a, observable_b, (psi,), PureState), psi)
-    return _certificate(CertificateKind.ROBERTSON_PURE, m, _robertson_decision(m, tol), tol)
+    m = _reduction(*_entry(observable_a, observable_b, (psi,), PureState), psi, tol)
+    return _certificate(CertificateKind.ROBERTSON_PURE, m, _robertson_decision(m))
 
 
 def robertson_saturation_mixed(observable_a, observable_b, state: QuantumState,
                                tol: Tolerance = DEFAULT_TOL) -> SaturationCertificate | None:
     """Mixed-state equality witness, re-verified at every power in ``DEFAULT_R_LIST``."""
-    m = pair_moments(observable_a, observable_b, state)
-    return _certificate(CertificateKind.ROBERTSON_MIXED, m, _robertson_decision(m, tol), tol)
+    m = _reduction(*_entry(observable_a, observable_b, (state,)), state, tol)
+    return _certificate(CertificateKind.ROBERTSON_MIXED, m, _robertson_decision(m))
 
 
 def schrodinger_saturation(observable_a, observable_b, state: QuantumState,
                            tol: Tolerance = DEFAULT_TOL) -> SaturationCertificate | None:
     """Witness (theta, phi) with cos(theta) A_c rho^r + e^{i phi} sin(theta) B_c rho^r = 0 for r >= 1/2."""
-    m = pair_moments(observable_a, observable_b, state)
-    return _certificate(CertificateKind.SCHRODINGER, m, _schrodinger_decision(m, tol), tol)
+    m = _reduction(*_entry(observable_a, observable_b, (state,)), state, tol)
+    return _certificate(CertificateKind.SCHRODINGER, m, _schrodinger_decision(m))
 
 
 def mp_chain_saturation(observable_a, observable_b, psi: PureState, phi: PureState,
@@ -219,10 +216,10 @@ def mp_chain_saturation(observable_a, observable_b, psi: PureState, phi: PureSta
     p = _mp_inputs(observable_a, observable_b, psi, phi, tol)
     m, c, d = p.moments, p.c, p.d
     abs_c, abs_d = abs(c), abs(d)
-    flags = tuple(step.saturated for step in _mp_chain_decisions(p, mu, tol))
+    flags = tuple(step.saturated for step in _mp_chain_decisions(p, mu))
     certificate = None
     if all(flags):
-        theta = 0.0 if all(_zero_deviations(m, tol)) else (-cmath.phase(c + mu * d)) % (2.0 * math.pi)
+        theta = 0.0 if all(m.zero) else (-cmath.phase(c + mu * d)) % (2.0 * math.pi)
         certificate = SaturationCertificate(
             kind=CertificateKind.MP_CHAIN_ALL, theta=theta, phi=None, mu=mu,
             residual=_norm(m.centered_a - np.conj(mu) * m.centered_b))
@@ -232,7 +229,7 @@ def mp_chain_saturation(observable_a, observable_b, psi: PureState, phi: PureSta
                            all_equalities=certificate)
 
 
-def _require_mu_hypothesis(m: PairMoments, mu: complex, tol: Tolerance) -> complex:
+def _require_mu_hypothesis(m: PairMoments, mu: complex) -> complex:
     """Accept the mu that :func:`~qubounds.relations.choose_mu` picks, or either on a tie.
 
     An accepted mu is returned as exactly i or -i, so mu <[A, B]> is exactly real.
@@ -241,18 +238,17 @@ def _require_mu_hypothesis(m: PairMoments, mu: complex, tol: Tolerance) -> compl
     mu = 1j if abs(given - 1j) <= MU_SNAP_TOL else -1j if abs(given + 1j) <= MU_SNAP_TOL else None
     if mu is None:
         raise ValueError(f"mu must be i or -i, got {given!r}")
-    if not (choice := _moments_mu(m, tol)).tie_broken and mu != choice.mu:
+    if not (choice := _moments_mu(m)).tie_broken and mu != choice.mu:
         raise HypothesisViolated(f"mu * <[A, B]> = {(mu * m.commutator_expectation).real:.3e} is negative")
     return mu
 
 
-def _equality_check(observable_a, observable_b, psi, phi, mu: complex, tol: Tolerance, mp6: bool) -> EqualityCheck:
-    """The checkers' one body: ||(A_c/s_a - mu B_c/s_b)|psi>|| against |c/s_a + mu d/s_b|, flagged by the target
-    bound's decision at the accepted mu, taken first: s the deviations for mp6, whose decision raises on a zero one,
-    and 1, with no division, for mp3."""
-    p = _mp_inputs(observable_a, observable_b, psi, phi, tol)
-    m, mu = p.moments, _require_mu_hypothesis(p.moments, mu, tol)
-    saturated = (_mp6_decision(p, mu, tol)[0] if mp6 else _mp3_decision(p, mu, tol)).saturated
+def _equality_check(p: _MPInputs, mu: complex, mp6: bool) -> EqualityCheck:
+    """The checkers' one body, on the checked pair's reduction ``p``: ||(A_c/s_a - mu B_c/s_b)|psi>|| against
+    |c/s_a + mu d/s_b|, flagged by the target bound's decision at the accepted mu, taken first: s the deviations for
+    mp6, whose decision raises on a zero one, and 1, with no division, for mp3."""
+    m, mu = p.moments, _require_mu_hypothesis(p.moments, mu)
+    saturated = (_mp6_decision(p, mu)[0] if mp6 else _mp3_decision(p, mu)).saturated
     if mp6:
         lhs = _norm(m.centered_a / m.dev_a - mu * m.centered_b / m.dev_b)
         rhs = abs(p.c / m.dev_a + mu * p.d / m.dev_b)
@@ -268,7 +264,7 @@ def mp3_saturation(observable_a, observable_b, psi: PureState, phi: PureState,
     The squares of the two sides differ by the mp3 slack at ``mu``, so the flag
     is the :func:`~qubounds.relations.mp3` report's flag at ``mu``.
     """
-    return _equality_check(observable_a, observable_b, psi, phi, mu, tol, False)
+    return _equality_check(_mp_inputs(observable_a, observable_b, psi, phi, tol), mu, False)
 
 
 def mp6_saturation(observable_a, observable_b, psi: PureState, phi: PureState,
@@ -280,20 +276,20 @@ def mp6_saturation(observable_a, observable_b, psi: PureState, phi: PureState,
     :func:`~qubounds.relations.mp6` reformulated report's flag at ``mu``; the decision
     is taken first, so zero deviations raise :class:`ZeroDeviation` before any division.
     """
-    return _equality_check(observable_a, observable_b, psi, phi, mu, tol, True)
+    return _equality_check(_mp_inputs(observable_a, observable_b, psi, phi, tol), mu, True)
 
 
-def _case2_tails(u: np.ndarray, mu_v: np.ndarray, m: PairMoments, tol: Tolerance) -> tuple:
+def _case2_tails(u: np.ndarray, mu_v: np.ndarray, m: PairMoments) -> tuple:
     """u - mu v, degenerate as rounding noise beside dev(A) + dev(B) = ||u|| + ||v||, and the row
     conj(u) - mu conj(v) = conj(u + mu v) (as mu = +-i) of A - mu B, whose entry with phi is phased real."""
-    return u - mu_v, tol.eps * (m.dev_a + m.dev_b), np.conjugate(u + mu_v)
+    return u - mu_v, m.tol.eps * (m.dev_a + m.dev_b), np.conjugate(u + mu_v)
 
 
-def _w_mp6_tails(u: np.ndarray, mu_v: np.ndarray, m: PairMoments, tol: Tolerance) -> tuple:
+def _w_mp6_tails(u: np.ndarray, mu_v: np.ndarray, m: PairMoments) -> tuple:
     """u/dev(A) - mu v/dev(B), degenerate below tol.eps, and no phase row.  Where dev(A) or dev(B) is exactly zero,
     each entry has a NaN part, so no floor keeps the row; the mp6 decision rejects every trial with a zero deviation."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        return u / m.dev_a - mu_v / m.dev_b, tol.eps, None
+        return u / m.dev_a - mu_v / m.dev_b, m.tol.eps, None
 
 
 # Each construction's target bound, the dimensions it takes, the rule that rejects the others, and its tails
@@ -317,7 +313,7 @@ def _outcome(body, *args):
         return exc
 
 
-def _constructions(targets: tuple[str, ...], moments: list, tol: Tolerance) -> list:
+def _constructions(targets: tuple[str, ...], moments: list) -> list:
     """Each trial's construction per target ("case1", "case2", "w_mp6"), or the QuboundsError it raises, from its
     e1 moments, each at the mu :func:`_moments_mu` picks.  A target states its tails once (``_CONSTRUCTIONS``), from
     the first-column tails u, v of the trial's A_c e1 and B_c e1: the tail, its degeneracy floor, and a phase row or
@@ -329,14 +325,14 @@ def _constructions(targets: tuple[str, ...], moments: list, tol: Tolerance) -> l
     rows = np.zeros((len(moments) * len(targets), n), dtype=complex)  # one row per phi, frozen whole by _stack
     mus, keeps = [], []
     for m, trial in zip(moments, rows.reshape(len(moments), len(targets), n)):
-        mus.append(mu := _moments_mu(m, tol).mu)
+        mus.append(mu := _moments_mu(m).mu)
         u, mu_v = m.centered_a[1:, 0], mu * m.centered_b[1:, 0]
         keeps.append(keep := [])
         for target, direction in zip(targets, trial[:, 1:]):
             _, allowed, rule, tails = _CONSTRUCTIONS[target]
             if not allowed(n):
                 raise DimensionMismatch("construction requires " + rule.format(n))
-            tail, floor, row = (None, None, None) if tails is None else tails(u, mu_v, m, tol)
+            tail, floor, row = (None, None, None) if tails is None else tails(u, mu_v, m)
             keep.append(kept := tail is None or (norm := _norm(tail)) > floor)
             if tail is None or not kept:  # phi is e2, written here alone, as a kept tail fills its whole row
                 direction[0] = 1.0
@@ -346,11 +342,11 @@ def _constructions(targets: tuple[str, ...], moments: list, tol: Tolerance) -> l
             if row is not None and abs(entry := complex(row @ direction)) > TIE_TOL * _norm(row):
                 direction *= cmath.exp(-1j * cmath.phase(entry))
     phis = iter(PureState._stack(rows))
-    return [[_outcome(_constructed, target, m, mu, next(phis), not k, tol) for target, k in zip(targets, ks)]
+    return [[_outcome(_constructed, target, m, mu, next(phis), not k) for target, k in zip(targets, ks)]
             for m, mu, ks in zip(moments, mus, keeps)]
 
 
-def _constructed(target: str, m: PairMoments, mu: complex, phi: PureState, degenerate: bool, tol: Tolerance):
+def _constructed(target: str, m: PairMoments, mu: complex, phi: PureState, degenerate: bool):
     """[e1 | phi], orthonormal by construction (so it skips a caller's pair checks), with its gap: the target
     decision's slack at mu over its flag's scale, dev(A)^2 + dev(B)^2 (or 0 by the zero rule) for mp3 and 1
     for mp6.  The decision may raise.  An e1 that keeps its moments, a construction's own (:func:`_construct`; the
@@ -360,10 +356,10 @@ def _constructed(target: str, m: PairMoments, mu: complex, phi: PureState, degen
     if "_reduced" in vars(m.state):  # a construction's own e1 (:func:`_construct`) keeps the pair for its checkers
         vars(m.state)["_paired"] = (weakref.ref(phi), weakref.ref(m.a), weakref.ref(m.b), p.c, p.d)
     if target == "w_mp6":
-        gap = _mp6_decision(p, mu, tol)[0].slack
+        gap = _mp6_decision(p, mu)[0].slack
     else:
-        decision = _mp3_decision(p, mu, tol)
-        gap = 0.0 if all(_zero_deviations(m, tol)) else decision.slack / decision.lhs
+        decision = _mp3_decision(p, mu)
+        gap = 0.0 if all(m.zero) else decision.slack / decision.lhs
     return ConstructedPair(mu=mu, psi=m.state, phi=phi, target=_CONSTRUCTIONS[target][0], achieved_slack=gap,
                            degenerate=degenerate)
 
@@ -375,7 +371,7 @@ def _construct(target: str, observable_a, observable_b, tol: Tolerance) -> Const
     a, b = _entry(observable_a, observable_b)
     e1 = object.__new__(PureState)
     vars(e1)["amplitudes"] = _e1(a.dimension).amplitudes  # frozen already
-    built = _constructions((target,), [_reduction(a, b, e1)], tol)[0][0]
+    built = _constructions((target,), [_reduction(a, b, e1, tol)])[0][0]
     if isinstance(built, QuboundsError):
         raise built
     return built
@@ -416,15 +412,14 @@ def zero_product_characterization(observable_a, observable_b, state: QuantumStat
                                   tol: Tolerance = DEFAULT_TOL) -> ZeroProductCheck:
     """dev(A) dev(B) = 0 exactly when A_c rho = 0 or B_c rho = 0.
 
-    Each side is decided once, by its deviation (zero to rounding as in
-    :func:`~qubounds.relations._zero_deviations`); ||A_c rho||_F and
+    Each side is decided once, by its deviation, where the reduction is built
+    (:func:`~qubounds.states._zero_deviation`); ||A_c rho||_F and
     ||B_c rho||_F are reported as values only.
     """
-    m = pair_moments(observable_a, observable_b, state)
-    zero = _zero_deviations(m, tol)
+    m = _reduction(*_entry(observable_a, observable_b, (state,)), state, tol)
     # ||A_c rho||_F = ||(A_c X) w^(1/2)||_F.
     res_a, res_b = (_norm(m._over_factor(c) * np.sqrt(m.state.weights)) for c in (m.centered_a, m.centered_b))
-    return ZeroProductCheck(product_is_zero=any(zero), witness=_ZERO_WITNESSES[zero],
+    return ZeroProductCheck(product_is_zero=any(m.zero), witness=_ZERO_WITNESSES[m.zero],
                             residual_a=res_a, residual_b=res_b)
 
 
@@ -434,7 +429,7 @@ def zero_sum_characterization(observable_a, observable_b, state: QuantumState,
 
     Decided by the deviations, as in :func:`zero_product_characterization`.
     """
-    return all(_zero_deviations(pair_moments(observable_a, observable_b, state), tol))
+    return all(_reduction(*_entry(observable_a, observable_b, (state,)), state, tol).zero)
 
 
 def qubit_commutation_witness(observable_a, observable_b, state: QuantumState,
@@ -451,10 +446,10 @@ def qubit_commutation_witness(observable_a, observable_b, state: QuantumState,
     normal to n.  As a_par x b_par = 0, |a x b| <= |a| |b_perp| + |a_perp| |b| + |a_perp| |b_perp|:
     ||[A, B]||_F <= 2 (spread(A) dev(B) + spread(B) dev(A)) + 2 sqrt(2) dev(A) dev(B).
     """
-    m = pair_moments(observable_a, observable_b, state)
+    m = _reduction(*_entry(observable_a, observable_b, (state,)), state, tol)
     if m.a.dimension != 2:
         raise DimensionMismatch(f"qubit check requires dimension 2, got {m.a.dimension}")
-    if not all(_zero_deviations(m, tol)):
+    if not all(m.zero):
         return None
     a, b = m.a.matrix, m.b.matrix
     comm_norm = _norm(a @ b - b @ a)

@@ -6,6 +6,8 @@ inner product.  :func:`pair_moments` computes them once, on the centered
 data, so near-saturated instances do not suffer cancellation.  It is the
 one-triple call of the moments body :func:`_moments`, which takes any leading
 batch shape: a sweep reduces a chunk of triples in one call, each slice in the bytes of its own call.
+A reduction is built at its entry's tolerance, and decides there, once, whether each deviation is zero to
+rounding (:func:`_zero_deviation`); every bound, checker and construction reads those sides from it.
 
 Each input is validated once, where it enters: bare matrices become
 :class:`Observable` objects in :func:`_entry`, and inner calls pass those on.
@@ -25,8 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidInput, NonRealExpectation
-from .linalg import (INPUT_TOL, _ArrayEquality, _complex_array, _eigh_descending, _finite_norm, _norm,
-                     _power_of_two_scale, _psd_support, _square_matrix, as_complex_matrix, require_hermitian)
+from .linalg import (DEFAULT_TOL, INPUT_TOL, ROUNDING_TOL, Tolerance, _ArrayEquality, _complex_array, _eigh_descending,
+                     _finite_norm, _norm, _power_of_two_scale, _psd_support, _square_matrix, as_complex_matrix,
+                     require_hermitian)
 
 
 def _digests(kind: str, arrays) -> list:
@@ -75,11 +78,13 @@ class _Input(_ArrayEquality):
 
     def _set(self, attrs: dict) -> None:
         """The one writer of an existing input's attributes: each array in ``attrs``, which no caller holds, is
-        frozen in place.  A loaded or copied input is set by it too, as a pickle or a deep copy gives writable
-        arrays."""
+        frozen in place, and so is each array down its ``.base`` chain, so that no view of its memory is writable (a
+        support's weights are a prefix of the eigenvalues that ``_eigh_descending`` copied).  A loaded or copied
+        input is set by it too, as a pickle or a deep copy gives writable arrays."""
         for v in attrs.values():
-            if isinstance(v, np.ndarray):
+            while isinstance(v, np.ndarray):
                 v.setflags(write=False)
+                v = v.base
         vars(self).update(attrs)
 
     __setstate__ = _set
@@ -120,7 +125,8 @@ class Observable(_Input):
     def _frozen(cls, h: np.ndarray, g: np.ndarray, label: str) -> list:
         """The observables labelled ``label`` whose matrices are the slices of the stack ``h``, Hermitian bit for bit
         and formed from the stack ``g``, each frozen with its ||.||_F; where that norm is not finite, the slice of
-        ``g`` is scanned, so that non-finite entries of the input raise as such.  ``h`` is frozen in place."""
+        ``g`` is scanned, so that non-finite entries of the input raise as such.  ``h`` is frozen in place; a caller
+        that hands it a view freezes the view's owner."""
         h.setflags(write=False)
         observables = [object.__new__(cls) for _ in range(len(h))]
         for obs, m, x in zip(observables, h, g):
@@ -314,8 +320,11 @@ class PairMoments(_ArrayEquality):
     for the support weights w.  ``cross`` is the Frobenius inner product <A_c X, B_c X>; its imaginary
     part is half the commutator expectation, its real part the centered
     anticommutator half-sum.  ``a``, ``b`` and ``state`` are the validated
-    inputs the moments were taken from, so a bound or checker body needs
-    nothing else, and a report's digest is read from theirs.
+    inputs the moments were taken from, and a report's digest is read from theirs.
+    Its maker (:func:`_pair_moments`) also writes, as attributes and not as fields,
+    the entry's tolerance ``tol`` and ``zero``, whether dev(A) and dev(B) are zero to
+    rounding at it (:func:`_zero_deviation`), decided there once; so a bound,
+    checker or construction body needs nothing else.
     """
 
     alpha: float
@@ -360,39 +369,57 @@ def _moments(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, n
     return means[..., 0, 0], gram[..., 0, 0], y
 
 
-def _pair_moments(a: Observable, b: Observable, state: QuantumState, moments: tuple) -> PairMoments:
+def _zero_budget(o: Observable, tol: Tolerance) -> float:
+    """The largest deviation of A = ``o`` that is zero to rounding (:func:`_zero_deviation`)."""
+    return max(tol.eps * o.spread, min(tol.eps, ROUNDING_TOL) * o.norm)
+
+
+def _zero_deviation(dev: float, o: Observable, tol: Tolerance) -> bool:
+    """The zero rule: whether dev(A) = ``dev`` is zero to rounding, for A = ``o``.
+
+    dev(A) is zero within tol.eps times the spread of A, which no identity
+    offset moves, or within the rounding floor min(tol.eps, ROUNDING_TOL) ||A||_F,
+    which covers n = 1 and multiples of the identity (spread 0).  As spread(A) <= ||A||_F, a
+    deviation above tol.eps ||A||_F is not zero and needs no spread.
+    """
+    return dev <= tol.eps * o.norm and dev <= _zero_budget(o, tol)
+
+
+def _pair_moments(a: Observable, b: Observable, state: QuantumState, moments: tuple, tol: Tolerance) -> PairMoments:
     """The :class:`PairMoments` of a triple from its ``moments``, what :func:`_moments` returned for it (the
     one-triple call, or a slice of a stacked call), once each mean's imaginary residue passed its check against
-    its observable's norm."""
+    its observable's norm; its zero sides are decided here, the one place, at the entry's ``tol``."""
     means, gram, centred = moments
     (alpha, beta), ((dev2_a, cross), (_, dev2_b)) = means.tolist(), gram.tolist()
     for obs, mean in ((a, alpha), (b, beta)):
         if abs(mean.imag) > INPUT_TOL * obs.norm:
             raise NonRealExpectation(f"imaginary residue {mean.imag:.3e} in expectation")
+    dev_a, dev_b = math.sqrt(dev2_a.real), math.sqrt(dev2_b.real)
     m = object.__new__(PairMoments)  # its fields without a frozen init's object.__setattr__ each, at half the cost
-    vars(m).update(alpha=alpha.real, beta=beta.real, dev_a=math.sqrt(dev2_a.real), dev_b=math.sqrt(dev2_b.real),
-                   cross=cross, centered_a=centred[0], centered_b=centred[1], a=a, b=b, state=state)
+    vars(m).update(alpha=alpha.real, beta=beta.real, dev_a=dev_a, dev_b=dev_b, cross=cross, centered_a=centred[0],
+                   centered_b=centred[1], a=a, b=b, state=state, tol=tol,
+                   zero=(_zero_deviation(dev_a, a, tol), _zero_deviation(dev_b, b, tol)))
     return m
 
 
-def _reduction(a: Observable, b: Observable, state: QuantumState) -> PairMoments:
-    """:func:`_pair_moments` of the validated triple, from the moments that a one-entry slot (a, b, moments) on
-    ``state`` keeps for ``a`` and ``b`` by identity, else from :func:`_moments`, which fill it.  The slot holds weak
-    references to ``a`` and ``b`` and none to the state, so it keeps none of them alive; a hit needs the same live
-    objects."""
+def _reduction(a: Observable, b: Observable, state: QuantumState, tol: Tolerance) -> PairMoments:
+    """:func:`_pair_moments` of the validated triple at ``tol``, from the moments that a one-entry slot (a, b,
+    moments) on ``state`` keeps for ``a`` and ``b`` by identity, else from :func:`_moments`, which fill it.  The slot
+    holds weak references to ``a`` and ``b`` and none to the state, so it keeps none of them alive; a hit needs the
+    same live objects.  It keeps no tolerance, so a hit decides its zero sides at the caller's."""
     slot = vars(state).get("_reduced")
     if slot is not None and slot[0]() is a and slot[1]() is b:
-        return _pair_moments(a, b, state, slot[2])
+        return _pair_moments(a, b, state, slot[2], tol)
     moments = _moments(a.matrix, b.matrix, state._root)
     moments[2].setflags(write=False)
-    m = _pair_moments(a, b, state, moments)
+    m = _pair_moments(a, b, state, moments, tol)
     vars(state)["_reduced"] = (weakref.ref(a), weakref.ref(b), moments)
     return m
 
 
 def pair_moments(observable_a, observable_b, state: QuantumState) -> PairMoments:
-    """The one reduction of an (A, B, state) triple that every bound reads (:func:`_reduction`)."""
-    return _reduction(*_entry(observable_a, observable_b, (state,)), state)
+    """The one reduction of an (A, B, state) triple that every bound reads (:func:`_reduction`), at ``DEFAULT_TOL``."""
+    return _reduction(*_entry(observable_a, observable_b, (state,)), state, DEFAULT_TOL)
 
 
 def expectation(observable, state: QuantumState) -> float:

@@ -15,11 +15,14 @@ in-process time sits at one of two levels per process.
 each process, and follows each one with the ``interpreter`` calibration kernel of ``bench/calibrate.py`` (imported,
 not changed), which turns its time into nominal time as ``bench/worker.py`` does.  The kernel evicts the library's
 code and data, so each request runs cold, as in the benchmark; the in-process best hides which kinds set the
-benchmark's median.  Each line is one kind: the median over the processes of each one's median nominal µs; the last
-two give the cycle's p50 and p90 likewise.
+benchmark's median.  It then cycles the same way, for SECONDS more, through the benchmark's own certify-saturating
+cycle, ``bench/workloads.build_certify(7)`` (imported, not changed): its 62 requests weigh the kinds as the
+benchmark does.  Each line is one kind: the median over the processes of each one's median nominal µs; the next two
+give the requests' cycle p50 and p90 likewise, and the last two the benchmark cycle's, each percentile taken as
+``bench/worker.py`` takes it.
 
-It prints only, gates nothing, uses only the standard library, NumPy, ``qubounds`` and the calibration kernel, and
-pytest does not collect it.
+It prints only, gates nothing, uses only the standard library, NumPy, ``qubounds`` and those two benchmark modules,
+and pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -31,6 +34,8 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 PROCESSES = 5
 WARM = 50
@@ -57,30 +62,41 @@ def best_us() -> dict:
     return best
 
 
-def paced_us(seconds: float) -> dict:
-    """Each kind's median nominal µs in this process, and the cycle's p50 and p90, each request followed by the
-    ``interpreter`` kernel: its measured time times the kernel's nominal time over the kernel's mean time just before
+def cycled_us(calls: list, seconds: float, pace) -> dict:
+    """Nominal µs of each run, by key, cycling through ``calls`` (key, callable) for ``seconds``, each call followed
+    by the pacing kernel: its measured time times the kernel's nominal time over the kernel's mean time just before
     and just after it (``calibrate.Pace``)."""
+    samples, deadline, i = {}, time.perf_counter() + seconds, 0
+    while time.perf_counter() < deadline:
+        key, call = calls[i % len(calls)]
+        started = time.perf_counter_ns()
+        call()
+        elapsed = time.perf_counter_ns() - started
+        samples.setdefault(key, []).append(elapsed * pace.after(elapsed) / 1e3)
+        i += 1
+    return samples
+
+
+def paced_us(seconds: float) -> dict:
+    """Each kind's median nominal µs in this process and the requests' cycle p50 and p90, then the p50 and p90 of
+    the benchmark's certify cycle, each request followed by the ``interpreter`` kernel."""
     sys.path.insert(0, str(BENCH))
     import calibrate
+    import workloads
     from helpers import certify_requests
 
-    requests = certify_requests(7)
+    requests = [(kind, request) for kind, _, _, request in certify_requests(7)]
+    ops = [("bench", op) for op in workloads.build_certify(7)]
     for _ in range(WARM):
-        for *_, request in requests:
-            request()
-    pace, samples = calibrate.Pace("interpreter"), {}
-    deadline, i = time.perf_counter() + seconds, 0
-    while time.perf_counter() < deadline:
-        kind, _, _, request = requests[i % len(requests)]
-        started = time.perf_counter_ns()
-        request()
-        elapsed = time.perf_counter_ns() - started
-        samples.setdefault(kind, []).append(elapsed * pace.after(elapsed) / 1e3)
-        i += 1
-    cycle = sorted(us for kind in samples.values() for us in kind)
-    medians = {kind: statistics.median(us) for kind, us in samples.items()}
-    return dict(medians, p50=statistics.median(cycle), p90=cycle[int(0.9 * len(cycle))])
+        for _, call in requests + ops:
+            call()
+    pace = calibrate.Pace("interpreter")
+    samples = cycled_us(requests, seconds, pace)
+    cycle = np.percentile([us for kind in samples.values() for us in kind], [50, 90])
+    bench = np.percentile(cycled_us(ops, seconds, pace)["bench"], [50, 90])
+    result = {kind: statistics.median(us) for kind, us in samples.items()}
+    result.update(zip(("p50", "p90", "bench p50", "bench p90"), map(float, [*cycle, *bench])))
+    return result
 
 
 def main(paced: float | None) -> None:
@@ -89,7 +105,7 @@ def main(paced: float | None) -> None:
     runs = [json.loads(subprocess.run([sys.executable, __file__, *one], env=env, capture_output=True, text=True,
                                       check=True).stdout) for _ in range(PROCESSES)]
     if paced is not None:
-        print(f"median over {PROCESSES} processes of each one's median nominal µs, {paced:g} s paced a process")
+        print(f"median over {PROCESSES} processes of each one's median nominal µs, {paced:g} s paced a cycle")
         for key in runs[0]:
             print(f"{key:12}  {statistics.median(run[key] for run in runs):6.1f}", flush=True)
         return

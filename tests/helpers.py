@@ -1,9 +1,10 @@
 """Shared fixtures: Pauli matrices, planted saturating pure and mixed instances, the certify requests, five
-oracles, and the matrix-file writer."""
+oracles, the matrix-file writer, and reductions at a given tolerance."""
 
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -11,10 +12,9 @@ import numpy as np
 
 from qubounds import (DensityMatrix, DimensionMismatch, Observable, PureState, RIndependenceViolation, construct_case1,
                       construct_case2, construct_w_mp6, haar_unitary, mp3_saturation, mp6_saturation, pair_moments,
-                      robertson_saturation_mixed, robertson_saturation_pure, schrodinger_saturation)
+                      robertson_saturation_mixed, robertson_saturation_pure, schrodinger_saturation, states)
 from qubounds.goldens import SIGMA_X, SIGMA_Y, SIGMA_Z, block_pair_4x4  # noqa: F401
 from qubounds.linalg import ROUNDING_TOL, TIE_TOL, as_complex_matrix
-from qubounds.relations import _zero_budget, _zero_deviations
 
 
 def complex_normal(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -222,10 +222,14 @@ def svd_complex_dependence_detail(x, y) -> tuple[tuple[float, float], float]:
 
 def per_power_r_family(m, coeff_a: complex, coeff_b: complex, rs: tuple[float, ...], tol) -> tuple[float, ...]:
     """The power re-check one power at a time, as ``saturation._verify_r_family`` once ran it: an oracle
-    for the one-pass form, with the same limit and the same ``RIndependenceViolation``."""
-    band, zero = math.sqrt(10.0 * tol.eps), _zero_deviations(m, tol)
-    shares = (abs(c) * (_zero_budget(o, tol) / math.sqrt(m.state.weights.max()) if z else band * dev)
-              for c, o, dev, z in zip((coeff_a, coeff_b), (m.a, m.b), (m.dev_a, m.dev_b), zero))
+    for the one-pass form, with the same limit and the same ``RIndependenceViolation``.  It states the zero rule
+    and its budget itself, at ``tol``: a side is zero where dev <= eps ||.||_F and dev <= its budget
+    max(eps spread, min(eps, ROUNDING_TOL) ||.||_F)."""
+    band, shares = math.sqrt(10.0 * tol.eps), []
+    for c, o, dev in zip((coeff_a, coeff_b), (m.a, m.b), (m.dev_a, m.dev_b)):
+        budget = max(tol.eps * o.spread, min(tol.eps, ROUNDING_TOL) * o.norm)
+        zero = dev <= tol.eps * o.norm and dev <= budget
+        shares.append(abs(c) * (budget / math.sqrt(m.state.weights.max()) if zero else band * dev))
     limit = max(*shares, ROUNDING_TOL * max(abs(coeff_a) * m.a.norm, abs(coeff_b) * m.b.norm))
     residuals = []
     for r in rs:
@@ -239,3 +243,16 @@ def per_power_r_family(m, coeff_a: complex, coeff_b: complex, rs: tuple[float, .
             raise RIndependenceViolation(f"witness residual {res:.3e} at r={r} exceeds {budget:.3e}")
         residuals.append(res)
     return tuple(residuals)
+
+
+def reduction_at(a, b, state, tol):
+    """The reduction of (A, B, state) that an entry at ``tol`` builds: its zero sides are decided at ``tol``."""
+    return states._reduction(*states._entry(a, b, (state,)), state, tol)
+
+
+def replaced(m, **changes):
+    """``dataclasses.replace(m, **changes)`` with the tolerance and zero sides that the maker wrote on ``m``, which
+    are attributes and not fields: for changes that leave both deviations as they are."""
+    new = dataclasses.replace(m, **changes)
+    vars(new).update(tol=m.tol, zero=m.zero)
+    return new

@@ -63,8 +63,8 @@ CATALOGUE = (
            "a bound is saturated at slack <= eps * scale, so a zero slack at eps = 0 is saturated",
            "test_relations.py::test_a_zero_slack_is_saturated_at_a_zero_tolerance"),
     Mutant("mp3-zero-rule-any", RELATIONS,
-           "return _decide(\"mp3\", lhs, rhs, lhs, tol, all(_zero_deviations(m, tol)),",
-           "return _decide(\"mp3\", lhs, rhs, lhs, tol, any(_zero_deviations(m, tol)),",
+           "return _decide(\"mp3\", lhs, rhs, lhs, m.tol, all(m.zero),",
+           "return _decide(\"mp3\", lhs, rhs, lhs, m.tol, any(m.zero),",
            "a sum bound is saturated by the zero rule only when both deviations are zero",
            "test_relations.py::test_a_sum_bound_with_one_zero_deviation_is_decided_by_its_slack"),
     Mutant("case2-floor-one-deviation", SATURATION,
@@ -72,12 +72,11 @@ CATALOGUE = (
            "the case-2 tail is degenerate at or below eps (dev(A) + dev(B)), the scale of its rounding",
            "test_saturation.py::test_construct_case2_degeneracy_floor_counts_both_deviations"),
     Mutant("mu-tie-budget-x2", RELATIONS,
-           "abs(comm) <= tol.eps * 2.0 * m.dev_a * m.dev_b", "abs(comm) <= tol.eps * 4.0 * m.dev_a * m.dev_b",
+           "abs(comm) <= m.tol.eps * 2.0 * m.dev_a * m.dev_b", "abs(comm) <= m.tol.eps * 4.0 * m.dev_a * m.dev_b",
            "a mu tie is |<[A, B]>| <= eps 2 dev(A) dev(B), relative as |<[A, B]>| <= 2 dev(A) dev(B)",
            "test_relations.py::test_the_mu_tie_sits_at_eps_times_twice_the_deviations"),
     Mutant("schrodinger-size-unsquared", RELATIONS,
-           "any(_zero_deviations(m, tol)), _square(m.a.norm * m.b.norm))",
-           "any(_zero_deviations(m, tol)), m.a.norm * m.b.norm)",
+           "any(m.zero), _square(m.a.norm * m.b.norm))", "any(m.zero), m.a.norm * m.b.norm)",
            "a violation floor is in the bound's units: quartic in the observables for Schrodinger",
            "test_relations.py::test_the_schrodinger_violation_floor_is_quartic_at_every_scale"),
     Mutant("overlap-budget-x10", RELATIONS,
@@ -89,19 +88,21 @@ CATALOGUE = (
            "a mu off the unit circle by more than the pair budget is a bad input",
            "test_relations.py::test_a_mu_off_the_unit_circle_by_more_than_the_pair_budget_is_a_bad_input"),
     Mutant("r-family-band-x-sqrt10", SATURATION,
-           "band = m.state.weights, math.sqrt(10.0 * tol.eps)", "band = m.state.weights, math.sqrt(100.0 * tol.eps)",
+           "band = m.state.weights, math.sqrt(10.0 * m.tol.eps)",
+           "band = m.state.weights, math.sqrt(100.0 * m.tol.eps)",
            "a certificate's power re-check admits a residual up to dev sqrt(10 eps), and no more",
            "test_saturation.py::test_the_power_recheck_admits_a_residual_up_to_its_band"),
     Mutant("r-family-zero-sides-dropped", SATURATION,
-           "_verify_r_family(m, a, b, zero, tol)", "_verify_r_family(m, a, b, (False, False), tol)",
-           "the power re-check gives a side that the certificate calls zero its zero budget's share, not the band",
+           "m.dev_a, m.zero[0]), (coeff_b, m.b, m.dev_b, m.zero[1])", "m.dev_a, False), (coeff_b, m.b, m.dev_b, False)",
+           "the power re-check gives a side that the reduction calls zero its zero budget's share, not the band",
            "test_saturation.py::test_near_eigenstates_keep_their_certificates_on_rank_k_states"),
     Mutant("mixed-residual-second-norm", SATURATION,
            "r_residuals[0] if rs else ", "",
-           "a mixed certificate's residual is its re-check's r = 1/2 residual, also where one side is zero",
-           "test_saturation.py::test_a_mixed_certificate_with_one_zero_side_reports_its_recheck_residual"),
+           "a mixed certificate's residual is its re-check's r = 1/2 residual, also where one side is zero (pin: a "
+           "planted re-check, so that no BLAS kernel's rounding decides the verdict)",
+           "test_saturation.py::test_a_mixed_certificate_with_one_zero_side_reads_its_residual_from_its_recheck"),
     Mutant("mp6-degenerate-strict", RELATIONS,
-           "if reformulated.lhs <= tol.eps:", "if reformulated.lhs < tol.eps:",
+           "if reformulated.lhs <= m.tol.eps:", "if reformulated.lhs < m.tol.eps:",
            "the mp6 product form's denominator is degenerate up to and at eps",
            "test_relations.py::test_the_mp6_denominator_is_degenerate_up_to_and_at_eps"),
     Mutant("phase-floor-zero", SATURATION,
@@ -150,7 +151,7 @@ CATALOGUE = (
            "mu = -1j if comm.imag > 0 and not tie else 1j", "mu = -1j if comm.imag >= 0 and not tie else 1j",
            "mu makes mu <[A, B]> nonnegative, ties to i",
            equivalent="an exactly zero commutator is always a tie, so comm.imag = 0 never reaches the sign test"),
-    Mutant("zero-deviation-fast-path-dropped", RELATIONS,
+    Mutant("zero-deviation-fast-path-dropped", STATES,
            "return dev <= tol.eps * o.norm and dev <= _zero_budget(o, tol)", "return dev <= _zero_budget(o, tol)",
            "a deviation above eps ||A||_F is not zero, and the zero rule decides it without the zero budget: the "
            "budget is at most eps ||A||_F (spread(A) <= ||A||_F), so the dropped test changes no decision, only the "
@@ -310,26 +311,35 @@ CATALOGUE = (
            "x * (_ROOT_HALF / 2.0)", "x * _ROOT_HALF",
            "the sampler's halving is folded into its scale, fl(1/sqrt(2))/2, exact away from subnormals",
            "test_sampling.py::test_the_samplers_real_hermitian_part_is_the_complex_one_bit_for_bit"),
-    # The zero rule at each site that reads it: a product form needs one deviation zero to rounding (any), a sum form
-    # both (all).  Each pin has one deviation zero to rounding but not exactly zero, unless it says otherwise.
+    # The zero rule, decided once where a reduction is built, and each site that reads its sides (m.zero): a product
+    # form needs one deviation zero to rounding (any), a sum form both (all).  Each pin has one deviation zero to
+    # rounding but not exactly zero, unless it says otherwise.
+    Mutant("zero-side-on-the-other-deviation", STATES,
+           "_zero_deviation(dev_a, a, tol)", "_zero_deviation(dev_b, a, tol)",
+           "each zero side is decided on its own deviation, dev(A) for A's",
+           "test_relations.py::test_a_product_bound_reads_one_deviation_zero_to_rounding_as_saturated"),
+    Mutant("sweep-mixed-reduction-default-tol", REPORTING,
+           "mixed = _pair_moments(a, b, rho, rho_x, tol)", "mixed = _pair_moments(a, b, rho, rho_x, DEFAULT_TOL)",
+           "a sweep's reductions decide their zero sides at the sweep's tolerance, as its public entries do",
+           "test_reporting_cli.py::test_sweep_records_equal_the_public_api"),
     Mutant("robertson-zero-rule-all", RELATIONS,
-           "any(_zero_deviations(m, tol)), m.a.norm * m.b.norm)", "all(_zero_deviations(m, tol)), m.a.norm * m.b.norm)",
+           "any(m.zero), m.a.norm * m.b.norm)", "all(m.zero), m.a.norm * m.b.norm)",
            "Robertson is saturated by the zero rule where one deviation is zero",
            "test_relations.py::test_a_product_bound_reads_one_deviation_zero_to_rounding_as_saturated"),
     Mutant("schrodinger-zero-rule-all", RELATIONS,
-           "any(_zero_deviations(m, tol)), _square(", "all(_zero_deviations(m, tol)), _square(",
+           "any(m.zero), _square(", "all(m.zero), _square(",
            "Schrodinger is saturated by the zero rule where one deviation is zero",
            "test_relations.py::test_a_product_bound_reads_one_deviation_zero_to_rounding_as_saturated"),
     Mutant("mu-tie-zero-rule-all", RELATIONS,
-           "m.dev_a * m.dev_b or any(_zero_deviations(m, tol))", "m.dev_a * m.dev_b or all(_zero_deviations(m, tol))",
+           "m.dev_a * m.dev_b or any(m.zero)", "m.dev_a * m.dev_b or all(m.zero)",
            "mu is a tie, which goes to i, where one deviation is zero",
            "test_relations.py::test_one_deviation_zero_to_rounding_ties_mu"),
     Mutant("mp6-zero-rule-all", RELATIONS,
-           "if any(_zero_deviations(m, tol)):", "if all(_zero_deviations(m, tol)):",
+           "if any(m.zero):", "if all(m.zero):",
            "the product bound raises ZeroDeviation where one deviation is zero, before it divides by it",
            "test_relations.py::test_mp6_rejects_one_deviation_zero_to_rounding"),
     Mutant("chain-zero-rule-any", RELATIONS,
-           "zero = all(_zero_deviations(m, tol))", "zero = any(_zero_deviations(m, tol))",
+           "scale, m.tol, all(m.zero), size, pair)", "scale, m.tol, any(m.zero), size, pair)",
            "the chain's steps are saturated by the zero rule only where both deviations are zero (pin: one exact zero)",
            "test_relations.py::test_a_sum_bound_with_one_zero_deviation_is_decided_by_its_slack"),
     Mutant("certificate-gram-zero-all", SATURATION,
@@ -341,7 +351,7 @@ CATALOGUE = (
            "a certificate's residual is 0 only where both deviations are zero; one zero side leaves its deviation",
            "test_saturation.py::test_a_certificate_enters_one_deviation_zero_to_rounding_as_exactly_zero"),
     Mutant("chain-theta-zero-any", SATURATION,
-           "theta = 0.0 if all(_zero_deviations(m, tol))", "theta = 0.0 if any(_zero_deviations(m, tol))",
+           "theta = 0.0 if all(m.zero)", "theta = 0.0 if any(m.zero)",
            "the chain certificate's theta is 0 only where both deviations are zero, else -arg(c + mu d)",
            "test_saturation.py::test_the_chain_certificate_angle_is_zero_only_where_both_deviations_are"),
     Mutant("w-mp6-tails-errstate-dropped", SATURATION,
@@ -350,15 +360,15 @@ CATALOGUE = (
            "ZeroDeviation (pin: an exact zero, and a dev(A) that underflows beside a nonzero tail)",
            "test_saturation.py::test_construct_w_mp6_zero_tail_rejected"),
     Mutant("construction-gap-zero-any", SATURATION,
-           "gap = 0.0 if all(_zero_deviations(m, tol))", "gap = 0.0 if any(_zero_deviations(m, tol))",
+           "gap = 0.0 if all(m.zero)", "gap = 0.0 if any(m.zero)",
            "an mp3 construction's gap is 0 by the zero rule only where both deviations are zero",
            "test_saturation.py::test_a_construction_gap_is_zero_only_where_both_deviations_are"),
     Mutant("zero-product-all", SATURATION,
-           "product_is_zero=any(zero)", "product_is_zero=all(zero)",
+           "product_is_zero=any(m.zero)", "product_is_zero=all(m.zero)",
            "dev(A) dev(B) is zero where one deviation is",
            "test_saturation.py::test_the_zero_characterizations_read_one_deviation_zero_to_rounding"),
     Mutant("zero-sum-any", SATURATION,
-           "return all(_zero_deviations(pair_moments(", "return any(_zero_deviations(pair_moments(",
+           "return all(_reduction(", "return any(_reduction(",
            "dev(A)^2 + dev(B)^2 is zero only where both deviations are",
            "test_saturation.py::test_the_zero_characterizations_read_one_deviation_zero_to_rounding"),
     # Rules that the certify path's trimmed entry checks, power re-check and mu check state in new places.
@@ -375,7 +385,7 @@ CATALOGUE = (
            "a checker takes a given mu within MU_SNAP_TOL of -i as -i exactly, as it takes one near i as i",
            "test_saturation.py::test_a_given_mu_is_a_unit_only_within_mu_snap_tol"),
     Mutant("commutation-witness-zero-any", SATURATION,
-           "if not all(_zero_deviations(m, tol)):", "if not any(_zero_deviations(m, tol)):",
+           "if not all(m.zero):", "if not any(m.zero):",
            "the qubit commutation witness needs both centred products to vanish, else it is None",
            "test_saturation.py::test_the_zero_characterizations_read_one_deviation_zero_to_rounding"),
 )

@@ -43,7 +43,8 @@ from qubounds.linalg import DEFAULT_TOL
 from qubounds.relations import _decide
 from qubounds.sampling import _haar_columns
 from qubounds.errors import BoundViolation
-from helpers import SIGMA_X, SIGMA_Y, SIGMA_Z, block_pair_4x4, hermitian_array, plant_saturating_pure
+from helpers import (SIGMA_X, SIGMA_Y, SIGMA_Z, block_pair_4x4, hermitian_array, plant_saturating_pure, reduction_at,
+                     replaced)
 
 KET0 = PureState(np.array([1.0, 0.0]))
 KET1 = PureState(np.array([0.0, 1.0]))
@@ -497,7 +498,7 @@ def test_a_stretched_pair_that_the_gram_test_admits_violates_no_bound(k):
     mu = reports.mu.mu
     for pushed in (dataclasses.replace(p, gram=0.0), dataclasses.replace(p, c=p.c * (1 + 1e-9), d=p.d * (1 + 1e-9))):
         with pytest.raises(BoundViolation, match="mp6 reformulated"):
-            relations._mp6_decisions(pushed, mu, DEFAULT_TOL)
+            relations._mp6_decisions(pushed, mu)
 
 
 def test_an_admitted_overlap_moves_no_maccone_pati_decision_under_an_identity_offset():
@@ -566,7 +567,7 @@ def test_a_product_bound_reads_one_deviation_zero_to_rounding_as_saturated():
     a, b = ONE_ZERO_3
     e1 = PureState(np.eye(3)[0])
     m = pair_moments(a, b, e1)
-    assert (m.dev_a, m.dev_b) == (TINY, 1.0) and relations._zero_deviations(m, DEFAULT_TOL) == (True, False)
+    assert (m.dev_a, m.dev_b) == (TINY, 1.0) and m.zero == (True, False)
     for state in (e1, DensityMatrix.from_pure(e1)):
         for bound in (robertson, schrodinger):
             report = bound(a, b, state)
@@ -665,12 +666,12 @@ def test_the_schrodinger_violation_floor_is_quartic_at_every_scale():
     tol = Tolerance(0.0)
     for k in range(-8, 9):
         s = 2.0 ** k
-        m = pair_moments(s * SIGMA_X, s * SIGMA_Y, KET0)
+        m = reduction_at(s * SIGMA_X, s * SIGMA_Y, KET0, tol)
         assert (m.dev_a, m.dev_b, m.cross) == (s, s, s * s * 1j)
-        decision = relations._schrodinger_decision(dataclasses.replace(m, cross=s * s * 1j * (1.0 + 2.0 ** -48)), tol)
+        decision = relations._schrodinger_decision(replaced(m, cross=s * s * 1j * (1.0 + 2.0 ** -48)))
         assert decision.slack == -(2.0 ** -47) * s ** 4 and decision.saturated
         with pytest.raises(BoundViolation, match="schrodinger"):
-            relations._schrodinger_decision(dataclasses.replace(m, cross=s * s * 1j * (1.0 + 2.0 ** -38)), tol)
+            relations._schrodinger_decision(replaced(m, cross=s * s * 1j * (1.0 + 2.0 ** -38)))
 
 
 def test_the_overlap_check_rejects_what_the_pair_budget_does_not_admit():

@@ -674,7 +674,7 @@ def test_a_certificate_is_present_exactly_where_its_bound_is_saturated():
 def test_a_bounds_error_is_its_certificates_outcome(monkeypatch):
     # A Robertson decision that raises is filed once as the bound's error and once as its certificate's, each a
     # failure with the decision's message, in the order the record files them; Schrodinger's certify as before.
-    def violated(m, tol):
+    def violated(m):
         raise qubounds.BoundViolation(f"planted at {m.state.dimension}")
 
     monkeypatch.setattr(reporting, "_robertson_decision", violated)

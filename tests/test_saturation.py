@@ -1,7 +1,7 @@
 import cmath
 import copy
-import dataclasses
 import hashlib
+import inspect
 import math
 import os
 import pickle
@@ -79,6 +79,8 @@ from helpers import (
     per_power_r_family,
     plant_saturating_mixed,
     plant_saturating_pure,
+    reduction_at,
+    replaced,
 )
 
 KET0 = PureState(np.array([1.0, 0.0]))
@@ -280,8 +282,7 @@ def test_rescaled_r_family_check_fires_at_every_scale():
             coeff_b = (1j if cert.phi is None else cmath.exp(1j * cert.phi)) * math.sin(cert.theta)
             m = pair_moments(c * moved + shift * np.eye(5), b, rho)
             with pytest.raises(RIndependenceViolation):
-                _verify_r_family(m, math.cos(cert.theta), coeff_b, relations._zero_deviations(m, Tolerance()),
-                                 Tolerance())
+                _verify_r_family(m, math.cos(cert.theta), coeff_b)
 
 
 # The Maccone-Pati sum bound adds dev(A)^2 and dev(B)^2, so A and B scale together.
@@ -1381,11 +1382,11 @@ def _check_near_eigenstate_certificates(n, k, seed):
     # carried to r bounds the residual at each r by dev(A) ||w^r|| / sqrt(w_max), which no valid input
     # exceeds.
     rng = trial_rng(seed, 0)
-    tol, zero_sides = Tolerance(), 0
+    zero_sides = 0
     for delta in DELTAS:
         for a, b, state in _near_eigenstate_cases(delta, rng, n, k, 10):
             m = pair_moments(a, b, state)
-            zero = relations._zero_deviations(m, tol)
+            zero = m.zero
             zero_sides += zero[0]
             weights = m.state.weights
             scale = m.dev_a / math.sqrt(weights.max())
@@ -1418,11 +1419,11 @@ def test_a_mixed_certificate_with_one_zero_side_reports_its_recheck_residual():
     # A mixed certificate's residual is its power re-check's r = 1/2 residual ||a A_c X + b B_c X||_F, bit for
     # bit, also where one deviation is zero to rounding and the witness is (1, 0).  dev(A), read from the
     # moments' Gram entry, is that norm taken a second way, and may differ from it in the last place.
-    rng, tol, checked = trial_rng(377, 0), Tolerance(), 0
+    rng, checked = trial_rng(377, 0), 0
     for delta in DELTAS:
         for n, k in ((4, 2), (5, 3)):
             for a, b, state in _near_eigenstate_cases(delta, rng, n, k, 10):
-                if relations._zero_deviations(pair_moments(a, b, state), tol) != (True, False):
+                if pair_moments(a, b, state).zero != (True, False):
                     continue
                 for check in (robertson_saturation_mixed, schrodinger_saturation):
                     cert = check(a, b, state)
@@ -1431,16 +1432,30 @@ def test_a_mixed_certificate_with_one_zero_side_reports_its_recheck_residual():
     assert checked >= 60
 
 
+def test_a_mixed_certificate_with_one_zero_side_reads_its_residual_from_its_recheck(monkeypatch):
+    # The residual is the re-check's r = 1/2 entry itself, not the same norm taken a second way: with a re-check
+    # that returns planted residuals, a mixed certificate with one zero side reports the first of them, on any BLAS
+    # kernel.  dev(A), the moments' form of that norm, may round as the re-check does, and then no real run shows
+    # which of the two a certificate read.
+    residuals = (0.125, 0.25, 0.375, 0.5)
+    monkeypatch.setattr(saturation, "_verify_r_family", lambda m, a, b: residuals)
+    rho = DensityMatrix.from_pure(KET0)
+    assert pair_moments(TINY_TAIL, SIGMA_Y, rho).zero == (True, False)
+    for check in (robertson_saturation_mixed, schrodinger_saturation):
+        cert = check(TINY_TAIL, SIGMA_Y, rho)
+        assert (cert.theta, cert.residual, cert.r_residuals) == (0.0, residuals[0], residuals)
+
+
 def _count_zero_rule(monkeypatch) -> list:
-    """Count every evaluation of the zero rule (relations._zero_deviation) from here on."""
-    calls, real = [], relations._zero_deviation
-    monkeypatch.setattr(relations, "_zero_deviation", lambda *args: calls.append(1) or real(*args))
+    """Count every evaluation of the zero rule (states._zero_deviation) from here on."""
+    calls, real = [], states._zero_deviation
+    monkeypatch.setattr(states, "_zero_deviation", lambda *args: calls.append(1) or real(*args))
     return calls
 
 
-def test_a_certificate_request_decides_each_zero_side_twice(monkeypatch):
-    # A certificate request evaluates the zero rule on each side for its bound's decision, and once more for its
-    # witness, whose zero sides the mixed kinds' power re-check reads: 4 evaluations, pure or mixed.
+def test_a_certificate_request_decides_each_zero_side_once(monkeypatch):
+    # A certificate request evaluates the zero rule on each side once, where its reduction is built; its bound's
+    # decision, its witness and the mixed kinds' power re-check all read those sides: 2 evaluations, pure or mixed.
     rng, calls = trial_rng(29, 3), _count_zero_rule(monkeypatch)
     requests = [(robertson_saturation_pure, *plant_saturating_pure(n, 0.7j, rng)) for n in (2, 4)]
     requests += [(check, *plant_saturating_mixed(n, k, 0.7, phase, rng))
@@ -1449,7 +1464,32 @@ def test_a_certificate_request_decides_each_zero_side_twice(monkeypatch):
     for check, a, b, state in requests:
         calls.clear()
         assert check(a, b, state) is not None
-        assert len(calls) == 4, check.__name__
+        assert len(calls) == 2, check.__name__
+
+
+def test_a_sweep_trial_decides_each_zero_side_once_per_reduction(monkeypatch):
+    # An n = 4 sweep trial builds four reductions (psi, rho, the Maccone-Pati psi and e1) and evaluates the zero rule
+    # on each side of each once, where it is built: 8 evaluations, which its bounds, certificates, mu choices and
+    # constructions all read.
+    calls = _count_zero_rule(monkeypatch)
+    for trials in (1, 3):
+        calls.clear()
+        run_verification_suite(SampleConfig(4, 2, 7, trials), Tolerance())
+        assert len(calls) == 8 * trials
+
+
+def test_no_body_that_reads_a_reduction_takes_a_tolerance():
+    # The tolerance rides in the reduction (m.tol), with the zero sides decided at it (m.zero): the decision, mu,
+    # certificate, re-check, checker and construction bodies take none, so none can be handed one that disagrees.
+    # The entries and pair checks, and the rule itself (_decide), keep theirs.
+    bodies = (relations._robertson_decision, relations._schrodinger_decision, relations._moments_mu,
+              relations._mp3_decision, relations._mp6_decision, relations._mp6_decisions,
+              relations._mp_chain_decisions, saturation._verify_r_family, saturation._certificate,
+              saturation._require_mu_hypothesis, saturation._equality_check, saturation._case2_tails,
+              saturation._w_mp6_tails, saturation._constructions, saturation._constructed)
+    assert [f.__name__ for f in bodies if "tol" in inspect.signature(f).parameters] == []
+    for rule in (relations._decide, relations._mp_reduction, relations._mp_inputs, saturation._construct):
+        assert "tol" in inspect.signature(rule).parameters
 
 
 def _library_calls(request) -> int:
@@ -1473,7 +1513,7 @@ def _library_calls(request) -> int:
 
 
 # Python calls per certify request kind, the same at every n.
-CERTIFY_CALLS = {"pure": 44, "mixed": 54, "schrodinger": 57, "case1+mp3": 90, "case2+mp3": 93, "w_mp6+mp6": 83}
+CERTIFY_CALLS = {"pure": 40, "mixed": 49, "schrodinger": 52, "case1+mp3": 79, "case2+mp3": 82, "w_mp6+mp6": 75}
 
 
 def test_a_certify_request_makes_a_fixed_number_of_python_calls():
@@ -1492,21 +1532,19 @@ def test_the_zero_side_recheck_raises_where_the_zero_side_outgrows_its_deviation
     u = haar_unitary(4, rng)
     a = Observable.hermitian_part((u * np.array([0.5, 0.5, -1.0, 2.0])) @ u.conj().T)
     rho = DensityMatrix.from_factor(u[:, :2] * np.sqrt([0.7, 0.3]) + 1e-11 * complex_normal(rng, 4, 2))
-    tol = Tolerance()
     m = pair_moments(a, hermitian_array(rng, 4), rho)
-    zero = relations._zero_deviations(m, tol)
-    assert zero == (True, False)
-    _verify_r_family(m, 1.0, 0.0, zero, tol)
+    assert m.zero == (True, False)
+    _verify_r_family(m, 1.0, 0.0)
     w = np.sort(m.state.weights)[::-1]
-    z = relations._zero_budget(m.a, tol)
+    z = states._zero_budget(m.a, m.tol)
     column = complex_normal(rng, 4, 1)[:, 0]
     inflated = np.zeros_like(m.centered_a)
     inflated[:, np.argmax(m.state.weights)] = (z * (1 / math.sqrt(w[0]) + math.sqrt(1 + (w[1] / w[0]) ** 6)) / 2
                                                * column / np.linalg.norm(column))
     # The inflated column is over rho's factor; the moments read G/||G||_F, which _basis turns into the factor.
-    bad = dataclasses.replace(m, centered_a=inflated @ rho._basis.conj().T)
+    bad = replaced(m, centered_a=inflated @ rho._basis.conj().T)
     with pytest.raises(RIndependenceViolation, match="at r=[123]"):
-        _verify_r_family(bad, 1.0, 0.0, zero, tol)
+        _verify_r_family(bad, 1.0, 0.0)
 
 
 def test_the_power_recheck_admits_a_residual_up_to_its_band():
@@ -1514,18 +1552,16 @@ def test_the_power_recheck_admits_a_residual_up_to_its_band():
     # residual at every power r is delta ||w^r||, as A_c X has the column norms w_j^(1/2) over the factor.  The
     # limit is the band sqrt(10 eps) dev(A) = 1e-4 at the default eps: delta = 5e-5 passes, 2e-4 and 5e-4 raise.
     # A band sqrt(10) times as wide would pass 2e-4.
-    tol = Tolerance()
     m = pair_moments(SIGMA_X, SIGMA_X, DensityMatrix(np.diag([0.75, 0.25])))
-    zero = relations._zero_deviations(m, tol)
-    assert m.dev_a == pytest.approx(1.0, abs=1e-15) and zero == (False, False)
+    assert m.dev_a == pytest.approx(1.0, abs=1e-15) and m.zero == (False, False)
     for delta, passes in ((5e-5, True), (2e-4, False), (5e-4, False)):
         if passes:
-            residuals = _verify_r_family(m, 1.0, -(1.0 - delta), zero, tol)
+            residuals = _verify_r_family(m, 1.0, -(1.0 - delta))
             norms = [np.linalg.norm(np.array([0.75, 0.25]) ** r) for r in DEFAULT_R_LIST]
             assert residuals == pytest.approx([delta * n for n in norms], rel=1e-9)
             continue
         with pytest.raises(RIndependenceViolation, match="at r=0.5"):
-            _verify_r_family(m, 1.0, -(1.0 - delta), zero, tol)
+            _verify_r_family(m, 1.0, -(1.0 - delta))
 
 
 def _recheck_calls(monkeypatch) -> list:
@@ -1543,8 +1579,8 @@ def _recheck_calls(monkeypatch) -> list:
 def _assert_the_per_power_oracle_agrees(args, residuals):
     # A witness's residual is rounding noise, so it is compared at the size of its two terms,
     # (|a| dev(A) + |b| dev(B)) w_max^(r - 1/2), which bounds each at r; at r = 1/2 both are ||Y||_F.
-    m, coeff_a, coeff_b, _, tol = args
-    oracle = per_power_r_family(m, coeff_a, coeff_b, DEFAULT_R_LIST, tol)
+    m, coeff_a, coeff_b = args
+    oracle = per_power_r_family(m, coeff_a, coeff_b, DEFAULT_R_LIST, m.tol)
     assert DEFAULT_R_LIST[0] == 0.5 and residuals[0] == oracle[0]
     w_max = m.state.weights.max()
     for r, got, want in zip(DEFAULT_R_LIST, residuals, oracle):
@@ -1572,11 +1608,9 @@ def test_the_one_pass_recheck_matches_the_per_power_oracle(monkeypatch):
             (args, residuals), = calls
             assert cert.r_residuals == residuals and residuals[0] == cert.residual
             _assert_the_per_power_oracle_agrees(args, residuals)
-            coeffs = complex_normal(rng, 2, 1)[:, 0]
-            np.testing.assert_allclose(_verify_r_family(args[0], *coeffs, relations._zero_deviations(args[0], loose),
-                                                        loose),
-                                       per_power_r_family(args[0], *coeffs, DEFAULT_R_LIST, loose),
-                                       rtol=1e-13, atol=0)
+            coeffs, m = complex_normal(rng, 2, 1)[:, 0], reduction_at(a, b, state, loose)
+            np.testing.assert_allclose(_verify_r_family(m, *coeffs),
+                                       per_power_r_family(m, *coeffs, DEFAULT_R_LIST, loose), rtol=1e-13, atol=0)
             certificates += 1
     assert certificates >= 60
 
@@ -1608,12 +1642,13 @@ def test_stacked_states_pair_checks_and_constructions_are_the_one_trial_calls_by
         t, n = a.shape[:2]
         e1 = _e1(n)
         reduced = states._moments(a[:, None], b[:, None], np.broadcast_to(e1.factor, (t, 1, n, 1)))
-        moments = [states._pair_moments(Observable(a[i]), Observable(b[i]), e1, tuple(x[i, 0] for x in reduced))
-                   for i in range(t)]
+        observables = [(Observable(a[i]), Observable(b[i])) for i in range(t)]
         publics = [{"case1": construct_case1, "case2": construct_case2, "w_mp6": construct_w_mp6}[x] for x in targets]
         stacks = []
         for tol in (Tolerance(), Tolerance(0.0)):
-            stacks.append(built := _constructions(targets, moments, tol))
+            moments = [states._pair_moments(*observables[i], e1, tuple(x[i, 0] for x in reduced), tol)
+                       for i in range(t)]
+            stacks.append(built := _constructions(targets, moments))
             for i, pairs in enumerate(built):
                 for result, construct in zip(pairs, publics):
                     one = _result_or_error(lambda: construct(a[i], b[i], tol))
@@ -1857,11 +1892,11 @@ def test_a_saturated_mixed_certificate_forms_and_norms_its_witness_once(monkeypa
     cases += [(CertificateKind.ROBERTSON_PURE, *plant_saturating_pure(n, 0.7j, rng)) for n in (2, 4)]
     for kind, a, b, state in cases:
         m = pair_moments(a, b, state)
-        counted = dataclasses.replace(m, centered_a=m.centered_a.view(_CountedProducts))
+        counted = replaced(m, centered_a=m.centered_a.view(_CountedProducts))
         norms.clear()
         _CountedProducts.products = 0
         decide = relations._schrodinger_decision if kind is CertificateKind.SCHRODINGER else relations._robertson_decision
-        cert = saturation._certificate(kind, counted, decide(counted, Tolerance()), Tolerance())
+        cert = saturation._certificate(kind, counted, decide(counted))
         assert (_CountedProducts.products, norms) == (1, [cert.residual]), kind
 
 
@@ -1946,9 +1981,8 @@ def test_both_factor_paths_keep_their_factor_and_weights_and_the_matrix_states_v
             got, want = (zero_product_characterization(a, b, s) for s in (state, checked))
             np.testing.assert_allclose([got.residual_a, got.residual_b], [want.residual_a, want.residual_b],
                                        rtol=1e-12, atol=1e-15)
-            got, want = (pair_moments(a, b, s) for s in (state, checked))
-            np.testing.assert_allclose(_verify_r_family(got, *coeffs, relations._zero_deviations(got, loose), loose),
-                                       _verify_r_family(want, *coeffs, relations._zero_deviations(want, loose), loose),
+            got, want = (reduction_at(a, b, s, loose) for s in (state, checked))
+            np.testing.assert_allclose(_verify_r_family(got, *coeffs), _verify_r_family(want, *coeffs),
                                        rtol=1e-12, atol=1e-15)
     # A saturated mixed certificate on a factor-built state, its columns mixed by a unitary, re-verifies every
     # power and is the matrix-built certificate, to rounding (a phase other than pi/2 saturates Schrodinger only).

@@ -381,9 +381,9 @@ def test_a_mean_with_an_imaginary_residue_past_its_budget_raises():
             crafted[side] = complex(means[side].real, residue)
             if abs(residue) > budget:
                 with pytest.raises(NonRealExpectation):
-                    states._pair_moments(a, b, psi, (crafted, gram, centred))
+                    states._pair_moments(a, b, psi, (crafted, gram, centred), linalg.DEFAULT_TOL)
             else:
-                m = states._pair_moments(a, b, psi, (crafted, gram, centred))
+                m = states._pair_moments(a, b, psi, (crafted, gram, centred), linalg.DEFAULT_TOL)
                 assert (m.alpha, m.beta) == (means[0].real, means[1].real)
 
 
@@ -667,7 +667,7 @@ def test_a_states_slot_returns_its_last_reduction_for_the_same_observables_only(
         calls.clear()
         m = pair_moments(a, b, state)
         hit = pair_moments(a, b, state)
-        one = states._pair_moments(a, b, state, real(a.matrix, b.matrix, state._root))
+        one = states._pair_moments(a, b, state, real(a.matrix, b.matrix, state._root), linalg.DEFAULT_TOL)
         assert _moment_bytes(hit) == _moment_bytes(m) == _moment_bytes(one) and len(calls) == 1
         assert not (hit.centered_a.flags.writeable or hit.centered_b.flags.writeable)
         again = pair_moments(Observable(a.matrix), b, state)
@@ -690,6 +690,25 @@ def test_a_states_slot_returns_its_last_reduction_for_the_same_observables_only(
         assert freed() is None
     finally:
         gc.enable()
+
+
+def test_a_reduction_carries_its_entrys_tolerance_and_zero_sides_as_attributes_not_fields(monkeypatch):
+    # The maker writes the entry's tolerance and both zero sides on the reduction, as attributes: repr, == and
+    # dataclasses.replace see the fields alone.  The slot keeps the moments only, so a hit at another tolerance
+    # decides its zero sides there.  In |0>, A = [[0, t], [t, 1]] with t = 2^-31 has dev(A) = t, zero to rounding at
+    # the default eps and not at eps = 0; dev(B) = 1 for sigma_y is zero at neither.
+    tiny = 2.0 ** -31
+    a, b, ket0 = Observable(np.array([[0.0, tiny], [tiny, 1.0]])), Observable(SIGMA_Y), bloch_state(0.0, 0.0)
+    m = pair_moments(a, b, ket0)
+    assert (m.dev_a, m.tol, m.zero) == (tiny, linalg.DEFAULT_TOL, (True, False))
+    calls, real = [], states._moments
+    monkeypatch.setattr(states, "_moments", lambda *args: calls.append(1) or real(*args))
+    exact = states._reduction(a, b, ket0, linalg.Tolerance(0.0))
+    assert calls == [] and (exact.tol, exact.zero) == (linalg.Tolerance(0.0), (False, False)) and exact == m
+    names = [f.name for f in dataclasses.fields(states.PairMoments)]
+    assert "tol" not in names and "zero" not in names and "tol=" not in repr(m) and "zero=" not in repr(m)
+    copied = dataclasses.replace(m)
+    assert copied == m and not {"tol", "zero"} & set(vars(copied))
 
 
 def test_a_states_slot_keeps_no_observable_alive():
@@ -758,23 +777,32 @@ def test_a_loaded_or_copied_input_is_frozen_again(load):
 
 
 def _held_arrays(x) -> list:
-    """Every array that the input ``x`` holds: those in its ``vars``, and a pure state's factor, derived when read."""
+    """Every array that the input ``x`` holds: those in its ``vars``, and a pure state's factor, derived when read,
+    each with every array down its ``.base`` chain, whose memory a view of it shares."""
     arrays = [v for v in vars(x).values() if isinstance(v, np.ndarray)]
-    return arrays + [x.factor] if isinstance(x, PureState) else arrays
+    chains = []
+    for v in arrays + [x.factor] if isinstance(x, PureState) else arrays:
+        while isinstance(v, np.ndarray):
+            chains.append(v)
+            v = v.base
+    return chains
 
 
 def test_every_array_an_input_holds_is_read_only_on_every_build_path():
     # Each build path, the stacked makers of a sweep and a construction included, leaves no writable array in an
     # input: a factor-built state's support, Gram eigenvectors and matrix, formed when first read, neither, and a
-    # loaded or copied input neither.  A pure state stores its amplitudes alone, besides the digest and the kept
-    # moments (a constructed psi carries those of its construction, and its pair's c and d).
+    # loaded or copied input neither.  No array that a held one views is writable either: a matrix-built state's
+    # weights are a prefix of the eigenvalues that its eigendecomposition copied.  A pure state stores its
+    # amplitudes alone, besides the digest and the kept moments (a constructed psi carries those of its
+    # construction, and its pair's c and d).
     a, b = Observable(SIGMA_X), Observable(SIGMA_Y)
     g = complex_normal(trial_rng(40, 0), 3, 2)
     pair = construct_case2(hermitian_array(trial_rng(40, 1), 3), hermitian_array(trial_rng(40, 2), 3))
     (_, sweep_a, sweep_b, sweep_psi, sweep_rho, haar), _ = next(_trial_chunks(SampleConfig(3, 2, 7, 2)))[-1]
     inputs = [Observable(SIGMA_Z), Observable.hermitian_part(SIGMA_X + 1j * SIGMA_Z), sweep_a, sweep_b,
               PureState(np.array([0.6, 0.8j])), random_pure_state(3, 40), pair.psi, pair.phi, sweep_psi, *haar,
-              DensityMatrix(np.diag([0.75, 0.25])), DensityMatrix.from_pure(PLUS), sweep_rho]
+              DensityMatrix(np.diag([0.75, 0.25])), DensityMatrix(np.diag([0.75, 0.25, 0.0]).astype(complex)),
+              DensityMatrix.from_pure(PLUS), sweep_rho]
     factor_built = [DensityMatrix.from_factor(g), DensityMatrix.from_factor(np.column_stack([g, g[:, :1] * 0.5j]))]
     for x in inputs + factor_built:
         assert _held_arrays(x) and not any(v.flags.writeable for v in _held_arrays(x))
